@@ -7,8 +7,7 @@ exercises every formula.
 
 All assertions are exact equalities (integers, tuples, Fractions); the only
 approximate quantity anywhere is the wall-clock budget attached to some
-criteria, measured after the numeric backend has been warmed up so that JIT
-compilation is not billed to the mathematics.
+criteria.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _backend
 from .braid import build_presentation
 from .cohomology import (
     classify_form,
@@ -307,7 +305,6 @@ def criterion_11() -> CriterionResult:
 
 
 def run_all(quick: bool = False) -> list[CriterionResult]:
-    _backend.warm_up()
     return [
         criterion_1(),
         criterion_2(quick=quick),

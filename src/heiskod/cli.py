@@ -247,18 +247,9 @@ def cmd_census(args) -> int:
     elif args.format == "csv":
         _emit(rows_to_csv(rows), args.output)
         for c in claims:
-            status = "ok" if c.holds else "FAILED"
-            sys.stderr.write(f"claim [{status}] {c.name}: {c.detail}\n")
+            sys.stderr.write(c.line() + "\n")
     else:
-        lines = [",".join(CSV_COLUMNS)]
-        for r in rows:
-            rec = row_record(r)
-            lines.append(",".join(str(rec[c]) for c in CSV_COLUMNS))
-        lines.append("")
-        for c in claims:
-            status = "ok" if c.holds else "FAILED"
-            lines.append(f"claim [{status}] {c.name}: {c.detail}")
-        _emit("\n".join(lines), args.output)
+        _emit(rows_to_csv(rows) + "\n" + "\n".join(c.line() for c in claims), args.output)
     return 0 if all_hold else 1
 
 

@@ -12,8 +12,9 @@ where L_b, M_b are block-diagonal with 2x2 blocks [[0, l_j], [-l_j, 0]]
 prod_j (1 - lambda_j * mu_j)^2, so the form is symplectic exactly when no
 lambda_j * mu_j equals 1.
 
-Row reduction is deterministic (first nonzero pivot in column order) and
-delegated to the selected numeric backend; all operations return new values.
+Row reduction and the determinant are vectorised numpy eliminations with a
+deterministic pivot rule (first nonzero entry in column order); all
+operations return new values.
 """
 
 from __future__ import annotations
@@ -23,12 +24,15 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import _backend
 from .errors import PreconditionError
 
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; moduli here stay below ~100."""
+    """Trial-division primality test: O(sqrt(n)) divisions.
+
+    The CLI accepts moduli such as p = 1000003 (about a thousand divisions);
+    the cost grows without bound for larger inputs.
+    """
     if n < 2:
         return False
     d = 2
@@ -183,8 +187,29 @@ class FpMatrix:
     # -- elimination -------------------------------------------------------
 
     def rref(self) -> tuple["FpMatrix", tuple[int, ...]]:
-        r, piv = _backend.rref_mod(self._a, self.p)
-        return FpMatrix(r, self.p), tuple(int(c) for c in piv)
+        """Reduced row echelon form and its pivot columns."""
+        p = self.p
+        a = self._a.copy()
+        m, n = a.shape
+        r = 0
+        pivots = []
+        for c in range(n):
+            if r == m:
+                break
+            nz = np.nonzero(a[r:, c])[0]
+            if nz.size == 0:
+                continue
+            i = r + int(nz[0])
+            if i != r:
+                a[[r, i]] = a[[i, r]]
+            a[r] = (a[r] * pow(int(a[r, c]), -1, p)) % p
+            rows = np.nonzero(a[:, c])[0]
+            rows = rows[rows != r]
+            if rows.size:
+                a[rows] = (a[rows] - np.outer(a[rows, c], a[r])) % p
+            pivots.append(c)
+            r += 1
+        return FpMatrix(a, p), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -192,7 +217,25 @@ class FpMatrix:
     def det(self) -> FpScalar:
         if self.rows != self.cols:
             raise PreconditionError(f"determinant of non-square {self.rows}x{self.cols} matrix")
-        return FpScalar(_backend.det_mod(self._a, self.p), self.p)
+        p = self.p
+        a = self._a.copy()
+        det = 1
+        for c in range(self.rows):
+            nz = np.nonzero(a[c:, c])[0]
+            if nz.size == 0:
+                return FpScalar(0, p)
+            i = c + int(nz[0])
+            if i != c:
+                a[[c, i]] = a[[i, c]]
+                det = (-det) % p
+            piv = int(a[c, c])
+            det = (det * piv) % p
+            inv = pow(piv, -1, p)
+            rows = c + 1 + np.nonzero(a[c + 1 :, c])[0]
+            if rows.size:
+                factors = (a[rows, c] * inv) % p
+                a[rows] = (a[rows] - np.outer(factors, a[c])) % p
+        return FpScalar(det, p)
 
     def kernel_basis(self) -> list[tuple[int, ...]]:
         """Basis of the right null-space; empty iff full column rank.
@@ -213,21 +256,6 @@ class FpMatrix:
                 v[c] = (-ra[i, f]) % self.p
             basis.append(tuple(int(x) for x in v))
         return basis
-
-
-# -- module-level operation names ------------------------------------------
-
-
-def mat_rank(m: FpMatrix) -> int:
-    return m.rank()
-
-
-def mat_det(m: FpMatrix) -> FpScalar:
-    return m.det()
-
-
-def kernel_basis(m: FpMatrix) -> list[tuple[int, ...]]:
-    return m.kernel_basis()
 
 
 def span_dim(vectors: Iterable[Sequence[int]], p: int) -> int:

@@ -87,13 +87,33 @@ class _CocycleGroup:
         cvv = int(v @ self._c @ v) % p
         return (k * v) % p, (k * t + (k * (k - 1) // 2) * cvv) % p
 
-    def _order_raw(self, v, t) -> int:
-        cur_v, cur_t = v % self.p, t % self.p
-        for k in range(1, 4 * self.p + 1):
-            if not cur_v.any() and cur_t == 0:
-                return k
-            cur_v, cur_t = self._mul_raw(cur_v, cur_t, v, t)
-        raise AssertionError("element order exceeded 4p")  # unreachable
+    # element operations; subclasses supply _raw (element -> raw) and _wrap
+
+    def mul(self, g, h):
+        return self._wrap(*self._mul_raw(*self._raw(g), *self._raw(h)))
+
+    def inv(self, g):
+        return self._wrap(*self._inv_raw(*self._raw(g)))
+
+    def power(self, g, k: int):
+        return self._wrap(*self._pow_raw(*self._raw(g), k))
+
+    def order_of(self, g) -> int:
+        """Order of ``g``: 1, p, or p^2 (the last only for p = 2).
+
+        For v != 0 the vector part k v first vanishes at k = p, so g^p =
+        (0, p t + C(p,2) c(v,v)) is central, and a nontrivial central element
+        has order p.
+        """
+        v, t = self._raw(g)
+        if not v.any() and t == 0:
+            return 1
+        _, pt = self._pow_raw(v, t, self.p)
+        return self.p if pt == 0 else self.p**2
+
+    def commutator(self, g, h):
+        gi, hi = self.inv(g), self.inv(h)
+        return self.mul(self.mul(g, h), self.mul(gi, hi))
 
     def commutator_value(self, u: Sequence[int], v: Sequence[int]) -> int:
         """Central exponent of [g, h] for any lifts of u, v."""
@@ -170,22 +190,6 @@ class HeisGroup(_CocycleGroup):
     def _wrap(self, v, t) -> HeisElement:
         return HeisElement(tuple(int(x) for x in v), int(t))
 
-    def mul(self, g: HeisElement, h: HeisElement) -> HeisElement:
-        return self._wrap(*self._mul_raw(*self._raw(g), *self._raw(h)))
-
-    def inv(self, g: HeisElement) -> HeisElement:
-        return self._wrap(*self._inv_raw(*self._raw(g)))
-
-    def power(self, g: HeisElement, k: int) -> HeisElement:
-        return self._wrap(*self._pow_raw(*self._raw(g), k))
-
-    def order_of(self, g: HeisElement) -> int:
-        return self._order_raw(*self._raw(g))
-
-    def commutator(self, g: HeisElement, h: HeisElement) -> HeisElement:
-        gi, hi = self.inv(g), self.inv(h)
-        return self.mul(self.mul(g, h), self.mul(gi, hi))
-
     def omega(self, u: Sequence[int], v: Sequence[int]) -> int:
         return self.form.value(u, v)
 
@@ -240,22 +244,6 @@ class MatrixHeisGroup(_CocycleGroup):
         vv = tuple(int(a) for a in v)
         return MatrixHeisElement(vv[: self.n], vv[self.n :], int(t))
 
-    def mul(self, g: MatrixHeisElement, h: MatrixHeisElement) -> MatrixHeisElement:
-        return self._wrap(*self._mul_raw(*self._raw(g), *self._raw(h)))
-
-    def inv(self, g: MatrixHeisElement) -> MatrixHeisElement:
-        return self._wrap(*self._inv_raw(*self._raw(g)))
-
-    def power(self, g: MatrixHeisElement, k: int) -> MatrixHeisElement:
-        return self._wrap(*self._pow_raw(*self._raw(g), k))
-
-    def order_of(self, g: MatrixHeisElement) -> int:
-        return self._order_raw(*self._raw(g))
-
-    def commutator(self, g, h) -> MatrixHeisElement:
-        gi, hi = self.inv(g), self.inv(h)
-        return self.mul(self.mul(g, h), self.mul(gi, hi))
-
     def projection(self, g: MatrixHeisElement) -> tuple[int, ...]:
         return g.x + g.y
 
@@ -264,21 +252,6 @@ class MatrixHeisGroup(_CocycleGroup):
         if self.p == 2:
             raise UnsupportedModelError("no pair model exists mod 2")
         return HeisGroup(AlternatingForm.standard_symplectic(self.n, self.p))
-
-
-# -- module-level operation names -------------------------------------------
-
-
-def heis_mul(g: HeisElement, h: HeisElement, group: HeisGroup) -> HeisElement:
-    return group.mul(g, h)
-
-
-def matrix_heis_mul(g: MatrixHeisElement, h: MatrixHeisElement, group: MatrixHeisGroup) -> MatrixHeisElement:
-    return group.mul(g, h)
-
-
-def element_order(g, group) -> int:
-    return group.order_of(g)
 
 
 def iso_matrix_to_pair(m: MatrixHeisElement, group: MatrixHeisGroup) -> HeisElement:

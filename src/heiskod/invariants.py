@@ -195,6 +195,9 @@ class ClaimResult:
     holds: bool
     detail: str
 
+    def line(self) -> str:
+        return f"claim [{'ok' if self.holds else 'FAILED'}] {self.name}: {self.detail}"
+
 
 def _slope_window_claims(rows: list[CensusRow], bound: Fraction, peak: set, label: str) -> list[ClaimResult]:
     claims = []

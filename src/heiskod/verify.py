@@ -35,7 +35,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _backend
 from .braid import (
     A12,
     RHO,
@@ -317,6 +316,10 @@ def bfs_subgroup_order(group: _CocycleGroup, elements: Sequence, bound: int = 10
 
     Independent of ``subgroup_order_fast`` by construction; kept for
     cross-validation and refused (not approximated) beyond the bound.
+
+    The closure is level-synchronous and vectorised over the frontier, with
+    elements packed as mixed-radix codes (base p, digits v then t) indexing
+    a visited array of the group's order.
     """
     if group.order > bound:
         raise EnumerationBoundError(
@@ -325,13 +328,39 @@ def bfs_subgroup_order(group: _CocycleGroup, elements: Sequence, bound: int = 10
     rows = []
     for g in elements:
         for h in (g, group.inv(g)):
-            v = np.array(group.projection(h), dtype=np.int64)
-            t = h.t if hasattr(h, "t") else h.z
-            rows.append(np.concatenate([v, [t]]))
+            v, t = group._raw(h)
+            rows.append(np.append(v, t))
     if not rows:
         return 1
+    p, dim = group.p, group.dim
     gens = np.stack(rows)
-    return _backend.bfs_closure(group.p, group.dim, group._c, gens, group.order)
+    gv = gens[:, :dim]
+    gt = gens[:, dim]
+    # c(v, v_g) = v . u_g with u_g = C v_g
+    u = (gv @ group._c.T) % p
+    radix = p ** np.arange(dim + 1, dtype=np.int64)
+    visited = np.zeros(group.order, dtype=bool)
+    visited[0] = True
+    frontier = np.zeros((1, dim + 1), dtype=np.int64)
+    count = 1
+    while frontier.shape[0]:
+        fv = frontier[:, :dim]
+        ft = frontier[:, dim]
+        blocks = []
+        # multiplying a set of distinct elements by one fixed generator
+        # is injective, so marking visited between generator blocks is the
+        # only deduplication needed (no sorting)
+        for k in range(gens.shape[0]):
+            nv = (fv + gv[k]) % p
+            nt = (ft + gt[k] + fv @ u[k]) % p
+            codes = nv @ radix[:dim] + nt * radix[dim]
+            fresh = ~visited[codes]
+            visited[codes[fresh]] = True
+            count += int(fresh.sum())
+            if fresh.any():
+                blocks.append(np.concatenate([nv[fresh], nt[fresh, None]], axis=1))
+        frontier = np.concatenate(blocks, axis=0) if blocks else np.empty((0, dim + 1), dtype=np.int64)
+    return count
 
 
 def report_json(report: VerificationReport, indent: Optional[int] = None) -> str:

@@ -23,13 +23,6 @@ CRITERIA = [
 ]
 
 
-@pytest.fixture(scope="module", autouse=True)
-def warmed_backend():
-    from heiskod import _backend
-
-    _backend.warm_up()
-
-
 @pytest.mark.parametrize("criterion", CRITERIA, ids=lambda f: f.__name__)
 def test_criterion(criterion):
     result = criterion()

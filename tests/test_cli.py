@@ -211,6 +211,34 @@ def test_census_csv_format(capsys):
     assert any(line.startswith("degenerate,2,3,2,2,325,325,3024,1296,7,3,144,") for line in lines)
 
 
+CENSUS_DEGENERATE_TEXT = (
+    "family,b,p,b1,b2,g1,g2,c1sq,c2,nu_num,nu_den,sigma,degree\n"
+    "degenerate,2,3,2,2,325,325,3024,1296,7,3,144,243\n"
+    "degenerate,3,2,3,3,289,289,4992,2304,13,6,128,128\n"
+    "\n"
+    "claim [ok] degenerate: slope in (2, 7/3]: all rows in window\n"
+    "claim [ok] degenerate: slope maximum attained exactly at [(2, 3)]: attained at [(2, 3)]\n"
+    "claim [ok] degenerate: signature divisible by 16: all rows divisible\n"
+    "claim [ok] degenerate: minimum signature 128 at (3, 2): minimum 128 at (3, 2)\n"
+    "claim [ok] degenerate: slope = 2 + (p^2-1)/(2kp^3 - 3p^2 - p) with b = kp - 1: identity holds row by row\n"
+    "claim [ok] degenerate: fibre genus satisfies 2g - 2 = p^{2b+1}(2b - 2 + 1 - 1/p): matches\n"
+    "claim [ok] degenerate: for fixed b the signature is strictly increasing in p: monotone for every b with two admissible primes\n"
+)
+
+
+def test_census_text_exact(capsys):
+    argv = ("census", "--family", "degenerate", "--b", "2..3", "--p", "2..3")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == CENSUS_DEGENERATE_TEXT
+    # csv: the same table on stdout, the same claim lines on stderr
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    table, claims = CENSUS_DEGENERATE_TEXT.split("\n\n")
+    assert out == table + "\n"
+    assert err == claims
+
+
 def test_census_output_file(capsys, tmp_path):
     path = tmp_path / "rows.csv"
     code, out, _ = run(

@@ -17,10 +17,7 @@ from heiskod.heisenberg import (
     MatrixHeisElement,
     MatrixHeisGroup,
     degenerate_quotient,
-    element_order,
-    heis_mul,
     iso_matrix_to_pair,
-    matrix_heis_mul,
     verify_extra_special,
 )
 
@@ -44,9 +41,9 @@ def test_pair_identity_and_example():
     g5 = std2(5)
     e1 = g5.element((1, 0), 0)
     e2 = g5.element((0, 1), 0)
-    assert heis_mul(g5.identity, e1, g5) == e1
+    assert g5.mul(g5.identity, e1) == e1
     # half of omega(e1, e2) = 1 is 3 mod 5
-    assert heis_mul(e1, e2, g5) == g5.element((1, 1), 3)
+    assert g5.mul(e1, e2) == g5.element((1, 1), 3)
     assert g5.commutator(e1, e2) == g5.element((0, 0), 1)
 
 
@@ -76,8 +73,19 @@ def test_pair_exponent_p():
         for _ in range(50):
             g = group.element(rng.integers(0, p, size=2), int(rng.integers(0, p)))
             assert group.power(g, p) == group.identity
-            assert element_order(g, group) == (1 if g == group.identity else p)
-    assert element_order(std2(5).identity, std2(5)) == 1
+            assert group.order_of(g) == (1 if g == group.identity else p)
+    assert std2(5).order_of(std2(5).identity) == 1
+
+
+def test_orders_at_large_p():
+    p = 1000003
+    group = HeisGroup(AlternatingForm.degenerate_family(2, p))
+    assert group.order_of(group.central(1)) == p
+    assert group.order_of(group.basis_element(0)) == p
+    assert group.order_of(group.identity) == 1
+    h = MatrixHeisGroup(1, p)
+    assert h.order_of(h.x_generator(1)) == p
+    assert h.order_of(h.central(1)) == p
 
 
 # -- matrix model -------------------------------------------------------------
@@ -91,9 +99,9 @@ def test_matrix_model_example_and_noncommutativity():
     b = h3.element((0,), (1,), 0)
     ab = literal_matrix(a, 1, 2) @ literal_matrix(b, 1, 2) % 2
     assert np.array_equal(ab, literal_matrix(h3.element((1,), (1,), 1), 1, 2))
-    assert matrix_heis_mul(a, b, h3) == h3.element((1,), (1,), 1)
-    assert matrix_heis_mul(b, a, h3) == h3.element((1,), (1,), 0)
-    assert matrix_heis_mul(h3.identity, a, h3) == a
+    assert h3.mul(a, b) == h3.element((1,), (1,), 1)
+    assert h3.mul(b, a) == h3.element((1,), (1,), 0)
+    assert h3.mul(h3.identity, a) == a
 
 
 def test_matrix_model_matches_literal_matrices():
@@ -144,9 +152,9 @@ def test_matrix_orders():
     h3 = MatrixHeisGroup(1, 2)
     g = h3.element((1,), (1,), 0)
     assert h3.power(g, 2) == h3.element((0,), (0,), 1)
-    assert element_order(g, h3) == 4
-    assert element_order(h3.identity, h3) == 1
-    assert element_order(h3.element((1,), (0,), 0), h3) == 2
+    assert h3.order_of(g) == 4
+    assert h3.order_of(h3.identity) == 1
+    assert h3.order_of(h3.element((1,), (0,), 0)) == 2
 
 
 # -- isomorphism --------------------------------------------------------------
