@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument(
         "--enumeration-bound", type=int, default=10**7,
-        help="refuse BFS enumeration beyond this many packed elements",
+        help="refuse exhaustive coset enumeration of groups with more elements than this",
     )
     _add_common(sp)
     sp.set_defaults(fn=cmd_verify)

@@ -27,19 +27,42 @@ import numpy as np
 from .errors import PreconditionError
 
 
-def is_prime(n: int) -> bool:
-    """Trial-division primality test: O(sqrt(n)) divisions.
+# Strong-probable-prime bases: the first 13 primes.  The least composite
+# that passes all of them is _MR_LIMIT (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017), so below it
+# the test is exact.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
-    The CLI accepts moduli such as p = 1000003 (about a thousand divisions);
-    the cost grows without bound for larger inputs.
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test, exact for n < 3.3 * 10^24.
+
+    Costs O(log n) modular multiplications per base.  Larger n without a
+    prime factor up to 41 raise PreconditionError instead of a probable
+    answer.
     """
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_LIMIT:
+        raise PreconditionError(f"{n} is too large for the exact primality test (limit {_MR_LIMIT})")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -157,6 +180,13 @@ class FpMatrix:
         if self.p != other.p:
             raise PreconditionError(f"mixed moduli {self.p} and {other.p}")
 
+    def _check_int64_dot(self) -> None:
+        # a dot product of length cols sums cols terms below (p - 1)^2 in int64
+        if self.cols * (self.p - 1) ** 2 >= 2**63:
+            raise PreconditionError(
+                f"a product with {self.cols} columns mod {self.p} could overflow int64"
+            )
+
     def __add__(self, other: "FpMatrix") -> "FpMatrix":
         self._same_field(other)
         return FpMatrix(self._a + other._a, self.p)
@@ -169,6 +199,7 @@ class FpMatrix:
         self._same_field(other)
         if self.cols != other.rows:
             raise PreconditionError("inner dimensions disagree")
+        self._check_int64_dot()
         return FpMatrix(self._a @ other._a, self.p)
 
     def scale(self, c: int) -> "FpMatrix":
@@ -182,6 +213,7 @@ class FpMatrix:
         vec = np.asarray(v, dtype=np.int64) % self.p
         if vec.shape != (self.cols,):
             raise PreconditionError("vector length disagrees with column count")
+        self._check_int64_dot()
         return tuple(int(x) for x in (self._a @ vec) % self.p)
 
     # -- elimination -------------------------------------------------------

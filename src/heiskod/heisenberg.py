@@ -19,7 +19,7 @@ Both laws are the central extension twisted by a bilinear cocycle
 c(v1, v2):  t' = t1 + t2 + v1 . C . v2, with C = (1/2) Omega in the pair model
 and C = [[0, I], [0, 0]] in the matrix model.  The commutator pairing is then
 C - C^T in either model, which keeps structure checks, subgroup-order logic
-and the packed BFS uniform across the two.
+and the exhaustive coset enumeration uniform across the two.
 
 For p = 2 the pair model would need 1/2 (and the naive substitute law with a
 full omega twist is abelian, hence useless here), so construction is refused

@@ -23,8 +23,8 @@ Two standard assignments are provided.
   t_j -> Y_j, z -> Z (the sign in [r_j, t_k] = z^{-d_jk} vanishes mod 2).
 
 Subgroup indices come from a fast structural method cross-validated by an
-exhaustive packed-element BFS oracle; the two must always agree where both
-run, and the tests enforce that.
+exhaustive oracle, Dimino's coset enumeration over packed elements; the two
+must always agree where both run, and the tests enforce that.
 """
 
 from __future__ import annotations
@@ -312,55 +312,78 @@ def image_index(assignment: GeneratorAssignment, generators: Sequence[BraidGener
 
 
 def bfs_subgroup_order(group: _CocycleGroup, elements: Sequence, bound: int = 10**7) -> int:
-    """Exhaustive oracle: breadth-first closure over packed elements.
+    """Exhaustive oracle: Dimino's coset enumeration of the generated subgroup.
 
-    Independent of ``subgroup_order_fast`` by construction; kept for
-    cross-validation and refused (not approximated) beyond the bound.
+    Independent of ``subgroup_order_fast`` by construction (group products
+    and membership only, no linear algebra); kept for cross-validation and
+    refused (not approximated) beyond the bound.  Returns the number of
+    elements enumerated; the name stays that of the ``--bfs-oracle`` flag.
 
-    The closure is level-synchronous and vectorised over the frontier, with
-    elements packed as mixed-radix codes (base p, digits v then t) indexing
-    a visited array of the group's order.
+    H_0 is trivial.  Each generator outside H_{i-1} opens a level: H_i is the
+    union of the right cosets H_{i-1} r, starting from r = 1 and r = g_i, and
+    every product r s of a coset representative with a generator so far that
+    is not yet marked opens the next coset H_{i-1} (r s).  Right cosets are
+    disjoint, so every element is produced exactly once, a whole coset at a
+    time by the vectorised product (v + r_v, t + r_t + v . C r_v) over
+    H_{i-1}.  The group is finite, so no inverses are needed.
+
+    Elements are stored only as mixed-radix codes (base p, digits v then t),
+    which index a visited array of the group's order.  The digit columns of
+    H_{i-1} that a coset product needs are decoded from its codes once per
+    level.
     """
     if group.order > bound:
         raise EnumerationBoundError(
             f"group order {group.order} exceeds the enumeration bound {bound}"
         )
-    rows = []
-    for g in elements:
-        for h in (g, group.inv(g)):
-            v, t = group._raw(h)
-            rows.append(np.append(v, t))
-    if not rows:
-        return 1
     p, dim = group.p, group.dim
-    gens = np.stack(rows)
-    gv = gens[:, :dim]
-    gt = gens[:, dim]
-    # c(v, v_g) = v . u_g with u_g = C v_g
-    u = (gv @ group._c.T) % p
     radix = p ** np.arange(dim + 1, dtype=np.int64)
     visited = np.zeros(group.order, dtype=bool)
     visited[0] = True
-    frontier = np.zeros((1, dim + 1), dtype=np.int64)
-    count = 1
-    while frontier.shape[0]:
-        fv = frontier[:, :dim]
-        ft = frontier[:, dim]
-        blocks = []
-        # multiplying a set of distinct elements by one fixed generator
-        # is injective, so marking visited between generator blocks is the
-        # only deduplication needed (no sorting)
-        for k in range(gens.shape[0]):
-            nv = (fv + gv[k]) % p
-            nt = (ft + gt[k] + fv @ u[k]) % p
-            codes = nv @ radix[:dim] + nt * radix[dim]
-            fresh = ~visited[codes]
-            visited[codes[fresh]] = True
-            count += int(fresh.sum())
-            if fresh.any():
-                blocks.append(np.concatenate([nv[fresh], nt[fresh, None]], axis=1))
-        frontier = np.concatenate(blocks, axis=0) if blocks else np.empty((0, dim + 1), dtype=np.int64)
-    return count
+    cosets = [np.zeros(1, dtype=np.int64)]  # codes of H_i, one array per right coset
+    gens = []
+    for g in elements:
+        gv, gt = group._raw(g)
+        if visited[group.pack(gv, gt)]:
+            continue
+        gens.append((gv % p, gt % p))
+        h = np.concatenate(cosets)  # H_{i-1}
+        cosets = [h]
+        digits = {}  # digit j of every element of H_{i-1}, decoded on first use
+        reps = []
+
+        def digit(j):
+            if j not in digits:
+                digits[j] = (h // radix[j]) % p
+            return digits[j]
+
+        def open_coset(rv, rt):
+            # the right coset H_{i-1} r as codes; only the digits where r or
+            # C r is nonzero change
+            codes = h.copy()
+            for j in np.flatnonzero(rv):
+                d = digit(j)
+                codes += ((d + rv[j]) % p - d) * radix[j]
+            t = digit(dim) + rt
+            u = (group._c @ rv) % p
+            for j in np.flatnonzero(u):
+                t += digit(j) * u[j]
+            codes += (t % p - digit(dim)) * radix[dim]
+            visited[codes] = True
+            cosets.append(codes)
+            reps.append((rv, rt))
+
+        open_coset(*gens[-1])
+        # the representative 1 needs no pass: 1 s lies in H_{i-1} or is g_i
+        i = 0
+        while i < len(reps):
+            rv, rt = reps[i]
+            for sv, st in gens:
+                nv, nt = group._mul_raw(rv, rt, sv, st)
+                if not visited[group.pack(nv, nt)]:
+                    open_coset(nv, nt)
+            i += 1
+    return sum(c.size for c in cosets)
 
 
 def report_json(report: VerificationReport, indent: Optional[int] = None) -> str:

@@ -6,6 +6,7 @@ precondition error.
 """
 
 import json
+import time
 
 from heiskod.cli import main
 
@@ -185,6 +186,16 @@ def test_invariants_csv(capsys):
     lines = out.strip().split("\n")
     assert lines[0].startswith("family,b,p,")
     assert lines[1] == "degenerate,3,2,3,3,289,289,4992,2304,13,6,128,128"
+
+
+def test_invariants_huge_prime_exits_2_quickly(capsys):
+    # 10^18 + 3 is prime; trial division would need 10^9 divisions to show it
+    t0 = time.perf_counter()
+    code, _, err = run(
+        capsys, "invariants", "--family", "degenerate", "--b", str(10**18), "--p", str(10**18 + 3)
+    )
+    assert code == 2 and "does not divide" in err
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_classify_form_missing_file_exits_2(capsys):

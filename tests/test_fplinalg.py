@@ -6,6 +6,7 @@ path under test.
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -79,6 +80,30 @@ def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(50):
         assert is_prime(n) == (n in primes)
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(10**5) if is_prime(n)] == [n for n in range(10**5) if trial_division(n)]
+
+
+def test_is_prime_large():
+    assert is_prime(2**61 - 1) and is_prime(10**18 + 3) and is_prime(2**31 - 1)
+    assert not is_prime((2**31 - 1) * (10**9 + 7))
+    # the least strong pseudoprime to the twelve prime bases 2..37 (a product
+    # of two primes); only the thirteenth base, 41, exposes it
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert not is_prime(psi12)
+    # past the exact range the test refuses instead of guessing
+    psi13 = 3317044064679887385961981
+    with pytest.raises(PreconditionError):
+        is_prime(psi13)
+    with pytest.raises(PreconditionError):
+        is_prime(2**127 - 1)
+    assert not is_prime(2**200)  # a small factor still decides exactly
 
 
 # -- rank / det / kernel -----------------------------------------------------
@@ -181,6 +206,27 @@ def test_matmul_and_shape_errors():
         b @ a @ b
     with pytest.raises(PreconditionError):
         a @ FpMatrix([[1, 0], [0, 1]], 7)
+
+
+def test_matmul_refuses_int64_overflow():
+    """A random 8x8 product at p = 2^31 - 1 used to wrap around in int64."""
+    p = 2**31 - 1
+
+    def exact(a, b):  # Python-integer product, no overflow
+        return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+    rng = np.random.default_rng(0)
+    a = FpMatrix(rng.integers(0, p, (8, 8)), p)
+    b = FpMatrix(rng.integers(0, p, (8, 8)), p)
+    assert ((a.array() @ b.array()) % p).tolist() != exact(a.to_lists(), b.to_lists())
+    with pytest.raises(PreconditionError):
+        a @ b
+    with pytest.raises(PreconditionError):
+        a.apply([p - 1] * 8)
+    # with two columns every sum stays below 2^63, so the product is exact
+    c = FpMatrix(rng.integers(p - 3, p, (2, 2)), p)
+    assert (c @ c).to_lists() == exact(c.to_lists(), c.to_lists())
+    assert list(c.apply([p - 1, p - 2])) == [row[0] for row in exact(c.to_lists(), [[p - 1], [p - 2]])]
 
 
 # -- alternating forms -------------------------------------------------------

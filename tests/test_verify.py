@@ -1,11 +1,13 @@
-"""Tests for word evaluation, relator verification, indices and the BFS oracle.
+"""Tests for word evaluation, relator verification, indices and the oracle.
 
-The fast subgroup-order method and the exhaustive BFS closure are independent
-routes to the same number; they are compared on every standard case and on
-random generator subsets, including the edge cases where a naive
-center-containment rule would go wrong.
+The fast subgroup-order method and the exhaustive coset enumeration behind
+``bfs_subgroup_order`` are independent routes to the same number; they are
+compared on every standard case and on random generator subsets, including
+the edge cases where a naive center-containment rule would go wrong.  A
+pure-Python set closure is the reference for the oracle itself.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 
 from heiskod.braid import A12, BraidGenerator, RHO, TAU, build_presentation, kernel_generator_sets
 from heiskod.errors import EnumerationBoundError, PreconditionError
-from heiskod.fplinalg import AlternatingForm
+from heiskod.fplinalg import AlternatingForm, FpMatrix
 from heiskod.heisenberg import HeisGroup, MatrixHeisGroup
 from heiskod.verify import (
     GeneratorAssignment,
@@ -267,6 +269,76 @@ def test_bfs_bound_is_enforced():
     group = HeisGroup(AlternatingForm.standard_symplectic(2, 5))
     with pytest.raises(EnumerationBoundError):
         bfs_subgroup_order(group, [group.central(1)], bound=10)
+
+
+# -- the oracle against a set-closure reference ----------------------------------
+
+
+def closure_order(group, elements):
+    """Reference order: multiply by the generators until nothing new appears."""
+    seen = {group.identity}
+    frontier = [group.identity]
+    while frontier:
+        fresh = []
+        for h in frontier:
+            for g in elements:
+                x = group.mul(h, g)
+                if x not in seen:
+                    seen.add(x)
+                    fresh.append(x)
+        frontier = fresh
+    return len(seen)
+
+
+def random_element(group, rng):
+    return group._wrap(rng.integers(0, group.p, group.dim), int(rng.integers(0, group.p)))
+
+
+SMALL_GROUPS = [
+    MatrixHeisGroup(2, 2),  # order 32, elements of order 4
+    MatrixHeisGroup(3, 2),  # order 128
+    HeisGroup(AlternatingForm.standard_symplectic(2, 3)),  # order 243
+    HeisGroup(AlternatingForm.standard_symplectic(1, 5)),  # order 125
+    # degenerate form: the center is ker(omega) x F_5
+    HeisGroup(AlternatingForm(FpMatrix([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], 5))),  # order 625
+]
+
+
+@pytest.mark.parametrize("group", SMALL_GROUPS, ids=repr)
+def test_oracle_matches_set_closure(group):
+    rng = np.random.default_rng(group.order)
+    for _ in range(25):
+        els = [random_element(group, rng) for _ in range(int(rng.integers(1, 4)))]
+        assert bfs_subgroup_order(group, els) == closure_order(group, els)
+    # sparse generators, as the standard assignments use
+    basis = [group._wrap(row, 0) for row in np.eye(group.dim, dtype=np.int64)]
+    for k in range(1, group.dim + 1):
+        assert bfs_subgroup_order(group, basis[:k]) == closure_order(group, basis[:k])
+
+
+@pytest.mark.parametrize("group", SMALL_GROUPS, ids=repr)
+def test_oracle_redundant_generators(group):
+    rng = np.random.default_rng(7)
+    g, h = random_element(group, rng), random_element(group, rng)
+    assert bfs_subgroup_order(group, []) == 1
+    assert bfs_subgroup_order(group, [group.identity, group.identity]) == 1
+    base = bfs_subgroup_order(group, [g, h])
+    assert base == closure_order(group, [g, h])
+    assert bfs_subgroup_order(group, [g, g, h, h, g]) == base  # duplicates
+    assert bfs_subgroup_order(group, [group.identity, g, group.identity, h]) == base
+    # generators already in the subgroup generated so far
+    assert bfs_subgroup_order(group, [g, h, group.mul(g, h), group.power(g, 2)]) == base
+    assert bfs_subgroup_order(group, [g, h, group.commutator(g, h), group.inv(h)]) == base
+    assert bfs_subgroup_order(group, [g, group.power(g, group.p - 1)]) == group.order_of(g)
+
+
+@pytest.mark.parametrize("group", SMALL_GROUPS, ids=repr)
+def test_oracle_ignores_generator_order(group):
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        els = [random_element(group, rng) for _ in range(3)] + [group.central(1)]
+        orders = {bfs_subgroup_order(group, list(perm)) for perm in itertools.permutations(els)}
+        assert orders == {closure_order(group, els)}
 
 
 # -- report serialisation --------------------------------------------------------
