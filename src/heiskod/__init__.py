@@ -14,8 +14,6 @@ claim-checking census (:mod:`invariants`).  :mod:`cli` ties it together and
 from .fplinalg import (
     AlternatingForm,
     FpMatrix,
-    FpScalar,
-    fp_inv,
     is_prime,
     span_dim,
 )
@@ -36,7 +34,6 @@ from .heisenberg import (
     GroupStructureReport,
     HeisElement,
     HeisGroup,
-    MatrixHeisElement,
     MatrixHeisGroup,
     degenerate_quotient,
     iso_matrix_to_pair,

@@ -178,7 +178,7 @@ def criterion_5() -> CriterionResult:
                 expected = 1
                 for l, m in zip(lam, mu):
                     expected = expected * (1 - l * m) ** 2 % p
-                if form.det().value != expected % p:
+                if form.det() != expected % p:
                     problems.append(f"det formula failed at b={b}, p={p}, {lam}, {mu}")
                     break
     # the all-J form is Heisenberg type exactly when p | b+1 (its image under

@@ -28,7 +28,6 @@ from .cohomology import classify_form, search_family_params
 from .errors import HeiskodError, InconsistencyError, PreconditionError
 from .fplinalg import AlternatingForm, FpMatrix
 from .invariants import (
-    CSV_COLUMNS,
     CensusRow,
     census,
     claims_to_json,
@@ -179,7 +178,7 @@ def cmd_classify_form(args) -> int:
         "kernel_dim": form.kernel_dim(),
         "diagonal_multiple": cls.diagonal_multiple,
         "heisenberg_type": cls.is_heisenberg_type,
-        "det": form.det().value,
+        "det": form.det(),
     }
     if args.format == "json":
         _emit(json.dumps(record, indent=2), args.output)
@@ -218,17 +217,15 @@ def cmd_invariants(args) -> int:
         inv = degenerate_invariants(args.b, args.p)
     else:
         inv = nondegenerate_invariants(args.b, args.p)
-    record = row_record(CensusRow(args.family, args.b, args.p, inv))
+    row = CensusRow(args.family, args.b, args.p, inv)
+    record = row_record(row)
     record["nu"] = _fraction_str(inv.slope)
     record["group_order"] = inv.group_order
     record["n"] = inv.n
     if args.format == "json":
         _emit(json.dumps(record, indent=2), args.output)
     elif args.format == "csv":
-        _emit(
-            ",".join(CSV_COLUMNS) + "\n" + ",".join(str(record[c]) for c in CSV_COLUMNS),
-            args.output,
-        )
+        _emit(rows_to_csv([row]), args.output)
     else:
         _emit("\n".join(f"{k}: {v}" for k, v in record.items()), args.output)
     return 0

@@ -19,7 +19,6 @@ operations return new values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -71,47 +70,13 @@ def _check_prime(p: int) -> None:
         raise PreconditionError(f"modulus {p} is not prime")
 
 
-@dataclass(frozen=True)
-class FpScalar:
-    """A residue 0 <= value < p in the field with p elements."""
-
-    value: int
-    p: int
-
-    def __post_init__(self):
-        _check_prime(self.p)
-        if not 0 <= self.value < self.p:
-            raise PreconditionError(f"residue {self.value} not reduced mod {self.p}")
-
-    @classmethod
-    def of(cls, value: int, p: int) -> "FpScalar":
-        _check_prime(p)
-        return cls(value % p, p)
-
-    def _same_field(self, other: "FpScalar") -> None:
-        if self.p != other.p:
-            raise PreconditionError(f"mixed moduli {self.p} and {other.p}")
-
-    def __add__(self, other: "FpScalar") -> "FpScalar":
-        self._same_field(other)
-        return FpScalar((self.value + other.value) % self.p, self.p)
-
-    def __mul__(self, other: "FpScalar") -> "FpScalar":
-        self._same_field(other)
-        return FpScalar((self.value * other.value) % self.p, self.p)
-
-    def __neg__(self) -> "FpScalar":
-        return FpScalar((-self.value) % self.p, self.p)
-
-    def __int__(self) -> int:
-        return self.value
-
-
-def fp_inv(a: FpScalar) -> FpScalar:
-    """Multiplicative inverse in F_p; raises ZeroDivisionError on 0."""
-    if a.value == 0:
-        raise ZeroDivisionError(f"0 has no inverse mod {a.p}")
-    return FpScalar(pow(a.value, -1, a.p), a.p)
+def _check_int64_dot(n: int, p: int) -> None:
+    """Refuse a modulus at which a sum of n products of residues could
+    overflow int64: every kernel here stays exact while n (p - 1)^2 < 2^63."""
+    if n * (p - 1) ** 2 >= 2**63:
+        raise PreconditionError(
+            f"modulus {p} is too large for exact int64 arithmetic (needs {n} (p - 1)^2 < 2^63)"
+        )
 
 
 class FpMatrix:
@@ -119,13 +84,16 @@ class FpMatrix:
 
     The entry array is reduced on construction and frozen; rank, determinant,
     kernel and products all return fresh values, so instances are safe to
-    share between workers.
+    share between workers.  The modulus must keep (p - 1)^2 below 2^63, which
+    makes the elimination updates exact; products also need cols (p - 1)^2
+    below 2^63.
     """
 
     __slots__ = ("p", "rows", "cols", "_a")
 
     def __init__(self, entries, p: int):
         _check_prime(p)
+        _check_int64_dot(1, p)
         a = np.array(entries, dtype=np.int64) % p
         if a.ndim != 2:
             raise PreconditionError("matrix entries must be two-dimensional")
@@ -154,9 +122,6 @@ class FpMatrix:
         """Read-only view of the entries."""
         return self._a
 
-    def entry(self, i: int, j: int) -> FpScalar:
-        return FpScalar(int(self._a[i, j]), self.p)
-
     def to_lists(self) -> list[list[int]]:
         return self._a.tolist()
 
@@ -180,13 +145,6 @@ class FpMatrix:
         if self.p != other.p:
             raise PreconditionError(f"mixed moduli {self.p} and {other.p}")
 
-    def _check_int64_dot(self) -> None:
-        # a dot product of length cols sums cols terms below (p - 1)^2 in int64
-        if self.cols * (self.p - 1) ** 2 >= 2**63:
-            raise PreconditionError(
-                f"a product with {self.cols} columns mod {self.p} could overflow int64"
-            )
-
     def __add__(self, other: "FpMatrix") -> "FpMatrix":
         self._same_field(other)
         return FpMatrix(self._a + other._a, self.p)
@@ -199,21 +157,18 @@ class FpMatrix:
         self._same_field(other)
         if self.cols != other.rows:
             raise PreconditionError("inner dimensions disagree")
-        self._check_int64_dot()
+        _check_int64_dot(self.cols, self.p)
         return FpMatrix(self._a @ other._a, self.p)
 
     def scale(self, c: int) -> "FpMatrix":
         return FpMatrix(self._a * (c % self.p), self.p)
-
-    def transpose(self) -> "FpMatrix":
-        return FpMatrix(self._a.T, self.p)
 
     def apply(self, v: Sequence[int]) -> tuple[int, ...]:
         """Matrix-vector product, returned as a reduced tuple."""
         vec = np.asarray(v, dtype=np.int64) % self.p
         if vec.shape != (self.cols,):
             raise PreconditionError("vector length disagrees with column count")
-        self._check_int64_dot()
+        _check_int64_dot(self.cols, self.p)
         return tuple(int(x) for x in (self._a @ vec) % self.p)
 
     # -- elimination -------------------------------------------------------
@@ -246,7 +201,7 @@ class FpMatrix:
     def rank(self) -> int:
         return len(self.rref()[1])
 
-    def det(self) -> FpScalar:
+    def det(self) -> int:
         if self.rows != self.cols:
             raise PreconditionError(f"determinant of non-square {self.rows}x{self.cols} matrix")
         p = self.p
@@ -255,7 +210,7 @@ class FpMatrix:
         for c in range(self.rows):
             nz = np.nonzero(a[c:, c])[0]
             if nz.size == 0:
-                return FpScalar(0, p)
+                return 0
             i = c + int(nz[0])
             if i != c:
                 a[[c, i]] = a[[i, c]]
@@ -267,7 +222,7 @@ class FpMatrix:
             if rows.size:
                 factors = (a[rows, c] * inv) % p
                 a[rows] = (a[rows] - np.outer(factors, a[c])) % p
-        return FpScalar(det, p)
+        return det
 
     def kernel_basis(self) -> list[tuple[int, ...]]:
         """Basis of the right null-space; empty iff full column rank.
@@ -345,6 +300,7 @@ class AlternatingForm:
             # for odd p this is implied by skewness; for p = 2 it is the
             # extra alternating condition
             raise PreconditionError("alternating form must vanish on the diagonal")
+        _check_int64_dot(omega.rows, p)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "dim", omega.rows)
         object.__setattr__(self, "omega", omega)
@@ -403,16 +359,16 @@ class AlternatingForm:
 
     def value(self, u: Sequence[int], v: Sequence[int]) -> int:
         """omega(u, v) as a reduced residue."""
-        a = self.omega.array()
-        uu = np.asarray(u, dtype=np.int64)
-        vv = np.asarray(v, dtype=np.int64)
-        return int((uu @ a @ vv) % self.p)
+        p = self.p
+        uu = np.asarray(u, dtype=np.int64) % p
+        vv = np.asarray(v, dtype=np.int64) % p
+        return int((uu @ self.omega.array()) % p @ vv) % p
 
-    def det(self) -> FpScalar:
+    def det(self) -> int:
         return self.omega.det()
 
     def is_symplectic(self) -> bool:
-        return self.det().value != 0
+        return self.det() != 0
 
     def kernel_dim(self) -> int:
         return self.dim - self.omega.rank()

@@ -1,25 +1,27 @@
-"""Finite Heisenberg groups in two models.
+"""Finite Heisenberg groups in two models, with one element type.
 
-Pair model (odd p only): elements (v, t) in V x F_p with
+Every element is a :class:`HeisElement` (v, t): a vector v in V = F_p^dim and
+a central part t in F_p, multiplied by the central extension law twisted by a
+bilinear cocycle c(v1, v2) = v1 . C . v2:
 
-    (v1, t1)(v2, t2) = (v1 + v2, t1 + t2 + (1/2) omega(v1, v2)),
+    (v1, t1)(v2, t2) = (v1 + v2, t1 + t2 + v1 . C . v2).
 
-for an alternating (possibly degenerate) form omega on V = F_p^dim.
+Pair model (odd p only): C = (1/2) Omega for an alternating (possibly
+degenerate) form omega on V, so the twist is (1/2) omega(v1, v2).
 
-Matrix model (any p, including 2): H_{2n+1}(F_p), upper unitriangular
-(n+2) x (n+2) matrices determined by a row vector x, a column vector y and a
-corner entry z.  We never store matrices; the closed product law
+Matrix model (any p, including 2): H_{2n+1}(F_p), the upper unitriangular
+(n+2) x (n+2) matrices with top row x, right column y and corner z.  The
+matrix is the element (x + y, z) (v the concatenation of x and y) and
+C = [[0, I], [0, 0]], so the twist is x1 . y2 and the law is bit-for-bit the
+matrix product (the test suite proves this once against literal matrix
+multiplication).  The (x, y, z) view appears only in the matrix model's
+constructors and in :func:`iso_matrix_to_pair`.
 
-    (x1, y1, z1)(x2, y2, z2) = (x1 + x2, y1 + y2, z1 + z2 + x1 . y2)
-
-is bit-for-bit the matrix product (the test suite proves this once against
-literal matrix multiplication).
-
-Both laws are the central extension twisted by a bilinear cocycle
-c(v1, v2):  t' = t1 + t2 + v1 . C . v2, with C = (1/2) Omega in the pair model
-and C = [[0, I], [0, 0]] in the matrix model.  The commutator pairing is then
-C - C^T in either model, which keeps structure checks, subgroup-order logic
-and the exhaustive coset enumeration uniform across the two.
+The commutator pairing is C - C^T in either model, which keeps structure
+checks, subgroup-order logic and the exhaustive coset enumeration uniform
+across the two.  Products stay exact in int64 because the group refuses a
+modulus with dim (p - 1)^2 >= 2^63 and reduces between the two products of
+v1 . C . v2.
 
 For p = 2 the pair model would need 1/2 (and the naive substitute law with a
 full omega twist is abelian, hence useless here), so construction is refused
@@ -34,32 +36,23 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import EnumerationBoundError, PreconditionError, UnsupportedModelError
-from .fplinalg import AlternatingForm, FpMatrix, is_prime
+from .fplinalg import AlternatingForm, FpMatrix, _check_int64_dot, _check_prime
 
 
 @dataclass(frozen=True)
 class HeisElement:
-    """Pair-model element (v, t), components reduced mod p."""
+    """Group element (v, t), components reduced mod p."""
 
     v: tuple[int, ...]
     t: int
-
-
-@dataclass(frozen=True)
-class MatrixHeisElement:
-    """Matrix-model element determined by (x, y, z), reduced mod p."""
-
-    x: tuple[int, ...]
-    y: tuple[int, ...]
-    z: int
 
 
 class _CocycleGroup:
     """Central extension of F_p^dim by F_p with product twisted by v1.C.v2."""
 
     def __init__(self, p: int, dim: int, cocycle: np.ndarray):
-        if not is_prime(p):
-            raise PreconditionError(f"modulus {p} is not prime")
+        _check_prime(p)
+        _check_int64_dot(dim, p)
         self.p = p
         self.dim = dim
         self._c = np.asarray(cocycle, dtype=np.int64) % p
@@ -68,26 +61,47 @@ class _CocycleGroup:
 
     # raw representation: (numpy int64 vector of length dim, int)
 
+    def _twist(self, v1, v2) -> int:
+        # c(v1, v2), reduced after each product so no sum leaves int64
+        return int((v1 @ self._c) % self.p @ v2) % self.p
+
     def _mul_raw(self, v1, t1, v2, t2):
         p = self.p
-        tw = int(v1 @ self._c @ v2) % p
-        return (v1 + v2) % p, (t1 + t2 + tw) % p
+        return (v1 + v2) % p, (t1 + t2 + self._twist(v1, v2)) % p
 
     def _inv_raw(self, v, t):
-        p = self.p
         # (v,t)(-v,s) = (0, t + s + c(v,-v)) so s = -t + c(v,v)
-        return (-v) % p, (-t + int(v @ self._c @ v)) % p
+        return (-v) % self.p, (-t + self._twist(v, v)) % self.p
 
     def _pow_raw(self, v, t, k: int):
         p = self.p
         if k < 0:
             v, t = self._inv_raw(v, t)
             k = -k
-        # g^k = (k v, k t + C(k,2) c(v,v)); c(v,v) = 0 in the pair model
-        cvv = int(v @ self._c @ v) % p
-        return (k * v) % p, (k * t + (k * (k - 1) // 2) * cvv) % p
+        # g^k = (k v, k t + C(k,2) c(v,v)); c(v,v) = 0 in the pair model;
+        # k is reduced before it meets the int64 vector
+        return ((k % p) * v) % p, (k * t + (k * (k - 1) // 2) * self._twist(v, v)) % p
 
-    # element operations; subclasses supply _raw (element -> raw) and _wrap
+    def _raw(self, g: HeisElement):
+        return np.array(g.v, dtype=np.int64), g.t
+
+    def _wrap(self, v, t) -> HeisElement:
+        return HeisElement(tuple(v.tolist()), int(t))
+
+    # elements
+
+    @property
+    def identity(self) -> HeisElement:
+        return HeisElement((0,) * self.dim, 0)
+
+    def central(self, t: int = 1) -> HeisElement:
+        return HeisElement((0,) * self.dim, t % self.p)
+
+    def basis_element(self, i: int, t: int = 0) -> HeisElement:
+        return HeisElement(tuple(int(k == i) for k in range(self.dim)), t % self.p)
+
+    def projection(self, g: HeisElement) -> tuple[int, ...]:
+        return g.v
 
     def mul(self, g, h):
         return self._wrap(*self._mul_raw(*self._raw(g), *self._raw(h)))
@@ -114,12 +128,6 @@ class _CocycleGroup:
     def commutator(self, g, h):
         gi, hi = self.inv(g), self.inv(h)
         return self.mul(self.mul(g, h), self.mul(gi, hi))
-
-    def commutator_value(self, u: Sequence[int], v: Sequence[int]) -> int:
-        """Central exponent of [g, h] for any lifts of u, v."""
-        uu = np.asarray(u, dtype=np.int64)
-        vv = np.asarray(v, dtype=np.int64)
-        return int(uu @ self.comm_form @ vv) % self.p
 
     # packing (mixed radix, digits v then t)
 
@@ -166,35 +174,11 @@ class HeisGroup(_CocycleGroup):
     def __repr__(self):
         return f"HeisGroup(dim={self.dim}, p={self.p}, order={self.order})"
 
-    @property
-    def identity(self) -> HeisElement:
-        return HeisElement((0,) * self.dim, 0)
-
     def element(self, v: Sequence[int], t: int) -> HeisElement:
         vv = tuple(int(x) % self.p for x in v)
         if len(vv) != self.dim:
             raise PreconditionError(f"vector length {len(vv)} does not match dim {self.dim}")
         return HeisElement(vv, int(t) % self.p)
-
-    def basis_element(self, i: int, t: int = 0) -> HeisElement:
-        v = [0] * self.dim
-        v[i] = 1
-        return HeisElement(tuple(v), t % self.p)
-
-    def central(self, t: int = 1) -> HeisElement:
-        return HeisElement((0,) * self.dim, t % self.p)
-
-    def _raw(self, g: HeisElement):
-        return np.array(g.v, dtype=np.int64), g.t
-
-    def _wrap(self, v, t) -> HeisElement:
-        return HeisElement(tuple(int(x) for x in v), int(t))
-
-    def omega(self, u: Sequence[int], v: Sequence[int]) -> int:
-        return self.form.value(u, v)
-
-    def projection(self, g: HeisElement) -> tuple[int, ...]:
-        return g.v
 
 
 class MatrixHeisGroup(_CocycleGroup):
@@ -211,41 +195,19 @@ class MatrixHeisGroup(_CocycleGroup):
     def __repr__(self):
         return f"MatrixHeisGroup(n={self.n}, p={self.p}, order={self.order})"
 
-    @property
-    def identity(self) -> MatrixHeisElement:
-        return MatrixHeisElement((0,) * self.n, (0,) * self.n, 0)
-
-    def element(self, x: Sequence[int], y: Sequence[int], z: int) -> MatrixHeisElement:
-        xx = tuple(int(a) % self.p for a in x)
-        yy = tuple(int(a) % self.p for a in y)
-        if len(xx) != self.n or len(yy) != self.n:
+    def element(self, x: Sequence[int], y: Sequence[int], z: int) -> HeisElement:
+        """The matrix with top row x, right column y and corner z: (x + y, z)."""
+        if len(x) != self.n or len(y) != self.n:
             raise PreconditionError(f"x and y must have length n = {self.n}")
-        return MatrixHeisElement(xx, yy, int(z) % self.p)
+        return HeisElement(tuple(int(a) % self.p for a in (*x, *y)), int(z) % self.p)
 
-    def x_generator(self, j: int) -> MatrixHeisElement:
+    def x_generator(self, j: int) -> HeisElement:
         """X_j: single 1 in the top row (1-based j)."""
-        x = [0] * self.n
-        x[j - 1] = 1
-        return MatrixHeisElement(tuple(x), (0,) * self.n, 0)
+        return self.basis_element(j - 1)
 
-    def y_generator(self, j: int) -> MatrixHeisElement:
+    def y_generator(self, j: int) -> HeisElement:
         """Y_j: single 1 in the right column (1-based j)."""
-        y = [0] * self.n
-        y[j - 1] = 1
-        return MatrixHeisElement((0,) * self.n, tuple(y), 0)
-
-    def central(self, z: int = 1) -> MatrixHeisElement:
-        return MatrixHeisElement((0,) * self.n, (0,) * self.n, z % self.p)
-
-    def _raw(self, g: MatrixHeisElement):
-        return np.array(g.x + g.y, dtype=np.int64), g.z
-
-    def _wrap(self, v, t) -> MatrixHeisElement:
-        vv = tuple(int(a) for a in v)
-        return MatrixHeisElement(vv[: self.n], vv[self.n :], int(t))
-
-    def projection(self, g: MatrixHeisElement) -> tuple[int, ...]:
-        return g.x + g.y
+        return self.basis_element(self.n + j - 1)
 
     def pair_model(self) -> HeisGroup:
         """The isomorphic pair-model group on the standard symplectic form."""
@@ -254,14 +216,14 @@ class MatrixHeisGroup(_CocycleGroup):
         return HeisGroup(AlternatingForm.standard_symplectic(self.n, self.p))
 
 
-def iso_matrix_to_pair(m: MatrixHeisElement, group: MatrixHeisGroup) -> HeisElement:
-    """The isomorphism H_{2n+1}(F_p) -> Heis(F_p^{2n}, std): (x,y,z) -> ((x,y), z - x.y/2)."""
+def iso_matrix_to_pair(m: HeisElement, group: MatrixHeisGroup) -> HeisElement:
+    """The isomorphism H_{2n+1}(F_p) -> Heis(F_p^{2n}, std): (v, t) -> (v, t - x.y/2),
+    where v = x + y."""
     if group.p == 2:
         raise UnsupportedModelError("the isomorphism involves 1/2 and fails mod 2")
-    p = group.p
-    inv2 = pow(2, -1, p)
-    dot = sum(a * b for a, b in zip(m.x, m.y)) % p
-    return HeisElement(m.x + m.y, (m.z - inv2 * dot) % p)
+    p, n = group.p, group.n
+    dot = sum(a * b for a, b in zip(m.v[:n], m.v[n:])) % p
+    return HeisElement(m.v, (m.t - pow(2, -1, p) * dot) % p)
 
 
 # ---------------------------------------------------------------------------

@@ -148,18 +148,33 @@ def degenerate_invariants(b: int, p: int) -> FibrationInvariants:
     return inv
 
 
+_TRIAL_DIVISION_LIMIT = 10**6
+
+
 def distinct_prime_factors(n: int) -> tuple[int, ...]:
-    """Prime divisors by trial division, ascending."""
+    """Prime divisors, ascending.
+
+    Trial division stops as soon as the cofactor is 1 or prime (tested with
+    :func:`is_prime` at the start and after each factor), so a prime or a
+    prime times small factors costs little.  A composite cofactor with no
+    prime factor up to _TRIAL_DIVISION_LIMIT is refused rather than factored.
+    """
     if n < 1:
         raise PreconditionError(f"need a positive integer, got {n}")
     out = []
     d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
+    while n > 1 and not is_prime(n):
+        # n is composite, so its least prime factor is at most sqrt(n)
+        for d in range(d, _TRIAL_DIVISION_LIMIT + 1):
+            if n % d == 0:
+                break
+        else:
+            raise PreconditionError(
+                f"{n} has no prime factor up to {_TRIAL_DIVISION_LIMIT}; factoring it is out of range"
+            )
+        out.append(d)
+        while n % d == 0:
+            n //= d
     if n > 1:
         out.append(n)
     return tuple(out)

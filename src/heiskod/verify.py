@@ -285,7 +285,7 @@ def subgroup_order_fast(group: _CocycleGroup, elements: Sequence) -> int:
     d = FpMatrix(proj, p).rank()
 
     center_hit = False
-    pairing = (proj @ group.comm_form @ proj.T) % p
+    pairing = ((proj @ group.comm_form) % p @ proj.T) % p
     if pairing.any():
         center_hit = True
     if not center_hit:

@@ -269,6 +269,22 @@ def test_kappa_range(capsys):
     assert out.count("kappa(") == 9
 
 
+def test_kappa_prime_cofactor_is_quick(capsys):
+    # b + 1 = 10^18 + 3 is prime; trial division up to its root never ended
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "kappa", "--b", str(10**18 + 2))
+    assert code == 0 and out == f"kappa({10**18 + 2}) = 1\n"
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_kappa_hard_semiprime_exits_2(capsys):
+    # both prime factors of b + 1 lie above the trial-division bound 10^6
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "kappa", "--b", str(1000003 * 1000033 - 1))
+    assert code == 2 and "no prime factor up to" in err
+    assert time.perf_counter() - t0 < 2.0
+
+
 def test_kappa_json(capsys):
     code, out, _ = run(capsys, "kappa", "--b", "29", "--format", "json")
     assert code == 0

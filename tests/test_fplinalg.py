@@ -17,8 +17,6 @@ from heiskod.errors import PreconditionError
 from heiskod.fplinalg import (
     AlternatingForm,
     FpMatrix,
-    FpScalar,
-    fp_inv,
     is_prime,
     span_dim,
 )
@@ -45,35 +43,13 @@ def det_oracle(rows: list[list[int]], p: int) -> int:
     return minor(0, (1 << n) - 1)
 
 
-# -- scalars -----------------------------------------------------------------
+# -- moduli ------------------------------------------------------------------
 
 
-def test_fp_inv_examples():
-    assert fp_inv(FpScalar(2, 5)) == FpScalar(3, 5)
-    assert fp_inv(FpScalar(4, 7)) == FpScalar(2, 7)
-    for p in (2, 3, 5, 7, 11):
-        assert fp_inv(FpScalar(1, p)) == FpScalar(1, p)
-
-
-def test_fp_inv_zero_rejected():
-    with pytest.raises(ZeroDivisionError):
-        fp_inv(FpScalar(0, 5))
-
-
-def test_scalar_validation():
+def test_matrix_refuses_composite_modulus():
     with pytest.raises(PreconditionError):
-        FpScalar(1, 6)  # composite modulus
-    with pytest.raises(PreconditionError):
-        FpScalar(5, 5)  # unreduced residue
-    assert FpScalar.of(12, 5) == FpScalar(2, 5)
-
-
-@given(st.sampled_from([2, 3, 5, 7, 13, 97]), st.data())
-def test_fp_inv_is_involution(p, data):
-    a = data.draw(st.integers(min_value=1, max_value=p - 1))
-    x = FpScalar(a, p)
-    assert fp_inv(fp_inv(x)) == x
-    assert (x * fp_inv(x)).value == 1
+        FpMatrix([[1]], 6)
+    assert FpMatrix([[12]], 5).to_lists() == [[2]]  # entries are reduced
 
 
 def test_is_prime_small():
@@ -116,13 +92,39 @@ def test_rank_examples():
 
 
 def test_det_examples():
-    assert FpMatrix.identity(2, 7).det().value == 1
+    assert FpMatrix.identity(2, 7).det() == 1
+    assert type(FpMatrix.identity(2, 7).det()) is int
     form = AlternatingForm.family(2, 5, (3, 3), (3, 3))
-    assert form.det().value == 1  # (1 - 9)^4 = 81 = 1 mod 5
+    assert form.det() == 1  # (1 - 9)^4 = 81 = 1 mod 5
     assert det_oracle(form.omega.to_lists(), 5) == 1
     # a vanishing factor kills the determinant
     degenerate = AlternatingForm.family(2, 5, (1, 3), (1, 2))  # lambda_1 mu_1 = 1
-    assert degenerate.det().value == 0
+    assert degenerate.det() == 0
+
+
+def test_det_exact_up_to_int64_ceiling():
+    def m(q):
+        return [[q - 1, q - 2, 3], [5, q - 3, 7], [q - 5, 11, q - 7]]
+
+    # the largest prime with (p - 1)^2 < 2^63: elimination updates stay exact
+    p = 3037000493
+    assert FpMatrix(m(p), p).det() == det_oracle(m(p), p) == 176
+    assert FpMatrix(m(p), p).rank() == 3
+    # at 2^61 - 1 the elimination wrapped around (det 49718, exact 176)
+    with pytest.raises(PreconditionError):
+        FpMatrix(m(2**61 - 1), 2**61 - 1)
+
+
+def test_form_value_exact_at_large_p():
+    p = 1000003
+    form = AlternatingForm.family(3, p, (1, 2, 3), (4, 5, 6))
+    u = [p - 1] * 12
+    w = [p - 1 - i for i in range(12)]
+    exact = sum(u[i] * int(form.omega.array()[i, j]) * w[j] for i in range(12) for j in range(12)) % p
+    assert form.value(u, w) == exact
+    assert form.value(u, u) == 0
+    with pytest.raises(PreconditionError):
+        AlternatingForm.standard_symplectic(2, 3037000493)  # 4 (p - 1)^2 > 2^63
 
 
 def test_det_requires_square():
@@ -141,7 +143,7 @@ def test_det_matches_family_formula(b, p):
         expected = 1
         for l, m in zip(lam, mu):
             expected = expected * (1 - l * m) ** 2 % p
-        assert form.det().value == expected
+        assert form.det() == expected
         if trial < 10:  # independent route, on a subsample for speed
             assert det_oracle(form.omega.to_lists(), p) == expected
 

@@ -14,7 +14,6 @@ from heiskod.fplinalg import AlternatingForm
 from heiskod.heisenberg import (
     HeisElement,
     HeisGroup,
-    MatrixHeisElement,
     MatrixHeisGroup,
     degenerate_quotient,
     iso_matrix_to_pair,
@@ -22,11 +21,12 @@ from heiskod.heisenberg import (
 )
 
 
-def literal_matrix(g: MatrixHeisElement, n: int, p: int) -> np.ndarray:
+def literal_matrix(g: HeisElement, n: int, p: int) -> np.ndarray:
+    """The unitriangular matrix of (x + y, z): top row x, right column y, corner z."""
     m = np.eye(n + 2, dtype=np.int64)
-    m[0, 1 : n + 1] = g.x
-    m[1 : n + 1, n + 1] = g.y
-    m[0, n + 1] = g.z
+    m[0, 1 : n + 1] = g.v[:n]
+    m[1 : n + 1, n + 1] = g.v[n:]
+    m[0, n + 1] = g.t
     return m % p
 
 
@@ -62,7 +62,7 @@ def test_pair_group_axioms_random():
         assert group.mul(g, group.inv(g)) == group.identity
         assert group.mul(group.identity, g) == g
         # commutator carries exactly the form value and only sees projections
-        assert group.commutator(g, h).t == group.omega(g.v, h.v)
+        assert group.commutator(g, h).t == group.form.value(g.v, h.v)
         assert group.commutator(g, h).v == (0,) * 8
 
 
@@ -86,6 +86,37 @@ def test_orders_at_large_p():
     h = MatrixHeisGroup(1, p)
     assert h.order_of(h.x_generator(1)) == p
     assert h.order_of(h.central(1)) == p
+
+
+def test_products_exact_at_large_p():
+    # b = 6 at p = 1000003: v.C.v summed 24 terms near p^2 and wrapped int64
+    p = 1000003
+    group = HeisGroup(AlternatingForm.family(6, p, range(1, 7), range(7, 13)))
+    g = group.element([p - 1] * 24, 0)
+    assert group.mul(g, g) == group.element([p - 2] * 24, 0)  # c(v, v) = 0
+    assert group.inv(g) == group.element([1] * 24, 0)
+    assert group.power(g, 3) == group.element([p - 3] * 24, 0)
+    assert group.power(g, 2**40 * p + 1) == g  # k v stays in int64 for any k
+
+
+def test_products_exact_up_to_int64_ceiling():
+    # the largest prime with 4 (p - 1)^2 < 2^63; products checked against
+    # Python integers
+    p = 1518500213
+    group = HeisGroup(AlternatingForm.standard_symplectic(2, p))
+    half = pow(2, -1, p)
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        u = [int(a) for a in rng.integers(p - 1000, p, 4)]
+        w = [int(a) for a in rng.integers(0, p, 4)]
+        omega = u[0] * w[2] + u[1] * w[3] - u[2] * w[0] - u[3] * w[1]
+        expected = group.element([a + b for a, b in zip(u, w)], 3 + half * omega)
+        assert group.mul(group.element(u, 1), group.element(w, 2)) == expected
+    # at p = 3037000493 the same products wrapped around; now refused
+    with pytest.raises(PreconditionError):
+        HeisGroup(AlternatingForm.standard_symplectic(2, 3037000493))
+    with pytest.raises(PreconditionError):
+        MatrixHeisGroup(2, 3037000493)
 
 
 # -- matrix model -------------------------------------------------------------
@@ -146,6 +177,15 @@ def test_matrix_commutator_rule():
         g = h.element(x, (0, 0, 0), 0)
         k = h.element((0, 0, 0), y, 0)
         assert h.commutator(g, k) == h.element((0, 0, 0), (0, 0, 0), int(x @ y) % 5)
+
+
+def test_matrix_elements_are_pairs():
+    h = MatrixHeisGroup(2, 5)
+    assert h.element((1, 2), (3, 4), 7) == HeisElement((1, 2, 3, 4), 2)
+    assert h.x_generator(2) == HeisElement((0, 1, 0, 0), 0)
+    assert h.y_generator(1) == HeisElement((0, 0, 1, 0), 0)
+    assert h.central(6) == h.element((0, 0), (0, 0), 1)
+    assert repr(h.x_generator(1)) == "HeisElement(v=(1, 0, 0, 0), t=0)"
 
 
 def test_matrix_orders():

@@ -141,6 +141,16 @@ def test_distinct_prime_factors():
     assert distinct_prime_factors(1) == ()
 
 
+def test_distinct_prime_factors_large():
+    big = 10**18 + 3  # prime
+    assert distinct_prime_factors(big) == (big,)
+    assert distinct_prime_factors(2 * big) == (2, big)
+    assert distinct_prime_factors(2**5 * 3 * 999983**2 * 1000003) == (2, 3, 999983, 1000003)
+    # a composite cofactor without a factor up to 10^6 is refused
+    with pytest.raises(PreconditionError):
+        distinct_prime_factors(1000003 * 1000033)
+
+
 def test_kappa_values():
     assert kappa(2) == 1
     assert kappa(5) == 2

@@ -243,6 +243,15 @@ def test_fast_order_edge_cases():
     assert subgroup_order_fast(group, []) == 1
 
 
+def test_fast_order_exact_at_large_p():
+    # g and g^2 generate a cyclic group of order p; the pairing
+    # proj . C . proj^T used to wrap around int64 and report p^2
+    p = 1000003
+    group = HeisGroup(AlternatingForm.family(3, p, (1, 2, 3), (4, 5, 6)))
+    g = group.element([p - 1] * 12, p - 1)
+    assert subgroup_order_fast(group, [g, group.power(g, 2)]) == p
+
+
 def test_fast_order_matches_bfs_on_random_subsets():
     rng = np.random.default_rng(23)
     group = HeisGroup(AlternatingForm.j_form(2, 3))  # order 3^5 = 243
