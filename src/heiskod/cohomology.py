@@ -24,10 +24,12 @@ The product of two degree-1 classes follows the Kunneth sign rule
 (x(x)y)(z(x)w) = (-1)^{deg y deg z} xz (x) yw together with the symplectic
 relations a_i b_j = -b_j a_i = d_ij g and a_i a_j = b_i b_j = 0.
 
-xi is the cup product into H^2 of the product surface; eta composes xi with
-the quotient by the diagonal class d.  An alternating form is of Heisenberg
-type when xi(omega) is a nonzero multiple of d, equivalently eta(omega) = 0
-and xi(omega) != 0; such forms are what the braid-group liftings need.
+xi is the cup product into H^2 of the product surface, one table built from
+the cup rule: each wedge pair (a, c) gives one H^2 row and sign, or none.
+eta is xi followed by a row operation, the quotient by the diagonal class d.
+An alternating form is of Heisenberg type when xi(omega) is a nonzero
+multiple of d, equivalently eta(omega) = 0 and xi(omega) != 0; such forms
+are what the braid-group liftings need.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .errors import EnumerationBoundError, InconsistencyError, PreconditionError
-from .fplinalg import AlternatingForm, FpMatrix, _check_prime
+from .fplinalg import AlternatingForm, FpMatrix, _check_int64_dot, _check_prime
 
 # letters for the two degree-1 generators of the surface
 _A, _B = 0, 1
@@ -67,11 +69,6 @@ class H1Basis:
         j, letter = divmod(rem, 2)
         return side + 1, letter, j + 1
 
-    def label(self, i: int) -> str:
-        side, letter, j = self.class_at(i)
-        name = f"{'a' if letter == _A else 'b'}{j}"
-        return f"{name}(x)1" if side == 1 else f"1(x){name}"
-
 
 class H2Basis:
     """Index bookkeeping for the ordered H^2 basis at genus b."""
@@ -92,17 +89,6 @@ class H2Basis:
         block = 2 * letter1 + letter2  # AA, AB, BA, BB
         return 2 + block * self.b * self.b + (i - 1) * self.b + (j - 1)
 
-    def label(self, idx: int) -> str:
-        if idx == self.GAMMA_LEFT:
-            return "g(x)1"
-        if idx == self.GAMMA_RIGHT:
-            return "1(x)g"
-        block, rem = divmod(idx - 2, self.b * self.b)
-        i, j = divmod(rem, self.b)
-        l1 = "a" if block // 2 == _A else "b"
-        l2 = "a" if block % 2 == _A else "b"
-        return f"{l1}{i + 1}(x){l2}{j + 1}"
-
 
 @dataclass(frozen=True)
 class H2Class:
@@ -115,10 +101,6 @@ class H2Class:
     def __post_init__(self):
         if len(self.coeffs) != 4 * self.b * self.b + 2:
             raise PreconditionError("H^2 coefficient vector has the wrong length")
-
-    @classmethod
-    def zero(cls, b: int, p: int) -> "H2Class":
-        return cls(b, p, (0,) * (4 * b * b + 2))
 
     def _compatible(self, other: "H2Class") -> None:
         if (self.b, self.p) != (other.b, other.p):
@@ -155,6 +137,27 @@ def _cup_basis(i1: int, i2: int, b: int, p: int) -> Optional[tuple[int, int]]:
     return h2.block_index(l2, l1, j2, j1), (-1) % p
 
 
+def lambda2_pairs(b: int) -> list[tuple[int, int]]:
+    """Ordered basis (a, c), a < c, of the wedge square of the dual of H_1."""
+    return [(a, c) for a in range(4 * b) for c in range(a + 1, 4 * b)]
+
+
+def _cup_table(b: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cup rule on the wedge-square basis, read afresh from _cup_basis:
+    (H^2 row, sign) per pair of lambda2_pairs(b), (0, 0) where it vanishes."""
+    hits = [_cup_basis(a, c, b, p) or (0, 0) for a, c in lambda2_pairs(b)]
+    return np.array(hits, dtype=np.int64).reshape(-1, 2).T
+
+
+def _xi_of_wedge(w: np.ndarray, b: int, p: int) -> H2Class:
+    """xi of reduced wedge-square coordinates: the table as a scatter-add.
+    Each term sign * w is below (p - 1)^2, which callers keep below 2^63."""
+    rows, signs = _cup_table(b, p)
+    out = np.zeros(4 * b * b + 2, dtype=np.int64)
+    np.add.at(out, rows, signs * w % p)
+    return H2Class(b, p, tuple((out % p).tolist()))
+
+
 VectorLike = Union[int, Sequence[int]]
 
 
@@ -170,18 +173,14 @@ def _as_h1_vector(u: VectorLike, b: int, p: int) -> np.ndarray:
 
 
 def cup_h1_h1(u: VectorLike, v: VectorLike, b: int, p: int) -> H2Class:
-    """Bilinear cup product of two degree-1 classes (indices or vectors)."""
+    """Bilinear cup product of two degree-1 classes (indices or vectors): the
+    rule is alternating, so u v is xi of the wedge u ^ v = u v^T - v u^T."""
     _check_prime(p)
+    _check_int64_dot(1, p)
     uu = _as_h1_vector(u, b, p)
     vv = _as_h1_vector(v, b, p)
-    out = np.zeros(4 * b * b + 2, dtype=np.int64)
-    for i1 in np.nonzero(uu)[0]:
-        for i2 in np.nonzero(vv)[0]:
-            hit = _cup_basis(int(i1), int(i2), b, p)
-            if hit is not None:
-                idx, sign = hit
-                out[idx] = (out[idx] + uu[i1] * vv[i2] * sign) % p
-    return H2Class(b, p, tuple(int(x) for x in out))
+    wedge = (np.outer(uu, vv) - np.outer(vv, uu)) % p
+    return _xi_of_wedge(wedge[np.triu_indices(4 * b, k=1)], b, p)
 
 
 def _form_genus(form: AlternatingForm) -> int:
@@ -190,22 +189,19 @@ def _form_genus(form: AlternatingForm) -> int:
     return form.dim // 4
 
 
+def vec_of_form(form: AlternatingForm) -> tuple[int, ...]:
+    """Coordinates of a form on the wedge-square basis (upper triangle)."""
+    b = _form_genus(form)
+    return tuple(form.omega.array()[np.triu_indices(4 * b, k=1)].tolist())
+
+
 def xi_of_form(form: AlternatingForm) -> H2Class:
     """Image of an alternating form under the cup-product map xi.
 
     The form's matrix is read against the H^1 ordering, so
     xi(omega) = sum over a < c of Omega[a][c] * cup(e_a, e_c).
     """
-    b = _form_genus(form)
-    p = form.p
-    a = form.omega.array()
-    out = np.zeros(4 * b * b + 2, dtype=np.int64)
-    for r, c in zip(*np.nonzero(np.triu(a, k=1))):
-        hit = _cup_basis(int(r), int(c), b, p)
-        if hit is not None:
-            idx, sign = hit
-            out[idx] = (out[idx] + int(a[r, c]) * sign) % p
-    return H2Class(b, p, tuple(int(x) for x in out))
+    return _xi_of_wedge(np.array(vec_of_form(form), dtype=np.int64), form.dim // 4, form.p)
 
 
 def diagonal_class(b: int, p: int) -> H2Class:
@@ -219,6 +215,13 @@ def diagonal_class(b: int, p: int) -> H2Class:
         out[h2.block_index(_B, _A, j, j)] = 1
         out[h2.block_index(_A, _B, j, j)] = (-1) % p
     return H2Class(b, p, tuple(int(x) for x in out))
+
+
+def _mod_delta(x: np.ndarray, b: int, p: int) -> np.ndarray:
+    """H^2 / <delta> coordinates x[1:] - x[0] delta[1:] of a class or of each
+    column of a matrix; the kernel is the diagonal line as delta starts with 1."""
+    delta = np.array(diagonal_class(b, p).coeffs[1:], dtype=np.int64)
+    return (x[1:] - np.multiply.outer(delta, x[0])) % p
 
 
 @dataclass(frozen=True)
@@ -237,14 +240,11 @@ def classify_form(form: AlternatingForm) -> FormClassification:
 
     Degenerate forms are accepted; symplecticity is reported separately.
     """
-    b = _form_genus(form)
-    p = form.p
     img = xi_of_form(form)
-    delta = diagonal_class(b, p)
     # delta has coefficient 1 on g(x)1, so the only candidate multiple is the
     # first coordinate of the image
-    c = img.coeffs[0]
-    multiple = c if img == delta.scale(c) else None
+    on_line = not _mod_delta(np.array(img.coeffs, dtype=np.int64), img.b, img.p).any()
+    multiple = img.coeffs[0] if on_line else None
     return FormClassification(
         is_alternating=True,
         is_symplectic=form.is_symplectic(),
@@ -259,48 +259,18 @@ def classify_form(form: AlternatingForm) -> FormClassification:
 # ---------------------------------------------------------------------------
 
 
-def lambda2_pairs(b: int) -> list[tuple[int, int]]:
-    """Ordered basis (a, c), a < c, of the wedge square of the dual of H_1."""
-    return [(a, c) for a in range(4 * b) for c in range(a + 1, 4 * b)]
-
-
-def vec_of_form(form: AlternatingForm) -> tuple[int, ...]:
-    """Coordinates of a form on the wedge-square basis (upper triangle)."""
-    b = _form_genus(form)
-    a = form.omega.array()
-    return tuple(int(a[i, j]) for i, j in lambda2_pairs(b))
-
-
 def xi_matrix(b: int, p: int) -> FpMatrix:
     """Matrix of xi from the wedge square (dim 8b^2 - 2b) to H^2 (dim 4b^2 + 2)."""
     _check_prime(p)
-    pairs = lambda2_pairs(b)
-    m = np.zeros((4 * b * b + 2, len(pairs)), dtype=np.int64)
-    for col, (a, c) in enumerate(pairs):
-        hit = _cup_basis(a, c, b, p)
-        if hit is not None:
-            idx, sign = hit
-            m[idx, col] = sign
+    rows, signs = _cup_table(b, p)
+    m = np.zeros((4 * b * b + 2, rows.size), dtype=np.int64)
+    m[rows, np.arange(rows.size)] = signs
     return FpMatrix(m, p)
-
-
-def delta_quotient_matrix(b: int, p: int) -> FpMatrix:
-    """Surjection H^2 -> H^2 / <diagonal class> in coordinates.
-
-    Subtracts (first coordinate) * delta and drops the first coordinate; the
-    kernel is exactly the diagonal line because delta starts with 1.
-    """
-    delta = np.array(diagonal_class(b, p).coeffs, dtype=np.int64)
-    n = delta.size
-    q = np.zeros((n - 1, n), dtype=np.int64)
-    q[:, 1:] = np.eye(n - 1, dtype=np.int64)
-    q[:, 0] = (-delta[1:]) % p
-    return FpMatrix(q, p)
 
 
 def eta_matrix(b: int, p: int) -> FpMatrix:
     """Matrix of eta: xi followed by the quotient by the diagonal class."""
-    return delta_quotient_matrix(b, p) @ xi_matrix(b, p)
+    return FpMatrix(_mod_delta(xi_matrix(b, p).array(), b, p), p)
 
 
 def count_heisenberg_candidates(b: int, p: int) -> int:
@@ -310,8 +280,11 @@ def count_heisenberg_candidates(b: int, p: int) -> int:
     against the closed form p^(4b^2 - 2b - 2) (p - 1).
     """
     domain = 8 * b * b - 2 * b
-    ker_xi = domain - xi_matrix(b, p).rank()
-    ker_eta = domain - eta_matrix(b, p).rank()
+    xi = xi_matrix(b, p)
+    ker_xi = domain - xi.rank()
+    eta = FpMatrix(_mod_delta(xi.array(), b, p), p)
+    del xi  # the second row reduction peaks memory; do not hold xi through it
+    ker_eta = domain - eta.rank()
     count = p**ker_eta - p**ker_xi
     closed = p ** (4 * b * b - 2 * b - 2) * (p - 1)
     if count != closed:
@@ -352,6 +325,8 @@ def search_family_params(b: int, p: int, count: Optional[int] = None) -> list[tu
     if b < 2:
         raise PreconditionError(f"genus b must be >= 2, got {b}")
     _check_prime(p)
+    if count is not None and count < 1:
+        raise PreconditionError(f"count must be >= 1, got {count}")
     if (p - 1) ** (2 * (b - 1)) > 2 * 10**8:
         raise EnumerationBoundError(
             f"search space (p-1)^(2b-2) = {(p - 1) ** (2 * (b - 1))} is too large to exhaust"

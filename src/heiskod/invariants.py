@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InconsistencyError, PreconditionError
-from .fplinalg import is_prime
+from .fplinalg import _MR_LIMIT, is_prime
 
 
 def _as_int(x: Fraction, what: str) -> int:
@@ -154,17 +154,16 @@ _TRIAL_DIVISION_LIMIT = 10**6
 def distinct_prime_factors(n: int) -> tuple[int, ...]:
     """Prime divisors, ascending.
 
-    Trial division stops as soon as the cofactor is 1 or prime (tested with
-    :func:`is_prime` at the start and after each factor), so a prime or a
-    prime times small factors costs little.  A composite cofactor with no
-    prime factor up to _TRIAL_DIVISION_LIMIT is refused rather than factored.
+    Trial division stops as soon as the cofactor is 1 or a prime below
+    _MR_LIMIT (tested with :func:`is_prime` at the start and after each
+    factor), so a prime or a prime times small factors costs little.  Any
+    other cofactor with no prime factor up to _TRIAL_DIVISION_LIMIT is refused.
     """
     if n < 1:
         raise PreconditionError(f"need a positive integer, got {n}")
     out = []
     d = 2
-    while n > 1 and not is_prime(n):
-        # n is composite, so its least prime factor is at most sqrt(n)
+    while n > 1 and not (n < _MR_LIMIT and is_prime(n)):
         for d in range(d, _TRIAL_DIVISION_LIMIT + 1):
             if n % d == 0:
                 break

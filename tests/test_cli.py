@@ -149,6 +149,13 @@ def test_search_forms_empty_mod3_notes_obstruction(capsys):
     assert "obstruction" in out
 
 
+def test_search_forms_count_below_one_exits_2(capsys):
+    for count in ("0", "-3"):
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "search-forms", "--b", "2", "--p", "5", "--count", count, "--format", fmt)
+            assert code == 2 and out == "" and "count must be >= 1" in err
+
+
 def test_search_forms_json(capsys):
     code, out, _ = run(capsys, "search-forms", "--b", "3", "--p", "3", "--format", "json")
     assert code == 0

@@ -11,6 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
+from heiskod import cohomology
 from heiskod.cohomology import (
     H1Basis,
     H2Basis,
@@ -18,7 +19,6 @@ from heiskod.cohomology import (
     complement_betti,
     count_heisenberg_candidates,
     cup_h1_h1,
-    delta_quotient_matrix,
     diagonal_class,
     eta_matrix,
     lambda2_pairs,
@@ -38,6 +38,27 @@ def random_alternating(b, p, rng) -> AlternatingForm:
     upper = rng.integers(0, p, size=(n, n))
     m = np.triu(upper, k=1)
     return AlternatingForm(FpMatrix(m - m.T, p))
+
+
+def cup_reference(u, v, b, p):
+    """sum over all (i1, i2) of u_i1 v_i2 cup(e_i1, e_i2) in Python integers."""
+    out = [0] * (4 * b * b + 2)
+    for i1, i2 in itertools.product(range(4 * b), repeat=2):
+        hit = cohomology._cup_basis(i1, i2, b, p)
+        if hit is not None:
+            out[hit[0]] = (out[hit[0]] + int(u[i1]) * int(v[i2]) * hit[1]) % p
+    return tuple(out)
+
+
+def delta_quotient_reference(b, p):
+    """Dense surjection H^2 -> H^2 / <delta>: subtract (first coordinate) *
+    delta and drop the first coordinate."""
+    delta = np.array(diagonal_class(b, p).coeffs, dtype=np.int64)
+    n = delta.size
+    q = np.zeros((n - 1, n), dtype=np.int64)
+    q[:, 1:] = np.eye(n - 1, dtype=np.int64)
+    q[:, 0] = (-delta[1:]) % p
+    return FpMatrix(q, p)
 
 
 # -- cup products ------------------------------------------------------------
@@ -82,6 +103,38 @@ def test_cup_graded_antisymmetry_and_bilinearity():
 def test_mismatched_shapes_rejected():
     with pytest.raises(PreconditionError):
         cup_h1_h1([0] * 8, [0] * 12, 3, 5)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_cup_and_xi_match_dense_xi_matrix(p):
+    rng = np.random.default_rng(p)
+    for b in (2, 3):
+        xi = xi_matrix(b, p)
+        for _ in range(30):
+            u = rng.integers(0, p, size=4 * b)
+            v = rng.integers(0, p, size=4 * b)
+            wedge = [int(u[a] * v[c] - u[c] * v[a]) % p for a, c in lambda2_pairs(b)]
+            assert cup_h1_h1(u, v, b, p).coeffs == xi.apply(wedge) == cup_reference(u, v, b, p)
+            form = random_alternating(b, p, rng)
+            assert xi_of_form(form).coeffs == xi.apply(vec_of_form(form))
+
+
+def test_cup_exact_at_large_p():
+    # (p-1)^3 overflows int64 here; the product must stay exact
+    b, p = 2, 3000017
+    u = [0] * 8
+    v = [0] * 8
+    u[4] = v[0] = p - 1
+    assert cup_h1_h1(u, v, b, p).coeffs == cup_reference(u, v, b, p)
+    assert cup_h1_h1(u, v, b, p).coeffs[cohomology._cup_basis(4, 0, b, p)[0]] == p - 1
+    rng = np.random.default_rng(5)
+    for p in (3000017, 3037000493):
+        for _ in range(20):
+            u = [int(x) for x in rng.integers(0, p, size=8)]
+            v = [int(x) for x in rng.integers(0, p, size=8)]
+            assert cup_h1_h1(u, v, b, p).coeffs == cup_reference(u, v, b, p)
+    with pytest.raises(PreconditionError):
+        cup_h1_h1(u, v, b, 2**61 - 1)
 
 
 # -- diagonal class ----------------------------------------------------------
@@ -159,6 +212,17 @@ def test_classify_examples():
     assert not cls.is_heisenberg_type and cls.diagonal_multiple == 0
 
 
+def test_classify_large_p():
+    p = 1000000007
+    form = AlternatingForm.family(2, p, (3, p - 2), (3, p - 2))
+    cls = classify_form(form)
+    assert cls.is_heisenberg_type and cls.is_symplectic and cls.diagonal_multiple == 1
+    assert cls.xi_image == diagonal_class(2, p)
+    assert form.det() == 576
+    cls = classify_form(AlternatingForm(form.omega.scale(p - 1)))
+    assert cls.diagonal_multiple == p - 1
+
+
 @pytest.mark.parametrize("b,p,count", [(2, 3, 1000), (2, 5, 1000), (3, 3, 1000)])
 def test_classifier_agrees_with_matrix_characterisation(b, p, count):
     """Heisenberg type <=> eta(omega) = 0 and xi(omega) != 0, batched."""
@@ -214,12 +278,18 @@ def test_xi_eta_ranks(b, p):
 
 def test_delta_maps_to_zero_in_quotient():
     b, p = 2, 3
-    q = delta_quotient_matrix(b, p)
+    q = delta_quotient_reference(b, p)
     d = diagonal_class(b, p)
     assert all(x == 0 for x in q.apply(d.coeffs))
+    assert not cohomology._mod_delta(np.array(d.coeffs), b, p).any()
     assert q.rank() == 4 * b * b + 1
     # delta is in the image of xi: it is xi of any family form with sums 1
     assert xi_of_form(AlternatingForm.family(b, p, (2, 2), (2, 2))) == d
+
+
+@pytest.mark.parametrize("b,p", [(2, 2), (2, 3), (3, 5), (5, 7), (6, 13)])
+def test_eta_is_dense_quotient_of_xi(b, p):
+    assert eta_matrix(b, p) == delta_quotient_reference(b, p) @ xi_matrix(b, p)
 
 
 def test_candidate_counts():
@@ -261,6 +331,12 @@ def test_search_matches_oracle():
 def test_search_empty_mod_3():
     assert search_family_params(2, 3) == []
     assert search_family_params(3, 3) == []
+
+
+def test_search_refuses_nonpositive_count():
+    for count in (0, -3):
+        with pytest.raises(PreconditionError):
+            search_family_params(2, 5, count)
 
 
 def test_search_refuses_huge_spaces():

@@ -151,6 +151,15 @@ def test_distinct_prime_factors_large():
         distinct_prime_factors(1000003 * 1000033)
 
 
+def test_distinct_prime_factors_past_primality_range():
+    # the cofactor only drops below the exact primality range after 999983
+    # is divided out
+    assert distinct_prime_factors(999983**2 * (10**18 + 3)) == (999983, 10**18 + 3)
+    # a prime past that range has no factor up to 10^6 and is refused
+    with pytest.raises(PreconditionError):
+        distinct_prime_factors(2**89 - 1)
+
+
 def test_kappa_values():
     assert kappa(2) == 1
     assert kappa(5) == 2
