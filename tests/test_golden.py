@@ -1,0 +1,75 @@
+"""Byte-exact pins of the presentation and of verification reports.
+
+Every file under ``tests/golden/`` was written by the program before relator
+words became integer tuples and before relators were checked in one batched
+pass; these tests hold both changes to the exact bytes the earlier code
+printed, including the order of failures (relator index order) and the
+repr of each failing value.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from heiskod.braid import A12, build_presentation
+from heiskod.cli import main
+from heiskod.verify import (
+    GeneratorAssignment,
+    standard_assignment_nondegenerate,
+    tau2_to_r2_variant,
+    verify_assignment,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CLI_PINS = [
+    ("presentation_b2.txt", ("presentation", "--b", "2")),
+    ("presentation_b3.json", ("presentation", "--b", "3", "--format", "json")),
+    ("verify_degenerate_b3_p2.txt", ("verify", "--family", "degenerate", "--b", "3", "--p", "2")),
+    (
+        "verify_degenerate_b3_p2.json",
+        ("verify", "--family", "degenerate", "--b", "3", "--p", "2", "--format", "json"),
+    ),
+    (
+        "verify_nondegenerate_b2_p5.txt",
+        ("verify", "--family", "nondegenerate", "--b", "2", "--p", "5", "--lambda", "3,3", "--mu", "3,3"),
+    ),
+    (
+        "verify_nondegenerate_b2_p5.json",
+        (
+            "verify", "--family", "nondegenerate", "--b", "2", "--p", "5",
+            "--lambda", "3,3", "--mu", "3,3", "--format", "json",
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("name,argv", CLI_PINS, ids=[name for name, _ in CLI_PINS])
+def test_cli_output_is_pinned(capsys, name, argv):
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / name).read_text()
+
+
+def _a12_killed(b, p, lam, mu):
+    base = standard_assignment_nondegenerate(b, p, lam, mu)
+    images = dict(base.images)
+    images[A12] = base.target.identity
+    return GeneratorAssignment(b, p, "a12-killed", base.target, images)
+
+
+@pytest.mark.parametrize(
+    "name,make",
+    [
+        ("report_tau2_variant_b2_p5.json", tau2_to_r2_variant),
+        ("report_a12_killed_b2_p5.json", _a12_killed),
+    ],
+)
+def test_failing_report_is_pinned(name, make):
+    report = verify_assignment(build_presentation(2), make(2, 5, (3, 3), (3, 3)))
+    text = json.dumps(report.to_json_dict(), indent=2) + "\n"
+    assert text == (GOLDEN / name).read_text()
+    indices = [i for i, _, _ in report.failures]
+    assert indices == sorted(indices)
