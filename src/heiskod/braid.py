@@ -18,13 +18,20 @@ The presentation is invariant under the order-2 substitution
 
 the automorphism induced by reflecting the surface so that handle j swaps
 with handle b+1-j; ``involution_substitute`` applies it letter by letter.
+
+Words are tuples of plain ints: the letter +(i + 1) is the i-th generator of
+``generator_list(b)`` and -(i + 1) its inverse, so reduction compares ints,
+the substitution is a signed permutation of indices, and the evaluator in
+``verify`` reads letters straight into table rows.  ``BraidGenerator`` keys
+the generators for display, parsing and generator assignments only.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import PreconditionError
 
@@ -77,32 +84,33 @@ def parse_generator(text: str) -> tuple[BraidGenerator, int]:
 
 A12 = BraidGenerator(WINDING)
 
-# A word is a tuple of (generator, +1 | -1) letters.
-Letter = tuple[BraidGenerator, int]
-Word = tuple[Letter, ...]
+# A word is a tuple of signed letters: +(i + 1) is the i-th of the 4b + 1
+# generators of generator_list(b) and -(i + 1) its inverse.  Letters carry no
+# genus, so a word is read against the b of its presentation.
+Word = tuple[int, ...]
 
 
-def rho(strand: int, j: int, exp: int = 1) -> Word:
-    return ((BraidGenerator(RHO, strand, j), exp),)
+def rho(b: int, strand: int, j: int, exp: int = 1) -> Word:
+    return (exp * (2 * b * (strand - 1) + 2 * j - 1),)
 
 
-def tau(strand: int, j: int, exp: int = 1) -> Word:
-    return ((BraidGenerator(TAU, strand, j), exp),)
+def tau(b: int, strand: int, j: int, exp: int = 1) -> Word:
+    return (exp * (2 * b * (strand - 1) + 2 * j),)
 
 
-def winding(exp: int = 1) -> Word:
-    return ((A12, exp),)
+def winding(b: int, exp: int = 1) -> Word:
+    return (exp * (4 * b + 1),)
 
 
 def concat(*words: Word) -> Word:
-    out: list[Letter] = []
+    out: list[int] = []
     for w in words:
         out.extend(w)
     return tuple(out)
 
 
 def inverse_word(w: Word) -> Word:
-    return tuple((g, -e) for g, e in reversed(w))
+    return tuple(-x for x in reversed(w))
 
 
 def commutator(x: Word, y: Word) -> Word:
@@ -112,21 +120,44 @@ def commutator(x: Word, y: Word) -> Word:
 
 def free_reduce(w: Word) -> Word:
     """Cancel adjacent inverse pairs until none remain."""
-    stack: list[Letter] = []
-    for g, e in w:
-        if stack and stack[-1][0] == g and stack[-1][1] == -e:
+    stack: list[int] = []
+    for x in w:
+        if stack and stack[-1] == -x:
             stack.pop()
         else:
-            stack.append((g, e))
+            stack.append(x)
     return tuple(stack)
 
 
-def word_display(w: Word) -> list[str]:
-    return [g.display() + ("" if e == 1 else "^-1") for g, e in w]
+def word_generators(w: Word, generators: Sequence[BraidGenerator]) -> list[tuple[BraidGenerator, int]]:
+    """The (generator, +1 | -1) letters of a word over ``generators``
+    (``generator_list(b)``); a letter of 0 or beyond +-len(generators) is
+    refused, where an array index would wrap around silently."""
+    out = []
+    for x in w:
+        try:
+            i = operator.index(x)
+        except TypeError:
+            i = 0
+        if not 0 < abs(i) <= len(generators):
+            raise PreconditionError(f"letter {x!r} is not a generator index in +-1..+-{len(generators)}")
+        out.append((generators[abs(i) - 1], 1 if i > 0 else -1))
+    return out
 
 
-def parse_word(tokens: Iterable[str]) -> Word:
-    return tuple(parse_generator(t) for t in tokens)
+def word_display(w: Word, generators: Sequence[BraidGenerator]) -> list[str]:
+    return [g.display() + ("" if e == 1 else "^-1") for g, e in word_generators(w, generators)]
+
+
+def parse_word(tokens: Iterable[str], b: int) -> Word:
+    index = {g: i for i, g in enumerate(generator_list(b), start=1)}
+    out = []
+    for t in tokens:
+        g, e = parse_generator(t)
+        if g not in index:
+            raise PreconditionError(f"generator {t!r} does not exist at genus {b}")
+        out.append(e * index[g])
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -165,19 +196,19 @@ def _surface_relators(b: int) -> list[Relator]:
     #             tau_11^-1 (tau_11 tau_12 ... tau_1b) = A12
     left: Word = ()
     for j in range(b, 0, -1):
-        left = concat(left, commutator(rho(1, j, -1), tau(1, j, -1)), tau(1, j, -1))
+        left = concat(left, commutator(rho(b, 1, j, -1), tau(b, 1, j, -1)), tau(b, 1, j, -1))
     for j in range(1, b + 1):
-        left = concat(left, tau(1, j))
-    rel1 = _relation(left, winding(), "surface relation 1")
+        left = concat(left, tau(b, 1, j))
+    rel1 = _relation(left, winding(b), "surface relation 1")
 
     # relation 2: [rho_21^-1, tau_21] tau_21 ... [rho_2b^-1, tau_2b] tau_2b
     #             (tau_2b^-1 ... tau_21^-1) = A12^-1
     left = ()
     for j in range(1, b + 1):
-        left = concat(left, commutator(rho(2, j, -1), tau(2, j)), tau(2, j))
+        left = concat(left, commutator(rho(b, 2, j, -1), tau(b, 2, j)), tau(b, 2, j))
     for j in range(b, 0, -1):
-        left = concat(left, tau(2, j, -1))
-    rel2 = _relation(left, winding(-1), "surface relation 2")
+        left = concat(left, tau(b, 2, j, -1))
+    rel2 = _relation(left, winding(b, -1), "surface relation 2")
     return [rel1, rel2]
 
 
@@ -185,60 +216,66 @@ def _action_relators(b: int, actor_kind: str, actor_exp: int) -> list[Relator]:
     """The 2b+1 relations describing how one actor conjugates the kernel
     generators.  The case split j < k, j = k, j > k follows the printed form."""
     out: list[Relator] = []
-    a = winding()
-    ai = winding(-1)
+    a = winding(b)
+    ai = winding(b, -1)
     actor_name = f"{actor_kind}_1j" + ("" if actor_exp == 1 else "^-1")
 
+    def r2(k: int, exp: int = 1) -> Word:
+        return rho(b, 2, k, exp)
+
+    def t2(k: int, exp: int = 1) -> Word:
+        return tau(b, 2, k, exp)
+
     for j in range(1, b + 1):
-        x = rho(1, j, actor_exp) if actor_kind == RHO else tau(1, j, actor_exp)
+        x = rho(b, 1, j, actor_exp) if actor_kind == RHO else tau(b, 1, j, actor_exp)
 
         for k in range(1, b + 1):
-            lhs = commutator(x, rho(2, k))
+            lhs = commutator(x, r2(k))
             if j < k:
                 rhs: Word = ()
             elif (actor_kind, actor_exp) == (RHO, 1):
-                rhs = () if j == k else concat(ai, rho(2, k), rho(2, j, -1), a, rho(2, j), rho(2, k, -1))
+                rhs = () if j == k else concat(ai, r2(k), r2(j, -1), a, r2(j), r2(k, -1))
             elif (actor_kind, actor_exp) == (RHO, -1):
-                rhs = () if j == k else concat(rho(2, j), a, rho(2, j, -1), rho(2, k), ai, rho(2, k, -1))
+                rhs = () if j == k else concat(r2(j), a, r2(j, -1), r2(k), ai, r2(k, -1))
             elif (actor_kind, actor_exp) == (TAU, 1):
                 rhs = (
-                    concat(tau(2, j, -1), a, tau(2, j))
+                    concat(t2(j, -1), a, t2(j))
                     if j == k
-                    else commutator(tau(2, j, -1), a)
+                    else commutator(t2(j, -1), a)
                 )
             else:  # tau_1j^-1
-                rhs = ai if j == k else commutator(ai, tau(2, j))
+                rhs = ai if j == k else commutator(ai, t2(j))
             case = "j=k" if j == k else ("j<k" if j < k else "j>k")
             out.append(_relation(lhs, rhs, f"action {actor_name} on rho_2k, j={j}, k={k} ({case})"))
 
         for k in range(1, b + 1):
-            lhs = commutator(x, tau(2, k))
+            lhs = commutator(x, t2(k))
             if j < k:
                 rhs = ()
             elif (actor_kind, actor_exp) == (RHO, 1):
-                rhs = ai if j == k else commutator(ai, tau(2, k))
+                rhs = ai if j == k else commutator(ai, t2(k))
             elif (actor_kind, actor_exp) == (RHO, -1):
                 rhs = (
-                    concat(rho(2, j), a, rho(2, j, -1))
+                    concat(r2(j), a, r2(j, -1))
                     if j == k
                     else concat(
-                        rho(2, j), a, rho(2, j, -1), tau(2, k), rho(2, j), ai, rho(2, j, -1), tau(2, k, -1)
+                        r2(j), a, r2(j, -1), t2(k), r2(j), ai, r2(j, -1), t2(k, -1)
                     )
                 )
             elif (actor_kind, actor_exp) == (TAU, 1):
                 rhs = (
-                    commutator(tau(2, j, -1), a)
+                    commutator(t2(j, -1), a)
                     if j == k
                     else concat(
-                        tau(2, j, -1), a, tau(2, j), ai, tau(2, k), a, tau(2, j, -1), ai, tau(2, j), tau(2, k, -1)
+                        t2(j, -1), a, t2(j), ai, t2(k), a, t2(j, -1), ai, t2(j), t2(k, -1)
                     )
                 )
             else:  # tau_1j^-1
                 rhs = (
-                    commutator(ai, tau(2, j))
+                    commutator(ai, t2(j))
                     if j == k
                     else concat(
-                        ai, tau(2, j), a, tau(2, j, -1), tau(2, k), tau(2, j), ai, tau(2, j, -1), a, tau(2, k, -1)
+                        ai, t2(j), a, t2(j, -1), t2(k), t2(j), ai, t2(j, -1), a, t2(k, -1)
                     )
                 )
             case = "j=k" if j == k else ("j<k" if j < k else "j>k")
@@ -246,13 +283,13 @@ def _action_relators(b: int, actor_kind: str, actor_exp: int) -> list[Relator]:
 
         lhs = commutator(x, a)
         if (actor_kind, actor_exp) == (RHO, 1):
-            rhs = commutator(rho(2, j, -1), a)
+            rhs = commutator(r2(j, -1), a)
         elif (actor_kind, actor_exp) == (RHO, -1):
-            rhs = commutator(rho(2, j), a)
+            rhs = commutator(r2(j), a)
         elif (actor_kind, actor_exp) == (TAU, 1):
-            rhs = commutator(tau(2, j, -1), a)
+            rhs = commutator(t2(j, -1), a)
         else:
-            rhs = commutator(ai, tau(2, j))
+            rhs = commutator(ai, t2(j))
         out.append(_relation(lhs, rhs, f"action {actor_name} on A12, j={j}"))
 
     return out
@@ -271,15 +308,16 @@ def build_presentation(b: int) -> Presentation:
 
 
 def involution_substitute(w: Word, b: int) -> Word:
-    """Apply the order-2 handle-reflection substitution letter by letter."""
-    out: list[Letter] = []
-    for g, e in w:
+    """Apply the order-2 handle-reflection substitution letter by letter, a
+    signed permutation of the generator indices."""
+    out: list[int] = []
+    for g, e in word_generators(w, generator_list(b)):
         if g.kind == WINDING:
-            out.append((A12, -e))
+            out.extend(winding(b, -e))
         elif g.kind == RHO:
-            out.append((BraidGenerator(RHO, 3 - g.strand, b + 1 - g.j), e))
+            out.extend(rho(b, 3 - g.strand, b + 1 - g.j, e))
         else:
-            out.append((BraidGenerator(TAU, 3 - g.strand, b + 1 - g.j), -e))
+            out.extend(tau(b, 3 - g.strand, b + 1 - g.j, -e))
     return tuple(out)
 
 
@@ -299,4 +337,4 @@ def kernel_generator_sets(b: int) -> tuple[tuple[BraidGenerator, ...], tuple[Bra
 
 
 def presentation_to_json(pres: Presentation) -> list[dict]:
-    return [{"relator": word_display(r.word), "source": r.source} for r in pres.relators]
+    return [{"relator": word_display(r.word, pres.generators), "source": r.source} for r in pres.relators]

@@ -95,7 +95,7 @@ def cmd_presentation(args) -> int:
     lines.append("generators: " + " ".join(g.display() for g in pres.generators))
     lines.append(f"relators ({len(pres.relators)}):")
     for i, rel in enumerate(pres.relators):
-        lines.append(f"  {i:3d}. [{rel.source}] " + " ".join(word_display(rel.word)))
+        lines.append(f"  {i:3d}. [{rel.source}] " + " ".join(word_display(rel.word, pres.generators)))
     _emit("\n".join(lines), args.output)
     return 0
 

@@ -47,12 +47,29 @@ from .fplinalg import AlternatingForm, FpMatrix, _check_int64_dot, _check_prime
 _A, _B = 0, 1
 
 
+def _check_genus(b: int) -> None:
+    if b < 2:
+        raise PreconditionError(f"genus b must be >= 2, got {b}")
+
+
+def _h1_class(i: int, b: int) -> tuple[int, int, int]:
+    """(side, letter, j) of H^1 index i, unchecked; side and j are 1-based."""
+    side, rem = divmod(i, 2 * b)
+    j, letter = divmod(rem, 2)
+    return side + 1, letter, j + 1
+
+
+def _h2_block(letter1: int, letter2: int, i: int, j: int, b: int) -> int:
+    """H^2 index of (letter1)_i (x) (letter2)_j, unchecked; i, j 1-based."""
+    block = 2 * letter1 + letter2  # AA, AB, BA, BB
+    return 2 + block * b * b + (i - 1) * b + (j - 1)
+
+
 class H1Basis:
     """Index bookkeeping for the ordered H^1 basis at genus b."""
 
     def __init__(self, b: int):
-        if b < 2:
-            raise PreconditionError(f"genus b must be >= 2, got {b}")
+        _check_genus(b)
         self.b = b
         self.size = 4 * b
 
@@ -65,9 +82,7 @@ class H1Basis:
     def class_at(self, i: int) -> tuple[int, int, int]:
         if not 0 <= i < self.size:
             raise PreconditionError(f"H^1 index {i} out of range")
-        side, rem = divmod(i, 2 * self.b)
-        j, letter = divmod(rem, 2)
-        return side + 1, letter, j + 1
+        return _h1_class(i, self.b)
 
 
 class H2Basis:
@@ -77,8 +92,7 @@ class H2Basis:
     GAMMA_RIGHT = 1  # 1(x)g
 
     def __init__(self, b: int):
-        if b < 2:
-            raise PreconditionError(f"genus b must be >= 2, got {b}")
+        _check_genus(b)
         self.b = b
         self.size = 4 * b * b + 2
 
@@ -86,8 +100,7 @@ class H2Basis:
         """Index of (letter1)_i (x) (letter2)_j; both indices 1-based."""
         if not (1 <= i <= self.b and 1 <= j <= self.b):
             raise PreconditionError(f"H^2 block position ({i}, {j}) out of range")
-        block = 2 * letter1 + letter2  # AA, AB, BA, BB
-        return 2 + block * self.b * self.b + (i - 1) * self.b + (j - 1)
+        return _h2_block(letter1, letter2, i, j, self.b)
 
 
 @dataclass(frozen=True)
@@ -118,23 +131,22 @@ class H2Class:
 
 
 def _cup_basis(i1: int, i2: int, b: int, p: int) -> Optional[tuple[int, int]]:
-    """Cup product of two H^1 basis classes: (H^2 index, sign) or None."""
-    h1 = H1Basis(b)
-    h2 = H2Basis(b)
-    s1, l1, j1 = h1.class_at(i1)
-    s2, l2, j2 = h1.class_at(i2)
+    """Cup product of two H^1 basis classes: (H^2 index, sign) or None.
+    Plain index arithmetic, since the cup table calls it once per wedge pair."""
+    s1, l1, j1 = _h1_class(i1, b)
+    s2, l2, j2 = _h1_class(i2, b)
     if s1 == s2:
         # same-side product lands on a fundamental class, with the
         # symplectic-basis signs
         if j1 != j2 or l1 == l2:
             return None
-        target = h2.GAMMA_LEFT if s1 == 1 else h2.GAMMA_RIGHT
+        target = H2Basis.GAMMA_LEFT if s1 == 1 else H2Basis.GAMMA_RIGHT
         sign = 1 if (l1, l2) == (_A, _B) else -1
         return target, sign % p
     if s1 == 1:  # (x(x)1)(1(x)w) = x(x)w
-        return h2.block_index(l1, l2, j1, j2), 1
+        return _h2_block(l1, l2, j1, j2, b), 1
     # (1(x)y)(z(x)1) = -z(x)y
-    return h2.block_index(l2, l1, j2, j1), (-1) % p
+    return _h2_block(l2, l1, j2, j1, b), (-1) % p
 
 
 def lambda2_pairs(b: int) -> list[tuple[int, int]]:
@@ -145,6 +157,7 @@ def lambda2_pairs(b: int) -> list[tuple[int, int]]:
 def _cup_table(b: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The cup rule on the wedge-square basis, read afresh from _cup_basis:
     (H^2 row, sign) per pair of lambda2_pairs(b), (0, 0) where it vanishes."""
+    _check_genus(b)
     hits = [_cup_basis(a, c, b, p) or (0, 0) for a, c in lambda2_pairs(b)]
     return np.array(hits, dtype=np.int64).reshape(-1, 2).T
 

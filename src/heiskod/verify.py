@@ -7,6 +7,15 @@ rewriting happens anywhere, so a pass is a complete proof that the assignment
 extends to a group homomorphism, and each failure names the printed relation
 that broke.
 
+All relators go through one batched kernel.  It tabulates the image (v, t)
+and C v of every letter that occurs, then advances all running products by
+one letter position at a time, (acc_v, acc_t) -> (acc_v + v, acc_t + t +
+acc_v . C v) mod p, in blocks of relators sorted by length.  That is the
+group law applied to concrete elements, letter by letter from the left, so
+the batch computes exactly the products a one-letter-at-a-time loop would;
+only the failing rows are kept, and ``evaluate_word`` is the same kernel on
+a single word.
+
 Two standard assignments are provided.
 
 * Non-degenerate family (p >= 5, parameters lambda, mu with nonzero entries,
@@ -29,6 +38,7 @@ must always agree where both run, and the tests enforce that.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -45,6 +55,7 @@ from .braid import (
     generator_list,
     involution_substitute,
     kernel_generator_sets,
+    word_generators,
 )
 from .errors import EnumerationBoundError, PreconditionError
 from .fplinalg import AlternatingForm, FpMatrix, is_prime
@@ -69,12 +80,62 @@ class GeneratorAssignment:
         return g if exp == 1 else self.target.inv(g)
 
 
+# relators per kernel block: the accumulators are (block x dim)
+_BLOCK = 256
+
+
+def _nonidentity_products(
+    assignment: GeneratorAssignment, words: Sequence[Word], generators: Sequence[BraidGenerator]
+) -> list:
+    """(index, value) of every word over ``generators`` whose left-to-right
+    product of letter images is not the identity, in index order.
+
+    The table holds one row per letter that occurs: the image (v, t) and
+    C v.  Words are sorted by length, longest first, and taken in blocks;
+    at letter position j the words still running are a prefix of the block,
+    and each running product is multiplied on the right by its j-th letter:
+
+        acc_t += t + acc_v . (C v),   acc_v += v   (mod p).
+
+    Each term of the dot product is below (p - 1)^2 and the group refuses a
+    modulus with dim (p - 1)^2 >= 2^63, so every sum is exact in int64.
+    """
+    group = assignment.target
+    p = group.p
+    row_of = {x: k for k, x in enumerate(set(itertools.chain.from_iterable(words)))}
+    images = [group._raw(assignment.image(g, e)) for g, e in word_generators(tuple(row_of), generators)]
+    vs = np.array([v for v, _ in images], dtype=np.int64).reshape(-1, group.dim)
+    ts = np.array([t for _, t in images], dtype=np.int64)
+    cvs = (vs @ group._c.T) % p
+
+    lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    starts = np.cumsum(lengths) - lengths
+    letters = itertools.chain.from_iterable(words)
+    rows = np.fromiter(map(row_of.__getitem__, letters), dtype=np.int64, count=int(lengths.sum()))
+    order = np.argsort(-lengths, kind="stable")
+    found = []
+    for lo in range(0, len(words), _BLOCK):
+        ids = order[lo : lo + _BLOCK]
+        first, size = starts[ids], lengths[ids]
+        # active[j]: how many words of the block have a j-th letter
+        active = ids.size - np.searchsorted(size[::-1], np.arange(size[0]), side="right")
+        acc_v = np.zeros((ids.size, group.dim), dtype=np.int64)
+        acc_t = np.zeros(ids.size, dtype=np.int64)
+        for j, n in enumerate(active.tolist()):
+            k = rows[first[:n] + j]
+            acc_t[:n] = (acc_t[:n] + ts[k] + (acc_v[:n] * cvs[k]).sum(axis=1) % p) % p
+            acc_v[:n] = (acc_v[:n] + vs[k]) % p
+        bad = np.flatnonzero(acc_v.any(axis=1) | (acc_t != 0))
+        found.extend(zip(ids[bad].tolist(), acc_v[bad], acc_t[bad].tolist()))
+    found.sort(key=lambda hit: hit[0])
+    return [(i, group._wrap(v, t)) for i, v, t in found]
+
+
 def evaluate_word(assignment: GeneratorAssignment, word: Word):
-    """Left-to-right product of letter images; empty word gives the identity."""
-    acc = assignment.target.identity
-    for gen, exp in word:
-        acc = assignment.target.mul(acc, assignment.image(gen, exp))
-    return acc
+    """Left-to-right product of letter images; empty word gives the identity.
+    One word through the same kernel that ``verify_assignment`` runs."""
+    found = _nonidentity_products(assignment, [word], generator_list(assignment.b))
+    return found[0][1] if found else assignment.target.identity
 
 
 @dataclass(frozen=True)
@@ -116,12 +177,11 @@ class VerificationReport:
 def verify_assignment(pres: Presentation, assignment: GeneratorAssignment) -> VerificationReport:
     """Evaluate every relator; failures are recorded, never raised."""
     target = assignment.target
-    identity = target.identity
-    failures = []
-    for idx, rel in enumerate(pres.relators):
-        value = evaluate_word(assignment, rel.word)
-        if value != identity:
-            failures.append((idx, rel.source, value))
+    words = [rel.word for rel in pres.relators]
+    failures = [
+        (i, pres.relators[i].source, value)
+        for i, value in _nonidentity_products(assignment, words, pres.generators)
+    ]
     first, second = kernel_generator_sets(pres.b)
     m1 = image_index(assignment, first)
     m2 = image_index(assignment, second)
@@ -244,10 +304,10 @@ def precompose_involution(assignment: GeneratorAssignment) -> GeneratorAssignmen
     original assignment kills every relator the precomposed one must too.
     """
     b = assignment.b
+    gens = generator_list(b)
     images = {}
-    for gen in generator_list(b):
-        sub = involution_substitute(((gen, 1),), b)
-        (sgen, sexp), = sub
+    for i, gen in enumerate(gens, start=1):
+        ((sgen, sexp),) = word_generators(involution_substitute((i,), b), gens)
         images[gen] = assignment.image(sgen, sexp)
     return GeneratorAssignment(
         assignment.b, assignment.p, assignment.family + "+involution", assignment.target, images

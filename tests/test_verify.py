@@ -9,14 +9,29 @@ pure-Python set closure is the reference for the oracle itself.
 
 import itertools
 import json
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from heiskod.braid import A12, BraidGenerator, RHO, TAU, build_presentation, kernel_generator_sets
+from heiskod.braid import (
+    A12,
+    RHO,
+    TAU,
+    BraidGenerator,
+    Presentation,
+    Relator,
+    build_presentation,
+    generator_list,
+    kernel_generator_sets,
+    rho,
+    winding,
+)
 from heiskod.errors import EnumerationBoundError, PreconditionError
 from heiskod.fplinalg import AlternatingForm, FpMatrix
-from heiskod.heisenberg import HeisGroup, MatrixHeisGroup
+from heiskod.heisenberg import HeisElement, HeisGroup, MatrixHeisGroup
 from heiskod.verify import (
     GeneratorAssignment,
     bfs_subgroup_order,
@@ -48,8 +63,8 @@ def pres2():
 def test_evaluate_word_basics(nondeg25):
     group = nondeg25.target
     assert evaluate_word(nondeg25, ()) == group.identity
-    g = BraidGenerator(RHO, 1, 1)
-    assert evaluate_word(nondeg25, ((g, 1), (g, -1))) == group.identity
+    g = rho(2, 1, 1)[0]
+    assert evaluate_word(nondeg25, (g, -g)) == group.identity
 
 
 def test_surface_relator_closes_via_central_values(nondeg25, pres2):
@@ -63,7 +78,113 @@ def test_surface_relator_closes_via_central_values(nondeg25, pres2):
 def test_unknown_generator_rejected(nondeg25):
     bogus = GeneratorAssignment(2, 5, "partial", nondeg25.target, {})
     with pytest.raises(PreconditionError):
-        evaluate_word(bogus, ((A12, 1),))
+        evaluate_word(bogus, winding(2))
+
+
+def test_letters_out_of_range_refused(nondeg25):
+    # b = 2: the letters are +-1..+-9; numpy would wrap a bad index silently
+    assert evaluate_word(nondeg25, winding(2) + winding(2, -1)) == nondeg25.target.identity
+    for bad in (0, 10, -10, 10**30):
+        with pytest.raises(PreconditionError, match="not a generator index"):
+            evaluate_word(nondeg25, (1, bad, -1))
+        pres = Presentation(2, generator_list(2), (Relator((1, -1), "fine"), Relator((bad,), "bad")))
+        with pytest.raises(PreconditionError, match="not a generator index"):
+            verify_assignment(pres, nondeg25)
+
+
+# -- the batched kernel against a pure-Python reference ----------------------------
+
+
+def reference_products(cocycle, p, images, words):
+    """Left-to-right products in Python integers, without numpy or the group:
+    (v, t)(w, s) = (v + w, t + s + v.C.w) and (w, s)^-1 = (-w, -s + w.C.w).
+    ``images`` lists the (w, s) of generator_list(b) in order."""
+    dim = len(cocycle)
+
+    def c_times(w):
+        return [sum(cocycle[a][b] * w[b] for b in range(dim)) for a in range(dim)]
+
+    def dot(v, u):
+        return sum(x * y for x, y in zip(v, u))
+
+    table = {}
+    for i, (w, s) in enumerate(images, start=1):
+        cw = c_times(w)
+        table[i] = (w, s, cw)
+        winv = [-x for x in w]
+        table[-i] = (winv, -s + dot(w, cw), [-x for x in cw])
+    out = []
+    for word in words:
+        v, t = [0] * dim, 0
+        for x in word:
+            w, s, cw = table[x]
+            t = (t + s + dot(v, cw)) % p
+            v = [(a + b) % p for a, b in zip(v, w)]
+        out.append((tuple(v), t))
+    return out
+
+
+def check_against_reference(assignment, words):
+    """verify_assignment must list exactly the words whose reference product is
+    not the identity, in index order and with that value; evaluate_word must
+    give the reference product of each word."""
+    b, group = assignment.b, assignment.target
+    images = [(list(assignment.images[g].v), assignment.images[g].t) for g in generator_list(b)]
+    expected = reference_products(group._c.tolist(), group.p, images, words)
+    pres = Presentation(b, generator_list(b), tuple(Relator(w, f"word {i}") for i, w in enumerate(words)))
+    report = verify_assignment(pres, assignment)
+    identity = ((0,) * group.dim, 0)
+    assert [(i, src, (value.v, value.t)) for i, src, value in report.failures] == [
+        (i, f"word {i}", value) for i, value in enumerate(expected) if value != identity
+    ]
+    for word, (v, t) in zip(words, expected):
+        assert evaluate_word(assignment, word) == HeisElement(v, t)
+
+
+KERNEL_GROUPS = [
+    HeisGroup(AlternatingForm.standard_symplectic(2, 3)),
+    # degenerate form: ker(omega) is the third coordinate
+    HeisGroup(AlternatingForm(FpMatrix([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], 5))),
+    HeisGroup(AlternatingForm.standard_symplectic(3, 7)),
+    MatrixHeisGroup(3, 2),
+    # the largest prime with 4 (p - 1)^2 < 2^63
+    HeisGroup(AlternatingForm.standard_symplectic(2, 1518500213)),
+]
+
+
+@pytest.mark.parametrize("group", KERNEL_GROUPS, ids=repr)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_python_reference(group, data):
+    b, p = 2, group.p
+    n = 4 * b + 1
+    element = st.tuples(
+        st.lists(st.integers(0, p - 1), min_size=group.dim, max_size=group.dim), st.integers(0, p - 1)
+    )
+    raw = data.draw(st.lists(element, min_size=n, max_size=n))
+    images = {g: HeisElement(tuple(v), t) for g, (v, t) in zip(generator_list(b), raw)}
+    assignment = GeneratorAssignment(b, p, "random", group, images)
+    letter = st.integers(1, n).flatmap(lambda i: st.sampled_from([i, -i]))
+    words = data.draw(st.lists(st.lists(letter, max_size=40).map(tuple), min_size=1, max_size=12))
+    check_against_reference(assignment, words)
+
+
+@pytest.mark.parametrize("family,b,p", [("degenerate", 5, 3), ("degenerate", 15, 2), ("nondegenerate", 6, 7)])
+def test_every_relator_matches_python_reference(family, b, p):
+    if family == "degenerate":
+        standard = standard_assignment_degenerate(b, p)
+    else:
+        standard = standard_assignment_nondegenerate(b, p, (2,) * (b - 1) + (5,), (2,) * (b - 1) + (5,))
+    words = [rel.word for rel in build_presentation(b).relators]
+    check_against_reference(standard, words)
+    # random images make most relators fail, across several kernel blocks
+    rng = random.Random(100 * b + p)
+    group = standard.target
+    images = {
+        g: HeisElement(tuple(rng.randrange(p) for _ in range(group.dim)), rng.randrange(p))
+        for g in generator_list(b)
+    }
+    check_against_reference(GeneratorAssignment(b, p, "random", group, images), words)
 
 
 # -- standard assignments --------------------------------------------------------
