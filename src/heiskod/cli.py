@@ -22,28 +22,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .acceptance import run_all
-from .braid import build_presentation, kernel_generator_sets, presentation_to_json, word_display
-from .cohomology import classify_form, search_family_params
 from .errors import HeiskodError, InconsistencyError, PreconditionError
-from .fplinalg import AlternatingForm, FpMatrix
-from .invariants import (
-    CensusRow,
-    census,
-    claims_to_json,
-    degenerate_invariants,
-    kappa,
-    nondegenerate_invariants,
-    row_record,
-    rows_to_csv,
-)
-from .verify import (
-    bfs_subgroup_order,
-    report_json,
-    standard_assignment_degenerate,
-    standard_assignment_nondegenerate,
-    verify_assignment,
-)
 
 
 def _parse_range(text: str) -> list[int]:
@@ -87,6 +66,8 @@ def _fraction_str(f: Fraction) -> str:
 
 
 def cmd_presentation(args) -> int:
+    from .braid import build_presentation, presentation_to_json, word_display
+
     pres = build_presentation(args.b)
     if args.format == "json":
         _emit(json.dumps(presentation_to_json(pres), indent=2), args.output)
@@ -101,6 +82,14 @@ def cmd_presentation(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .braid import build_presentation, kernel_generator_sets
+    from .verify import (
+        bfs_subgroup_order,
+        standard_assignment_degenerate,
+        standard_assignment_nondegenerate,
+        verify_assignment,
+    )
+
     lam = _parse_residues(getattr(args, "lam", None), "lambda")
     mu = _parse_residues(args.mu, "mu")
     if args.family == "degenerate":
@@ -152,7 +141,9 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _form_from_args(args) -> AlternatingForm:
+def _form_from_args(args):
+    from .fplinalg import AlternatingForm, FpMatrix
+
     lam = _parse_residues(getattr(args, "lam", None), "lambda")
     mu = _parse_residues(args.mu, "mu")
     if args.matrix_json:
@@ -167,6 +158,8 @@ def _form_from_args(args) -> AlternatingForm:
 
 
 def cmd_classify_form(args) -> int:
+    from .cohomology import classify_form
+
     form = _form_from_args(args)
     cls = classify_form(form)
     record = {
@@ -188,6 +181,8 @@ def cmd_classify_form(args) -> int:
 
 
 def cmd_search_forms(args) -> int:
+    from .cohomology import search_family_params
+
     hits = search_family_params(args.b, args.p, args.count)
     if args.format == "json":
         payload = {
@@ -213,6 +208,8 @@ def cmd_search_forms(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    from .invariants import CensusRow, degenerate_invariants, nondegenerate_invariants, row_record, rows_to_csv
+
     if args.family == "degenerate":
         inv = degenerate_invariants(args.b, args.p)
     else:
@@ -232,6 +229,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_census(args) -> int:
+    from .invariants import census, claims_to_json, row_record, rows_to_csv
+
     rows, claims = census(args.family, _parse_range(args.b), _parse_range(args.p))
     all_hold = all(c.holds for c in claims)
     if args.format == "json":
@@ -251,6 +250,8 @@ def cmd_census(args) -> int:
 
 
 def cmd_kappa(args) -> int:
+    from .invariants import kappa
+
     values = {b: kappa(b) for b in _parse_range(args.b)}
     if args.format == "json":
         _emit(json.dumps([{"b": b, "kappa": k} for b, k in values.items()], indent=2), args.output)
@@ -260,6 +261,8 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .acceptance import run_all
+
     results = run_all(quick=args.quick)
     for r in results:
         print(r.line())

@@ -175,11 +175,20 @@ VectorLike = Union[int, Sequence[int]]
 
 
 def _as_h1_vector(u: VectorLike, b: int, p: int) -> np.ndarray:
+    """A basis index in 0..4b-1, or a vector of 4b int64 coefficients, as a
+    reduced int64 vector."""
+    if isinstance(u, bool):
+        raise PreconditionError(f"H^1 argument must be an index or a vector, not {u!r}")
     if isinstance(u, (int, np.integer)):
+        if not 0 <= u < 4 * b:
+            raise PreconditionError(f"H^1 index {u} out of range 0..{4 * b - 1}")
         v = np.zeros(4 * b, dtype=np.int64)
         v[int(u)] = 1
         return v
-    v = np.asarray(u, dtype=np.int64) % p
+    try:
+        v = np.asarray(u, dtype=np.int64) % p
+    except (OverflowError, TypeError, ValueError):
+        raise PreconditionError("H^1 vector entries must be int64 integers") from None
     if v.shape != (4 * b,):
         raise PreconditionError(f"H^1 vector must have length {4 * b}")
     return v

@@ -24,45 +24,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import PreconditionError
-
-
-# Strong-probable-prime bases: the first 13 primes.  The least composite
-# that passes all of them is _MR_LIMIT (Sorenson and Webster, "Strong
-# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017), so below it
-# the test is exact.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3317044064679887385961981
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test, exact for n < 3.3 * 10^24.
-
-    Costs O(log n) modular multiplications per base.  Larger n without a
-    prime factor up to 41 raise PreconditionError instead of a probable
-    answer.
-    """
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    if n >= _MR_LIMIT:
-        raise PreconditionError(f"{n} is too large for the exact primality test (limit {_MR_LIMIT})")
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+from .invariants import is_prime
 
 
 def _check_prime(p: int) -> None:
@@ -94,9 +56,24 @@ class FpMatrix:
     def __init__(self, entries, p: int):
         _check_prime(p)
         _check_int64_dot(1, p)
-        a = np.array(entries, dtype=np.int64) % p
+        try:
+            a = np.array(entries, dtype=np.int64)
+        except (OverflowError, TypeError, ValueError):
+            raise PreconditionError("matrix entries must be int64 integers") from None
         if a.ndim != 2:
             raise PreconditionError("matrix entries must be two-dimensional")
+        a %= p  # in place: the fresh copy above is the only one
+        self._adopt(a, p)
+
+    @classmethod
+    def _reduced(cls, a: np.ndarray, p: int) -> "FpMatrix":
+        """Take over a reduced 2-D int64 array that nothing else holds,
+        without checking or copying it."""
+        m = object.__new__(cls)
+        m._adopt(a, p)
+        return m
+
+    def _adopt(self, a: np.ndarray, p: int) -> None:
         a.setflags(write=False)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "rows", a.shape[0])
@@ -158,7 +135,9 @@ class FpMatrix:
         if self.cols != other.rows:
             raise PreconditionError("inner dimensions disagree")
         _check_int64_dot(self.cols, self.p)
-        return FpMatrix(self._a @ other._a, self.p)
+        prod = self._a @ other._a
+        prod %= self.p
+        return FpMatrix._reduced(prod, self.p)
 
     def scale(self, c: int) -> "FpMatrix":
         return FpMatrix(self._a * (c % self.p), self.p)
@@ -196,7 +175,7 @@ class FpMatrix:
                 a[rows] = (a[rows] - np.outer(a[rows, c], a[r])) % p
             pivots.append(c)
             r += 1
-        return FpMatrix(a, p), tuple(pivots)
+        return FpMatrix._reduced(a, p), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])

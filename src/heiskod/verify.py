@@ -58,8 +58,9 @@ from .braid import (
     word_generators,
 )
 from .errors import EnumerationBoundError, PreconditionError
-from .fplinalg import AlternatingForm, FpMatrix, is_prime
+from .fplinalg import AlternatingForm, FpMatrix
 from .heisenberg import HeisGroup, MatrixHeisGroup, _CocycleGroup
+from .invariants import is_prime
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,19 @@
 """CLI contract tests: exit codes, formats, round-trips.
 
 Everything runs in-process through ``main(argv)``; stdout is captured by
-pytest's capsys.  Exit codes: 0 success, 1 verified-false claim, 2 usage or
+pytest's capsys.  Only the import-surface cases at the end start a fresh
+interpreter each.  Exit codes: 0 success, 1 verified-false claim, 2 usage or
 precondition error.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
+
+import pytest
 
 from heiskod.cli import main
 
@@ -205,6 +212,13 @@ def test_invariants_huge_prime_exits_2_quickly(capsys):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_classify_form_entry_beyond_int64_exits_2(capsys, tmp_path):
+    path = tmp_path / "omega.json"
+    path.write_text("[[0, 1], [-1, 1000000000000000000000000000000]]")
+    code, _, err = run(capsys, "classify-form", "--p", "3", "--matrix-json", str(path))
+    assert code == 2 and "int64" in err
+
+
 def test_classify_form_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "classify-form", "--p", "3", "--matrix-json", "/no/such/file.json")
     assert code == 2 and "file" in err.lower()
@@ -320,3 +334,68 @@ def test_malformed_range_exits_2(capsys):
 
 def test_no_subcommand_exits_2(capsys):
     assert run(capsys)[0] == 2
+
+
+# -- import surface ------------------------------------------------------------
+#
+# Each case is a fresh interpreter, so that modules loaded by other tests do
+# not hide what one subcommand imports.
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_CLI_PROBE = (
+    "import contextlib, io, json, sys\n"
+    "from heiskod.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = main(sys.argv[1:])\n"
+    "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n"
+)
+
+
+def fresh_process(script, *argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(proc.stdout)
+
+
+def cli_modules(*argv):
+    result = fresh_process(_CLI_PROBE, *argv)
+    assert result["code"] == 0
+    return set(result["modules"])
+
+
+def test_import_package_loads_no_submodule():
+    modules = fresh_process("import heiskod, json, sys; print(json.dumps(sorted(sys.modules)))")
+    assert "heiskod" in modules
+    assert not [m for m in modules if m.startswith("heiskod.")]
+    assert "numpy" not in modules
+
+
+NUMPY_FREE = [
+    ("kappa", "--b", "2"),
+    ("invariants", "--family", "degenerate", "--b", "2", "--p", "3"),
+    ("census", "--family", "degenerate", "--b", "2..6", "--p", "2..13"),
+    ("presentation", "--b", "3"),
+]
+NUMPY_USING = [
+    ("verify", "--family", "degenerate", "--b", "2", "--p", "3"),
+    ("classify-form", "--b", "2", "--p", "5", "--lambda", "3,3", "--mu", "3,3"),
+    ("search-forms", "--b", "2", "--p", "5", "--count", "1"),
+]
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE, ids=lambda a: a[0])
+def test_exact_subcommands_never_import_numpy(argv):
+    modules = cli_modules(*argv)
+    assert "numpy" not in modules
+    assert "heiskod.acceptance" not in modules
+
+
+@pytest.mark.parametrize("argv", NUMPY_USING, ids=lambda a: a[0])
+def test_only_selftest_imports_acceptance(argv):
+    modules = cli_modules(*argv)
+    assert "heiskod.acceptance" not in modules
+    # the probe does see what a subcommand loads
+    assert "numpy" in modules

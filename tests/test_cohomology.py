@@ -105,6 +105,31 @@ def test_mismatched_shapes_rejected():
         cup_h1_h1([0] * 8, [0] * 12, 3, 5)
 
 
+def test_negative_index_refused():
+    # used to wrap silently to index 7, the last class at b = 2
+    with pytest.raises(PreconditionError):
+        cup_h1_h1(-1, 0, 2, 5)
+
+
+def test_index_past_end_refused():
+    # used to raise numpy's IndexError
+    with pytest.raises(PreconditionError):
+        cup_h1_h1(8, 0, 2, 5)
+    assert cup_h1_h1(7, 0, 2, 5) == cup_h1_h1([0] * 7 + [1], [1] + [0] * 7, 2, 5)
+
+
+def test_bool_index_refused():
+    # True used to pass as index 1
+    with pytest.raises(PreconditionError):
+        cup_h1_h1(True, 0, 2, 5)
+
+
+def test_entry_beyond_int64_refused():
+    # used to raise OverflowError
+    with pytest.raises(PreconditionError):
+        cup_h1_h1([10**30] + [0] * 7, 0, 2, 5)
+
+
 @pytest.mark.parametrize("p", [2, 3, 7])
 def test_cup_and_xi_match_dense_xi_matrix(p):
     rng = np.random.default_rng(p)

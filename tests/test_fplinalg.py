@@ -267,3 +267,23 @@ def test_degenerate_family_is_all_j_blocks():
     assert [row[:4] for row in m[4:]] == j2
     assert [row[4:] for row in m[4:]] == j2
 
+
+
+def test_matrix_owns_its_entries():
+    rows = [[1, 2], [3, 4]]
+    arr = np.array(rows, dtype=np.int64)
+    from_list, from_array = FpMatrix(rows, 5), FpMatrix(arr, 5)
+    rows[0][0] = 9
+    arr[0, 0] = 9
+    assert from_list.to_lists() == from_array.to_lists() == [[1, 2], [3, 4]]
+    assert not from_array.array().flags.writeable
+    reduced, _ = from_array.rref()
+    assert not reduced.array().flags.writeable and not (from_array @ from_list).array().flags.writeable
+
+
+def test_entries_beyond_int64_refused():
+    # used to raise OverflowError, which the CLI reported as a crash
+    with pytest.raises(PreconditionError):
+        FpMatrix([[0, 1], [-1, 10**30]], 3)
+    with pytest.raises(PreconditionError):
+        FpMatrix([[0, 1], [1]], 3)

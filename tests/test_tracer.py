@@ -5,10 +5,14 @@ the package and refuses to install if one is missing, so a refactor that
 drops or renames a traced name fails here and not only in the benchmark.
 """
 
+import contextlib
 import importlib.util
+import io
+import json
 from pathlib import Path
 
 import heiskod.cli
+import heiskod.verify
 from heiskod.fplinalg import AlternatingForm, FpMatrix
 from heiskod.heisenberg import HeisGroup, MatrixHeisGroup
 
@@ -24,18 +28,28 @@ def load_tracer():
 
 def test_tracer_installs_and_restores():
     tracer = load_tracer().Tracer()
-    originals = (heiskod.cli.verify_assignment, HeisGroup.mul, MatrixHeisGroup.inv, FpMatrix.rref)
+    originals = (heiskod.verify.verify_assignment, HeisGroup.mul, MatrixHeisGroup.inv, FpMatrix.rref)
     tracer.install()
     try:
-        assert heiskod.cli.verify_assignment is not originals[0]
+        assert heiskod.verify.verify_assignment is not originals[0]
         group = HeisGroup(AlternatingForm.standard_symplectic(1, 5))
         g = group.element((1, 0), 0)
         group.mul(g, group.inv(g))
         FpMatrix([[1, 2], [3, 4]], 5).rank()
+        direct = tracer.layer_times()[0]
+        # the CLI imports its layers when a subcommand runs; those calls
+        # must still reach the wrappers
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = heiskod.cli.main(["verify", "--family", "degenerate", "--b", "2", "--p", "3", "--format", "json"])
     finally:
         tracer.uninstall()
-    assert (heiskod.cli.verify_assignment, HeisGroup.mul, MatrixHeisGroup.inv, FpMatrix.rref) == originals
+    assert (heiskod.verify.verify_assignment, HeisGroup.mul, MatrixHeisGroup.inv, FpMatrix.rref) == originals
+    report = json.loads(out.getvalue())
+    assert code == 0 and report["passed"] == report["relators"]
+    assert direct["heisenberg.mul"] == 1
+    assert direct["heisenberg.inv"] == 1
+    assert direct["fplinalg.rref"] == 1
     calls = tracer.layer_times()[0]
-    assert calls["heisenberg.mul"] == 1
-    assert calls["heisenberg.inv"] == 1
-    assert calls["fplinalg.rref"] == 1
+    assert calls["verify.verify_assignment"] == 1
+    assert calls["braid.build_presentation"] == 1
