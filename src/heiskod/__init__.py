@@ -11,11 +11,15 @@ claim-checking census (:mod:`invariants`).  :mod:`cli` ties it together and
 :mod:`acceptance` holds the self-test criteria.
 
 Importing the package loads none of these modules: import names from the
-submodule that defines them (``from heiskod.invariants import kappa``).  The
-``kappa``, ``invariants``, ``census`` and ``presentation`` subcommands never
-import numpy, and only ``selftest`` imports :mod:`acceptance`.
+submodule that defines them (``from heiskod.invariants import kappa``).
+Linear algebra over F_p and the cohomology are pure Python; numpy serves only
+group arithmetic, relator evaluation and the oracle.  So the ``kappa``,
+``invariants``, ``census``, ``presentation``, ``classify-form`` and
+``search-forms`` subcommands never import numpy, and only ``selftest``
+imports :mod:`acceptance`.
 """
 
 __version__ = "0.1.0"
-# the one numeric backend; recorded in benchmark run records
+# the array backend of group arithmetic and the oracle; recorded in
+# benchmark run records
 BACKEND = "numpy"

@@ -36,12 +36,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import index
 from typing import Iterator, Optional, Sequence, Union
 
-import numpy as np
-
 from .errors import EnumerationBoundError, InconsistencyError, PreconditionError
-from .fplinalg import AlternatingForm, FpMatrix, _check_int64_dot, _check_prime
+from .fplinalg import AlternatingForm, FpMatrix, _check_int64_dot, _check_prime, residues
 
 # letters for the two degree-1 generators of the surface
 _A, _B = 0, 1
@@ -115,20 +114,6 @@ class H2Class:
         if len(self.coeffs) != 4 * self.b * self.b + 2:
             raise PreconditionError("H^2 coefficient vector has the wrong length")
 
-    def _compatible(self, other: "H2Class") -> None:
-        if (self.b, self.p) != (other.b, other.p):
-            raise PreconditionError("H^2 classes from different (b, p)")
-
-    def __add__(self, other: "H2Class") -> "H2Class":
-        self._compatible(other)
-        return H2Class(self.b, self.p, tuple((x + y) % self.p for x, y in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, c: int) -> "H2Class":
-        return H2Class(self.b, self.p, tuple((c * x) % self.p for x in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coeffs)
-
 
 def _cup_basis(i1: int, i2: int, b: int, p: int) -> Optional[tuple[int, int]]:
     """Cup product of two H^1 basis classes: (H^2 index, sign) or None.
@@ -154,43 +139,43 @@ def lambda2_pairs(b: int) -> list[tuple[int, int]]:
     return [(a, c) for a in range(4 * b) for c in range(a + 1, 4 * b)]
 
 
-def _cup_table(b: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+def _cup_table(b: int, p: int) -> list[Optional[tuple[int, int]]]:
     """The cup rule on the wedge-square basis, read afresh from _cup_basis:
-    (H^2 row, sign) per pair of lambda2_pairs(b), (0, 0) where it vanishes."""
+    (H^2 row, sign) per pair of lambda2_pairs(b), None where it vanishes."""
     _check_genus(b)
-    hits = [_cup_basis(a, c, b, p) or (0, 0) for a, c in lambda2_pairs(b)]
-    return np.array(hits, dtype=np.int64).reshape(-1, 2).T
+    return [_cup_basis(a, c, b, p) for a, c in lambda2_pairs(b)]
 
 
-def _xi_of_wedge(w: np.ndarray, b: int, p: int) -> H2Class:
-    """xi of reduced wedge-square coordinates: the table as a scatter-add.
-    Each term sign * w is below (p - 1)^2, which callers keep below 2^63."""
-    rows, signs = _cup_table(b, p)
-    out = np.zeros(4 * b * b + 2, dtype=np.int64)
-    np.add.at(out, rows, signs * w % p)
-    return H2Class(b, p, tuple((out % p).tolist()))
+def _xi_of_wedge(w: Sequence[int], b: int, p: int) -> H2Class:
+    """xi of wedge-square coordinates: the cup table as a scatter-add."""
+    out = [0] * (4 * b * b + 2)
+    for hit, x in zip(_cup_table(b, p), w):
+        if hit is not None:
+            out[hit[0]] += hit[1] * x
+    return H2Class(b, p, tuple(x % p for x in out))
 
 
 VectorLike = Union[int, Sequence[int]]
 
 
-def _as_h1_vector(u: VectorLike, b: int, p: int) -> np.ndarray:
-    """A basis index in 0..4b-1, or a vector of 4b int64 coefficients, as a
-    reduced int64 vector."""
+def _as_h1_vector(u: VectorLike, b: int, p: int) -> list[int]:
+    """A basis index in 0..4b-1, or a vector of 4b integer coefficients, as a
+    reduced coefficient list."""
     if isinstance(u, bool):
         raise PreconditionError(f"H^1 argument must be an index or a vector, not {u!r}")
-    if isinstance(u, (int, np.integer)):
-        if not 0 <= u < 4 * b:
-            raise PreconditionError(f"H^1 index {u} out of range 0..{4 * b - 1}")
-        v = np.zeros(4 * b, dtype=np.int64)
-        v[int(u)] = 1
-        return v
     try:
-        v = np.asarray(u, dtype=np.int64) % p
-    except (OverflowError, TypeError, ValueError):
-        raise PreconditionError("H^1 vector entries must be int64 integers") from None
-    if v.shape != (4 * b,):
-        raise PreconditionError(f"H^1 vector must have length {4 * b}")
+        i = index(u)
+    except TypeError:  # not an index: a vector
+        i = None
+    if i is None:
+        v = residues(u, p, "H^1 vector entries")
+        if len(v) != 4 * b:
+            raise PreconditionError(f"H^1 vector must have length {4 * b}")
+        return v
+    if not 0 <= i < 4 * b:
+        raise PreconditionError(f"H^1 index {i} out of range 0..{4 * b - 1}")
+    v = [0] * (4 * b)
+    v[i] = 1
     return v
 
 
@@ -199,10 +184,11 @@ def cup_h1_h1(u: VectorLike, v: VectorLike, b: int, p: int) -> H2Class:
     rule is alternating, so u v is xi of the wedge u ^ v = u v^T - v u^T."""
     _check_prime(p)
     _check_int64_dot(1, p)
+    _check_genus(b)
     uu = _as_h1_vector(u, b, p)
     vv = _as_h1_vector(v, b, p)
-    wedge = (np.outer(uu, vv) - np.outer(vv, uu)) % p
-    return _xi_of_wedge(wedge[np.triu_indices(4 * b, k=1)], b, p)
+    wedge = [uu[a] * vv[c] - uu[c] * vv[a] for a, c in lambda2_pairs(b)]
+    return _xi_of_wedge(wedge, b, p)
 
 
 def _form_genus(form: AlternatingForm) -> int:
@@ -213,8 +199,8 @@ def _form_genus(form: AlternatingForm) -> int:
 
 def vec_of_form(form: AlternatingForm) -> tuple[int, ...]:
     """Coordinates of a form on the wedge-square basis (upper triangle)."""
-    b = _form_genus(form)
-    return tuple(form.omega.array()[np.triu_indices(4 * b, k=1)].tolist())
+    _form_genus(form)
+    return tuple(x for a, row in enumerate(form.omega.to_lists()) for x in row[a + 1 :])
 
 
 def xi_of_form(form: AlternatingForm) -> H2Class:
@@ -223,27 +209,27 @@ def xi_of_form(form: AlternatingForm) -> H2Class:
     The form's matrix is read against the H^1 ordering, so
     xi(omega) = sum over a < c of Omega[a][c] * cup(e_a, e_c).
     """
-    return _xi_of_wedge(np.array(vec_of_form(form), dtype=np.int64), form.dim // 4, form.p)
+    return _xi_of_wedge(vec_of_form(form), form.dim // 4, form.p)
 
 
 def diagonal_class(b: int, p: int) -> H2Class:
     """Class of the diagonal: g(x)1 + 1(x)g + sum_j (b_j(x)a_j - a_j(x)b_j)."""
     _check_prime(p)
     h2 = H2Basis(b)
-    out = np.zeros(h2.size, dtype=np.int64)
+    out = [0] * h2.size
     out[h2.GAMMA_LEFT] = 1
     out[h2.GAMMA_RIGHT] = 1
     for j in range(1, b + 1):
         out[h2.block_index(_B, _A, j, j)] = 1
-        out[h2.block_index(_A, _B, j, j)] = (-1) % p
-    return H2Class(b, p, tuple(int(x) for x in out))
+        out[h2.block_index(_A, _B, j, j)] = p - 1
+    return H2Class(b, p, tuple(out))
 
 
-def _mod_delta(x: np.ndarray, b: int, p: int) -> np.ndarray:
-    """H^2 / <delta> coordinates x[1:] - x[0] delta[1:] of a class or of each
-    column of a matrix; the kernel is the diagonal line as delta starts with 1."""
-    delta = np.array(diagonal_class(b, p).coeffs[1:], dtype=np.int64)
-    return (x[1:] - np.multiply.outer(delta, x[0])) % p
+def _mod_delta(x: Sequence[int], b: int, p: int) -> tuple[int, ...]:
+    """H^2 / <delta> coordinates x[1:] - x[0] delta[1:] of a class; the
+    kernel is the diagonal line, as delta starts with 1."""
+    delta = diagonal_class(b, p).coeffs
+    return tuple((y - x[0] * d) % p for y, d in zip(x[1:], delta[1:]))
 
 
 @dataclass(frozen=True)
@@ -265,7 +251,7 @@ def classify_form(form: AlternatingForm) -> FormClassification:
     img = xi_of_form(form)
     # delta has coefficient 1 on g(x)1, so the only candidate multiple is the
     # first coordinate of the image
-    on_line = not _mod_delta(np.array(img.coeffs, dtype=np.int64), img.b, img.p).any()
+    on_line = not any(_mod_delta(img.coeffs, img.b, img.p))
     multiple = img.coeffs[0] if on_line else None
     return FormClassification(
         is_alternating=True,
@@ -281,18 +267,33 @@ def classify_form(form: AlternatingForm) -> FormClassification:
 # ---------------------------------------------------------------------------
 
 
+def _xi_rows(b: int, p: int) -> list[dict[int, int]]:
+    """Sparse rows of xi: wedge pair k lands in one H^2 row with its sign, so
+    every column holds at most one nonzero."""
+    rows: list[dict[int, int]] = [{} for _ in range(4 * b * b + 2)]
+    for k, hit in enumerate(_cup_table(b, p)):
+        if hit is not None:
+            rows[hit[0]][k] = hit[1]
+    return rows
+
+
 def xi_matrix(b: int, p: int) -> FpMatrix:
     """Matrix of xi from the wedge square (dim 8b^2 - 2b) to H^2 (dim 4b^2 + 2)."""
     _check_prime(p)
-    rows, signs = _cup_table(b, p)
-    m = np.zeros((4 * b * b + 2, rows.size), dtype=np.int64)
-    m[rows, np.arange(rows.size)] = signs
-    return FpMatrix(m, p)
+    return FpMatrix.sparse(_xi_rows(b, p), 8 * b * b - 2 * b, p)
 
 
 def eta_matrix(b: int, p: int) -> FpMatrix:
-    """Matrix of eta: xi followed by the quotient by the diagonal class."""
-    return FpMatrix(_mod_delta(xi_matrix(b, p).array(), b, p), p)
+    """Matrix of eta: xi followed by the quotient by the diagonal class, that
+    is row i of xi minus delta_i times row 0, for i >= 1."""
+    _check_prime(p)
+    rows = _xi_rows(b, p)
+    top = rows[0]
+    for row, d in zip(rows[1:], diagonal_class(b, p).coeffs[1:]):
+        if d:
+            for k, x in top.items():
+                row[k] = row.get(k, 0) - d * x
+    return FpMatrix.sparse(rows[1:], 8 * b * b - 2 * b, p)
 
 
 def count_heisenberg_candidates(b: int, p: int) -> int:
@@ -302,11 +303,8 @@ def count_heisenberg_candidates(b: int, p: int) -> int:
     against the closed form p^(4b^2 - 2b - 2) (p - 1).
     """
     domain = 8 * b * b - 2 * b
-    xi = xi_matrix(b, p)
-    ker_xi = domain - xi.rank()
-    eta = FpMatrix(_mod_delta(xi.array(), b, p), p)
-    del xi  # the second row reduction peaks memory; do not hold xi through it
-    ker_eta = domain - eta.rank()
+    ker_xi = domain - xi_matrix(b, p).rank()
+    ker_eta = domain - eta_matrix(b, p).rank()
     count = p**ker_eta - p**ker_xi
     closed = p ** (4 * b * b - 2 * b - 2) * (p - 1)
     if count != closed:
@@ -314,13 +312,6 @@ def count_heisenberg_candidates(b: int, p: int) -> int:
             f"candidate count from ranks ({count}) disagrees with closed form ({closed}) at b={b}, p={p}"
         )
     return count
-
-
-def complement_betti(b: int) -> tuple[int, int, int, int, int]:
-    """Betti numbers of the product minus its diagonal: (1, 4b, 4b^2+1, 2b, 0)."""
-    if b < 2:
-        raise PreconditionError(f"genus b must be >= 2, got {b}")
-    return (1, 4 * b, 4 * b * b + 1, 2 * b, 0)
 
 
 # ---------------------------------------------------------------------------

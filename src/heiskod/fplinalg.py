@@ -1,8 +1,8 @@
-"""Exact dense linear algebra over a prime field F_p.
+"""Exact sparse linear algebra over a prime field F_p.
 
 Everything downstream (cup products, Heisenberg groups, rank counts) runs on
-the two value types defined here: :class:`FpMatrix`, an immutable dense matrix
-of residues, and :class:`AlternatingForm`, a skew matrix with optional
+the two value types defined here: :class:`FpMatrix`, an immutable matrix of
+residues, and :class:`AlternatingForm`, a skew matrix with optional
 (lambda, mu) provenance when it comes from the block family
 
     Omega_b = [[L_b, J_b], [J_b, M_b]],
@@ -12,16 +12,17 @@ where L_b, M_b are block-diagonal with 2x2 blocks [[0, l_j], [-l_j, 0]]
 prod_j (1 - lambda_j * mu_j)^2, so the form is symplectic exactly when no
 lambda_j * mu_j equals 1.
 
-Row reduction and the determinant are vectorised numpy eliminations with a
-deterministic pivot rule (first nonzero entry in column order); all
-operations return new values.
+A matrix is a tuple of sparse rows, ``{column: nonzero residue}`` maps of
+Python integers, so every result is exact.  Row reduction, rank, determinant
+and kernel all come from one sparse Gauss-Jordan elimination; all operations
+return new values.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+import heapq
+from operator import index
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import PreconditionError
 from .invariants import is_prime
@@ -34,148 +35,212 @@ def _check_prime(p: int) -> None:
 
 def _check_int64_dot(n: int, p: int) -> None:
     """Refuse a modulus at which a sum of n products of residues could
-    overflow int64: every kernel here stays exact while n (p - 1)^2 < 2^63."""
+    overflow int64.  The kernels here are exact at any size, but the groups
+    build int64 cocycles from these forms and need n (p - 1)^2 < 2^63."""
     if n * (p - 1) ** 2 >= 2**63:
         raise PreconditionError(
             f"modulus {p} is too large for exact int64 arithmetic (needs {n} (p - 1)^2 < 2^63)"
         )
 
 
-class FpMatrix:
-    """Immutable dense matrix over F_p.
+def residues(entries: Iterable, p: int, what: str = "entries") -> list[int]:
+    """Reduce integer entries mod p.  An entry is accepted only if
+    ``operator.index`` accepts it (so no float is truncated) and it fits in
+    int64, the range of the arrays built from these values."""
+    try:
+        xs = list(map(index, entries))
+    except TypeError:
+        xs = None
+    if xs is None or (xs and not (-(2**63) <= min(xs) and max(xs) < 2**63)):
+        raise PreconditionError(f"{what} must be int64 integers")
+    return [x % p for x in xs]
 
-    The entry array is reduced on construction and frozen; rank, determinant,
-    kernel and products all return fresh values, so instances are safe to
-    share between workers.  The modulus must keep (p - 1)^2 below 2^63, which
-    makes the elimination updates exact; products also need cols (p - 1)^2
-    below 2^63.
+
+Row = dict  # {column: nonzero residue}
+
+
+def _check_field(p: int) -> None:
+    _check_prime(p)
+    _check_int64_dot(1, p)
+
+
+def _sub_multiple(row: Row, f: int, other: Row, p: int) -> None:
+    """row -= f * other, in place, dropping entries that become zero."""
+    for k, v in other.items():
+        x = (row.get(k, 0) - f * v) % p
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+
+
+class FpMatrix:
+    """Immutable sparse matrix over F_p.
+
+    Rows are ``{column: residue}`` maps holding only nonzero residues; they
+    are private, and ``to_lists()`` is the one way to read the entries.
+    Rank, determinant, kernel and products all return fresh values, so
+    instances are safe to share between workers.  The modulus must keep
+    (p - 1)^2 below 2^63, and products also need cols (p - 1)^2 below 2^63:
+    the groups turn these matrices into int64 arrays.
     """
 
-    __slots__ = ("p", "rows", "cols", "_a")
+    __slots__ = ("p", "rows", "cols", "_r")
 
     def __init__(self, entries, p: int):
-        _check_prime(p)
-        _check_int64_dot(1, p)
+        """Dense entries: a sequence of equally long rows of integers."""
+        _check_field(p)
         try:
-            a = np.array(entries, dtype=np.int64)
-        except (OverflowError, TypeError, ValueError):
-            raise PreconditionError("matrix entries must be int64 integers") from None
-        if a.ndim != 2:
-            raise PreconditionError("matrix entries must be two-dimensional")
-        a %= p  # in place: the fresh copy above is the only one
-        self._adopt(a, p)
+            dense = [list(row) for row in entries]
+        except TypeError:
+            raise PreconditionError("matrix entries must be two-dimensional") from None
+        if not dense:
+            raise PreconditionError("a dense matrix needs at least one row; use FpMatrix.sparse")
+        cols = len(dense[0])
+        if any(len(row) != cols for row in dense):
+            raise PreconditionError("matrix rows must all have the same length")
+        rows = [residues(row, p, "matrix entries") for row in dense]
+        self._adopt([{j: x for j, x in enumerate(row) if x} for row in rows], cols, p)
 
     @classmethod
-    def _reduced(cls, a: np.ndarray, p: int) -> "FpMatrix":
-        """Take over a reduced 2-D int64 array that nothing else holds,
-        without checking or copying it."""
+    def sparse(cls, rows: Iterable[Mapping[int, int]], cols: int, p: int) -> "FpMatrix":
+        """A matrix from ``{column: value}`` rows; absent entries are zero.
+        The only constructor that can make a matrix with no rows."""
+        _check_field(p)
+        cols = index(cols)
+        if cols < 0:
+            raise PreconditionError(f"column count {cols} is negative")
+        rows = [dict(r) for r in rows]
+        for r in rows:
+            for j in r:
+                if isinstance(j, bool) or not isinstance(j, int) or not 0 <= j < cols:
+                    raise PreconditionError(f"column {j!r} out of range 0..{cols - 1}")
+        reduced = [{j: x for j, x in zip(r, residues(r.values(), p, "matrix entries")) if x} for r in rows]
+        return cls._reduced(reduced, cols, p)
+
+    @classmethod
+    def _reduced(cls, rows: list[Row], cols: int, p: int) -> "FpMatrix":
+        """Take over reduced sparse rows that nothing else holds, without
+        checking or copying them."""
         m = object.__new__(cls)
-        m._adopt(a, p)
+        m._adopt(rows, cols, p)
         return m
 
-    def _adopt(self, a: np.ndarray, p: int) -> None:
-        a.setflags(write=False)
+    def _adopt(self, rows: list[Row], cols: int, p: int) -> None:
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "rows", a.shape[0])
-        object.__setattr__(self, "cols", a.shape[1])
-        object.__setattr__(self, "_a", a)
+        object.__setattr__(self, "rows", len(rows))
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "_r", tuple(rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("FpMatrix is immutable")
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, p: int) -> "FpMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.int64), p)
-
-    @classmethod
-    def identity(cls, n: int, p: int) -> "FpMatrix":
-        return cls(np.eye(n, dtype=np.int64), p)
-
     # -- accessors ---------------------------------------------------------
 
-    def array(self) -> np.ndarray:
-        """Read-only view of the entries."""
-        return self._a
-
     def to_lists(self) -> list[list[int]]:
-        return self._a.tolist()
+        """Fresh dense lists of the reduced entries."""
+        out = []
+        for r in self._r:
+            row = [0] * self.cols
+            for j, x in r.items():
+                row[j] = x
+            out.append(row)
+        return out
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FpMatrix)
-            and self.p == other.p
-            and self._a.shape == other._a.shape
-            and bool(np.array_equal(self._a, other._a))
+            and (self.p, self.rows, self.cols) == (other.p, other.rows, other.cols)
+            and self._r == other._r
         )
 
     def __hash__(self):
-        return hash((self.p, self._a.shape, self._a.tobytes()))
+        return hash((self.p, self.cols, tuple(frozenset(r.items()) for r in self._r)))
 
     def __repr__(self):
         return f"FpMatrix({self.rows}x{self.cols} mod {self.p})"
 
-    # -- arithmetic --------------------------------------------------------
-
-    def _same_field(self, other: "FpMatrix") -> None:
-        if self.p != other.p:
-            raise PreconditionError(f"mixed moduli {self.p} and {other.p}")
-
-    def __add__(self, other: "FpMatrix") -> "FpMatrix":
-        self._same_field(other)
-        return FpMatrix(self._a + other._a, self.p)
-
-    def __sub__(self, other: "FpMatrix") -> "FpMatrix":
-        self._same_field(other)
-        return FpMatrix(self._a - other._a, self.p)
+    # -- products ----------------------------------------------------------
 
     def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
-        self._same_field(other)
+        if self.p != other.p:
+            raise PreconditionError(f"mixed moduli {self.p} and {other.p}")
         if self.cols != other.rows:
             raise PreconditionError("inner dimensions disagree")
         _check_int64_dot(self.cols, self.p)
-        prod = self._a @ other._a
-        prod %= self.p
-        return FpMatrix._reduced(prod, self.p)
-
-    def scale(self, c: int) -> "FpMatrix":
-        return FpMatrix(self._a * (c % self.p), self.p)
+        p, right = self.p, other._r
+        out = []
+        for r in self._r:
+            acc: Row = {}
+            for k, a in r.items():
+                for j, b in right[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append({j: x % p for j, x in acc.items() if x % p})
+        return FpMatrix._reduced(out, other.cols, p)
 
     def apply(self, v: Sequence[int]) -> tuple[int, ...]:
         """Matrix-vector product, returned as a reduced tuple."""
-        vec = np.asarray(v, dtype=np.int64) % self.p
-        if vec.shape != (self.cols,):
+        vec = residues(v, self.p, "vector entries")
+        if len(vec) != self.cols:
             raise PreconditionError("vector length disagrees with column count")
         _check_int64_dot(self.cols, self.p)
-        return tuple(int(x) for x in (self._a @ vec) % self.p)
+        return tuple(sum(x * vec[j] for j, x in r.items()) % self.p for r in self._r)
 
     # -- elimination -------------------------------------------------------
+
+    def _eliminate(self) -> tuple[dict[int, Row], list[int], int]:
+        """Forward sparse elimination, rows in order.
+
+        Each row is reduced by the stored pivot rows in ascending pivot order
+        (a stored row's leftmost entry is its pivot, so a subtraction only
+        fills columns to the right of the one it clears), then scaled to a
+        leading 1 and stored under that column.  Returns the stored rows by
+        pivot column, each input row's pivot column (-1 for a row that
+        reduced to zero) and the product of the scalings.
+        """
+        p = self.p
+        stored: dict[int, Row] = {}
+        pivot_of = []
+        scale = 1
+        for src in self._r:
+            row = dict(src)
+            todo = [c for c in row if c in stored]
+            heapq.heapify(todo)
+            while todo:
+                c = heapq.heappop(todo)
+                f = row.get(c)
+                if f is None:
+                    continue
+                for k in stored[c]:
+                    if k not in row and k in stored:
+                        heapq.heappush(todo, k)
+                _sub_multiple(row, f, stored[c], p)
+            if not row:
+                pivot_of.append(-1)
+                continue
+            c = min(row)
+            lead = row[c]
+            scale = scale * lead % p
+            if lead != 1:
+                inv = pow(lead, -1, p)
+                row = {k: x * inv % p for k, x in row.items()}
+            stored[c] = row
+            pivot_of.append(c)
+        return stored, pivot_of, scale
 
     def rref(self) -> tuple["FpMatrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns."""
         p = self.p
-        a = self._a.copy()
-        m, n = a.shape
-        r = 0
-        pivots = []
-        for c in range(n):
-            if r == m:
-                break
-            nz = np.nonzero(a[r:, c])[0]
-            if nz.size == 0:
-                continue
-            i = r + int(nz[0])
-            if i != r:
-                a[[r, i]] = a[[i, r]]
-            a[r] = (a[r] * pow(int(a[r, c]), -1, p)) % p
-            rows = np.nonzero(a[:, c])[0]
-            rows = rows[rows != r]
-            if rows.size:
-                a[rows] = (a[rows] - np.outer(a[rows, c], a[r])) % p
-            pivots.append(c)
-            r += 1
-        return FpMatrix._reduced(a, p), tuple(pivots)
+        stored, _, _ = self._eliminate()
+        pivots = sorted(stored)
+        # back-substitution from the right: each row clears its entries in
+        # later pivot columns with rows that are already fully reduced
+        for c in reversed(pivots):
+            row = stored[c]
+            for k in [k for k in row if k != c and k in stored]:
+                _sub_multiple(row, row[k], stored[k], p)
+        rows = [stored[c] for c in pivots] + [{} for _ in range(self.rows - len(pivots))]
+        return FpMatrix._reduced(rows, self.cols, p), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -183,25 +248,22 @@ class FpMatrix:
     def det(self) -> int:
         if self.rows != self.cols:
             raise PreconditionError(f"determinant of non-square {self.rows}x{self.cols} matrix")
-        p = self.p
-        a = self._a.copy()
-        det = 1
-        for c in range(self.rows):
-            nz = np.nonzero(a[c:, c])[0]
-            if nz.size == 0:
-                return 0
-            i = c + int(nz[0])
-            if i != c:
-                a[[c, i]] = a[[i, c]]
-                det = (-det) % p
-            piv = int(a[c, c])
-            det = (det * piv) % p
-            inv = pow(piv, -1, p)
-            rows = c + 1 + np.nonzero(a[c + 1 :, c])[0]
-            if rows.size:
-                factors = (a[rows, c] * inv) % p
-                a[rows] = (a[rows] - np.outer(factors, a[c])) % p
-        return det
+        _, pivot_of, scale = self._eliminate()
+        if -1 in pivot_of:
+            return 0
+        # the reduced rows, sorted by pivot, are unit upper triangular; the
+        # sort is the permutation row i -> pivot_of[i]
+        seen = [False] * self.rows
+        for i in range(self.rows):
+            if not seen[i]:
+                j, length = i, 0
+                while not seen[j]:
+                    seen[j] = True
+                    j = pivot_of[j]
+                    length += 1
+                if length % 2 == 0:
+                    scale = -scale
+        return scale % self.p
 
     def kernel_basis(self) -> list[tuple[int, ...]]:
         """Basis of the right null-space; empty iff full column rank.
@@ -212,27 +274,14 @@ class FpMatrix:
         """
         r, pivots = self.rref()
         piv = set(pivots)
-        free = [c for c in range(self.cols) if c not in piv]
-        ra = r.array()
-        basis = []
-        for f in free:
-            v = np.zeros(self.cols, dtype=np.int64)
+        basis = {f: [0] * self.cols for f in range(self.cols) if f not in piv}
+        for f, v in basis.items():
             v[f] = 1
-            for i, c in enumerate(pivots):
-                v[c] = (-ra[i, f]) % self.p
-            basis.append(tuple(int(x) for x in v))
-        return basis
-
-
-def span_dim(vectors: Iterable[Sequence[int]], p: int) -> int:
-    """Dimension of the span of the given vectors in F_p^n."""
-    vecs = [np.asarray(v, dtype=np.int64) for v in vectors]
-    if not vecs:
-        return 0
-    dims = {v.shape for v in vecs}
-    if len(dims) != 1:
-        raise PreconditionError("vectors of mixed dimension")
-    return FpMatrix(np.stack(vecs), p).rank()
+        for c, row in zip(pivots, r._r):
+            for f, x in row.items():
+                if f != c:
+                    basis[f][c] = -x % self.p
+        return [tuple(v) for v in basis.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -240,23 +289,21 @@ def span_dim(vectors: Iterable[Sequence[int]], p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _j_block(b: int, p: int) -> np.ndarray:
-    """2b x 2b block-diagonal matrix with blocks [[0, -1], [1, 0]]."""
-    m = np.zeros((2 * b, 2 * b), dtype=np.int64)
-    for j in range(b):
-        m[2 * j, 2 * j + 1] = (-1) % p
-        m[2 * j + 1, 2 * j] = 1
-    return m
-
-
-def _pair_block(values: Sequence[int], p: int) -> np.ndarray:
-    """Block-diagonal matrix with blocks [[0, c_j], [-c_j, 0]]."""
-    b = len(values)
-    m = np.zeros((2 * b, 2 * b), dtype=np.int64)
+def _pair_block(values: Sequence[int], offset: int, rows: list[Row], p: int) -> None:
+    """Add the blocks [[0, c_j], [-c_j, 0]] to the diagonal block of ``rows``
+    starting at ``offset``."""
     for j, c in enumerate(values):
-        m[2 * j, 2 * j + 1] = c % p
-        m[2 * j + 1, 2 * j] = (-c) % p
-    return m
+        i = offset + 2 * j
+        if c:
+            rows[i][i + 1] = c
+            rows[i + 1][i] = -c % p
+
+
+def _j_block(b: int, row0: int, col0: int, rows: list[Row], p: int) -> None:
+    """Add J_b (blocks [[0, -1], [1, 0]]) at block position (row0, col0)."""
+    for j in range(b):
+        rows[row0 + 2 * j][col0 + 2 * j + 1] = p - 1
+        rows[row0 + 2 * j + 1][col0 + 2 * j] = 1
 
 
 class AlternatingForm:
@@ -272,10 +319,10 @@ class AlternatingForm:
         p = omega.p
         if omega.rows != omega.cols:
             raise PreconditionError("alternating form must be square")
-        a = omega.array()
-        if not np.array_equal(a.T % p, (-a) % p):
+        rows = omega._r
+        if any(rows[j].get(i, 0) != -x % p for i, row in enumerate(rows) for j, x in row.items()):
             raise PreconditionError("matrix is not skew-symmetric mod p")
-        if np.any(np.diagonal(a) % p != 0):
+        if any(i in row for i, row in enumerate(rows)):
             # for odd p this is implied by skewness; for p = 2 it is the
             # extra alternating condition
             raise PreconditionError("alternating form must vanish on the diagonal")
@@ -306,12 +353,14 @@ class AlternatingForm:
         _check_prime(p)
         if len(lambdas) != b or len(mus) != b:
             raise PreconditionError(f"need {b} lambdas and {b} mus")
-        lam = tuple(int(x) % p for x in lambdas)
-        mu = tuple(int(x) % p for x in mus)
-        jb = _j_block(b, p)
-        top = np.concatenate([_pair_block(lam, p), jb], axis=1)
-        bot = np.concatenate([jb, _pair_block(mu, p)], axis=1)
-        return cls(FpMatrix(np.concatenate([top, bot], axis=0), p), (lam, mu))
+        lam = tuple(residues(lambdas, p, "lambdas"))
+        mu = tuple(residues(mus, p, "mus"))
+        rows: list[Row] = [{} for _ in range(4 * b)]
+        _pair_block(lam, 0, rows, p)
+        _pair_block(mu, 2 * b, rows, p)
+        _j_block(b, 0, 2 * b, rows, p)
+        _j_block(b, 2 * b, 0, rows, p)
+        return cls(FpMatrix.sparse(rows, 4 * b, p), (lam, mu))
 
     @classmethod
     def degenerate_family(cls, b: int, p: int) -> "AlternatingForm":
@@ -324,24 +373,24 @@ class AlternatingForm:
     @classmethod
     def standard_symplectic(cls, n: int, p: int) -> "AlternatingForm":
         """omega((x, y), (x', y')) = x.y' - x'.y on F_p^{2n}."""
-        _check_prime(p)
-        m = np.zeros((2 * n, 2 * n), dtype=np.int64)
-        m[:n, n:] = np.eye(n, dtype=np.int64)
-        m[n:, :n] = (-np.eye(n, dtype=np.int64)) % p
-        return cls(FpMatrix(m, p))
+        rows = [{n + i: 1} for i in range(n)] + [{i: -1} for i in range(n)]
+        return cls(FpMatrix.sparse(rows, 2 * n, p))
 
     @classmethod
     def j_form(cls, b: int, p: int) -> "AlternatingForm":
         """The 2b x 2b form J_b itself (blocks [[0, -1], [1, 0]])."""
         _check_prime(p)
-        return cls(FpMatrix(_j_block(b, p), p))
+        rows: list[Row] = [{} for _ in range(2 * b)]
+        _j_block(b, 0, 0, rows, p)
+        return cls(FpMatrix.sparse(rows, 2 * b, p))
 
     def value(self, u: Sequence[int], v: Sequence[int]) -> int:
         """omega(u, v) as a reduced residue."""
-        p = self.p
-        uu = np.asarray(u, dtype=np.int64) % p
-        vv = np.asarray(v, dtype=np.int64) % p
-        return int((uu @ self.omega.array()) % p @ vv) % p
+        uu = residues(u, self.p, "vector entries")
+        vv = residues(v, self.p, "vector entries")
+        if len(uu) != self.dim or len(vv) != self.dim:
+            raise PreconditionError(f"vectors must have length {self.dim}")
+        return sum(uu[i] * x * vv[j] for i, row in enumerate(self.omega._r) for j, x in row.items()) % self.p
 
     def det(self) -> int:
         return self.omega.det()

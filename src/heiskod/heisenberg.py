@@ -168,7 +168,7 @@ class HeisGroup(_CocycleGroup):
                 "the pair model needs 1/2, which does not exist mod 2; use MatrixHeisGroup"
             )
         inv2 = pow(2, -1, form.p)
-        super().__init__(form.p, form.dim, inv2 * form.omega.array())
+        super().__init__(form.p, form.dim, inv2 * np.array(form.omega.to_lists(), dtype=np.int64))
         self.form = form
 
     def __repr__(self):
@@ -279,7 +279,7 @@ def verify_extra_special(group: _CocycleGroup, enumeration_bound: int = 2 * 10**
     """
     p = group.p
     comm = group.comm_form
-    kernel_dim = group.dim - FpMatrix(comm, p).rank()
+    kernel_dim = group.dim - FpMatrix(comm.tolist(), p).rank()
     center_order_structural = p ** (kernel_dim + 1)
     commutator_order = p if comm.any() else 1
 
@@ -356,11 +356,11 @@ def degenerate_quotient(group: HeisGroup) -> QuotientData:
     kernel_rows = form.omega.kernel_basis()
     if not kernel_rows:
         return QuotientData(group, 0, tuple(range(group.dim)), lambda g: g)
-    k = FpMatrix(np.array(kernel_rows, dtype=np.int64), group.p)
-    kr, pivots = k.rref()
-    kra = kr.array()
+    kr, pivots = FpMatrix(kernel_rows, group.p).rref()
+    kra = np.array(kr.to_lists(), dtype=np.int64)
     complement = tuple(c for c in range(group.dim) if c not in set(pivots))
-    omega_w = form.omega.array()[np.ix_(complement, complement)]
+    omega = form.omega.to_lists()
+    omega_w = [[omega[i][j] for j in complement] for i in complement]
     quotient = HeisGroup(AlternatingForm(FpMatrix(omega_w, group.p)))
 
     piv = tuple(pivots)

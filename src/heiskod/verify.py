@@ -343,7 +343,7 @@ def subgroup_order_fast(group: _CocycleGroup, elements: Sequence) -> int:
     if m == 0:
         return 1
     proj = np.array([group.projection(g) for g in elements], dtype=np.int64)
-    d = FpMatrix(proj, p).rank()
+    d = FpMatrix(proj.tolist(), p).rank()
 
     center_hit = False
     pairing = ((proj @ group.comm_form) % p @ proj.T) % p
@@ -355,7 +355,7 @@ def subgroup_order_fast(group: _CocycleGroup, elements: Sequence) -> int:
                 center_hit = True
                 break
     if not center_hit:
-        for null in FpMatrix(proj.T, p).kernel_basis():
+        for null in FpMatrix(proj.T.tolist(), p).kernel_basis():
             acc = group.identity
             for coeff, g in zip(null, elements):
                 acc = group.mul(acc, group.power(g, int(coeff)))

@@ -219,6 +219,19 @@ def test_classify_form_entry_beyond_int64_exits_2(capsys, tmp_path):
     assert code == 2 and "int64" in err
 
 
+def test_classify_form_non_integer_entry_exits_2(capsys, tmp_path):
+    # the degenerate (2, 3) form with 2.5 and -2.5 at (0, 1) and (1, 0): the
+    # entries used to be truncated to 2 and -2 and the command exited 0
+    from heiskod.fplinalg import AlternatingForm
+
+    omega = AlternatingForm.degenerate_family(2, 3).omega.to_lists()
+    omega[0][1], omega[1][0] = 2.5, -2.5
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps(omega))
+    code, _, err = run(capsys, "classify-form", "--p", "3", "--matrix-json", str(path))
+    assert code == 2 and "integers" in err
+
+
 def test_classify_form_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "classify-form", "--p", "3", "--matrix-json", "/no/such/file.json")
     assert code == 2 and "file" in err.lower()
@@ -378,11 +391,11 @@ NUMPY_FREE = [
     ("invariants", "--family", "degenerate", "--b", "2", "--p", "3"),
     ("census", "--family", "degenerate", "--b", "2..6", "--p", "2..13"),
     ("presentation", "--b", "3"),
+    ("classify-form", "--b", "2", "--p", "5", "--lambda", "3,3", "--mu", "3,3"),
+    ("search-forms", "--b", "2", "--p", "5", "--count", "1"),
 ]
 NUMPY_USING = [
     ("verify", "--family", "degenerate", "--b", "2", "--p", "3"),
-    ("classify-form", "--b", "2", "--p", "5", "--lambda", "3,3", "--mu", "3,3"),
-    ("search-forms", "--b", "2", "--p", "5", "--count", "1"),
 ]
 
 
@@ -399,3 +412,10 @@ def test_only_selftest_imports_acceptance(argv):
     assert "heiskod.acceptance" not in modules
     # the probe does see what a subcommand loads
     assert "numpy" in modules
+
+
+def test_cohomology_import_is_numpy_free():
+    # all that the benchmark's candidate-count script loads
+    modules = fresh_process("import heiskod.cohomology, json, sys; print(json.dumps(sorted(sys.modules)))")
+    assert "heiskod.cohomology" in modules
+    assert "numpy" not in modules

@@ -1,8 +1,9 @@
 """Tests for the F_p linear algebra layer.
 
-The determinant has an independent oracle here: minor expansion over column
-subsets (bitmask-memoised), which never touches the Gaussian-elimination
-path under test.
+Two independent oracles never touch the sparse elimination under test: minor
+expansion over column subsets (bitmask-memoised) for the determinant, and a
+dense Gauss-Jordan elimination on lists of Python integers for the reduced
+row echelon form, rank and kernel.
 """
 
 import functools
@@ -14,12 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heiskod.errors import PreconditionError
-from heiskod.fplinalg import (
-    AlternatingForm,
-    FpMatrix,
-    is_prime,
-    span_dim,
-)
+from heiskod.fplinalg import AlternatingForm, FpMatrix, is_prime
 
 
 def det_oracle(rows: list[list[int]], p: int) -> int:
@@ -41,6 +37,47 @@ def det_oracle(rows: list[list[int]], p: int) -> int:
         return total % p
 
     return minor(0, (1 << n) - 1)
+
+
+def rref_oracle(rows: list[list[int]], cols: int, p: int) -> tuple[list[list[int]], list[int]]:
+    """Dense Gauss-Jordan elimination, column by column, on Python integers."""
+    a = [[x % p for x in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for k in range(len(a)):
+            if k != r and a[k][c]:
+                f = a[k][c]
+                a[k] = [(x - f * y) % p for x, y in zip(a[k], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def kernel_oracle(rows: list[list[int]], cols: int, p: int) -> list[tuple[int, ...]]:
+    """One null vector per free column of the oracle's echelon form."""
+    a, pivots = rref_oracle(rows, cols, p)
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [0] * cols
+        v[f] = 1
+        for i, c in enumerate(pivots):
+            v[c] = -a[i][f] % p
+        basis.append(tuple(v))
+    return basis
+
+
+def zeros(rows: int, cols: int, p: int) -> FpMatrix:
+    return FpMatrix([[0] * cols for _ in range(rows)], p)
+
+
+def identity(n: int, p: int) -> FpMatrix:
+    return FpMatrix([[int(i == j) for j in range(n)] for i in range(n)], p)
 
 
 # -- moduli ------------------------------------------------------------------
@@ -86,14 +123,14 @@ def test_is_prime_large():
 
 
 def test_rank_examples():
-    assert FpMatrix.zeros(3, 3, 5).rank() == 0
-    assert FpMatrix.identity(4, 3).rank() == 4
+    assert zeros(3, 3, 5).rank() == 0
+    assert identity(4, 3).rank() == 4
     assert AlternatingForm.degenerate_family(2, 3).omega.rank() == 4  # rank 2b
 
 
 def test_det_examples():
-    assert FpMatrix.identity(2, 7).det() == 1
-    assert type(FpMatrix.identity(2, 7).det()) is int
+    assert identity(2, 7).det() == 1
+    assert type(identity(2, 7).det()) is int
     form = AlternatingForm.family(2, 5, (3, 3), (3, 3))
     assert form.det() == 1  # (1 - 9)^4 = 81 = 1 mod 5
     assert det_oracle(form.omega.to_lists(), 5) == 1
@@ -120,7 +157,8 @@ def test_form_value_exact_at_large_p():
     form = AlternatingForm.family(3, p, (1, 2, 3), (4, 5, 6))
     u = [p - 1] * 12
     w = [p - 1 - i for i in range(12)]
-    exact = sum(u[i] * int(form.omega.array()[i, j]) * w[j] for i in range(12) for j in range(12)) % p
+    omega = form.omega.to_lists()
+    exact = sum(u[i] * omega[i][j] * w[j] for i in range(12) for j in range(12)) % p
     assert form.value(u, w) == exact
     assert form.value(u, u) == 0
     with pytest.raises(PreconditionError):
@@ -129,7 +167,7 @@ def test_form_value_exact_at_large_p():
 
 def test_det_requires_square():
     with pytest.raises(PreconditionError):
-        FpMatrix.zeros(2, 3, 5).det()
+        zeros(2, 3, 5).det()
 
 
 @pytest.mark.parametrize("b", [2, 3])
@@ -165,8 +203,8 @@ def test_rank_nullity(p, rows, cols, seed):
 
 
 def test_kernel_examples():
-    assert FpMatrix.identity(3, 5).kernel_basis() == []
-    zero_kernel = FpMatrix.zeros(2, 2, 7).kernel_basis()
+    assert identity(3, 5).kernel_basis() == []
+    zero_kernel = zeros(2, 2, 7).kernel_basis()
     assert sorted(zero_kernel) == [(0, 1), (1, 0)]
 
     form = AlternatingForm.degenerate_family(2, 3)
@@ -177,25 +215,27 @@ def test_kernel_examples():
         tuple((1 if i == k else 0) - (1 if i == k + 4 else 0) for i in range(8)) for k in range(4)
     ]
     named = [tuple(x % 3 for x in v) for v in named]
-    assert span_dim(basis, 3) == 4
-    assert span_dim(basis + named, 3) == 4
+    assert FpMatrix(basis, 3).rank() == 4
+    assert FpMatrix(basis + named, 3).rank() == 4
 
 
 def test_span_dim_examples():
+    """The dimension of a span is the rank of the vectors as rows."""
     e1, e2 = (1, 0, 0), (0, 1, 0)
     both = (1, 1, 0)
-    assert span_dim([e1, e2, both], 5) == 2
-    assert span_dim([], 5) == 0
+    assert FpMatrix([e1, e2, both], 5).rank() == 2
+    assert FpMatrix.sparse([], 3, 5).rank() == 0
     # projections of the first kernel-generator images at (b=2, p=5) are the
     # last four standard basis vectors of F_5^8
     vecs = [tuple(1 if i == k else 0 for i in range(8)) for k in (4, 5, 6, 7)]
-    assert span_dim(vecs, 5) == 4
+    assert FpMatrix(vecs, 5).rank() == 4
 
 
 def test_matrix_immutability():
-    m = FpMatrix.identity(2, 3)
-    with pytest.raises(ValueError):
-        m.array()[0, 0] = 2
+    m = identity(2, 3)
+    entries = m.to_lists()
+    entries[0][0] = 2
+    assert m.to_lists() == [[1, 0], [0, 1]]
     with pytest.raises(AttributeError):
         m.p = 5
 
@@ -220,7 +260,8 @@ def test_matmul_refuses_int64_overflow():
     rng = np.random.default_rng(0)
     a = FpMatrix(rng.integers(0, p, (8, 8)), p)
     b = FpMatrix(rng.integers(0, p, (8, 8)), p)
-    assert ((a.array() @ b.array()) % p).tolist() != exact(a.to_lists(), b.to_lists())
+    dense_a, dense_b = (np.array(m.to_lists(), dtype=np.int64) for m in (a, b))
+    assert ((dense_a @ dense_b) % p).tolist() != exact(a.to_lists(), b.to_lists())
     with pytest.raises(PreconditionError):
         a @ b
     with pytest.raises(PreconditionError):
@@ -276,9 +317,15 @@ def test_matrix_owns_its_entries():
     rows[0][0] = 9
     arr[0, 0] = 9
     assert from_list.to_lists() == from_array.to_lists() == [[1, 2], [3, 4]]
-    assert not from_array.array().flags.writeable
+    # results are new values: reading them out and editing the copy leaves
+    # the operands and the results as they were
     reduced, _ = from_array.rref()
-    assert not reduced.array().flags.writeable and not (from_array @ from_list).array().flags.writeable
+    product = from_array @ from_list
+    for m in (reduced, product):
+        m.to_lists()[0][0] = 4
+    assert reduced.to_lists() == [[1, 0], [0, 1]]
+    assert product.to_lists() == [[2, 0], [0, 2]]
+    assert from_array.to_lists() == [[1, 2], [3, 4]]
 
 
 def test_entries_beyond_int64_refused():
@@ -287,3 +334,65 @@ def test_entries_beyond_int64_refused():
         FpMatrix([[0, 1], [-1, 10**30]], 3)
     with pytest.raises(PreconditionError):
         FpMatrix([[0, 1], [1]], 3)
+
+
+def test_non_integer_entries_refused():
+    # a float used to be truncated to an int64 (2.5 read as 2)
+    with pytest.raises(PreconditionError):
+        FpMatrix([[0, 2.5], [-2.5, 0]], 3)
+    with pytest.raises(PreconditionError):
+        FpMatrix([[0, 1], [1, 0]], 3).apply([1.7, 0])
+    with pytest.raises(PreconditionError):
+        AlternatingForm.family(2, 5, (1.5, 3), (3, 3))
+    with pytest.raises(PreconditionError):
+        AlternatingForm.family(2, 5, (3, 3), (3, 3)).value([1.0] + [0] * 7, [0] * 8)
+    with pytest.raises(PreconditionError):
+        FpMatrix([[0, "1"], [1, 0]], 3)
+    # numpy integers are integers
+    assert FpMatrix(np.array([[7, 1]]), 5).to_lists() == [[2, 1]]
+
+
+def test_sparse_constructor():
+    m = FpMatrix.sparse([{1: 7}, {}, {0: -1, 2: 5}], 3, 5)
+    assert (m.rows, m.cols) == (3, 3)
+    assert m.to_lists() == [[0, 2, 0], [0, 0, 0], [4, 0, 0]]
+    assert m == FpMatrix(m.to_lists(), 5) and hash(m) == hash(FpMatrix(m.to_lists(), 5))
+    empty = FpMatrix.sparse([], 4, 7)
+    assert (empty.rows, empty.cols, empty.rank()) == (0, 4, 0)
+    assert len(empty.kernel_basis()) == 4
+    for bad in ({3: 1}, {-1: 1}, {True: 1}, {"0": 1}):
+        with pytest.raises(PreconditionError):
+            FpMatrix.sparse([bad], 3, 5)
+    with pytest.raises(PreconditionError):
+        FpMatrix.sparse([{0: 0.5}], 3, 5)
+    with pytest.raises(PreconditionError):
+        FpMatrix([], 5)  # a dense matrix with no rows has no column count
+
+
+@st.composite
+def matrices(draw):
+    """(rows as dense lists, column count, p): zero-row, wide and tall shapes,
+    mostly sparse entries at the smallest prime and the int64 ceiling."""
+    p = draw(st.sampled_from([2, 3, 3037000493]))
+    rows = draw(st.integers(min_value=0, max_value=7))
+    cols = draw(st.integers(min_value=0, max_value=7))
+    entry = st.one_of(st.just(0), st.just(0), st.just(1), st.just(p - 1), st.integers(0, p - 1))
+    dense = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    return dense, cols, p
+
+
+@given(matrices())
+@settings(max_examples=300, deadline=None)
+def test_elimination_matches_dense_oracle(case):
+    dense, cols, p = case
+    m = FpMatrix.sparse([dict(enumerate(row)) for row in dense], cols, p)
+    assert m.to_lists() == dense
+    expected, pivots = rref_oracle(dense, cols, p)
+    reduced, got_pivots = m.rref()
+    assert reduced.to_lists() == expected and list(got_pivots) == pivots
+    assert m.rank() == len(pivots)
+    assert m.kernel_basis() == kernel_oracle(dense, cols, p)
+    if len(dense) == cols:
+        assert m.det() == det_oracle(dense, p)
+    if dense:
+        assert FpMatrix(dense, p) == m
