@@ -12,14 +12,15 @@ claim-checking census (:mod:`invariants`).  :mod:`cli` ties it together and
 
 Importing the package loads none of these modules: import names from the
 submodule that defines them (``from heiskod.invariants import kappa``).
-Linear algebra over F_p and the cohomology are pure Python; numpy serves only
-group arithmetic, relator evaluation and the oracle.  So the ``kappa``,
-``invariants``, ``census``, ``presentation``, ``classify-form`` and
-``search-forms`` subcommands never import numpy, and only ``selftest``
+Linear algebra over F_p, the cohomology, group arithmetic and relator
+evaluation are pure Python; numpy serves only the exhaustive checks (the
+``--bfs-oracle`` subgroup oracle, the structure suite's enumeration and
+``selftest``) and is imported inside those functions.  So no subcommand but
+``selftest`` and ``verify --bfs-oracle`` imports numpy, and only ``selftest``
 imports :mod:`acceptance`.
 """
 
 __version__ = "0.1.0"
-# the array backend of group arithmetic and the oracle; recorded in
-# benchmark run records
+# the array backend of the exhaustive checks (oracle, structure enumeration);
+# recorded in benchmark run records
 BACKEND = "numpy"

@@ -23,15 +23,14 @@ Words are tuples of plain ints: the letter +(i + 1) is the i-th generator of
 ``generator_list(b)`` and -(i + 1) its inverse, so reduction compares ints,
 the substitution is a signed permutation of indices, and the evaluator in
 ``verify`` reads letters straight into table rows.  ``BraidGenerator`` keys
-the generators for display, parsing and generator assignments only.
+the generators for display and generator assignments only.
 """
 
 from __future__ import annotations
 
 import operator
-import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import PreconditionError
 
@@ -62,24 +61,6 @@ class BraidGenerator:
         if self.kind == WINDING:
             return "A12"
         return f"{'r' if self.kind == RHO else 't'}{self.strand}_{self.j}"
-
-
-_GEN_RE = re.compile(r"^([rt])([12])_([0-9]+)$")
-
-
-def parse_generator(text: str) -> tuple[BraidGenerator, int]:
-    """Parse display syntax like ``r1_3``, ``t2_1^-1`` or ``A12``."""
-    exp = 1
-    if text.endswith("^-1"):
-        exp = -1
-        text = text[:-3]
-    if text == "A12":
-        return A12, exp
-    m = _GEN_RE.match(text)
-    if not m:
-        raise PreconditionError(f"cannot parse generator {text!r}")
-    kind = RHO if m.group(1) == "r" else TAU
-    return BraidGenerator(kind, int(m.group(2)), int(m.group(3))), exp
 
 
 A12 = BraidGenerator(WINDING)
@@ -147,17 +128,6 @@ def word_generators(w: Word, generators: Sequence[BraidGenerator]) -> list[tuple
 
 def word_display(w: Word, generators: Sequence[BraidGenerator]) -> list[str]:
     return [g.display() + ("" if e == 1 else "^-1") for g, e in word_generators(w, generators)]
-
-
-def parse_word(tokens: Iterable[str], b: int) -> Word:
-    index = {g: i for i, g in enumerate(generator_list(b), start=1)}
-    out = []
-    for t in tokens:
-        g, e = parse_generator(t)
-        if g not in index:
-            raise PreconditionError(f"generator {t!r} does not exist at genus {b}")
-        out.append(e * index[g])
-    return tuple(out)
 
 
 @dataclass(frozen=True)

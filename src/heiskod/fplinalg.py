@@ -35,23 +35,29 @@ def _check_prime(p: int) -> None:
 
 def _check_int64_dot(n: int, p: int) -> None:
     """Refuse a modulus at which a sum of n products of residues could
-    overflow int64.  The kernels here are exact at any size, but the groups
-    build int64 cocycles from these forms and need n (p - 1)^2 < 2^63."""
+    overflow int64.  The kernels here and the group arithmetic are exact at
+    any size, but the exhaustive group checks build int64 arrays from these
+    forms and need n (p - 1)^2 < 2^63."""
     if n * (p - 1) ** 2 >= 2**63:
         raise PreconditionError(
             f"modulus {p} is too large for exact int64 arithmetic (needs {n} (p - 1)^2 < 2^63)"
         )
 
 
-def residues(entries: Iterable, p: int, what: str = "entries") -> list[int]:
-    """Reduce integer entries mod p.  An entry is accepted only if
-    ``operator.index`` accepts it (so no float is truncated) and it fits in
-    int64, the range of the arrays built from these values."""
+def integers(entries: Iterable, what: str = "entries") -> list[int]:
+    """The entries as Python ints.  An entry is accepted only if
+    ``operator.index`` accepts it, so no float is truncated."""
     try:
-        xs = list(map(index, entries))
+        return list(map(index, entries))
     except TypeError:
-        xs = None
-    if xs is None or (xs and not (-(2**63) <= min(xs) and max(xs) < 2**63)):
+        raise PreconditionError(f"{what} must be integers") from None
+
+
+def residues(entries: Iterable, p: int, what: str = "entries") -> list[int]:
+    """Reduce integer entries mod p.  An entry must also fit in int64, the
+    range of the arrays built from these values."""
+    xs = integers(entries, what)
+    if xs and not (-(2**63) <= min(xs) and max(xs) < 2**63):
         raise PreconditionError(f"{what} must be int64 integers")
     return [x % p for x in xs]
 
@@ -82,7 +88,7 @@ class FpMatrix:
     Rank, determinant, kernel and products all return fresh values, so
     instances are safe to share between workers.  The modulus must keep
     (p - 1)^2 below 2^63, and products also need cols (p - 1)^2 below 2^63:
-    the groups turn these matrices into int64 arrays.
+    the exhaustive group checks turn these matrices into int64 arrays.
     """
 
     __slots__ = ("p", "rows", "cols", "_r")
@@ -184,7 +190,13 @@ class FpMatrix:
         if len(vec) != self.cols:
             raise PreconditionError("vector length disagrees with column count")
         _check_int64_dot(self.cols, self.p)
-        return tuple(sum(x * vec[j] for j, x in r.items()) % self.p for r in self._r)
+        out = []
+        for r in self._r:
+            acc = 0
+            for j, x in r.items():
+                acc += x * vec[j]
+            out.append(acc % self.p)
+        return tuple(out)
 
     # -- elimination -------------------------------------------------------
 

@@ -19,9 +19,14 @@ constructors and in :func:`iso_matrix_to_pair`.
 
 The commutator pairing is C - C^T in either model, which keeps structure
 checks, subgroup-order logic and the exhaustive coset enumeration uniform
-across the two.  Products stay exact in int64 because the group refuses a
-modulus with dim (p - 1)^2 >= 2^63 and reduces between the two products of
-v1 . C . v2.
+across the two.  C and C - C^T are :class:`FpMatrix` values, and every
+product, inverse and power is computed in Python integers, so group
+arithmetic is exact at any size.  numpy is imported only inside the
+exhaustive checks (the enumeration branch of :func:`verify_extra_special`,
+:meth:`_CocycleGroup.all_elements_raw` and the coset-enumeration oracle in
+:mod:`verify`), which build int64 arrays from ``cocycle.to_lists()``.  The
+group still refuses a modulus with dim (p - 1)^2 >= 2^63, the range in which
+those arrays stay exact.
 
 For p = 2 the pair model would need 1/2 (and the naive substitute law with a
 full omega twist is abelian, hence useless here), so construction is refused
@@ -30,13 +35,12 @@ and callers are pointed at the matrix model.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import EnumerationBoundError, PreconditionError, UnsupportedModelError
-from .fplinalg import AlternatingForm, FpMatrix, _check_int64_dot, _check_prime
+from .fplinalg import AlternatingForm, FpMatrix, _check_int64_dot, integers
 
 
 @dataclass(frozen=True)
@@ -48,45 +52,27 @@ class HeisElement:
 
 
 class _CocycleGroup:
-    """Central extension of F_p^dim by F_p with product twisted by v1.C.v2."""
+    """Central extension of F_p^dim by F_p with product twisted by v1.C.v2,
+    for a square cocycle matrix C."""
 
-    def __init__(self, p: int, dim: int, cocycle: np.ndarray):
-        _check_prime(p)
-        _check_int64_dot(dim, p)
-        self.p = p
-        self.dim = dim
-        self._c = np.asarray(cocycle, dtype=np.int64) % p
-        self.comm_form = (self._c - self._c.T) % p
+    def __init__(self, cocycle: FpMatrix):
+        _check_int64_dot(cocycle.cols, cocycle.p)
+        self.p = p = cocycle.p
+        self.dim = dim = cocycle.cols
+        self.cocycle = cocycle
+        c = cocycle.to_lists()
+        self.comm_form = FpMatrix.sparse(
+            [{j: c[i][j] - c[j][i] for j in range(dim)} for i in range(dim)], dim, p
+        )
         self.order = p ** (dim + 1)
 
-    # raw representation: (numpy int64 vector of length dim, int)
+    def _twist(self, v1: Sequence[int], v2: Sequence[int]) -> int:
+        """c(v1, v2) = v1 . (C v2)."""
+        return sum(map(operator.mul, v1, self.cocycle.apply(v2))) % self.p
 
-    def _twist(self, v1, v2) -> int:
-        # c(v1, v2), reduced after each product so no sum leaves int64
-        return int((v1 @ self._c) % self.p @ v2) % self.p
-
-    def _mul_raw(self, v1, t1, v2, t2):
-        p = self.p
-        return (v1 + v2) % p, (t1 + t2 + self._twist(v1, v2)) % p
-
-    def _inv_raw(self, v, t):
-        # (v,t)(-v,s) = (0, t + s + c(v,-v)) so s = -t + c(v,v)
-        return (-v) % self.p, (-t + self._twist(v, v)) % self.p
-
-    def _pow_raw(self, v, t, k: int):
-        p = self.p
-        if k < 0:
-            v, t = self._inv_raw(v, t)
-            k = -k
-        # g^k = (k v, k t + C(k,2) c(v,v)); c(v,v) = 0 in the pair model;
-        # k is reduced before it meets the int64 vector
-        return ((k % p) * v) % p, (k * t + (k * (k - 1) // 2) * self._twist(v, v)) % p
-
-    def _raw(self, g: HeisElement):
-        return np.array(g.v, dtype=np.int64), g.t
-
-    def _wrap(self, v, t) -> HeisElement:
-        return HeisElement(tuple(v.tolist()), int(t))
+    def _residue(self, t) -> int:
+        (t,) = integers([t], "central part")
+        return t % self.p
 
     # elements
 
@@ -95,35 +81,45 @@ class _CocycleGroup:
         return HeisElement((0,) * self.dim, 0)
 
     def central(self, t: int = 1) -> HeisElement:
-        return HeisElement((0,) * self.dim, t % self.p)
+        return HeisElement((0,) * self.dim, self._residue(t))
 
     def basis_element(self, i: int, t: int = 0) -> HeisElement:
-        return HeisElement(tuple(int(k == i) for k in range(self.dim)), t % self.p)
+        return HeisElement(tuple(int(k == i) for k in range(self.dim)), self._residue(t))
 
-    def projection(self, g: HeisElement) -> tuple[int, ...]:
-        return g.v
+    def _element(self, v: Sequence[int], t: int) -> HeisElement:
+        vv = tuple(x % self.p for x in integers(v, "vector entries"))
+        if len(vv) != self.dim:
+            raise PreconditionError(f"vector length {len(vv)} does not match dim {self.dim}")
+        return HeisElement(vv, self._residue(t))
 
-    def mul(self, g, h):
-        return self._wrap(*self._mul_raw(*self._raw(g), *self._raw(h)))
+    def mul(self, g: HeisElement, h: HeisElement) -> HeisElement:
+        p = self.p
+        v = tuple((a + b) % p for a, b in zip(g.v, h.v))
+        return HeisElement(v, (g.t + h.t + self._twist(g.v, h.v)) % p)
 
-    def inv(self, g):
-        return self._wrap(*self._inv_raw(*self._raw(g)))
+    def inv(self, g: HeisElement) -> HeisElement:
+        # (v,t)(-v,s) = (0, t + s + c(v,-v)) so s = -t + c(v,v)
+        p = self.p
+        return HeisElement(tuple(-x % p for x in g.v), (-g.t + self._twist(g.v, g.v)) % p)
 
-    def power(self, g, k: int):
-        return self._wrap(*self._pow_raw(*self._raw(g), k))
+    def power(self, g: HeisElement, k: int) -> HeisElement:
+        if k < 0:
+            g, k = self.inv(g), -k
+        # g^k = (k v, k t + C(k,2) c(v,v)); c(v,v) = 0 in the pair model
+        p = self.p
+        t = k * g.t + k * (k - 1) // 2 * self._twist(g.v, g.v)
+        return HeisElement(tuple(k * x % p for x in g.v), t % p)
 
-    def order_of(self, g) -> int:
+    def order_of(self, g: HeisElement) -> int:
         """Order of ``g``: 1, p, or p^2 (the last only for p = 2).
 
         For v != 0 the vector part k v first vanishes at k = p, so g^p =
         (0, p t + C(p,2) c(v,v)) is central, and a nontrivial central element
         has order p.
         """
-        v, t = self._raw(g)
-        if not v.any() and t == 0:
+        if g == self.identity:
             return 1
-        _, pt = self._pow_raw(v, t, self.p)
-        return self.p if pt == 0 else self.p**2
+        return self.p if self.power(g, self.p).t == 0 else self.p**2
 
     def commutator(self, g, h):
         gi, hi = self.inv(g), self.inv(h)
@@ -132,20 +128,16 @@ class _CocycleGroup:
     # packing (mixed radix, digits v then t)
 
     def pack(self, v: Sequence[int], t: int) -> int:
-        code = int(t) % self.p
-        for x in reversed(tuple(v)):
-            code = code * self.p + int(x) % self.p
+        code = self._residue(t)
+        for x in reversed(integers(v, "vector entries")):
+            code = code * self.p + x % self.p
         return code
 
-    def unpack(self, code: int) -> tuple[tuple[int, ...], int]:
-        digits = []
-        for _ in range(self.dim):
-            code, d = divmod(code, self.p)
-            digits.append(d)
-        return tuple(digits), code
+    def all_elements_raw(self, bound: int = 10**7):
+        """(vectors, scalars) int64 arrays enumerating the whole group in
+        packed order: row i is the element that ``pack`` maps to i."""
+        import numpy as np
 
-    def all_elements_raw(self, bound: int = 10**7) -> tuple[np.ndarray, np.ndarray]:
-        """(vectors, scalars) arrays enumerating the whole group, packed order."""
         if self.order > bound:
             raise EnumerationBoundError(f"group order {self.order} exceeds enumeration bound {bound}")
         codes = np.arange(self.order, dtype=np.int64)
@@ -167,18 +159,16 @@ class HeisGroup(_CocycleGroup):
             raise UnsupportedModelError(
                 "the pair model needs 1/2, which does not exist mod 2; use MatrixHeisGroup"
             )
-        inv2 = pow(2, -1, form.p)
-        super().__init__(form.p, form.dim, inv2 * np.array(form.omega.to_lists(), dtype=np.int64))
+        p, inv2 = form.p, pow(2, -1, form.p)
+        half = [{j: inv2 * x % p for j, x in enumerate(row) if x} for row in form.omega.to_lists()]
+        super().__init__(FpMatrix.sparse(half, form.dim, p))
         self.form = form
 
     def __repr__(self):
         return f"HeisGroup(dim={self.dim}, p={self.p}, order={self.order})"
 
     def element(self, v: Sequence[int], t: int) -> HeisElement:
-        vv = tuple(int(x) % self.p for x in v)
-        if len(vv) != self.dim:
-            raise PreconditionError(f"vector length {len(vv)} does not match dim {self.dim}")
-        return HeisElement(vv, int(t) % self.p)
+        return self._element(v, t)
 
 
 class MatrixHeisGroup(_CocycleGroup):
@@ -187,9 +177,7 @@ class MatrixHeisGroup(_CocycleGroup):
     def __init__(self, n: int, p: int):
         if n < 1:
             raise PreconditionError(f"need n >= 1, got {n}")
-        c = np.zeros((2 * n, 2 * n), dtype=np.int64)
-        c[:n, n:] = np.eye(n, dtype=np.int64)
-        super().__init__(p, 2 * n, c)
+        super().__init__(FpMatrix.sparse([{n + i: 1} for i in range(n)] + [{}] * n, 2 * n, p))
         self.n = n
 
     def __repr__(self):
@@ -199,7 +187,7 @@ class MatrixHeisGroup(_CocycleGroup):
         """The matrix with top row x, right column y and corner z: (x + y, z)."""
         if len(x) != self.n or len(y) != self.n:
             raise PreconditionError(f"x and y must have length n = {self.n}")
-        return HeisElement(tuple(int(a) % self.p for a in (*x, *y)), int(z) % self.p)
+        return self._element((*x, *y), z)
 
     def x_generator(self, j: int) -> HeisElement:
         """X_j: single 1 in the top row (1-based j)."""
@@ -242,15 +230,17 @@ class GroupStructureReport:
     method: str  # "enumeration" or "structural"
 
 
-def _exhaustive_orders(group: _CocycleGroup, vs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Orders of all listed elements, by simultaneous repeated multiplication."""
-    p = group.p
+def _exhaustive_orders(p: int, c, vs, ts):
+    """Orders of all listed elements, by simultaneous repeated multiplication
+    with the int64 cocycle ``c``."""
+    import numpy as np
+
     n = vs.shape[0]
     orders = np.zeros(n, dtype=np.int64)
     cur_v = vs.copy()
     cur_t = ts.copy()
     # c(cur, g) rowwise: (cur_v * (C @ g_v)) summed; vectorised via matmul
-    w = (vs @ group._c.T) % p  # row i holds C @ vs[i] transposed appropriately
+    w = (vs @ c.T) % p  # row i holds C @ vs[i] transposed appropriately
     for k in range(1, 4 * p + 1):
         ident = (~cur_v.any(axis=1)) & (cur_t == 0)
         newly = ident & (orders == 0)
@@ -278,14 +268,17 @@ def verify_extra_special(group: _CocycleGroup, enumeration_bound: int = 2 * 10**
     enlarged center ker(omega) x F_p and ``is_extra_special`` False.
     """
     p = group.p
-    comm = group.comm_form
-    kernel_dim = group.dim - FpMatrix(comm.tolist(), p).rank()
-    center_order_structural = p ** (kernel_dim + 1)
-    commutator_order = p if comm.any() else 1
+    comm_rank = group.comm_form.rank()
+    center_order_structural = p ** (group.dim - comm_rank + 1)
+    commutator_order = p if comm_rank else 1
 
     if group.order <= enumeration_bound:
+        import numpy as np
+
+        c = np.array(group.cocycle.to_lists(), dtype=np.int64)
+        comm = (c - c.T) % p
         vs, ts = group.all_elements_raw(bound=enumeration_bound)
-        orders = _exhaustive_orders(group, vs, ts)
+        orders = _exhaustive_orders(p, c, vs, ts)
         exponent = int(np.lcm.reduce(orders))
         involutions = int((orders == 2).sum())
         # mask over every (v, t), so the t choices are already counted
@@ -308,9 +301,10 @@ def verify_extra_special(group: _CocycleGroup, enumeration_bound: int = 2 * 10**
             exponent = p
         else:
             # order 4 exists iff the square map v -> c(v, v) is not identically
-            # zero mod 2, i.e. some diagonal or symmetrised entry of C is odd
-            c = group._c
-            squares_nontrivial = bool((np.diagonal(c) % 2).any() or ((c + c.T) % 2).any())
+            # zero mod 2, i.e. some diagonal entry of C or some entry of
+            # C + C^T = C - C^T is odd
+            diagonal = any(row[i] for i, row in enumerate(group.cocycle.to_lists()))
+            squares_nontrivial = diagonal or comm_rank > 0
             exponent = 4 if squares_nontrivial else 2
         involutions = -1  # not enumerated
         center_order = center_order_structural
@@ -356,19 +350,19 @@ def degenerate_quotient(group: HeisGroup) -> QuotientData:
     kernel_rows = form.omega.kernel_basis()
     if not kernel_rows:
         return QuotientData(group, 0, tuple(range(group.dim)), lambda g: g)
-    kr, pivots = FpMatrix(kernel_rows, group.p).rref()
-    kra = np.array(kr.to_lists(), dtype=np.int64)
+    p = group.p
+    kr, pivots = FpMatrix(kernel_rows, p).rref()
+    reducers = list(zip(pivots, kr.to_lists()))
     complement = tuple(c for c in range(group.dim) if c not in set(pivots))
     omega = form.omega.to_lists()
     omega_w = [[omega[i][j] for j in complement] for i in complement]
-    quotient = HeisGroup(AlternatingForm(FpMatrix(omega_w, group.p)))
-
-    piv = tuple(pivots)
+    quotient = HeisGroup(AlternatingForm(FpMatrix(omega_w, p)))
 
     def project(g: HeisElement) -> HeisElement:
-        v = np.array(g.v, dtype=np.int64)
-        for i, c in enumerate(piv):
-            v = (v - v[c] * kra[i]) % group.p
-        return quotient.element(v[list(complement)], g.t)
+        v = list(g.v)
+        for c, row in reducers:
+            f = v[c]
+            v = [(a - f * b) % p for a, b in zip(v, row)]
+        return quotient.element([v[c] for c in complement], g.t)
 
     return QuotientData(quotient, len(kernel_rows), complement, project)

@@ -7,14 +7,13 @@ rewriting happens anywhere, so a pass is a complete proof that the assignment
 extends to a group homomorphism, and each failure names the printed relation
 that broke.
 
-All relators go through one batched kernel.  It tabulates the image (v, t)
-and C v of every letter that occurs, then advances all running products by
-one letter position at a time, (acc_v, acc_t) -> (acc_v + v, acc_t + t +
-acc_v . C v) mod p, in blocks of relators sorted by length.  That is the
-group law applied to concrete elements, letter by letter from the left, so
-the batch computes exactly the products a one-letter-at-a-time loop would;
-only the failing rows are kept, and ``evaluate_word`` is the same kernel on
-a single word.
+All relators go through one evaluator in Python integers.  It tabulates the
+sparse image (v, t) and C v of every letter that occurs, then multiplies each
+word from the left, one letter at a time: (acc_v, acc_t) -> (acc_v + v,
+acc_t + t + acc_v . C v).  That is the group law applied to concrete
+elements, so the result is exact; only the words whose product is not the
+identity are kept, and ``evaluate_word`` is the same evaluator on a single
+word.  numpy is imported only by the exhaustive oracle.
 
 Two standard assignments are provided.
 
@@ -39,11 +38,8 @@ must always agree where both run, and the tests enforce that.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .braid import (
     A12,
@@ -58,8 +54,8 @@ from .braid import (
     word_generators,
 )
 from .errors import EnumerationBoundError, PreconditionError
-from .fplinalg import AlternatingForm, FpMatrix
-from .heisenberg import HeisGroup, MatrixHeisGroup, _CocycleGroup
+from .fplinalg import AlternatingForm, FpMatrix, residues
+from .heisenberg import HeisElement, HeisGroup, MatrixHeisGroup, _CocycleGroup
 from .invariants import is_prime
 
 
@@ -81,60 +77,55 @@ class GeneratorAssignment:
         return g if exp == 1 else self.target.inv(g)
 
 
-# relators per kernel block: the accumulators are (block x dim)
-_BLOCK = 256
-
-
 def _nonidentity_products(
     assignment: GeneratorAssignment, words: Sequence[Word], generators: Sequence[BraidGenerator]
 ) -> list:
     """(index, value) of every word over ``generators`` whose left-to-right
     product of letter images is not the identity, in index order.
 
-    The table holds one row per letter that occurs: the image (v, t) and
-    C v.  Words are sorted by length, longest first, and taken in blocks;
-    at letter position j the words still running are a prefix of the block,
-    and each running product is multiplied on the right by its j-th letter:
+    The table holds, per letter that occurs, the nonzero (k, a) entries of
+    its image v, its central part t and the nonzero entries of C v.  Each
+    running product is multiplied on the right by the next letter:
 
-        acc_t += t + acc_v . (C v),   acc_v += v   (mod p).
+        acc_t += t + acc_v . (C v),   acc_v += v,
 
-    Each term of the dot product is below (p - 1)^2 and the group refuses a
-    modulus with dim (p - 1)^2 >= 2^63, so every sum is exact in int64.
+    in Python integers, reduced mod p at the end of the word.
     """
     group = assignment.target
     p = group.p
-    row_of = {x: k for k, x in enumerate(set(itertools.chain.from_iterable(words)))}
-    images = [group._raw(assignment.image(g, e)) for g, e in word_generators(tuple(row_of), generators)]
-    vs = np.array([v for v, _ in images], dtype=np.int64).reshape(-1, group.dim)
-    ts = np.array([t for _, t in images], dtype=np.int64)
-    cvs = (vs @ group._c.T) % p
-
-    lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
-    starts = np.cumsum(lengths) - lengths
-    letters = itertools.chain.from_iterable(words)
-    rows = np.fromiter(map(row_of.__getitem__, letters), dtype=np.int64, count=int(lengths.sum()))
-    order = np.argsort(-lengths, kind="stable")
+    letters = tuple(set(itertools.chain.from_iterable(words)))
+    table = {}
+    for x, (g, e) in zip(letters, word_generators(letters, generators)):
+        image = assignment.image(g, e)
+        cv = group.cocycle.apply(image.v)
+        table[x] = (
+            # v of x^-1 is stored as minus v of x (equal mod p), so acc ends
+            # exactly zero in every word whose exponent sums vanish, and the
+            # identity check below is one any() for those
+            [(k, e * a) for k, a in enumerate(assignment.image(g).v) if a],
+            image.t,
+            [(k, a) for k, a in enumerate(cv) if a],
+        )
     found = []
-    for lo in range(0, len(words), _BLOCK):
-        ids = order[lo : lo + _BLOCK]
-        first, size = starts[ids], lengths[ids]
-        # active[j]: how many words of the block have a j-th letter
-        active = ids.size - np.searchsorted(size[::-1], np.arange(size[0]), side="right")
-        acc_v = np.zeros((ids.size, group.dim), dtype=np.int64)
-        acc_t = np.zeros(ids.size, dtype=np.int64)
-        for j, n in enumerate(active.tolist()):
-            k = rows[first[:n] + j]
-            acc_t[:n] = (acc_t[:n] + ts[k] + (acc_v[:n] * cvs[k]).sum(axis=1) % p) % p
-            acc_v[:n] = (acc_v[:n] + vs[k]) % p
-        bad = np.flatnonzero(acc_v.any(axis=1) | (acc_t != 0))
-        found.extend(zip(ids[bad].tolist(), acc_v[bad], acc_t[bad].tolist()))
-    found.sort(key=lambda hit: hit[0])
-    return [(i, group._wrap(v, t)) for i, v, t in found]
+    for i, word in enumerate(words):
+        acc = [0] * group.dim
+        t = 0
+        for x in word:
+            v, s, cv = table[x]
+            t += s
+            for k, a in cv:
+                t += acc[k] * a
+            for k, a in v:
+                acc[k] += a
+        t %= p
+        if t or (any(acc) and any(a % p for a in acc)):
+            found.append((i, HeisElement(tuple(a % p for a in acc), t)))
+    return found
 
 
 def evaluate_word(assignment: GeneratorAssignment, word: Word):
     """Left-to-right product of letter images; empty word gives the identity.
-    One word through the same kernel that ``verify_assignment`` runs."""
+    One word through the same evaluator that ``verify_assignment`` runs."""
     found = _nonidentity_products(assignment, [word], generator_list(assignment.b))
     return found[0][1] if found else assignment.target.identity
 
@@ -206,8 +197,8 @@ def verify_assignment(pres: Presentation, assignment: GeneratorAssignment) -> Ve
 
 
 def _validated_params(b: int, p: int, lambdas: Sequence[int], mus: Sequence[int]):
-    lam = tuple(int(x) % p for x in lambdas)
-    mu = tuple(int(x) % p for x in mus)
+    lam = tuple(residues(lambdas, p, "lambdas"))
+    mu = tuple(residues(mus, p, "mus"))
     if len(lam) != b or len(mu) != b:
         raise PreconditionError(f"need {b} lambdas and {b} mus, got {len(lam)} and {len(mu)}")
     if any(x == 0 for x in lam + mu):
@@ -338,16 +329,22 @@ def subgroup_order_fast(group: _CocycleGroup, elements: Sequence) -> int:
       combination of the projections is a nonzero central element, which is
       linear on the null space, so checking a basis of it suffices.
     """
-    p = group.p
+    p, dim = group.p, group.dim
     m = len(elements)
     if m == 0:
         return 1
-    proj = np.array([group.projection(g) for g in elements], dtype=np.int64)
-    d = FpMatrix(proj.tolist(), p).rank()
+    rows = [{k: a for k, a in enumerate(g.v) if a} for g in elements]
+    proj = FpMatrix.sparse(rows, dim, p)
+    cols = [{} for _ in range(dim)]
+    for i, row in enumerate(rows):
+        for k, a in row.items():
+            cols[k][i] = a
+    proj_t = FpMatrix.sparse(cols, m, p)
+    d = proj.rank()
 
     center_hit = False
-    pairing = ((proj @ group.comm_form) % p @ proj.T) % p
-    if pairing.any():
+    pairing = proj @ (group.comm_form @ proj_t)
+    if any(map(any, pairing.to_lists())):
         center_hit = True
     if not center_hit:
         for g in elements:
@@ -355,10 +352,10 @@ def subgroup_order_fast(group: _CocycleGroup, elements: Sequence) -> int:
                 center_hit = True
                 break
     if not center_hit:
-        for null in FpMatrix(proj.T.tolist(), p).kernel_basis():
+        for null in proj_t.kernel_basis():
             acc = group.identity
             for coeff, g in zip(null, elements):
-                acc = group.mul(acc, group.power(g, int(coeff)))
+                acc = group.mul(acc, group.power(g, coeff))
             if acc != group.identity:
                 center_hit = True
                 break
@@ -397,17 +394,19 @@ def bfs_subgroup_order(group: _CocycleGroup, elements: Sequence, bound: int = 10
         raise EnumerationBoundError(
             f"group order {group.order} exceeds the enumeration bound {bound}"
         )
+    import numpy as np
+
     p, dim = group.p, group.dim
+    cocycle = np.array(group.cocycle.to_lists(), dtype=np.int64)
     radix = p ** np.arange(dim + 1, dtype=np.int64)
     visited = np.zeros(group.order, dtype=bool)
     visited[0] = True
     cosets = [np.zeros(1, dtype=np.int64)]  # codes of H_i, one array per right coset
     gens = []
     for g in elements:
-        gv, gt = group._raw(g)
-        if visited[group.pack(gv, gt)]:
+        if visited[group.pack(g.v, g.t)]:
             continue
-        gens.append((gv % p, gt % p))
+        gens.append((np.array(g.v, dtype=np.int64) % p, g.t % p))
         h = np.concatenate(cosets)  # H_{i-1}
         cosets = [h]
         digits = {}  # digit j of every element of H_{i-1}, decoded on first use
@@ -426,7 +425,7 @@ def bfs_subgroup_order(group: _CocycleGroup, elements: Sequence, bound: int = 10
                 d = digit(j)
                 codes += ((d + rv[j]) % p - d) * radix[j]
             t = digit(dim) + rt
-            u = (group._c @ rv) % p
+            u = (cocycle @ rv) % p
             for j in np.flatnonzero(u):
                 t += digit(j) * u[j]
             codes += (t % p - digit(dim)) * radix[dim]
@@ -440,12 +439,10 @@ def bfs_subgroup_order(group: _CocycleGroup, elements: Sequence, bound: int = 10
         while i < len(reps):
             rv, rt = reps[i]
             for sv, st in gens:
-                nv, nt = group._mul_raw(rv, rt, sv, st)
+                # the product r s, by the oracle's own law
+                nv, nt = (rv + sv) % p, (rt + st + int((rv @ cocycle) % p @ sv)) % p
                 if not visited[group.pack(nv, nt)]:
                     open_coset(nv, nt)
             i += 1
     return sum(c.size for c in cosets)
 
-
-def report_json(report: VerificationReport, indent: Optional[int] = None) -> str:
-    return json.dumps(report.to_json_dict(), indent=indent)

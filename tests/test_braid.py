@@ -14,8 +14,6 @@ from heiskod.braid import (
     generator_list,
     involution_substitute,
     kernel_generator_sets,
-    parse_generator,
-    parse_word,
     presentation_to_json,
     rho,
     tau,
@@ -139,17 +137,6 @@ def test_kernel_generator_sets():
     for b in (2, 3, 7):
         first, second = kernel_generator_sets(b)
         assert len(first) == len(second) == 2 * b + 1
-
-
-def test_display_parse_roundtrip():
-    for b in (2, 3):
-        for rel in build_presentation(b).relators:
-            assert parse_word(word_display(rel.word, generator_list(b)), b) == rel.word
-    assert parse_generator("r1_3") == (BraidGenerator(RHO, 1, 3), 1)
-    assert parse_generator("t2_1^-1") == (BraidGenerator(TAU, 2, 1), -1)
-    assert parse_generator("A12") == (A12, 1)
-    with pytest.raises(PreconditionError):
-        parse_generator("x9")
 
 
 def test_json_export_shape():

@@ -393,9 +393,10 @@ NUMPY_FREE = [
     ("presentation", "--b", "3"),
     ("classify-form", "--b", "2", "--p", "5", "--lambda", "3,3", "--mu", "3,3"),
     ("search-forms", "--b", "2", "--p", "5", "--count", "1"),
+    ("verify", "--family", "degenerate", "--b", "2", "--p", "3"),
 ]
 NUMPY_USING = [
-    ("verify", "--family", "degenerate", "--b", "2", "--p", "3"),
+    ("verify", "--family", "degenerate", "--b", "2", "--p", "3", "--bfs-oracle"),
 ]
 
 
@@ -418,4 +419,13 @@ def test_cohomology_import_is_numpy_free():
     # all that the benchmark's candidate-count script loads
     modules = fresh_process("import heiskod.cohomology, json, sys; print(json.dumps(sorted(sys.modules)))")
     assert "heiskod.cohomology" in modules
+    assert "numpy" not in modules
+
+
+def test_group_and_verify_imports_are_numpy_free():
+    # numpy is imported only inside the exhaustive checks
+    modules = fresh_process(
+        "import heiskod.verify, heiskod.heisenberg, json, sys; print(json.dumps(sorted(sys.modules)))"
+    )
+    assert "heiskod.verify" in modules and "heiskod.heisenberg" in modules
     assert "numpy" not in modules

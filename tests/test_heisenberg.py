@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from heiskod.errors import EnumerationBoundError, PreconditionError, UnsupportedModelError
-from heiskod.fplinalg import AlternatingForm
+from heiskod.fplinalg import AlternatingForm, FpMatrix
 from heiskod.heisenberg import (
     HeisElement,
     HeisGroup,
@@ -271,7 +271,7 @@ def test_structural_exponent_p2():
     rep = verify_extra_special(MatrixHeisGroup(12, 2))
     assert rep.method == "structural" and rep.exponent == 4
     # symmetric cocycle with zero diagonal: abelian, every square trivial
-    flat = _CocycleGroup(2, 25, np.zeros((25, 25), dtype=np.int64))
+    flat = _CocycleGroup(FpMatrix.sparse([{}] * 25, 25, 2))
     rep = verify_extra_special(flat)
     assert rep.method == "structural" and rep.exponent == 2
     assert not rep.is_extra_special
@@ -335,9 +335,13 @@ def test_matrix_model_covers_p2_degenerate_case():
 
 def test_packing_roundtrip_and_bounds():
     group = std2(5)
-    for code in range(group.order):
-        v, t = group.unpack(code)
+    vs, ts = group.all_elements_raw()
+    assert len(vs) == len(ts) == group.order
+    for code, (v, t) in enumerate(zip(vs.tolist(), ts.tolist())):
         assert group.pack(v, t) == code
+    # a float used to be truncated to a code (1.5 read as 1)
+    with pytest.raises(PreconditionError):
+        group.pack([1.5, 2], 0)
     with pytest.raises(EnumerationBoundError):
         HeisGroup(AlternatingForm.family(3, 7, (1, 1, 6), (2, 2, 4))).all_elements_raw(bound=100)
 
@@ -348,3 +352,32 @@ def test_element_validation():
         group.element((1, 2, 3), 0)
     with pytest.raises(PreconditionError):
         MatrixHeisGroup(0, 5)
+
+
+# -- non-integer coordinates are refused, not truncated ---------------------------
+
+
+def test_pair_element_refuses_floats():
+    # used to return HeisElement(v=(1, 2), t=3)
+    with pytest.raises(PreconditionError):
+        std2(5).element([1.7, 2.2], 3.9)
+    with pytest.raises(PreconditionError):
+        std2(5).element([1, 2], 3.9)
+
+
+def test_matrix_element_refuses_floats():
+    # used to return HeisElement(v=(1, 2), t=0)
+    with pytest.raises(PreconditionError):
+        MatrixHeisGroup(1, 5).element([1.5], [2.5], 0.5)
+    with pytest.raises(PreconditionError):
+        MatrixHeisGroup(1, 5).element([1], [2], 0.5)
+
+
+def test_central_and_basis_element_refuse_floats():
+    # used to return the unreduced t=1.5 and t=2.5
+    with pytest.raises(PreconditionError):
+        std2(5).central(1.5)
+    with pytest.raises(PreconditionError):
+        MatrixHeisGroup(1, 5).basis_element(0, 2.5)
+    # integers of any size are still reduced mod p
+    assert std2(5).central(5 * 2**70 + 2) == std2(5).element((0, 0), 2)

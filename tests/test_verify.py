@@ -8,7 +8,6 @@ pure-Python set closure is the reference for the oracle itself.
 """
 
 import itertools
-import json
 import random
 
 import numpy as np
@@ -38,7 +37,6 @@ from heiskod.verify import (
     evaluate_word,
     image_index,
     precompose_involution,
-    report_json,
     standard_assignment_degenerate,
     standard_assignment_nondegenerate,
     subgroup_order_fast,
@@ -82,7 +80,7 @@ def test_unknown_generator_rejected(nondeg25):
 
 
 def test_letters_out_of_range_refused(nondeg25):
-    # b = 2: the letters are +-1..+-9; numpy would wrap a bad index silently
+    # b = 2: the letters are +-1..+-9; an array index would wrap silently
     assert evaluate_word(nondeg25, winding(2) + winding(2, -1)) == nondeg25.target.identity
     for bad in (0, 10, -10, 10**30):
         with pytest.raises(PreconditionError, match="not a generator index"):
@@ -92,7 +90,7 @@ def test_letters_out_of_range_refused(nondeg25):
             verify_assignment(pres, nondeg25)
 
 
-# -- the batched kernel against a pure-Python reference ----------------------------
+# -- the evaluator against a pure-Python reference ----------------------------------
 
 
 def reference_products(cocycle, p, images, words):
@@ -130,7 +128,7 @@ def check_against_reference(assignment, words):
     give the reference product of each word."""
     b, group = assignment.b, assignment.target
     images = [(list(assignment.images[g].v), assignment.images[g].t) for g in generator_list(b)]
-    expected = reference_products(group._c.tolist(), group.p, images, words)
+    expected = reference_products(group.cocycle.to_lists(), group.p, images, words)
     pres = Presentation(b, generator_list(b), tuple(Relator(w, f"word {i}") for i, w in enumerate(words)))
     report = verify_assignment(pres, assignment)
     identity = ((0,) * group.dim, 0)
@@ -177,7 +175,7 @@ def test_every_relator_matches_python_reference(family, b, p):
         standard = standard_assignment_nondegenerate(b, p, (2,) * (b - 1) + (5,), (2,) * (b - 1) + (5,))
     words = [rel.word for rel in build_presentation(b).relators]
     check_against_reference(standard, words)
-    # random images make most relators fail, across several kernel blocks
+    # random images make most relators fail
     rng = random.Random(100 * b + p)
     group = standard.target
     images = {
@@ -209,6 +207,14 @@ def test_nondegenerate_parameter_validation():
         standard_assignment_nondegenerate(2, 5, (2, 4), (3, 4))  # lambda_2 mu_2 = 16 = 1
     # the valid neighbour passes
     standard_assignment_nondegenerate(2, 5, (2, 4), (4, 2))
+
+
+def test_nondegenerate_parameters_refuse_floats():
+    # 3.9 used to be read as lambda_1 = 3
+    with pytest.raises(PreconditionError):
+        standard_assignment_nondegenerate(2, 5, (3.9, 3), (3, 3))
+    with pytest.raises(PreconditionError):
+        standard_assignment_nondegenerate(2, 5, (3, 3), (3, 3.0))
 
 
 def test_unvalidated_bad_mu_fails_surface_relation_2(nondeg25, pres2):
@@ -421,7 +427,7 @@ def closure_order(group, elements):
 
 
 def random_element(group, rng):
-    return group._wrap(rng.integers(0, group.p, group.dim), int(rng.integers(0, group.p)))
+    return HeisElement(tuple(rng.integers(0, group.p, group.dim).tolist()), int(rng.integers(0, group.p)))
 
 
 SMALL_GROUPS = [
@@ -441,7 +447,7 @@ def test_oracle_matches_set_closure(group):
         els = [random_element(group, rng) for _ in range(int(rng.integers(1, 4)))]
         assert bfs_subgroup_order(group, els) == closure_order(group, els)
     # sparse generators, as the standard assignments use
-    basis = [group._wrap(row, 0) for row in np.eye(group.dim, dtype=np.int64)]
+    basis = [group.basis_element(i) for i in range(group.dim)]
     for k in range(1, group.dim + 1):
         assert bfs_subgroup_order(group, basis[:k]) == closure_order(group, basis[:k])
 
@@ -476,7 +482,7 @@ def test_oracle_ignores_generator_order(group):
 
 def test_report_json_golden():
     report = verify_assignment(build_presentation(2), standard_assignment_degenerate(2, 3))
-    assert json.loads(report_json(report)) == {
+    assert report.to_json_dict() == {
         "b": 2,
         "p": 3,
         "family": "degenerate",
