@@ -212,7 +212,7 @@ def criterion_7() -> CriterionResult:
     problems: list[str] = []
     t0 = time.perf_counter()
     for b in (2, 3):
-        hits = search_family_params(b, 3)
+        hits = list(search_family_params(b, 3))
         _check(hits == [], f"found {len(hits)} parameter pairs at b={b}, p=3", problems)
     return _result(7, "family parameter search is empty mod 3", problems, t0, budget=1.0)
 

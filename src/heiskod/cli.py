@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import HeiskodError, InconsistencyError, PreconditionError
 
@@ -47,13 +47,25 @@ def _parse_residues(text: Optional[str], what: str) -> Optional[list[int]]:
 
 
 def _emit(text: str, path: Optional[str]) -> None:
+    _emit_stream((text,), path)
+
+
+def _emit_stream(chunks: Iterable[str], path: Optional[str]) -> None:
+    """Write the concatenation of ``chunks`` one chunk at a time.
+
+    On stdout it ends with a newline, added if the last chunk has none; a file
+    gets the chunks alone.
+    """
     if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        out = sys.stdout  # looked up per call, so redirected stdout is honoured
+        last = ""
+        for last in chunks:
+            out.write(last)
+        if not last.endswith("\n"):
+            out.write("\n")
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _fraction_str(f: Fraction) -> str:
@@ -180,30 +192,51 @@ def cmd_classify_form(args) -> int:
     return 0
 
 
+Hit = tuple[Sequence[int], Sequence[int]]
+
+
+def _search_json(b: int, p: int, hits: Iterable[Hit], count: Optional[int]) -> Iterator[str]:
+    """``json.dumps(payload, indent=2)`` of the search payload, one hit at a time."""
+    yield f'{{\n  "b": {b},\n  "p": {p},\n  "hits": ['
+    n = 0
+    for lam, mu in hits:
+        yield (
+            ("\n" if n == 0 else ",\n")
+            + '    {\n      "lambda": [\n        '
+            + ",\n        ".join(map(str, lam))
+            + '\n      ],\n      "mu": [\n        '
+            + ",\n        ".join(map(str, mu))
+            + "\n      ]\n    }"
+        )
+        n += 1
+    exhaustive = count is None or n < count
+    yield ("\n  ]" if n else "]") + f',\n  "exhaustive": {json.dumps(exhaustive)}\n}}'
+
+
+def _search_text(b: int, p: int, hits: Iterable[Hit]) -> Iterator[str]:
+    """The text listing, one line per hit, lines joined by newlines."""
+    n = 0
+    for lam, mu in hits:
+        yield ("\n" if n else "") + f"lambda = {','.join(map(str, lam))}  mu = {','.join(map(str, mu))}"
+        n += 1
+    if not n:
+        yield f"no valid (lambda, mu) exist for b = {b}, p = {p} (exhaustive search)"
+        if p == 3:
+            yield (
+                "\nobstruction: mod 3, lambda_j*mu_j != 1 forces mu_j = -lambda_j, "
+                "so sum(lambda) = 1 would give sum(mu) = -1 != 1"
+            )
+
+
 def cmd_search_forms(args) -> int:
     from .cohomology import search_family_params
 
+    # refusals are raised here, before a byte is written or a file opened
     hits = search_family_params(args.b, args.p, args.count)
     if args.format == "json":
-        payload = {
-            "b": args.b,
-            "p": args.p,
-            "hits": [{"lambda": list(l), "mu": list(m)} for l, m in hits],
-            "exhaustive": args.count is None or len(hits) < args.count,
-        }
-        _emit(json.dumps(payload, indent=2), args.output)
+        _emit_stream(_search_json(args.b, args.p, hits, args.count), args.output)
     else:
-        lines = []
-        if not hits:
-            lines.append(f"no valid (lambda, mu) exist for b = {args.b}, p = {args.p} (exhaustive search)")
-            if args.p == 3:
-                lines.append(
-                    "obstruction: mod 3, lambda_j*mu_j != 1 forces mu_j = -lambda_j, "
-                    "so sum(lambda) = 1 would give sum(mu) = -1 != 1"
-                )
-        for l, m in hits:
-            lines.append(f"lambda = {','.join(map(str, l))}  mu = {','.join(map(str, m))}")
-        _emit("\n".join(lines), args.output)
+        _emit_stream(_search_text(args.b, args.p, hits), args.output)
     return 0
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import index
+from operator import eq, index
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import EnumerationBoundError, InconsistencyError, PreconditionError
@@ -327,13 +327,26 @@ def _tuples_summing_to_one(b: int, p: int) -> Iterator[tuple[int, ...]]:
             yield head + (last,)
 
 
-def search_family_params(b: int, p: int, count: Optional[int] = None) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _family_params(b: int, p: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every valid (lambda, mu), lexicographically; lambda_j mu_j = 1 iff lambda_j = mu_j^-1."""
+    inverse = [0] + [pow(x, -1, p) for x in range(1, p)]
+    mus = [(mu, tuple(inverse[m] for m in mu)) for mu in _tuples_summing_to_one(b, p)]
+    for lam in _tuples_summing_to_one(b, p):
+        for mu, inv_mu in mus:
+            if not any(map(eq, lam, inv_mu)):
+                yield lam, mu
+
+
+def search_family_params(
+    b: int, p: int, count: Optional[int] = None
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Enumerate (lambda, mu) in (F_p^*)^{2b} with both sums 1 and lambda_j mu_j != 1.
 
-    Lexicographic order over the combined tuple; returns the first ``count``
-    hits, or every hit (proving emptiness by exhaustion) when ``count`` is
-    None.  For p = 3 the search is provably empty: lambda_j mu_j != 1 forces
-    mu_j = -lambda_j, so the two sum conditions give 1 = -1.
+    Lexicographic order over the combined tuple.  Every argument is checked
+    here, before anything is enumerated; the hits then come lazily, the first
+    ``count`` of them, or every hit (proving emptiness by exhaustion) when
+    ``count`` is None.  For p = 3 the search is provably empty: lambda_j mu_j
+    != 1 forces mu_j = -lambda_j, so the two sum conditions give 1 = -1.
     """
     if b < 2:
         raise PreconditionError(f"genus b must be >= 2, got {b}")
@@ -344,12 +357,4 @@ def search_family_params(b: int, p: int, count: Optional[int] = None) -> list[tu
         raise EnumerationBoundError(
             f"search space (p-1)^(2b-2) = {(p - 1) ** (2 * (b - 1))} is too large to exhaust"
         )
-    hits: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    mus = list(_tuples_summing_to_one(b, p))
-    for lam in _tuples_summing_to_one(b, p):
-        for mu in mus:
-            if all((lj * mj) % p != 1 for lj, mj in zip(lam, mu)):
-                hits.append((lam, mu))
-                if count is not None and len(hits) >= count:
-                    return hits
-    return hits
+    return itertools.islice(_family_params(b, p), count)

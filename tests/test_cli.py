@@ -170,6 +170,72 @@ def test_search_forms_json(capsys):
     assert payload["hits"] == [] and payload["exhaustive"] is True
 
 
+def test_search_forms_refuses_before_writing(capsys, tmp_path):
+    target = tmp_path / "F"
+    for argv in (("--b", "8", "--p", "97"), ("--b", "2", "--p", "5", "--count", "0")):
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "search-forms", *argv, "--format", fmt, "--output", str(target))
+            assert code == 2 and out == "" and err.startswith("error: ")
+            assert not target.exists()
+
+
+def _search_reference(b, p, count):
+    """What search-forms printed when it built the whole payload first."""
+    from heiskod.cohomology import search_family_params
+
+    hits = list(search_family_params(b, p, count))
+    payload = {
+        "b": b,
+        "p": p,
+        "hits": [{"lambda": list(l), "mu": list(m)} for l, m in hits],
+        "exhaustive": count is None or len(hits) < count,
+    }
+    lines = [f"lambda = {','.join(map(str, l))}  mu = {','.join(map(str, m))}" for l, m in hits]
+    if not hits:
+        lines.append(f"no valid (lambda, mu) exist for b = {b}, p = {p} (exhaustive search)")
+        if p == 3:
+            lines.append(
+                "obstruction: mod 3, lambda_j*mu_j != 1 forces mu_j = -lambda_j, "
+                "so sum(lambda) = 1 would give sum(mu) = -1 != 1"
+            )
+    return json.dumps(payload, indent=2) + "\n", "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("count", [None, 1, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("b", [2, 3, 4])
+def test_search_forms_streams_the_whole_payload(capsys, b, p, count):
+    argv = ["search-forms", "--b", str(b), "--p", str(p)]
+    if count is not None:
+        argv += ["--count", str(count)]
+    want_json, want_text = _search_reference(b, p, count)
+    assert run(capsys, *argv, "--format", "json") == (0, want_json, "")
+    assert run(capsys, *argv) == (0, want_text, "")
+
+
+# A launcher between pytest and the CLI: a child's ru_maxrss starts at the
+# peak RSS of the process that exec'd it, which for pytest itself can exceed
+# the bound under test; the launcher is a fresh small interpreter.
+_MAXRSS_LAUNCHER = (
+    "import os, subprocess, sys; "
+    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
+    "_, status, usage = os.wait4(proc.pid, 0); "
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
+)
+
+
+def test_search_forms_memory_stays_flat():
+    # (4, 11) prints 542,001 hits, 80,650,306 bytes of JSON; held whole it peaked at 924 MB
+    argv = [sys.executable, "-m", "heiskod", "search-forms", "--b", "4", "--p", "11", "--format", "json"]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAXRSS_LAUNCHER, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    code, maxrss_kib = map(int, proc.stdout.split())
+    assert code == 0
+    assert maxrss_kib < 100 * 1024
+
+
 # -- invariants / census / kappa ----------------------------------------------------
 
 

@@ -10,6 +10,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heiskod import cohomology
 from heiskod.cohomology import (
@@ -353,29 +355,57 @@ def test_xi_eta_full_rank_at_benchmark_sizes(b, p):
 # -- parameter search ----------------------------------------------------------
 
 
-def search_oracle(b, p):
+def oracle_hits(b, p):
     """Plain itertools re-enumeration, independent of the library order tricks."""
-    hits = []
-    for lam in itertools.product(range(1, p), repeat=b):
-        if sum(lam) % p != 1:
-            continue
-        for mu in itertools.product(range(1, p), repeat=b):
-            if sum(mu) % p != 1:
-                continue
+    tuples = [t for t in itertools.product(range(1, p), repeat=b) if sum(t) % p == 1]
+    for lam in tuples:
+        for mu in tuples:
             if all((l * m) % p != 1 for l, m in zip(lam, mu)):
-                hits.append((lam, mu))
-    return hits
+                yield lam, mu
+
+
+def search_oracle(b, p):
+    return list(oracle_hits(b, p))
 
 
 def test_search_matches_oracle():
-    assert search_family_params(2, 5) == search_oracle(2, 5)
-    assert search_family_params(2, 5, 1) == [((2, 4), (4, 2))]
-    assert search_family_params(3, 5, 2) == search_oracle(3, 5)[:2]
+    assert list(search_family_params(2, 5)) == search_oracle(2, 5)
+    assert list(search_family_params(2, 5, 1)) == [((2, 4), (4, 2))]
+    assert list(search_family_params(3, 5, 2)) == search_oracle(3, 5)[:2]
 
 
 def test_search_empty_mod_3():
-    assert search_family_params(2, 3) == []
-    assert search_family_params(3, 3) == []
+    assert list(search_family_params(2, 3)) == []
+    assert list(search_family_params(3, 3)) == []
+
+
+# Cells whose whole listing the oracle also exhausts; larger ones, (4, 11) with
+# 542,001 hits and (4, 13), are compared on prefixes, to bound test time and memory.
+ORACLE_EXHAUST_LIMIT = 10**5
+
+
+def _search_case(bp):
+    b, p = bp
+    counts = st.integers(1, 50)
+    if (p - 1) ** (2 * b - 2) <= ORACLE_EXHAUST_LIMIT:
+        counts = st.none() | counts
+    return st.tuples(st.just(b), st.just(p), counts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(b, p) for b in (2, 3, 4) for p in (2, 3, 5, 7, 11, 13)]).flatmap(_search_case))
+@example((2, 2, None))
+@example((3, 2, None))  # 2 | b+1
+@example((2, 3, None))  # 3 | b+1
+@example((4, 3, 1))
+@example((4, 5, None))  # 5 | b+1
+@example((4, 13, 50))
+def test_search_prefix_matches_oracle(case):
+    b, p, k = case
+    got = list(search_family_params(b, p, k))
+    assert got == list(itertools.islice(oracle_hits(b, p), k))
+    if p in (2, 3):
+        assert got == []
 
 
 def test_search_refuses_nonpositive_count():

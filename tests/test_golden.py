@@ -4,7 +4,9 @@ Every file under ``tests/golden/`` was written by the program before relator
 words became integer tuples and before relators were checked in one batched
 pass; these tests hold both changes to the exact bytes the earlier code
 printed, including the order of failures (relator index order) and the
-repr of each failing value.
+repr of each failing value.  The ``search_forms_*`` files were written while
+search-forms still built its whole payload before printing it; they hold the
+streamed output to those bytes.
 """
 
 import json
@@ -51,6 +53,24 @@ def test_cli_output_is_pinned(capsys, name, argv):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / name).read_text()
+
+
+SEARCH_PINS = [
+    ("search_forms_b3_p5.txt", ("search-forms", "--b", "3", "--p", "5")),
+    ("search_forms_b3_p5.json", ("search-forms", "--b", "3", "--p", "5", "--format", "json")),
+]
+
+
+@pytest.mark.parametrize("name,argv", SEARCH_PINS, ids=[name for name, _ in SEARCH_PINS])
+def test_search_forms_output_is_pinned(capsys, tmp_path, name, argv):
+    golden = (GOLDEN / name).read_text()
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out == golden
+    # a file gets the same bytes without the newline stdout ends with
+    target = tmp_path / name
+    assert main([*argv, "--output", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_text() + "\n" == golden
 
 
 def _a12_killed(b, p, lam, mu):
