@@ -26,15 +26,19 @@ from .errors import HeiskodError, InconsistencyError, PreconditionError
 
 
 def _parse_range(text: str) -> list[int]:
-    """Accept '5', '2..6' or '5,7,11'."""
+    """Accept '5', '2..6' or '5,7,11'; an empty range is refused."""
     try:
         text = text.strip()
         if ".." in text:
             lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(x) for x in text.split(",") if x]
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(x) for x in text.split(",") if x]
     except ValueError:
         raise PreconditionError(f"cannot parse range {text!r}; use forms like 5, 2..6 or 5,7,11") from None
+    if not values:
+        raise PreconditionError(f"range {text!r} is empty")
+    return values
 
 
 def _parse_residues(text: Optional[str], what: str) -> Optional[list[int]]:

@@ -40,7 +40,7 @@ from operator import eq, index
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import EnumerationBoundError, InconsistencyError, PreconditionError
-from .fplinalg import AlternatingForm, FpMatrix, _check_int64_dot, _check_prime, residues
+from .fplinalg import AlternatingForm, FpMatrix, _check_prime, residues
 
 # letters for the two degree-1 generators of the surface
 _A, _B = 0, 1
@@ -183,7 +183,6 @@ def cup_h1_h1(u: VectorLike, v: VectorLike, b: int, p: int) -> H2Class:
     """Bilinear cup product of two degree-1 classes (indices or vectors): the
     rule is alternating, so u v is xi of the wedge u ^ v = u v^T - v u^T."""
     _check_prime(p)
-    _check_int64_dot(1, p)
     _check_genus(b)
     uu = _as_h1_vector(u, b, p)
     vv = _as_h1_vector(v, b, p)

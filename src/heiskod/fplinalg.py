@@ -33,41 +33,17 @@ def _check_prime(p: int) -> None:
         raise PreconditionError(f"modulus {p} is not prime")
 
 
-def _check_int64_dot(n: int, p: int) -> None:
-    """Refuse a modulus at which a sum of n products of residues could
-    overflow int64.  The kernels here and the group arithmetic are exact at
-    any size, but the exhaustive group checks build int64 arrays from these
-    forms and need n (p - 1)^2 < 2^63."""
-    if n * (p - 1) ** 2 >= 2**63:
-        raise PreconditionError(
-            f"modulus {p} is too large for exact int64 arithmetic (needs {n} (p - 1)^2 < 2^63)"
-        )
-
-
-def integers(entries: Iterable, what: str = "entries") -> list[int]:
-    """The entries as Python ints.  An entry is accepted only if
-    ``operator.index`` accepts it, so no float is truncated."""
+def residues(entries: Iterable, p: int, what: str = "entries") -> list[int]:
+    """Integer entries reduced mod p, as Python ints.  An entry is accepted
+    only if ``operator.index`` accepts it, so no float is truncated; its size
+    is not limited."""
     try:
-        return list(map(index, entries))
+        return [x % p for x in map(index, entries)]
     except TypeError:
         raise PreconditionError(f"{what} must be integers") from None
 
 
-def residues(entries: Iterable, p: int, what: str = "entries") -> list[int]:
-    """Reduce integer entries mod p.  An entry must also fit in int64, the
-    range of the arrays built from these values."""
-    xs = integers(entries, what)
-    if xs and not (-(2**63) <= min(xs) and max(xs) < 2**63):
-        raise PreconditionError(f"{what} must be int64 integers")
-    return [x % p for x in xs]
-
-
 Row = dict  # {column: nonzero residue}
-
-
-def _check_field(p: int) -> None:
-    _check_prime(p)
-    _check_int64_dot(1, p)
 
 
 def _sub_multiple(row: Row, f: int, other: Row, p: int) -> None:
@@ -86,16 +62,15 @@ class FpMatrix:
     Rows are ``{column: residue}`` maps holding only nonzero residues; they
     are private, and ``to_lists()`` is the one way to read the entries.
     Rank, determinant, kernel and products all return fresh values, so
-    instances are safe to share between workers.  The modulus must keep
-    (p - 1)^2 below 2^63, and products also need cols (p - 1)^2 below 2^63:
-    the exhaustive group checks turn these matrices into int64 arrays.
+    instances are safe to share between workers.  Entries are Python ints,
+    so every operation is exact for any prime p.
     """
 
     __slots__ = ("p", "rows", "cols", "_r")
 
     def __init__(self, entries, p: int):
         """Dense entries: a sequence of equally long rows of integers."""
-        _check_field(p)
+        _check_prime(p)
         try:
             dense = [list(row) for row in entries]
         except TypeError:
@@ -112,7 +87,7 @@ class FpMatrix:
     def sparse(cls, rows: Iterable[Mapping[int, int]], cols: int, p: int) -> "FpMatrix":
         """A matrix from ``{column: value}`` rows; absent entries are zero.
         The only constructor that can make a matrix with no rows."""
-        _check_field(p)
+        _check_prime(p)
         cols = index(cols)
         if cols < 0:
             raise PreconditionError(f"column count {cols} is negative")
@@ -173,7 +148,6 @@ class FpMatrix:
             raise PreconditionError(f"mixed moduli {self.p} and {other.p}")
         if self.cols != other.rows:
             raise PreconditionError("inner dimensions disagree")
-        _check_int64_dot(self.cols, self.p)
         p, right = self.p, other._r
         out = []
         for r in self._r:
@@ -189,7 +163,6 @@ class FpMatrix:
         vec = residues(v, self.p, "vector entries")
         if len(vec) != self.cols:
             raise PreconditionError("vector length disagrees with column count")
-        _check_int64_dot(self.cols, self.p)
         out = []
         for r in self._r:
             acc = 0
@@ -338,7 +311,6 @@ class AlternatingForm:
             # for odd p this is implied by skewness; for p = 2 it is the
             # extra alternating condition
             raise PreconditionError("alternating form must vanish on the diagonal")
-        _check_int64_dot(omega.rows, p)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "dim", omega.rows)
         object.__setattr__(self, "omega", omega)

@@ -21,12 +21,11 @@ The commutator pairing is C - C^T in either model, which keeps structure
 checks, subgroup-order logic and the exhaustive coset enumeration uniform
 across the two.  C and C - C^T are :class:`FpMatrix` values, and every
 product, inverse and power is computed in Python integers, so group
-arithmetic is exact at any size.  numpy is imported only inside the
+arithmetic is exact for any prime.  numpy is imported only inside the
 exhaustive checks (the enumeration branch of :func:`verify_extra_special`,
 :meth:`_CocycleGroup.all_elements_raw` and the coset-enumeration oracle in
-:mod:`verify`), which build int64 arrays from ``cocycle.to_lists()``.  The
-group still refuses a modulus with dim (p - 1)^2 >= 2^63, the range in which
-those arrays stay exact.
+:mod:`verify`), which build int64 arrays from ``cocycle.to_lists()``; only
+they depend on the modulus, through :func:`enumeration_guard`.
 
 For p = 2 the pair model would need 1/2 (and the naive substitute law with a
 full omega twist is abelian, hence useless here), so construction is refused
@@ -36,11 +35,33 @@ and callers are pointed at the matrix model.
 from __future__ import annotations
 
 import operator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import EnumerationBoundError, PreconditionError, UnsupportedModelError
-from .fplinalg import AlternatingForm, FpMatrix, _check_int64_dot, integers
+from .fplinalg import AlternatingForm, FpMatrix, residues
+
+
+@contextmanager
+def enumeration_guard(order: int, bound: int):
+    """Admit an exhaustive enumeration of a group of ``order`` = p^(dim + 1)
+    elements in int64 arrays, or raise :class:`EnumerationBoundError`.
+
+    Refused beyond ``bound`` and, whatever the bound, from order 2^62 on:
+    below it every array value fits int64, since a packed code is below the
+    order, a radix p^j at most order / p, and a central part t + t' + v.C.v'
+    of residues at most 2 (p - 1) + dim (p - 1)^2 < order.  A ``MemoryError``
+    raised inside the block, while the arrays are built, is refused too.
+    """
+    if order > bound:
+        raise EnumerationBoundError(f"group order {order} exceeds the enumeration bound {bound}")
+    if order >= 2**62:
+        raise EnumerationBoundError(f"group order {order} is too large to enumerate in int64 arrays (needs < 2^62)")
+    try:
+        yield
+    except MemoryError:
+        raise EnumerationBoundError(f"not enough memory to enumerate a group of order {order}") from None
 
 
 @dataclass(frozen=True)
@@ -56,7 +77,6 @@ class _CocycleGroup:
     for a square cocycle matrix C."""
 
     def __init__(self, cocycle: FpMatrix):
-        _check_int64_dot(cocycle.cols, cocycle.p)
         self.p = p = cocycle.p
         self.dim = dim = cocycle.cols
         self.cocycle = cocycle
@@ -71,8 +91,7 @@ class _CocycleGroup:
         return sum(map(operator.mul, v1, self.cocycle.apply(v2))) % self.p
 
     def _residue(self, t) -> int:
-        (t,) = integers([t], "central part")
-        return t % self.p
+        return residues([t], self.p, "central part")[0]
 
     # elements
 
@@ -87,7 +106,7 @@ class _CocycleGroup:
         return HeisElement(tuple(int(k == i) for k in range(self.dim)), self._residue(t))
 
     def _element(self, v: Sequence[int], t: int) -> HeisElement:
-        vv = tuple(x % self.p for x in integers(v, "vector entries"))
+        vv = tuple(residues(v, self.p, "vector entries"))
         if len(vv) != self.dim:
             raise PreconditionError(f"vector length {len(vv)} does not match dim {self.dim}")
         return HeisElement(vv, self._residue(t))
@@ -129,8 +148,8 @@ class _CocycleGroup:
 
     def pack(self, v: Sequence[int], t: int) -> int:
         code = self._residue(t)
-        for x in reversed(integers(v, "vector entries")):
-            code = code * self.p + x % self.p
+        for x in reversed(residues(v, self.p, "vector entries")):
+            code = code * self.p + x
         return code
 
     def all_elements_raw(self, bound: int = 10**7):
@@ -138,12 +157,11 @@ class _CocycleGroup:
         packed order: row i is the element that ``pack`` maps to i."""
         import numpy as np
 
-        if self.order > bound:
-            raise EnumerationBoundError(f"group order {self.order} exceeds enumeration bound {bound}")
-        codes = np.arange(self.order, dtype=np.int64)
-        digits = np.empty((self.order, self.dim + 1), dtype=np.int64)
-        for i in range(self.dim + 1):
-            codes, digits[:, i] = np.divmod(codes, self.p)
+        with enumeration_guard(self.order, bound):
+            codes = np.arange(self.order, dtype=np.int64)
+            digits = np.empty((self.order, self.dim + 1), dtype=np.int64)
+            for i in range(self.dim + 1):
+                codes, digits[:, i] = np.divmod(codes, self.p)
         return digits[:, : self.dim], digits[:, self.dim]
 
 
@@ -275,9 +293,9 @@ def verify_extra_special(group: _CocycleGroup, enumeration_bound: int = 2 * 10**
     if group.order <= enumeration_bound:
         import numpy as np
 
+        vs, ts = group.all_elements_raw(bound=enumeration_bound)
         c = np.array(group.cocycle.to_lists(), dtype=np.int64)
         comm = (c - c.T) % p
-        vs, ts = group.all_elements_raw(bound=enumeration_bound)
         orders = _exhaustive_orders(p, c, vs, ts)
         exponent = int(np.lcm.reduce(orders))
         involutions = int((orders == 2).sum())

@@ -401,11 +401,17 @@ def census_degenerate(b_range: Sequence[int], p_range: Sequence[int]) -> tuple[l
 
 
 def census(family: str, b_range: Sequence[int], p_range: Sequence[int]) -> tuple[list[CensusRow], list[ClaimResult]]:
+    """Rows and claims of one family; refused when no (b, p) in the ranges is
+    admissible, since every claim would then hold vacuously."""
     if family == "nondegenerate":
-        return census_nondegenerate(b_range, p_range)
-    if family == "degenerate":
-        return census_degenerate(b_range, p_range)
-    raise PreconditionError(f"unknown family {family!r}")
+        rows, claims = census_nondegenerate(b_range, p_range)
+    elif family == "degenerate":
+        rows, claims = census_degenerate(b_range, p_range)
+    else:
+        raise PreconditionError(f"unknown family {family!r}")
+    if not rows:
+        raise PreconditionError(f"no admissible (b, p) for the {family} family in the given ranges")
+    return rows, claims
 
 
 CSV_COLUMNS = ("family", "b", "p", "b1", "b2", "g1", "g2", "c1sq", "c2", "nu_num", "nu_den", "sigma", "degree")

@@ -53,9 +53,9 @@ from .braid import (
     kernel_generator_sets,
     word_generators,
 )
-from .errors import EnumerationBoundError, PreconditionError
+from .errors import PreconditionError
 from .fplinalg import AlternatingForm, FpMatrix, residues
-from .heisenberg import HeisElement, HeisGroup, MatrixHeisGroup, _CocycleGroup
+from .heisenberg import HeisElement, HeisGroup, MatrixHeisGroup, _CocycleGroup, enumeration_guard
 from .invariants import is_prime
 
 
@@ -374,8 +374,9 @@ def bfs_subgroup_order(group: _CocycleGroup, elements: Sequence, bound: int = 10
 
     Independent of ``subgroup_order_fast`` by construction (group products
     and membership only, no linear algebra); kept for cross-validation and
-    refused (not approximated) beyond the bound.  Returns the number of
-    elements enumerated; the name stays that of the ``--bfs-oracle`` flag.
+    refused (not approximated) by :func:`enumeration_guard` beyond the bound.
+    Returns the number of elements enumerated; the name stays that of the
+    ``--bfs-oracle`` flag.
 
     H_0 is trivial.  Each generator outside H_{i-1} opens a level: H_i is the
     union of the right cosets H_{i-1} r, starting from r = 1 and r = g_i, and
@@ -390,59 +391,56 @@ def bfs_subgroup_order(group: _CocycleGroup, elements: Sequence, bound: int = 10
     H_{i-1} that a coset product needs are decoded from its codes once per
     level.
     """
-    if group.order > bound:
-        raise EnumerationBoundError(
-            f"group order {group.order} exceeds the enumeration bound {bound}"
-        )
     import numpy as np
 
-    p, dim = group.p, group.dim
-    cocycle = np.array(group.cocycle.to_lists(), dtype=np.int64)
-    radix = p ** np.arange(dim + 1, dtype=np.int64)
-    visited = np.zeros(group.order, dtype=bool)
-    visited[0] = True
-    cosets = [np.zeros(1, dtype=np.int64)]  # codes of H_i, one array per right coset
-    gens = []
-    for g in elements:
-        if visited[group.pack(g.v, g.t)]:
-            continue
-        gens.append((np.array(g.v, dtype=np.int64) % p, g.t % p))
-        h = np.concatenate(cosets)  # H_{i-1}
-        cosets = [h]
-        digits = {}  # digit j of every element of H_{i-1}, decoded on first use
-        reps = []
+    with enumeration_guard(group.order, bound):
+        p, dim = group.p, group.dim
+        cocycle = np.array(group.cocycle.to_lists(), dtype=np.int64)
+        radix = p ** np.arange(dim + 1, dtype=np.int64)
+        visited = np.zeros(group.order, dtype=bool)
+        visited[0] = True
+        cosets = [np.zeros(1, dtype=np.int64)]  # codes of H_i, one array per right coset
+        gens = []
+        for g in elements:
+            if visited[group.pack(g.v, g.t)]:
+                continue
+            gens.append((np.array(g.v, dtype=np.int64) % p, g.t % p))
+            h = np.concatenate(cosets)  # H_{i-1}
+            cosets = [h]
+            digits = {}  # digit j of every element of H_{i-1}, decoded on first use
+            reps = []
 
-        def digit(j):
-            if j not in digits:
-                digits[j] = (h // radix[j]) % p
-            return digits[j]
+            def digit(j):
+                if j not in digits:
+                    digits[j] = (h // radix[j]) % p
+                return digits[j]
 
-        def open_coset(rv, rt):
-            # the right coset H_{i-1} r as codes; only the digits where r or
-            # C r is nonzero change
-            codes = h.copy()
-            for j in np.flatnonzero(rv):
-                d = digit(j)
-                codes += ((d + rv[j]) % p - d) * radix[j]
-            t = digit(dim) + rt
-            u = (cocycle @ rv) % p
-            for j in np.flatnonzero(u):
-                t += digit(j) * u[j]
-            codes += (t % p - digit(dim)) * radix[dim]
-            visited[codes] = True
-            cosets.append(codes)
-            reps.append((rv, rt))
+            def open_coset(rv, rt):
+                # the right coset H_{i-1} r as codes; only the digits where r or
+                # C r is nonzero change
+                codes = h.copy()
+                for j in np.flatnonzero(rv):
+                    d = digit(j)
+                    codes += ((d + rv[j]) % p - d) * radix[j]
+                t = digit(dim) + rt
+                u = (cocycle @ rv) % p
+                for j in np.flatnonzero(u):
+                    t += digit(j) * u[j]
+                codes += (t % p - digit(dim)) * radix[dim]
+                visited[codes] = True
+                cosets.append(codes)
+                reps.append((rv, rt))
 
-        open_coset(*gens[-1])
-        # the representative 1 needs no pass: 1 s lies in H_{i-1} or is g_i
-        i = 0
-        while i < len(reps):
-            rv, rt = reps[i]
-            for sv, st in gens:
-                # the product r s, by the oracle's own law
-                nv, nt = (rv + sv) % p, (rt + st + int((rv @ cocycle) % p @ sv)) % p
-                if not visited[group.pack(nv, nt)]:
-                    open_coset(nv, nt)
-            i += 1
-    return sum(c.size for c in cosets)
+            open_coset(*gens[-1])
+            # the representative 1 needs no pass: 1 s lies in H_{i-1} or is g_i
+            i = 0
+            while i < len(reps):
+                rv, rt = reps[i]
+                for sv, st in gens:
+                    # the product r s, by the oracle's own law
+                    nv, nt = (rv + sv) % p, (rt + st + int((rv @ cocycle) % p @ sv)) % p
+                    if not visited[group.pack(nv, nt)]:
+                        open_coset(nv, nt)
+                i += 1
+        return sum(c.size for c in cosets)
 

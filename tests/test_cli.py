@@ -102,6 +102,43 @@ def test_verify_enumeration_bound_override(capsys):
     assert "bound" in err
 
 
+def test_verify_enumeration_bound_beyond_int64_exits_2(capsys):
+    # order 41^81: numpy used to fail with "Maximum allowed dimension exceeded"
+    code, _, err = run(
+        capsys,
+        "verify", "--family", "degenerate", "--b", "40", "--p", "41",
+        "--bfs-oracle", "--enumeration-bound", str(10**200),
+    )
+    assert code == 2
+    assert "2^62" in err
+
+
+def test_verify_oracle_out_of_memory_exits_2(capsys, monkeypatch):
+    # a failed allocation of the oracle's arrays used to end in a traceback
+    import numpy as np
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "zeros", no_memory)
+    code, _, err = run(capsys, "verify", "--family", "degenerate", "--b", "2", "--p", "3", "--bfs-oracle")
+    assert code == 2
+    assert "memory" in err
+
+
+MERSENNE_61 = 2**61 - 1
+LARGE_P_FAMILY = (
+    "--b", "2", "--p", str(MERSENNE_61),
+    "--lambda", f"3,{MERSENNE_61 - 2}", "--mu", f"5,{MERSENNE_61 - 4}",
+)
+
+
+def test_verify_nondegenerate_beyond_int64(capsys):
+    code, out, _ = run(capsys, "verify", "--family", "nondegenerate", *LARGE_P_FAMILY)
+    assert code == 0
+    assert "relators passed: 42/42" in out
+
+
 def test_verify_inadmissible_prime_exits_2(capsys):
     code, _, err = run(capsys, "verify", "--family", "degenerate", "--b", "2", "--p", "2")
     assert code == 2
@@ -141,6 +178,15 @@ def test_classify_form_matrix_json(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["heisenberg_type"] is True and payload["symplectic"] is False
     assert payload["kernel_dim"] == 4
+
+
+def test_classify_form_beyond_int64(capsys):
+    code, out, _ = run(capsys, "classify-form", *LARGE_P_FAMILY, "--format", "json")
+    assert code == 0
+    record = json.loads(out)
+    # (1 - 3 * 5)^2 (1 - (q - 2)(q - 4))^2 = 14^2 * 7^2 mod q
+    assert record["det"] == 9604
+    assert record["diagonal_multiple"] == 1 and record["heisenberg_type"] is True
 
 
 def test_search_forms_first_hit(capsys):
@@ -282,7 +328,9 @@ def test_classify_form_entry_beyond_int64_exits_2(capsys, tmp_path):
     path = tmp_path / "omega.json"
     path.write_text("[[0, 1], [-1, 1000000000000000000000000000000]]")
     code, _, err = run(capsys, "classify-form", "--p", "3", "--matrix-json", str(path))
-    assert code == 2 and "int64" in err
+    # the entry is reduced exactly (10^30 = 1 mod 3), and the form it gives is
+    # refused for what it is
+    assert code == 2 and "not skew-symmetric" in err
 
 
 def test_classify_form_non_integer_entry_exits_2(capsys, tmp_path):
@@ -409,6 +457,28 @@ def test_malformed_range_exits_2(capsys):
     code, _, err = run(capsys, "census", "--family", "degenerate", "--b", "xx", "--p", "3")
     assert code == 2
     assert "range" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kappa", "--b", "6..2"),
+        ("kappa", "--b", ","),
+        ("census", "--family", "degenerate", "--b", "2..6", "--p", "13..2"),
+    ],
+)
+def test_empty_range_exits_2(capsys, argv):
+    # used to print nothing, or vacuous claims, and exit 0
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "empty" in err
+
+
+def test_census_without_admissible_rows_exits_2(capsys):
+    # p in 2..3 admits no non-degenerate row; every claim used to print [ok]
+    code, out, err = run(capsys, "census", "--family", "nondegenerate", "--b", "2", "--p", "2..3")
+    assert code == 2 and out == ""
+    assert "no admissible" in err
 
 
 def test_no_subcommand_exits_2(capsys):

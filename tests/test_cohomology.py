@@ -136,10 +136,16 @@ def test_bool_index_refused():
         cup_h1_h1(True, 0, 2, 5)
 
 
-def test_entry_beyond_int64_refused():
-    # used to raise OverflowError
-    with pytest.raises(PreconditionError):
-        cup_h1_h1([10**30] + [0] * 7, 0, 2, 5)
+def test_entry_beyond_int64_exact():
+    # used to raise OverflowError, then was refused; now reduced exactly
+    e0 = [1] + [0] * 7
+    huge = [10**30] + [0] * 7
+    assert cup_h1_h1(huge, 0, 2, 5).coeffs == cup_reference(huge, e0, 2, 5)
+    # a nonzero product: (10^30 + 2) e_4 . e_0 = 2 e_4 . e_0 mod 5
+    u = [0] * 4 + [10**30 + 2] + [0] * 3
+    product = cup_h1_h1(u, 0, 2, 5).coeffs
+    assert product == cup_reference(u, e0, 2, 5) == cup_h1_h1([0] * 4 + [2] + [0] * 3, 0, 2, 5).coeffs
+    assert any(product)
 
 
 def test_non_integer_entry_refused():
@@ -173,13 +179,11 @@ def test_cup_exact_at_large_p():
     assert cup_h1_h1(u, v, b, p).coeffs == cup_reference(u, v, b, p)
     assert cup_h1_h1(u, v, b, p).coeffs[cohomology._cup_basis(4, 0, b, p)[0]] == p - 1
     rng = np.random.default_rng(5)
-    for p in (3000017, 3037000493):
+    for p in (3000017, 3037000493, 2**61 - 1):
         for _ in range(20):
             u = [int(x) for x in rng.integers(0, p, size=8)]
             v = [int(x) for x in rng.integers(0, p, size=8)]
             assert cup_h1_h1(u, v, b, p).coeffs == cup_reference(u, v, b, p)
-    with pytest.raises(PreconditionError):
-        cup_h1_h1(u, v, b, 2**61 - 1)
 
 
 # -- diagonal class ----------------------------------------------------------

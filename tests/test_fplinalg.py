@@ -143,13 +143,13 @@ def test_det_exact_up_to_int64_ceiling():
     def m(q):
         return [[q - 1, q - 2, 3], [5, q - 3, 7], [q - 5, 11, q - 7]]
 
-    # the largest prime with (p - 1)^2 < 2^63: elimination updates stay exact
-    p = 3037000493
-    assert FpMatrix(m(p), p).det() == det_oracle(m(p), p) == 176
-    assert FpMatrix(m(p), p).rank() == 3
-    # at 2^61 - 1 the elimination wrapped around (det 49718, exact 176)
-    with pytest.raises(PreconditionError):
-        FpMatrix(m(2**61 - 1), 2**61 - 1)
+    # the largest prime with (p - 1)^2 < 2^63, and 2^61 - 1, where an int64
+    # elimination wrapped around (det 49718, exact 176)
+    for p in (3037000493, 2**61 - 1):
+        assert FpMatrix(m(p), p).det() == det_oracle(m(p), p) == 176
+        assert FpMatrix(m(p), p).rank() == 3
+        reduced, pivots = FpMatrix(m(p), p).rref()
+        assert (reduced.to_lists(), list(pivots)) == rref_oracle(m(p), 3, p)
 
 
 def test_form_value_exact_at_large_p():
@@ -161,8 +161,16 @@ def test_form_value_exact_at_large_p():
     exact = sum(u[i] * omega[i][j] * w[j] for i in range(12) for j in range(12)) % p
     assert form.value(u, w) == exact
     assert form.value(u, u) == 0
-    with pytest.raises(PreconditionError):
-        AlternatingForm.standard_symplectic(2, 3037000493)  # 4 (p - 1)^2 > 2^63
+    # 4 (p - 1)^2 > 2^63 at p = 3037000493, once refused
+    p = 3037000493
+    form = AlternatingForm.standard_symplectic(2, p)
+    u, w = [p - 1, p - 2, p - 3, p - 4], [p - 5, p - 6, p - 7, p - 8]
+    assert form.value(u, w) == (u[0] * w[2] + u[1] * w[3] - u[2] * w[0] - u[3] * w[1]) % p
+    # the family at 2^61 - 1: det = (1 - 3 * 5)^2 (1 - (q - 2)(q - 4))^2 = 9604
+    q = 2**61 - 1
+    form = AlternatingForm.family(2, q, (3, q - 2), (5, q - 4))
+    assert form.det() == det_oracle(form.omega.to_lists(), q) == 9604
+    assert form.is_symplectic() and form.kernel_dim() == 0
 
 
 def test_det_requires_square():
@@ -250,8 +258,9 @@ def test_matmul_and_shape_errors():
         a @ FpMatrix([[1, 0], [0, 1]], 7)
 
 
-def test_matmul_refuses_int64_overflow():
-    """A random 8x8 product at p = 2^31 - 1 used to wrap around in int64."""
+def test_matmul_exact_beyond_int64():
+    """A random 8x8 product at p = 2^31 - 1 wraps around in int64; the
+    Python-int product is exact."""
     p = 2**31 - 1
 
     def exact(a, b):  # Python-integer product, no overflow
@@ -262,11 +271,9 @@ def test_matmul_refuses_int64_overflow():
     b = FpMatrix(rng.integers(0, p, (8, 8)), p)
     dense_a, dense_b = (np.array(m.to_lists(), dtype=np.int64) for m in (a, b))
     assert ((dense_a @ dense_b) % p).tolist() != exact(a.to_lists(), b.to_lists())
-    with pytest.raises(PreconditionError):
-        a @ b
-    with pytest.raises(PreconditionError):
-        a.apply([p - 1] * 8)
-    # with two columns every sum stays below 2^63, so the product is exact
+    assert (a @ b).to_lists() == exact(a.to_lists(), b.to_lists())
+    assert list(a.apply([p - 1] * 8)) == [row[0] for row in exact(a.to_lists(), [[p - 1]] * 8)]
+    # with two columns every sum stays below 2^63 even in int64
     c = FpMatrix(rng.integers(p - 3, p, (2, 2)), p)
     assert (c @ c).to_lists() == exact(c.to_lists(), c.to_lists())
     assert list(c.apply([p - 1, p - 2])) == [row[0] for row in exact(c.to_lists(), [[p - 1], [p - 2]])]
@@ -328,10 +335,13 @@ def test_matrix_owns_its_entries():
     assert from_array.to_lists() == [[1, 2], [3, 4]]
 
 
-def test_entries_beyond_int64_refused():
-    # used to raise OverflowError, which the CLI reported as a crash
-    with pytest.raises(PreconditionError):
-        FpMatrix([[0, 1], [-1, 10**30]], 3)
+def test_entries_beyond_int64_exact():
+    # used to raise OverflowError, then was refused; now reduced exactly
+    rows = [[0, 1], [-1, 10**30]]
+    m = FpMatrix(rows, 3)
+    assert m.to_lists() == [[x % 3 for x in row] for row in rows] == [[0, 1], [2, 1]]
+    assert m.det() == det_oracle(rows, 3) == 1
+    assert list(m.apply([10**30, -(10**40)])) == [-(10**40) % 3, (-(10**30) - 10**70) % 3]
     with pytest.raises(PreconditionError):
         FpMatrix([[0, 1], [1]], 3)
 
@@ -372,8 +382,9 @@ def test_sparse_constructor():
 @st.composite
 def matrices(draw):
     """(rows as dense lists, column count, p): zero-row, wide and tall shapes,
-    mostly sparse entries at the smallest prime and the int64 ceiling."""
-    p = draw(st.sampled_from([2, 3, 3037000493]))
+    mostly sparse entries at the smallest primes, at the largest prime with
+    (p - 1)^2 < 2^63 and beyond it, at 2^61 - 1."""
+    p = draw(st.sampled_from([2, 3, 3037000493, 2**61 - 1]))
     rows = draw(st.integers(min_value=0, max_value=7))
     cols = draw(st.integers(min_value=0, max_value=7))
     entry = st.one_of(st.just(0), st.just(0), st.just(1), st.just(p - 1), st.integers(0, p - 1))

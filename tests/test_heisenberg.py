@@ -16,6 +16,7 @@ from heiskod.heisenberg import (
     HeisGroup,
     MatrixHeisGroup,
     degenerate_quotient,
+    enumeration_guard,
     iso_matrix_to_pair,
     verify_extra_special,
 )
@@ -100,23 +101,24 @@ def test_products_exact_at_large_p():
 
 
 def test_products_exact_up_to_int64_ceiling():
-    # the largest prime with 4 (p - 1)^2 < 2^63; products checked against
-    # Python integers
-    p = 1518500213
-    group = HeisGroup(AlternatingForm.standard_symplectic(2, p))
-    half = pow(2, -1, p)
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        u = [int(a) for a in rng.integers(p - 1000, p, 4)]
-        w = [int(a) for a in rng.integers(0, p, 4)]
-        omega = u[0] * w[2] + u[1] * w[3] - u[2] * w[0] - u[3] * w[1]
-        expected = group.element([a + b for a, b in zip(u, w)], 3 + half * omega)
-        assert group.mul(group.element(u, 1), group.element(w, 2)) == expected
-    # at p = 3037000493 the same products wrapped around; now refused
-    with pytest.raises(PreconditionError):
-        HeisGroup(AlternatingForm.standard_symplectic(2, 3037000493))
-    with pytest.raises(PreconditionError):
-        MatrixHeisGroup(2, 3037000493)
+    # the largest prime with 4 (p - 1)^2 < 2^63, the first at which int64
+    # products wrapped around, and 2^61 - 1; products checked against Python
+    # integers
+    for p in (1518500213, 3037000493, 2**61 - 1):
+        group = HeisGroup(AlternatingForm.standard_symplectic(2, p))
+        matrix = MatrixHeisGroup(2, p)
+        half = pow(2, -1, p)
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            u = [int(a) for a in rng.integers(p - 1000, p, 4)]
+            w = [int(a) for a in rng.integers(0, p, 4)]
+            omega = u[0] * w[2] + u[1] * w[3] - u[2] * w[0] - u[3] * w[1]
+            expected = group.element([a + b for a, b in zip(u, w)], 3 + half * omega)
+            assert group.mul(group.element(u, 1), group.element(w, 2)) == expected
+            # matrix model: the corner of the unitriangular product is z + z' + x . y'
+            xs, ys = [a + b for a, b in zip(u[:2], w[:2])], [a + b for a, b in zip(u[2:], w[2:])]
+            product = matrix.mul(matrix.element(u[:2], u[2:], 1), matrix.element(w[:2], w[2:], 2))
+            assert product == matrix.element(xs, ys, 3 + u[0] * w[2] + u[1] * w[3])
 
 
 # -- matrix model -------------------------------------------------------------
@@ -333,7 +335,7 @@ def test_matrix_model_covers_p2_degenerate_case():
     assert MatrixHeisGroup(3, 2).order == 128
 
 
-def test_packing_roundtrip_and_bounds():
+def test_packing_roundtrip_and_bounds(monkeypatch):
     group = std2(5)
     vs, ts = group.all_elements_raw()
     assert len(vs) == len(ts) == group.order
@@ -344,6 +346,21 @@ def test_packing_roundtrip_and_bounds():
         group.pack([1.5, 2], 0)
     with pytest.raises(EnumerationBoundError):
         HeisGroup(AlternatingForm.family(3, 7, (1, 1, 6), (2, 2, 4))).all_elements_raw(bound=100)
+    # whatever the bound, no int64 enumeration from order 2^62 on
+    with enumeration_guard(2**62 - 1, 10**200):
+        pass
+    with pytest.raises(EnumerationBoundError):
+        with enumeration_guard(2**62, 10**200):
+            pass
+    with pytest.raises(EnumerationBoundError):
+        std2(2**61 - 1).all_elements_raw(bound=10**200)
+    # an allocation that fails is refused, not raised as a crash
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "empty", no_memory)
+    with pytest.raises(EnumerationBoundError, match="memory"):
+        group.all_elements_raw()
 
 
 def test_element_validation():

@@ -401,10 +401,21 @@ def test_bfs_of_identity_is_trivial():
     assert bfs_subgroup_order(group, [group.identity]) == 1
 
 
-def test_bfs_bound_is_enforced():
+def test_bfs_bound_is_enforced(monkeypatch):
     group = HeisGroup(AlternatingForm.standard_symplectic(2, 5))
     with pytest.raises(EnumerationBoundError):
         bfs_subgroup_order(group, [group.central(1)], bound=10)
+    # order p^3 >= 2^62 is refused at any bound, before any int64 array
+    big = HeisGroup(AlternatingForm.standard_symplectic(1, 2**61 - 1))
+    with pytest.raises(EnumerationBoundError, match="2\\^62"):
+        bfs_subgroup_order(big, [big.central(1)], bound=10**200)
+    # an allocation that fails is refused, not raised as a crash
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "zeros", no_memory)
+    with pytest.raises(EnumerationBoundError, match="memory"):
+        bfs_subgroup_order(group, [group.central(1)])
 
 
 # -- the oracle against a set-closure reference ----------------------------------
