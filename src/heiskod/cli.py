@@ -106,9 +106,11 @@ def cmd_verify(args) -> int:
         verify_assignment,
     )
 
-    lam = _parse_residues(getattr(args, "lam", None), "lambda")
+    lam = _parse_residues(args.lam, "lambda")
     mu = _parse_residues(args.mu, "mu")
     if args.family == "degenerate":
+        if lam is not None or mu is not None:
+            raise PreconditionError("the degenerate family takes no --lambda or --mu")
         assignment = standard_assignment_degenerate(args.b, args.p)
     else:
         if lam is None or mu is None:
@@ -160,9 +162,11 @@ def cmd_verify(args) -> int:
 def _form_from_args(args):
     from .fplinalg import AlternatingForm, FpMatrix
 
-    lam = _parse_residues(getattr(args, "lam", None), "lambda")
+    lam = _parse_residues(args.lam, "lambda")
     mu = _parse_residues(args.mu, "mu")
     if args.matrix_json:
+        if args.b is not None or lam is not None or mu is not None:
+            raise PreconditionError("--matrix-json takes no --b, --lambda or --mu; the matrix is the form")
         with open(args.matrix_json) as fh:
             entries = json.load(fh)
         return AlternatingForm(FpMatrix(entries, args.p))

@@ -50,9 +50,11 @@ def enumeration_guard(order: int, bound: int):
 
     Refused beyond ``bound`` and, whatever the bound, from order 2^62 on:
     below it every array value fits int64, since a packed code is below the
-    order, a radix p^j at most order / p, and a central part t + t' + v.C.v'
-    of residues at most 2 (p - 1) + dim (p - 1)^2 < order.  A ``MemoryError``
-    raised inside the block, while the arrays are built, is refused too.
+    order, a radix p^j at most order / p, a code plus a digit step r p^j
+    (before its carry is taken off) below 2 order, and a central part
+    t + t' + v.C.v' of residues at most 2 (p - 1) + dim (p - 1)^2 < order.
+    A ``MemoryError`` raised inside the block, while the arrays are built, is
+    refused too.
     """
     if order > bound:
         raise EnumerationBoundError(f"group order {order} exceeds the enumeration bound {bound}")

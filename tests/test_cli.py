@@ -150,6 +150,14 @@ def test_verify_missing_lambda_exits_2(capsys):
     assert code == 2
 
 
+def test_verify_degenerate_refuses_lambda_mu(capsys):
+    # the degenerate assignment has no parameters, so the flags would go unread
+    code, out, err = run(
+        capsys, "verify", "--family", "degenerate", "--b", "2", "--p", "3", "--lambda", "1,2", "--mu", "3,4"
+    )
+    assert code == 2 and "--lambda" in err and out == ""
+
+
 # -- classify / search -----------------------------------------------------------
 
 
@@ -178,6 +186,20 @@ def test_classify_form_matrix_json(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["heisenberg_type"] is True and payload["symplectic"] is False
     assert payload["kernel_dim"] == 4
+
+
+def test_classify_form_matrix_json_refuses_family_flags(capsys, tmp_path):
+    # the matrix is the whole form: an 8x8 matrix is a b = 2 form, so --b 3,
+    # --lambda and --mu would go unread while the report says b: 2
+    from heiskod.fplinalg import AlternatingForm
+
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps(AlternatingForm.family(2, 5, (3, 3), (3, 3)).omega.to_lists()))
+    argv = ("classify-form", "--p", "5", "--matrix-json", str(path))
+    for extra in (("--b", "3", "--lambda", "1,2", "--mu", "3,4"), ("--b", "2"), ("--lambda", "3,3")):
+        code, out, err = run(capsys, *argv, *extra)
+        assert code == 2 and "--matrix-json" in err and out == ""
+    assert run(capsys, *argv)[0] == 0
 
 
 def test_classify_form_beyond_int64(capsys):

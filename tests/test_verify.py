@@ -9,6 +9,7 @@ pure-Python set closure is the reference for the oracle itself.
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -347,8 +348,46 @@ def test_bfs_matches_fast_index_degenerate_45():
     first, _ = kernel_generator_sets(4)
     els = [assignment.image(g) for g in first]
     assert assignment.target.order == 5**9
+    # the last level translates 390,625 elements of H_{i-1}: more than one
+    # chunk of the coset product, and not a multiple of it
     assert bfs_subgroup_order(assignment.target, els) == 5**9
     assert subgroup_order_fast(assignment.target, els) == 5**9
+
+
+def test_bfs_memory_is_bounded():
+    # no array of coset codes: a visited bitmap of 5^9 bytes, the 5^8 codes of
+    # the last level's H_{i-1}, their one-byte digits and chunk temporaries
+    assignment = standard_assignment_degenerate(4, 5)
+    first, _ = kernel_generator_sets(4)
+    els = [assignment.image(g) for g in first]
+    tracemalloc.start()
+    try:
+        assert bfs_subgroup_order(assignment.target, els) == 5**9
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("p", [131, 257])
+def test_bfs_exact_at_digit_type_edges(p):
+    # p = 131 keeps digits in uint8, where d + r_j reaches 260; p = 257 needs
+    # uint16.  Coordinates near p - 1 make most digit steps carry.
+    group = HeisGroup(AlternatingForm.standard_symplectic(1, p))
+    bound = 2 * 10**7  # 257^3 is above the default bound
+    g = group.element((p - 1, p - 2), p - 1)
+    h = group.element((p - 2, p - 4), 1)  # g^2 times a nonzero central element
+    for els, order in (([g], p), ([g, h], p * p)):
+        assert bfs_subgroup_order(group, els, bound=bound) == order
+        assert subgroup_order_fast(group, els) == order
+        assert closure_order(group, els) == order
+
+
+def test_bfs_whole_group_at_uint8_edge():
+    group = HeisGroup(AlternatingForm.standard_symplectic(1, 131))
+    els = [group.element((130, 129), 128), group.element((127, 130), 130)]
+    assert bfs_subgroup_order(group, els) == 131**3 == 2_248_091
+    assert subgroup_order_fast(group, els) == 131**3
 
 
 def test_fast_order_edge_cases():
@@ -414,6 +453,11 @@ def test_bfs_bound_is_enforced(monkeypatch):
         raise MemoryError
 
     monkeypatch.setattr(np, "zeros", no_memory)
+    with pytest.raises(EnumerationBoundError, match="memory"):
+        bfs_subgroup_order(group, [group.central(1)])
+    monkeypatch.undo()
+    # and so is the snapshot of H_{i-1} that opens a level
+    monkeypatch.setattr(np, "flatnonzero", no_memory)
     with pytest.raises(EnumerationBoundError, match="memory"):
         bfs_subgroup_order(group, [group.central(1)])
 
