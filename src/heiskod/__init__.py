@@ -3,7 +3,7 @@ invariants of the double Kodaira fibrations they produce.
 
 The pipeline, bottom up: exact linear algebra over F_p (:mod:`fplinalg`),
 cup products and the Heisenberg-type classifier on the product of two curves
-(:mod:`cohomology`), finite Heisenberg groups in pair and matrix models
+(:mod:`cohomology`), finite Heisenberg groups of alternating forms
 (:mod:`heisenberg`), the explicit two-string braid presentation
 (:mod:`braid`), relator-by-relator verification of the standard liftings
 (:mod:`verify`), and exact integer/rational fibration invariants with a

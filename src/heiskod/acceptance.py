@@ -2,8 +2,7 @@
 
 Each criterion returns a :class:`CriterionResult`; ``run_all`` executes them
 in order and is what both ``heiskod selftest`` and the pytest acceptance
-module drive.  ``quick=True`` skips the BFS-oracle cross-checks but still
-exercises every formula.
+module drive.
 
 All assertions are exact equalities (integers, tuples, Fractions); the only
 approximate quantity anywhere is the wall-clock budget attached to some
@@ -18,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .braid import build_presentation
+from .braid import build_presentation, kernel_generator_sets
 from .cohomology import (
     classify_form,
     count_heisenberg_candidates,
@@ -29,12 +28,7 @@ from .cohomology import (
     xi_of_form,
 )
 from .fplinalg import AlternatingForm
-from .heisenberg import (
-    HeisGroup,
-    MatrixHeisGroup,
-    iso_matrix_to_pair,
-    verify_extra_special,
-)
+from .heisenberg import HeisGroup, verify_extra_special
 from .invariants import (
     census_degenerate,
     census_nondegenerate,
@@ -99,7 +93,7 @@ def criterion_1() -> CriterionResult:
     return _result(1, "degenerate family passes all relators", problems, t0)
 
 
-def criterion_2(quick: bool = False) -> CriterionResult:
+def criterion_2() -> CriterionResult:
     """Non-degenerate verification at (2, 5), lambda = mu = (3, 3)."""
     problems: list[str] = []
     t0 = time.perf_counter()
@@ -110,13 +104,10 @@ def criterion_2(quick: bool = False) -> CriterionResult:
     _check(report.all_passed, f"{len(report.failures)} relators failed", problems)
     _check(report.a12_order == 5, f"A12 image order {report.a12_order} != 5", problems)
     _check(report.m1 == 625 and report.m2 == 625, f"indices ({report.m1}, {report.m2}) != (625, 625)", problems)
-    if not quick:
-        from .braid import kernel_generator_sets
-
-        first, _ = kernel_generator_sets(2)
-        size = bfs_subgroup_order(assignment.target, [assignment.image(g) for g in first])
-        _check(size == 3125, f"BFS kernel-subgroup order {size} != 3125", problems)
-        _check(assignment.target.order // size == report.m1, "BFS and fast index disagree", problems)
+    first, _ = kernel_generator_sets(2)
+    size = bfs_subgroup_order(assignment.target, [assignment.image(g) for g in first])
+    _check(size == 3125, f"BFS kernel-subgroup order {size} != 3125", problems)
+    _check(assignment.target.order // size == report.m1, "BFS and fast index disagree", problems)
     return _result(2, "non-degenerate (2,5) verification with BFS oracle", problems, t0, budget=5.0)
 
 
@@ -266,21 +257,22 @@ def criterion_10() -> CriterionResult:
         _check(rep.center_order == p, f"p={p}: center order {rep.center_order}", problems)
         _check(rep.commutator_order == p, f"p={p}: commutator subgroup order {rep.commutator_order}", problems)
         _check(rep.is_extra_special, f"p={p}: not extra-special", problems)
-    h3 = MatrixHeisGroup(1, 2)
-    rep = verify_extra_special(h3)
+    rep = verify_extra_special(HeisGroup(AlternatingForm.standard_symplectic(1, 2)))
     _check(rep.order == 8 and rep.exponent == 4, f"H3(F2): order {rep.order}, exponent {rep.exponent}", problems)
     _check(rep.involution_count == 5, f"H3(F2): {rep.involution_count} involutions != 5 (dihedral signature)", problems)
-    m27 = MatrixHeisGroup(1, 3)
-    pair = m27.pair_model()
-    els = [m27.element((x,), (y,), z) for x in range(3) for y in range(3) for z in range(3)]
-    mismatches = sum(
-        iso_matrix_to_pair(m27.mul(g, h), m27)
-        != pair.mul(iso_matrix_to_pair(g, m27), iso_matrix_to_pair(h, m27))
-        for g in els
-        for h in els
-    )
-    _check(mismatches == 0, f"iso fails to be multiplicative on {mismatches} of 729 pairs", problems)
-    _check(len({iso_matrix_to_pair(g, m27) for g in els}) == 27, "iso not injective on 27 elements", problems)
+    # at p = 3 the group law is the product of the unitriangular matrices
+    # [[1, x, z], [0, 1, y], [0, 0, 1]] of the elements ((x, y), z)
+    h27 = HeisGroup(AlternatingForm.standard_symplectic(1, 3))
+    els = [h27.element((x, y), z) for x in range(3) for y in range(3) for z in range(3)]
+
+    def matrix(g):
+        return [[1, g.v[0], g.t], [0, 1, g.v[1]], [0, 0, 1]]
+
+    def matrix_product(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(3)) % 3 for j in range(3)] for i in range(3)]
+
+    mismatches = sum(matrix(h27.mul(g, h)) != matrix_product(matrix(g), matrix(h)) for g in els for h in els)
+    _check(mismatches == 0, f"product differs from the matrix product on {mismatches} of 729 pairs", problems)
     return _result(10, "group structure suite", problems, t0, budget=1.0)
 
 
@@ -304,10 +296,10 @@ def criterion_11() -> CriterionResult:
     return _result(11, "kappa and per-genus signature monotonicity", problems, t0)
 
 
-def run_all(quick: bool = False) -> list[CriterionResult]:
+def run_all() -> list[CriterionResult]:
     return [
         criterion_1(),
-        criterion_2(quick=quick),
+        criterion_2(),
         criterion_3(),
         criterion_4(),
         criterion_5(),

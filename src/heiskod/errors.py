@@ -12,10 +12,6 @@ class PreconditionError(HeiskodError, ValueError):
     """
 
 
-class UnsupportedModelError(PreconditionError):
-    """The pair model was requested where only the matrix model exists (p = 2)."""
-
-
 class InconsistencyError(HeiskodError):
     """An internal cross-check failed (e.g. a closed form disagreed with a
     direct computation, or an invariant came out non-integral).

@@ -158,6 +158,11 @@ class FpMatrix:
             out.append({j: x % p for j, x in acc.items() if x % p})
         return FpMatrix._reduced(out, other.cols, p)
 
+    def strict_upper(self) -> "FpMatrix":
+        """The entries above the diagonal; the others become zero."""
+        upper = [{j: x for j, x in r.items() if j > i} for i, r in enumerate(self._r)]
+        return FpMatrix._reduced(upper, self.cols, self.p)
+
     def apply(self, v: Sequence[int]) -> tuple[int, ...]:
         """Matrix-vector product, returned as a reduced tuple."""
         vec = residues(v, self.p, "vector entries")

@@ -1,35 +1,28 @@
-"""Finite Heisenberg groups in two models, with one element type.
+"""Finite Heisenberg groups Heis(F_p^dim, omega), one model for every prime.
 
 Every element is a :class:`HeisElement` (v, t): a vector v in V = F_p^dim and
-a central part t in F_p, multiplied by the central extension law twisted by a
-bilinear cocycle c(v1, v2) = v1 . C . v2:
+a central part t in F_p.  For an alternating (possibly degenerate) form omega
+on V with matrix Omega, the cocycle C is the strictly upper-triangular part
+of Omega, and
 
     (v1, t1)(v2, t2) = (v1 + v2, t1 + t2 + v1 . C . v2).
 
-Pair model (odd p only): C = (1/2) Omega for an alternating (possibly
-degenerate) form omega on V, so the twist is (1/2) omega(v1, v2).
+Since C - C^T = Omega, the commutator of (v1, t1) and (v2, t2) is the central
+element (0, omega(v1, v2)).  No 1/2 is needed, so p = 2 is not a special
+case.  On the standard symplectic form C = [[0, I], [0, 0]], so the group is
+H_{2n+1}(F_p), the upper unitriangular (n+2) x (n+2) matrices with top row x,
+right column y and corner z, as (x + y, z) bit for bit (the test suite proves
+this against literal matrix multiplication).  For odd p,
+(v, t) -> (v, t + v . C . v / 2) is an isomorphism onto this group from the
+one twisted by omega / 2, and it fixes basis and central elements.
 
-Matrix model (any p, including 2): H_{2n+1}(F_p), the upper unitriangular
-(n+2) x (n+2) matrices with top row x, right column y and corner z.  The
-matrix is the element (x + y, z) (v the concatenation of x and y) and
-C = [[0, I], [0, 0]], so the twist is x1 . y2 and the law is bit-for-bit the
-matrix product (the test suite proves this once against literal matrix
-multiplication).  The (x, y, z) view appears only in the matrix model's
-constructors and in :func:`iso_matrix_to_pair`.
-
-The commutator pairing is C - C^T in either model, which keeps structure
-checks, subgroup-order logic and the exhaustive coset enumeration uniform
-across the two.  C and C - C^T are :class:`FpMatrix` values, and every
+C and the commutator pairing Omega are :class:`FpMatrix` values, and every
 product, inverse and power is computed in Python integers, so group
 arithmetic is exact for any prime.  numpy is imported only inside the
 exhaustive checks (the enumeration branch of :func:`verify_extra_special`,
-:meth:`_CocycleGroup.all_elements_raw` and the coset-enumeration oracle in
+:meth:`HeisGroup.all_elements_raw` and the coset-enumeration oracle in
 :mod:`verify`), which build int64 arrays from ``cocycle.to_lists()``; only
 they depend on the modulus, through :func:`enumeration_guard`.
-
-For p = 2 the pair model would need 1/2 (and the naive substitute law with a
-full omega twist is abelian, hence useless here), so construction is refused
-and callers are pointed at the matrix model.
 """
 
 from __future__ import annotations
@@ -37,10 +30,10 @@ from __future__ import annotations
 import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .errors import EnumerationBoundError, PreconditionError, UnsupportedModelError
-from .fplinalg import AlternatingForm, FpMatrix, residues
+from .errors import EnumerationBoundError, PreconditionError
+from .fplinalg import AlternatingForm, residues
 
 
 @contextmanager
@@ -74,19 +67,23 @@ class HeisElement:
     t: int
 
 
-class _CocycleGroup:
-    """Central extension of F_p^dim by F_p with product twisted by v1.C.v2,
-    for a square cocycle matrix C."""
+class HeisGroup:
+    """The Heisenberg group of an alternating form, any prime p.
 
-    def __init__(self, cocycle: FpMatrix):
-        self.p = p = cocycle.p
-        self.dim = dim = cocycle.cols
-        self.cocycle = cocycle
-        c = cocycle.to_lists()
-        self.comm_form = FpMatrix.sparse(
-            [{j: c[i][j] - c[j][i] for j in range(dim)} for i in range(dim)], dim, p
-        )
-        self.order = p ** (dim + 1)
+    Degenerate forms are allowed: the center is then ker(omega) x F_p rather
+    than the central F_p alone.
+    """
+
+    def __init__(self, form: AlternatingForm):
+        self.form = form
+        self.p = form.p
+        self.dim = form.dim
+        self.cocycle = form.omega.strict_upper()
+        self.comm_form = form.omega
+        self.order = form.p ** (form.dim + 1)
+
+    def __repr__(self):
+        return f"HeisGroup(dim={self.dim}, p={self.p}, order={self.order})"
 
     def _twist(self, v1: Sequence[int], v2: Sequence[int]) -> int:
         """c(v1, v2) = v1 . (C v2)."""
@@ -107,7 +104,7 @@ class _CocycleGroup:
     def basis_element(self, i: int, t: int = 0) -> HeisElement:
         return HeisElement(tuple(int(k == i) for k in range(self.dim)), self._residue(t))
 
-    def _element(self, v: Sequence[int], t: int) -> HeisElement:
+    def element(self, v: Sequence[int], t: int) -> HeisElement:
         vv = tuple(residues(v, self.p, "vector entries"))
         if len(vv) != self.dim:
             raise PreconditionError(f"vector length {len(vv)} does not match dim {self.dim}")
@@ -126,7 +123,7 @@ class _CocycleGroup:
     def power(self, g: HeisElement, k: int) -> HeisElement:
         if k < 0:
             g, k = self.inv(g), -k
-        # g^k = (k v, k t + C(k,2) c(v,v)); c(v,v) = 0 in the pair model
+        # g^k = (k v, k t + C(k,2) c(v,v))
         p = self.p
         t = k * g.t + k * (k - 1) // 2 * self._twist(g.v, g.v)
         return HeisElement(tuple(k * x % p for x in g.v), t % p)
@@ -165,73 +162,6 @@ class _CocycleGroup:
             for i in range(self.dim + 1):
                 codes, digits[:, i] = np.divmod(codes, self.p)
         return digits[:, : self.dim], digits[:, self.dim]
-
-
-class HeisGroup(_CocycleGroup):
-    """Pair-model Heisenberg group of an alternating form (odd p).
-
-    Degenerate forms are allowed: the center is then ker(omega) x F_p rather
-    than the central F_p alone.
-    """
-
-    def __init__(self, form: AlternatingForm):
-        if form.p == 2:
-            raise UnsupportedModelError(
-                "the pair model needs 1/2, which does not exist mod 2; use MatrixHeisGroup"
-            )
-        p, inv2 = form.p, pow(2, -1, form.p)
-        half = [{j: inv2 * x % p for j, x in enumerate(row) if x} for row in form.omega.to_lists()]
-        super().__init__(FpMatrix.sparse(half, form.dim, p))
-        self.form = form
-
-    def __repr__(self):
-        return f"HeisGroup(dim={self.dim}, p={self.p}, order={self.order})"
-
-    def element(self, v: Sequence[int], t: int) -> HeisElement:
-        return self._element(v, t)
-
-
-class MatrixHeisGroup(_CocycleGroup):
-    """The matrix Heisenberg group H_{2n+1}(F_p), any prime p."""
-
-    def __init__(self, n: int, p: int):
-        if n < 1:
-            raise PreconditionError(f"need n >= 1, got {n}")
-        super().__init__(FpMatrix.sparse([{n + i: 1} for i in range(n)] + [{}] * n, 2 * n, p))
-        self.n = n
-
-    def __repr__(self):
-        return f"MatrixHeisGroup(n={self.n}, p={self.p}, order={self.order})"
-
-    def element(self, x: Sequence[int], y: Sequence[int], z: int) -> HeisElement:
-        """The matrix with top row x, right column y and corner z: (x + y, z)."""
-        if len(x) != self.n or len(y) != self.n:
-            raise PreconditionError(f"x and y must have length n = {self.n}")
-        return self._element((*x, *y), z)
-
-    def x_generator(self, j: int) -> HeisElement:
-        """X_j: single 1 in the top row (1-based j)."""
-        return self.basis_element(j - 1)
-
-    def y_generator(self, j: int) -> HeisElement:
-        """Y_j: single 1 in the right column (1-based j)."""
-        return self.basis_element(self.n + j - 1)
-
-    def pair_model(self) -> HeisGroup:
-        """The isomorphic pair-model group on the standard symplectic form."""
-        if self.p == 2:
-            raise UnsupportedModelError("no pair model exists mod 2")
-        return HeisGroup(AlternatingForm.standard_symplectic(self.n, self.p))
-
-
-def iso_matrix_to_pair(m: HeisElement, group: MatrixHeisGroup) -> HeisElement:
-    """The isomorphism H_{2n+1}(F_p) -> Heis(F_p^{2n}, std): (v, t) -> (v, t - x.y/2),
-    where v = x + y."""
-    if group.p == 2:
-        raise UnsupportedModelError("the isomorphism involves 1/2 and fails mod 2")
-    p, n = group.p, group.n
-    dot = sum(a * b for a, b in zip(m.v[:n], m.v[n:])) % p
-    return HeisElement(m.v, (m.t - pow(2, -1, p) * dot) % p)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +203,7 @@ def _exhaustive_orders(p: int, c, vs, ts):
     return orders
 
 
-def verify_extra_special(group: _CocycleGroup, enumeration_bound: int = 2 * 10**5) -> GroupStructureReport:
+def verify_extra_special(group: HeisGroup, enumeration_bound: int = 2 * 10**5) -> GroupStructureReport:
     """Check order, exponent, center and commutator subgroup.
 
     Groups of order up to ``enumeration_bound`` are enumerated outright; the
@@ -284,7 +214,7 @@ def verify_extra_special(group: _CocycleGroup, enumeration_bound: int = 2 * 10**
     the pairing values on basis vectors (commutators are central and bilinear
     in this nilpotency class, so nothing is lost).
 
-    A degenerate pair-model form is legal input; the report then shows the
+    A degenerate form is legal input; the report then shows the
     enlarged center ker(omega) x F_p and ``is_extra_special`` False.
     """
     p = group.p
@@ -297,7 +227,7 @@ def verify_extra_special(group: _CocycleGroup, enumeration_bound: int = 2 * 10**
 
         vs, ts = group.all_elements_raw(bound=enumeration_bound)
         c = np.array(group.cocycle.to_lists(), dtype=np.int64)
-        comm = (c - c.T) % p
+        comm = np.array(group.comm_form.to_lists(), dtype=np.int64)
         orders = _exhaustive_orders(p, c, vs, ts)
         exponent = int(np.lcm.reduce(orders))
         involutions = int((orders == 2).sum())
@@ -321,11 +251,9 @@ def verify_extra_special(group: _CocycleGroup, enumeration_bound: int = 2 * 10**
             exponent = p
         else:
             # order 4 exists iff the square map v -> c(v, v) is not identically
-            # zero mod 2, i.e. some diagonal entry of C or some entry of
-            # C + C^T = C - C^T is odd
-            diagonal = any(row[i] for i, row in enumerate(group.cocycle.to_lists()))
-            squares_nontrivial = diagonal or comm_rank > 0
-            exponent = 4 if squares_nontrivial else 2
+            # zero mod 2; C has a zero diagonal, so c(e_i + e_j, e_i + e_j) =
+            # omega_ij for i < j, and some square is nontrivial iff omega != 0
+            exponent = 4 if comm_rank else 2
         involutions = -1  # not enumerated
         center_order = center_order_structural
         method = "structural"
@@ -344,45 +272,3 @@ def verify_extra_special(group: _CocycleGroup, enumeration_bound: int = 2 * 10**
         is_extra_special=extra_special,
         method=method,
     )
-
-
-# ---------------------------------------------------------------------------
-# degenerate quotient
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuotientData:
-    group: HeisGroup                      # Heis(W, induced form)
-    kernel_dim: int                       # dim of ker(omega) = V_0
-    complement: tuple[int, ...]           # coordinate indices representing W
-    project: Callable[[HeisElement], HeisElement]
-
-
-def degenerate_quotient(group: HeisGroup) -> QuotientData:
-    """Quotient Heis(V, omega) -> Heis(V/V_0, induced omega) for V_0 = ker omega.
-
-    The projection (v, t) -> (v + V_0, t) is a surjective homomorphism with
-    kernel V_0 x {0}; the induced form on the quotient is symplectic.  When
-    omega is already symplectic the quotient is the identity map.
-    """
-    form = group.form
-    kernel_rows = form.omega.kernel_basis()
-    if not kernel_rows:
-        return QuotientData(group, 0, tuple(range(group.dim)), lambda g: g)
-    p = group.p
-    kr, pivots = FpMatrix(kernel_rows, p).rref()
-    reducers = list(zip(pivots, kr.to_lists()))
-    complement = tuple(c for c in range(group.dim) if c not in set(pivots))
-    omega = form.omega.to_lists()
-    omega_w = [[omega[i][j] for j in complement] for i in complement]
-    quotient = HeisGroup(AlternatingForm(FpMatrix(omega_w, p)))
-
-    def project(g: HeisElement) -> HeisElement:
-        v = list(g.v)
-        for c, row in reducers:
-            f = v[c]
-            v = [(a - f * b) % p for a, b in zip(v, row)]
-        return quotient.element([v[c] for c in complement], g.t)
-
-    return QuotientData(quotient, len(kernel_rows), complement, project)

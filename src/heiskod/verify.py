@@ -26,9 +26,9 @@ Two standard assignments are provided.
 
 * Degenerate family (p | b+1):  the rank-2b form identifies the two strands,
   so rho_1j and rho_2j share the image r_j, tau_1j and tau_2j share t_j, and
-  A12 goes to z.  For odd p the target is the pair model on the 2b x 2b form
-  J_b; for p = 2 it is the matrix group H_{2b+1}(F_2) with r_j -> X_j,
-  t_j -> Y_j, z -> Z (the sign in [r_j, t_k] = z^{-d_jk} vanishes mod 2).
+  A12 goes to z.  The target is Heis(F_p^{2b}, J_b) for every p, including
+  p = 2, where it is H_{2b+1}(F_2) with the coordinates interleaved as
+  (r_j, t_j).
 
 Subgroup indices come from a fast structural method cross-validated by an
 exhaustive oracle, Dimino's coset enumeration over packed elements; the two
@@ -55,7 +55,7 @@ from .braid import (
 )
 from .errors import PreconditionError
 from .fplinalg import AlternatingForm, FpMatrix, residues
-from .heisenberg import HeisElement, HeisGroup, MatrixHeisGroup, _CocycleGroup, enumeration_guard
+from .heisenberg import HeisElement, HeisGroup, enumeration_guard
 from .invariants import is_prime
 
 
@@ -66,7 +66,7 @@ class GeneratorAssignment:
     b: int
     p: int
     family: str
-    target: _CocycleGroup
+    target: HeisGroup
     images: dict
 
     def image(self, gen: BraidGenerator, exp: int = 1):
@@ -270,15 +270,6 @@ def standard_assignment_degenerate(b: int, p: int) -> GeneratorAssignment:
     if (b + 1) % p != 0:
         raise PreconditionError(f"the degenerate family needs p | b+1; {p} does not divide {b + 1}")
     images = {}
-    if p == 2:
-        mgroup = MatrixHeisGroup(b, 2)
-        for j in range(1, b + 1):
-            images[BraidGenerator(RHO, 1, j)] = mgroup.x_generator(j)
-            images[BraidGenerator(RHO, 2, j)] = mgroup.x_generator(j)
-            images[BraidGenerator(TAU, 1, j)] = mgroup.y_generator(j)
-            images[BraidGenerator(TAU, 2, j)] = mgroup.y_generator(j)
-        images[A12] = mgroup.central(1)
-        return GeneratorAssignment(b, p, "degenerate", mgroup, images)
     group = HeisGroup(AlternatingForm.j_form(b, p))
     for j in range(1, b + 1):
         images[BraidGenerator(RHO, 1, j)] = group.basis_element(2 * (j - 1))
@@ -311,7 +302,7 @@ def precompose_involution(assignment: GeneratorAssignment) -> GeneratorAssignmen
 # ---------------------------------------------------------------------------
 
 
-def subgroup_order_fast(group: _CocycleGroup, elements: Sequence) -> int:
+def subgroup_order_fast(group: HeisGroup, elements: Sequence) -> int:
     """Order of the subgroup generated by ``elements``, without enumeration.
 
     Write each generator as (u_i, s_i).  The projection to the vector part is
@@ -374,7 +365,7 @@ def image_index(assignment: GeneratorAssignment, generators: Sequence[BraidGener
 _CHUNK = 1 << 16
 
 
-def bfs_subgroup_order(group: _CocycleGroup, elements: Sequence, bound: int = 10**7) -> int:
+def bfs_subgroup_order(group: HeisGroup, elements: Sequence, bound: int = 10**7) -> int:
     """Exhaustive oracle: Dimino's coset enumeration of the generated subgroup.
 
     Independent of ``subgroup_order_fast`` by construction (group products

@@ -102,6 +102,16 @@ def test_verify_enumeration_bound_override(capsys):
     assert "bound" in err
 
 
+def test_verify_enumeration_bound_without_oracle_exits_2(capsys):
+    # only the oracle reads the bound, so it is refused without it
+    code, out, err = run(
+        capsys, "verify", "--family", "degenerate", "--b", "2", "--p", "3", "--enumeration-bound", "5"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--bfs-oracle" in err
+
+
 def test_verify_enumeration_bound_beyond_int64_exits_2(capsys):
     # order 41^81: numpy used to fail with "Maximum allowed dimension exceeded"
     code, _, err = run(
@@ -464,11 +474,12 @@ def test_kappa_json(capsys):
 # -- selftest and usage ------------------------------------------------------------
 
 
-def test_selftest_quick(capsys):
-    code, out, _ = run(capsys, "selftest", "--quick")
+def test_selftest(capsys):
+    code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert out.count("[PASS]") == 11
     assert "11/11 criteria passed" in out
+    assert run(capsys, "selftest", "--quick")[0] == 2  # no such option
 
 
 def test_unknown_subcommand_exits_2(capsys):

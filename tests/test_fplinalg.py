@@ -258,6 +258,14 @@ def test_matmul_and_shape_errors():
         a @ FpMatrix([[1, 0], [0, 1]], 7)
 
 
+def test_strict_upper():
+    m = FpMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 7)
+    assert m.strict_upper().to_lists() == [[0, 2, 3], [0, 0, 6], [0, 0, 0]]
+    assert m.to_lists()[0] == [1, 2, 3]  # the source is unchanged
+    wide = FpMatrix([[1, 2, 3]], 5).strict_upper()
+    assert (wide.rows, wide.cols, wide.to_lists()) == (1, 3, [[0, 2, 3]])
+
+
 def test_matmul_exact_beyond_int64():
     """A random 8x8 product at p = 2^31 - 1 wraps around in int64; the
     Python-int product is exact."""

@@ -1,25 +1,18 @@
-"""Tests for both Heisenberg models.
+"""Tests for the Heisenberg groups of alternating forms.
 
-The matrix model's closed product law is proved against literal
+On the standard symplectic form the product law is proved against literal
 (n+2) x (n+2) unitriangular matrix multiplication, exhaustively for
 H_3(F_2) and on random pairs for larger parameters; after that the closed
-form is trusted everywhere else.
+form is trusted everywhere else.  For odd p, the law twisted by omega / 2 is
+the reference for the isomorphism (v, t) -> (v, t + v . C . v / 2) onto it.
 """
 
 import numpy as np
 import pytest
 
-from heiskod.errors import EnumerationBoundError, PreconditionError, UnsupportedModelError
+from heiskod.errors import EnumerationBoundError, PreconditionError
 from heiskod.fplinalg import AlternatingForm, FpMatrix
-from heiskod.heisenberg import (
-    HeisElement,
-    HeisGroup,
-    MatrixHeisGroup,
-    degenerate_quotient,
-    enumeration_guard,
-    iso_matrix_to_pair,
-    verify_extra_special,
-)
+from heiskod.heisenberg import HeisElement, HeisGroup, enumeration_guard, verify_extra_special
 
 
 def literal_matrix(g: HeisElement, n: int, p: int) -> np.ndarray:
@@ -31,26 +24,45 @@ def literal_matrix(g: HeisElement, n: int, p: int) -> np.ndarray:
     return m % p
 
 
-def std2(p) -> HeisGroup:
-    return HeisGroup(AlternatingForm.standard_symplectic(1, p))
+def std(n, p) -> HeisGroup:
+    """H_{2n+1}(F_p): the group of the standard symplectic form on F_p^{2n}."""
+    return HeisGroup(AlternatingForm.standard_symplectic(n, p))
 
 
-# -- pair model ---------------------------------------------------------------
+def upper_twist(form: AlternatingForm, u, w) -> int:
+    """sum over i < j of omega_ij u_i w_j, in Python integers."""
+    omega = form.omega.to_lists()
+    return sum(omega[i][j] * u[i] * w[j] for i in range(form.dim) for j in range(i + 1, form.dim))
+
+
+# -- group law ------------------------------------------------------------------
 
 
 def test_pair_identity_and_example():
-    g5 = std2(5)
+    g5 = std(1, 5)
     e1 = g5.element((1, 0), 0)
     e2 = g5.element((0, 1), 0)
     assert g5.mul(g5.identity, e1) == e1
-    # half of omega(e1, e2) = 1 is 3 mod 5
-    assert g5.mul(e1, e2) == g5.element((1, 1), 3)
+    # the cocycle is the upper triangle of omega: c(e1, e2) = 1, c(e2, e1) = 0
+    assert g5.mul(e1, e2) == g5.element((1, 1), 1)
+    assert g5.mul(e2, e1) == g5.element((1, 1), 0)
     assert g5.commutator(e1, e2) == g5.element((0, 0), 1)
 
 
-def test_pair_model_rejects_p2():
-    with pytest.raises(UnsupportedModelError):
-        HeisGroup(AlternatingForm.standard_symplectic(1, 2))
+def test_cocycle_is_upper_triangle_of_omega():
+    for form in (
+        AlternatingForm.standard_symplectic(2, 2),
+        AlternatingForm.family(2, 2, (1, 0), (0, 1)),
+        AlternatingForm.degenerate_family(2, 3),
+        AlternatingForm.family(2, 7, (1, 2), (3, 4)),
+    ):
+        group = HeisGroup(form)
+        c = np.array(group.cocycle.to_lists())
+        assert not np.tril(c).any()
+        assert ((c - c.T - np.array(form.omega.to_lists())) % form.p == 0).all()
+        assert group.comm_form is form.omega
+    # standard symplectic form: C = [[0, I], [0, 0]]
+    assert std(2, 5).cocycle.to_lists() == [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]]
 
 
 def test_pair_group_axioms_random():
@@ -70,12 +82,12 @@ def test_pair_group_axioms_random():
 def test_pair_exponent_p():
     rng = np.random.default_rng(8)
     for p in (3, 5, 7):
-        group = std2(p)
+        group = std(1, p)
         for _ in range(50):
             g = group.element(rng.integers(0, p, size=2), int(rng.integers(0, p)))
             assert group.power(g, p) == group.identity
             assert group.order_of(g) == (1 if g == group.identity else p)
-    assert std2(5).order_of(std2(5).identity) == 1
+    assert std(1, 5).order_of(std(1, 5).identity) == 1
 
 
 def test_orders_at_large_p():
@@ -84,19 +96,22 @@ def test_orders_at_large_p():
     assert group.order_of(group.central(1)) == p
     assert group.order_of(group.basis_element(0)) == p
     assert group.order_of(group.identity) == 1
-    h = MatrixHeisGroup(1, p)
-    assert h.order_of(h.x_generator(1)) == p
+    h = std(1, p)
+    assert h.order_of(h.basis_element(0)) == p
     assert h.order_of(h.central(1)) == p
 
 
 def test_products_exact_at_large_p():
     # b = 6 at p = 1000003: v.C.v summed 24 terms near p^2 and wrapped int64
     p = 1000003
-    group = HeisGroup(AlternatingForm.family(6, p, range(1, 7), range(7, 13)))
-    g = group.element([p - 1] * 24, 0)
-    assert group.mul(g, g) == group.element([p - 2] * 24, 0)  # c(v, v) = 0
-    assert group.inv(g) == group.element([1] * 24, 0)
-    assert group.power(g, 3) == group.element([p - 3] * 24, 0)
+    form = AlternatingForm.family(6, p, range(1, 7), range(7, 13))
+    group = HeisGroup(form)
+    v = [p - 1] * 24
+    square = upper_twist(form, v, v)  # c(v, v)
+    g = group.element(v, 0)
+    assert group.mul(g, g) == group.element([p - 2] * 24, square)
+    assert group.inv(g) == group.element([1] * 24, square)
+    assert group.power(g, 3) == group.element([p - 3] * 24, 3 * square)
     assert group.power(g, 2**40 * p + 1) == g  # k v stays in int64 for any k
 
 
@@ -105,50 +120,47 @@ def test_products_exact_up_to_int64_ceiling():
     # products wrapped around, and 2^61 - 1; products checked against Python
     # integers
     for p in (1518500213, 3037000493, 2**61 - 1):
-        group = HeisGroup(AlternatingForm.standard_symplectic(2, p))
-        matrix = MatrixHeisGroup(2, p)
-        half = pow(2, -1, p)
+        form = AlternatingForm.standard_symplectic(2, p)
+        group = HeisGroup(form)
         rng = np.random.default_rng(3)
         for _ in range(200):
             u = [int(a) for a in rng.integers(p - 1000, p, 4)]
             w = [int(a) for a in rng.integers(0, p, 4)]
-            omega = u[0] * w[2] + u[1] * w[3] - u[2] * w[0] - u[3] * w[1]
-            expected = group.element([a + b for a, b in zip(u, w)], 3 + half * omega)
-            assert group.mul(group.element(u, 1), group.element(w, 2)) == expected
-            # matrix model: the corner of the unitriangular product is z + z' + x . y'
-            xs, ys = [a + b for a, b in zip(u[:2], w[:2])], [a + b for a, b in zip(u[2:], w[2:])]
-            product = matrix.mul(matrix.element(u[:2], u[2:], 1), matrix.element(w[:2], w[2:], 2))
-            assert product == matrix.element(xs, ys, 3 + u[0] * w[2] + u[1] * w[3])
+            product = group.mul(group.element(u, 1), group.element(w, 2))
+            uw = [a + b for a, b in zip(u, w)]
+            assert product == group.element(uw, 3 + upper_twist(form, u, w))
+            # the corner of the unitriangular product is z + z' + x . y'
+            assert product == group.element(uw, 3 + u[0] * w[2] + u[1] * w[3])
 
 
-# -- matrix model -------------------------------------------------------------
+# -- the standard symplectic form gives the matrix group ------------------------
 
 
 def test_matrix_model_example_and_noncommutativity():
     # frozen from the literal-matrix oracle below: the top-row generator X and
     # right-column generator Y satisfy XY = (1,1,1), YX = (1,1,0)
-    h3 = MatrixHeisGroup(1, 2)
-    a = h3.element((1,), (0,), 0)
-    b = h3.element((0,), (1,), 0)
+    h3 = std(1, 2)
+    a = h3.element((1, 0), 0)
+    b = h3.element((0, 1), 0)
     ab = literal_matrix(a, 1, 2) @ literal_matrix(b, 1, 2) % 2
-    assert np.array_equal(ab, literal_matrix(h3.element((1,), (1,), 1), 1, 2))
-    assert h3.mul(a, b) == h3.element((1,), (1,), 1)
-    assert h3.mul(b, a) == h3.element((1,), (1,), 0)
+    assert np.array_equal(ab, literal_matrix(h3.element((1, 1), 1), 1, 2))
+    assert h3.mul(a, b) == h3.element((1, 1), 1)
+    assert h3.mul(b, a) == h3.element((1, 1), 0)
     assert h3.mul(h3.identity, a) == a
 
 
 def test_matrix_model_matches_literal_matrices():
-    h3 = MatrixHeisGroup(1, 2)
-    els = [h3.element((x,), (y,), z) for x in range(2) for y in range(2) for z in range(2)]
+    h3 = std(1, 2)
+    els = [h3.element((x, y), z) for x in range(2) for y in range(2) for z in range(2)]
     for g in els:
         for h in els:
             prod = literal_matrix(g, 1, 2) @ literal_matrix(h, 1, 2) % 2
             assert np.array_equal(literal_matrix(h3.mul(g, h), 1, 2), prod)
     rng = np.random.default_rng(21)
-    h52 = MatrixHeisGroup(2, 5)
+    h52 = std(2, 5)
     for _ in range(100):
-        g = h52.element(rng.integers(0, 5, 2), rng.integers(0, 5, 2), int(rng.integers(0, 5)))
-        h = h52.element(rng.integers(0, 5, 2), rng.integers(0, 5, 2), int(rng.integers(0, 5)))
+        g = h52.element(rng.integers(0, 5, 4), int(rng.integers(0, 5)))
+        h = h52.element(rng.integers(0, 5, 4), int(rng.integers(0, 5)))
         prod = literal_matrix(g, 2, 5) @ literal_matrix(h, 2, 5) % 5
         assert np.array_equal(literal_matrix(h52.mul(g, h), 2, 5), prod)
         assert np.array_equal(
@@ -158,11 +170,8 @@ def test_matrix_model_matches_literal_matrices():
 
 def test_matrix_group_axioms_random():
     rng = np.random.default_rng(6)
-    group = MatrixHeisGroup(3, 3)
-    els = [
-        group.element(rng.integers(0, 3, 3), rng.integers(0, 3, 3), int(rng.integers(0, 3)))
-        for _ in range(30)
-    ]
+    group = std(3, 3)
+    els = [group.element(rng.integers(0, 3, 6), int(rng.integers(0, 3))) for _ in range(30)]
     for _ in range(1000):
         g, h, k = (els[int(i)] for i in rng.integers(0, len(els), size=3))
         assert group.mul(group.mul(g, h), k) == group.mul(g, group.mul(h, k))
@@ -172,68 +181,95 @@ def test_matrix_group_axioms_random():
 
 def test_matrix_commutator_rule():
     rng = np.random.default_rng(31)
-    h = MatrixHeisGroup(3, 5)
+    h = std(3, 5)
     for _ in range(50):
         x = rng.integers(0, 5, 3)
         y = rng.integers(0, 5, 3)
-        g = h.element(x, (0, 0, 0), 0)
-        k = h.element((0, 0, 0), y, 0)
-        assert h.commutator(g, k) == h.element((0, 0, 0), (0, 0, 0), int(x @ y) % 5)
+        g = h.element((*x, 0, 0, 0), 0)
+        k = h.element((0, 0, 0, *y), 0)
+        assert h.commutator(g, k) == h.central(int(x @ y))
 
 
 def test_matrix_elements_are_pairs():
-    h = MatrixHeisGroup(2, 5)
-    assert h.element((1, 2), (3, 4), 7) == HeisElement((1, 2, 3, 4), 2)
-    assert h.x_generator(2) == HeisElement((0, 1, 0, 0), 0)
-    assert h.y_generator(1) == HeisElement((0, 0, 1, 0), 0)
-    assert h.central(6) == h.element((0, 0), (0, 0), 1)
-    assert repr(h.x_generator(1)) == "HeisElement(v=(1, 0, 0, 0), t=0)"
+    # the matrix with top row x, right column y and corner z is (x + y, z)
+    h = std(2, 5)
+    g = h.element((1, 2, 3, 4), 7)
+    assert g == HeisElement((1, 2, 3, 4), 2)
+    assert literal_matrix(g, 2, 5).tolist() == [[1, 1, 2, 2], [0, 1, 0, 3], [0, 0, 1, 4], [0, 0, 0, 1]]
+    assert h.basis_element(1) == HeisElement((0, 1, 0, 0), 0)  # X_2
+    assert h.basis_element(2) == HeisElement((0, 0, 1, 0), 0)  # Y_1
+    assert h.central(6) == h.element((0, 0, 0, 0), 1)
+    assert repr(h.basis_element(0)) == "HeisElement(v=(1, 0, 0, 0), t=0)"
 
 
 def test_matrix_orders():
-    h3 = MatrixHeisGroup(1, 2)
-    g = h3.element((1,), (1,), 0)
-    assert h3.power(g, 2) == h3.element((0,), (0,), 1)
+    h3 = std(1, 2)
+    g = h3.element((1, 1), 0)
+    assert h3.power(g, 2) == h3.central(1)
     assert h3.order_of(g) == 4
     assert h3.order_of(h3.identity) == 1
-    assert h3.order_of(h3.element((1,), (0,), 0)) == 2
+    assert h3.order_of(h3.element((1, 0), 0)) == 2
 
 
-# -- isomorphism --------------------------------------------------------------
+# -- isomorphism from the law twisted by omega / 2 (odd p) ----------------------
+
+
+def half_law(form: AlternatingForm, g: HeisElement, h: HeisElement) -> HeisElement:
+    """(v, t)(w, s) = (v + w, t + s + omega(v, w) / 2), the reference law."""
+    p = form.p
+    v = tuple((a + b) % p for a, b in zip(g.v, h.v))
+    return HeisElement(v, (g.t + h.t + form.value(g.v, h.v) * pow(2, -1, p)) % p)
+
+
+def phi(group: HeisGroup, g: HeisElement) -> HeisElement:
+    """(v, t) -> (v, t + v . C . v / 2)."""
+    p = group.p
+    return HeisElement(g.v, (g.t + upper_twist(group.form, g.v, g.v) * pow(2, -1, p)) % p)
+
+
+def assert_phi_fixes_basis_and_center(group: HeisGroup):
+    for i in range(group.dim):
+        assert phi(group, group.basis_element(i)) == group.basis_element(i)
+    for t in range(group.p):
+        assert phi(group, group.central(t)) == group.central(t)
 
 
 def test_iso_examples():
-    h = MatrixHeisGroup(1, 5)
-    assert iso_matrix_to_pair(h.identity, h) == HeisElement((0, 0), 0)
-    assert iso_matrix_to_pair(h.element((1,), (1,), 0), h) == HeisElement((1, 1), 2)
-    with pytest.raises(UnsupportedModelError):
-        iso_matrix_to_pair(MatrixHeisGroup(1, 2).identity, MatrixHeisGroup(1, 2))
+    h = std(1, 5)
+    assert phi(h, h.identity) == h.identity
+    assert_phi_fixes_basis_and_center(h)
+    # c(v, v) = 1 for v = (1, 1), and 1 / 2 = 3 mod 5
+    assert phi(h, h.element((1, 1), 0)) == h.element((1, 1), 3)
+    e1, e2 = h.basis_element(0), h.basis_element(1)
+    assert half_law(h.form, e1, e2) == h.element((1, 1), 3)
+    assert phi(h, half_law(h.form, e1, e2)) == h.mul(e1, e2) == h.element((1, 1), 1)
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_iso_exhaustive_bijective_multiplicative(p):
-    h = MatrixHeisGroup(1, p)
-    pair = h.pair_model()
-    els = [h.element((x,), (y,), z) for x in range(p) for y in range(p) for z in range(p)]
-    images = {iso_matrix_to_pair(g, h) for g in els}
-    assert len(images) == p**3
+    h = std(1, p)
+    els = [h.element((x, y), z) for x in range(p) for y in range(p) for z in range(p)]
+    assert len({phi(h, g) for g in els}) == p**3
     for g in els:
         for k in els:
-            assert iso_matrix_to_pair(h.mul(g, k), h) == pair.mul(
-                iso_matrix_to_pair(g, h), iso_matrix_to_pair(k, h)
-            )
+            assert phi(h, half_law(h.form, g, k)) == h.mul(phi(h, g), phi(h, k))
+    assert_phi_fixes_basis_and_center(h)
 
 
 def test_iso_random_multiplicative_larger():
     rng = np.random.default_rng(77)
-    h = MatrixHeisGroup(2, 7)
-    pair = h.pair_model()
-    for _ in range(100):
-        g = h.element(rng.integers(0, 7, 2), rng.integers(0, 7, 2), int(rng.integers(0, 7)))
-        k = h.element(rng.integers(0, 7, 2), rng.integers(0, 7, 2), int(rng.integers(0, 7)))
-        assert iso_matrix_to_pair(h.mul(g, k), h) == pair.mul(
-            iso_matrix_to_pair(g, h), iso_matrix_to_pair(k, h)
-        )
+    for form in (
+        AlternatingForm.family(2, 7, (1, 2), (3, 4)),
+        AlternatingForm.degenerate_family(3, 5),
+        AlternatingForm.j_form(4, 11),
+    ):
+        h = HeisGroup(form)
+        p = h.p
+        for _ in range(100):
+            g = h.element(rng.integers(0, p, h.dim), int(rng.integers(0, p)))
+            k = h.element(rng.integers(0, p, h.dim), int(rng.integers(0, p)))
+            assert phi(h, half_law(form, g, k)) == h.mul(phi(h, g), phi(h, k))
+        assert_phi_fixes_basis_and_center(h)
 
 
 # -- structure reports ---------------------------------------------------------
@@ -241,7 +277,7 @@ def test_iso_random_multiplicative_larger():
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_extra_special_pair_groups(p):
-    rep = verify_extra_special(std2(p))
+    rep = verify_extra_special(std(1, p))
     assert rep.method == "enumeration"
     assert rep.order == p**3
     assert rep.exponent == p
@@ -251,7 +287,7 @@ def test_extra_special_pair_groups(p):
 
 
 def test_h3_f2_is_dihedral_not_quaternion():
-    rep = verify_extra_special(MatrixHeisGroup(1, 2))
+    rep = verify_extra_special(std(1, 2))
     assert rep.order == 8
     assert rep.exponent == 4
     assert rep.involution_count == 5  # D8 has five, Q8 has one
@@ -267,76 +303,55 @@ def test_degenerate_center():
 
 
 def test_structural_exponent_p2():
-    from heiskod.heisenberg import _CocycleGroup
-
     # too large to enumerate: H_{2n+1}(F_2) at n = 12 has order 2^25
-    rep = verify_extra_special(MatrixHeisGroup(12, 2))
+    rep = verify_extra_special(std(12, 2))
     assert rep.method == "structural" and rep.exponent == 4
-    # symmetric cocycle with zero diagonal: abelian, every square trivial
-    flat = _CocycleGroup(FpMatrix.sparse([{}] * 25, 25, 2))
+    # the zero form: abelian, every square trivial
+    flat = HeisGroup(AlternatingForm(FpMatrix.sparse([{}] * 25, 25, 2)))
     rep = verify_extra_special(flat)
     assert rep.method == "structural" and rep.exponent == 2
     assert not rep.is_extra_special
 
 
 def test_structural_path_matches_enumeration():
-    group = HeisGroup(AlternatingForm.family(2, 3, (1, 1), (2, 2)))
-    by_enum = verify_extra_special(group, enumeration_bound=3**9)
-    structural = verify_extra_special(group, enumeration_bound=10)
-    assert structural.method == "structural"
-    assert (by_enum.order, by_enum.exponent, by_enum.center_order, by_enum.commutator_order) == (
-        structural.order,
-        structural.exponent,
-        structural.center_order,
-        structural.commutator_order,
-    )
-
-
-# -- degenerate quotient --------------------------------------------------------
-
-
-def test_quotient_of_all_j_form():
-    group = HeisGroup(AlternatingForm.degenerate_family(2, 3))
-    q = degenerate_quotient(group)
-    assert q.group.order == 3**5 == 243
-    assert q.kernel_dim == 4
-    assert q.group.form.omega == AlternatingForm.j_form(2, 3).omega
-    # projection is a homomorphism
-    rng = np.random.default_rng(13)
-    for _ in range(200):
-        g = group.element(rng.integers(0, 3, 8), int(rng.integers(0, 3)))
-        h = group.element(rng.integers(0, 3, 8), int(rng.integers(0, 3)))
-        assert q.project(group.mul(g, h)) == q.group.mul(q.project(g), q.project(h))
-    # kernel has exactly p^{dim V_0} elements
-    vs, ts = group.all_elements_raw()
-    kernel = sum(
-        1
-        for i in range(group.order)
-        if q.project(group.element(vs[i], int(ts[i]))) == q.group.identity
-    )
-    assert kernel == 3**4
-    # surjectivity: image count equals quotient order
-    images = {
-        q.project(group.element(vs[i], int(ts[i]))) for i in range(group.order)
-    }
-    assert len(images) == 243
-
-
-def test_quotient_of_symplectic_form_is_identity():
-    group = HeisGroup(AlternatingForm.family(2, 5, (3, 3), (3, 3)))
-    q = degenerate_quotient(group)
-    assert q.group is group
-    g = group.element((1, 2, 3, 4, 0, 1, 2, 3), 4)
-    assert q.project(g) == g
+    # every form builds a group at p = 2, degenerate or not
+    p2_family = HeisGroup(AlternatingForm.family(2, 2, (1, 0), (0, 1)))
+    for group in (
+        HeisGroup(AlternatingForm.family(2, 3, (1, 1), (2, 2))),
+        HeisGroup(AlternatingForm.degenerate_family(2, 2)),  # order 512
+        p2_family,
+    ):
+        by_enum = verify_extra_special(group, enumeration_bound=group.order)
+        structural = verify_extra_special(group, enumeration_bound=10)
+        assert by_enum.method == "enumeration" and structural.method == "structural"
+        assert (by_enum.order, by_enum.exponent, by_enum.center_order, by_enum.commutator_order) == (
+            structural.order,
+            structural.exponent,
+            structural.center_order,
+            structural.commutator_order,
+        )
+    rep = verify_extra_special(HeisGroup(AlternatingForm.degenerate_family(2, 2)))
+    assert (rep.order, rep.exponent, rep.center_order, rep.commutator_order) == (512, 4, 32, 2)
 
 
 def test_matrix_model_covers_p2_degenerate_case():
-    # b = 3, p = 2: order 2^(2b+1) = 128
-    assert MatrixHeisGroup(3, 2).order == 128
+    # b = 3, p = 2: Heis(F_2^6, J_3) is H_7(F_2) with the coordinates
+    # (x_1, y_1, x_2, y_2, x_3, y_3) interleaved
+    group, matrix = HeisGroup(AlternatingForm.j_form(3, 2)), std(3, 2)
+    assert group.order == matrix.order == 128
+
+    def reorder(g):
+        return HeisElement(g.v[0::2] + g.v[1::2], g.t)
+
+    vs, ts = group.all_elements_raw()
+    els = [group.element(v, t) for v, t in zip(vs.tolist(), ts.tolist())]
+    for g in els:
+        for h in els:
+            assert reorder(group.mul(g, h)) == matrix.mul(reorder(g), reorder(h))
 
 
 def test_packing_roundtrip_and_bounds(monkeypatch):
-    group = std2(5)
+    group = std(1, 5)
     vs, ts = group.all_elements_raw()
     assert len(vs) == len(ts) == group.order
     for code, (v, t) in enumerate(zip(vs.tolist(), ts.tolist())):
@@ -353,7 +368,7 @@ def test_packing_roundtrip_and_bounds(monkeypatch):
         with enumeration_guard(2**62, 10**200):
             pass
     with pytest.raises(EnumerationBoundError):
-        std2(2**61 - 1).all_elements_raw(bound=10**200)
+        std(1, 2**61 - 1).all_elements_raw(bound=10**200)
     # an allocation that fails is refused, not raised as a crash
     def no_memory(*args, **kwargs):
         raise MemoryError
@@ -364,11 +379,11 @@ def test_packing_roundtrip_and_bounds(monkeypatch):
 
 
 def test_element_validation():
-    group = std2(5)
+    group = std(1, 5)
     with pytest.raises(PreconditionError):
         group.element((1, 2, 3), 0)
     with pytest.raises(PreconditionError):
-        MatrixHeisGroup(0, 5)
+        group.element((1,), 0)
 
 
 # -- non-integer coordinates are refused, not truncated ---------------------------
@@ -377,24 +392,24 @@ def test_element_validation():
 def test_pair_element_refuses_floats():
     # used to return HeisElement(v=(1, 2), t=3)
     with pytest.raises(PreconditionError):
-        std2(5).element([1.7, 2.2], 3.9)
+        std(1, 5).element([1.7, 2.2], 3.9)
     with pytest.raises(PreconditionError):
-        std2(5).element([1, 2], 3.9)
+        std(1, 5).element([1, 2], 3.9)
 
 
 def test_matrix_element_refuses_floats():
     # used to return HeisElement(v=(1, 2), t=0)
     with pytest.raises(PreconditionError):
-        MatrixHeisGroup(1, 5).element([1.5], [2.5], 0.5)
+        std(1, 5).element([1.5, 2.5], 0.5)
     with pytest.raises(PreconditionError):
-        MatrixHeisGroup(1, 5).element([1], [2], 0.5)
+        std(1, 5).element([1, 2], 0.5)
 
 
 def test_central_and_basis_element_refuse_floats():
     # used to return the unreduced t=1.5 and t=2.5
     with pytest.raises(PreconditionError):
-        std2(5).central(1.5)
+        std(1, 5).central(1.5)
     with pytest.raises(PreconditionError):
-        MatrixHeisGroup(1, 5).basis_element(0, 2.5)
+        std(1, 5).basis_element(0, 2.5)
     # integers of any size are still reduced mod p
-    assert std2(5).central(5 * 2**70 + 2) == std2(5).element((0, 0), 2)
+    assert std(1, 5).central(5 * 2**70 + 2) == std(1, 5).element((0, 0), 2)

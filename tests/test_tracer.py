@@ -14,7 +14,7 @@ from pathlib import Path
 import heiskod.cli
 import heiskod.verify
 from heiskod.fplinalg import AlternatingForm, FpMatrix
-from heiskod.heisenberg import HeisGroup, MatrixHeisGroup
+from heiskod.heisenberg import HeisGroup
 
 TRACER = Path(__file__).resolve().parents[1] / "proofbench" / "tracer.py"
 
@@ -28,7 +28,7 @@ def load_tracer():
 
 def test_tracer_installs_and_restores():
     tracer = load_tracer().Tracer()
-    originals = (heiskod.verify.verify_assignment, HeisGroup.mul, MatrixHeisGroup.inv, FpMatrix.rref)
+    originals = (heiskod.verify.verify_assignment, HeisGroup.mul, HeisGroup.inv, FpMatrix.rref)
     tracer.install()
     try:
         assert heiskod.verify.verify_assignment is not originals[0]
@@ -44,7 +44,7 @@ def test_tracer_installs_and_restores():
             code = heiskod.cli.main(["verify", "--family", "degenerate", "--b", "2", "--p", "3", "--format", "json"])
     finally:
         tracer.uninstall()
-    assert (heiskod.verify.verify_assignment, HeisGroup.mul, MatrixHeisGroup.inv, FpMatrix.rref) == originals
+    assert (heiskod.verify.verify_assignment, HeisGroup.mul, HeisGroup.inv, FpMatrix.rref) == originals
     report = json.loads(out.getvalue())
     assert code == 0 and report["passed"] == report["relators"]
     assert direct["heisenberg.mul"] == 1

@@ -31,7 +31,7 @@ from heiskod.braid import (
 )
 from heiskod.errors import EnumerationBoundError, PreconditionError
 from heiskod.fplinalg import AlternatingForm, FpMatrix
-from heiskod.heisenberg import HeisElement, HeisGroup, MatrixHeisGroup
+from heiskod.heisenberg import HeisElement, HeisGroup
 from heiskod.verify import (
     GeneratorAssignment,
     bfs_subgroup_order,
@@ -140,12 +140,19 @@ def check_against_reference(assignment, words):
         assert evaluate_word(assignment, word) == HeisElement(v, t)
 
 
+def matrix_group(n, p):
+    """H_{2n+1}(F_p) as a test case: the group of the standard symplectic
+    form, labelled as the matrix Heisenberg group with its n, p and order."""
+    group = HeisGroup(AlternatingForm.standard_symplectic(n, p))
+    return pytest.param(group, id=f"MatrixHeisGroup(n={n}, p={p}, order={group.order})")
+
+
 KERNEL_GROUPS = [
     HeisGroup(AlternatingForm.standard_symplectic(2, 3)),
     # degenerate form: ker(omega) is the third coordinate
     HeisGroup(AlternatingForm(FpMatrix([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], 5))),
     HeisGroup(AlternatingForm.standard_symplectic(3, 7)),
-    MatrixHeisGroup(3, 2),
+    matrix_group(3, 2),
     # the largest prime with 4 (p - 1)^2 < 2^63
     HeisGroup(AlternatingForm.standard_symplectic(2, 1518500213)),
 ]
@@ -283,12 +290,11 @@ def test_a12_order_is_one_or_p(nondeg25, pres2):
 def test_degenerate_assignment_is_quotient_of_big_lifting():
     """Full pipeline check: the strand-separating images into the big group
     on the rank-2b form pass every relator (with disconnected-fibre indices
-    p^{2b}), and composing with the kernel quotient reproduces the standard
-    degenerate assignment exactly."""
-    from heiskod.heisenberg import HeisGroup, degenerate_quotient
+    p^{2b}), and merging the strands, r_sj -> r_j and t_sj -> t_j, reproduces
+    the standard degenerate assignment exactly."""
     from heiskod.verify import _nondegenerate_images
 
-    for b, p in ((2, 3), (4, 5)):
+    for b, p in ((2, 3), (4, 5), (3, 2)):
         big = HeisGroup(AlternatingForm.degenerate_family(b, p))
         images = _nondegenerate_images(b, big)
         assignment = GeneratorAssignment(b, p, "degenerate-on-V", big, images)
@@ -296,11 +302,23 @@ def test_degenerate_assignment_is_quotient_of_big_lifting():
         assert report.all_passed and report.a12_order == p
         assert report.m1 == report.m2 == p ** (2 * b)  # connected only after quotient
 
-        q = degenerate_quotient(big)
         standard = standard_assignment_degenerate(b, p)
-        assert q.group.form.omega == standard.target.form.omega
+        small = standard.target
+        assert small.form.omega == AlternatingForm.j_form(b, p).omega
+
+        def merge(g):
+            # (v, t) -> (v_1 + v_2, t - sum_j v_t1j v_r2j), a homomorphism
+            # onto Heis(F_p^{2b}, J_b)
+            v1, v2 = g.v[: 2 * b], g.v[2 * b :]
+            t = g.t - sum(v1[2 * j + 1] * v2[2 * j] for j in range(b))
+            return small.element([x + y for x, y in zip(v1, v2)], t)
+
         for gen, img in standard.images.items():
-            assert q.project(images[gen]) == img
+            assert merge(images[gen]) == img
+        rng = np.random.default_rng(b * p)
+        for _ in range(100):
+            g, h = (big.element(rng.integers(0, p, 4 * b), int(rng.integers(0, p))) for _ in range(2))
+            assert merge(big.mul(g, h)) == small.mul(merge(g), merge(h))
 
 
 # -- involution precomposition -----------------------------------------------------
@@ -425,13 +443,10 @@ def test_fast_order_matches_bfs_on_random_subsets():
         k = int(rng.integers(1, 5))
         els = [group.element(rng.integers(0, 3, 4), int(rng.integers(0, 3))) for _ in range(k)]
         assert subgroup_order_fast(group, els) == bfs_subgroup_order(group, els)
-    mgroup = MatrixHeisGroup(2, 2)  # order 32, exercises the square test
+    mgroup = HeisGroup(AlternatingForm.standard_symplectic(2, 2))  # order 32, exercises the square test
     for _ in range(60):
         k = int(rng.integers(1, 5))
-        els = [
-            mgroup.element(rng.integers(0, 2, 2), rng.integers(0, 2, 2), int(rng.integers(0, 2)))
-            for _ in range(k)
-        ]
+        els = [mgroup.element(rng.integers(0, 2, 4), int(rng.integers(0, 2))) for _ in range(k)]
         assert subgroup_order_fast(mgroup, els) == bfs_subgroup_order(mgroup, els)
 
 
@@ -486,8 +501,8 @@ def random_element(group, rng):
 
 
 SMALL_GROUPS = [
-    MatrixHeisGroup(2, 2),  # order 32, elements of order 4
-    MatrixHeisGroup(3, 2),  # order 128
+    matrix_group(2, 2),  # order 32, elements of order 4
+    matrix_group(3, 2),  # order 128
     HeisGroup(AlternatingForm.standard_symplectic(2, 3)),  # order 243
     HeisGroup(AlternatingForm.standard_symplectic(1, 5)),  # order 125
     # degenerate form: the center is ker(omega) x F_5
