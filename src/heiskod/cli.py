@@ -19,10 +19,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .errors import HeiskodError, InconsistencyError, PreconditionError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _parse_range(text: str) -> list[int]:
@@ -127,10 +129,15 @@ def cmd_verify(args) -> int:
         group = assignment.target
         bound = {} if args.enumeration_bound is None else {"bound": args.enumeration_bound}
         orders = []
+        sizes = {}  # one enumeration per distinct set of images
         for label, gens, m in zip(
             ("m1", "m2"), kernel_generator_sets(args.b), (report.m1, report.m2)
         ):
-            size = bfs_subgroup_order(group, [assignment.image(g) for g in gens], **bound)
+            images = [assignment.image(g) for g in gens]
+            key = frozenset(images)
+            if key not in sizes:
+                sizes[key] = bfs_subgroup_order(group, images, **bound)
+            size = sizes[key]
             agrees = size * m == group.order
             bfs_ok = bfs_ok and agrees
             orders.append({"index": label, "subgroup_order": size, "agrees": agrees})

@@ -25,7 +25,7 @@ from operator import index
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import PreconditionError
-from .invariants import is_prime
+from .primes import is_prime
 
 
 def _check_prime(p: int) -> None:

@@ -25,8 +25,8 @@ The two families specialise this:
 Any non-integral intermediate value is reported as an inconsistency rather
 than rounded: with valid parameters every output is a positive integer.
 
-The exact primality test :func:`is_prime` lives here, with the factoring
-behind ``kappa``, so this module and its subcommands need no numpy.
+The factoring behind ``kappa`` lives here too, on the exact primality test
+of :mod:`primes`, so this module and its subcommands need no numpy.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InconsistencyError, PreconditionError
+from .primes import _MR_LIMIT, is_prime
 
 
 def _as_int(x: Fraction, what: str) -> int:
@@ -148,45 +149,6 @@ def degenerate_invariants(b: int, p: int) -> FibrationInvariants:
     if inv.signature != (2 * b - 2) * p ** (2 * b - 1) * (p * p - 1) // 3:
         raise InconsistencyError("signature disagrees with its closed form")
     return inv
-
-
-# Strong-probable-prime bases: the first 13 primes.  The least composite
-# that passes all of them is _MR_LIMIT (Sorenson and Webster, "Strong
-# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017), so below it
-# the test is exact.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3317044064679887385961981
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test, exact for n < 3.3 * 10^24.
-
-    Costs O(log n) modular multiplications per base.  Larger n without a
-    prime factor up to 41 raise PreconditionError instead of a probable
-    answer.
-    """
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    if n >= _MR_LIMIT:
-        raise PreconditionError(f"{n} is too large for the exact primality test (limit {_MR_LIMIT})")
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 _TRIAL_DIVISION_LIMIT = 10**6

@@ -56,7 +56,7 @@ from .braid import (
 from .errors import PreconditionError
 from .fplinalg import AlternatingForm, FpMatrix, residues
 from .heisenberg import HeisElement, HeisGroup, enumeration_guard
-from .invariants import is_prime
+from .primes import is_prime
 
 
 @dataclass(frozen=True)
@@ -362,7 +362,30 @@ def image_index(assignment: GeneratorAssignment, generators: Sequence[BraidGener
 
 # Elements of H_{i-1} translated per vectorised step of a coset product, so
 # the temporaries of one step are bounded whatever the subgroup's size.
-_CHUNK = 1 << 16
+_CHUNK = 1 << 14
+# Bitmap bytes scanned per step of a level's snapshot, which bounds its int64
+# indices the same way.
+_BLOCK = 1 << 16
+
+
+def _snapshot(visited, code_type):
+    """Codes of the marked elements, ascending, in ``code_type``.
+
+    The bitmap is scanned a block at a time, or at once when no more than a
+    block's worth of elements is marked, so no int64 array of more than
+    ``_BLOCK`` indices exists.
+    """
+    import numpy as np
+
+    h = np.empty(int(np.count_nonzero(visited)), dtype=code_type)
+    block = visited.size if h.size <= _BLOCK else _BLOCK
+    filled = 0
+    for start in range(0, visited.size, block):
+        found = np.flatnonzero(visited[start : start + block])
+        found += start
+        h[filled : filled + found.size] = found
+        filled += found.size
+    return h
 
 
 def bfs_subgroup_order(group: HeisGroup, elements: Sequence, bound: int = 10**7) -> int:
@@ -385,11 +408,13 @@ def bfs_subgroup_order(group: HeisGroup, elements: Sequence, bound: int = 10**7)
     Elements are mixed-radix codes (base p, digits v then t) that index a
     visited bitmap of the group's order; the bitmap marks exactly H_i, so it
     is the only record of the subgroup.  Each level snapshots the codes of
-    H_{i-1} from it and decodes, on first use, the digit columns a coset
-    product needs, stored in the smallest unsigned type that holds p - 1.
-    Memory is |G| bytes of bitmap, 8 bytes per element of H_{i-1}, the
-    compact digit columns, and temporaries of a few chunks: a traced peak of
-    8 MiB for the 5^9 elements at b = 4, p = 5.
+    H_{i-1} from it in the smallest unsigned type that holds every code
+    (uint32 below 2^32 elements).  A coset product casts one chunk of the
+    snapshot to int64 and reads off only the digits that the coset's shifts
+    and twists touch.  Memory is |G| bytes of bitmap, the snapshot (4 bytes
+    per element of H_{i-1} below 2^32 elements) and temporaries of a few
+    chunks: a traced peak of about 4.4 MiB for the 5^9 elements at b = 4,
+    p = 5, of which the bitmap is 1.9 MiB and the last snapshot 1.5 MiB.
     """
     import numpy as np
 
@@ -397,7 +422,8 @@ def bfs_subgroup_order(group: HeisGroup, elements: Sequence, bound: int = 10**7)
         p, dim = group.p, group.dim
         cocycle = np.array(group.cocycle.to_lists(), dtype=np.int64)
         radix = [p**j for j in range(dim + 1)]
-        digit_type = np.min_scalar_type(p - 1)
+        top = radix[dim]
+        code_type = np.min_scalar_type(group.order - 1)
         visited = np.zeros(group.order, dtype=bool)
         visited[0] = True
         gens = []
@@ -405,40 +431,39 @@ def bfs_subgroup_order(group: HeisGroup, elements: Sequence, bound: int = 10**7)
             if visited[group.pack(g.v, g.t)]:
                 continue
             gens.append((np.array(g.v, dtype=np.int64) % p, g.t % p))
-            digits = {}  # digit j of every element of H_{i-1}, decoded on first use
-            h = np.flatnonzero(visited)  # H_{i-1}, before this level marks anything
-            chunks = [slice(s, s + _CHUNK) for s in range(0, h.size, _CHUNK)]
+            h = _snapshot(visited, code_type)  # H_{i-1}, before this level marks anything
             reps = []
-
-            def digit(j):
-                if j not in digits:
-                    column = np.empty(h.size, dtype=digit_type)
-                    for c in chunks:
-                        column[c] = h[c] // radix[j] % p
-                    digits[j] = column
-                return digits[j]
 
             def open_coset(rv, rt):
                 # mark the right coset H_{i-1} r; only the digits where r or
-                # C r is nonzero change.  Digit j moves by
-                # ((d + r_j) mod p - d) p^j = r_j p^j - p^(j+1) [d >= p - r_j].
+                # C r is nonzero change.  Digit j moves by r_j p^j, less
+                # p^(j+1) when it wraps: when code mod p^(j+1) >= (p - r_j) p^j.
                 shifts = [
-                    (digit(j), r * radix[j], p - r, p * radix[j]) for j, r in enumerate(rv.tolist()) if r
+                    (r * radix[j], radix[j + 1], (p - r) * radix[j]) for j, r in enumerate(rv.tolist()) if r
                 ]
-                twists = [(digit(j), u) for j, u in enumerate((cocycle @ rv % p).tolist()) if u]
-                top = digit(dim)
-                for c in chunks:
-                    codes = h[c].copy()
-                    for d, step, wrap, carry in shifts:
-                        codes += step
-                        np.subtract(codes, carry, out=codes, where=d[c] >= wrap)
-                    # digits are cast before any arithmetic: numpy 1.x keeps
-                    # uint8 * int in uint8, where it wraps
-                    old = top[c].astype(np.int64)
+                twists = [(radix[j], u) for j, u in enumerate((cocycle @ rv % p).tolist()) if u]
+                for start in range(0, h.size, _CHUNK):
+                    # numpy's integer remainder is several times slower than
+                    # its floor division, so x mod m of a nonnegative x is
+                    # taken as x - (x // m) m
+                    base = h[start : start + _CHUNK].astype(np.int64)
+                    old = base // top
                     t = old + rt
-                    for d, u in twists:
-                        t += d[c].astype(np.int64) * u
-                    codes += (t % p - old) * radix[dim]
+                    for unit, u in twists:
+                        d = base // unit
+                        d -= d // p * p
+                        d *= u
+                        t += d
+                    t -= t // p * p
+                    t -= old
+                    t *= top
+                    codes = base + t
+                    for step, modulus, wrap in shifts:
+                        codes += step
+                        low = base // modulus
+                        low *= -modulus
+                        low += base
+                        np.subtract(codes, modulus, out=codes, where=low >= wrap)
                     visited[codes] = True
                 reps.append((rv, rt))
 

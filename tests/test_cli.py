@@ -136,6 +136,19 @@ def test_verify_oracle_out_of_memory_exits_2(capsys, monkeypatch):
     assert "memory" in err
 
 
+def test_verify_oracle_snapshot_out_of_memory_exits_2(capsys, monkeypatch):
+    # the bitmap is allocated; the snapshot of H_{i-1} that opens a level is not
+    import numpy as np
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "empty", no_memory)
+    code, _, err = run(capsys, "verify", "--family", "degenerate", "--b", "2", "--p", "3", "--bfs-oracle")
+    assert code == 2
+    assert "memory" in err
+
+
 MERSENNE_61 = 2**61 - 1
 LARGE_P_FAMILY = (
     "--b", "2", "--p", str(MERSENNE_61),
@@ -589,6 +602,17 @@ def test_cohomology_import_is_numpy_free():
     modules = fresh_process("import heiskod.cohomology, json, sys; print(json.dumps(sorted(sys.modules)))")
     assert "heiskod.cohomology" in modules
     assert "numpy" not in modules
+
+
+def test_verify_path_imports_no_invariants_or_fractions():
+    # the primality test is a leaf module, and the CLI needs Fraction only
+    # in an annotation
+    modules = fresh_process(
+        "import heiskod.cli, heiskod.verify, heiskod.cohomology, json, sys; print(json.dumps(sorted(sys.modules)))"
+    )
+    assert "heiskod.primes" in modules
+    assert "heiskod.invariants" not in modules
+    assert "fractions" not in modules
 
 
 def test_group_and_verify_imports_are_numpy_free():

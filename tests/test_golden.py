@@ -6,7 +6,9 @@ pass; these tests hold both changes to the exact bytes the earlier code
 printed, including the order of failures (relator index order) and the
 repr of each failing value.  The ``search_forms_*`` files were written while
 search-forms still built its whole payload before printing it; they hold the
-streamed output to those bytes.
+streamed output to those bytes.  The ``*_oracle`` files were written while
+``verify --bfs-oracle`` still enumerated both kernel sets, even when their
+images are the same; they hold the single enumeration to those bytes.
 """
 
 import json
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from heiskod import verify
 from heiskod.braid import A12, build_presentation
 from heiskod.cli import main
 from heiskod.verify import (
@@ -71,6 +74,34 @@ def test_search_forms_output_is_pinned(capsys, tmp_path, name, argv):
     assert main([*argv, "--output", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert target.read_text() + "\n" == golden
+
+
+ORACLE_PINS = [
+    # the two strands have the same images, so one enumeration serves m1 and m2
+    ("verify_degenerate_b3_p2_oracle", ("verify", "--family", "degenerate", "--b", "3", "--p", "2"), 1),
+    (
+        "verify_nondegenerate_b2_p5_oracle",
+        ("verify", "--family", "nondegenerate", "--b", "2", "--p", "5", "--lambda", "3,3", "--mu", "3,3"),
+        2,
+    ),
+]
+
+
+@pytest.mark.parametrize("stem,argv,runs", ORACLE_PINS, ids=[stem for stem, _, _ in ORACLE_PINS])
+def test_oracle_runs_once_per_distinct_generating_set(capsys, monkeypatch, stem, argv, runs):
+    calls = []
+    enumerate_subgroup = verify.bfs_subgroup_order
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_subgroup(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "bfs_subgroup_order", counted)
+    for suffix, fmt in ((".txt", "text"), (".json", "json")):
+        calls.clear()
+        assert main([*argv, "--bfs-oracle", "--format", fmt]) == 0
+        assert capsys.readouterr().out == (GOLDEN / (stem + suffix)).read_text()
+        assert len(calls) == runs
 
 
 def _a12_killed(b, p, lam, mu):

@@ -373,8 +373,9 @@ def test_bfs_matches_fast_index_degenerate_45():
 
 
 def test_bfs_memory_is_bounded():
-    # no array of coset codes: a visited bitmap of 5^9 bytes, the 5^8 codes of
-    # the last level's H_{i-1}, their one-byte digits and chunk temporaries
+    # no array of coset codes and no digit columns: a visited bitmap of 5^9
+    # bytes, the 5^8 uint32 codes of the last level's H_{i-1} and chunk
+    # temporaries, about 4 MiB
     assignment = standard_assignment_degenerate(4, 5)
     first, _ = kernel_generator_sets(4)
     els = [assignment.image(g) for g in first]
@@ -384,7 +385,7 @@ def test_bfs_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 6 * 2**20
 
 
 @pytest.mark.parametrize("p", [131, 257])
@@ -399,6 +400,17 @@ def test_bfs_exact_at_digit_type_edges(p):
         assert bfs_subgroup_order(group, els, bound=bound) == order
         assert subgroup_order_fast(group, els) == order
         assert closure_order(group, els) == order
+
+
+@pytest.mark.parametrize("p,code_type", [(37, np.uint16), (41, np.uint32)])
+def test_bfs_whole_group_at_code_type_edges(p, code_type):
+    # 37^3 = 50,653 codes fit uint16; 41^3 = 68,921 need uint32
+    group = HeisGroup(AlternatingForm.standard_symplectic(1, p))
+    assert np.min_scalar_type(group.order - 1) == code_type
+    els = [group.element((p - 1, p - 2), p - 3), group.element((p - 4, p - 1), p - 1)]
+    assert bfs_subgroup_order(group, els) == p**3
+    assert subgroup_order_fast(group, els) == p**3
+    assert closure_order(group, els) == p**3
 
 
 def test_bfs_whole_group_at_uint8_edge():
