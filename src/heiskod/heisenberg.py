@@ -18,45 +18,21 @@ one twisted by omega / 2, and it fixes basis and central elements.
 
 C and the commutator pairing Omega are :class:`FpMatrix` values, and every
 product, inverse and power is computed in Python integers, so group
-arithmetic is exact for any prime.  numpy is imported only inside the
-exhaustive checks (the enumeration branch of :func:`verify_extra_special`,
-:meth:`HeisGroup.all_elements_raw` and the coset-enumeration oracle in
-:mod:`verify`), which build int64 arrays from ``cocycle.to_lists()``; only
-they depend on the modulus, through :func:`enumeration_guard`.
+arithmetic is exact for any prime.  The structure suite
+:func:`verify_extra_special` enumerates over :meth:`HeisGroup.mul` in Python
+integers too, so this module imports no numpy.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import operator
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import EnumerationBoundError, PreconditionError
+from .errors import InconsistencyError, PreconditionError
 from .fplinalg import AlternatingForm, residues
-
-
-@contextmanager
-def enumeration_guard(order: int, bound: int):
-    """Admit an exhaustive enumeration of a group of ``order`` = p^(dim + 1)
-    elements in int64 arrays, or raise :class:`EnumerationBoundError`.
-
-    Refused beyond ``bound`` and, whatever the bound, from order 2^62 on:
-    below it every array value fits int64, since a packed code is below the
-    order, a radix p^j at most order / p, a code plus a digit step r p^j
-    (before its carry is taken off) below 2 order, and a central part
-    t + t' + v.C.v' of residues at most 2 (p - 1) + dim (p - 1)^2 < order.
-    A ``MemoryError`` raised inside the block, while the arrays are built, is
-    refused too.
-    """
-    if order > bound:
-        raise EnumerationBoundError(f"group order {order} exceeds the enumeration bound {bound}")
-    if order >= 2**62:
-        raise EnumerationBoundError(f"group order {order} is too large to enumerate in int64 arrays (needs < 2^62)")
-    try:
-        yield
-    except MemoryError:
-        raise EnumerationBoundError(f"not enough memory to enumerate a group of order {order}") from None
 
 
 @dataclass(frozen=True)
@@ -143,26 +119,6 @@ class HeisGroup:
         gi, hi = self.inv(g), self.inv(h)
         return self.mul(self.mul(g, h), self.mul(gi, hi))
 
-    # packing (mixed radix, digits v then t)
-
-    def pack(self, v: Sequence[int], t: int) -> int:
-        code = self._residue(t)
-        for x in reversed(residues(v, self.p, "vector entries")):
-            code = code * self.p + x
-        return code
-
-    def all_elements_raw(self, bound: int = 10**7):
-        """(vectors, scalars) int64 arrays enumerating the whole group in
-        packed order: row i is the element that ``pack`` maps to i."""
-        import numpy as np
-
-        with enumeration_guard(self.order, bound):
-            codes = np.arange(self.order, dtype=np.int64)
-            digits = np.empty((self.order, self.dim + 1), dtype=np.int64)
-            for i in range(self.dim + 1):
-                codes, digits[:, i] = np.divmod(codes, self.p)
-        return digits[:, : self.dim], digits[:, self.dim]
-
 
 # ---------------------------------------------------------------------------
 # structure verification
@@ -178,29 +134,6 @@ class GroupStructureReport:
     involution_count: int  # elements of order exactly 2
     is_extra_special: bool
     method: str  # "enumeration" or "structural"
-
-
-def _exhaustive_orders(p: int, c, vs, ts):
-    """Orders of all listed elements, by simultaneous repeated multiplication
-    with the int64 cocycle ``c``."""
-    import numpy as np
-
-    n = vs.shape[0]
-    orders = np.zeros(n, dtype=np.int64)
-    cur_v = vs.copy()
-    cur_t = ts.copy()
-    # c(cur, g) rowwise: (cur_v * (C @ g_v)) summed; vectorised via matmul
-    w = (vs @ c.T) % p  # row i holds C @ vs[i] transposed appropriately
-    for k in range(1, 4 * p + 1):
-        ident = (~cur_v.any(axis=1)) & (cur_t == 0)
-        newly = ident & (orders == 0)
-        orders[newly] = k
-        if orders.all():
-            break
-        tw = (cur_v * w).sum(axis=1) % p
-        cur_v = (cur_v + vs) % p
-        cur_t = (cur_t + ts + tw) % p
-    return orders
 
 
 def verify_extra_special(group: HeisGroup, enumeration_bound: int = 2 * 10**5) -> GroupStructureReport:
@@ -223,26 +156,32 @@ def verify_extra_special(group: HeisGroup, enumeration_bound: int = 2 * 10**5) -
     commutator_order = p if comm_rank else 1
 
     if group.order <= enumeration_bound:
-        import numpy as np
-
-        vs, ts = group.all_elements_raw(bound=enumeration_bound)
-        c = np.array(group.cocycle.to_lists(), dtype=np.int64)
-        comm = np.array(group.comm_form.to_lists(), dtype=np.int64)
-        orders = _exhaustive_orders(p, c, vs, ts)
-        exponent = int(np.lcm.reduce(orders))
-        involutions = int((orders == 2).sum())
-        # mask over every (v, t), so the t choices are already counted
-        central_mask = ~((vs @ comm.T) % p).any(axis=1)
-        center_order = int(central_mask.sum())
+        vectors = list(itertools.product(range(p), repeat=group.dim))
+        # each element's order by repeated multiplication, independent of the
+        # closed forms in power and order_of
+        identity, mul = group.identity, group.mul
+        exponent, involutions = 1, 0
+        for v in vectors:
+            for t in range(p):
+                g = x = HeisElement(v, t)
+                k = 1
+                while x != identity:
+                    x = mul(x, g)
+                    k += 1
+                exponent = math.lcm(exponent, k)
+                involutions += k == 2
+        # (v, t) is central iff omega(v, .) vanishes, whatever t
+        center_order = p * sum(not any(group.comm_form.apply(v)) for v in vectors)
         if center_order != center_order_structural:
-            raise AssertionError("exhaustive center disagrees with kernel computation")
+            raise InconsistencyError("exhaustive center disagrees with kernel computation")
         if group.order <= 2000:
             # full pairwise commutator table; every commutator is the central
-            # element with exponent comm(u, v), so the value set determines
+            # element with exponent omega(u, w), so the value set determines
             # the commutator subgroup
-            values = set(np.unique((vs @ comm @ vs.T) % p).tolist())
+            columns = [group.comm_form.apply(w) for w in vectors]
+            values = {sum(map(operator.mul, u, c)) % p for u in vectors for c in columns}
             if values not in ({0}, set(range(p))):
-                raise AssertionError("commutator values of a bilinear pairing must be {0} or all of F_p")
+                raise InconsistencyError("commutator values of a bilinear pairing must be {0} or all of F_p")
             commutator_order = 1 if values == {0} else p
         method = "enumeration"
     else:

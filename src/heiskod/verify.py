@@ -38,6 +38,7 @@ must always agree where both run, and the tests enforce that.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,9 +54,9 @@ from .braid import (
     kernel_generator_sets,
     word_generators,
 )
-from .errors import PreconditionError
+from .errors import EnumerationBoundError, PreconditionError
 from .fplinalg import AlternatingForm, FpMatrix, residues
-from .heisenberg import HeisElement, HeisGroup, enumeration_guard
+from .heisenberg import HeisElement, HeisGroup
 from .primes import is_prime
 
 
@@ -360,6 +361,37 @@ def image_index(assignment: GeneratorAssignment, generators: Sequence[BraidGener
     return assignment.target.order // order
 
 
+@contextmanager
+def _enumeration_guard(order: int, bound: int):
+    """Admit an exhaustive enumeration of a group of ``order`` = p^(dim + 1)
+    elements in int64 arrays, or raise :class:`EnumerationBoundError`.
+
+    Refused beyond ``bound`` and, whatever the bound, from order 2^62 on:
+    below it every array value fits int64, since a packed code is below the
+    order, a radix p^j at most order / p, a code plus a digit step r p^j
+    (before its carry is taken off) below 2 order, and a central part
+    t + t' + v.C.v' of residues at most 2 (p - 1) + dim (p - 1)^2 < order.
+    A ``MemoryError`` raised inside the block, while the arrays are built, is
+    refused too.
+    """
+    if order > bound:
+        raise EnumerationBoundError(f"group order {order} exceeds the enumeration bound {bound}")
+    if order >= 2**62:
+        raise EnumerationBoundError(f"group order {order} is too large to enumerate in int64 arrays (needs < 2^62)")
+    try:
+        yield
+    except MemoryError:
+        raise EnumerationBoundError(f"not enough memory to enumerate a group of order {order}") from None
+
+
+def _pack(group: HeisGroup, v: Sequence[int], t: int) -> int:
+    """The oracle's code of (v, t): mixed radix p, digits v then t."""
+    code = residues([t], group.p, "central part")[0]
+    for x in reversed(residues(v, group.p, "vector entries")):
+        code = code * group.p + x
+    return code
+
+
 # Elements of H_{i-1} translated per vectorised step of a coset product, so
 # the temporaries of one step are bounded whatever the subgroup's size.
 _CHUNK = 1 << 14
@@ -393,7 +425,7 @@ def bfs_subgroup_order(group: HeisGroup, elements: Sequence, bound: int = 10**7)
 
     Independent of ``subgroup_order_fast`` by construction (group products
     and membership only, no linear algebra); kept for cross-validation and
-    refused (not approximated) by :func:`enumeration_guard` beyond the bound.
+    refused (not approximated) by :func:`_enumeration_guard` beyond the bound.
     Returns the number of elements enumerated; the name stays that of the
     ``--bfs-oracle`` flag.
 
@@ -418,7 +450,7 @@ def bfs_subgroup_order(group: HeisGroup, elements: Sequence, bound: int = 10**7)
     """
     import numpy as np
 
-    with enumeration_guard(group.order, bound):
+    with _enumeration_guard(group.order, bound):
         p, dim = group.p, group.dim
         cocycle = np.array(group.cocycle.to_lists(), dtype=np.int64)
         radix = [p**j for j in range(dim + 1)]
@@ -428,7 +460,7 @@ def bfs_subgroup_order(group: HeisGroup, elements: Sequence, bound: int = 10**7)
         visited[0] = True
         gens = []
         for g in elements:
-            if visited[group.pack(g.v, g.t)]:
+            if visited[_pack(group, g.v, g.t)]:
                 continue
             gens.append((np.array(g.v, dtype=np.int64) % p, g.t % p))
             h = _snapshot(visited, code_type)  # H_{i-1}, before this level marks anything
@@ -475,7 +507,7 @@ def bfs_subgroup_order(group: HeisGroup, elements: Sequence, bound: int = 10**7)
                 for sv, st in gens:
                     # the product r s, by the oracle's own law
                     nv, nt = (rv + sv) % p, (rt + st + int((rv @ cocycle) % p @ sv)) % p
-                    if not visited[group.pack(nv, nt)]:
+                    if not visited[_pack(group, nv, nt)]:
                         open_coset(nv, nt)
                 i += 1
         return int(np.count_nonzero(visited))

@@ -6,6 +6,7 @@ interpreter each.  Exit codes: 0 success, 1 verified-false claim, 2 usage or
 precondition error.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -616,9 +617,40 @@ def test_verify_path_imports_no_invariants_or_fractions():
 
 
 def test_group_and_verify_imports_are_numpy_free():
-    # numpy is imported only inside the exhaustive checks
+    # numpy is imported only inside the --bfs-oracle coset enumeration
     modules = fresh_process(
-        "import heiskod.verify, heiskod.heisenberg, json, sys; print(json.dumps(sorted(sys.modules)))"
+        "import heiskod.verify, heiskod.heisenberg, heiskod.acceptance, json, sys;"
+        " print(json.dumps(sorted(sys.modules)))"
     )
     assert "heiskod.verify" in modules and "heiskod.heisenberg" in modules
+    assert "heiskod.acceptance" in modules
     assert "numpy" not in modules
+
+
+def numpy_imports(tree, module):
+    """(module, enclosing function) of every import of numpy in ``tree``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        names = []
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        if any(name.split(".")[0] == "numpy" for name in names):
+            found.append((module, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_numpy_is_imported_only_by_the_coset_oracle():
+    found = []
+    for path in sorted((SRC / "heiskod").glob("*.py")):
+        found += numpy_imports(ast.parse(path.read_text()), path.stem)
+    assert found  # the scan sees the oracle's own imports
+    assert set(found) <= {("verify", "_snapshot"), ("verify", "bfs_subgroup_order")}

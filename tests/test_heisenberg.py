@@ -7,12 +7,14 @@ form is trusted everywhere else.  For odd p, the law twisted by omega / 2 is
 the reference for the isomorphism (v, t) -> (v, t + v . C . v / 2) onto it.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
-from heiskod.errors import EnumerationBoundError, PreconditionError
+from heiskod.errors import InconsistencyError, PreconditionError
 from heiskod.fplinalg import AlternatingForm, FpMatrix
-from heiskod.heisenberg import HeisElement, HeisGroup, enumeration_guard, verify_extra_special
+from heiskod.heisenberg import HeisElement, HeisGroup, verify_extra_special
 
 
 def literal_matrix(g: HeisElement, n: int, p: int) -> np.ndarray:
@@ -316,13 +318,17 @@ def test_structural_exponent_p2():
 def test_structural_path_matches_enumeration():
     # every form builds a group at p = 2, degenerate or not
     p2_family = HeisGroup(AlternatingForm.family(2, 2, (1, 0), (0, 1)))
+    # the zero-dimensional form gives the group F_p, which the enumeration
+    # used to fail on with numpy's broadcasting ValueError
+    lines = [HeisGroup(AlternatingForm(FpMatrix.sparse([], 0, p))) for p in (2, 3, 5)]
     for group in (
         HeisGroup(AlternatingForm.family(2, 3, (1, 1), (2, 2))),
         HeisGroup(AlternatingForm.degenerate_family(2, 2)),  # order 512
         p2_family,
+        *lines,
     ):
         by_enum = verify_extra_special(group, enumeration_bound=group.order)
-        structural = verify_extra_special(group, enumeration_bound=10)
+        structural = verify_extra_special(group, enumeration_bound=group.order - 1)
         assert by_enum.method == "enumeration" and structural.method == "structural"
         assert (by_enum.order, by_enum.exponent, by_enum.center_order, by_enum.commutator_order) == (
             structural.order,
@@ -332,6 +338,19 @@ def test_structural_path_matches_enumeration():
         )
     rep = verify_extra_special(HeisGroup(AlternatingForm.degenerate_family(2, 2)))
     assert (rep.order, rep.exponent, rep.center_order, rep.commutator_order) == (512, 4, 32, 2)
+    for group in lines:
+        rep = verify_extra_special(group)
+        p = group.p
+        assert (rep.order, rep.exponent, rep.center_order, rep.commutator_order) == (p, p, p, 1)
+        assert not rep.is_extra_special
+
+
+def test_exhaustive_cross_check_raises_inconsistency(monkeypatch):
+    # a wrong rank fakes a structural center of 3^3 beside the enumerated 3
+    group = std(1, 3)
+    monkeypatch.setattr(FpMatrix, "rank", lambda self: 0)
+    with pytest.raises(InconsistencyError, match="center"):
+        verify_extra_special(group)
 
 
 def test_matrix_model_covers_p2_degenerate_case():
@@ -343,39 +362,10 @@ def test_matrix_model_covers_p2_degenerate_case():
     def reorder(g):
         return HeisElement(g.v[0::2] + g.v[1::2], g.t)
 
-    vs, ts = group.all_elements_raw()
-    els = [group.element(v, t) for v, t in zip(vs.tolist(), ts.tolist())]
+    els = [group.element(v, t) for v in itertools.product(range(2), repeat=6) for t in range(2)]
     for g in els:
         for h in els:
             assert reorder(group.mul(g, h)) == matrix.mul(reorder(g), reorder(h))
-
-
-def test_packing_roundtrip_and_bounds(monkeypatch):
-    group = std(1, 5)
-    vs, ts = group.all_elements_raw()
-    assert len(vs) == len(ts) == group.order
-    for code, (v, t) in enumerate(zip(vs.tolist(), ts.tolist())):
-        assert group.pack(v, t) == code
-    # a float used to be truncated to a code (1.5 read as 1)
-    with pytest.raises(PreconditionError):
-        group.pack([1.5, 2], 0)
-    with pytest.raises(EnumerationBoundError):
-        HeisGroup(AlternatingForm.family(3, 7, (1, 1, 6), (2, 2, 4))).all_elements_raw(bound=100)
-    # whatever the bound, no int64 enumeration from order 2^62 on
-    with enumeration_guard(2**62 - 1, 10**200):
-        pass
-    with pytest.raises(EnumerationBoundError):
-        with enumeration_guard(2**62, 10**200):
-            pass
-    with pytest.raises(EnumerationBoundError):
-        std(1, 2**61 - 1).all_elements_raw(bound=10**200)
-    # an allocation that fails is refused, not raised as a crash
-    def no_memory(*args, **kwargs):
-        raise MemoryError
-
-    monkeypatch.setattr(np, "empty", no_memory)
-    with pytest.raises(EnumerationBoundError, match="memory"):
-        group.all_elements_raw()
 
 
 def test_element_validation():

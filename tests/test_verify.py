@@ -43,6 +43,8 @@ from heiskod.verify import (
     subgroup_order_fast,
     tau2_to_r2_variant,
     verify_assignment,
+    _enumeration_guard,
+    _pack,
 )
 
 
@@ -487,6 +489,35 @@ def test_bfs_bound_is_enforced(monkeypatch):
     monkeypatch.setattr(np, "flatnonzero", no_memory)
     with pytest.raises(EnumerationBoundError, match="memory"):
         bfs_subgroup_order(group, [group.central(1)])
+
+
+def test_packing_roundtrip_and_bounds():
+    group = HeisGroup(AlternatingForm.standard_symplectic(1, 5))
+    # digits most significant first: t, then v_1, then v_0
+    digits = list(itertools.product(range(5), repeat=3))
+    assert len(digits) == group.order
+    for code, (t, v1, v0) in enumerate(digits):
+        assert _pack(group, (v0, v1), t) == code
+    # a float used to be truncated to a code (1.5 read as 1)
+    with pytest.raises(PreconditionError):
+        _pack(group, [1.5, 2], 0)
+    big = HeisGroup(AlternatingForm.family(3, 7, (1, 1, 6), (2, 2, 4)))
+    with pytest.raises(EnumerationBoundError):
+        with _enumeration_guard(big.order, 100):
+            pass
+    # whatever the bound, no int64 enumeration from order 2^62 on
+    with _enumeration_guard(2**62 - 1, 10**200):
+        pass
+    with pytest.raises(EnumerationBoundError):
+        with _enumeration_guard(2**62, 10**200):
+            pass
+    with pytest.raises(EnumerationBoundError):
+        with _enumeration_guard(HeisGroup(AlternatingForm.standard_symplectic(1, 2**61 - 1)).order, 10**200):
+            pass
+    # an allocation that fails is refused, not raised as a crash
+    with pytest.raises(EnumerationBoundError, match="memory"):
+        with _enumeration_guard(group.order, 10**7):
+            raise MemoryError
 
 
 # -- the oracle against a set-closure reference ----------------------------------
