@@ -7,6 +7,10 @@ tau_1j, tau_1j^-1 and each j, one relation per target rho_2k, tau_2k (k=1..b)
 and one for A12.  A relation L = R is stored as the single relator word
 L . R^-1, freely reduced; the commutator convention is [x, y] = x y x^-1 y^-1.
 
+The action relations are one table of printed right-hand sides w in
+[x, y] = w, one entry per actor, target and j-versus-k case, written over
+"handle j", "handle k" and A12.  Each entry's relator x y x^-1 y^-1 w^-1 is
+freely reduced once as a pattern and then instantiated for every (j, k).
 The inverse-actor families are consequences of the direct ones, but they are
 emitted anyway: redundancy strengthens homomorphism verification, and keeping
 the three j-versus-k cases separate means a failure pinpoints one precise
@@ -112,12 +116,13 @@ def free_reduce(w: Word) -> Word:
 
 def word_generators(w: Word, generators: Sequence[BraidGenerator]) -> list[tuple[BraidGenerator, int]]:
     """The (generator, +1 | -1) letters of a word over ``generators``
-    (``generator_list(b)``); a letter of 0 or beyond +-len(generators) is
-    refused, where an array index would wrap around silently."""
+    (``generator_list(b)``); a bool, a letter of 0 or beyond
+    +-len(generators) is refused, where an array index would wrap around or
+    read True as 1 silently."""
     out = []
     for x in w:
         try:
-            i = operator.index(x)
+            i = 0 if isinstance(x, bool) else operator.index(x)
         except TypeError:
             i = 0
         if not 0 < abs(i) <= len(generators):
@@ -157,10 +162,6 @@ def generator_list(b: int) -> tuple[BraidGenerator, ...]:
     return tuple(gens)
 
 
-def _relation(left: Word, right: Word, source: str) -> Relator:
-    return Relator(free_reduce(concat(left, inverse_word(right))), source)
-
-
 def _surface_relators(b: int) -> list[Relator]:
     # relation 1: [rho_1b^-1, tau_1b^-1] tau_1b^-1 ... [rho_11^-1, tau_11^-1]
     #             tau_11^-1 (tau_11 tau_12 ... tau_1b) = A12
@@ -169,7 +170,7 @@ def _surface_relators(b: int) -> list[Relator]:
         left = concat(left, commutator(rho(b, 1, j, -1), tau(b, 1, j, -1)), tau(b, 1, j, -1))
     for j in range(1, b + 1):
         left = concat(left, tau(b, 1, j))
-    rel1 = _relation(left, winding(b), "surface relation 1")
+    rel1 = Relator(free_reduce(concat(left, winding(b, -1))), "surface relation 1")
 
     # relation 2: [rho_21^-1, tau_21] tau_21 ... [rho_2b^-1, tau_2b] tau_2b
     #             (tau_2b^-1 ... tau_21^-1) = A12^-1
@@ -178,90 +179,90 @@ def _surface_relators(b: int) -> list[Relator]:
         left = concat(left, commutator(rho(b, 2, j, -1), tau(b, 2, j)), tau(b, 2, j))
     for j in range(b, 0, -1):
         left = concat(left, tau(b, 2, j, -1))
-    rel2 = _relation(left, winding(b, -1), "surface relation 2")
+    rel2 = Relator(free_reduce(concat(left, winding(b))), "surface relation 2")
     return [rel1, rel2]
 
 
-def _action_relators(b: int, actor_kind: str, actor_exp: int) -> list[Relator]:
-    """The 2b+1 relations describing how one actor conjugates the kernel
-    generators.  The case split j < k, j = k, j > k follows the printed form."""
+# The action relations [x, y] = w as printed (Bellingeri, "On presentations of
+# surface braid groups", J. Algebra 274, 2004), keyed (actor, target, case).
+# The actor x is rho_1j, rho_1j^-1, tau_1j or tau_1j^-1; the target y is
+# rho_2k or tau_2k, in the cases j<k, j=k and j>k, or A12.  Each w is written
+# over the symbols rj, rk, tj, tk, a (rho_2j, rho_2k, tau_2j, tau_2k, A12),
+# upper case for an inverse; the j=k entries use handle j only.
+_ACTION_RIGHT_SIDES: dict[tuple[str, str, str], str] = {
+    ("rho_1j", "rho_2k", "j<k"): "",
+    ("rho_1j", "rho_2k", "j=k"): "",
+    ("rho_1j", "rho_2k", "j>k"): "A rk Rj a rj Rk",
+    ("rho_1j", "tau_2k", "j<k"): "",
+    ("rho_1j", "tau_2k", "j=k"): "A",
+    ("rho_1j", "tau_2k", "j>k"): "A tk a Tk",
+    ("rho_1j", "A12", ""): "Rj a rj A",
+    ("rho_1j^-1", "rho_2k", "j<k"): "",
+    ("rho_1j^-1", "rho_2k", "j=k"): "",
+    ("rho_1j^-1", "rho_2k", "j>k"): "rj a Rj rk A Rk",
+    ("rho_1j^-1", "tau_2k", "j<k"): "",
+    ("rho_1j^-1", "tau_2k", "j=k"): "rj a Rj",
+    ("rho_1j^-1", "tau_2k", "j>k"): "rj a Rj tk rj A Rj Tk",
+    ("rho_1j^-1", "A12", ""): "rj a Rj A",
+    ("tau_1j", "rho_2k", "j<k"): "",
+    ("tau_1j", "rho_2k", "j=k"): "Tj a tj",
+    ("tau_1j", "rho_2k", "j>k"): "Tj a tj A",
+    ("tau_1j", "tau_2k", "j<k"): "",
+    ("tau_1j", "tau_2k", "j=k"): "Tj a tj A",
+    ("tau_1j", "tau_2k", "j>k"): "Tj a tj A tk a Tj A tj Tk",
+    ("tau_1j", "A12", ""): "Tj a tj A",
+    ("tau_1j^-1", "rho_2k", "j<k"): "",
+    ("tau_1j^-1", "rho_2k", "j=k"): "A",
+    ("tau_1j^-1", "rho_2k", "j>k"): "A tj a Tj",
+    ("tau_1j^-1", "tau_2k", "j<k"): "",
+    ("tau_1j^-1", "tau_2k", "j=k"): "A tj a Tj",
+    ("tau_1j^-1", "tau_2k", "j>k"): "A tj a Tj tk tj A Tj a Tk",
+    ("tau_1j^-1", "A12", ""): "A tj a Tj",
+}
+
+# A pattern letter +-(i + 1) stands for _SYMBOLS[i] or its inverse.
+_SYMBOLS = ("x", "rj", "rk", "tj", "tk", "a")
+
+# Actors in relator order: name, generator, exponent.
+_ACTORS = (("rho_1j", rho, 1), ("rho_1j^-1", rho, -1), ("tau_1j", tau, 1), ("tau_1j^-1", tau, -1))
+
+
+def _symbols(text: str) -> Word:
+    return tuple((-1 if s[0].isupper() else 1) * (_SYMBOLS.index(s.lower()) + 1) for s in text.split())
+
+
+def _action_pattern(target: str, case: str, right: str) -> Word:
+    """The relator x y x^-1 y^-1 w^-1 over the symbols, freely reduced.  Its
+    symbols name distinct generators at every (j, k), a j=k pattern handle j
+    only, so this one reduction reduces every relator it yields."""
+    y = {"rho_2k": "rk", "tau_2k": "tk", "A12": "a"}[target]
+    if case == "j=k":
+        y = y.replace("k", "j")
+    return free_reduce(concat(commutator(_symbols("x"), _symbols(y)), inverse_word(_symbols(right))))
+
+
+def _fill(pattern: Word, letters: tuple[int, ...]) -> Word:
+    """Substitute letters[i] for the symbol +-(i + 1)."""
+    return tuple(letters[s - 1] if s > 0 else -letters[-s - 1] for s in pattern)
+
+
+def _action_relators(b: int) -> list[Relator]:
+    """The 8b^2 action relations: per actor and j, one per rho_2k (k = 1..b),
+    one per tau_2k, then the one on A12."""
+    patterns = {key: _action_pattern(*key[1:], right) for key, right in _ACTION_RIGHT_SIDES.items()}
+    (a,) = winding(b)
     out: list[Relator] = []
-    a = winding(b)
-    ai = winding(b, -1)
-    actor_name = f"{actor_kind}_1j" + ("" if actor_exp == 1 else "^-1")
-
-    def r2(k: int, exp: int = 1) -> Word:
-        return rho(b, 2, k, exp)
-
-    def t2(k: int, exp: int = 1) -> Word:
-        return tau(b, 2, k, exp)
-
-    for j in range(1, b + 1):
-        x = rho(b, 1, j, actor_exp) if actor_kind == RHO else tau(b, 1, j, actor_exp)
-
-        for k in range(1, b + 1):
-            lhs = commutator(x, r2(k))
-            if j < k:
-                rhs: Word = ()
-            elif (actor_kind, actor_exp) == (RHO, 1):
-                rhs = () if j == k else concat(ai, r2(k), r2(j, -1), a, r2(j), r2(k, -1))
-            elif (actor_kind, actor_exp) == (RHO, -1):
-                rhs = () if j == k else concat(r2(j), a, r2(j, -1), r2(k), ai, r2(k, -1))
-            elif (actor_kind, actor_exp) == (TAU, 1):
-                rhs = (
-                    concat(t2(j, -1), a, t2(j))
-                    if j == k
-                    else commutator(t2(j, -1), a)
-                )
-            else:  # tau_1j^-1
-                rhs = ai if j == k else commutator(ai, t2(j))
-            case = "j=k" if j == k else ("j<k" if j < k else "j>k")
-            out.append(_relation(lhs, rhs, f"action {actor_name} on rho_2k, j={j}, k={k} ({case})"))
-
-        for k in range(1, b + 1):
-            lhs = commutator(x, t2(k))
-            if j < k:
-                rhs = ()
-            elif (actor_kind, actor_exp) == (RHO, 1):
-                rhs = ai if j == k else commutator(ai, t2(k))
-            elif (actor_kind, actor_exp) == (RHO, -1):
-                rhs = (
-                    concat(r2(j), a, r2(j, -1))
-                    if j == k
-                    else concat(
-                        r2(j), a, r2(j, -1), t2(k), r2(j), ai, r2(j, -1), t2(k, -1)
-                    )
-                )
-            elif (actor_kind, actor_exp) == (TAU, 1):
-                rhs = (
-                    commutator(t2(j, -1), a)
-                    if j == k
-                    else concat(
-                        t2(j, -1), a, t2(j), ai, t2(k), a, t2(j, -1), ai, t2(j), t2(k, -1)
-                    )
-                )
-            else:  # tau_1j^-1
-                rhs = (
-                    commutator(ai, t2(j))
-                    if j == k
-                    else concat(
-                        ai, t2(j), a, t2(j, -1), t2(k), t2(j), ai, t2(j, -1), a, t2(k, -1)
-                    )
-                )
-            case = "j=k" if j == k else ("j<k" if j < k else "j>k")
-            out.append(_relation(lhs, rhs, f"action {actor_name} on tau_2k, j={j}, k={k} ({case})"))
-
-        lhs = commutator(x, a)
-        if (actor_kind, actor_exp) == (RHO, 1):
-            rhs = commutator(r2(j, -1), a)
-        elif (actor_kind, actor_exp) == (RHO, -1):
-            rhs = commutator(r2(j), a)
-        elif (actor_kind, actor_exp) == (TAU, 1):
-            rhs = commutator(t2(j, -1), a)
-        else:
-            rhs = commutator(ai, t2(j))
-        out.append(_relation(lhs, rhs, f"action {actor_name} on A12, j={j}"))
-
+    for actor, generator, exp in _ACTORS:
+        for j in range(1, b + 1):
+            (x,), (rj,), (tj,) = generator(b, 1, j, exp), rho(b, 2, j), tau(b, 2, j)
+            for target in ("rho_2k", "tau_2k"):
+                for k in range(1, b + 1):
+                    case = "j<k" if j < k else ("j=k" if j == k else "j>k")
+                    letters = (x, rj, rho(b, 2, k)[0], tj, tau(b, 2, k)[0], a)
+                    word = _fill(patterns[actor, target, case], letters)
+                    out.append(Relator(word, f"action {actor} on {target}, j={j}, k={k} ({case})"))
+            word = _fill(patterns[actor, "A12", ""], (x, rj, 0, tj, 0, a))
+            out.append(Relator(word, f"action {actor} on A12, j={j}"))
     return out
 
 
@@ -269,9 +270,7 @@ def build_presentation(b: int) -> Presentation:
     """The full presentation at genus b: 8b^2 + 4b + 2 relators."""
     if b < 2:
         raise PreconditionError(f"genus b must be >= 2, got {b}")
-    relators = _surface_relators(b)
-    for kind, exp in ((RHO, 1), (RHO, -1), (TAU, 1), (TAU, -1)):
-        relators.extend(_action_relators(b, kind, exp))
+    relators = _surface_relators(b) + _action_relators(b)
     expected = 8 * b * b + 4 * b + 2
     assert len(relators) == expected, f"emitted {len(relators)} relators, expected {expected}"
     return Presentation(b=b, generators=generator_list(b), relators=tuple(relators))

@@ -78,11 +78,6 @@ class H1Basis:
             raise PreconditionError(f"no H^1 class (side={side}, letter={letter}, j={j})")
         return (side - 1) * 2 * self.b + 2 * (j - 1) + letter
 
-    def class_at(self, i: int) -> tuple[int, int, int]:
-        if not 0 <= i < self.size:
-            raise PreconditionError(f"H^1 index {i} out of range")
-        return _h1_class(i, self.b)
-
 
 class H2Basis:
     """Index bookkeeping for the ordered H^2 basis at genus b."""

@@ -78,6 +78,8 @@ class HeisGroup:
         return HeisElement((0,) * self.dim, self._residue(t))
 
     def basis_element(self, i: int, t: int = 0) -> HeisElement:
+        if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < self.dim:
+            raise PreconditionError(f"basis index {i!r} is not in 0..{self.dim - 1}")
         return HeisElement(tuple(int(k == i) for k in range(self.dim)), self._residue(t))
 
     def element(self, v: Sequence[int], t: int) -> HeisElement:

@@ -127,7 +127,10 @@ def _nonidentity_products(
 def evaluate_word(assignment: GeneratorAssignment, word: Word):
     """Left-to-right product of letter images; empty word gives the identity.
     One word through the same evaluator that ``verify_assignment`` runs."""
-    found = _nonidentity_products(assignment, [word], generator_list(assignment.b))
+    generators = generator_list(assignment.b)
+    # every letter, not only the distinct ones: a set of letters merges True into 1
+    word_generators(word, generators)
+    found = _nonidentity_products(assignment, [word], generators)
     return found[0][1] if found else assignment.target.identity
 
 

@@ -9,10 +9,15 @@ from heiskod.braid import (
     RHO,
     TAU,
     BraidGenerator,
+    Relator,
+    Word,
     build_presentation,
+    commutator,
+    concat,
     free_reduce,
     generator_list,
     involution_substitute,
+    inverse_word,
     kernel_generator_sets,
     presentation_to_json,
     rho,
@@ -41,6 +46,111 @@ def test_relators_reduced_and_nonempty(b):
     for rel in build_presentation(b).relators:
         assert rel.word, f"empty relator from {rel.source}"
         assert free_reduce(rel.word) == rel.word
+
+
+# The action relators as the case ladder that built them before the table of
+# printed right-hand sides, kept as the reference the table is checked against.
+
+
+def _relation(left: Word, right: Word, source: str) -> Relator:
+    return Relator(free_reduce(concat(left, inverse_word(right))), source)
+
+
+def _reference_action_relators(b: int, actor_kind: str, actor_exp: int) -> list[Relator]:
+    """The 2b+1 relations describing how one actor conjugates the kernel
+    generators.  The case split j < k, j = k, j > k follows the printed form."""
+    out: list[Relator] = []
+    a = winding(b)
+    ai = winding(b, -1)
+    actor_name = f"{actor_kind}_1j" + ("" if actor_exp == 1 else "^-1")
+
+    def r2(k: int, exp: int = 1) -> Word:
+        return rho(b, 2, k, exp)
+
+    def t2(k: int, exp: int = 1) -> Word:
+        return tau(b, 2, k, exp)
+
+    for j in range(1, b + 1):
+        x = rho(b, 1, j, actor_exp) if actor_kind == RHO else tau(b, 1, j, actor_exp)
+
+        for k in range(1, b + 1):
+            lhs = commutator(x, r2(k))
+            if j < k:
+                rhs: Word = ()
+            elif (actor_kind, actor_exp) == (RHO, 1):
+                rhs = () if j == k else concat(ai, r2(k), r2(j, -1), a, r2(j), r2(k, -1))
+            elif (actor_kind, actor_exp) == (RHO, -1):
+                rhs = () if j == k else concat(r2(j), a, r2(j, -1), r2(k), ai, r2(k, -1))
+            elif (actor_kind, actor_exp) == (TAU, 1):
+                rhs = (
+                    concat(t2(j, -1), a, t2(j))
+                    if j == k
+                    else commutator(t2(j, -1), a)
+                )
+            else:  # tau_1j^-1
+                rhs = ai if j == k else commutator(ai, t2(j))
+            case = "j=k" if j == k else ("j<k" if j < k else "j>k")
+            out.append(_relation(lhs, rhs, f"action {actor_name} on rho_2k, j={j}, k={k} ({case})"))
+
+        for k in range(1, b + 1):
+            lhs = commutator(x, t2(k))
+            if j < k:
+                rhs = ()
+            elif (actor_kind, actor_exp) == (RHO, 1):
+                rhs = ai if j == k else commutator(ai, t2(k))
+            elif (actor_kind, actor_exp) == (RHO, -1):
+                rhs = (
+                    concat(r2(j), a, r2(j, -1))
+                    if j == k
+                    else concat(
+                        r2(j), a, r2(j, -1), t2(k), r2(j), ai, r2(j, -1), t2(k, -1)
+                    )
+                )
+            elif (actor_kind, actor_exp) == (TAU, 1):
+                rhs = (
+                    commutator(t2(j, -1), a)
+                    if j == k
+                    else concat(
+                        t2(j, -1), a, t2(j), ai, t2(k), a, t2(j, -1), ai, t2(j), t2(k, -1)
+                    )
+                )
+            else:  # tau_1j^-1
+                rhs = (
+                    commutator(ai, t2(j))
+                    if j == k
+                    else concat(
+                        ai, t2(j), a, t2(j, -1), t2(k), t2(j), ai, t2(j, -1), a, t2(k, -1)
+                    )
+                )
+            case = "j=k" if j == k else ("j<k" if j < k else "j>k")
+            out.append(_relation(lhs, rhs, f"action {actor_name} on tau_2k, j={j}, k={k} ({case})"))
+
+        lhs = commutator(x, a)
+        if (actor_kind, actor_exp) == (RHO, 1):
+            rhs = commutator(r2(j, -1), a)
+        elif (actor_kind, actor_exp) == (RHO, -1):
+            rhs = commutator(r2(j), a)
+        elif (actor_kind, actor_exp) == (TAU, 1):
+            rhs = commutator(t2(j, -1), a)
+        else:
+            rhs = commutator(ai, t2(j))
+        out.append(_relation(lhs, rhs, f"action {actor_name} on A12, j={j}"))
+
+    return out
+
+
+@pytest.mark.parametrize("b", range(2, 13))
+def test_action_relators_match_reference_builder(b):
+    pres = build_presentation(b)
+    reference = [
+        rel
+        for kind, exp in ((RHO, 1), (RHO, -1), (TAU, 1), (TAU, -1))
+        for rel in _reference_action_relators(b, kind, exp)
+    ]
+    assert list(pres.relators[2:]) == reference
+    # distinct sources, so a failure names exactly one relation
+    sources = [rel.source for rel in pres.relators]
+    assert len(set(sources)) == len(sources)
 
 
 def test_specific_relators_b2():

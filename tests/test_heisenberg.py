@@ -395,6 +395,15 @@ def test_matrix_element_refuses_floats():
         std(1, 5).element([1, 2], 0.5)
 
 
+def test_basis_element_refuses_indices_outside_the_basis():
+    # used to return the identity for 7 and -1 on dim 4
+    h = std(2, 5)
+    assert [h.basis_element(i).v.index(1) for i in range(4)] == [0, 1, 2, 3]
+    for bad in (7, 4, -1, True, 1.0):
+        with pytest.raises(PreconditionError, match="basis index"):
+            h.basis_element(bad)
+
+
 def test_central_and_basis_element_refuse_floats():
     # used to return the unreduced t=1.5 and t=2.5
     with pytest.raises(PreconditionError):

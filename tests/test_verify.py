@@ -93,6 +93,15 @@ def test_letters_out_of_range_refused(nondeg25):
             verify_assignment(pres, nondeg25)
 
 
+def test_bool_letters_refused():
+    # (True,) used to evaluate as r1_1; (1, True) as r1_1^2, since a set of
+    # letters merges True into 1
+    degenerate = standard_assignment_degenerate(2, 3)
+    for word in ((True,), (1, True), (False,)):
+        with pytest.raises(PreconditionError, match="not a generator index"):
+            evaluate_word(degenerate, word)
+
+
 # -- the evaluator against a pure-Python reference ----------------------------------
 
 
