@@ -23,56 +23,43 @@ The presentation is invariant under the order-2 substitution
 the automorphism induced by reflecting the surface so that handle j swaps
 with handle b+1-j; ``involution_substitute`` applies it letter by letter.
 
-Words are tuples of plain ints: the letter +(i + 1) is the i-th generator of
-``generator_list(b)`` and -(i + 1) its inverse, so reduction compares ints,
-the substitution is a signed permutation of indices, and the evaluator in
-``verify`` reads letters straight into table rows.  ``BraidGenerator`` keys
-the generators for display and generator assignments only.
+Signed int letters are the generators' only names.  At genus b the letters
+1..4b+1 are rho_11, tau_11, ..., rho_1b, tau_1b, rho_21, tau_21, ...,
+rho_2b, tau_2b, A12, the order of the homology basis, and -x is the inverse
+of x.  Words are tuples of letters, so reduction compares ints, the
+substitution is a signed permutation of letters, a generator assignment is a
+tuple of images indexed by letter, and ``generator_name`` prints a letter.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable
 
 from .errors import PreconditionError
 
-RHO = "rho"
-TAU = "tau"
-WINDING = "A"
-
-
-@dataclass(frozen=True, order=True)
-class BraidGenerator:
-    """Structured key of a generator; strand and j are None only for A12."""
-
-    kind: str
-    strand: Optional[int] = None
-    j: Optional[int] = None
-
-    def __post_init__(self):
-        if self.kind == WINDING:
-            if self.strand is not None or self.j is not None:
-                raise PreconditionError("A12 carries no strand or handle index")
-        elif self.kind in (RHO, TAU):
-            if self.strand not in (1, 2) or self.j is None or self.j < 1:
-                raise PreconditionError(f"bad generator ({self.kind}, {self.strand}, {self.j})")
-        else:
-            raise PreconditionError(f"unknown generator kind {self.kind!r}")
-
-    def display(self) -> str:
-        if self.kind == WINDING:
-            return "A12"
-        return f"{'r' if self.kind == RHO else 't'}{self.strand}_{self.j}"
-
-
-A12 = BraidGenerator(WINDING)
-
-# A word is a tuple of signed letters: +(i + 1) is the i-th of the 4b + 1
-# generators of generator_list(b) and -(i + 1) its inverse.  Letters carry no
-# genus, so a word is read against the b of its presentation.
+# A word is a tuple of signed letters.  Letters carry no genus, so a word is
+# read against the b of its presentation.
 Word = tuple[int, ...]
+
+
+def check_letters(w: Iterable[int], b: int) -> None:
+    """Refuse a letter of w that is not an int in +-1..+-(4b + 1).  Only an
+    exact int is a letter: a bool would be read as 0 or 1, and a float or a
+    numpy integer as the generator it equals."""
+    n = 4 * b + 1
+    for x in w:
+        if type(x) is not int or not 0 < abs(x) <= n:
+            raise PreconditionError(f"letter {x!r} is not a generator index in +-1..+-{n}")
+
+
+def generator_name(x: int, b: int) -> str:
+    """The printed name of letter x at genus b: r<strand>_<j>, t<strand>_<j>
+    or A12, with ^-1 for an inverse."""
+    check_letters((x,), b)
+    i = abs(x) - 1
+    name = "A12" if i == 4 * b else f"{'rt'[i % 2]}{i // (2 * b) + 1}_{i % (2 * b) // 2 + 1}"
+    return name if x > 0 else name + "^-1"
 
 
 def rho(b: int, strand: int, j: int, exp: int = 1) -> Word:
@@ -114,25 +101,8 @@ def free_reduce(w: Word) -> Word:
     return tuple(stack)
 
 
-def word_generators(w: Word, generators: Sequence[BraidGenerator]) -> list[tuple[BraidGenerator, int]]:
-    """The (generator, +1 | -1) letters of a word over ``generators``
-    (``generator_list(b)``); a bool, a letter of 0 or beyond
-    +-len(generators) is refused, where an array index would wrap around or
-    read True as 1 silently."""
-    out = []
-    for x in w:
-        try:
-            i = 0 if isinstance(x, bool) else operator.index(x)
-        except TypeError:
-            i = 0
-        if not 0 < abs(i) <= len(generators):
-            raise PreconditionError(f"letter {x!r} is not a generator index in +-1..+-{len(generators)}")
-        out.append((generators[abs(i) - 1], 1 if i > 0 else -1))
-    return out
-
-
-def word_display(w: Word, generators: Sequence[BraidGenerator]) -> list[str]:
-    return [g.display() + ("" if e == 1 else "^-1") for g, e in word_generators(w, generators)]
+def word_display(w: Word, b: int) -> list[str]:
+    return [generator_name(x, b) for x in w]
 
 
 @dataclass(frozen=True)
@@ -146,20 +116,7 @@ class Relator:
 @dataclass(frozen=True)
 class Presentation:
     b: int
-    generators: tuple[BraidGenerator, ...]
     relators: tuple[Relator, ...]
-
-
-def generator_list(b: int) -> tuple[BraidGenerator, ...]:
-    """All 4b+1 generators, ordered to match the homology basis:
-    rho_11, tau_11, ..., rho_1b, tau_1b, rho_21, tau_21, ..., rho_2b, tau_2b, A12."""
-    gens: list[BraidGenerator] = []
-    for strand in (1, 2):
-        for j in range(1, b + 1):
-            gens.append(BraidGenerator(RHO, strand, j))
-            gens.append(BraidGenerator(TAU, strand, j))
-    gens.append(A12)
-    return tuple(gens)
 
 
 def _surface_relators(b: int) -> list[Relator]:
@@ -273,37 +230,35 @@ def build_presentation(b: int) -> Presentation:
     relators = _surface_relators(b) + _action_relators(b)
     expected = 8 * b * b + 4 * b + 2
     assert len(relators) == expected, f"emitted {len(relators)} relators, expected {expected}"
-    return Presentation(b=b, generators=generator_list(b), relators=tuple(relators))
+    return Presentation(b=b, relators=tuple(relators))
 
 
 def involution_substitute(w: Word, b: int) -> Word:
     """Apply the order-2 handle-reflection substitution letter by letter, a
-    signed permutation of the generator indices."""
-    out: list[int] = []
-    for g, e in word_generators(w, generator_list(b)):
-        if g.kind == WINDING:
-            out.extend(winding(b, -e))
-        elif g.kind == RHO:
-            out.extend(rho(b, 3 - g.strand, b + 1 - g.j, e))
-        else:
-            out.extend(tau(b, 3 - g.strand, b + 1 - g.j, -e))
+    signed permutation of the letters: for x > 0, rho_sj (x odd) goes to
+    rho_{3-s, b+1-j} = 4b - x, tau_sj (x even) to tau_{3-s, b+1-j}^-1 =
+    x - 4b - 2, A12 to A12^-1, and -x to the inverse of the image of x."""
+    check_letters(w, b)
+    out = []
+    for x in w:
+        y = abs(x)
+        image = -y if y == 4 * b + 1 else 4 * b - y if y % 2 else y - 4 * b - 2
+        out.append(image if x > 0 else -image)
     return tuple(out)
 
 
-def kernel_generator_sets(b: int) -> tuple[tuple[BraidGenerator, ...], tuple[BraidGenerator, ...]]:
+def kernel_generator_sets(b: int) -> tuple[Word, Word]:
     """Generators of the kernels of the two projections to the one-point braid
     group: (rho_2*, tau_2*, A12) for the first projection, (rho_1*, tau_1*,
     A12) for the second."""
     if b < 2:
         raise PreconditionError(f"genus b must be >= 2, got {b}")
-    first = tuple(BraidGenerator(RHO, 2, j) for j in range(1, b + 1)) + tuple(
-        BraidGenerator(TAU, 2, j) for j in range(1, b + 1)
-    ) + (A12,)
-    second = tuple(BraidGenerator(RHO, 1, j) for j in range(1, b + 1)) + tuple(
-        BraidGenerator(TAU, 1, j) for j in range(1, b + 1)
-    ) + (A12,)
+    # rho_sj is the odd letter 2b(s - 1) + 2j - 1 and tau_sj the even one after it
+    a12 = (4 * b + 1,)
+    first = (*range(2 * b + 1, 4 * b, 2), *range(2 * b + 2, 4 * b + 1, 2), *a12)
+    second = (*range(1, 2 * b, 2), *range(2, 2 * b + 1, 2), *a12)
     return first, second
 
 
 def presentation_to_json(pres: Presentation) -> list[dict]:
-    return [{"relator": word_display(r.word, pres.generators), "source": r.source} for r in pres.relators]
+    return [{"relator": word_display(r.word, pres.b), "source": r.source} for r in pres.relators]

@@ -91,10 +91,10 @@ def cmd_presentation(args) -> int:
         _emit(json.dumps(presentation_to_json(pres), indent=2), args.output)
         return 0
     lines = [f"pure braid group presentation at genus b = {pres.b}"]
-    lines.append("generators: " + " ".join(g.display() for g in pres.generators))
+    lines.append("generators: " + " ".join(word_display(range(1, 4 * pres.b + 2), pres.b)))
     lines.append(f"relators ({len(pres.relators)}):")
     for i, rel in enumerate(pres.relators):
-        lines.append(f"  {i:3d}. [{rel.source}] " + " ".join(word_display(rel.word, pres.generators)))
+        lines.append(f"  {i:3d}. [{rel.source}] " + " ".join(word_display(rel.word, pres.b)))
     _emit("\n".join(lines), args.output)
     return 0
 

@@ -15,6 +15,10 @@ elements, so the result is exact; only the words whose product is not the
 identity are kept, and ``evaluate_word`` is the same evaluator on a single
 word.  numpy is imported only by the exhaustive oracle.
 
+An assignment stores its images as a tuple indexed by letter: ``images[i]``
+is the image of the generator with letter i + 1, in the order ``braid``
+fixes, and the image of an inverse letter is inverted on demand.
+
 Two standard assignments are provided.
 
 * Non-degenerate family (p >= 5, parameters lambda, mu with nonzero entries,
@@ -42,18 +46,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
-from .braid import (
-    A12,
-    RHO,
-    TAU,
-    BraidGenerator,
-    Presentation,
-    Word,
-    generator_list,
-    involution_substitute,
-    kernel_generator_sets,
-    word_generators,
-)
+from .braid import Presentation, Word, check_letters, involution_substitute, kernel_generator_sets, rho, tau
 from .errors import EnumerationBoundError, PreconditionError
 from .fplinalg import AlternatingForm, FpMatrix, residues
 from .heisenberg import HeisElement, HeisGroup
@@ -62,27 +55,30 @@ from .primes import is_prime
 
 @dataclass(frozen=True)
 class GeneratorAssignment:
-    """Images of every presentation generator in a fixed target group."""
+    """Images of the 4b + 1 presentation generators in a fixed target group:
+    ``images[i]`` is the image of the letter i + 1."""
 
     b: int
     p: int
     family: str
     target: HeisGroup
-    images: dict
+    images: tuple
 
-    def image(self, gen: BraidGenerator, exp: int = 1):
-        try:
-            g = self.images[gen]
-        except KeyError:
-            raise PreconditionError(f"no image assigned to generator {gen.display()}") from None
-        return g if exp == 1 else self.target.inv(g)
+    def __post_init__(self):
+        n = 4 * self.b + 1
+        if not isinstance(self.images, tuple) or len(self.images) != n:
+            raise PreconditionError(f"need a tuple of {n} generator images at genus {self.b}")
+
+    def image(self, x: int):
+        """The image of the signed letter x."""
+        check_letters((x,), self.b)
+        g = self.images[abs(x) - 1]
+        return g if x > 0 else self.target.inv(g)
 
 
-def _nonidentity_products(
-    assignment: GeneratorAssignment, words: Sequence[Word], generators: Sequence[BraidGenerator]
-) -> list:
-    """(index, value) of every word over ``generators`` whose left-to-right
-    product of letter images is not the identity, in index order.
+def _nonidentity_products(assignment: GeneratorAssignment, words: Sequence[Word]) -> list:
+    """(index, value) of every word whose left-to-right product of letter
+    images is not the identity, in index order.
 
     The table holds, per letter that occurs, the nonzero (k, a) entries of
     its image v, its central part t and the nonzero entries of C v.  Each
@@ -94,16 +90,22 @@ def _nonidentity_products(
     """
     group = assignment.target
     p = group.p
-    letters = tuple(set(itertools.chain.from_iterable(words)))
+    every = itertools.chain.from_iterable
+    # one type pass over every letter, since a set would merge True into 1;
+    # once every letter is an int, the range is checked per distinct letter,
+    # and otherwise the check refuses the first letter that is not
+    letters = set(every(words)) if set(map(type, every(words))) <= {int} else every(words)
+    check_letters(letters, assignment.b)
     table = {}
-    for x, (g, e) in zip(letters, word_generators(letters, generators)):
-        image = assignment.image(g, e)
+    for x in letters:
+        image = assignment.image(x)
         cv = group.cocycle.apply(image.v)
+        e = 1 if x > 0 else -1
         table[x] = (
             # v of x^-1 is stored as minus v of x (equal mod p), so acc ends
             # exactly zero in every word whose exponent sums vanish, and the
             # identity check below is one any() for those
-            [(k, e * a) for k, a in enumerate(assignment.image(g).v) if a],
+            [(k, e * a) for k, a in enumerate(assignment.images[abs(x) - 1].v) if a],
             image.t,
             [(k, a) for k, a in enumerate(cv) if a],
         )
@@ -127,10 +129,7 @@ def _nonidentity_products(
 def evaluate_word(assignment: GeneratorAssignment, word: Word):
     """Left-to-right product of letter images; empty word gives the identity.
     One word through the same evaluator that ``verify_assignment`` runs."""
-    generators = generator_list(assignment.b)
-    # every letter, not only the distinct ones: a set of letters merges True into 1
-    word_generators(word, generators)
-    found = _nonidentity_products(assignment, [word], generators)
+    found = _nonidentity_products(assignment, [word])
     return found[0][1] if found else assignment.target.identity
 
 
@@ -171,13 +170,14 @@ class VerificationReport:
 
 
 def verify_assignment(pres: Presentation, assignment: GeneratorAssignment) -> VerificationReport:
-    """Evaluate every relator; failures are recorded, never raised."""
+    """Evaluate every relator; failures are recorded, never raised.  The
+    presentation and the assignment must have the same genus, since a letter
+    names a generator only at a fixed b."""
+    if pres.b != assignment.b:
+        raise PreconditionError(f"presentation at genus {pres.b}, assignment at genus {assignment.b}")
     target = assignment.target
     words = [rel.word for rel in pres.relators]
-    failures = [
-        (i, pres.relators[i].source, value)
-        for i, value in _nonidentity_products(assignment, words, pres.generators)
-    ]
+    failures = [(i, pres.relators[i].source, value) for i, value in _nonidentity_products(assignment, words)]
     first, second = kernel_generator_sets(pres.b)
     m1 = image_index(assignment, first)
     m2 = image_index(assignment, second)
@@ -188,10 +188,10 @@ def verify_assignment(pres: Presentation, assignment: GeneratorAssignment) -> Ve
         total_relators=len(pres.relators),
         passed=len(pres.relators) - len(failures),
         failures=tuple(failures),
-        a12_order=target.order_of(assignment.image(A12)),
+        a12_order=target.order_of(assignment.images[-1]),  # A12 is the last letter
         m1=m1,
         m2=m2,
-        is_surjective=image_index(assignment, pres.generators) == 1,
+        is_surjective=image_index(assignment, range(1, 4 * pres.b + 2)) == 1,
     )
 
 
@@ -217,18 +217,6 @@ def _validated_params(b: int, p: int, lambdas: Sequence[int], mus: Sequence[int]
     return lam, mu
 
 
-def _nondegenerate_images(b: int, group: HeisGroup) -> dict:
-    """rho/tau generators to the ordered basis pairs, A12 to the center."""
-    images = {}
-    for strand in (1, 2):
-        for j in range(1, b + 1):
-            base = (strand - 1) * 2 * b + 2 * (j - 1)
-            images[BraidGenerator(RHO, strand, j)] = group.basis_element(base)
-            images[BraidGenerator(TAU, strand, j)] = group.basis_element(base + 1)
-    images[A12] = group.central(1)
-    return images
-
-
 def standard_assignment_nondegenerate(
     b: int, p: int, lambdas: Sequence[int], mus: Sequence[int]
 ) -> GeneratorAssignment:
@@ -244,7 +232,9 @@ def standard_assignment_nondegenerate(
         raise PreconditionError(f"the non-degenerate family needs a prime p >= 5, got {p}")
     lam, mu = _validated_params(b, p, lambdas, mus)
     group = HeisGroup(AlternatingForm.family(b, p, lam, mu))
-    return GeneratorAssignment(b, p, "nondegenerate", group, _nondegenerate_images(b, group))
+    # letter i + 1 to the i-th basis vector, A12 to the center
+    images = tuple(map(group.basis_element, range(4 * b))) + (group.central(1),)
+    return GeneratorAssignment(b, p, "nondegenerate", group, images)
 
 
 def tau2_to_r2_variant(b: int, p: int, lambdas: Sequence[int], mus: Sequence[int]) -> GeneratorAssignment:
@@ -255,10 +245,11 @@ def tau2_to_r2_variant(b: int, p: int, lambdas: Sequence[int], mus: Sequence[int
     demands A12^-1 = z^-1, so the relator fails with value z.
     """
     base = standard_assignment_nondegenerate(b, p, lambdas, mus)
-    images = dict(base.images)
+    images = list(base.images)
     for j in range(1, b + 1):
-        images[BraidGenerator(TAU, 2, j)] = images[BraidGenerator(RHO, 2, j)]
-    return GeneratorAssignment(b, p, "nondegenerate-tau2-as-r2", base.target, images)
+        (r,), (t,) = rho(b, 2, j), tau(b, 2, j)
+        images[t - 1] = images[r - 1]
+    return GeneratorAssignment(b, p, "nondegenerate-tau2-as-r2", base.target, tuple(images))
 
 
 def standard_assignment_degenerate(b: int, p: int) -> GeneratorAssignment:
@@ -273,14 +264,9 @@ def standard_assignment_degenerate(b: int, p: int) -> GeneratorAssignment:
         raise PreconditionError(f"{p} is not prime")
     if (b + 1) % p != 0:
         raise PreconditionError(f"the degenerate family needs p | b+1; {p} does not divide {b + 1}")
-    images = {}
     group = HeisGroup(AlternatingForm.j_form(b, p))
-    for j in range(1, b + 1):
-        images[BraidGenerator(RHO, 1, j)] = group.basis_element(2 * (j - 1))
-        images[BraidGenerator(RHO, 2, j)] = group.basis_element(2 * (j - 1))
-        images[BraidGenerator(TAU, 1, j)] = group.basis_element(2 * (j - 1) + 1)
-        images[BraidGenerator(TAU, 2, j)] = group.basis_element(2 * (j - 1) + 1)
-    images[A12] = group.central(1)
+    # both strands on the same 2b basis vectors, A12 to the center
+    images = tuple(group.basis_element(k % (2 * b)) for k in range(4 * b)) + (group.central(1),)
     return GeneratorAssignment(b, p, "degenerate", group, images)
 
 
@@ -290,12 +276,7 @@ def precompose_involution(assignment: GeneratorAssignment) -> GeneratorAssignmen
     The substitution extends to an automorphism of the braid group, so if the
     original assignment kills every relator the precomposed one must too.
     """
-    b = assignment.b
-    gens = generator_list(b)
-    images = {}
-    for i, gen in enumerate(gens, start=1):
-        ((sgen, sexp),) = word_generators(involution_substitute((i,), b), gens)
-        images[gen] = assignment.image(sgen, sexp)
+    images = tuple(map(assignment.image, involution_substitute(range(1, 4 * assignment.b + 2), assignment.b)))
     return GeneratorAssignment(
         assignment.b, assignment.p, assignment.family + "+involution", assignment.target, images
     )
@@ -357,9 +338,9 @@ def subgroup_order_fast(group: HeisGroup, elements: Sequence) -> int:
     return p ** (d + (1 if center_hit else 0))
 
 
-def image_index(assignment: GeneratorAssignment, generators: Sequence[BraidGenerator]) -> int:
-    """Index in the target of the subgroup generated by the given images."""
-    elements = [assignment.image(g) for g in generators]
+def image_index(assignment: GeneratorAssignment, letters: Sequence[int]) -> int:
+    """Index in the target of the subgroup generated by the images of the letters."""
+    elements = [assignment.image(x) for x in letters]
     order = subgroup_order_fast(assignment.target, elements)
     return assignment.target.order // order
 

@@ -5,17 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from heiskod.braid import (
-    A12,
-    RHO,
-    TAU,
-    BraidGenerator,
     Relator,
     Word,
     build_presentation,
+    check_letters,
     commutator,
     concat,
     free_reduce,
-    generator_list,
+    generator_name,
     involution_substitute,
     inverse_word,
     kernel_generator_sets,
@@ -24,7 +21,6 @@ from heiskod.braid import (
     tau,
     winding,
     word_display,
-    word_generators,
 )
 from heiskod.errors import PreconditionError
 
@@ -33,7 +29,8 @@ from heiskod.errors import PreconditionError
 def test_relator_count(b):
     pres = build_presentation(b)
     assert len(pres.relators) == 8 * b * b + 4 * b + 2
-    assert len(pres.generators) == 4 * b + 1
+    # every one of the 4b + 1 generators occurs
+    assert {abs(x) for rel in pres.relators for x in rel.word} == set(range(1, 4 * b + 2))
 
 
 def test_b_below_two_rejected():
@@ -50,6 +47,8 @@ def test_relators_reduced_and_nonempty(b):
 
 # The action relators as the case ladder that built them before the table of
 # printed right-hand sides, kept as the reference the table is checked against.
+
+RHO, TAU = "rho", "tau"
 
 
 def _relation(left: Word, right: Word, source: str) -> Relator:
@@ -159,11 +158,11 @@ def test_specific_relators_b2():
 
     # rho_11 acting on rho_22 (j < k): plain commutator word
     rel = by_source["action rho_1j on rho_2k, j=1, k=2 (j<k)"]
-    assert word_display(rel.word, pres.generators) == ["r1_1", "r2_2", "r1_1^-1", "r2_2^-1"]
+    assert word_display(rel.word, 2) == ["r1_1", "r2_2", "r1_1^-1", "r2_2^-1"]
 
     # rho_11 acting on tau_21 (j = k): commutator equals A12^-1
     rel = by_source["action rho_1j on tau_2k, j=1, k=1 (j=k)"]
-    assert word_display(rel.word, pres.generators) == ["r1_1", "t2_1", "r1_1^-1", "t2_1^-1", "A12"]
+    assert word_display(rel.word, 2) == ["r1_1", "t2_1", "r1_1^-1", "t2_1^-1", "A12"]
 
 
 def test_surface_relators_shape():
@@ -172,13 +171,13 @@ def test_surface_relators_shape():
     assert s1.source == "surface relation 1"
     # raw word [r1_2^-1, t1_2^-1] t1_2^-1 [r1_1^-1, t1_1^-1] t1_1^-1
     # (t1_1 t1_2) A12^-1 after cancelling t1_2 t1_2^-1 and t1_1^-1 t1_1
-    assert word_display(s1.word, pres.generators) == [
+    assert word_display(s1.word, 2) == [
         "r1_2^-1", "t1_2^-1", "r1_2",
         "r1_1^-1", "t1_1^-1", "r1_1",
         "t1_1", "t1_2", "A12^-1",
     ]
     assert s2.source == "surface relation 2"
-    assert word_display(s2.word, pres.generators)[-1] == "A12"  # ... = A12^-1 becomes trailing A12
+    assert word_display(s2.word, 2)[-1] == "A12"  # ... = A12^-1 becomes trailing A12
 
 
 def test_free_reduce_examples():
@@ -200,10 +199,23 @@ def test_free_reduce_idempotent_and_no_adjacent_inverses(letters):
 
 def test_involution_examples():
     assert involution_substitute(winding(2), 2) == winding(2, -1)
-    out = involution_substitute(tau(2, 1, 1), 2)
-    assert word_generators(out, generator_list(2)) == [(BraidGenerator(TAU, 2, 2), -1)]
-    out = involution_substitute(rho(3, 1, 1), 3)
-    assert word_generators(out, generator_list(3)) == [(BraidGenerator(RHO, 2, 3), 1)]
+    assert word_display(involution_substitute(tau(2, 1, 1), 2), 2) == ["t2_2^-1"]
+    assert word_display(involution_substitute(rho(3, 1, 1), 3), 3) == ["r2_3"]
+
+
+@pytest.mark.parametrize("b", range(2, 6))
+def test_involution_sends_each_letter_to_its_stated_image(b):
+    # r1_j -> r2_{b+1-j}, t1_j -> t2_{b+1-j}^-1, A12 -> A12^-1, and back
+    expected = {"A12": "A12^-1", "A12^-1": "A12"}
+    for j in range(1, b + 1):
+        for s, t in ((1, 2), (2, 1)):
+            expected[f"r{s}_{j}"] = f"r{t}_{b + 1 - j}"
+            expected[f"r{s}_{j}^-1"] = f"r{t}_{b + 1 - j}^-1"
+            expected[f"t{s}_{j}"] = f"t{t}_{b + 1 - j}^-1"
+            expected[f"t{s}_{j}^-1"] = f"t{t}_{b + 1 - j}"
+    letters = [x for i in range(1, 4 * b + 2) for x in (i, -i)]
+    images = word_display(involution_substitute(tuple(letters), b), b)
+    assert {generator_name(x, b): image for x, image in zip(letters, images)} == expected
 
 
 @given(st.lists(st.tuples(st.integers(0, 8), st.sampled_from([1, -1])), max_size=30))
@@ -227,10 +239,10 @@ def test_abelianisation_is_free_of_rank_4b(b):
     is a power of A12 in every printed relation.  A missing or doubled letter
     anywhere would show up here."""
     pres = build_presentation(b)
-    a12_axis = pres.generators.index(A12)
+    a12_axis = 4 * b  # A12 is the last letter
     nonzero = 0
     for rel in pres.relators:
-        vec = [0] * len(pres.generators)
+        vec = [0] * (4 * b + 1)
         for x in rel.word:
             vec[abs(x) - 1] += 1 if x > 0 else -1
         assert all(v == 0 for i, v in enumerate(vec) if i != a12_axis), rel.source
@@ -242,8 +254,8 @@ def test_abelianisation_is_free_of_rank_4b(b):
 
 def test_kernel_generator_sets():
     first, second = kernel_generator_sets(2)
-    assert [g.display() for g in first] == ["r2_1", "r2_2", "t2_1", "t2_2", "A12"]
-    assert [g.display() for g in second] == ["r1_1", "r1_2", "t1_1", "t1_2", "A12"]
+    assert word_display(first, 2) == ["r2_1", "r2_2", "t2_1", "t2_2", "A12"]
+    assert word_display(second, 2) == ["r1_1", "r1_2", "t1_1", "t1_2", "A12"]
     for b in (2, 3, 7):
         first, second = kernel_generator_sets(b)
         assert len(first) == len(second) == 2 * b + 1
@@ -256,10 +268,20 @@ def test_json_export_shape():
     assert all(isinstance(tok, str) for rec in records for tok in rec["relator"])
 
 
-def test_generator_validation():
-    with pytest.raises(PreconditionError):
-        BraidGenerator(RHO, 3, 1)
-    with pytest.raises(PreconditionError):
-        BraidGenerator("A", 1, 1)
-    with pytest.raises(PreconditionError):
-        BraidGenerator("sigma", 1, 1)
+@pytest.mark.parametrize("b", range(2, 6))
+def test_letter_names(b):
+    names = [f"{kind}{s}_{j}" for s in (1, 2) for j in range(1, b + 1) for kind in "rt"] + ["A12"]
+    if b == 2:
+        assert names == ["r1_1", "t1_1", "r1_2", "t1_2", "r2_1", "t2_1", "r2_2", "t2_2", "A12"]
+    assert word_display(range(1, 4 * b + 2), b) == names
+    assert word_display(range(-1, -4 * b - 2, -1), b) == [name + "^-1" for name in names]
+
+
+@pytest.mark.parametrize("b", [2, 3])
+def test_check_letters_refuses_non_letters(b):
+    check_letters((1, -1, 4 * b + 1, -(4 * b + 1)), b)
+    for bad in (0, 4 * b + 2, -(4 * b + 2), True, 1.0):
+        with pytest.raises(PreconditionError, match="not a generator index"):
+            check_letters((1, bad), b)
+        with pytest.raises(PreconditionError, match="not a generator index"):
+            generator_name(bad, b)

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from heiskod import verify
-from heiskod.braid import A12, build_presentation
+from heiskod.braid import build_presentation
 from heiskod.cli import main
 from heiskod.verify import (
     GeneratorAssignment,
@@ -106,8 +106,7 @@ def test_oracle_runs_once_per_distinct_generating_set(capsys, monkeypatch, stem,
 
 def _a12_killed(b, p, lam, mu):
     base = standard_assignment_nondegenerate(b, p, lam, mu)
-    images = dict(base.images)
-    images[A12] = base.target.identity
+    images = base.images[:-1] + (base.target.identity,)
     return GeneratorAssignment(b, p, "a12-killed", base.target, images)
 
 

@@ -17,14 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heiskod.braid import (
-    A12,
-    RHO,
-    TAU,
-    BraidGenerator,
     Presentation,
     Relator,
     build_presentation,
-    generator_list,
     kernel_generator_sets,
     rho,
     winding,
@@ -76,10 +71,14 @@ def test_surface_relator_closes_via_central_values(nondeg25, pres2):
     assert value == nondeg25.target.central(1)
 
 
-def test_unknown_generator_rejected(nondeg25):
-    bogus = GeneratorAssignment(2, 5, "partial", nondeg25.target, {})
-    with pytest.raises(PreconditionError):
-        evaluate_word(bogus, winding(2))
+def test_image_tuple_of_wrong_length_refused(nondeg25):
+    images = nondeg25.images
+    for bad in ((), images[:-1], images + images[-1:], list(images)):
+        with pytest.raises(PreconditionError, match="generator images"):
+            GeneratorAssignment(2, 5, "partial", nondeg25.target, bad)
+    # the images of genus 2 are too few at genus 3
+    with pytest.raises(PreconditionError, match="generator images"):
+        GeneratorAssignment(3, 5, "partial", nondeg25.target, images)
 
 
 def test_letters_out_of_range_refused(nondeg25):
@@ -88,7 +87,7 @@ def test_letters_out_of_range_refused(nondeg25):
     for bad in (0, 10, -10, 10**30):
         with pytest.raises(PreconditionError, match="not a generator index"):
             evaluate_word(nondeg25, (1, bad, -1))
-        pres = Presentation(2, generator_list(2), (Relator((1, -1), "fine"), Relator((bad,), "bad")))
+        pres = Presentation(2, (Relator((1, -1), "fine"), Relator((bad,), "bad")))
         with pytest.raises(PreconditionError, match="not a generator index"):
             verify_assignment(pres, nondeg25)
 
@@ -97,9 +96,22 @@ def test_bool_letters_refused():
     # (True,) used to evaluate as r1_1; (1, True) as r1_1^2, since a set of
     # letters merges True into 1
     degenerate = standard_assignment_degenerate(2, 3)
-    for word in ((True,), (1, True), (False,)):
+    for word in ((True,), (1, True), (False,), (np.True_,), (np.int64(1),), (1.0,)):
         with pytest.raises(PreconditionError, match="not a generator index"):
             evaluate_word(degenerate, word)
+    # across relators too: a set of all letters merges True of one word into
+    # the 1 of another
+    for true in (True, np.True_):
+        pres = Presentation(2, (Relator((1, -1), "fine"), Relator((true,), "bool")))
+        with pytest.raises(PreconditionError, match="not a generator index"):
+            verify_assignment(pres, degenerate)
+
+
+def test_genus_mismatch_refused():
+    # a genus-5 assignment used to be read against the genus-2 letters and
+    # reported 42/42 relators passed
+    with pytest.raises(PreconditionError, match="genus"):
+        verify_assignment(build_presentation(2), standard_assignment_degenerate(5, 3))
 
 
 # -- the evaluator against a pure-Python reference ----------------------------------
@@ -108,7 +120,7 @@ def test_bool_letters_refused():
 def reference_products(cocycle, p, images, words):
     """Left-to-right products in Python integers, without numpy or the group:
     (v, t)(w, s) = (v + w, t + s + v.C.w) and (w, s)^-1 = (-w, -s + w.C.w).
-    ``images`` lists the (w, s) of generator_list(b) in order."""
+    ``images`` lists the (w, s) of the letters 1..4b+1 in order."""
     dim = len(cocycle)
 
     def c_times(w):
@@ -139,9 +151,9 @@ def check_against_reference(assignment, words):
     not the identity, in index order and with that value; evaluate_word must
     give the reference product of each word."""
     b, group = assignment.b, assignment.target
-    images = [(list(assignment.images[g].v), assignment.images[g].t) for g in generator_list(b)]
+    images = [(list(g.v), g.t) for g in assignment.images]
     expected = reference_products(group.cocycle.to_lists(), group.p, images, words)
-    pres = Presentation(b, generator_list(b), tuple(Relator(w, f"word {i}") for i, w in enumerate(words)))
+    pres = Presentation(b, tuple(Relator(w, f"word {i}") for i, w in enumerate(words)))
     report = verify_assignment(pres, assignment)
     identity = ((0,) * group.dim, 0)
     assert [(i, src, (value.v, value.t)) for i, src, value in report.failures] == [
@@ -179,7 +191,7 @@ def test_kernel_matches_python_reference(group, data):
         st.lists(st.integers(0, p - 1), min_size=group.dim, max_size=group.dim), st.integers(0, p - 1)
     )
     raw = data.draw(st.lists(element, min_size=n, max_size=n))
-    images = {g: HeisElement(tuple(v), t) for g, (v, t) in zip(generator_list(b), raw)}
+    images = tuple(HeisElement(tuple(v), t) for v, t in raw)
     assignment = GeneratorAssignment(b, p, "random", group, images)
     letter = st.integers(1, n).flatmap(lambda i: st.sampled_from([i, -i]))
     words = data.draw(st.lists(st.lists(letter, max_size=40).map(tuple), min_size=1, max_size=12))
@@ -197,10 +209,9 @@ def test_every_relator_matches_python_reference(family, b, p):
     # random images make most relators fail
     rng = random.Random(100 * b + p)
     group = standard.target
-    images = {
-        g: HeisElement(tuple(rng.randrange(p) for _ in range(group.dim)), rng.randrange(p))
-        for g in generator_list(b)
-    }
+    images = tuple(
+        HeisElement(tuple(rng.randrange(p) for _ in range(group.dim)), rng.randrange(p)) for _ in range(4 * b + 1)
+    )
     check_against_reference(GeneratorAssignment(b, p, "random", group, images), words)
 
 
@@ -239,13 +250,7 @@ def test_nondegenerate_parameters_refuse_floats():
 def test_unvalidated_bad_mu_fails_surface_relation_2(nondeg25, pres2):
     """mu = (2,3) sums to 0 mod 5; forced through, it must break relators."""
     group = HeisGroup(AlternatingForm.family(2, 5, (3, 3), (2, 3)))
-    images = {}
-    for strand in (1, 2):
-        for j in (1, 2):
-            base = (strand - 1) * 4 + 2 * (j - 1)
-            images[BraidGenerator(RHO, strand, j)] = group.basis_element(base)
-            images[BraidGenerator(TAU, strand, j)] = group.basis_element(base + 1)
-    images[A12] = group.central(1)
+    images = tuple(map(group.basis_element, range(8))) + (group.central(1),)
     report = verify_assignment(pres2, GeneratorAssignment(2, 5, "forced", group, images))
     failed_sources = {src for _, src, _ in report.failures}
     assert "surface relation 2" in failed_sources
@@ -281,8 +286,7 @@ def test_tau2_variant_fails_expected_relator(pres2):
 
 
 def test_a12_mutation_breaks_surface_relation(nondeg25, pres2):
-    images = dict(nondeg25.images)
-    images[A12] = nondeg25.target.identity
+    images = nondeg25.images[:-1] + (nondeg25.target.identity,)
     mutated = GeneratorAssignment(2, 5, "a12-killed", nondeg25.target, images)
     report = verify_assignment(pres2, mutated)
     failures = {src: v for _, src, v in report.failures}
@@ -303,11 +307,9 @@ def test_degenerate_assignment_is_quotient_of_big_lifting():
     on the rank-2b form pass every relator (with disconnected-fibre indices
     p^{2b}), and merging the strands, r_sj -> r_j and t_sj -> t_j, reproduces
     the standard degenerate assignment exactly."""
-    from heiskod.verify import _nondegenerate_images
-
     for b, p in ((2, 3), (4, 5), (3, 2)):
         big = HeisGroup(AlternatingForm.degenerate_family(b, p))
-        images = _nondegenerate_images(b, big)
+        images = tuple(map(big.basis_element, range(4 * b))) + (big.central(1),)
         assignment = GeneratorAssignment(b, p, "degenerate-on-V", big, images)
         report = verify_assignment(build_presentation(b), assignment)
         assert report.all_passed and report.a12_order == p
@@ -324,8 +326,8 @@ def test_degenerate_assignment_is_quotient_of_big_lifting():
             t = g.t - sum(v1[2 * j + 1] * v2[2 * j] for j in range(b))
             return small.element([x + y for x, y in zip(v1, v2)], t)
 
-        for gen, img in standard.images.items():
-            assert merge(images[gen]) == img
+        for img, small_img in zip(images, standard.images):
+            assert merge(img) == small_img
         rng = np.random.default_rng(b * p)
         for _ in range(100):
             g, h = (big.element(rng.integers(0, p, 4 * b), int(rng.integers(0, p))) for _ in range(2))
@@ -351,7 +353,7 @@ def test_involution_precompose_nondegenerate(nondeg25, pres2):
 
 
 def test_image_index_full_generating_set(nondeg25, pres2):
-    assert image_index(nondeg25, pres2.generators) == 1
+    assert image_index(nondeg25, range(1, 10)) == 1
 
 
 def test_kernel_set_indices_and_bfs(nondeg25):
