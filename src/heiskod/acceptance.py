@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .braid import build_presentation, kernel_generator_sets
 from .cohomology import (
@@ -45,8 +45,7 @@ from .verify import (
 )
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     index: int
     name: str
     passed: bool

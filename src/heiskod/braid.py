@@ -10,7 +10,12 @@ L . R^-1, freely reduced; the commutator convention is [x, y] = x y x^-1 y^-1.
 The action relations are one table of printed right-hand sides w in
 [x, y] = w, one entry per actor, target and j-versus-k case, written over
 "handle j", "handle k" and A12.  Each entry's relator x y x^-1 y^-1 w^-1 is
-freely reduced once as a pattern and then instantiated for every (j, k).
+freely reduced once as a pattern over six symbols; ``build_presentation``
+keeps only these patterns and the two surface words.  Relator i is a pattern
+read through a substitution s, a tuple indexed by signed symbol: s[y] is the
+letter of symbol y and s[-y], a negative index, its inverse.  A plain word is
+its own pattern under the identity.  Words and sources are built only when
+the relators are read, so ``verify`` streams the presentation in O(b) memory.
 The inverse-actor families are consequences of the direct ones, but they are
 emitted anyway: redundancy strengthens homomorphism verification, and keeping
 the three j-versus-k cases separate means a failure pinpoints one precise
@@ -33,8 +38,8 @@ tuple of images indexed by letter, and ``generator_name`` prints a letter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+import itertools
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PreconditionError
 
@@ -105,39 +110,54 @@ def word_display(w: Word, b: int) -> list[str]:
     return [generator_name(x, b) for x in w]
 
 
-@dataclass(frozen=True)
-class Relator:
+class Relator(NamedTuple):
     """A freely reduced word equal to the identity, with its printed source."""
 
     word: Word
     source: str
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
+    """The relators at genus b, a sized sequence of :class:`Relator`.  Those
+    of ``build_presentation`` are templates; any other sequence is read as
+    plain words."""
+
     b: int
-    relators: tuple[Relator, ...]
+    relators: Sequence[Relator]
+
+    def substituted(self) -> tuple[Iterable[int], Iterator[tuple[Word, Word, None]]]:
+        """The generators that occur, as positive letters, and the (pattern,
+        substitution, None) of every relator in order; plain words are
+        checked here."""
+        if isinstance(self.relators, _Templates):
+            return range(1, 4 * self.b + 2), self.relators.walk()
+        every = itertools.chain.from_iterable
+        words = [r.word for r in self.relators]
+        # one type pass over every letter, since a set would merge True into 1;
+        # then the range is checked per distinct letter, or the first non-int refused
+        letters = set(every(words)) if set(map(type, every(words))) <= {int} else every(words)
+        check_letters(letters, self.b)
+        n = 4 * self.b + 1
+        identity = (0, *range(1, n + 1), *range(-n, 0))
+        return {abs(x) for x in letters}, ((w, identity, None) for w in words)
 
 
-def _surface_relators(b: int) -> list[Relator]:
+def _surface_words(b: int) -> tuple[Word, Word]:
     # relation 1: [rho_1b^-1, tau_1b^-1] tau_1b^-1 ... [rho_11^-1, tau_11^-1]
     #             tau_11^-1 (tau_11 tau_12 ... tau_1b) = A12
-    left: Word = ()
-    for j in range(b, 0, -1):
-        left = concat(left, commutator(rho(b, 1, j, -1), tau(b, 1, j, -1)), tau(b, 1, j, -1))
-    for j in range(1, b + 1):
-        left = concat(left, tau(b, 1, j))
-    rel1 = Relator(free_reduce(concat(left, winding(b, -1))), "surface relation 1")
-
+    rel1 = concat(
+        *(commutator(rho(b, 1, j, -1), tau(b, 1, j, -1)) + tau(b, 1, j, -1) for j in range(b, 0, -1)),
+        *(tau(b, 1, j) for j in range(1, b + 1)),
+        winding(b, -1),
+    )
     # relation 2: [rho_21^-1, tau_21] tau_21 ... [rho_2b^-1, tau_2b] tau_2b
     #             (tau_2b^-1 ... tau_21^-1) = A12^-1
-    left = ()
-    for j in range(1, b + 1):
-        left = concat(left, commutator(rho(b, 2, j, -1), tau(b, 2, j)), tau(b, 2, j))
-    for j in range(b, 0, -1):
-        left = concat(left, tau(b, 2, j, -1))
-    rel2 = Relator(free_reduce(concat(left, winding(b))), "surface relation 2")
-    return [rel1, rel2]
+    rel2 = concat(
+        *(commutator(rho(b, 2, j, -1), tau(b, 2, j)) + tau(b, 2, j) for j in range(1, b + 1)),
+        *(tau(b, 2, j, -1) for j in range(b, 0, -1)),
+        winding(b),
+    )
+    return free_reduce(rel1), free_reduce(rel2)
 
 
 # The action relations [x, y] = w as printed (Bellingeri, "On presentations of
@@ -198,39 +218,57 @@ def _action_pattern(target: str, case: str, right: str) -> Word:
     return free_reduce(concat(commutator(_symbols("x"), _symbols(y)), inverse_word(_symbols(right))))
 
 
-def _fill(pattern: Word, letters: tuple[int, ...]) -> Word:
-    """Substitute letters[i] for the symbol +-(i + 1)."""
-    return tuple(letters[s - 1] if s > 0 else -letters[-s - 1] for s in pattern)
+# The reduced relator of every (actor, target, case), over the symbols.
+_PATTERNS = {key: _action_pattern(*key[1:], right) for key, right in _ACTION_RIGHT_SIDES.items()}
 
 
-def _action_relators(b: int) -> list[Relator]:
-    """The 8b^2 action relations: per actor and j, one per rho_2k (k = 1..b),
-    one per tau_2k, then the one on A12."""
-    patterns = {key: _action_pattern(*key[1:], right) for key, right in _ACTION_RIGHT_SIDES.items()}
-    (a,) = winding(b)
-    out: list[Relator] = []
-    for actor, generator, exp in _ACTORS:
-        for j in range(1, b + 1):
-            (x,), (rj,), (tj,) = generator(b, 1, j, exp), rho(b, 2, j), tau(b, 2, j)
-            for target in ("rho_2k", "tau_2k"):
-                for k in range(1, b + 1):
-                    case = "j<k" if j < k else ("j=k" if j == k else "j>k")
-                    letters = (x, rj, rho(b, 2, k)[0], tj, tau(b, 2, k)[0], a)
-                    word = _fill(patterns[actor, target, case], letters)
-                    out.append(Relator(word, f"action {actor} on {target}, j={j}, k={k} ({case})"))
-            word = _fill(patterns[actor, "A12", ""], (x, rj, 0, tj, 0, a))
-            out.append(Relator(word, f"action {actor} on A12, j={j}"))
-    return out
+class _Templates(Sequence):
+    """The relators of ``build_presentation(b)``: the two surface words, then
+    per actor and j one action relator per rho_2k (k = 1..b), one per tau_2k,
+    and the one on A12.  Only the surface words are stored; an action relator
+    is its pattern under the substitution of its letters (x, rj, rk, tj, tk,
+    a), and its word and source are built only when it is read."""
+
+    __slots__ = ("b", "surface")
+
+    def __init__(self, b: int):
+        self.b, self.surface = b, _surface_words(b)
+
+    def __len__(self) -> int:
+        return 8 * self.b * self.b + 4 * self.b + 2
+
+    def __getitem__(self, i):
+        # a tuple's indices and IndexError; a slice reads every relator
+        return tuple(self)[i] if isinstance(i, slice) else next(itertools.islice(self, range(len(self))[i], None))
+
+    def __iter__(self) -> Iterator[Relator]:
+        for pattern, sub, source in self.walk(sources=True):
+            yield Relator(tuple(map(sub.__getitem__, pattern)), source)
+
+    def walk(self, sources: bool = False) -> Iterator[tuple[Word, Word, str | None]]:
+        """(pattern, substitution, source or None) of every relator, in order."""
+        b, a = self.b, 4 * self.b + 1
+        identity = (0, *range(1, a + 1), *range(-a, 0))
+        yield from zip(self.surface, (identity,) * 2, ("surface relation 1", "surface relation 2"))
+        rho_2 = range(2 * b + 1, 4 * b, 2)  # rho_2k for k = 1..b; tau_2k is the letter after it
+        for actor, generator, exp in _ACTORS:
+            for j in range(1, b + 1):
+                (x,), (rj,) = generator(b, 1, j, exp), rho(b, 2, j)
+                # the substitutions of (x, rj, rk, tj, tk, a) for k = 1..b
+                subs = [(0, x, rj, rk, rj + 1, rk + 1, a, -a, -rk - 1, -rj - 1, -rk, -rj, -x) for rk in rho_2]
+                cases = ("j>k",) * (j - 1) + ("j=k",) + ("j<k",) * (b - j)  # k = 1..b
+                for target in ("rho_2k", "tau_2k"):
+                    patterns = [_PATTERNS[actor, target, case] for case in cases]
+                    named = (f"action {actor} on {target}, j={j}, k={k} ({case})" for k, case in enumerate(cases, 1))
+                    yield from zip(patterns, subs, named if sources else itertools.repeat(None))
+                yield _PATTERNS[actor, "A12", ""], subs[j - 1], f"action {actor} on A12, j={j}" if sources else None
 
 
 def build_presentation(b: int) -> Presentation:
-    """The full presentation at genus b: 8b^2 + 4b + 2 relators."""
+    """The full presentation at genus b: 8b^2 + 4b + 2 relators, as templates."""
     if b < 2:
         raise PreconditionError(f"genus b must be >= 2, got {b}")
-    relators = _surface_relators(b) + _action_relators(b)
-    expected = 8 * b * b + 4 * b + 2
-    assert len(relators) == expected, f"emitted {len(relators)} relators, expected {expected}"
-    return Presentation(b=b, relators=tuple(relators))
+    return Presentation(b, _Templates(b))
 
 
 def involution_substitute(w: Word, b: int) -> Word:
@@ -259,6 +297,3 @@ def kernel_generator_sets(b: int) -> tuple[Word, Word]:
     second = (*range(1, 2 * b, 2), *range(2, 2 * b + 1, 2), *a12)
     return first, second
 
-
-def presentation_to_json(pres: Presentation) -> list[dict]:
-    return [{"relator": word_display(r.word, pres.b), "source": r.source} for r in pres.relators]

@@ -17,6 +17,7 @@ configuration is on the command line.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
@@ -83,19 +84,28 @@ def _fraction_str(f: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_presentation(args) -> int:
-    from .braid import build_presentation, presentation_to_json, word_display
+def _presentation_json(relators: Iterable[tuple[list[str], str]]) -> Iterator[str]:
+    """``json.dumps`` with indent 2 of the list of {"relator": names, "source":
+    source} records, one relator at a time; no list of names is empty."""
+    sep = "[\n"
+    for names, source in relators:
+        joined = ",\n      ".join(map(json.dumps, names))
+        yield f'{sep}  {{\n    "relator": [\n      {joined}\n    ],\n    "source": {json.dumps(source)}\n  }}'
+        sep = ",\n"
+    yield "\n]"
 
-    pres = build_presentation(args.b)
+
+def cmd_presentation(args) -> int:
+    from .braid import build_presentation, word_display
+
+    b, relators = build_presentation(args.b)
     if args.format == "json":
-        _emit(json.dumps(presentation_to_json(pres), indent=2), args.output)
+        _emit_stream(_presentation_json((word_display(rel.word, b), rel.source) for rel in relators), args.output)
         return 0
-    lines = [f"pure braid group presentation at genus b = {pres.b}"]
-    lines.append("generators: " + " ".join(word_display(range(1, 4 * pres.b + 2), pres.b)))
-    lines.append(f"relators ({len(pres.relators)}):")
-    for i, rel in enumerate(pres.relators):
-        lines.append(f"  {i:3d}. [{rel.source}] " + " ".join(word_display(rel.word, pres.b)))
-    _emit("\n".join(lines), args.output)
+    generators = " ".join(word_display(range(1, 4 * b + 2), b))
+    head = f"pure braid group presentation at genus b = {b}\ngenerators: {generators}\nrelators ({len(relators)}):"
+    lines = (f"\n  {i:3d}. [{rel.source}] " + " ".join(word_display(rel.word, b)) for i, rel in enumerate(relators))
+    _emit_stream(itertools.chain((head,), lines), args.output)
     return 0
 
 

@@ -35,9 +35,8 @@ are what the braid-group liftings need.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import eq, index
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import EnumerationBoundError, InconsistencyError, PreconditionError
 from .fplinalg import AlternatingForm, FpMatrix, _check_prime, residues
@@ -97,17 +96,16 @@ class H2Basis:
         return _h2_block(letter1, letter2, i, j, self.b)
 
 
-@dataclass(frozen=True)
-class H2Class:
+class H2Class(NamedTuple("H2Class", [("b", int), ("p", int), ("coeffs", tuple[int, ...])])):
     """A degree-2 class as a reduced coefficient tuple of length 4b^2 + 2."""
 
-    b: int
-    p: int
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.coeffs) != 4 * self.b * self.b + 2:
             raise PreconditionError("H^2 coefficient vector has the wrong length")
+        return self
 
 
 def _cup_basis(i1: int, i2: int, b: int, p: int) -> Optional[tuple[int, int]]:
@@ -226,8 +224,7 @@ def _mod_delta(x: Sequence[int], b: int, p: int) -> tuple[int, ...]:
     return tuple((y - x[0] * d) % p for y, d in zip(x[1:], delta[1:]))
 
 
-@dataclass(frozen=True)
-class FormClassification:
+class FormClassification(NamedTuple):
     """Outcome of testing an alternating form against the diagonal line."""
 
     is_alternating: bool

@@ -28,15 +28,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InconsistencyError, PreconditionError
 from .fplinalg import AlternatingForm, residues
 
 
-@dataclass(frozen=True)
-class HeisElement:
+class HeisElement(NamedTuple):
     """Group element (v, t), components reduced mod p."""
 
     v: tuple[int, ...]
@@ -127,8 +125,7 @@ class HeisGroup:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupStructureReport:
+class GroupStructureReport(NamedTuple):
     order: int
     exponent: int
     center_order: int

@@ -31,9 +31,8 @@ of :mod:`primes`, so this module and its subcommands need no numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InconsistencyError, PreconditionError
 from .primes import _MR_LIMIT, is_prime
@@ -45,10 +44,7 @@ def _as_int(x: Fraction, what: str) -> int:
     return int(x)
 
 
-@dataclass(frozen=True)
-class FibrationInvariants:
-    """Exact invariant record of one double Kodaira fibration."""
-
+class _FibrationFields(NamedTuple):
     b: int
     group_order: int
     n: int
@@ -64,7 +60,14 @@ class FibrationInvariants:
     signature: int
     cover_degree: int
 
-    def __post_init__(self):
+
+class FibrationInvariants(_FibrationFields):
+    """Exact invariant record of one double Kodaira fibration."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (2 < self.slope < 3):
             raise InconsistencyError(f"slope {self.slope} outside the open interval (2, 3)")
         if self.signature % 4 != 0:
@@ -81,6 +84,7 @@ class FibrationInvariants:
         ):
             if val <= 0:
                 raise InconsistencyError(f"{label} = {val} is not positive")
+        return self
 
 
 def general_invariants(b: int, group_order: int, n: int, m1: int, m2: int) -> FibrationInvariants:
@@ -198,16 +202,14 @@ MAX_NONDEGENERATE_SLOPE = Fraction(2) + Fraction(12, 35)
 MAX_DEGENERATE_SLOPE = Fraction(7, 3)
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     family: str
     b: int
     p: int
     invariants: FibrationInvariants
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(NamedTuple):
     name: str
     holds: bool
     detail: str

@@ -8,12 +8,15 @@ extends to a group homomorphism, and each failure names the printed relation
 that broke.
 
 All relators go through one evaluator in Python integers.  It tabulates the
-sparse image (v, t) and C v of every letter that occurs, then multiplies each
-word from the left, one letter at a time: (acc_v, acc_t) -> (acc_v + v,
-acc_t + t + acc_v . C v).  That is the group law applied to concrete
-elements, so the result is exact; only the words whose product is not the
-identity are kept, and ``evaluate_word`` is the same evaluator on a single
-word.  numpy is imported only by the exhaustive oracle.
+sparse image (v, t) and C v of every signed letter, then multiplies each
+relator from the left, one letter at a time, reading letter y of its pattern
+as table row s[y] of its substitution s, so no word is built: (acc_v, acc_t)
+-> (acc_v + v, acc_t + t + acc_v . C v), with acc_v a sparse dict.  That is
+the group law applied to concrete elements, so the result is exact; only the
+relators whose product is not the identity are kept, and their sources are
+read in one pass.  A hand-built presentation and ``evaluate_word`` go through
+the same loop, as plain words under the identity substitution.  numpy is
+imported only by the exhaustive oracle.
 
 An assignment stores its images as a tuple indexed by letter: ``images[i]``
 is the image of the generator with letter i + 1, in the order ``braid``
@@ -41,33 +44,31 @@ must always agree where both run, and the tests enforce that.
 
 from __future__ import annotations
 
-import itertools
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .braid import Presentation, Word, check_letters, involution_substitute, kernel_generator_sets, rho, tau
+from .braid import Presentation, Relator, Word, check_letters, involution_substitute, kernel_generator_sets, rho, tau
 from .errors import EnumerationBoundError, PreconditionError
 from .fplinalg import AlternatingForm, FpMatrix, residues
 from .heisenberg import HeisElement, HeisGroup
 from .primes import is_prime
 
 
-@dataclass(frozen=True)
 class GeneratorAssignment:
     """Images of the 4b + 1 presentation generators in a fixed target group:
-    ``images[i]`` is the image of the letter i + 1."""
+    ``images[i]`` is the image of the letter i + 1, an element of the target
+    whose entries are ints reduced mod p."""
 
-    b: int
-    p: int
-    family: str
-    target: HeisGroup
-    images: tuple
+    __slots__ = ("b", "p", "family", "target", "images")
 
-    def __post_init__(self):
-        n = 4 * self.b + 1
-        if not isinstance(self.images, tuple) or len(self.images) != n:
-            raise PreconditionError(f"need a tuple of {n} generator images at genus {self.b}")
+    def __init__(self, b: int, p: int, family: str, target: HeisGroup, images: tuple):
+        if not isinstance(images, tuple) or len(images) != 4 * b + 1:
+            raise PreconditionError(f"need a tuple of {4 * b + 1} generator images at genus {b}")
+        for g in images:
+            ok = isinstance(g, HeisElement) and type(g.v) is tuple and len(g.v) == target.dim
+            if not ok or not all(type(a) is int and 0 <= a < target.p for a in (*g.v, g.t)):
+                raise PreconditionError(f"image {g!r} is not an element of {target!r} reduced mod {target.p}")
+        self.b, self.p, self.family, self.target, self.images = b, p, family, target, images
 
     def image(self, x: int):
         """The image of the signed letter x."""
@@ -76,65 +77,60 @@ class GeneratorAssignment:
         return g if x > 0 else self.target.inv(g)
 
 
-def _nonidentity_products(assignment: GeneratorAssignment, words: Sequence[Word]) -> list:
-    """(index, value) of every word whose left-to-right product of letter
+def _nonidentity_products(assignment: GeneratorAssignment, pres: Presentation) -> list:
+    """(index, value) of every relator whose left-to-right product of letter
     images is not the identity, in index order.
 
-    The table holds, per letter that occurs, the nonzero (k, a) entries of
-    its image v, its central part t and the nonzero entries of C v.  Each
-    running product is multiplied on the right by the next letter:
+    The table holds, per signed letter, the nonzero (k, a) entries of its
+    image v, its central part t and the nonzero entries of C v.  Each running
+    product is multiplied on the right by the next letter:
 
         acc_t += t + acc_v . (C v),   acc_v += v,
 
-    in Python integers, reduced mod p at the end of the word.
+    in Python integers, reduced mod p at the end of the relator.
     """
     group = assignment.target
     p = group.p
-    every = itertools.chain.from_iterable
-    # one type pass over every letter, since a set would merge True into 1;
-    # once every letter is an int, the range is checked per distinct letter,
-    # and otherwise the check refuses the first letter that is not
-    letters = set(every(words)) if set(map(type, every(words))) <= {int} else every(words)
-    check_letters(letters, assignment.b)
-    table = {}
-    for x in letters:
-        image = assignment.image(x)
-        cv = group.cocycle.apply(image.v)
-        e = 1 if x > 0 else -1
-        table[x] = (
-            # v of x^-1 is stored as minus v of x (equal mod p), so acc ends
-            # exactly zero in every word whose exponent sums vanish, and the
-            # identity check below is one any() for those
-            [(k, e * a) for k, a in enumerate(assignment.images[abs(x) - 1].v) if a],
-            image.t,
-            [(k, a) for k, a in enumerate(cv) if a],
-        )
+    generators, relators = pres.substituted()
+    table = [None] * (8 * assignment.b + 3)  # indexed by signed letter
+    for x in generators:
+        g = assignment.images[x - 1]
+        cv = group.cocycle.apply(g.v)
+        v, cvs = [(k, a) for k, a in enumerate(g.v) if a], [(k, a) for k, a in enumerate(cv) if a]
+        table[x] = (v, g.t, cvs)
+        # x^-1 is (-v, -t + v . C v), and C(-v) = -C v; -v is not reduced, so
+        # acc ends exactly zero in every word whose exponent sums vanish, and
+        # the identity check below is one any() for those
+        table[-x] = ([(k, -a) for k, a in v], sum(a * cv[k] for k, a in v) - g.t, [(k, -a) for k, a in cvs])
     found = []
-    for i, word in enumerate(words):
-        acc = [0] * group.dim
+    for i, (pattern, sub, _) in enumerate(relators):
+        acc = {}  # acc_v by coordinate, absent ones zero
+        get = acc.get
         t = 0
-        for x in word:
-            v, s, cv = table[x]
+        for y in pattern:
+            v, s, cv = table[sub[y]]
             t += s
             for k, a in cv:
-                t += acc[k] * a
+                t += get(k, 0) * a
             for k, a in v:
-                acc[k] += a
+                acc[k] = get(k, 0) + a
         t %= p
-        if t or (any(acc) and any(a % p for a in acc)):
-            found.append((i, HeisElement(tuple(a % p for a in acc), t)))
+        if t or any(acc.values()) and any(a % p for a in acc.values()):
+            value = [0] * group.dim
+            for k, a in acc.items():
+                value[k] = a % p
+            found.append((i, HeisElement(tuple(value), t)))
     return found
 
 
 def evaluate_word(assignment: GeneratorAssignment, word: Word):
     """Left-to-right product of letter images; empty word gives the identity.
     One word through the same evaluator that ``verify_assignment`` runs."""
-    found = _nonidentity_products(assignment, [word])
+    found = _nonidentity_products(assignment, Presentation(assignment.b, (Relator(word, ""),)))
     return found[0][1] if found else assignment.target.identity
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     b: int
     p: int
     family: str
@@ -176,8 +172,9 @@ def verify_assignment(pres: Presentation, assignment: GeneratorAssignment) -> Ve
     if pres.b != assignment.b:
         raise PreconditionError(f"presentation at genus {pres.b}, assignment at genus {assignment.b}")
     target = assignment.target
-    words = [rel.word for rel in pres.relators]
-    failures = [(i, pres.relators[i].source, value) for i, value in _nonidentity_products(assignment, words)]
+    found = dict(_nonidentity_products(assignment, pres))
+    # one pass for the sources, only when some relator failed
+    failures = [(i, rel.source, found[i]) for i, rel in enumerate(pres.relators) if i in found] if found else []
     first, second = kernel_generator_sets(pres.b)
     m1 = image_index(assignment, first)
     m2 = image_index(assignment, second)

@@ -1,5 +1,7 @@
 """Tests for the presentation data: counts, reduction, substitution, export."""
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,12 +18,12 @@ from heiskod.braid import (
     involution_substitute,
     inverse_word,
     kernel_generator_sets,
-    presentation_to_json,
     rho,
     tau,
     winding,
     word_display,
 )
+from heiskod.cli import main
 from heiskod.errors import PreconditionError
 
 
@@ -261,8 +263,9 @@ def test_kernel_generator_sets():
         assert len(first) == len(second) == 2 * b + 1
 
 
-def test_json_export_shape():
-    records = presentation_to_json(build_presentation(2))
+def test_json_export_shape(capsys):
+    assert main(["presentation", "--b", "2", "--format", "json"]) == 0
+    records = json.loads(capsys.readouterr().out)
     assert len(records) == 42
     assert set(records[0]) == {"relator", "source"}
     assert all(isinstance(tok, str) for rec in records for tok in rec["relator"])

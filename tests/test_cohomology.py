@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from heiskod import cohomology
 from heiskod.cohomology import (
     H1Basis,
+    H2Class,
     H2Basis,
     classify_form,
     count_heisenberg_candidates,
@@ -205,6 +206,15 @@ def test_diagonal_class_b2():
         assert nonzero == expected
         if p == 2:
             assert set(nonzero.values()) == {1}
+
+
+def test_h2_class_refuses_the_wrong_length():
+    assert H2Class(2, 5, (0,) * 18) == H2Class(b=2, p=5, coeffs=(0,) * 18)
+    for coeffs in ((0,) * 17, (0,) * 19, ()):
+        with pytest.raises(PreconditionError, match="wrong length"):
+            H2Class(2, 5, coeffs)
+    with pytest.raises(PreconditionError, match="wrong length"):
+        H2Class(3, 5, diagonal_class(2, 5).coeffs)
 
 
 def test_diagonal_class_counts():

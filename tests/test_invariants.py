@@ -7,6 +7,7 @@ import pytest
 from heiskod.errors import InconsistencyError, PreconditionError
 from heiskod.invariants import (
     CSV_COLUMNS,
+    FibrationInvariants,
     census,
     census_degenerate,
     census_nondegenerate,
@@ -28,6 +29,22 @@ def test_general_invariants_nondegenerate_25():
     assert (inv.b1, inv.b2) == (626, 626)
     assert (inv.g1, inv.g2) == (4376, 4376)
     assert inv.cover_degree == 5
+
+
+def test_invariant_record_refuses_impossible_values():
+    # the record checks its own values, whoever builds it
+    fields = general_invariants(2, 5**9, 5, 5**4, 5**4)._asdict()
+    for change, message in (
+        ({"slope": Fraction(3)}, "outside the open interval"),
+        ({"slope": Fraction(2)}, "outside the open interval"),
+        ({"signature": fields["signature"] + 2}, "not divisible by 4"),
+        ({"n": 3, "signature": 4}, "not divisible by 16"),
+        ({"g1": 1}, "2g1 - 2 = 0 is not positive"),
+        ({"c2": 0}, "c2 = 0 is not positive"),
+    ):
+        with pytest.raises(InconsistencyError, match=message):
+            FibrationInvariants(**{**fields, **change})
+    assert FibrationInvariants(**fields) == general_invariants(2, 5**9, 5, 5**4, 5**4)
 
 
 def test_general_invariants_27():

@@ -24,6 +24,7 @@ from heiskod.braid import (
     rho,
     winding,
 )
+from heiskod.cohomology import search_family_params
 from heiskod.errors import EnumerationBoundError, PreconditionError
 from heiskod.fplinalg import AlternatingForm, FpMatrix
 from heiskod.heisenberg import HeisElement, HeisGroup
@@ -79,6 +80,37 @@ def test_image_tuple_of_wrong_length_refused(nondeg25):
     # the images of genus 2 are too few at genus 3
     with pytest.raises(PreconditionError, match="generator images"):
         GeneratorAssignment(3, 5, "partial", nondeg25.target, images)
+
+
+def test_images_outside_the_target_refused(nondeg25):
+    # an int image used to raise AttributeError in the evaluator
+    group, images = nondeg25.target, nondeg25.images
+    element = images[0]
+    bad_images = [
+        5,
+        (element.v, element.t),  # a plain tuple, not an element
+        HeisElement(element.v[:-1], 0),  # the wrong dimension
+        HeisElement(element.v + (0,), 0),
+        HeisElement((5,) + element.v[1:], 0),  # not reduced mod 5
+        HeisElement((-1,) + element.v[1:], 0),
+        HeisElement(element.v, 5),
+        HeisElement((1.0,) + element.v[1:], 0),
+        HeisElement((np.int64(1),) + element.v[1:], 0),
+        HeisElement(list(element.v), 0),
+    ]
+    for bad in bad_images:
+        with pytest.raises(PreconditionError, match="is not an element"):
+            GeneratorAssignment(2, 5, "bad", group, (bad,) + images[1:])
+    # any reduced element of the target is an image: the images rotated
+    GeneratorAssignment(2, 5, "fine", group, images[1:] + images[:1])
+
+
+def test_unreduced_degenerate_images_refused():
+    # entries 3 at p = 2 were accepted, and degenerate (3, 2) reported 86/86
+    standard = standard_assignment_degenerate(3, 2)
+    images = tuple(HeisElement(tuple(3 * a for a in g.v), 3 * g.t) for g in standard.images)
+    with pytest.raises(PreconditionError, match="reduced mod 2"):
+        GeneratorAssignment(3, 2, "unreduced", standard.target, images)
 
 
 def test_letters_out_of_range_refused(nondeg25):
@@ -213,6 +245,42 @@ def test_every_relator_matches_python_reference(family, b, p):
         HeisElement(tuple(rng.randrange(p) for _ in range(group.dim)), rng.randrange(p)) for _ in range(4 * b + 1)
     )
     check_against_reference(GeneratorAssignment(b, p, "random", group, images), words)
+
+
+def equivalence_assignments(b):
+    """The standard assignments at genus b for two primes or more, their
+    involution images, and per assignment one single-image mutation of every
+    letter."""
+    bases = [standard_assignment_degenerate(b, p) for p in (2, 3, 5, 7) if (b + 1) % p == 0]
+    for p in (5, 7):
+        lam, mu = next(search_family_params(b, p, 1))
+        bases.append(standard_assignment_nondegenerate(b, p, lam, mu))
+    out = []
+    for base in bases + [precompose_involution(a) for a in bases]:
+        out.append(base)
+        group = base.target
+        for i, g in enumerate(base.images):
+            images = base.images[:i] + (group.mul(g, group.basis_element(i % group.dim)),) + base.images[i + 1 :]
+            out.append(GeneratorAssignment(b, base.p, f"{base.family} mutated at {i + 1}", group, images))
+    return out
+
+
+@pytest.mark.parametrize("b", range(2, 7))
+def test_templates_evaluate_as_their_words(b):
+    """The templated presentation and a hand-built one of its materialised
+    words give the same failures, index, source and value, under every
+    assignment: one evaluator, two ways of reading a relator."""
+    templated = build_presentation(b)
+    plain = Presentation(b, tuple(Relator(rel.word, rel.source) for rel in templated.relators))
+    assert type(templated.relators) is not tuple and type(plain.relators) is tuple
+    failing = 0
+    for assignment in equivalence_assignments(b):
+        reports = [verify_assignment(pres, assignment) for pres in (templated, plain)]
+        t, h = ([(i, src, repr(value)) for i, src, value in r.failures] for r in reports)
+        assert t == h, assignment.family
+        assert reports[0] == reports[1]
+        failing += bool(t)
+    assert failing > 4 * b  # the mutations do break relators
 
 
 # -- standard assignments --------------------------------------------------------
