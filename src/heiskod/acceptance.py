@@ -28,13 +28,7 @@ from .cohomology import (
 )
 from .fplinalg import AlternatingForm
 from .heisenberg import HeisGroup, verify_extra_special
-from .invariants import (
-    census_degenerate,
-    census_nondegenerate,
-    degenerate_invariants,
-    kappa,
-    nondegenerate_invariants,
-)
+from .invariants import census, family_invariants, kappa
 from .verify import (
     bfs_subgroup_order,
     precompose_involution,
@@ -210,19 +204,19 @@ def criterion_8() -> CriterionResult:
     """Headline invariant values, exact."""
     problems: list[str] = []
     t0 = time.perf_counter()
-    inv = nondegenerate_invariants(2, 5)
+    inv = family_invariants("nondegenerate", 2, 5)
     _check((inv.b1, inv.g1) == (626, 4376), f"(b', g) = {(inv.b1, inv.g1)} != (626, 4376)", problems)
     _check(inv.signature == 1_250_000 == 2**4 * 5**7, f"sigma = {inv.signature}", problems)
     _check(inv.slope == Fraction(82, 35), f"slope = {inv.slope}", problems)
     _check(inv.cover_degree == 5, f"degree = {inv.cover_degree}", problems)
-    inv = nondegenerate_invariants(2, 7)
+    inv = family_invariants("nondegenerate", 2, 7)
     _check((inv.b1, inv.g1) == (2402, 24011), f"(b', g) = {(inv.b1, inv.g1)}", problems)
     _check(inv.slope == 2 + Fraction(12, 35), f"slope = {inv.slope}", problems)
-    inv = degenerate_invariants(2, 3)
+    inv = family_invariants("degenerate", 2, 3)
     _check(inv.g1 == 325 and inv.signature == 144, f"(g, sigma) = {(inv.g1, inv.signature)}", problems)
     _check(inv.slope == Fraction(7, 3), f"slope = {inv.slope}", problems)
     _check(inv.c1_sq == 3024 and inv.c2 == 1296, f"(c1^2, c2) = {(inv.c1_sq, inv.c2)}", problems)
-    inv = degenerate_invariants(3, 2)
+    inv = family_invariants("degenerate", 3, 2)
     _check(inv.g1 == 289 and inv.signature == 128, f"(g, sigma) = {(inv.g1, inv.signature)}", problems)
     return _result(8, "headline invariants match exactly", problems, t0, budget=1.0)
 
@@ -231,11 +225,11 @@ def criterion_9() -> CriterionResult:
     """Census claims over the stated ranges."""
     problems: list[str] = []
     t0 = time.perf_counter()
-    rows, claims = census_nondegenerate(range(2, 7), (5, 7, 11, 13))
+    rows, claims = census("nondegenerate", range(2, 7), (5, 7, 11, 13))
     for c in claims:
         _check(c.holds, f"nondegenerate census: {c.name} -- {c.detail}", problems)
     _check(len(rows) == 5 * 4, f"expected 20 nondegenerate rows, got {len(rows)}", problems)
-    rows, claims = census_degenerate(range(2, 13), range(2, 14))
+    rows, claims = census("degenerate", range(2, 13), range(2, 14))
     for c in claims:
         _check(c.holds, f"degenerate census: {c.name} -- {c.detail}", problems)
     _check(bool(rows), "degenerate census is empty", problems)
@@ -289,7 +283,7 @@ def criterion_11() -> CriterionResult:
 
     for b in range(2, 31):
         primes = distinct_prime_factors(b + 1)
-        sigmas = [degenerate_invariants(b, p).signature for p in primes]
+        sigmas = [family_invariants("degenerate", b, p).signature for p in primes]
         _check(sigmas == sorted(set(sigmas)), f"signatures not strictly increasing in p at b={b}", problems)
     return _result(11, "kappa and per-genus signature monotonicity", problems, t0)
 

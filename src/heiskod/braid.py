@@ -42,6 +42,7 @@ import itertools
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PreconditionError
+from .primes import check_genus
 
 # A word is a tuple of signed letters.  Letters carry no genus, so a word is
 # read against the b of its presentation.
@@ -266,8 +267,7 @@ class _Templates(Sequence):
 
 def build_presentation(b: int) -> Presentation:
     """The full presentation at genus b: 8b^2 + 4b + 2 relators, as templates."""
-    if b < 2:
-        raise PreconditionError(f"genus b must be >= 2, got {b}")
+    check_genus(b)
     return Presentation(b, _Templates(b))
 
 
@@ -289,8 +289,7 @@ def kernel_generator_sets(b: int) -> tuple[Word, Word]:
     """Generators of the kernels of the two projections to the one-point braid
     group: (rho_2*, tau_2*, A12) for the first projection, (rho_1*, tau_1*,
     A12) for the second."""
-    if b < 2:
-        raise PreconditionError(f"genus b must be >= 2, got {b}")
+    check_genus(b)
     # rho_sj is the odd letter 2b(s - 1) + 2j - 1 and tau_sj the even one after it
     a12 = (4 * b + 1,)
     first = (*range(2 * b + 1, 4 * b, 2), *range(2 * b + 2, 4 * b + 1, 2), *a12)

@@ -267,12 +267,9 @@ def cmd_search_forms(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    from .invariants import CensusRow, degenerate_invariants, nondegenerate_invariants, row_record, rows_to_csv
+    from .invariants import CensusRow, family_invariants, row_record, rows_to_csv
 
-    if args.family == "degenerate":
-        inv = degenerate_invariants(args.b, args.p)
-    else:
-        inv = nondegenerate_invariants(args.b, args.p)
+    inv = family_invariants(args.family, args.b, args.p)
     row = CensusRow(args.family, args.b, args.p, inv)
     record = row_record(row)
     record["nu"] = _fraction_str(inv.slope)

@@ -40,14 +40,10 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import EnumerationBoundError, InconsistencyError, PreconditionError
 from .fplinalg import AlternatingForm, FpMatrix, _check_prime, residues
+from .primes import check_genus
 
 # letters for the two degree-1 generators of the surface
 _A, _B = 0, 1
-
-
-def _check_genus(b: int) -> None:
-    if b < 2:
-        raise PreconditionError(f"genus b must be >= 2, got {b}")
 
 
 def _h1_class(i: int, b: int) -> tuple[int, int, int]:
@@ -67,7 +63,7 @@ class H1Basis:
     """Index bookkeeping for the ordered H^1 basis at genus b."""
 
     def __init__(self, b: int):
-        _check_genus(b)
+        check_genus(b)
         self.b = b
         self.size = 4 * b
 
@@ -85,7 +81,7 @@ class H2Basis:
     GAMMA_RIGHT = 1  # 1(x)g
 
     def __init__(self, b: int):
-        _check_genus(b)
+        check_genus(b)
         self.b = b
         self.size = 4 * b * b + 2
 
@@ -135,7 +131,7 @@ def lambda2_pairs(b: int) -> list[tuple[int, int]]:
 def _cup_table(b: int, p: int) -> list[Optional[tuple[int, int]]]:
     """The cup rule on the wedge-square basis, read afresh from _cup_basis:
     (H^2 row, sign) per pair of lambda2_pairs(b), None where it vanishes."""
-    _check_genus(b)
+    check_genus(b)
     return [_cup_basis(a, c, b, p) for a, c in lambda2_pairs(b)]
 
 
@@ -176,7 +172,7 @@ def cup_h1_h1(u: VectorLike, v: VectorLike, b: int, p: int) -> H2Class:
     """Bilinear cup product of two degree-1 classes (indices or vectors): the
     rule is alternating, so u v is xi of the wedge u ^ v = u v^T - v u^T."""
     _check_prime(p)
-    _check_genus(b)
+    check_genus(b)
     uu = _as_h1_vector(u, b, p)
     vv = _as_h1_vector(v, b, p)
     wedge = [uu[a] * vv[c] - uu[c] * vv[a] for a, c in lambda2_pairs(b)]
@@ -339,8 +335,7 @@ def search_family_params(
     ``count`` is None.  For p = 3 the search is provably empty: lambda_j mu_j
     != 1 forces mu_j = -lambda_j, so the two sum conditions give 1 = -1.
     """
-    if b < 2:
-        raise PreconditionError(f"genus b must be >= 2, got {b}")
+    check_genus(b)
     _check_prime(p)
     if count is not None and count < 1:
         raise PreconditionError(f"count must be >= 1, got {count}")

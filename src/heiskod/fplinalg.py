@@ -25,7 +25,7 @@ from operator import index
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import PreconditionError
-from .primes import is_prime
+from .primes import check_genus, is_prime
 
 
 def _check_prime(p: int) -> None:
@@ -337,8 +337,7 @@ class AlternatingForm:
     @classmethod
     def family(cls, b: int, p: int, lambdas: Sequence[int], mus: Sequence[int]) -> "AlternatingForm":
         """The 4b x 4b block form Omega_b determined by (lambda, mu)."""
-        if b < 2:
-            raise PreconditionError(f"genus b must be >= 2, got {b}")
+        check_genus(b)
         _check_prime(p)
         if len(lambdas) != b or len(mus) != b:
             raise PreconditionError(f"need {b} lambdas and {b} mus")

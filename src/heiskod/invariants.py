@@ -17,10 +17,12 @@ f = 1 - 1/n carried as an exact rational:
     signature = (c_1^2 - 2 c_2) / 3 = |G| (2b - 2) (2f - f^2) / 3
     degree of the map to the product of bases = |G| / (m1 m2)
 
-The two families specialise this:
-
-* non-degenerate: |G| = p^{4b+1}, n = p, m1 = m2 = p^{2b}  (p >= 5);
-* degenerate:     |G| = p^{2b+1}, n = p, m1 = m2 = 1       (p | b+1).
+``family_invariants`` specialises this to the two families, admitted by the
+rules of :mod:`primes`: with dim = 4b (non-degenerate, prime p >= 5) or 2b
+(degenerate, p | b+1), |G| = p^{dim+1}, n = p, m1 = m2 = p^{2b} or 1, and
+the signature is (2b - 2) p^{dim-1} (p^2 - 1) / 3.  ``census`` tabulates one
+family and checks its claims, read from ``CLAIM_TABLE``: per family the slope
+maximum and its cells, the minimum signature and the named claim checks.
 
 Any non-integral intermediate value is reported as an inconsistency rather
 than rounded: with valid parameters every output is a positive integer.
@@ -35,7 +37,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InconsistencyError, PreconditionError
-from .primes import _MR_LIMIT, is_prime
+from .primes import _MR_LIMIT, admits, check_family, check_genus, is_prime
 
 
 def _as_int(x: Fraction, what: str) -> int:
@@ -89,8 +91,7 @@ class FibrationInvariants(_FibrationFields):
 
 def general_invariants(b: int, group_order: int, n: int, m1: int, m2: int) -> FibrationInvariants:
     """Invariants for an arbitrary admissible (|G|, n, m1, m2) at base genus b."""
-    if b < 2:
-        raise PreconditionError(f"base genus must be >= 2, got {b}")
+    check_genus(b)
     if n <= 1:
         raise PreconditionError(f"branching order must exceed 1, got {n}")
     if group_order % m1 or group_order % m2:
@@ -126,31 +127,14 @@ def general_invariants(b: int, group_order: int, n: int, m1: int, m2: int) -> Fi
     )
 
 
-def nondegenerate_invariants(b: int, p: int) -> FibrationInvariants:
-    """The symplectic family: group order p^{4b+1}, indices p^{2b}, cyclic
-    cover of degree p of a product of two genus-b' curves, b'-1 = p^{2b}(b-1)."""
-    if b < 2:
-        raise PreconditionError(f"base genus must be >= 2, got {b}")
-    if not is_prime(p) or p < 5:
-        raise PreconditionError(f"the non-degenerate family needs a prime p >= 5, got {p}")
-    inv = general_invariants(b, p ** (4 * b + 1), p, p ** (2 * b), p ** (2 * b))
-    if inv.cover_degree != p:
-        raise InconsistencyError(f"cover degree {inv.cover_degree} != p = {p}")
-    if inv.signature != (2 * b - 2) * p ** (4 * b - 1) * (p * p - 1) // 3:
-        raise InconsistencyError("signature disagrees with its closed form")
-    return inv
-
-
-def degenerate_invariants(b: int, p: int) -> FibrationInvariants:
-    """The rank-2b family: group order p^{2b+1}, connected fibres (m = 1)."""
-    if b < 2:
-        raise PreconditionError(f"base genus must be >= 2, got {b}")
-    if not is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
-    if (b + 1) % p != 0:
-        raise PreconditionError(f"the degenerate family needs p | b+1; {p} does not divide {b + 1}")
-    inv = general_invariants(b, p ** (2 * b + 1), p, 1, 1)
-    if inv.signature != (2 * b - 2) * p ** (2 * b - 1) * (p * p - 1) // 3:
+def family_invariants(family: str, b: int, p: int) -> FibrationInvariants:
+    """Invariants of the family's fibration at (b, p): the target group has
+    order p^{dim+1} with dim = 4b (non-degenerate) or 2b (degenerate), A12
+    has order p, and both fibre subgroups have index m = p^{2b} or 1."""
+    check_family(family, b, p)
+    dim, m = (4 * b, p ** (2 * b)) if family == "nondegenerate" else (2 * b, 1)
+    inv = general_invariants(b, p ** (dim + 1), p, m, m)
+    if inv.signature != (2 * b - 2) * p ** (dim - 1) * (p * p - 1) // 3:
         raise InconsistencyError("signature disagrees with its closed form")
     return inv
 
@@ -189,17 +173,13 @@ def distinct_prime_factors(n: int) -> tuple[int, ...]:
 def kappa(b: int) -> int:
     """Number of degenerate-family fibrations over a fixed genus-b curve:
     one per prime dividing b+1, pairwise non-homeomorphic total spaces."""
-    if b < 2:
-        raise PreconditionError(f"base genus must be >= 2, got {b}")
+    check_genus(b)
     return len(distinct_prime_factors(b + 1))
 
 
 # ---------------------------------------------------------------------------
 # census
 # ---------------------------------------------------------------------------
-
-MAX_NONDEGENERATE_SLOPE = Fraction(2) + Fraction(12, 35)
-MAX_DEGENERATE_SLOPE = Fraction(7, 3)
 
 
 class CensusRow(NamedTuple):
@@ -218,163 +198,121 @@ class ClaimResult(NamedTuple):
         return f"claim [{'ok' if self.holds else 'FAILED'}] {self.name}: {self.detail}"
 
 
-def _slope_window_claims(rows: list[CensusRow], bound: Fraction, peak: set, label: str) -> list[ClaimResult]:
-    claims = []
-    bad = [(r.b, r.p) for r in rows if not 2 < r.invariants.slope <= bound]
-    claims.append(
-        ClaimResult(
-            f"{label}: slope in (2, {bound}]",
-            not bad,
-            "all rows in window" if not bad else f"violations at {bad}",
-        )
-    )
-    attained = {(r.b, r.p) for r in rows if r.invariants.slope == bound}
-    expected = {bp for bp in peak if any((r.b, r.p) == bp for r in rows)}
-    claims.append(
-        ClaimResult(
-            f"{label}: slope maximum attained exactly at {sorted(peak)}",
-            attained == expected,
-            f"attained at {sorted(attained)}",
-        )
-    )
-    return claims
+class _Family(NamedTuple):
+    slope_max: Fraction
+    peak: list  # the cells where the slope maximum is attained
+    minimum: tuple[int, int, int]  # (b, p, signature) of the least signature
+    slope_identity: str  # the printed name of the slope identity claim
+    extra: tuple  # (name, check) of the family's own claims
 
 
-def _sigma_claims(rows: list[CensusRow], minimum: tuple[int, int, int], label: str) -> list[ClaimResult]:
-    claims = []
-    bad = [(r.b, r.p) for r in rows if r.invariants.signature % 16]
-    claims.append(
-        ClaimResult(
-            f"{label}: signature divisible by 16",
-            not bad,
-            "all rows divisible" if not bad else f"violations at {bad}",
-        )
-    )
-    min_b, min_p, min_sigma = minimum
-    if any((r.b, r.p) == (min_b, min_p) for r in rows):
-        actual = min(rows, key=lambda r: r.invariants.signature)
-        ok = (actual.b, actual.p) == (min_b, min_p) and actual.invariants.signature == min_sigma
-        claims.append(
-            ClaimResult(
-                f"{label}: minimum signature {min_sigma} at ({min_b}, {min_p})",
-                ok,
-                f"minimum {actual.invariants.signature} at ({actual.b}, {actual.p})",
-            )
-        )
-    return claims
+# Each check takes the rows, sorted by (b, p), and the family entry, and
+# returns (holds, detail), or None when the ranges do not reach the claim.
 
 
-def census_nondegenerate(b_range: Sequence[int], p_range: Sequence[int]) -> tuple[list[CensusRow], list[ClaimResult]]:
-    """All rows with b in b_range and prime p >= 5 in p_range, plus the claim
-    report: slope window and peak, monotone slope decay at b = 2 for p >= 7,
-    signature divisibility, signature minimum, and the closed-form identities
-    row by row."""
-    rows = [
-        CensusRow("nondegenerate", b, p, nondegenerate_invariants(b, p))
-        for b in sorted(set(b_range))
-        for p in sorted(set(p_range))
-        if p >= 5 and is_prime(p)
-    ]
-    claims = _slope_window_claims(rows, MAX_NONDEGENERATE_SLOPE, {(2, 5), (2, 7)}, "nondegenerate")
-    claims += _sigma_claims(rows, (2, 5, 2**4 * 5**7), "nondegenerate")
-
-    slope_identity_bad = [
-        (r.b, r.p)
-        for r in rows
-        if r.invariants.slope != 2 + Fraction(r.p**2 - 1, (2 * r.b - 1) * r.p**2 - r.p)
-    ]
-    claims.append(
-        ClaimResult(
-            "nondegenerate: slope = 2 + (p^2-1)/((2b-1)p^2 - p)",
-            not slope_identity_bad,
-            "identity holds row by row" if not slope_identity_bad else f"violations at {slope_identity_bad}",
-        )
-    )
-
-    two_rows = sorted((r for r in rows if r.b == 2 and r.p >= 7), key=lambda r: r.p)
-    decreasing = all(
-        a.invariants.slope > z.invariants.slope for a, z in zip(two_rows, two_rows[1:])
-    )
-    if len(two_rows) >= 2:
-        claims.append(
-            ClaimResult(
-                "nondegenerate: slope at b=2 strictly decreasing across consecutive primes >= 7",
-                decreasing,
-                f"slopes {[str(r.invariants.slope) for r in two_rows]}",
-            )
-        )
-    return rows, claims
+def _violations(bad: list, ok: str) -> tuple[bool, str]:
+    return not bad, ok if not bad else f"violations at {bad}"
 
 
-def census_degenerate(b_range: Sequence[int], p_range: Sequence[int]) -> tuple[list[CensusRow], list[ClaimResult]]:
-    """All admissible rows (p | b+1) in range, plus the claim report."""
-    rows = [
-        CensusRow("degenerate", b, p, degenerate_invariants(b, p))
-        for b in sorted(set(b_range))
-        for p in sorted(set(p_range))
-        if is_prime(p) and (b + 1) % p == 0
-    ]
-    claims = _slope_window_claims(rows, MAX_DEGENERATE_SLOPE, {(2, 3)}, "degenerate")
-    claims += _sigma_claims(rows, (3, 2, 128), "degenerate")
+def _window(rows: list[CensusRow], fam: _Family):
+    return _violations([(r.b, r.p) for r in rows if not 2 < r.invariants.slope <= fam.slope_max], "all rows in window")
 
-    identity_bad = []
-    for r in rows:
-        k = (r.b + 1) // r.p
-        expected = 2 + Fraction(r.p**2 - 1, 2 * k * r.p**3 - 3 * r.p**2 - r.p)
-        if r.invariants.slope != expected:
-            identity_bad.append((r.b, r.p))
-    claims.append(
-        ClaimResult(
-            "degenerate: slope = 2 + (p^2-1)/(2kp^3 - 3p^2 - p) with b = kp - 1",
-            not identity_bad,
-            "identity holds row by row" if not identity_bad else f"violations at {identity_bad}",
-        )
-    )
 
-    genus_bad = [
-        (r.b, r.p)
-        for r in rows
-        if 2 * r.invariants.g1 - 2
-        != _as_int(r.p ** (2 * r.b + 1) * (2 * r.b - 2 + 1 - Fraction(1, r.p)), "2g-2")
-    ]
-    claims.append(
-        ClaimResult(
-            "degenerate: fibre genus satisfies 2g - 2 = p^{2b+1}(2b - 2 + 1 - 1/p)",
-            not genus_bad,
-            "matches" if not genus_bad else f"violations at {genus_bad}",
-        )
-    )
+def _peak(rows: list[CensusRow], fam: _Family):
+    attained = {(r.b, r.p) for r in rows if r.invariants.slope == fam.slope_max}
+    expected = {(r.b, r.p) for r in rows} & set(fam.peak)
+    return attained == expected, f"attained at {sorted(attained)}"
 
-    mono_bad = []
-    by_b: dict[int, list[CensusRow]] = {}
-    for r in rows:
-        by_b.setdefault(r.b, []).append(r)
-    for b, group in by_b.items():
-        group.sort(key=lambda r: r.p)
-        for a, z in zip(group, group[1:]):
-            if not a.invariants.signature < z.invariants.signature:
-                mono_bad.append((b, a.p, z.p))
-    claims.append(
-        ClaimResult(
-            "degenerate: for fixed b the signature is strictly increasing in p",
-            not mono_bad,
-            "monotone for every b with two admissible primes" if not mono_bad else f"violations {mono_bad}",
-        )
-    )
-    return rows, claims
+
+def _divisible(rows: list[CensusRow], fam: _Family):
+    return _violations([(r.b, r.p) for r in rows if r.invariants.signature % 16], "all rows divisible")
+
+
+def _minimum(rows: list[CensusRow], fam: _Family):
+    if not any((r.b, r.p) == fam.minimum[:2] for r in rows):
+        return None
+    low = min(rows, key=lambda r: r.invariants.signature)
+    sigma = low.invariants.signature
+    return (low.b, low.p, sigma) == fam.minimum, f"minimum {sigma} at ({low.b}, {low.p})"
+
+
+def _slope_identity(rows: list[CensusRow], fam: _Family):
+    # one formula for both families: with b = kp - 1, 2kp^3 - 3p^2 - p = (2b - 1)p^2 - p
+    bad = [(r.b, r.p) for r in rows if r.invariants.slope != 2 + Fraction(r.p**2 - 1, (2 * r.b - 1) * r.p**2 - r.p)]
+    return _violations(bad, "identity holds row by row")
+
+
+def _fibre_genus(rows: list[CensusRow], fam: _Family):
+    # 2g - 2 = p^{2b+1}(2b - 2 + 1 - 1/p) = (2bp - p - 1) p^{2b}
+    bad = [(r.b, r.p) for r in rows if 2 * r.invariants.g1 - 2 != (2 * r.b * r.p - r.p - 1) * r.p ** (2 * r.b)]
+    return _violations(bad, "matches")
+
+
+def _slope_decay(rows: list[CensusRow], fam: _Family):
+    slopes = [r.invariants.slope for r in rows if r.b == 2 and r.p >= 7]
+    if len(slopes) < 2:
+        return None
+    return all(a > z for a, z in zip(slopes, slopes[1:])), f"slopes {[str(x) for x in slopes]}"
+
+
+def _signature_growth(rows: list[CensusRow], fam: _Family):
+    pairs = zip(rows, rows[1:])
+    bad = [(a.b, a.p, z.p) for a, z in pairs if a.b == z.b and a.invariants.signature >= z.invariants.signature]
+    return not bad, "monotone for every b with two admissible primes" if not bad else f"violations {bad}"
+
+
+CLAIM_TABLE = {
+    "nondegenerate": _Family(
+        2 + Fraction(12, 35),
+        [(2, 5), (2, 7)],
+        (2, 5, 2**4 * 5**7),
+        "slope = 2 + (p^2-1)/((2b-1)p^2 - p)",
+        (("slope at b=2 strictly decreasing across consecutive primes >= 7", _slope_decay),),
+    ),
+    "degenerate": _Family(
+        Fraction(7, 3),
+        [(2, 3)],
+        (3, 2, 128),
+        "slope = 2 + (p^2-1)/(2kp^3 - 3p^2 - p) with b = kp - 1",
+        (
+            ("fibre genus satisfies 2g - 2 = p^{2b+1}(2b - 2 + 1 - 1/p)", _fibre_genus),
+            ("for fixed b the signature is strictly increasing in p", _signature_growth),
+        ),
+    ),
+}
 
 
 def census(family: str, b_range: Sequence[int], p_range: Sequence[int]) -> tuple[list[CensusRow], list[ClaimResult]]:
-    """Rows and claims of one family; refused when no (b, p) in the ranges is
-    admissible, since every claim would then hold vacuously."""
-    if family == "nondegenerate":
-        rows, claims = census_nondegenerate(b_range, p_range)
-    elif family == "degenerate":
-        rows, claims = census_degenerate(b_range, p_range)
-    else:
+    """Rows of one family, sorted by (b, p), and its claims.
+
+    Every b in the range must be a genus (b >= 2); (b, p) is a row when the
+    family admits p at b.  Refused when no (b, p) is a row, since every claim
+    would then hold vacuously.
+    """
+    if family not in CLAIM_TABLE:
         raise PreconditionError(f"unknown family {family!r}")
+    bs = sorted(set(b_range))
+    for b in bs:
+        check_genus(b)
+    rows = [
+        CensusRow(family, b, p, family_invariants(family, b, p))
+        for b in bs
+        for p in sorted(set(p_range))
+        if admits(family, b, p)
+    ]
     if not rows:
         raise PreconditionError(f"no admissible (b, p) for the {family} family in the given ranges")
+    fam = CLAIM_TABLE[family]
+    min_b, min_p, min_sigma = fam.minimum
+    named = (
+        (f"slope in (2, {fam.slope_max}]", _window),
+        (f"slope maximum attained exactly at {fam.peak}", _peak),
+        ("signature divisible by 16", _divisible),
+        (f"minimum signature {min_sigma} at ({min_b}, {min_p})", _minimum),
+        (fam.slope_identity, _slope_identity),
+        *fam.extra,
+    )
+    claims = [ClaimResult(f"{family}: {name}", *result) for name, check in named if (result := check(rows, fam))]
     return rows, claims
 
 
@@ -383,29 +321,14 @@ CSV_COLUMNS = ("family", "b", "p", "b1", "b2", "g1", "g2", "c1sq", "c2", "nu_num
 
 def row_record(row: CensusRow) -> dict:
     inv = row.invariants
-    return {
-        "family": row.family,
-        "b": row.b,
-        "p": row.p,
-        "b1": inv.b1,
-        "b2": inv.b2,
-        "g1": inv.g1,
-        "g2": inv.g2,
-        "c1sq": inv.c1_sq,
-        "c2": inv.c2,
-        "nu_num": inv.slope.numerator,
-        "nu_den": inv.slope.denominator,
-        "sigma": inv.signature,
-        "degree": inv.cover_degree,
-    }
+    values = (row.family, row.b, row.p, inv.b1, inv.b2, inv.g1, inv.g2, inv.c1_sq, inv.c2)
+    values += (inv.slope.numerator, inv.slope.denominator, inv.signature, inv.cover_degree)
+    return dict(zip(CSV_COLUMNS, values))
 
 
 def rows_to_csv(rows: Iterable[CensusRow]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        rec = row_record(row)
-        lines.append(",".join(str(rec[c]) for c in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+    lines = [CSV_COLUMNS, *(row_record(row).values() for row in rows)]
+    return "".join(",".join(map(str, line)) + "\n" for line in lines)
 
 
 def claims_to_json(claims: Iterable[ClaimResult]) -> list[dict]:

@@ -1,5 +1,12 @@
-"""Exact primality test, a leaf module: every layer that checks a modulus
-imports it without loading the invariants or :mod:`fractions`."""
+"""Exact primality test and the rules that admit (b, p) to each family, a
+leaf module: every layer that checks a genus or a modulus imports it without
+loading the invariants or :mod:`fractions`.
+
+The two families of the paper admit a prime p at genus b >= 2 when
+
+* non-degenerate: p >= 5 (at p = 2 and 3 no parameters lambda, mu exist);
+* degenerate:     p divides b + 1.
+"""
 
 from .errors import PreconditionError
 
@@ -40,3 +47,32 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def check_genus(b: int) -> None:
+    """Refuse a genus below 2: there is no presentation, form or fibration."""
+    if b < 2:
+        raise PreconditionError(f"genus b must be >= 2, got {b}")
+
+
+def admits(family: str, b: int, p: int) -> bool:
+    """Whether p meets the family's condition at genus b; the genus itself
+    is not checked.  Primality is tested first, so a modulus beyond the exact
+    test's range is refused for either family."""
+    if family == "nondegenerate":
+        return is_prime(p) and p >= 5
+    if family == "degenerate":
+        return is_prime(p) and (b + 1) % p == 0
+    raise PreconditionError(f"unknown family {family!r}")
+
+
+def check_family(family: str, b: int, p: int) -> None:
+    """Refuse (b, p) outside the family, saying which condition fails."""
+    check_genus(b)
+    if admits(family, b, p):
+        return
+    if family == "nondegenerate":
+        raise PreconditionError(f"the non-degenerate family needs a prime p >= 5, got {p}")
+    if not is_prime(p):
+        raise PreconditionError(f"{p} is not prime")
+    raise PreconditionError(f"the degenerate family needs p | b+1; {p} does not divide {b + 1}")

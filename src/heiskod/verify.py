@@ -51,7 +51,7 @@ from .braid import Presentation, Relator, Word, check_letters, involution_substi
 from .errors import EnumerationBoundError, PreconditionError
 from .fplinalg import AlternatingForm, FpMatrix, residues
 from .heisenberg import HeisElement, HeisGroup
-from .primes import is_prime
+from .primes import check_family
 
 
 class GeneratorAssignment:
@@ -223,10 +223,7 @@ def standard_assignment_nondegenerate(
     mu_j = -lambda_j, which contradicts both sums being 1, so no valid
     parameters exist at all.
     """
-    if b < 2:
-        raise PreconditionError(f"genus b must be >= 2, got {b}")
-    if not is_prime(p) or p < 5:
-        raise PreconditionError(f"the non-degenerate family needs a prime p >= 5, got {p}")
+    check_family("nondegenerate", b, p)
     lam, mu = _validated_params(b, p, lambdas, mus)
     group = HeisGroup(AlternatingForm.family(b, p, lam, mu))
     # letter i + 1 to the i-th basis vector, A12 to the center
@@ -255,12 +252,7 @@ def standard_assignment_degenerate(b: int, p: int) -> GeneratorAssignment:
     Valid exactly when p divides b+1 (both surface relations evaluate to
     z^{+-b}, which equals z^{-+1} precisely then).
     """
-    if b < 2:
-        raise PreconditionError(f"genus b must be >= 2, got {b}")
-    if not is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
-    if (b + 1) % p != 0:
-        raise PreconditionError(f"the degenerate family needs p | b+1; {p} does not divide {b + 1}")
+    check_family("degenerate", b, p)
     group = HeisGroup(AlternatingForm.j_form(b, p))
     # both strands on the same 2b basis vectors, A12 to the center
     images = tuple(group.basis_element(k % (2 * b)) for k in range(4 * b)) + (group.central(1),)
@@ -315,10 +307,9 @@ def subgroup_order_fast(group: HeisGroup, elements: Sequence) -> int:
     proj_t = FpMatrix.sparse(cols, m, p)
     d = proj.rank()
 
-    center_hit = False
+    # the sparse pairing is compared with the zero matrix, never made dense
     pairing = proj @ (group.comm_form @ proj_t)
-    if any(map(any, pairing.to_lists())):
-        center_hit = True
+    center_hit = pairing != FpMatrix.sparse([{}] * m, m, p)
     if not center_hit:
         for g in elements:
             if group.power(g, p) != group.identity:

@@ -550,6 +550,31 @@ def test_census_without_admissible_rows_exits_2(capsys):
     assert "no admissible" in err
 
 
+HUGE = "3317044064679887385961981"  # the first modulus beyond the exact primality test
+
+
+@pytest.mark.parametrize(
+    "family,b_range,p_range,message",
+    [
+        # b = 1 is refused wherever it sits; at --p 3 the degenerate census
+        # used to skip it and exit 0 with the b = 2 row alone
+        ("degenerate", "1..3", "3", "genus b must be >= 2, got 1"),
+        ("degenerate", "1..3", "2..3", "genus b must be >= 2, got 1"),
+        ("nondegenerate", "1..3", "5..7", "genus b must be >= 2, got 1"),
+        # a b = 1 row with an admissible prime
+        ("degenerate", "1", "2", "genus b must be >= 2, got 1"),
+        ("nondegenerate", "1", "5", "genus b must be >= 2, got 1"),
+        # the primality test refuses a modulus beyond its range for both families
+        ("degenerate", "2..4", f"5,{HUGE}", "too large for the exact primality test"),
+        ("nondegenerate", "2..4", f"5,{HUGE}", "too large for the exact primality test"),
+    ],
+)
+def test_census_refusals_exit_2(capsys, family, b_range, p_range, message):
+    code, out, err = run(capsys, "census", "--family", family, "--b", b_range, "--p", p_range)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_no_subcommand_exits_2(capsys):
     assert run(capsys)[0] == 2
 

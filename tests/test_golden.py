@@ -8,7 +8,10 @@ repr of each failing value.  The ``search_forms_*`` files were written while
 search-forms still built its whole payload before printing it; they hold the
 streamed output to those bytes.  The ``*_oracle`` files were written while
 ``verify --bfs-oracle`` still enumerated both kernel sets, even when their
-images are the same; they hold the single enumeration to those bytes.
+images are the same; they hold the single enumeration to those bytes.  The
+``census_*`` and ``invariants_*`` files were written while each family had
+its own invariants function and its own census; they hold the shared
+function and claim table to those bytes.
 """
 
 import json
@@ -47,6 +50,24 @@ CLI_PINS = [
             "--lambda", "3,3", "--mu", "3,3", "--format", "json",
         ),
     ),
+    # the criterion-9 ranges
+    ("census_nondegenerate_b2-6_p5-13.txt", ("census", "--family", "nondegenerate", "--b", "2..6", "--p", "5..13")),
+    (
+        "census_nondegenerate_b2-6_p5-13.json",
+        ("census", "--family", "nondegenerate", "--b", "2..6", "--p", "5..13", "--format", "json"),
+    ),
+    ("census_degenerate_b2-12_p2-13.txt", ("census", "--family", "degenerate", "--b", "2..12", "--p", "2..13")),
+    (
+        "census_degenerate_b2-12_p2-13.json",
+        ("census", "--family", "degenerate", "--b", "2..12", "--p", "2..13", "--format", "json"),
+    ),
+] + [
+    (
+        f"invariants_{family}_b{b}_p{p}.{ext}",
+        ("invariants", "--family", family, "--b", str(b), "--p", str(p), "--format", fmt),
+    )
+    for family, b, p in (("degenerate", 2, 3), ("nondegenerate", 2, 5))
+    for fmt, ext in (("text", "txt"), ("json", "json"), ("csv", "csv"))
 ]
 
 

@@ -9,16 +9,14 @@ from heiskod.invariants import (
     CSV_COLUMNS,
     FibrationInvariants,
     census,
-    census_degenerate,
-    census_nondegenerate,
-    degenerate_invariants,
     distinct_prime_factors,
+    family_invariants,
     general_invariants,
     kappa,
-    nondegenerate_invariants,
     row_record,
     rows_to_csv,
 )
+from heiskod.primes import admits
 
 
 # -- general formula -------------------------------------------------------------
@@ -78,58 +76,58 @@ def test_parameter_preconditions():
 
 
 def test_nondegenerate_headline_values():
-    inv = nondegenerate_invariants(2, 5)
+    inv = family_invariants("nondegenerate", 2, 5)
     assert (inv.b1, inv.g1) == (626, 4376)
     assert inv.signature == 1_250_000 == 2**4 * 5**7
     assert inv.slope == Fraction(82, 35) == 2 + Fraction(12, 35)
     assert inv.cover_degree == 5
     assert inv.group_order == 5**9
 
-    inv = nondegenerate_invariants(2, 7)
+    inv = family_invariants("nondegenerate", 2, 7)
     assert (inv.b1, inv.g1) == (2402, 24011)
     assert inv.slope == 2 + Fraction(12, 35)
     assert inv.signature == 26_353_376  # (1/3) * 2 * 7^7 * 48
 
 
 def test_nondegenerate_35_exact():
-    inv = nondegenerate_invariants(3, 5)
+    inv = family_invariants("nondegenerate", 3, 5)
     assert inv.c2 == 96 * 5**12  # 5^13 * 4 * (4 + 4/5)
     assert 2 < inv.slope < 2 + Fraction(12, 35)
 
 
 def test_nondegenerate_preconditions():
     with pytest.raises(PreconditionError):
-        nondegenerate_invariants(2, 3)
+        family_invariants("nondegenerate", 2, 3)
     with pytest.raises(PreconditionError):
-        nondegenerate_invariants(2, 6)
+        family_invariants("nondegenerate", 2, 6)
 
 
 def test_degenerate_headline_values():
-    inv = degenerate_invariants(2, 3)
+    inv = family_invariants("degenerate", 2, 3)
     assert inv.g1 == 325 and inv.signature == 144
     assert inv.slope == Fraction(7, 3)
     assert (inv.c1_sq, inv.c2) == (3024, 1296)
     assert (inv.b1, inv.b2) == (2, 2)
     assert inv.cover_degree == 3**5
 
-    inv = degenerate_invariants(3, 2)
+    inv = family_invariants("degenerate", 3, 2)
     assert inv.g1 == 289 and inv.signature == 128
 
-    inv = degenerate_invariants(5, 3)
+    inv = family_invariants("degenerate", 5, 3)
     assert inv.signature == 419_904  # (1/3) * 8 * 3^9 * 8
     assert inv.signature % 16 == 0
 
 
 def test_degenerate_preconditions():
     with pytest.raises(PreconditionError):
-        degenerate_invariants(2, 2)
+        family_invariants("degenerate", 2, 2)
     with pytest.raises(PreconditionError):
-        degenerate_invariants(4, 3)
+        family_invariants("degenerate", 4, 3)
 
 
 @pytest.mark.parametrize("b,p", [(2, 5), (2, 7), (3, 5), (4, 7), (6, 13)])
 def test_nondegenerate_closed_forms(b, p):
-    inv = nondegenerate_invariants(b, p)
+    inv = family_invariants("nondegenerate", b, p)
     assert inv.slope == 2 + Fraction(p * p - 1, (2 * b - 1) * p * p - p)
     assert 3 * inv.signature == (2 * b - 2) * p ** (4 * b - 1) * (p * p - 1)
     assert inv.signature == (inv.c1_sq - 2 * inv.c2) // 3
@@ -139,7 +137,7 @@ def test_nondegenerate_closed_forms(b, p):
 
 @pytest.mark.parametrize("b,p", [(2, 3), (3, 2), (4, 5), (5, 2), (5, 3), (9, 5), (12, 13)])
 def test_degenerate_closed_forms(b, p):
-    inv = degenerate_invariants(b, p)
+    inv = family_invariants("degenerate", b, p)
     k = (b + 1) // p
     assert inv.slope == 2 + Fraction(p * p - 1, 2 * k * p**3 - 3 * p * p - p)
     assert 3 * inv.signature == (2 * b - 2) * p ** (2 * b - 1) * (p * p - 1)
@@ -147,6 +145,58 @@ def test_degenerate_closed_forms(b, p):
     # cross-family consistency: same fibre-genus expression as the other family
     f = 1 - Fraction(1, p)
     assert 2 * inv.g1 - 2 == p ** (2 * b + 1) * (2 * b - 2 + f)
+
+
+def test_family_invariants_unknown_family():
+    with pytest.raises(PreconditionError, match="unknown family"):
+        family_invariants("symplectic", 2, 5)
+    with pytest.raises(PreconditionError, match="unknown family"):
+        census("symplectic", [2], [5])
+
+
+# -- admission -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", ["nondegenerate", "degenerate"])
+def test_one_admission_rule(family):
+    # the rule as the paper states it, against the census row filter and
+    # the refusals of family_invariants
+    def rule(b, p):
+        prime = p > 1 and all(p % d for d in range(2, p))
+        return prime and (p >= 5 if family == "nondegenerate" else (b + 1) % p == 0)
+
+    cells = [(b, p) for b in range(2, 13) for p in range(-2, 30)]
+    admitted = [cell for cell in cells if rule(*cell)]
+    assert [cell for cell in cells if admits(family, *cell)] == admitted
+    rows, _ = census(family, range(2, 13), range(-2, 30))
+    assert [(r.b, r.p) for r in rows] == admitted
+    for b, p in cells:
+        if not rule(b, p):
+            with pytest.raises(PreconditionError):
+                family_invariants(family, b, p)
+
+
+def test_every_layer_refuses_genus_below_2_alike():
+    from heiskod.braid import build_presentation, kernel_generator_sets
+    from heiskod.cohomology import H1Basis, search_family_params
+    from heiskod.fplinalg import AlternatingForm
+    from heiskod.verify import standard_assignment_degenerate, standard_assignment_nondegenerate
+
+    for refuse in (
+        lambda: build_presentation(1),
+        lambda: kernel_generator_sets(1),
+        lambda: H1Basis(1),
+        lambda: search_family_params(1, 5),
+        lambda: AlternatingForm.family(1, 5, [1], [1]),
+        lambda: standard_assignment_degenerate(1, 2),
+        lambda: standard_assignment_nondegenerate(1, 5, [1], [1]),
+        lambda: general_invariants(1, 3**5, 3, 1, 1),
+        lambda: family_invariants("degenerate", 1, 2),
+        lambda: kappa(1),
+        lambda: census("degenerate", [1], [2]),
+    ):
+        with pytest.raises(PreconditionError, match=r"^genus b must be >= 2, got 1$"):
+            refuse()
 
 
 # -- kappa -------------------------------------------------------------------------
@@ -198,7 +248,7 @@ def test_kappa_against_independent_count():
 
 
 def test_census_nondegenerate_claims():
-    rows, claims = census_nondegenerate(range(2, 7), (5, 7, 11, 13))
+    rows, claims = census("nondegenerate", range(2, 7), (5, 7, 11, 13))
     assert len(rows) == 20
     assert all(c.holds for c in claims), [c for c in claims if not c.holds]
     peak = [r for r in rows if r.invariants.slope == 2 + Fraction(12, 35)]
@@ -207,7 +257,7 @@ def test_census_nondegenerate_claims():
 
 
 def test_census_degenerate_claims():
-    rows, claims = census_degenerate(range(2, 13), range(2, 14))
+    rows, claims = census("degenerate", range(2, 13), range(2, 14))
     assert all(c.holds for c in claims), [c for c in claims if not c.holds]
     pairs = {(r.b, r.p) for r in rows}
     assert pairs == {
@@ -233,7 +283,7 @@ def test_census_rows_sorted_and_serialised():
 
 
 def test_census_claim_structure():
-    _, claims = census_nondegenerate([2], [5])
+    _, claims = census("nondegenerate", [2], [5])
     assert all(c.name and c.detail for c in claims)
     # restricted ranges simply omit out-of-range peak pairs
     assert any("maximum" in c.name for c in claims)
@@ -242,13 +292,84 @@ def test_census_claim_structure():
 def test_degenerate_sigma_increases_with_p():
     for b in (5, 9, 11, 29):
         primes = distinct_prime_factors(b + 1)
-        sigmas = [degenerate_invariants(b, p).signature for p in primes]
+        sigmas = [family_invariants("degenerate", b, p).signature for p in primes]
         assert sigmas == sorted(sigmas) and len(set(sigmas)) == len(sigmas)
 
 
 def test_invariant_divisibility_flags():
     # odd branching order forces divisibility by 16, even order at least 4
-    inv = degenerate_invariants(3, 2)
+    inv = family_invariants("degenerate", 3, 2)
     assert inv.signature % 4 == 0
-    inv = degenerate_invariants(2, 3)
+    inv = family_invariants("degenerate", 2, 3)
     assert inv.signature % 16 == 0
+
+
+# -- census claims that fail ----------------------------------------------------------
+#
+# One case per claim of each family: a single tampered cell that violates the
+# claim, the claim's name and its detail in the printed format.  ``_replace``
+# builds the record without the checks of ``FibrationInvariants``, so a row
+# can carry values no fibration has.
+
+NONDEGENERATE = ("nondegenerate", (2, 6), (5, 13))
+DEGENERATE = ("degenerate", (2, 12), (2, 13))
+FAILING_CLAIMS = [
+    (NONDEGENERATE, (3, 5), {"slope": Fraction(3)}, "slope in (2, 82/35]", "violations at [(3, 5)]"),
+    (
+        NONDEGENERATE, (3, 5), {"slope": Fraction(82, 35)},
+        "slope maximum attained exactly at [(2, 5), (2, 7)]", "attained at [(2, 5), (2, 7), (3, 5)]",
+    ),
+    (NONDEGENERATE, (3, 5), {"signature": 8}, "signature divisible by 16", "violations at [(3, 5)]"),
+    (NONDEGENERATE, (3, 5), {"signature": 16}, "minimum signature 1250000 at (2, 5)", "minimum 16 at (3, 5)"),
+    (
+        NONDEGENERATE, (3, 5), {"slope": Fraction(21, 10)},
+        "slope = 2 + (p^2-1)/((2b-1)p^2 - p)", "violations at [(3, 5)]",
+    ),
+    (
+        NONDEGENERATE, (2, 13), {"slope": Fraction(103, 44)},
+        "slope at b=2 strictly decreasing across consecutive primes >= 7", "slopes ['82/35', '103/44', '103/44']",
+    ),
+    (DEGENERATE, (5, 3), {"slope": Fraction(3)}, "slope in (2, 7/3]", "violations at [(5, 3)]"),
+    (
+        DEGENERATE, (5, 3), {"slope": Fraction(7, 3)},
+        "slope maximum attained exactly at [(2, 3)]", "attained at [(2, 3), (5, 3)]",
+    ),
+    (DEGENERATE, (5, 3), {"signature": 8}, "signature divisible by 16", "violations at [(5, 3)]"),
+    (DEGENERATE, (5, 3), {"signature": 16}, "minimum signature 128 at (3, 2)", "minimum 16 at (5, 3)"),
+    (
+        DEGENERATE, (5, 3), {"slope": Fraction(201, 100)},
+        "slope = 2 + (p^2-1)/(2kp^3 - 3p^2 - p) with b = kp - 1", "violations at [(5, 3)]",
+    ),
+    (
+        DEGENERATE, (5, 3), {"g1": 1000},
+        "fibre genus satisfies 2g - 2 = p^{2b+1}(2b - 2 + 1 - 1/p)", "violations at [(5, 3)]",
+    ),
+    (
+        # the signature at (5, 2) is 8 * 2^9 = 4096
+        DEGENERATE, (5, 3), {"signature": 4096},
+        "for fixed b the signature is strictly increasing in p", "violations [(5, 2, 3)]",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "ranges,cell,change,name,detail", FAILING_CLAIMS, ids=[f"{c[0][0]}-{c[3]}" for c in FAILING_CLAIMS]
+)
+def test_census_claim_can_fail(monkeypatch, capsys, ranges, cell, change, name, detail):
+    import heiskod.invariants as invariants
+    from heiskod.cli import main
+
+    exact = invariants.family_invariants
+
+    def tampered(family, b, p):
+        inv = exact(family, b, p)
+        return inv._replace(**change) if (b, p) == cell else inv
+
+    monkeypatch.setattr(invariants, "family_invariants", tampered)
+    family, (b_lo, b_hi), (p_lo, p_hi) = ranges
+    _, claims = census(family, range(b_lo, b_hi + 1), range(p_lo, p_hi + 1))
+    failed = {c.name: c.detail for c in claims if not c.holds}
+    assert failed[f"{family}: {name}"] == detail
+    code = main(["census", "--family", family, "--b", f"{b_lo}..{b_hi}", "--p", f"{p_lo}..{p_hi}"])
+    assert code == 1
+    assert f"claim [FAILED] {family}: {name}: {detail}\n" in capsys.readouterr().out

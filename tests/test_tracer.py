@@ -53,3 +53,21 @@ def test_tracer_installs_and_restores():
     calls = tracer.layer_times()[0]
     assert calls["verify.verify_assignment"] == 1
     assert calls["braid.build_presentation"] == 1
+
+
+def test_tracer_counts_census_rows():
+    # the forms workload's invariants.census span and invariants.rows counter
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = heiskod.cli.main(
+                ["census", "--family", "degenerate", "--b", "2..12", "--p", "2..13", "--format", "json"]
+            )
+    finally:
+        tracer.uninstall()
+    rows = json.loads(out.getvalue())["rows"]
+    assert code == 0 and len(rows) == 14
+    assert tracer.layer_times()[0]["invariants.census"] == 1
+    assert tracer.counts["invariants.rows"] == len(rows)

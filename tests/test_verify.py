@@ -469,6 +469,21 @@ def test_bfs_memory_is_bounded():
     assert peak < 6 * 2**20
 
 
+def test_surjectivity_index_memory_is_bounded():
+    # the pairing of the 801 generator projections stays sparse: with the
+    # dense 801 x 801 lists built to look for a nonzero entry the index
+    # peaked at 5.7 MiB under tracemalloc, sparse it peaks at 0.85 MiB
+    b, p = 200, 67
+    assignment = standard_assignment_degenerate(b, p)
+    tracemalloc.start()
+    try:
+        assert image_index(assignment, range(1, 4 * b + 2)) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 @pytest.mark.parametrize("p", [131, 257])
 def test_bfs_exact_at_digit_type_edges(p):
     # p = 131 keeps digits in uint8, where d + r_j reaches 260; p = 257 needs
