@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 from typing import NamedTuple
 
-from .braid import build_presentation, kernel_generator_sets
+from .braid import build_presentation
 from .cohomology import (
     classify_form,
     count_heisenberg_candidates,
@@ -30,7 +30,7 @@ from .fplinalg import AlternatingForm
 from .heisenberg import HeisGroup, verify_extra_special
 from .invariants import census, family_invariants, kappa
 from .verify import (
-    bfs_subgroup_order,
+    ENUMERATION_BOUND,
     precompose_involution,
     standard_assignment_degenerate,
     standard_assignment_nondegenerate,
@@ -91,15 +91,15 @@ def criterion_2() -> CriterionResult:
     t0 = time.perf_counter()
     pres = build_presentation(2)
     assignment = standard_assignment_nondegenerate(2, 5, (3, 3), (3, 3))
-    report = verify_assignment(pres, assignment)
+    report = verify_assignment(pres, assignment, ENUMERATION_BOUND)
     _check(report.total_relators == 42, f"relator count {report.total_relators} != 42", problems)
     _check(report.all_passed, f"{len(report.failures)} relators failed", problems)
     _check(report.a12_order == 5, f"A12 image order {report.a12_order} != 5", problems)
     _check(report.m1 == 625 and report.m2 == 625, f"indices ({report.m1}, {report.m2}) != (625, 625)", problems)
-    first, _ = kernel_generator_sets(2)
-    size = bfs_subgroup_order(assignment.target, [assignment.image(g) for g in first])
-    _check(size == 3125, f"BFS kernel-subgroup order {size} != 3125", problems)
-    _check(assignment.target.order // size == report.m1, "BFS and fast index disagree", problems)
+    _check(len(report.oracle) == 2, f"{len(report.oracle)} BFS cross-checks, expected 2", problems)
+    for label, size, agrees in report.oracle:
+        _check(size == 3125, f"BFS kernel-subgroup order [{label}] {size} != 3125", problems)
+        _check(agrees, f"BFS and fast index disagree [{label}]", problems)
     return _result(2, "non-degenerate (2,5) verification with BFS oracle", problems, t0, budget=5.0)
 
 
@@ -161,17 +161,17 @@ def criterion_5() -> CriterionResult:
                 expected = 1
                 for l, m in zip(lam, mu):
                     expected = expected * (1 - l * m) ** 2 % p
-                if form.det() != expected % p:
+                if form.omega.det() != expected % p:
                     problems.append(f"det formula failed at b={b}, p={p}, {lam}, {mu}")
                     break
     # the all-J form is Heisenberg type exactly when p | b+1 (its image under
     # xi has gamma coefficients -b); classification works over p = 2 as well
     for b, p in ((2, 3), (3, 2), (5, 3)):
-        form = AlternatingForm.degenerate_family(b, p)
+        form = AlternatingForm.family(b, p, [-1] * b, [-1] * b)
         cls = classify_form(form)
         _check(cls.is_heisenberg_type, f"all-J form not Heisenberg type at ({b},{p})", problems)
         _check(not cls.is_symplectic, f"all-J form symplectic at ({b},{p})", problems)
-        _check(form.kernel_dim() == 2 * b, f"all-J kernel dimension != 2b at ({b},{p})", problems)
+        _check(form.dim - form.omega.rank() == 2 * b, f"all-J kernel dimension != 2b at ({b},{p})", problems)
     return _result(5, "Heisenberg-type classification and determinant formula", problems, t0, budget=1.0)
 
 

@@ -110,9 +110,9 @@ def cmd_presentation(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .braid import build_presentation, kernel_generator_sets
+    from .braid import build_presentation
     from .verify import (
-        bfs_subgroup_order,
+        ENUMERATION_BOUND,
         standard_assignment_degenerate,
         standard_assignment_nondegenerate,
         verify_assignment,
@@ -130,51 +130,10 @@ def cmd_verify(args) -> int:
         if lam is None or mu is None:
             raise PreconditionError("the non-degenerate family needs --lambda and --mu")
         assignment = standard_assignment_nondegenerate(args.b, args.p, lam, mu)
-    report = verify_assignment(build_presentation(args.b), assignment)
-
-    bfs_lines = []
-    bfs_ok = True
-    record_extra = {}
-    if args.bfs_oracle:
-        group = assignment.target
-        bound = {} if args.enumeration_bound is None else {"bound": args.enumeration_bound}
-        orders = []
-        sizes = {}  # one enumeration per distinct set of images
-        for label, gens, m in zip(
-            ("m1", "m2"), kernel_generator_sets(args.b), (report.m1, report.m2)
-        ):
-            images = [assignment.image(g) for g in gens]
-            key = frozenset(images)
-            if key not in sizes:
-                sizes[key] = bfs_subgroup_order(group, images, **bound)
-            size = sizes[key]
-            agrees = size * m == group.order
-            bfs_ok = bfs_ok and agrees
-            orders.append({"index": label, "subgroup_order": size, "agrees": agrees})
-            bfs_lines.append(
-                f"BFS oracle [{label}]: subgroup order {size}, "
-                f"{'agrees with' if agrees else 'CONTRADICTS'} fast index"
-            )
-        record_extra["bfs_oracle"] = orders
-
-    if args.format == "json":
-        payload = report.to_json_dict()
-        payload.update(record_extra)
-        _emit(json.dumps(payload, indent=2), args.output)
-    else:
-        lines = [
-            f"family {report.family}, b = {report.b}, p = {report.p}, target order {assignment.target.order}",
-            f"relators passed: {report.passed}/{report.total_relators}",
-            f"A12 image order: {report.a12_order}",
-            f"kernel-set image indices: m1 = {report.m1}, m2 = {report.m2}",
-            f"surjective: {report.is_surjective}",
-            *bfs_lines,
-        ]
-        for idx, src, value in report.failures:
-            lines.append(f"  FAILED relator {idx} [{src}] evaluates to {value!r}")
-        _emit("\n".join(lines), args.output)
-    ok = report.all_passed and report.a12_order == args.p and report.is_surjective and bfs_ok
-    return 0 if ok else 1
+    bound = ENUMERATION_BOUND if args.enumeration_bound is None else args.enumeration_bound
+    report = verify_assignment(build_presentation(args.b), assignment, bound if args.bfs_oracle else None)
+    _emit(json.dumps(report.to_json_dict(), indent=2) if args.format == "json" else report.text(), args.output)
+    return 0 if report.ok else 1
 
 
 def _form_from_args(args):
@@ -204,12 +163,12 @@ def cmd_classify_form(args) -> int:
         "b": form.dim // 4,
         "p": form.p,
         "dim": form.dim,
-        "alternating": cls.is_alternating,
+        "alternating": True,  # an AlternatingForm is alternating by construction
         "symplectic": cls.is_symplectic,
-        "kernel_dim": form.kernel_dim(),
+        "kernel_dim": form.dim - form.omega.rank(),
         "diagonal_multiple": cls.diagonal_multiple,
         "heisenberg_type": cls.is_heisenberg_type,
-        "det": form.det(),
+        "det": cls.det,
     }
     if args.format == "json":
         _emit(json.dumps(record, indent=2), args.output)
@@ -332,10 +291,9 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, fmt=("text", "json"), output=True):
+def _add_common(sub, fmt=("text", "json")):
     sub.add_argument("--format", choices=fmt, default="text")
-    if output:
-        sub.add_argument("--output", default=None, help="write to a file instead of stdout")
+    sub.add_argument("--output", default=None, help="write to a file instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument(
         "--enumeration-bound", type=int, default=None,
-        help="with --bfs-oracle: refuse groups with more elements than this (default 10^7)",
+        help="with --bfs-oracle: refuse groups with more elements than this "
+        "(default: heiskod.verify.ENUMERATION_BOUND)",
     )
     _add_common(sp)
     sp.set_defaults(fn=cmd_verify)

@@ -59,39 +59,6 @@ def _h2_block(letter1: int, letter2: int, i: int, j: int, b: int) -> int:
     return 2 + block * b * b + (i - 1) * b + (j - 1)
 
 
-class H1Basis:
-    """Index bookkeeping for the ordered H^1 basis at genus b."""
-
-    def __init__(self, b: int):
-        check_genus(b)
-        self.b = b
-        self.size = 4 * b
-
-    def index_of(self, side: int, letter: int, j: int) -> int:
-        """side 1 means x(x)1, side 2 means 1(x)x; j is 1-based."""
-        if side not in (1, 2) or letter not in (_A, _B) or not 1 <= j <= self.b:
-            raise PreconditionError(f"no H^1 class (side={side}, letter={letter}, j={j})")
-        return (side - 1) * 2 * self.b + 2 * (j - 1) + letter
-
-
-class H2Basis:
-    """Index bookkeeping for the ordered H^2 basis at genus b."""
-
-    GAMMA_LEFT = 0   # g(x)1
-    GAMMA_RIGHT = 1  # 1(x)g
-
-    def __init__(self, b: int):
-        check_genus(b)
-        self.b = b
-        self.size = 4 * b * b + 2
-
-    def block_index(self, letter1: int, letter2: int, i: int, j: int) -> int:
-        """Index of (letter1)_i (x) (letter2)_j; both indices 1-based."""
-        if not (1 <= i <= self.b and 1 <= j <= self.b):
-            raise PreconditionError(f"H^2 block position ({i}, {j}) out of range")
-        return _h2_block(letter1, letter2, i, j, self.b)
-
-
 class H2Class(NamedTuple("H2Class", [("b", int), ("p", int), ("coeffs", tuple[int, ...])])):
     """A degree-2 class as a reduced coefficient tuple of length 4b^2 + 2."""
 
@@ -114,9 +81,8 @@ def _cup_basis(i1: int, i2: int, b: int, p: int) -> Optional[tuple[int, int]]:
         # symplectic-basis signs
         if j1 != j2 or l1 == l2:
             return None
-        target = H2Basis.GAMMA_LEFT if s1 == 1 else H2Basis.GAMMA_RIGHT
         sign = 1 if (l1, l2) == (_A, _B) else -1
-        return target, sign % p
+        return s1 - 1, sign % p  # g(x)1 or 1(x)g
     if s1 == 1:  # (x(x)1)(1(x)w) = x(x)w
         return _h2_block(l1, l2, j1, j2, b), 1
     # (1(x)y)(z(x)1) = -z(x)y
@@ -203,13 +169,11 @@ def xi_of_form(form: AlternatingForm) -> H2Class:
 def diagonal_class(b: int, p: int) -> H2Class:
     """Class of the diagonal: g(x)1 + 1(x)g + sum_j (b_j(x)a_j - a_j(x)b_j)."""
     _check_prime(p)
-    h2 = H2Basis(b)
-    out = [0] * h2.size
-    out[h2.GAMMA_LEFT] = 1
-    out[h2.GAMMA_RIGHT] = 1
+    check_genus(b)
+    out = [1, 1] + [0] * (4 * b * b)
     for j in range(1, b + 1):
-        out[h2.block_index(_B, _A, j, j)] = 1
-        out[h2.block_index(_A, _B, j, j)] = p - 1
+        out[_h2_block(_B, _A, j, j, b)] = 1
+        out[_h2_block(_A, _B, j, j, b)] = p - 1
     return H2Class(b, p, tuple(out))
 
 
@@ -223,11 +187,14 @@ def _mod_delta(x: Sequence[int], b: int, p: int) -> tuple[int, ...]:
 class FormClassification(NamedTuple):
     """Outcome of testing an alternating form against the diagonal line."""
 
-    is_alternating: bool
-    is_symplectic: bool
+    det: int
     xi_image: H2Class
     diagonal_multiple: Optional[int]
     is_heisenberg_type: bool
+
+    @property
+    def is_symplectic(self) -> bool:
+        return self.det != 0
 
 
 def classify_form(form: AlternatingForm) -> FormClassification:
@@ -241,8 +208,7 @@ def classify_form(form: AlternatingForm) -> FormClassification:
     on_line = not any(_mod_delta(img.coeffs, img.b, img.p))
     multiple = img.coeffs[0] if on_line else None
     return FormClassification(
-        is_alternating=True,
-        is_symplectic=form.is_symplectic(),
+        det=form.omega.det(),
         xi_image=img,
         diagonal_multiple=multiple,
         is_heisenberg_type=multiple is not None and multiple != 0,

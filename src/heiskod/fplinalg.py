@@ -2,8 +2,8 @@
 
 Everything downstream (cup products, Heisenberg groups, rank counts) runs on
 the two value types defined here: :class:`FpMatrix`, an immutable matrix of
-residues, and :class:`AlternatingForm`, a skew matrix with optional
-(lambda, mu) provenance when it comes from the block family
+residues, and :class:`AlternatingForm`, a skew matrix such as the block
+family
 
     Omega_b = [[L_b, J_b], [J_b, M_b]],
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 from operator import index
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import PreconditionError
 from .primes import check_genus, is_prime
@@ -134,9 +134,6 @@ class FpMatrix:
             and (self.p, self.rows, self.cols) == (other.p, other.rows, other.cols)
             and self._r == other._r
         )
-
-    def __hash__(self):
-        return hash((self.p, self.cols, tuple(frozenset(r.items()) for r in self._r)))
 
     def __repr__(self):
         return f"FpMatrix({self.rows}x{self.cols} mod {self.p})"
@@ -297,15 +294,12 @@ def _j_block(b: int, row0: int, col0: int, rows: list[Row], p: int) -> None:
 
 
 class AlternatingForm:
-    """A skew-symmetric form on F_p^dim, with optional family provenance.
+    """A skew-symmetric form on F_p^dim; its matrix ``omega`` owns the rank
+    and the determinant."""
 
-    ``family_params`` is ``(lambdas, mus)`` when the form is the block matrix
-    Omega_b described in the module docstring, else ``None``.
-    """
+    __slots__ = ("p", "dim", "omega")
 
-    __slots__ = ("p", "dim", "omega", "family_params")
-
-    def __init__(self, omega: FpMatrix, family_params: Optional[tuple] = None):
+    def __init__(self, omega: FpMatrix):
         p = omega.p
         if omega.rows != omega.cols:
             raise PreconditionError("alternating form must be square")
@@ -319,20 +313,12 @@ class AlternatingForm:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "dim", omega.rows)
         object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "family_params", family_params)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlternatingForm is immutable")
 
     def __repr__(self):
-        tag = " family" if self.family_params else ""
-        return f"AlternatingForm(dim={self.dim}, p={self.p}{tag})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AlternatingForm) and self.omega == other.omega
-
-    def __hash__(self):
-        return hash(self.omega)
+        return f"AlternatingForm(dim={self.dim}, p={self.p})"
 
     @classmethod
     def family(cls, b: int, p: int, lambdas: Sequence[int], mus: Sequence[int]) -> "AlternatingForm":
@@ -348,15 +334,7 @@ class AlternatingForm:
         _pair_block(mu, 2 * b, rows, p)
         _j_block(b, 0, 2 * b, rows, p)
         _j_block(b, 2 * b, 0, rows, p)
-        return cls(FpMatrix.sparse(rows, 4 * b, p), (lam, mu))
-
-    @classmethod
-    def degenerate_family(cls, b: int, p: int) -> "AlternatingForm":
-        """The rank-2b form with all four blocks equal to J_b.
-
-        Same as the family form with every lambda_j = mu_j = -1.
-        """
-        return cls.family(b, p, [-1] * b, [-1] * b)
+        return cls(FpMatrix.sparse(rows, 4 * b, p))
 
     @classmethod
     def standard_symplectic(cls, n: int, p: int) -> "AlternatingForm":
@@ -379,12 +357,3 @@ class AlternatingForm:
         if len(uu) != self.dim or len(vv) != self.dim:
             raise PreconditionError(f"vectors must have length {self.dim}")
         return sum(uu[i] * x * vv[j] for i, row in enumerate(self.omega._r) for j, x in row.items()) % self.p
-
-    def det(self) -> int:
-        return self.omega.det()
-
-    def is_symplectic(self) -> bool:
-        return self.det() != 0
-
-    def kernel_dim(self) -> int:
-        return self.dim - self.omega.rank()

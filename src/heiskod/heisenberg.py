@@ -53,7 +53,6 @@ class HeisGroup:
         self.p = form.p
         self.dim = form.dim
         self.cocycle = form.omega.strict_upper()
-        self.comm_form = form.omega
         self.order = form.p ** (form.dim + 1)
 
     def __repr__(self):
@@ -150,7 +149,7 @@ def verify_extra_special(group: HeisGroup, enumeration_bound: int = 2 * 10**5) -
     enlarged center ker(omega) x F_p and ``is_extra_special`` False.
     """
     p = group.p
-    comm_rank = group.comm_form.rank()
+    comm_rank = group.form.omega.rank()
     center_order_structural = p ** (group.dim - comm_rank + 1)
     commutator_order = p if comm_rank else 1
 
@@ -170,14 +169,14 @@ def verify_extra_special(group: HeisGroup, enumeration_bound: int = 2 * 10**5) -
                 exponent = math.lcm(exponent, k)
                 involutions += k == 2
         # (v, t) is central iff omega(v, .) vanishes, whatever t
-        center_order = p * sum(not any(group.comm_form.apply(v)) for v in vectors)
+        center_order = p * sum(not any(group.form.omega.apply(v)) for v in vectors)
         if center_order != center_order_structural:
             raise InconsistencyError("exhaustive center disagrees with kernel computation")
         if group.order <= 2000:
             # full pairwise commutator table; every commutator is the central
             # element with exponent omega(u, w), so the value set determines
             # the commutator subgroup
-            columns = [group.comm_form.apply(w) for w in vectors]
+            columns = [group.form.omega.apply(w) for w in vectors]
             values = {sum(map(operator.mul, u, c)) % p for u in vectors for c in columns}
             if values not in ({0}, set(range(p))):
                 raise InconsistencyError("commutator values of a bilinear pairing must be {0} or all of F_p")

@@ -37,15 +37,15 @@ Two standard assignments are provided.
   p = 2, where it is H_{2b+1}(F_2) with the coordinates interleaved as
   (r_j, t_j).
 
-Subgroup indices come from a fast structural method cross-validated by an
-exhaustive oracle, Dimino's coset enumeration over packed elements; the two
-must always agree where both run, and the tests enforce that.
+Subgroup indices come from a fast structural method; ``verify_assignment``
+cross-checks them, given a bound, against an exhaustive oracle, Dimino's coset
+enumeration over packed elements, and the two must agree wherever both run.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .braid import Presentation, Relator, Word, check_letters, involution_substitute, kernel_generator_sets, rho, tau
 from .errors import EnumerationBoundError, PreconditionError
@@ -134,6 +134,7 @@ class VerificationReport(NamedTuple):
     b: int
     p: int
     family: str
+    target_order: int
     total_relators: int
     passed: int
     failures: tuple  # (relator index, source label, evaluated element)
@@ -141,10 +142,18 @@ class VerificationReport(NamedTuple):
     m1: int
     m2: int
     is_surjective: bool
+    oracle: tuple  # (index label, enumerated subgroup order, agrees), empty without the oracle
 
     @property
     def all_passed(self) -> bool:
         return self.passed == self.total_relators
+
+    @property
+    def ok(self) -> bool:
+        """Every relator dies, A12 has order p, the image is the whole target
+        and the oracle, where it ran, agrees: the lift is proved."""
+        oracle_agrees = all(agrees for _, _, agrees in self.oracle)
+        return self.all_passed and self.a12_order == self.p and self.is_surjective and oracle_agrees
 
     def to_json_dict(self) -> dict:
         out = {
@@ -159,29 +168,59 @@ class VerificationReport(NamedTuple):
             "surjective": self.is_surjective,
         }
         if self.failures:
-            out["failures"] = [
-                {"index": i, "source": src, "value": repr(elt)} for i, src, elt in self.failures
+            out["failures"] = [{"index": i, "source": src, "value": repr(elt)} for i, src, elt in self.failures]
+        if self.oracle:
+            out["bfs_oracle"] = [
+                {"index": label, "subgroup_order": size, "agrees": agrees} for label, size, agrees in self.oracle
             ]
         return out
 
+    def text(self) -> str:
+        lines = [
+            f"family {self.family}, b = {self.b}, p = {self.p}, target order {self.target_order}",
+            f"relators passed: {self.passed}/{self.total_relators}",
+            f"A12 image order: {self.a12_order}",
+            f"kernel-set image indices: m1 = {self.m1}, m2 = {self.m2}",
+            f"surjective: {self.is_surjective}",
+        ]
+        for label, size, agrees in self.oracle:
+            verdict = "agrees with" if agrees else "CONTRADICTS"
+            lines.append(f"BFS oracle [{label}]: subgroup order {size}, {verdict} fast index")
+        for idx, src, value in self.failures:
+            lines.append(f"  FAILED relator {idx} [{src}] evaluates to {value!r}")
+        return "\n".join(lines)
 
-def verify_assignment(pres: Presentation, assignment: GeneratorAssignment) -> VerificationReport:
-    """Evaluate every relator; failures are recorded, never raised.  The
-    presentation and the assignment must have the same genus, since a letter
-    names a generator only at a fixed b."""
+
+def verify_assignment(
+    pres: Presentation, assignment: GeneratorAssignment, oracle_bound: Optional[int] = None
+) -> VerificationReport:
+    """The whole report: every relator evaluated, failures recorded, never
+    raised, and the indices m1, m2, each cross-checked by the exhaustive
+    oracle under ``oracle_bound`` when one is given (one enumeration per
+    distinct set of images).  The presentation and the assignment must have
+    the same genus, since a letter names a generator only at a fixed b."""
     if pres.b != assignment.b:
         raise PreconditionError(f"presentation at genus {pres.b}, assignment at genus {assignment.b}")
     target = assignment.target
     found = dict(_nonidentity_products(assignment, pres))
-    # one pass for the sources, only when some relator failed
+    # one pass reads every relator's source, only when some relator failed
     failures = [(i, rel.source, found[i]) for i, rel in enumerate(pres.relators) if i in found] if found else []
-    first, second = kernel_generator_sets(pres.b)
-    m1 = image_index(assignment, first)
-    m2 = image_index(assignment, second)
+    kernel_sets = kernel_generator_sets(pres.b)
+    m1, m2 = (image_index(assignment, letters) for letters in kernel_sets)
+    oracle = []
+    if oracle_bound is not None:
+        sizes = {}
+        for label, letters, m in zip(("m1", "m2"), kernel_sets, (m1, m2)):
+            images = [assignment.image(x) for x in letters]
+            key = frozenset(images)
+            if key not in sizes:
+                sizes[key] = bfs_subgroup_order(target, images, oracle_bound)
+            oracle.append((label, sizes[key], sizes[key] * m == target.order))
     return VerificationReport(
         b=assignment.b,
         p=assignment.p,
         family=assignment.family,
+        target_order=target.order,
         total_relators=len(pres.relators),
         passed=len(pres.relators) - len(failures),
         failures=tuple(failures),
@@ -189,6 +228,7 @@ def verify_assignment(pres: Presentation, assignment: GeneratorAssignment) -> Ve
         m1=m1,
         m2=m2,
         is_surjective=image_index(assignment, range(1, 4 * pres.b + 2)) == 1,
+        oracle=tuple(oracle),
     )
 
 
@@ -308,7 +348,7 @@ def subgroup_order_fast(group: HeisGroup, elements: Sequence) -> int:
     d = proj.rank()
 
     # the sparse pairing is compared with the zero matrix, never made dense
-    pairing = proj @ (group.comm_form @ proj_t)
+    pairing = proj @ (group.form.omega @ proj_t)
     center_hit = pairing != FpMatrix.sparse([{}] * m, m, p)
     if not center_hit:
         for g in elements:
@@ -319,7 +359,8 @@ def subgroup_order_fast(group: HeisGroup, elements: Sequence) -> int:
         for null in proj_t.kernel_basis():
             acc = group.identity
             for coeff, g in zip(null, elements):
-                acc = group.mul(acc, group.power(g, coeff))
+                if coeff:
+                    acc = group.mul(acc, group.power(g, coeff))
             if acc != group.identity:
                 center_hit = True
                 break
@@ -392,7 +433,10 @@ def _snapshot(visited, code_type):
     return h
 
 
-def bfs_subgroup_order(group: HeisGroup, elements: Sequence, bound: int = 10**7) -> int:
+ENUMERATION_BOUND = 10**7  # the largest group the oracle enumerates unless given another bound
+
+
+def bfs_subgroup_order(group: HeisGroup, elements: Sequence, bound: int = ENUMERATION_BOUND) -> int:
     """Exhaustive oracle: Dimino's coset enumeration of the generated subgroup.
 
     Independent of ``subgroup_order_fast`` by construction (group products

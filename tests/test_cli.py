@@ -103,6 +103,18 @@ def test_verify_enumeration_bound_override(capsys):
     assert "bound" in err
 
 
+@pytest.mark.parametrize("bound", ["0", "-5"])
+def test_verify_nonpositive_enumeration_bound_exits_2(capsys, bound):
+    # a bound that admits no group is a bound, not a request for the default
+    code, out, err = run(
+        capsys,
+        "verify", "--family", "degenerate", "--b", "2", "--p", "3",
+        "--bfs-oracle", "--enumeration-bound", bound,
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: group order 243 exceeds the enumeration bound {bound}\n"
+
+
 def test_verify_enumeration_bound_without_oracle_exits_2(capsys):
     # only the oracle reads the bound, so it is refused without it
     code, out, err = run(
@@ -202,7 +214,7 @@ def test_classify_form_matrix_json(capsys, tmp_path):
     from heiskod.fplinalg import AlternatingForm
 
     path = tmp_path / "omega.json"
-    path.write_text(json.dumps(AlternatingForm.degenerate_family(2, 3).omega.to_lists()))
+    path.write_text(json.dumps(AlternatingForm.family(2, 3, [-1] * 2, [-1] * 2).omega.to_lists()))
     code, out, _ = run(
         capsys, "classify-form", "--p", "3", "--matrix-json", str(path), "--format", "json"
     )
@@ -406,7 +418,7 @@ def test_classify_form_non_integer_entry_exits_2(capsys, tmp_path):
     # entries used to be truncated to 2 and -2 and the command exited 0
     from heiskod.fplinalg import AlternatingForm
 
-    omega = AlternatingForm.degenerate_family(2, 3).omega.to_lists()
+    omega = AlternatingForm.family(2, 3, [-1] * 2, [-1] * 2).omega.to_lists()
     omega[0][1], omega[1][0] = 2.5, -2.5
     path = tmp_path / "omega.json"
     path.write_text(json.dumps(omega))

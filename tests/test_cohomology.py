@@ -15,9 +15,7 @@ from hypothesis import strategies as st
 
 from heiskod import cohomology
 from heiskod.cohomology import (
-    H1Basis,
     H2Class,
-    H2Basis,
     classify_form,
     count_heisenberg_candidates,
     cup_h1_h1,
@@ -31,8 +29,6 @@ from heiskod.cohomology import (
 )
 from heiskod.errors import PreconditionError
 from heiskod.fplinalg import AlternatingForm, FpMatrix
-
-_A, _B = 0, 1
 
 
 def random_alternating(b, p, rng) -> AlternatingForm:
@@ -79,20 +75,16 @@ def delta_quotient_reference(b, p):
 
 def test_cup_basis_examples():
     b, p = 2, 5
-    h1 = H1Basis(b)
-    h2 = H2Basis(b)
-    a1_left = h1.index_of(1, _A, 1)
-    b1_left = h1.index_of(1, _B, 1)
-    a1_right = h1.index_of(2, _A, 1)
-    a2_left = h1.index_of(1, _A, 2)
+    # H^1 at b = 2: a_1(x)1, b_1(x)1, a_2(x)1, b_2(x)1, 1(x)a_1, ...
+    a1_left, b1_left, a2_left, a1_right = 0, 1, 2, 4
 
     out = cup_h1_h1(a1_left, b1_left, b, p)
-    assert out.coeffs[h2.GAMMA_LEFT] == 1 and sum(out.coeffs) == 1
+    assert out.coeffs[0] == 1 and sum(out.coeffs) == 1  # g(x)1
 
-    # (1(x)a_1)(b_1(x)1) = -b_1(x)a_1
+    # (1(x)a_1)(b_1(x)1) = -b_1(x)a_1, H^2 index 2 + 2 b^2 (block BA)
     out = cup_h1_h1(a1_right, b1_left, b, p)
-    expected = [0] * h2.size
-    expected[h2.block_index(_B, _A, 1, 1)] = (-1) % p
+    expected = [0] * (4 * b * b + 2)
+    expected[10] = (-1) % p
     assert list(out.coeffs) == expected
 
     assert not any(cup_h1_h1(a1_left, a2_left, b, p).coeffs)
@@ -192,16 +184,16 @@ def test_cup_exact_at_large_p():
 
 def test_diagonal_class_b2():
     for p in (3, 2):
-        h2 = H2Basis(2)
         d = diagonal_class(2, p)
         nonzero = {i: c for i, c in enumerate(d.coeffs) if c}
+        # g(x)1, 1(x)g, then the b x b blocks AA, AB, BA, BB from index 2
         expected = {
-            h2.GAMMA_LEFT: 1,
-            h2.GAMMA_RIGHT: 1,
-            h2.block_index(_B, _A, 1, 1): 1,
-            h2.block_index(_B, _A, 2, 2): 1,
-            h2.block_index(_A, _B, 1, 1): (-1) % p,
-            h2.block_index(_A, _B, 2, 2): (-1) % p,
+            0: 1,
+            1: 1,
+            10: 1,  # b_1(x)a_1
+            13: 1,  # b_2(x)a_2
+            6: (-1) % p,  # a_1(x)b_1
+            9: (-1) % p,  # a_2(x)b_2
         }
         assert nonzero == expected
         if p == 2:
@@ -264,7 +256,7 @@ def test_classify_examples():
     cls = classify_form(AlternatingForm.family(2, 5, (3, 3), (3, 3)))
     assert cls.is_heisenberg_type and cls.is_symplectic and cls.diagonal_multiple == 1
 
-    cls = classify_form(AlternatingForm.degenerate_family(2, 3))
+    cls = classify_form(AlternatingForm.family(2, 3, [-1] * 2, [-1] * 2))
     assert cls.is_heisenberg_type and not cls.is_symplectic and cls.diagonal_multiple == 1
 
     cls = classify_form(AlternatingForm(FpMatrix([[0] * 8] * 8, 5)))
@@ -277,7 +269,7 @@ def test_classify_large_p():
     cls = classify_form(form)
     assert cls.is_heisenberg_type and cls.is_symplectic and cls.diagonal_multiple == 1
     assert cls.xi_image == diagonal_class(2, p)
-    assert form.det() == 576
+    assert form.omega.det() == cls.det == 576
     cls = classify_form(combine(p, (p - 1, form)))
     assert cls.diagonal_multiple == p - 1
 
@@ -312,7 +304,6 @@ def test_classifier_agrees_with_matrix_characterisation(b, p, count):
 
 def surjectivity_oracle(b, p):
     """Each H^2 basis class is a basis cup product up to sign."""
-    h1 = H1Basis(b)
     hit = set()
     for i1 in range(4 * b):
         for i2 in range(4 * b):
@@ -320,7 +311,7 @@ def surjectivity_oracle(b, p):
             nz = [(k, c) for k, c in enumerate(out.coeffs) if c]
             if len(nz) == 1:
                 hit.add(nz[0][0])
-    return hit == set(range(H2Basis(b).size))
+    return hit == set(range(4 * b * b + 2))
 
 
 @pytest.mark.parametrize("b,p", [(2, 3), (2, 5), (3, 3), (2, 2)])

@@ -11,7 +11,10 @@ streamed output to those bytes.  The ``*_oracle`` files were written while
 images are the same; they hold the single enumeration to those bytes.  The
 ``census_*`` and ``invariants_*`` files were written while each family had
 its own invariants function and its own census; they hold the shared
-function and claim table to those bytes.
+function and claim table to those bytes.  The failing ``verify_*`` text files
+and the ``*_oracle_contradicts`` files were written while ``cmd_verify``
+built the report text, the oracle cross-check and the verdict itself; they
+hold ``verify_assignment``'s report to those bytes.
 """
 
 import json
@@ -144,3 +147,30 @@ def test_failing_report_is_pinned(name, make):
     assert text == (GOLDEN / name).read_text()
     indices = [i for i, _, _ in report.failures]
     assert indices == sorted(indices)
+
+
+NONDEGENERATE_B2_P5 = ("verify", "--family", "nondegenerate", "--b", "2", "--p", "5", "--lambda", "3,3", "--mu", "3,3")
+
+
+@pytest.mark.parametrize(
+    "name,make",
+    [
+        ("verify_tau2_variant_b2_p5.txt", tau2_to_r2_variant),
+        ("verify_a12_killed_b2_p5.txt", _a12_killed),
+    ],
+)
+def test_failing_verify_text_is_pinned(capsys, monkeypatch, name, make):
+    # the CLI verifies whatever assignment the family builder returns
+    assignment = make(2, 5, (3, 3), (3, 3))
+    monkeypatch.setattr(verify, "standard_assignment_nondegenerate", lambda *args: assignment)
+    assert main(list(NONDEGENERATE_B2_P5)) == 1
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("fmt,ext", [("text", "txt"), ("json", "json")])
+def test_oracle_contradiction_is_pinned(capsys, monkeypatch, fmt, ext):
+    # an oracle order that disagrees with the fast index fails the run
+    monkeypatch.setattr(verify, "bfs_subgroup_order", lambda *args, **kwargs: 1)
+    argv = ["verify", "--family", "degenerate", "--b", "3", "--p", "2", "--bfs-oracle", "--format", fmt]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == (GOLDEN / f"verify_degenerate_b3_p2_oracle_contradicts.{ext}").read_text()

@@ -55,14 +55,13 @@ def test_cocycle_is_upper_triangle_of_omega():
     for form in (
         AlternatingForm.standard_symplectic(2, 2),
         AlternatingForm.family(2, 2, (1, 0), (0, 1)),
-        AlternatingForm.degenerate_family(2, 3),
+        AlternatingForm.family(2, 3, [-1] * 2, [-1] * 2),
         AlternatingForm.family(2, 7, (1, 2), (3, 4)),
     ):
         group = HeisGroup(form)
         c = np.array(group.cocycle.to_lists())
         assert not np.tril(c).any()
         assert ((c - c.T - np.array(form.omega.to_lists())) % form.p == 0).all()
-        assert group.comm_form is form.omega
     # standard symplectic form: C = [[0, I], [0, 0]]
     assert std(2, 5).cocycle.to_lists() == [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]]
 
@@ -94,7 +93,7 @@ def test_pair_exponent_p():
 
 def test_orders_at_large_p():
     p = 1000003
-    group = HeisGroup(AlternatingForm.degenerate_family(2, p))
+    group = HeisGroup(AlternatingForm.family(2, p, [-1] * 2, [-1] * 2))
     assert group.order_of(group.central(1)) == p
     assert group.order_of(group.basis_element(0)) == p
     assert group.order_of(group.identity) == 1
@@ -262,7 +261,7 @@ def test_iso_random_multiplicative_larger():
     rng = np.random.default_rng(77)
     for form in (
         AlternatingForm.family(2, 7, (1, 2), (3, 4)),
-        AlternatingForm.degenerate_family(3, 5),
+        AlternatingForm.family(3, 5, [-1] * 3, [-1] * 3),
         AlternatingForm.j_form(4, 11),
     ):
         h = HeisGroup(form)
@@ -297,7 +296,7 @@ def test_h3_f2_is_dihedral_not_quaternion():
 
 
 def test_degenerate_center():
-    group = HeisGroup(AlternatingForm.degenerate_family(2, 3))
+    group = HeisGroup(AlternatingForm.family(2, 3, [-1] * 2, [-1] * 2))
     rep = verify_extra_special(group)
     assert rep.order == 3**9
     assert rep.center_order == 3**5  # |V_0| * p with dim V_0 = 2b = 4
@@ -323,7 +322,7 @@ def test_structural_path_matches_enumeration():
     lines = [HeisGroup(AlternatingForm(FpMatrix.sparse([], 0, p))) for p in (2, 3, 5)]
     for group in (
         HeisGroup(AlternatingForm.family(2, 3, (1, 1), (2, 2))),
-        HeisGroup(AlternatingForm.degenerate_family(2, 2)),  # order 512
+        HeisGroup(AlternatingForm.family(2, 2, [-1] * 2, [-1] * 2)),  # order 512
         p2_family,
         *lines,
     ):
@@ -336,7 +335,7 @@ def test_structural_path_matches_enumeration():
             structural.center_order,
             structural.commutator_order,
         )
-    rep = verify_extra_special(HeisGroup(AlternatingForm.degenerate_family(2, 2)))
+    rep = verify_extra_special(HeisGroup(AlternatingForm.family(2, 2, [-1] * 2, [-1] * 2)))
     assert (rep.order, rep.exponent, rep.center_order, rep.commutator_order) == (512, 4, 32, 2)
     for group in lines:
         rep = verify_extra_special(group)

@@ -178,14 +178,14 @@ def test_one_admission_rule(family):
 
 def test_every_layer_refuses_genus_below_2_alike():
     from heiskod.braid import build_presentation, kernel_generator_sets
-    from heiskod.cohomology import H1Basis, search_family_params
+    from heiskod.cohomology import diagonal_class, search_family_params
     from heiskod.fplinalg import AlternatingForm
     from heiskod.verify import standard_assignment_degenerate, standard_assignment_nondegenerate
 
     for refuse in (
         lambda: build_presentation(1),
         lambda: kernel_generator_sets(1),
-        lambda: H1Basis(1),
+        lambda: diagonal_class(1, 5),
         lambda: search_family_params(1, 5),
         lambda: AlternatingForm.family(1, 5, [1], [1]),
         lambda: standard_assignment_degenerate(1, 2),

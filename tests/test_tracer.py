@@ -71,3 +71,20 @@ def test_tracer_counts_census_rows():
     assert code == 0 and len(rows) == 14
     assert tracer.layer_times()[0]["invariants.census"] == 1
     assert tracer.counts["invariants.rows"] == len(rows)
+
+
+def test_tracer_counts_oracle_elements():
+    # the oracle workload's verify.bfs_subgroup_order span and element count:
+    # both kernel sets have the same images at p = 2, so one enumeration of
+    # the whole 2^7-element group serves m1 and m2
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = heiskod.cli.main(["verify", "--family", "degenerate", "--b", "3", "--p", "2", "--bfs-oracle"])
+    finally:
+        tracer.uninstall()
+    assert code == 0 and "CONTRADICTS" not in out.getvalue()
+    assert tracer.layer_times()[0]["verify.bfs_subgroup_order"] == 1
+    assert tracer.counts["verify.bfs.elements"] == 128

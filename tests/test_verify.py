@@ -376,7 +376,7 @@ def test_degenerate_assignment_is_quotient_of_big_lifting():
     p^{2b}), and merging the strands, r_sj -> r_j and t_sj -> t_j, reproduces
     the standard degenerate assignment exactly."""
     for b, p in ((2, 3), (4, 5), (3, 2)):
-        big = HeisGroup(AlternatingForm.degenerate_family(b, p))
+        big = HeisGroup(AlternatingForm.family(b, p, [-1] * b, [-1] * b))
         images = tuple(map(big.basis_element, range(4 * b))) + (big.central(1),)
         assignment = GeneratorAssignment(b, p, "degenerate-on-V", big, images)
         report = verify_assignment(build_presentation(b), assignment)
@@ -682,6 +682,26 @@ def test_oracle_ignores_generator_order(group):
         els = [random_element(group, rng) for _ in range(3)] + [group.central(1)]
         orders = {bfs_subgroup_order(group, list(perm)) for perm in itertools.permutations(els)}
         assert orders == {closure_order(group, els)}
+
+
+def test_null_combinations_skip_zero_coefficients(monkeypatch):
+    # the m1 images of the tau_2j -> r_2j variant at (2, 5) are r_21, r_22,
+    # r_21, r_22, z: they commute and have order p, so the order is decided on
+    # the null combinations (1, 0, -1, 0, 0), (0, 1, 0, -1, 0), (0, 0, 0, 0, 1)
+    # of their projections, one product per nonzero coefficient
+    assignment = tau2_to_r2_variant(2, 5, (3, 3), (3, 3))
+    first, _ = kernel_generator_sets(2)
+    els = [assignment.image(x) for x in first]
+    calls = []
+    mul = HeisGroup.mul
+
+    def counted(self, g, h):
+        calls.append(None)
+        return mul(self, g, h)
+
+    monkeypatch.setattr(HeisGroup, "mul", counted)
+    assert subgroup_order_fast(assignment.target, els) == 125
+    assert len(calls) == 5
 
 
 # -- report serialisation --------------------------------------------------------
