@@ -1,12 +1,14 @@
-"""The acceptance suite: one function per exit criterion, exact tolerances.
+"""The acceptance suite: one table of exit criteria, exact tolerances.
 
-Each criterion returns a :class:`CriterionResult`; ``run_all`` executes them
-in order and is what both ``heiskod selftest`` and the pytest acceptance
-module drive.
+``CRITERIA`` has one (name, budget or None, check) entry per criterion, and
+criterion i is entry i - 1.  A check appends a message per failed assertion
+to the list it is given; ``run`` times it, enforces the budget and builds the
+:class:`CriterionResult`.  ``run_all`` runs them in order for ``heiskod
+selftest`` and the pytest acceptance module.
 
 All assertions are exact equalities (integers, tuples, Fractions); the only
-approximate quantity anywhere is the wall-clock budget attached to some
-criteria.
+approximate quantities are the wall-clock budgets and the per-case bound of
+the degenerate relator check.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .cohomology import (
 from .fplinalg import AlternatingForm
 from .heisenberg import HeisGroup, verify_extra_special
 from .invariants import census, family_invariants, kappa
+from .primes import distinct_prime_factors
 from .verify import (
     ENUMERATION_BOUND,
     precompose_involution,
@@ -57,18 +60,8 @@ def _check(cond: bool, message: str, problems: list[str]) -> None:
         problems.append(message)
 
 
-def _result(index: int, name: str, problems: list[str], t0: float, budget: float | None = None) -> CriterionResult:
-    elapsed = time.perf_counter() - t0
-    if budget is not None and elapsed > budget:
-        problems.append(f"runtime {elapsed:.3f}s exceeded budget {budget}s")
-    detail = "ok" if not problems else "; ".join(problems)
-    return CriterionResult(index, name, not problems, detail, elapsed, budget)
-
-
-def criterion_1() -> CriterionResult:
+def _degenerate_relators(problems: list[str]) -> None:
     """Degenerate relator verification over five (b, p) pairs."""
-    problems: list[str] = []
-    t0 = time.perf_counter()
     worst = 0.0
     for b, p in ((2, 3), (3, 2), (4, 5), (5, 2), (5, 3)):
         case_start = time.perf_counter()
@@ -82,13 +75,10 @@ def criterion_1() -> CriterionResult:
         _check(report.is_surjective, f"({b},{p}): image not the whole group", problems)
         worst = max(worst, time.perf_counter() - case_start)
     _check(worst < 1.0, f"slowest case took {worst:.3f}s, budget 1s each", problems)
-    return _result(1, "degenerate family passes all relators", problems, t0)
 
 
-def criterion_2() -> CriterionResult:
+def _nondegenerate_with_oracle(problems: list[str]) -> None:
     """Non-degenerate verification at (2, 5), lambda = mu = (3, 3)."""
-    problems: list[str] = []
-    t0 = time.perf_counter()
     pres = build_presentation(2)
     assignment = standard_assignment_nondegenerate(2, 5, (3, 3), (3, 3))
     report = verify_assignment(pres, assignment, ENUMERATION_BOUND)
@@ -100,14 +90,11 @@ def criterion_2() -> CriterionResult:
     for label, size, agrees in report.oracle:
         _check(size == 3125, f"BFS kernel-subgroup order [{label}] {size} != 3125", problems)
         _check(agrees, f"BFS and fast index disagree [{label}]", problems)
-    return _result(2, "non-degenerate (2,5) verification with BFS oracle", problems, t0, budget=5.0)
 
 
-def criterion_3() -> CriterionResult:
+def _tau2_variant_refuted(problems: list[str]) -> None:
     """The tau_2j -> r_2j variant fails [rho_1j, tau_2j] = A12^-1; the
     t_2j assignment passes."""
-    problems: list[str] = []
-    t0 = time.perf_counter()
     pres = build_presentation(2)
     good = verify_assignment(pres, standard_assignment_nondegenerate(2, 5, (3, 3), (3, 3)))
     _check(good.all_passed, "corrected assignment failed", problems)
@@ -115,28 +102,22 @@ def criterion_3() -> CriterionResult:
     hit = [src for _, src, _ in bad.failures if "on tau_2k" in src and "rho_1j on" in src and "j=k" in src]
     _check(bool(hit), "the variant did not fail any [rho_1j, tau_2j] relator", problems)
     _check(not good.failures, "unexpected failures in corrected assignment", problems)
-    return _result(3, "tau_2j image variant is refuted by the verifier", problems, t0)
 
 
-def criterion_4() -> CriterionResult:
+def _involution_precomposition(problems: list[str]) -> None:
     """Precomposing a passing assignment with the reflection substitution
     passes, at (2, 3) and (3, 2)."""
-    problems: list[str] = []
-    t0 = time.perf_counter()
     for b, p in ((2, 3), (3, 2)):
         pres = build_presentation(b)
         base = standard_assignment_degenerate(b, p)
         _check(verify_assignment(pres, base).all_passed, f"({b},{p}): base assignment failed", problems)
         twisted = verify_assignment(pres, precompose_involution(base))
         _check(twisted.all_passed, f"({b},{p}): involution-precomposed assignment failed", problems)
-    return _result(4, "involution precomposition preserves verification", problems, t0)
 
 
-def criterion_5() -> CriterionResult:
+def _heisenberg_type_forms(problems: list[str]) -> None:
     """Family forms map to the diagonal class; determinant formula; the
     all-J form classifies as Heisenberg type but not symplectic."""
-    problems: list[str] = []
-    t0 = time.perf_counter()
     rng = random.Random(20260808)
     for b in (2, 3):
         for p in (5, 7):
@@ -172,13 +153,10 @@ def criterion_5() -> CriterionResult:
         _check(cls.is_heisenberg_type, f"all-J form not Heisenberg type at ({b},{p})", problems)
         _check(not cls.is_symplectic, f"all-J form symplectic at ({b},{p})", problems)
         _check(form.dim - form.omega.rank() == 2 * b, f"all-J kernel dimension != 2b at ({b},{p})", problems)
-    return _result(5, "Heisenberg-type classification and determinant formula", problems, t0, budget=1.0)
 
 
-def criterion_6() -> CriterionResult:
+def _ranks_and_count(problems: list[str]) -> None:
     """Ranks of xi and eta and the candidate count, at three (b, p)."""
-    problems: list[str] = []
-    t0 = time.perf_counter()
     for b, p in ((2, 3), (2, 5), (3, 3)):
         rx = xi_matrix(b, p).rank()
         re_ = eta_matrix(b, p).rank()
@@ -187,23 +165,17 @@ def criterion_6() -> CriterionResult:
         count = count_heisenberg_candidates(b, p)
         closed = p ** (4 * b * b - 2 * b - 2) * (p - 1)
         _check(count == closed, f"candidate count mismatch at ({b},{p})", problems)
-    return _result(6, "rank and count identities", problems, t0, budget=2.0)
 
 
-def criterion_7() -> CriterionResult:
+def _empty_search_mod_3(problems: list[str]) -> None:
     """No valid family parameters exist mod 3 (exhaustive search)."""
-    problems: list[str] = []
-    t0 = time.perf_counter()
     for b in (2, 3):
         hits = list(search_family_params(b, 3))
         _check(hits == [], f"found {len(hits)} parameter pairs at b={b}, p=3", problems)
-    return _result(7, "family parameter search is empty mod 3", problems, t0, budget=1.0)
 
 
-def criterion_8() -> CriterionResult:
+def _headline_invariants(problems: list[str]) -> None:
     """Headline invariant values, exact."""
-    problems: list[str] = []
-    t0 = time.perf_counter()
     inv = family_invariants("nondegenerate", 2, 5)
     _check((inv.b1, inv.g1) == (626, 4376), f"(b', g) = {(inv.b1, inv.g1)} != (626, 4376)", problems)
     _check(inv.signature == 1_250_000 == 2**4 * 5**7, f"sigma = {inv.signature}", problems)
@@ -218,13 +190,10 @@ def criterion_8() -> CriterionResult:
     _check(inv.c1_sq == 3024 and inv.c2 == 1296, f"(c1^2, c2) = {(inv.c1_sq, inv.c2)}", problems)
     inv = family_invariants("degenerate", 3, 2)
     _check(inv.g1 == 289 and inv.signature == 128, f"(g, sigma) = {(inv.g1, inv.signature)}", problems)
-    return _result(8, "headline invariants match exactly", problems, t0, budget=1.0)
 
 
-def criterion_9() -> CriterionResult:
+def _census_claims(problems: list[str]) -> None:
     """Census claims over the stated ranges."""
-    problems: list[str] = []
-    t0 = time.perf_counter()
     rows, claims = census("nondegenerate", range(2, 7), (5, 7, 11, 13))
     for c in claims:
         _check(c.holds, f"nondegenerate census: {c.name} -- {c.detail}", problems)
@@ -233,13 +202,10 @@ def criterion_9() -> CriterionResult:
     for c in claims:
         _check(c.holds, f"degenerate census: {c.name} -- {c.detail}", problems)
     _check(bool(rows), "degenerate census is empty", problems)
-    return _result(9, "census claims hold over the stated ranges", problems, t0, budget=5.0)
 
 
-def criterion_10() -> CriterionResult:
+def _group_structure(problems: list[str]) -> None:
     """Structure suite for the small groups, exhaustive."""
-    problems: list[str] = []
-    t0 = time.perf_counter()
     for p in (3, 5, 7):
         group = HeisGroup(AlternatingForm.standard_symplectic(1, p))
         rep = verify_extra_special(group)
@@ -265,40 +231,54 @@ def criterion_10() -> CriterionResult:
 
     mismatches = sum(matrix(h27.mul(g, h)) != matrix_product(matrix(g), matrix(h)) for g in els for h in els)
     _check(mismatches == 0, f"product differs from the matrix product on {mismatches} of 729 pairs", problems)
-    return _result(10, "group structure suite", problems, t0, budget=1.0)
 
 
-def criterion_11() -> CriterionResult:
+def _kappa_and_signature_order(problems: list[str]) -> None:
     """kappa(b) = number of distinct primes dividing b+1; degenerate
     signature strictly increasing in p for each fixed b."""
-    problems: list[str] = []
-    t0 = time.perf_counter()
     for b in range(2, 101):
         n = b + 1
         naive = sum(1 for q in range(2, n + 1) if n % q == 0 and all(q % d for d in range(2, q)))
         _check(kappa(b) == naive, f"kappa({b}) = {kappa(b)} != {naive}", problems)
     _check(kappa(2) == 1, f"kappa(2) = {kappa(2)}", problems)
     _check(kappa(29) == 3, f"kappa(29) = {kappa(29)}", problems)
-    from .invariants import distinct_prime_factors
-
     for b in range(2, 31):
         primes = distinct_prime_factors(b + 1)
         sigmas = [family_invariants("degenerate", b, p).signature for p in primes]
         _check(sigmas == sorted(set(sigmas)), f"signatures not strictly increasing in p at b={b}", problems)
-    return _result(11, "kappa and per-genus signature monotonicity", problems, t0)
+
+
+# (name, wall-clock budget in seconds or None, check)
+CRITERIA = (
+    ("degenerate family passes all relators", None, _degenerate_relators),
+    ("non-degenerate (2,5) verification with BFS oracle", 5.0, _nondegenerate_with_oracle),
+    ("tau_2j image variant is refuted by the verifier", None, _tau2_variant_refuted),
+    ("involution precomposition preserves verification", None, _involution_precomposition),
+    ("Heisenberg-type classification and determinant formula", 1.0, _heisenberg_type_forms),
+    ("rank and count identities", 2.0, _ranks_and_count),
+    ("family parameter search is empty mod 3", 1.0, _empty_search_mod_3),
+    ("headline invariants match exactly", 1.0, _headline_invariants),
+    ("census claims hold over the stated ranges", 5.0, _census_claims),
+    ("group structure suite", 1.0, _group_structure),
+    ("kappa and per-genus signature monotonicity", None, _kappa_and_signature_order),
+)
+
+
+def run(index: int) -> CriterionResult:
+    """Criterion ``index``, counted from 1: its check timed, and failed
+    when it asserts anything false or overruns its budget."""
+    if not 0 < index <= len(CRITERIA):
+        raise IndexError(f"no criterion {index}; they are 1..{len(CRITERIA)}")
+    name, budget, check = CRITERIA[index - 1]
+    problems: list[str] = []
+    t0 = time.perf_counter()
+    check(problems)
+    elapsed = time.perf_counter() - t0
+    if budget is not None and elapsed > budget:
+        problems.append(f"runtime {elapsed:.3f}s exceeded budget {budget}s")
+    detail = "ok" if not problems else "; ".join(problems)
+    return CriterionResult(index, name, not problems, detail, elapsed, budget)
 
 
 def run_all() -> list[CriterionResult]:
-    return [
-        criterion_1(),
-        criterion_2(),
-        criterion_3(),
-        criterion_4(),
-        criterion_5(),
-        criterion_6(),
-        criterion_7(),
-        criterion_8(),
-        criterion_9(),
-        criterion_10(),
-        criterion_11(),
-    ]
+    return [run(i) for i in range(1, len(CRITERIA) + 1)]

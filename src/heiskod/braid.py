@@ -39,7 +39,7 @@ tuple of images indexed by letter, and ``generator_name`` prints a letter.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple
 
 from .errors import PreconditionError
 from .primes import check_genus
@@ -119,19 +119,20 @@ class Relator(NamedTuple):
 
 
 class Presentation(NamedTuple):
-    """The relators at genus b, a sized sequence of :class:`Relator`.  Those
-    of ``build_presentation`` are templates; any other sequence is read as
+    """The relators at genus b, a sized iterable of :class:`Relator`.  Those
+    of ``build_presentation`` are templates; any other collection is read as
     plain words."""
 
     b: int
-    relators: Sequence[Relator]
+    relators: Collection[Relator]
 
-    def substituted(self) -> tuple[Iterable[int], Iterator[tuple[Word, Word, None]]]:
+    def substituted(self, sources: bool = False) -> tuple[Iterable[int], Iterator[tuple[Word, Word, str | None]]]:
         """The generators that occur, as positive letters, and the (pattern,
-        substitution, None) of every relator in order; plain words are
-        checked here."""
+        substitution, source) of every relator in order; plain words are
+        checked here.  A template's source is built only given ``sources``,
+        and is None otherwise."""
         if isinstance(self.relators, _Templates):
-            return range(1, 4 * self.b + 2), self.relators.walk()
+            return range(1, 4 * self.b + 2), self.relators.walk(sources)
         every = itertools.chain.from_iterable
         words = [r.word for r in self.relators]
         # one type pass over every letter, since a set would merge True into 1;
@@ -140,7 +141,7 @@ class Presentation(NamedTuple):
         check_letters(letters, self.b)
         n = 4 * self.b + 1
         identity = (0, *range(1, n + 1), *range(-n, 0))
-        return {abs(x) for x in letters}, ((w, identity, None) for w in words)
+        return {abs(x) for x in letters}, ((r.word, identity, r.source) for r in self.relators)
 
 
 def _surface_words(b: int) -> tuple[Word, Word]:
@@ -223,7 +224,7 @@ def _action_pattern(target: str, case: str, right: str) -> Word:
 _PATTERNS = {key: _action_pattern(*key[1:], right) for key, right in _ACTION_RIGHT_SIDES.items()}
 
 
-class _Templates(Sequence):
+class _Templates:
     """The relators of ``build_presentation(b)``: the two surface words, then
     per actor and j one action relator per rho_2k (k = 1..b), one per tau_2k,
     and the one on A12.  Only the surface words are stored; an action relator
@@ -237,10 +238,6 @@ class _Templates(Sequence):
 
     def __len__(self) -> int:
         return 8 * self.b * self.b + 4 * self.b + 2
-
-    def __getitem__(self, i):
-        # a tuple's indices and IndexError; a slice reads every relator
-        return tuple(self)[i] if isinstance(i, slice) else next(itertools.islice(self, range(len(self))[i], None))
 
     def __iter__(self) -> Iterator[Relator]:
         for pattern, sub, source in self.walk(sources=True):

@@ -39,8 +39,8 @@ from operator import eq, index
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import EnumerationBoundError, InconsistencyError, PreconditionError
-from .fplinalg import AlternatingForm, FpMatrix, _check_prime, residues
-from .primes import check_genus
+from .fplinalg import AlternatingForm, FpMatrix, residues
+from .primes import check_genus, check_prime
 
 # letters for the two degree-1 generators of the surface
 _A, _B = 0, 1
@@ -137,7 +137,7 @@ def _as_h1_vector(u: VectorLike, b: int, p: int) -> list[int]:
 def cup_h1_h1(u: VectorLike, v: VectorLike, b: int, p: int) -> H2Class:
     """Bilinear cup product of two degree-1 classes (indices or vectors): the
     rule is alternating, so u v is xi of the wedge u ^ v = u v^T - v u^T."""
-    _check_prime(p)
+    check_prime(p)
     check_genus(b)
     uu = _as_h1_vector(u, b, p)
     vv = _as_h1_vector(v, b, p)
@@ -168,7 +168,7 @@ def xi_of_form(form: AlternatingForm) -> H2Class:
 
 def diagonal_class(b: int, p: int) -> H2Class:
     """Class of the diagonal: g(x)1 + 1(x)g + sum_j (b_j(x)a_j - a_j(x)b_j)."""
-    _check_prime(p)
+    check_prime(p)
     check_genus(b)
     out = [1, 1] + [0] * (4 * b * b)
     for j in range(1, b + 1):
@@ -232,14 +232,14 @@ def _xi_rows(b: int, p: int) -> list[dict[int, int]]:
 
 def xi_matrix(b: int, p: int) -> FpMatrix:
     """Matrix of xi from the wedge square (dim 8b^2 - 2b) to H^2 (dim 4b^2 + 2)."""
-    _check_prime(p)
+    check_prime(p)
     return FpMatrix.sparse(_xi_rows(b, p), 8 * b * b - 2 * b, p)
 
 
 def eta_matrix(b: int, p: int) -> FpMatrix:
     """Matrix of eta: xi followed by the quotient by the diagonal class, that
     is row i of xi minus delta_i times row 0, for i >= 1."""
-    _check_prime(p)
+    check_prime(p)
     rows = _xi_rows(b, p)
     top = rows[0]
     for row, d in zip(rows[1:], diagonal_class(b, p).coeffs[1:]):
@@ -302,7 +302,7 @@ def search_family_params(
     != 1 forces mu_j = -lambda_j, so the two sum conditions give 1 = -1.
     """
     check_genus(b)
-    _check_prime(p)
+    check_prime(p)
     if count is not None and count < 1:
         raise PreconditionError(f"count must be >= 1, got {count}")
     if (p - 1) ** (2 * (b - 1)) > 2 * 10**8:

@@ -25,12 +25,7 @@ from operator import index
 from typing import Iterable, Mapping, Sequence
 
 from .errors import PreconditionError
-from .primes import check_genus, is_prime
-
-
-def _check_prime(p: int) -> None:
-    if not is_prime(p):
-        raise PreconditionError(f"modulus {p} is not prime")
+from .primes import check_genus, check_prime
 
 
 def residues(entries: Iterable, p: int, what: str = "entries") -> list[int]:
@@ -70,7 +65,7 @@ class FpMatrix:
 
     def __init__(self, entries, p: int):
         """Dense entries: a sequence of equally long rows of integers."""
-        _check_prime(p)
+        check_prime(p)
         try:
             dense = [list(row) for row in entries]
         except TypeError:
@@ -87,7 +82,7 @@ class FpMatrix:
     def sparse(cls, rows: Iterable[Mapping[int, int]], cols: int, p: int) -> "FpMatrix":
         """A matrix from ``{column: value}`` rows; absent entries are zero.
         The only constructor that can make a matrix with no rows."""
-        _check_prime(p)
+        check_prime(p)
         cols = index(cols)
         if cols < 0:
             raise PreconditionError(f"column count {cols} is negative")
@@ -324,7 +319,7 @@ class AlternatingForm:
     def family(cls, b: int, p: int, lambdas: Sequence[int], mus: Sequence[int]) -> "AlternatingForm":
         """The 4b x 4b block form Omega_b determined by (lambda, mu)."""
         check_genus(b)
-        _check_prime(p)
+        check_prime(p)
         if len(lambdas) != b or len(mus) != b:
             raise PreconditionError(f"need {b} lambdas and {b} mus")
         lam = tuple(residues(lambdas, p, "lambdas"))
@@ -345,7 +340,7 @@ class AlternatingForm:
     @classmethod
     def j_form(cls, b: int, p: int) -> "AlternatingForm":
         """The 2b x 2b form J_b itself (blocks [[0, -1], [1, 0]])."""
-        _check_prime(p)
+        check_prime(p)
         rows: list[Row] = [{} for _ in range(2 * b)]
         _j_block(b, 0, 0, rows, p)
         return cls(FpMatrix.sparse(rows, 2 * b, p))

@@ -27,8 +27,8 @@ maximum and its cells, the minimum signature and the named claim checks.
 Any non-integral intermediate value is reported as an inconsistency rather
 than rounded: with valid parameters every output is a positive integer.
 
-The factoring behind ``kappa`` lives here too, on the exact primality test
-of :mod:`primes`, so this module and its subcommands need no numpy.
+``kappa`` counts the primes that :func:`primes.distinct_prime_factors` finds,
+so this module and its subcommands need no numpy.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InconsistencyError, PreconditionError
-from .primes import _MR_LIMIT, admits, check_family, check_genus, is_prime
+from .primes import admits, check_family, check_genus, distinct_prime_factors
 
 
 def _as_int(x: Fraction, what: str) -> int:
@@ -137,37 +137,6 @@ def family_invariants(family: str, b: int, p: int) -> FibrationInvariants:
     if inv.signature != (2 * b - 2) * p ** (dim - 1) * (p * p - 1) // 3:
         raise InconsistencyError("signature disagrees with its closed form")
     return inv
-
-
-_TRIAL_DIVISION_LIMIT = 10**6
-
-
-def distinct_prime_factors(n: int) -> tuple[int, ...]:
-    """Prime divisors, ascending.
-
-    Trial division stops as soon as the cofactor is 1 or a prime below
-    _MR_LIMIT (tested with :func:`is_prime` at the start and after each
-    factor), so a prime or a prime times small factors costs little.  Any
-    other cofactor with no prime factor up to _TRIAL_DIVISION_LIMIT is refused.
-    """
-    if n < 1:
-        raise PreconditionError(f"need a positive integer, got {n}")
-    out = []
-    d = 2
-    while n > 1 and not (n < _MR_LIMIT and is_prime(n)):
-        for d in range(d, _TRIAL_DIVISION_LIMIT + 1):
-            if n % d == 0:
-                break
-        else:
-            raise PreconditionError(
-                f"{n} has no prime factor up to {_TRIAL_DIVISION_LIMIT}; factoring it is out of range"
-            )
-        out.append(d)
-        while n % d == 0:
-            n //= d
-    if n > 1:
-        out.append(n)
-    return tuple(out)
 
 
 def kappa(b: int) -> int:

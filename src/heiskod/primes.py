@@ -1,6 +1,7 @@
-"""Exact primality test and the rules that admit (b, p) to each family, a
-leaf module: every layer that checks a genus or a modulus imports it without
-loading the invariants or :mod:`fractions`.
+"""Exact primality test, the factoring built on it, and the rules that
+admit a modulus and (b, p) to each family, a leaf module: every layer that
+checks a genus or a modulus imports it without loading the invariants or
+:mod:`fractions`.
 
 The two families of the paper admit a prime p at genus b >= 2 when
 
@@ -47,6 +48,43 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def check_prime(p: int) -> None:
+    """Refuse a modulus that is not prime: F_p is a field only then."""
+    if not is_prime(p):
+        raise PreconditionError(f"modulus {p} is not prime")
+
+
+_TRIAL_DIVISION_LIMIT = 10**6
+
+
+def distinct_prime_factors(n: int) -> tuple[int, ...]:
+    """Prime divisors, ascending.
+
+    Trial division stops as soon as the cofactor is 1 or a prime below
+    _MR_LIMIT (tested with :func:`is_prime` at the start and after each
+    factor), so a prime or a prime times small factors costs little.  Any
+    other cofactor with no prime factor up to _TRIAL_DIVISION_LIMIT is refused.
+    """
+    if n < 1:
+        raise PreconditionError(f"need a positive integer, got {n}")
+    out = []
+    d = 2
+    while n > 1 and not (n < _MR_LIMIT and is_prime(n)):
+        for d in range(d, _TRIAL_DIVISION_LIMIT + 1):
+            if n % d == 0:
+                break
+        else:
+            raise PreconditionError(
+                f"{n} has no prime factor up to {_TRIAL_DIVISION_LIMIT}; factoring it is out of range"
+            )
+        out.append(d)
+        while n % d == 0:
+            n //= d
+    if n > 1:
+        out.append(n)
+    return tuple(out)
 
 
 def check_genus(b: int) -> None:

@@ -13,8 +13,9 @@ relator from the left, one letter at a time, reading letter y of its pattern
 as table row s[y] of its substitution s, so no word is built: (acc_v, acc_t)
 -> (acc_v + v, acc_t + t + acc_v . C v), with acc_v a sparse dict.  That is
 the group law applied to concrete elements, so the result is exact; only the
-relators whose product is not the identity are kept, and their sources are
-read in one pass.  A hand-built presentation and ``evaluate_word`` go through
+relators whose product is not the identity are kept.  When some are, one more
+pass of the same pattern and substitution walk reads their sources, and still
+builds no word.  A hand-built presentation and ``evaluate_word`` go through
 the same loop, as plain words under the identity substitution.  numpy is
 imported only by the exhaustive oracle.
 
@@ -57,18 +58,18 @@ from .primes import check_family
 class GeneratorAssignment:
     """Images of the 4b + 1 presentation generators in a fixed target group:
     ``images[i]`` is the image of the letter i + 1, an element of the target
-    whose entries are ints reduced mod p."""
+    whose entries are ints reduced mod p, the target's prime and the only one."""
 
-    __slots__ = ("b", "p", "family", "target", "images")
+    __slots__ = ("b", "family", "target", "images")
 
-    def __init__(self, b: int, p: int, family: str, target: HeisGroup, images: tuple):
+    def __init__(self, b: int, family: str, target: HeisGroup, images: tuple):
         if not isinstance(images, tuple) or len(images) != 4 * b + 1:
             raise PreconditionError(f"need a tuple of {4 * b + 1} generator images at genus {b}")
         for g in images:
             ok = isinstance(g, HeisElement) and type(g.v) is tuple and len(g.v) == target.dim
             if not ok or not all(type(a) is int and 0 <= a < target.p for a in (*g.v, g.t)):
                 raise PreconditionError(f"image {g!r} is not an element of {target!r} reduced mod {target.p}")
-        self.b, self.p, self.family, self.target, self.images = b, p, family, target, images
+        self.b, self.family, self.target, self.images = b, family, target, images
 
     def image(self, x: int):
         """The image of the signed letter x."""
@@ -203,8 +204,9 @@ def verify_assignment(
         raise PreconditionError(f"presentation at genus {pres.b}, assignment at genus {assignment.b}")
     target = assignment.target
     found = dict(_nonidentity_products(assignment, pres))
-    # one pass reads every relator's source, only when some relator failed
-    failures = [(i, rel.source, found[i]) for i, rel in enumerate(pres.relators) if i in found] if found else []
+    # only a failing run reads sources, off the walk the evaluator ran: no word is built
+    walk = pres.substituted(sources=True)[1] if found else ()
+    failures = [(i, source, found[i]) for i, (_, _, source) in enumerate(walk) if i in found]
     kernel_sets = kernel_generator_sets(pres.b)
     m1, m2 = (image_index(assignment, letters) for letters in kernel_sets)
     oracle = []
@@ -218,7 +220,7 @@ def verify_assignment(
             oracle.append((label, sizes[key], sizes[key] * m == target.order))
     return VerificationReport(
         b=assignment.b,
-        p=assignment.p,
+        p=target.p,
         family=assignment.family,
         target_order=target.order,
         total_relators=len(pres.relators),
@@ -268,7 +270,7 @@ def standard_assignment_nondegenerate(
     group = HeisGroup(AlternatingForm.family(b, p, lam, mu))
     # letter i + 1 to the i-th basis vector, A12 to the center
     images = tuple(map(group.basis_element, range(4 * b))) + (group.central(1),)
-    return GeneratorAssignment(b, p, "nondegenerate", group, images)
+    return GeneratorAssignment(b, "nondegenerate", group, images)
 
 
 def tau2_to_r2_variant(b: int, p: int, lambdas: Sequence[int], mus: Sequence[int]) -> GeneratorAssignment:
@@ -283,7 +285,7 @@ def tau2_to_r2_variant(b: int, p: int, lambdas: Sequence[int], mus: Sequence[int
     for j in range(1, b + 1):
         (r,), (t,) = rho(b, 2, j), tau(b, 2, j)
         images[t - 1] = images[r - 1]
-    return GeneratorAssignment(b, p, "nondegenerate-tau2-as-r2", base.target, tuple(images))
+    return GeneratorAssignment(b, "nondegenerate-tau2-as-r2", base.target, tuple(images))
 
 
 def standard_assignment_degenerate(b: int, p: int) -> GeneratorAssignment:
@@ -296,7 +298,7 @@ def standard_assignment_degenerate(b: int, p: int) -> GeneratorAssignment:
     group = HeisGroup(AlternatingForm.j_form(b, p))
     # both strands on the same 2b basis vectors, A12 to the center
     images = tuple(group.basis_element(k % (2 * b)) for k in range(4 * b)) + (group.central(1),)
-    return GeneratorAssignment(b, p, "degenerate", group, images)
+    return GeneratorAssignment(b, "degenerate", group, images)
 
 
 def precompose_involution(assignment: GeneratorAssignment) -> GeneratorAssignment:
@@ -306,9 +308,7 @@ def precompose_involution(assignment: GeneratorAssignment) -> GeneratorAssignmen
     original assignment kills every relator the precomposed one must too.
     """
     images = tuple(map(assignment.image, involution_substitute(range(1, 4 * assignment.b + 2), assignment.b)))
-    return GeneratorAssignment(
-        assignment.b, assignment.p, assignment.family + "+involution", assignment.target, images
-    )
+    return GeneratorAssignment(assignment.b, assignment.family + "+involution", assignment.target, images)
 
 
 # ---------------------------------------------------------------------------

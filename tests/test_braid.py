@@ -148,9 +148,10 @@ def test_action_relators_match_reference_builder(b):
         for kind, exp in ((RHO, 1), (RHO, -1), (TAU, 1), (TAU, -1))
         for rel in _reference_action_relators(b, kind, exp)
     ]
-    assert list(pres.relators[2:]) == reference
+    relators = list(pres.relators)
+    assert relators[2:] == reference
     # distinct sources, so a failure names exactly one relation
-    sources = [rel.source for rel in pres.relators]
+    sources = [rel.source for rel in relators]
     assert len(set(sources)) == len(sources)
 
 
@@ -169,7 +170,7 @@ def test_specific_relators_b2():
 
 def test_surface_relators_shape():
     pres = build_presentation(2)
-    s1, s2 = pres.relators[0], pres.relators[1]
+    s1, s2 = list(pres.relators)[:2]
     assert s1.source == "surface relation 1"
     # raw word [r1_2^-1, t1_2^-1] t1_2^-1 [r1_1^-1, t1_1^-1] t1_1^-1
     # (t1_1 t1_2) A12^-1 after cancelling t1_2 t1_2^-1 and t1_1^-1 t1_1

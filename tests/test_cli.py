@@ -727,6 +727,18 @@ def test_numpy_is_imported_only_by_the_coset_oracle():
     assert set(found) <= {("verify", "_snapshot"), ("verify", "bfs_subgroup_order")}
 
 
+def test_no_module_imports_another_modules_private_name():
+    # a private name belongs to its module: what two modules share is public
+    # and lives with its owner
+    imported = []
+    for path in sorted((SRC / "heiskod").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imported += [(path.stem, node.module, alias.name) for alias in node.names]
+    assert imported  # the scan sees the package's relative imports
+    assert [entry for entry in imported if entry[2].startswith("_")] == []
+
+
 def test_no_module_imports_dataclasses():
     assert package_imports("typing")  # the scan sees the NamedTuple imports
     assert package_imports("dataclasses") == []

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heiskod.errors import PreconditionError
-from heiskod.fplinalg import AlternatingForm, FpMatrix, is_prime
+from heiskod.fplinalg import AlternatingForm, FpMatrix
+from heiskod.primes import is_prime
 
 
 def det_oracle(rows: list[list[int]], p: int) -> int:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from heiskod import verify
+from heiskod import braid, verify
 from heiskod.braid import build_presentation
 from heiskod.cli import main
 from heiskod.verify import (
@@ -131,7 +131,7 @@ def test_oracle_runs_once_per_distinct_generating_set(capsys, monkeypatch, stem,
 def _a12_killed(b, p, lam, mu):
     base = standard_assignment_nondegenerate(b, p, lam, mu)
     images = base.images[:-1] + (base.target.identity,)
-    return GeneratorAssignment(b, p, "a12-killed", base.target, images)
+    return GeneratorAssignment(b, "a12-killed", base.target, images)
 
 
 @pytest.mark.parametrize(
@@ -147,6 +147,18 @@ def test_failing_report_is_pinned(name, make):
     assert text == (GOLDEN / name).read_text()
     indices = [i for i, _, _ in report.failures]
     assert indices == sorted(indices)
+
+
+def test_failing_report_reads_sources_without_building_words(monkeypatch):
+    # the sources of the failing relators come from the evaluator's own
+    # pattern and substitution walk, so no relator word is built
+    def no_words(self):
+        raise AssertionError("a relator word was built")
+
+    monkeypatch.setattr(braid._Templates, "__iter__", no_words)
+    report = verify_assignment(build_presentation(2), tau2_to_r2_variant(2, 5, (3, 3), (3, 3)))
+    text = json.dumps(report.to_json_dict(), indent=2) + "\n"
+    assert text == (GOLDEN / "report_tau2_variant_b2_p5.json").read_text()
 
 
 NONDEGENERATE_B2_P5 = ("verify", "--family", "nondegenerate", "--b", "2", "--p", "5", "--lambda", "3,3", "--mu", "3,3")

@@ -9,14 +9,13 @@ from heiskod.invariants import (
     CSV_COLUMNS,
     FibrationInvariants,
     census,
-    distinct_prime_factors,
     family_invariants,
     general_invariants,
     kappa,
     row_record,
     rows_to_csv,
 )
-from heiskod.primes import admits
+from heiskod.primes import admits, distinct_prime_factors
 
 
 # -- general formula -------------------------------------------------------------

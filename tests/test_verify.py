@@ -66,9 +66,10 @@ def test_evaluate_word_basics(nondeg25):
 
 def test_surface_relator_closes_via_central_values(nondeg25, pres2):
     # the first surface relator evaluates to z^{sum lambda} z^-1 = identity
-    assert evaluate_word(nondeg25, pres2.relators[0].word) == nondeg25.target.identity
+    first = next(iter(pres2.relators)).word
+    assert evaluate_word(nondeg25, first) == nondeg25.target.identity
     # dropping the final A12^-1 letter leaves exactly z
-    value = evaluate_word(nondeg25, pres2.relators[0].word[:-1])
+    value = evaluate_word(nondeg25, first[:-1])
     assert value == nondeg25.target.central(1)
 
 
@@ -76,10 +77,10 @@ def test_image_tuple_of_wrong_length_refused(nondeg25):
     images = nondeg25.images
     for bad in ((), images[:-1], images + images[-1:], list(images)):
         with pytest.raises(PreconditionError, match="generator images"):
-            GeneratorAssignment(2, 5, "partial", nondeg25.target, bad)
+            GeneratorAssignment(2, "partial", nondeg25.target, bad)
     # the images of genus 2 are too few at genus 3
     with pytest.raises(PreconditionError, match="generator images"):
-        GeneratorAssignment(3, 5, "partial", nondeg25.target, images)
+        GeneratorAssignment(3, "partial", nondeg25.target, images)
 
 
 def test_images_outside_the_target_refused(nondeg25):
@@ -100,9 +101,22 @@ def test_images_outside_the_target_refused(nondeg25):
     ]
     for bad in bad_images:
         with pytest.raises(PreconditionError, match="is not an element"):
-            GeneratorAssignment(2, 5, "bad", group, (bad,) + images[1:])
+            GeneratorAssignment(2, "bad", group, (bad,) + images[1:])
     # any reduced element of the target is an image: the images rotated
-    GeneratorAssignment(2, 5, "fine", group, images[1:] + images[:1])
+    GeneratorAssignment(2, "fine", group, images[1:] + images[:1])
+
+
+def test_assignment_prime_is_its_targets():
+    # an assignment carried a second prime that nothing compared with its
+    # target's: the degenerate (2, 3) images under p = 7 were reported as
+    # p = 7 and not ok, though every relator dies and A12 has order 3
+    standard = standard_assignment_degenerate(2, 3)
+    assignment = GeneratorAssignment(2, "degenerate", standard.target, standard.images)
+    report = verify_assignment(build_presentation(2), assignment)
+    assert report.p == 3 and report.ok
+    assert verify_assignment(build_presentation(2), precompose_involution(assignment)).p == 3
+    with pytest.raises(TypeError):
+        GeneratorAssignment(2, 7, "degenerate", standard.target, standard.images)
 
 
 def test_unreduced_degenerate_images_refused():
@@ -110,7 +124,7 @@ def test_unreduced_degenerate_images_refused():
     standard = standard_assignment_degenerate(3, 2)
     images = tuple(HeisElement(tuple(3 * a for a in g.v), 3 * g.t) for g in standard.images)
     with pytest.raises(PreconditionError, match="reduced mod 2"):
-        GeneratorAssignment(3, 2, "unreduced", standard.target, images)
+        GeneratorAssignment(3, "unreduced", standard.target, images)
 
 
 def test_letters_out_of_range_refused(nondeg25):
@@ -224,7 +238,7 @@ def test_kernel_matches_python_reference(group, data):
     )
     raw = data.draw(st.lists(element, min_size=n, max_size=n))
     images = tuple(HeisElement(tuple(v), t) for v, t in raw)
-    assignment = GeneratorAssignment(b, p, "random", group, images)
+    assignment = GeneratorAssignment(b, "random", group, images)
     letter = st.integers(1, n).flatmap(lambda i: st.sampled_from([i, -i]))
     words = data.draw(st.lists(st.lists(letter, max_size=40).map(tuple), min_size=1, max_size=12))
     check_against_reference(assignment, words)
@@ -244,7 +258,7 @@ def test_every_relator_matches_python_reference(family, b, p):
     images = tuple(
         HeisElement(tuple(rng.randrange(p) for _ in range(group.dim)), rng.randrange(p)) for _ in range(4 * b + 1)
     )
-    check_against_reference(GeneratorAssignment(b, p, "random", group, images), words)
+    check_against_reference(GeneratorAssignment(b, "random", group, images), words)
 
 
 def equivalence_assignments(b):
@@ -261,7 +275,7 @@ def equivalence_assignments(b):
         group = base.target
         for i, g in enumerate(base.images):
             images = base.images[:i] + (group.mul(g, group.basis_element(i % group.dim)),) + base.images[i + 1 :]
-            out.append(GeneratorAssignment(b, base.p, f"{base.family} mutated at {i + 1}", group, images))
+            out.append(GeneratorAssignment(b, f"{base.family} mutated at {i + 1}", group, images))
     return out
 
 
@@ -319,7 +333,7 @@ def test_unvalidated_bad_mu_fails_surface_relation_2(nondeg25, pres2):
     """mu = (2,3) sums to 0 mod 5; forced through, it must break relators."""
     group = HeisGroup(AlternatingForm.family(2, 5, (3, 3), (2, 3)))
     images = tuple(map(group.basis_element, range(8))) + (group.central(1),)
-    report = verify_assignment(pres2, GeneratorAssignment(2, 5, "forced", group, images))
+    report = verify_assignment(pres2, GeneratorAssignment(2, "forced", group, images))
     failed_sources = {src for _, src, _ in report.failures}
     assert "surface relation 2" in failed_sources
 
@@ -355,7 +369,7 @@ def test_tau2_variant_fails_expected_relator(pres2):
 
 def test_a12_mutation_breaks_surface_relation(nondeg25, pres2):
     images = nondeg25.images[:-1] + (nondeg25.target.identity,)
-    mutated = GeneratorAssignment(2, 5, "a12-killed", nondeg25.target, images)
+    mutated = GeneratorAssignment(2, "a12-killed", nondeg25.target, images)
     report = verify_assignment(pres2, mutated)
     failures = {src: v for _, src, v in report.failures}
     assert "surface relation 1" in failures
@@ -378,7 +392,7 @@ def test_degenerate_assignment_is_quotient_of_big_lifting():
     for b, p in ((2, 3), (4, 5), (3, 2)):
         big = HeisGroup(AlternatingForm.family(b, p, [-1] * b, [-1] * b))
         images = tuple(map(big.basis_element, range(4 * b))) + (big.central(1),)
-        assignment = GeneratorAssignment(b, p, "degenerate-on-V", big, images)
+        assignment = GeneratorAssignment(b, "degenerate-on-V", big, images)
         report = verify_assignment(build_presentation(b), assignment)
         assert report.all_passed and report.a12_order == p
         assert report.m1 == report.m2 == p ** (2 * b)  # connected only after quotient
