@@ -20,12 +20,11 @@ import argparse
 import itertools
 import json
 import sys
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import HeiskodError, InconsistencyError, PreconditionError
 
-if TYPE_CHECKING:
-    from fractions import Fraction
+_FAMILIES = ("degenerate", "nondegenerate")
 
 
 def _parse_range(text: str) -> list[int]:
@@ -73,10 +72,6 @@ def _emit_stream(chunks: Iterable[str], path: Optional[str]) -> None:
     else:
         with open(path, "w") as fh:
             fh.writelines(chunks)
-
-
-def _fraction_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +226,7 @@ def cmd_invariants(args) -> int:
     inv = family_invariants(args.family, args.b, args.p)
     row = CensusRow(args.family, args.b, args.p, inv)
     record = row_record(row)
-    record["nu"] = _fraction_str(inv.slope)
+    record["nu"] = f"{inv.slope.numerator}/{inv.slope.denominator}"
     record["group_order"] = inv.group_order
     record["n"] = inv.n
     if args.format == "json":
@@ -244,14 +239,14 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_census(args) -> int:
-    from .invariants import census, claims_to_json, row_record, rows_to_csv
+    from .invariants import census, row_record, rows_to_csv
 
     rows, claims = census(args.family, _parse_range(args.b), _parse_range(args.p))
     all_hold = all(c.holds for c in claims)
     if args.format == "json":
         payload = {
             "rows": [row_record(r) for r in rows],
-            "claims": claims_to_json(claims),
+            "claims": [{"claim": c.name, "holds": c.holds, "detail": c.detail} for c in claims],
             "all_claims_hold": all_hold,
         }
         _emit(json.dumps(payload, indent=2), args.output)
@@ -309,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_presentation)
 
     sp = sub.add_parser("verify", help="verify a standard assignment against every relator")
-    sp.add_argument("--family", choices=("degenerate", "nondegenerate"), required=True)
+    sp.add_argument("--family", choices=_FAMILIES, required=True)
     sp.add_argument("--b", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--lambda", dest="lam", default=None, help="comma-separated, reduced mod p")
@@ -343,14 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_search_forms)
 
     sp = sub.add_parser("invariants", help="exact invariants of one fibration")
-    sp.add_argument("--family", choices=("degenerate", "nondegenerate"), required=True)
+    sp.add_argument("--family", choices=_FAMILIES, required=True)
     sp.add_argument("--b", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
     _add_common(sp, fmt=("text", "json", "csv"))
     sp.set_defaults(fn=cmd_invariants)
 
     sp = sub.add_parser("census", help="tabulate a family over ranges and check the claims")
-    sp.add_argument("--family", choices=("degenerate", "nondegenerate"), required=True)
+    sp.add_argument("--family", choices=_FAMILIES, required=True)
     sp.add_argument("--b", required=True, help="range like 2..6")
     sp.add_argument("--p", required=True, help="range like 5..13 or list 5,7,11")
     _add_common(sp, fmt=("text", "json", "csv"))
@@ -375,16 +370,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.fn(args)
-    except PreconditionError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except InconsistencyError as exc:
         sys.stderr.write(f"inconsistency: {exc}\n")
         return 1
-    except HeiskodError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (HeiskodError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

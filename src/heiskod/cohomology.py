@@ -59,18 +59,6 @@ def _h2_block(letter1: int, letter2: int, i: int, j: int, b: int) -> int:
     return 2 + block * b * b + (i - 1) * b + (j - 1)
 
 
-class H2Class(NamedTuple("H2Class", [("b", int), ("p", int), ("coeffs", tuple[int, ...])])):
-    """A degree-2 class as a reduced coefficient tuple of length 4b^2 + 2."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if len(self.coeffs) != 4 * self.b * self.b + 2:
-            raise PreconditionError("H^2 coefficient vector has the wrong length")
-        return self
-
-
 def _cup_basis(i1: int, i2: int, b: int, p: int) -> Optional[tuple[int, int]]:
     """Cup product of two H^1 basis classes: (H^2 index, sign) or None.
     Plain index arithmetic, since the cup table calls it once per wedge pair."""
@@ -101,13 +89,13 @@ def _cup_table(b: int, p: int) -> list[Optional[tuple[int, int]]]:
     return [_cup_basis(a, c, b, p) for a, c in lambda2_pairs(b)]
 
 
-def _xi_of_wedge(w: Sequence[int], b: int, p: int) -> H2Class:
+def _xi_of_wedge(w: Sequence[int], b: int, p: int) -> tuple[int, ...]:
     """xi of wedge-square coordinates: the cup table as a scatter-add."""
     out = [0] * (4 * b * b + 2)
     for hit, x in zip(_cup_table(b, p), w):
         if hit is not None:
             out[hit[0]] += hit[1] * x
-    return H2Class(b, p, tuple(x % p for x in out))
+    return tuple(x % p for x in out)
 
 
 VectorLike = Union[int, Sequence[int]]
@@ -134,7 +122,7 @@ def _as_h1_vector(u: VectorLike, b: int, p: int) -> list[int]:
     return v
 
 
-def cup_h1_h1(u: VectorLike, v: VectorLike, b: int, p: int) -> H2Class:
+def cup_h1_h1(u: VectorLike, v: VectorLike, b: int, p: int) -> tuple[int, ...]:
     """Bilinear cup product of two degree-1 classes (indices or vectors): the
     rule is alternating, so u v is xi of the wedge u ^ v = u v^T - v u^T."""
     check_prime(p)
@@ -157,7 +145,7 @@ def vec_of_form(form: AlternatingForm) -> tuple[int, ...]:
     return tuple(x for a, row in enumerate(form.omega.to_lists()) for x in row[a + 1 :])
 
 
-def xi_of_form(form: AlternatingForm) -> H2Class:
+def xi_of_form(form: AlternatingForm) -> tuple[int, ...]:
     """Image of an alternating form under the cup-product map xi.
 
     The form's matrix is read against the H^1 ordering, so
@@ -166,7 +154,7 @@ def xi_of_form(form: AlternatingForm) -> H2Class:
     return _xi_of_wedge(vec_of_form(form), form.dim // 4, form.p)
 
 
-def diagonal_class(b: int, p: int) -> H2Class:
+def diagonal_class(b: int, p: int) -> tuple[int, ...]:
     """Class of the diagonal: g(x)1 + 1(x)g + sum_j (b_j(x)a_j - a_j(x)b_j)."""
     check_prime(p)
     check_genus(b)
@@ -174,21 +162,14 @@ def diagonal_class(b: int, p: int) -> H2Class:
     for j in range(1, b + 1):
         out[_h2_block(_B, _A, j, j, b)] = 1
         out[_h2_block(_A, _B, j, j, b)] = p - 1
-    return H2Class(b, p, tuple(out))
-
-
-def _mod_delta(x: Sequence[int], b: int, p: int) -> tuple[int, ...]:
-    """H^2 / <delta> coordinates x[1:] - x[0] delta[1:] of a class; the
-    kernel is the diagonal line, as delta starts with 1."""
-    delta = diagonal_class(b, p).coeffs
-    return tuple((y - x[0] * d) % p for y, d in zip(x[1:], delta[1:]))
+    return tuple(out)
 
 
 class FormClassification(NamedTuple):
     """Outcome of testing an alternating form against the diagonal line."""
 
     det: int
-    xi_image: H2Class
+    xi_image: tuple[int, ...]
     diagonal_multiple: Optional[int]
     is_heisenberg_type: bool
 
@@ -205,8 +186,9 @@ def classify_form(form: AlternatingForm) -> FormClassification:
     img = xi_of_form(form)
     # delta has coefficient 1 on g(x)1, so the only candidate multiple is the
     # first coordinate of the image
-    on_line = not any(_mod_delta(img.coeffs, img.b, img.p))
-    multiple = img.coeffs[0] if on_line else None
+    k = img[0]
+    on_line = img == tuple(k * d % form.p for d in diagonal_class(form.dim // 4, form.p))
+    multiple = k if on_line else None
     return FormClassification(
         det=form.omega.det(),
         xi_image=img,
@@ -242,7 +224,7 @@ def eta_matrix(b: int, p: int) -> FpMatrix:
     check_prime(p)
     rows = _xi_rows(b, p)
     top = rows[0]
-    for row, d in zip(rows[1:], diagonal_class(b, p).coeffs[1:]):
+    for row, d in zip(rows[1:], diagonal_class(b, p)[1:]):
         if d:
             for k, x in top.items():
                 row[k] = row.get(k, 0) - d * x

@@ -56,9 +56,9 @@ class FpMatrix:
 
     Rows are ``{column: residue}`` maps holding only nonzero residues; they
     are private, and ``to_lists()`` is the one way to read the entries.
-    Rank, determinant, kernel and products all return fresh values, so
-    instances are safe to share between workers.  Entries are Python ints,
-    so every operation is exact for any prime p.
+    Rank, determinant, kernel and products all return fresh values and
+    never change an instance.  Entries are Python ints, so every operation
+    is exact for any prime p.
     """
 
     __slots__ = ("p", "rows", "cols", "_r")

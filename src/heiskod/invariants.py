@@ -298,7 +298,3 @@ def row_record(row: CensusRow) -> dict:
 def rows_to_csv(rows: Iterable[CensusRow]) -> str:
     lines = [CSV_COLUMNS, *(row_record(row).values() for row in rows)]
     return "".join(",".join(map(str, line)) + "\n" for line in lines)
-
-
-def claims_to_json(claims: Iterable[ClaimResult]) -> list[dict]:
-    return [{"claim": c.name, "holds": c.holds, "detail": c.detail} for c in claims]

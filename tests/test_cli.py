@@ -16,7 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from heiskod import cli
 from heiskod.cli import main
+from heiskod.errors import EnumerationBoundError, InconsistencyError, PreconditionError
 
 
 def run(capsys, *argv):
@@ -431,6 +433,31 @@ def test_classify_form_missing_file_exits_2(capsys):
     assert code == 2 and "file" in err.lower()
 
 
+def test_classify_form_truncated_json_exits_2(capsys, tmp_path):
+    path = tmp_path / "omega.json"
+    path.write_text("[[0, 1], [")
+    code, out, err = run(capsys, "classify-form", "--p", "3", "--matrix-json", str(path))
+    assert (code, out) == (2, "") and err.startswith("error: Expecting value")
+
+
+@pytest.mark.parametrize(
+    "exc,code,prefix",
+    [
+        (InconsistencyError("x"), 1, "inconsistency: "),
+        (PreconditionError("x"), 2, "error: "),
+        (EnumerationBoundError("x"), 2, "error: "),
+        (OSError("x"), 2, "error: "),
+        (json.JSONDecodeError("x", "", 0), 2, "error: "),
+    ],
+)
+def test_main_maps_each_exception_to_its_exit_code(capsys, monkeypatch, exc, code, prefix):
+    def raising(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_kappa", raising)
+    assert run(capsys, "kappa", "--b", "2") == (code, "", f"{prefix}{exc}\n")
+
+
 def test_census_nondegenerate_all_claims(capsys):
     code, out, _ = run(
         capsys, "census", "--family", "nondegenerate", "--b", "2..6", "--p", "5..13"
@@ -737,6 +764,38 @@ def test_no_module_imports_another_modules_private_name():
                 imported += [(path.stem, node.module, alias.name) for alias in node.names]
     assert imported  # the scan sees the package's relative imports
     assert [entry for entry in imported if entry[2].startswith("_")] == []
+
+
+def test_no_private_helper_is_dead():
+    # every private module-level function or class and every private method
+    # is used somewhere in the package besides its own definition, so a
+    # refactor cannot leave behind a helper that only tests call
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    trees = [ast.parse(path.read_text()) for path in sorted((SRC / "heiskod").glob("*.py"))]
+    defined = []
+    for tree in trees:
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            defined += [
+                d
+                for d in (node, *members)
+                if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and private(d.name)
+            ]
+    uses = [
+        (n.id if isinstance(n, ast.Name) else n.attr, n)
+        for tree in trees
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    ]
+    assert len(defined) > 50  # the scan sees the package's private helpers
+    dead = []
+    for d in defined:
+        inside = {id(n) for n in ast.walk(d)}
+        if not any(name == d.name and id(n) not in inside for name, n in uses):
+            dead.append(d.name)
+    assert dead == []
 
 
 def test_no_module_imports_dataclasses():

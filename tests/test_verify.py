@@ -718,6 +718,25 @@ def test_null_combinations_skip_zero_coefficients(monkeypatch):
     assert len(calls) == 5
 
 
+@pytest.mark.parametrize("b,p", [(2, 3), (3, 5), (4, 7)])
+def test_odd_p_takes_no_central_power(monkeypatch, b, p):
+    # r_1, ..., r_b of J_b commute and have independent projections, so no
+    # pairing and no null combination can hit the center; at odd p no
+    # generator has a nontrivial central power either, so none is taken
+    group = HeisGroup(AlternatingForm.j_form(b, p))
+    els = [group.basis_element(2 * j) for j in range(b)]
+    calls = []
+    power = HeisGroup.power
+
+    def counted(self, g, k):
+        calls.append(None)
+        return power(self, g, k)
+
+    monkeypatch.setattr(HeisGroup, "power", counted)
+    assert subgroup_order_fast(group, els) == p**b
+    assert calls == []
+
+
 # -- report serialisation --------------------------------------------------------
 
 
