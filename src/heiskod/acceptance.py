@@ -18,7 +18,6 @@ import time
 from fractions import Fraction
 from typing import NamedTuple
 
-from .braid import build_presentation
 from .cohomology import (
     classify_form,
     count_heisenberg_candidates,
@@ -65,8 +64,7 @@ def _degenerate_relators(problems: list[str]) -> None:
     worst = 0.0
     for b, p in ((2, 3), (3, 2), (4, 5), (5, 2), (5, 3)):
         case_start = time.perf_counter()
-        pres = build_presentation(b)
-        report = verify_assignment(pres, standard_assignment_degenerate(b, p))
+        report = verify_assignment(standard_assignment_degenerate(b, p))
         expected = 8 * b * b + 4 * b + 2
         _check(report.total_relators == expected, f"({b},{p}): relator count {report.total_relators}", problems)
         _check(report.all_passed, f"({b},{p}): {len(report.failures)} relators failed", problems)
@@ -79,9 +77,8 @@ def _degenerate_relators(problems: list[str]) -> None:
 
 def _nondegenerate_with_oracle(problems: list[str]) -> None:
     """Non-degenerate verification at (2, 5), lambda = mu = (3, 3)."""
-    pres = build_presentation(2)
     assignment = standard_assignment_nondegenerate(2, 5, (3, 3), (3, 3))
-    report = verify_assignment(pres, assignment, ENUMERATION_BOUND)
+    report = verify_assignment(assignment, ENUMERATION_BOUND)
     _check(report.total_relators == 42, f"relator count {report.total_relators} != 42", problems)
     _check(report.all_passed, f"{len(report.failures)} relators failed", problems)
     _check(report.a12_order == 5, f"A12 image order {report.a12_order} != 5", problems)
@@ -95,10 +92,9 @@ def _nondegenerate_with_oracle(problems: list[str]) -> None:
 def _tau2_variant_refuted(problems: list[str]) -> None:
     """The tau_2j -> r_2j variant fails [rho_1j, tau_2j] = A12^-1; the
     t_2j assignment passes."""
-    pres = build_presentation(2)
-    good = verify_assignment(pres, standard_assignment_nondegenerate(2, 5, (3, 3), (3, 3)))
+    good = verify_assignment(standard_assignment_nondegenerate(2, 5, (3, 3), (3, 3)))
     _check(good.all_passed, "corrected assignment failed", problems)
-    bad = verify_assignment(pres, tau2_to_r2_variant(2, 5, (3, 3), (3, 3)))
+    bad = verify_assignment(tau2_to_r2_variant(2, 5, (3, 3), (3, 3)))
     hit = [src for _, src, _ in bad.failures if "on tau_2k" in src and "rho_1j on" in src and "j=k" in src]
     _check(bool(hit), "the variant did not fail any [rho_1j, tau_2j] relator", problems)
     _check(not good.failures, "unexpected failures in corrected assignment", problems)
@@ -108,10 +104,9 @@ def _involution_precomposition(problems: list[str]) -> None:
     """Precomposing a passing assignment with the reflection substitution
     passes, at (2, 3) and (3, 2)."""
     for b, p in ((2, 3), (3, 2)):
-        pres = build_presentation(b)
         base = standard_assignment_degenerate(b, p)
-        _check(verify_assignment(pres, base).all_passed, f"({b},{p}): base assignment failed", problems)
-        twisted = verify_assignment(pres, precompose_involution(base))
+        _check(verify_assignment(base).all_passed, f"({b},{p}): base assignment failed", problems)
+        twisted = verify_assignment(precompose_involution(base))
         _check(twisted.all_passed, f"({b},{p}): involution-precomposed assignment failed", problems)
 
 

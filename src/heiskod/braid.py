@@ -13,9 +13,9 @@ The action relations are one table of printed right-hand sides w in
 freely reduced once as a pattern over six symbols; ``build_presentation``
 keeps only these patterns and the two surface words.  Relator i is a pattern
 read through a substitution s, a tuple indexed by signed symbol: s[y] is the
-letter of symbol y and s[-y], a negative index, its inverse.  A plain word is
-its own pattern under the identity.  Words and sources are built only when
-the relators are read, so ``verify`` streams the presentation in O(b) memory.
+letter of symbol y and s[-y], a negative index, its inverse; a plain word is
+its own pattern under ``identity_substitution``.  Words and sources are built
+only when the relators are read, so ``verify`` streams them in O(b) memory.
 The inverse-actor families are consequences of the direct ones, but they are
 emitted anyway: redundancy strengthens homomorphism verification, and keeping
 the three j-versus-k cases separate means a failure pinpoints one precise
@@ -39,7 +39,7 @@ tuple of images indexed by letter, and ``generator_name`` prints a letter.
 from __future__ import annotations
 
 import itertools
-from typing import Collection, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import PreconditionError
 from .primes import check_genus
@@ -119,29 +119,17 @@ class Relator(NamedTuple):
 
 
 class Presentation(NamedTuple):
-    """The relators at genus b, a sized iterable of :class:`Relator`.  Those
-    of ``build_presentation`` are templates; any other collection is read as
-    plain words."""
+    """The relators of ``build_presentation(b)``, a sized iterable of
+    :class:`Relator` read as templates."""
 
     b: int
-    relators: Collection[Relator]
+    relators: _Templates
 
-    def substituted(self, sources: bool = False) -> tuple[Iterable[int], Iterator[tuple[Word, Word, str | None]]]:
-        """The generators that occur, as positive letters, and the (pattern,
-        substitution, source) of every relator in order; plain words are
-        checked here.  A template's source is built only given ``sources``,
-        and is None otherwise."""
-        if isinstance(self.relators, _Templates):
-            return range(1, 4 * self.b + 2), self.relators.walk(sources)
-        every = itertools.chain.from_iterable
-        words = [r.word for r in self.relators]
-        # one type pass over every letter, since a set would merge True into 1;
-        # then the range is checked per distinct letter, or the first non-int refused
-        letters = set(every(words)) if set(map(type, every(words))) <= {int} else every(words)
-        check_letters(letters, self.b)
-        n = 4 * self.b + 1
-        identity = (0, *range(1, n + 1), *range(-n, 0))
-        return {abs(x) for x in letters}, ((r.word, identity, r.source) for r in self.relators)
+
+def identity_substitution(b: int) -> Word:
+    """The substitution under which a word at genus b is its own pattern."""
+    n = 4 * b + 1
+    return (0, *range(1, n + 1), *range(-n, 0))
 
 
 def _surface_words(b: int) -> tuple[Word, Word]:
@@ -246,8 +234,7 @@ class _Templates:
     def walk(self, sources: bool = False) -> Iterator[tuple[Word, Word, str | None]]:
         """(pattern, substitution, source or None) of every relator, in order."""
         b, a = self.b, 4 * self.b + 1
-        identity = (0, *range(1, a + 1), *range(-a, 0))
-        yield from zip(self.surface, (identity,) * 2, ("surface relation 1", "surface relation 2"))
+        yield from zip(self.surface, (identity_substitution(b),) * 2, ("surface relation 1", "surface relation 2"))
         rho_2 = range(2 * b + 1, 4 * b, 2)  # rho_2k for k = 1..b; tau_2k is the letter after it
         for actor, generator, exp in _ACTORS:
             for j in range(1, b + 1):

@@ -6,7 +6,7 @@ census, kappa, selftest.  Exit codes are never conflated:
     0  success
     1  a verified-false mathematical claim (failing relators, failing census
        claim, failing self-test criterion)
-    2  usage or precondition error
+    2  usage or precondition error, or out of memory
 
 Output is human-readable text by default; ``--format json`` or ``csv``
 switches where supported.  Numbers are always printed in full and slopes as
@@ -28,19 +28,22 @@ _FAMILIES = ("degenerate", "nondegenerate")
 
 
 def _parse_range(text: str) -> list[int]:
-    """Accept '5', '2..6' or '5,7,11'; an empty range is refused."""
+    """Accept '5', '2..6' or '5,7,11'; refuse an empty range or one of more than 10^6 values."""
     try:
         text = text.strip()
         if ".." in text:
-            lo, hi = text.split("..", 1)
-            values = list(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, text.split("..", 1))
+            values = range(lo, hi + 1)
         else:
             values = [int(x) for x in text.split(",") if x]
     except ValueError:
         raise PreconditionError(f"cannot parse range {text!r}; use forms like 5, 2..6 or 5,7,11") from None
     if not values:
         raise PreconditionError(f"range {text!r} is empty")
-    return values
+    # sliced first, since len() of a range past sys.maxsize overflows
+    if len(values[: 10**6 + 1]) > 10**6:
+        raise PreconditionError(f"range {text!r} has more than 10^6 values")
+    return list(values)
 
 
 def _parse_residues(text: Optional[str], what: str) -> Optional[list[int]]:
@@ -105,7 +108,6 @@ def cmd_presentation(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .braid import build_presentation
     from .verify import (
         ENUMERATION_BOUND,
         standard_assignment_degenerate,
@@ -126,7 +128,7 @@ def cmd_verify(args) -> int:
             raise PreconditionError("the non-degenerate family needs --lambda and --mu")
         assignment = standard_assignment_nondegenerate(args.b, args.p, lam, mu)
     bound = ENUMERATION_BOUND if args.enumeration_bound is None else args.enumeration_bound
-    report = verify_assignment(build_presentation(args.b), assignment, bound if args.bfs_oracle else None)
+    report = verify_assignment(assignment, bound if args.bfs_oracle else None)
     _emit(json.dumps(report.to_json_dict(), indent=2) if args.format == "json" else report.text(), args.output)
     return 0 if report.ok else 1
 
@@ -373,6 +375,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InconsistencyError as exc:
         sys.stderr.write(f"inconsistency: {exc}\n")
         return 1
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
+        return 2
     except (HeiskodError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -35,11 +35,11 @@ are what the braid-group liftings need.
 from __future__ import annotations
 
 import itertools
-from operator import eq, index
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from operator import eq
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import EnumerationBoundError, InconsistencyError, PreconditionError
-from .fplinalg import AlternatingForm, FpMatrix, residues
+from .fplinalg import AlternatingForm, FpMatrix
 from .primes import check_genus, check_prime
 
 # letters for the two degree-1 generators of the surface
@@ -89,50 +89,6 @@ def _cup_table(b: int, p: int) -> list[Optional[tuple[int, int]]]:
     return [_cup_basis(a, c, b, p) for a, c in lambda2_pairs(b)]
 
 
-def _xi_of_wedge(w: Sequence[int], b: int, p: int) -> tuple[int, ...]:
-    """xi of wedge-square coordinates: the cup table as a scatter-add."""
-    out = [0] * (4 * b * b + 2)
-    for hit, x in zip(_cup_table(b, p), w):
-        if hit is not None:
-            out[hit[0]] += hit[1] * x
-    return tuple(x % p for x in out)
-
-
-VectorLike = Union[int, Sequence[int]]
-
-
-def _as_h1_vector(u: VectorLike, b: int, p: int) -> list[int]:
-    """A basis index in 0..4b-1, or a vector of 4b integer coefficients, as a
-    reduced coefficient list."""
-    if isinstance(u, bool):
-        raise PreconditionError(f"H^1 argument must be an index or a vector, not {u!r}")
-    try:
-        i = index(u)
-    except TypeError:  # not an index: a vector
-        i = None
-    if i is None:
-        v = residues(u, p, "H^1 vector entries")
-        if len(v) != 4 * b:
-            raise PreconditionError(f"H^1 vector must have length {4 * b}")
-        return v
-    if not 0 <= i < 4 * b:
-        raise PreconditionError(f"H^1 index {i} out of range 0..{4 * b - 1}")
-    v = [0] * (4 * b)
-    v[i] = 1
-    return v
-
-
-def cup_h1_h1(u: VectorLike, v: VectorLike, b: int, p: int) -> tuple[int, ...]:
-    """Bilinear cup product of two degree-1 classes (indices or vectors): the
-    rule is alternating, so u v is xi of the wedge u ^ v = u v^T - v u^T."""
-    check_prime(p)
-    check_genus(b)
-    uu = _as_h1_vector(u, b, p)
-    vv = _as_h1_vector(v, b, p)
-    wedge = [uu[a] * vv[c] - uu[c] * vv[a] for a, c in lambda2_pairs(b)]
-    return _xi_of_wedge(wedge, b, p)
-
-
 def _form_genus(form: AlternatingForm) -> int:
     if form.dim % 4 != 0 or form.dim < 8:
         raise PreconditionError(f"form dimension {form.dim} is not 4b for some b >= 2")
@@ -149,9 +105,16 @@ def xi_of_form(form: AlternatingForm) -> tuple[int, ...]:
     """Image of an alternating form under the cup-product map xi.
 
     The form's matrix is read against the H^1 ordering, so
-    xi(omega) = sum over a < c of Omega[a][c] * cup(e_a, e_c).
+    xi(omega) = sum over a < c of Omega[a][c] * cup(e_a, e_c), the cup table
+    as a scatter-add.
     """
-    return _xi_of_wedge(vec_of_form(form), form.dim // 4, form.p)
+    w = vec_of_form(form)
+    b, p = form.dim // 4, form.p
+    out = [0] * (4 * b * b + 2)
+    for hit, x in zip(_cup_table(b, p), w):
+        if hit is not None:
+            out[hit[0]] += hit[1] * x
+    return tuple(x % p for x in out)
 
 
 def diagonal_class(b: int, p: int) -> tuple[int, ...]:

@@ -255,20 +255,18 @@ def census(family: str, b_range: Sequence[int], p_range: Sequence[int]) -> tuple
     """Rows of one family, sorted by (b, p), and its claims.
 
     Every b in the range must be a genus (b >= 2); (b, p) is a row when the
-    family admits p at b.  Refused when no (b, p) is a row, since every claim
-    would then hold vacuously.
+    family admits p at b.  Refused when there are more than 10^6 cells (b, p),
+    before any is tested, or when none is a row, since every claim would then
+    hold vacuously.
     """
     if family not in CLAIM_TABLE:
         raise PreconditionError(f"unknown family {family!r}")
-    bs = sorted(set(b_range))
+    bs, ps = sorted(set(b_range)), sorted(set(p_range))
+    if len(bs) * len(ps) > 10**6:
+        raise PreconditionError(f"{len(bs)} x {len(ps)} cells (b, p) are more than 10^6")
     for b in bs:
         check_genus(b)
-    rows = [
-        CensusRow(family, b, p, family_invariants(family, b, p))
-        for b in bs
-        for p in sorted(set(p_range))
-        if admits(family, b, p)
-    ]
+    rows = [CensusRow(family, b, p, family_invariants(family, b, p)) for b in bs for p in ps if admits(family, b, p)]
     if not rows:
         raise PreconditionError(f"no admissible (b, p) for the {family} family in the given ranges")
     fam = CLAIM_TABLE[family]

@@ -15,9 +15,9 @@ as table row s[y] of its substitution s, so no word is built: (acc_v, acc_t)
 the group law applied to concrete elements, so the result is exact; only the
 relators whose product is not the identity are kept.  When some are, one more
 pass of the same pattern and substitution walk reads their sources, and still
-builds no word.  A hand-built presentation and ``evaluate_word`` go through
-the same loop, as plain words under the identity substitution.  numpy is
-imported only by the exhaustive oracle.
+builds no word.  ``verify_assignment`` builds the presentation itself, at the
+assignment's genus; ``evaluate_word`` runs one plain word through the same
+loop under the identity substitution.  numpy is imported only by the oracle.
 
 An assignment stores its images as a tuple indexed by letter: ``images[i]``
 is the image of the generator with letter i + 1, in the order ``braid``
@@ -46,9 +46,18 @@ enumeration over packed elements, and the two must agree wherever both run.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .braid import Presentation, Relator, Word, check_letters, involution_substitute, kernel_generator_sets, rho, tau
+from .braid import (
+    Word,
+    build_presentation,
+    check_letters,
+    identity_substitution,
+    involution_substitute,
+    kernel_generator_sets,
+    rho,
+    tau,
+)
 from .errors import EnumerationBoundError, PreconditionError
 from .fplinalg import AlternatingForm, FpMatrix, residues
 from .heisenberg import HeisElement, HeisGroup
@@ -78,9 +87,10 @@ class GeneratorAssignment:
         return g if x > 0 else self.target.inv(g)
 
 
-def _nonidentity_products(assignment: GeneratorAssignment, pres: Presentation) -> list:
-    """(index, value) of every relator whose left-to-right product of letter
-    images is not the identity, in index order.
+def _nonidentity_products(assignment: GeneratorAssignment, generators: Iterable[int], walk: Iterable) -> list:
+    """(index, value) of every (pattern, substitution, source) of ``walk``
+    whose left-to-right product of letter images is not the identity, in
+    index order.  Only ``generators`` and their inverses are tabulated.
 
     The table holds, per signed letter, the nonzero (k, a) entries of its
     image v, its central part t and the nonzero entries of C v.  Each running
@@ -92,7 +102,6 @@ def _nonidentity_products(assignment: GeneratorAssignment, pres: Presentation) -
     """
     group = assignment.target
     p = group.p
-    generators, relators = pres.substituted()
     table = [None] * (8 * assignment.b + 3)  # indexed by signed letter
     for x in generators:
         g = assignment.images[x - 1]
@@ -104,7 +113,7 @@ def _nonidentity_products(assignment: GeneratorAssignment, pres: Presentation) -
         # the identity check below is one any() for those
         table[-x] = ([(k, -a) for k, a in v], sum(a * cv[k] for k, a in v) - g.t, [(k, -a) for k, a in cvs])
     found = []
-    for i, (pattern, sub, _) in enumerate(relators):
+    for i, (pattern, sub, _) in enumerate(walk):
         acc = {}  # acc_v by coordinate, absent ones zero
         get = acc.get
         t = 0
@@ -127,7 +136,9 @@ def _nonidentity_products(assignment: GeneratorAssignment, pres: Presentation) -
 def evaluate_word(assignment: GeneratorAssignment, word: Word):
     """Left-to-right product of letter images; empty word gives the identity.
     One word through the same evaluator that ``verify_assignment`` runs."""
-    found = _nonidentity_products(assignment, Presentation(assignment.b, (Relator(word, ""),)))
+    check_letters(word, assignment.b)
+    walk = [(word, identity_substitution(assignment.b), None)]
+    found = _nonidentity_products(assignment, {abs(x) for x in word}, walk)
     return found[0][1] if found else assignment.target.identity
 
 
@@ -192,20 +203,17 @@ class VerificationReport(NamedTuple):
         return "\n".join(lines)
 
 
-def verify_assignment(
-    pres: Presentation, assignment: GeneratorAssignment, oracle_bound: Optional[int] = None
-) -> VerificationReport:
-    """The whole report: every relator evaluated, failures recorded, never
-    raised, and the indices m1, m2, each cross-checked by the exhaustive
-    oracle under ``oracle_bound`` when one is given (one enumeration per
-    distinct set of images).  The presentation and the assignment must have
-    the same genus, since a letter names a generator only at a fixed b."""
-    if pres.b != assignment.b:
-        raise PreconditionError(f"presentation at genus {pres.b}, assignment at genus {assignment.b}")
+def verify_assignment(assignment: GeneratorAssignment, oracle_bound: Optional[int] = None) -> VerificationReport:
+    """The whole report on every relator of the presentation at the
+    assignment's genus: failures recorded, never raised, and the indices m1,
+    m2, each cross-checked by the exhaustive oracle under ``oracle_bound``
+    when one is given (one enumeration per distinct set of images)."""
     target = assignment.target
-    found = dict(_nonidentity_products(assignment, pres))
+    pres = build_presentation(assignment.b)
+    generators = range(1, 4 * pres.b + 2)
+    found = dict(_nonidentity_products(assignment, generators, pres.relators.walk()))
     # only a failing run reads sources, off the walk the evaluator ran: no word is built
-    walk = pres.substituted(sources=True)[1] if found else ()
+    walk = pres.relators.walk(sources=True) if found else ()
     failures = [(i, source, found[i]) for i, (_, _, source) in enumerate(walk) if i in found]
     kernel_sets = kernel_generator_sets(pres.b)
     m1, m2 = (image_index(assignment, letters) for letters in kernel_sets)
@@ -229,7 +237,7 @@ def verify_assignment(
         a12_order=target.order_of(assignment.images[-1]),  # A12 is the last letter
         m1=m1,
         m2=m2,
-        is_surjective=image_index(assignment, range(1, 4 * pres.b + 2)) == 1,
+        is_surjective=image_index(assignment, generators) == 1,
         oracle=tuple(oracle),
     )
 

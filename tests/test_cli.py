@@ -7,8 +7,10 @@ precondition error.
 """
 
 import ast
+import importlib.util
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -341,6 +343,22 @@ def peak_rss_kib(*argv):
     return code, maxrss_kib
 
 
+def run_capped(*argv):
+    """Exit code, stdout, stderr and wall time of ``heiskod *argv`` in a fresh
+    interpreter under a 600 MB address-space cap, so that a run that would
+    build a huge range fails inside the cap and not in the machine's memory."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "heiskod", *argv], env=env, capture_output=True, text=True, preexec_fn=cap, timeout=60
+    )
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - t0
+
+
 def test_search_forms_memory_stays_flat():
     # (4, 11) prints 542,001 hits, 80,650,306 bytes of JSON; held whole it peaked at 924 MB
     code, maxrss_kib = peak_rss_kib("search-forms", "--b", "4", "--p", "11", "--format", "json")
@@ -448,6 +466,8 @@ def test_classify_form_truncated_json_exits_2(capsys, tmp_path):
         (EnumerationBoundError("x"), 2, "error: "),
         (OSError("x"), 2, "error: "),
         (json.JSONDecodeError("x", "", 0), 2, "error: "),
+        # an out-of-memory run is not a refuted claim
+        (MemoryError(), 2, "error: out of memory"),
     ],
 )
 def test_main_maps_each_exception_to_its_exit_code(capsys, monkeypatch, exc, code, prefix):
@@ -580,6 +600,29 @@ def test_empty_range_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "empty" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kappa", "--b", "2..1000000000"),
+        ("kappa", "--b", f"2..{10**30}"),
+        ("census", "--family", "nondegenerate", "--b", "2", "--p", "5..1000000000"),
+    ],
+)
+def test_huge_range_exits_2_before_it_is_built(argv):
+    # the whole list used to be built first: a MemoryError traceback and
+    # exit 1 under this cap
+    code, out, err, seconds = run_capped(*argv)
+    assert (code, out) == (2, "") and "more than 10^6 values" in err
+    assert seconds < 1.0
+
+
+def test_census_of_too_many_cells_exits_2_before_any_is_tested():
+    # each range is admitted, but 1001 x 1001 cells are more than 10^6
+    code, out, err, seconds = run_capped("census", "--family", "degenerate", "--b", "2..1002", "--p", "2..1002")
+    assert (code, out) == (2, "") and "more than 10^6" in err
+    assert seconds < 1.0
 
 
 def test_census_without_admissible_rows_exits_2(capsys):
@@ -766,13 +809,10 @@ def test_no_module_imports_another_modules_private_name():
     assert [entry for entry in imported if entry[2].startswith("_")] == []
 
 
-def test_no_private_helper_is_dead():
-    # every private module-level function or class and every private method
-    # is used somewhere in the package besides its own definition, so a
-    # refactor cannot leave behind a helper that only tests call
-    def private(name):
-        return name.startswith("_") and not name.endswith("__")
-
+def unreferenced(selected):
+    """The module-level functions and classes and the methods of the package
+    whose names ``selected`` admits, and the names of those that nothing in
+    the package references outside their own definition."""
     trees = [ast.parse(path.read_text()) for path in sorted((SRC / "heiskod").glob("*.py"))]
     defined = []
     for tree in trees:
@@ -781,7 +821,7 @@ def test_no_private_helper_is_dead():
             defined += [
                 d
                 for d in (node, *members)
-                if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and private(d.name)
+                if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and selected(d.name)
             ]
     uses = [
         (n.id if isinstance(n, ast.Name) else n.attr, n)
@@ -789,13 +829,34 @@ def test_no_private_helper_is_dead():
         for n in ast.walk(tree)
         if isinstance(n, (ast.Name, ast.Attribute))
     ]
-    assert len(defined) > 50  # the scan sees the package's private helpers
-    dead = []
+    unused = []
     for d in defined:
         inside = {id(n) for n in ast.walk(d)}
         if not any(name == d.name and id(n) not in inside for name, n in uses):
-            dead.append(d.name)
+            unused.append(d.name)
+    return defined, unused
+
+
+def test_no_private_helper_is_dead():
+    # every private module-level function or class and every private method
+    # is used somewhere in the package besides its own definition, so a
+    # refactor cannot leave behind a helper that only tests call
+    defined, dead = unreferenced(lambda name: name.startswith("_") and not name.endswith("__"))
+    assert len(defined) > 50  # the scan sees the package's private helpers
     assert dead == []
+
+
+def test_no_public_name_without_a_caller():
+    # every public module-level function or class and every public method is
+    # used in the package besides its own definition, or is a name the
+    # benchmark's tracer wraps, so no public entry point exists for tests alone
+    spec = importlib.util.spec_from_file_location("proofbench_tracer", SRC.parent / "proofbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    traced = {function for _, function, _ in tracer.FUNCTIONS}
+    defined, unused = unreferenced(lambda name: not name.startswith("_"))
+    assert len(defined) > 50  # the scan sees the package's public names
+    assert [name for name in unused if name not in traced] == []
 
 
 def test_no_module_imports_dataclasses():

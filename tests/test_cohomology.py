@@ -17,7 +17,6 @@ from heiskod import cohomology
 from heiskod.cohomology import (
     classify_form,
     count_heisenberg_candidates,
-    cup_h1_h1,
     diagonal_class,
     eta_matrix,
     lambda2_pairs,
@@ -58,6 +57,17 @@ def cup_reference(u, v, b, p):
     return tuple(out)
 
 
+def cup(u, v, b, p):
+    """u v through the cup table: xi of the wedge u ^ v = u v^T - v u^T."""
+    wedge = [int(u[a]) * int(v[c]) - int(u[c]) * int(v[a]) for a, c in lambda2_pairs(b)]
+    return xi_matrix(b, p).apply(wedge)
+
+
+def basis(i, b):
+    """The H^1 basis class e_i as a coefficient list."""
+    return [int(k == i) for k in range(4 * b)]
+
+
 def delta_quotient_reference(b, p):
     """Dense surjection H^2 -> H^2 / <delta>: subtract (first coordinate) *
     delta and drop the first coordinate."""
@@ -75,18 +85,19 @@ def delta_quotient_reference(b, p):
 def test_cup_basis_examples():
     b, p = 2, 5
     # H^1 at b = 2: a_1(x)1, b_1(x)1, a_2(x)1, b_2(x)1, 1(x)a_1, ...
-    a1_left, b1_left, a2_left, a1_right = 0, 1, 2, 4
+    a1_left, b1_left, a2_left, a1_right = (basis(i, b) for i in (0, 1, 2, 4))
 
-    out = cup_h1_h1(a1_left, b1_left, b, p)
+    out = cup(a1_left, b1_left, b, p)
     assert out[0] == 1 and sum(out) == 1  # g(x)1
+    assert out == cup_reference(a1_left, b1_left, b, p)
 
     # (1(x)a_1)(b_1(x)1) = -b_1(x)a_1, H^2 index 2 + 2 b^2 (block BA)
-    out = cup_h1_h1(a1_right, b1_left, b, p)
+    out = cup(a1_right, b1_left, b, p)
     expected = [0] * (4 * b * b + 2)
     expected[10] = (-1) % p
-    assert list(out) == expected
+    assert list(out) == expected == list(cup_reference(a1_right, b1_left, b, p))
 
-    assert not any(cup_h1_h1(a1_left, a2_left, b, p))
+    assert not any(cup(a1_left, a2_left, b, p))
 
 
 def test_cup_graded_antisymmetry_and_bilinearity():
@@ -96,56 +107,24 @@ def test_cup_graded_antisymmetry_and_bilinearity():
         u = rng.integers(0, p, size=4 * b)
         v = rng.integers(0, p, size=4 * b)
         w = rng.integers(0, p, size=4 * b)
-        uv = cup_h1_h1(u, v, b, p)
-        vu = cup_h1_h1(v, u, b, p)
-        assert uv == combine(p, (-1, vu))
+        uv = cup(u, v, b, p)
+        vu = cup(v, u, b, p)
+        assert uv == combine(p, (-1, vu)) == cup_reference(u, v, b, p)
         c = int(rng.integers(0, p))
-        left = cup_h1_h1((u + c * w) % p, v, b, p)
-        assert left == combine(p, (1, cup_h1_h1(u, v, b, p)), (c, cup_h1_h1(w, v, b, p)))
-
-
-def test_mismatched_shapes_rejected():
-    with pytest.raises(PreconditionError):
-        cup_h1_h1([0] * 8, [0] * 12, 3, 5)
-
-
-def test_negative_index_refused():
-    # used to wrap silently to index 7, the last class at b = 2
-    with pytest.raises(PreconditionError):
-        cup_h1_h1(-1, 0, 2, 5)
-
-
-def test_index_past_end_refused():
-    # used to raise numpy's IndexError
-    with pytest.raises(PreconditionError):
-        cup_h1_h1(8, 0, 2, 5)
-    assert cup_h1_h1(7, 0, 2, 5) == cup_h1_h1([0] * 7 + [1], [1] + [0] * 7, 2, 5)
-
-
-def test_bool_index_refused():
-    # True used to pass as index 1
-    with pytest.raises(PreconditionError):
-        cup_h1_h1(True, 0, 2, 5)
+        left = cup((u + c * w) % p, v, b, p)
+        assert left == combine(p, (1, cup(u, v, b, p)), (c, cup(w, v, b, p)))
 
 
 def test_entry_beyond_int64_exact():
-    # used to raise OverflowError, then was refused; now reduced exactly
-    e0 = [1] + [0] * 7
+    # a wedge coordinate past int64 is reduced exactly
+    e0 = basis(0, 2)
     huge = [10**30] + [0] * 7
-    assert cup_h1_h1(huge, 0, 2, 5) == cup_reference(huge, e0, 2, 5)
+    assert cup(huge, e0, 2, 5) == cup_reference(huge, e0, 2, 5)
     # a nonzero product: (10^30 + 2) e_4 . e_0 = 2 e_4 . e_0 mod 5
     u = [0] * 4 + [10**30 + 2] + [0] * 3
-    product = cup_h1_h1(u, 0, 2, 5)
-    assert product == cup_reference(u, e0, 2, 5) == cup_h1_h1([0] * 4 + [2] + [0] * 3, 0, 2, 5)
+    product = cup(u, e0, 2, 5)
+    assert product == cup_reference(u, e0, 2, 5) == cup([0] * 4 + [2] + [0] * 3, e0, 2, 5)
     assert any(product)
-
-
-def test_non_integer_entry_refused():
-    # 1.7 used to be read as 1 by the int64 cast
-    with pytest.raises(PreconditionError):
-        cup_h1_h1([1.7] + [0] * 7, 1, 2, 5)
-    with pytest.raises(PreconditionError):
-        cup_h1_h1(1.0, 1, 2, 5)
 
 
 @pytest.mark.parametrize("p", [2, 3, 7])
@@ -157,7 +136,7 @@ def test_cup_and_xi_match_dense_xi_matrix(p):
             u = rng.integers(0, p, size=4 * b)
             v = rng.integers(0, p, size=4 * b)
             wedge = [int(u[a] * v[c] - u[c] * v[a]) % p for a, c in lambda2_pairs(b)]
-            assert cup_h1_h1(u, v, b, p) == xi.apply(wedge) == cup_reference(u, v, b, p)
+            assert xi.apply(wedge) == cup_reference(u, v, b, p)
             form = random_alternating(b, p, rng)
             assert xi_of_form(form) == xi.apply(vec_of_form(form))
 
@@ -168,14 +147,14 @@ def test_cup_exact_at_large_p():
     u = [0] * 8
     v = [0] * 8
     u[4] = v[0] = p - 1
-    assert cup_h1_h1(u, v, b, p) == cup_reference(u, v, b, p)
-    assert cup_h1_h1(u, v, b, p)[cohomology._cup_basis(4, 0, b, p)[0]] == p - 1
+    assert cup(u, v, b, p) == cup_reference(u, v, b, p)
+    assert cup(u, v, b, p)[cohomology._cup_basis(4, 0, b, p)[0]] == p - 1
     rng = np.random.default_rng(5)
     for p in (3000017, 3037000493, 2**61 - 1):
         for _ in range(20):
             u = [int(x) for x in rng.integers(0, p, size=8)]
             v = [int(x) for x in rng.integers(0, p, size=8)]
-            assert cup_h1_h1(u, v, b, p) == cup_reference(u, v, b, p)
+            assert cup(u, v, b, p) == cup_reference(u, v, b, p)
 
 
 # -- diagonal class ----------------------------------------------------------
@@ -300,7 +279,8 @@ def surjectivity_oracle(b, p):
     hit = set()
     for i1 in range(4 * b):
         for i2 in range(4 * b):
-            out = cup_h1_h1(i1, i2, b, p)
+            out = cup(basis(i1, b), basis(i2, b), b, p)
+            assert out == cup_reference(basis(i1, b), basis(i2, b), b, p)
             nz = [(k, c) for k, c in enumerate(out) if c]
             if len(nz) == 1:
                 hit.add(nz[0][0])

@@ -23,7 +23,6 @@ from pathlib import Path
 import pytest
 
 from heiskod import braid, verify
-from heiskod.braid import build_presentation
 from heiskod.cli import main
 from heiskod.verify import (
     GeneratorAssignment,
@@ -142,7 +141,7 @@ def _a12_killed(b, p, lam, mu):
     ],
 )
 def test_failing_report_is_pinned(name, make):
-    report = verify_assignment(build_presentation(2), make(2, 5, (3, 3), (3, 3)))
+    report = verify_assignment(make(2, 5, (3, 3), (3, 3)))
     text = json.dumps(report.to_json_dict(), indent=2) + "\n"
     assert text == (GOLDEN / name).read_text()
     indices = [i for i, _, _ in report.failures]
@@ -156,7 +155,7 @@ def test_failing_report_reads_sources_without_building_words(monkeypatch):
         raise AssertionError("a relator word was built")
 
     monkeypatch.setattr(braid._Templates, "__iter__", no_words)
-    report = verify_assignment(build_presentation(2), tau2_to_r2_variant(2, 5, (3, 3), (3, 3)))
+    report = verify_assignment(tau2_to_r2_variant(2, 5, (3, 3), (3, 3)))
     text = json.dumps(report.to_json_dict(), indent=2) + "\n"
     assert text == (GOLDEN / "report_tau2_variant_b2_p5.json").read_text()
 
