@@ -12,15 +12,11 @@ claim-checking census (:mod:`invariants`).  :mod:`cli` ties it together and
 
 Importing the package loads none of these modules: import names from the
 submodule that defines them (``from heiskod.invariants import kappa``).
-Linear algebra over F_p, the cohomology, group arithmetic, the group
-structure suite and relator evaluation are pure Python; numpy serves only the
-``--bfs-oracle`` subgroup oracle (Dimino's coset enumeration in :mod:`verify`)
-and is imported inside it.  So no subcommand but ``selftest`` and
-``verify --bfs-oracle`` imports numpy, and only ``selftest`` imports
-:mod:`acceptance`.
+Everything is pure Python on the standard library, the ``--bfs-oracle``
+subgroup oracle (Python-int bitmaps in :mod:`verify`) included, and only
+``selftest`` imports :mod:`acceptance`.
 """
 
 __version__ = "0.1.0"
-# the array backend of the --bfs-oracle coset enumeration, its only user;
-# recorded in benchmark run records
-BACKEND = "numpy"
+# the arithmetic every layer runs on, recorded in benchmark run records
+BACKEND = "python"

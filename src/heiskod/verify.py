@@ -17,7 +17,7 @@ relators whose product is not the identity are kept.  When some are, one more
 pass of the same pattern and substitution walk reads their sources, and still
 builds no word.  ``verify_assignment`` builds the presentation itself, at the
 assignment's genus; ``evaluate_word`` runs one plain word through the same
-loop under the identity substitution.  numpy is imported only by the oracle.
+loop under the identity substitution.
 
 An assignment stores its images as a tuple indexed by letter: ``images[i]``
 is the image of the generator with letter i + 1, in the order ``braid``
@@ -39,13 +39,15 @@ Two standard assignments are provided.
   (r_j, t_j).
 
 Subgroup indices come from a fast structural method; ``verify_assignment``
-cross-checks them, given a bound, against an exhaustive oracle, Dimino's coset
-enumeration over packed elements, and the two must agree wherever both run.
+cross-checks them, given a bound, against an exhaustive oracle that marks the
+generated subgroup element by element in Python-int bitmaps, and the two must
+agree wherever both run.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .braid import (
@@ -383,67 +385,38 @@ def image_index(assignment: GeneratorAssignment, letters: Sequence[int]) -> int:
 @contextmanager
 def _enumeration_guard(order: int, bound: int):
     """Admit an exhaustive enumeration of a group of ``order`` = p^(dim + 1)
-    elements in int64 arrays, or raise :class:`EnumerationBoundError`.
+    elements, or raise :class:`EnumerationBoundError`.
 
-    Refused beyond ``bound`` and, whatever the bound, from order 2^62 on:
-    below it every array value fits int64, since a packed code is below the
-    order, a radix p^j at most order / p, a code plus a digit step r p^j
-    (before its carry is taken off) below 2 order, and a central part
-    t + t' + v.C.v' of residues at most 2 (p - 1) + dim (p - 1)^2 < order.
-    A ``MemoryError`` raised inside the block, while the arrays are built, is
-    refused too.
+    Refused beyond ``bound`` and, whatever the bound, from order 2^62 on: the
+    bitmap of such a group is 2^59 bytes or more, and below it every bit index
+    and shift count of the oracle is below 2^62, so Python's shifts never
+    overflow.  A ``MemoryError`` raised inside the block, while the bitmaps
+    are built, is refused too.
     """
     if order > bound:
         raise EnumerationBoundError(f"group order {order} exceeds the enumeration bound {bound}")
     if order >= 2**62:
-        raise EnumerationBoundError(f"group order {order} is too large to enumerate in int64 arrays (needs < 2^62)")
+        raise EnumerationBoundError(f"group order {order} is too large to enumerate in a bitmap (needs < 2^62)")
     try:
         yield
     except MemoryError:
         raise EnumerationBoundError(f"not enough memory to enumerate a group of order {order}") from None
 
 
-def _pack(group: HeisGroup, v: Sequence[int], t: int) -> int:
-    """The oracle's code of (v, t): mixed radix p, digits v then t."""
-    code = residues([t], group.p, "central part")[0]
-    for x in reversed(residues(v, group.p, "vector entries")):
-        code = code * group.p + x
-    return code
-
-
-# Elements of H_{i-1} translated per vectorised step of a coset product, so
-# the temporaries of one step are bounded whatever the subgroup's size.
-_CHUNK = 1 << 14
-# Bitmap bytes scanned per step of a level's snapshot, which bounds its int64
-# indices the same way.
-_BLOCK = 1 << 16
-
-
-def _snapshot(visited, code_type):
-    """Codes of the marked elements, ascending, in ``code_type``.
-
-    The bitmap is scanned a block at a time, or at once when no more than a
-    block's worth of elements is marked, so no int64 array of more than
-    ``_BLOCK`` indices exists.
-    """
-    import numpy as np
-
-    h = np.empty(int(np.count_nonzero(visited)), dtype=code_type)
-    block = visited.size if h.size <= _BLOCK else _BLOCK
-    filled = 0
-    for start in range(0, visited.size, block):
-        found = np.flatnonzero(visited[start : start + block])
-        found += start
-        h[filled : filled + found.size] = found
-        filled += found.size
-    return h
+def _tiled(pattern: int, period: int, size: int) -> int:
+    """``pattern``, a mask below 2^period, repeated every ``period`` bits up
+    to ``size`` bits."""
+    while period < size:
+        pattern |= pattern << period
+        period *= 2
+    return pattern & ((1 << size) - 1)
 
 
 ENUMERATION_BOUND = 10**7  # the largest group the oracle enumerates unless given another bound
 
 
 def bfs_subgroup_order(group: HeisGroup, elements: Sequence, bound: int = ENUMERATION_BOUND) -> int:
-    """Exhaustive oracle: Dimino's coset enumeration of the generated subgroup.
+    """Exhaustive oracle: the generated subgroup, marked element by element.
 
     Independent of ``subgroup_order_fast`` by construction (group products
     and membership only, no linear algebra); kept for cross-validation and
@@ -451,85 +424,77 @@ def bfs_subgroup_order(group: HeisGroup, elements: Sequence, bound: int = ENUMER
     Returns the number of elements enumerated; the name stays that of the
     ``--bfs-oracle`` flag.
 
-    H_0 is trivial.  Each generator outside H_{i-1} opens a level: H_i is the
-    union of the right cosets H_{i-1} r, starting from r = 1 and r = g_i, and
-    every product r s of a coset representative with a generator so far that
-    is not yet marked opens the next coset H_{i-1} (r s).  Right cosets are
-    disjoint, so every element is produced exactly once, a coset at a time
-    by the product (v + r_v, t + r_t + v . C r_v) over H_{i-1}, vectorised
-    over chunks of H_{i-1}.  The group is finite, so no inverses are needed.
+    A set Y of elements is p slabs of Python ints, one per central part t:
+    bit c = sum_j v_j p^j of slab t marks (v, t).  Right-multiplying all of Y
+    by g = (w, s) is the group law on every element at once, (v, t) ->
+    (v + w, t + s + v . u) with u = C w:
 
-    Elements are mixed-radix codes (base p, digits v then t) that index a
-    visited bitmap of the group's order; the bitmap marks exactly H_i, so it
-    is the only record of the subgroup.  Each level snapshots the codes of
-    H_{i-1} from it in the smallest unsigned type that holds every code
-    (uint32 below 2^32 elements).  A coset product casts one chunk of the
-    snapshot to int64 and reads off only the digits that the coset's shifts
-    and twists touch.  Memory is |G| bytes of bitmap, the snapshot (4 bytes
-    per element of H_{i-1} below 2^32 elements) and temporaries of a few
-    chunks: a traced peak of about 4.4 MiB for the 5^9 elements at b = 4,
-    p = 5, of which the bitmap is 1.9 MiB and the last snapshot 1.5 MiB.
+    * for each digit j with u_j != 0, an element whose digit j is d moves
+      from slab t to slab t + u_j d: for each bit i of d, the codes whose
+      digit j has bit i set move up by u_j 2^i slabs, one mask per bit, so a
+      digit costs ceil(log2 p) masked moves per slab, however many digit
+      values are present;
+    * for each digit j with w_j = r != 0, digit j rotates by r: the codes
+      whose digit is below p - r move up by r p^j, the others down by
+      (p - r) p^j, with one mask and two shifts;
+    * the slabs rotate by s.
+
+    Starting from Y = {1}, Y is closed under each generator g by doubling,
+    Y <- Y u Y g^k for k = 1, 2, 4, ... until nothing new appears (then
+    Y g is in Y), and the generators are cycled until none adds an element.
+    Then Y contains 1 and is closed under right multiplication by every
+    generator, so it is exactly the generated subgroup (the group is finite,
+    so no inverses are needed), and its order is the number of marked bits.
+    Memory is a few copies of the |G| / 8 bytes of slabs and, per digit the
+    generators touch, a few masks of |G| / (8 p) bytes each: a traced peak
+    of about 3.5 MiB for the 5^9 elements at b = 4, p = 5.
     """
-    import numpy as np
-
     with _enumeration_guard(group.order, bound):
         p, dim = group.p, group.dim
-        cocycle = np.array(group.cocycle.to_lists(), dtype=np.int64)
+        gens = [group.element(g.v, g.t) for g in elements]
         radix = [p**j for j in range(dim + 1)]
-        top = radix[dim]
-        code_type = np.min_scalar_type(group.order - 1)
-        visited = np.zeros(group.order, dtype=bool)
-        visited[0] = True
-        gens = []
-        for g in elements:
-            if visited[_pack(group, g.v, g.t)]:
-                continue
-            gens.append((np.array(g.v, dtype=np.int64) % p, g.t % p))
-            h = _snapshot(visited, code_type)  # H_{i-1}, before this level marks anything
-            reps = []
+        size = radix[dim]
 
-            def open_coset(rv, rt):
-                # mark the right coset H_{i-1} r; only the digits where r or
-                # C r is nonzero change.  Digit j moves by r_j p^j, less
-                # p^(j+1) when it wraps: when code mod p^(j+1) >= (p - r_j) p^j.
-                shifts = [
-                    (r * radix[j], radix[j + 1], (p - r) * radix[j]) for j, r in enumerate(rv.tolist()) if r
-                ]
-                twists = [(radix[j], u) for j, u in enumerate((cocycle @ rv % p).tolist()) if u]
-                for start in range(0, h.size, _CHUNK):
-                    # numpy's integer remainder is several times slower than
-                    # its floor division, so x mod m of a nonnegative x is
-                    # taken as x - (x // m) m
-                    base = h[start : start + _CHUNK].astype(np.int64)
-                    old = base // top
-                    t = old + rt
-                    for unit, u in twists:
-                        d = base // unit
-                        d -= d // p * p
-                        d *= u
-                        t += d
-                    t -= t // p * p
-                    t -= old
-                    t *= top
-                    codes = base + t
-                    for step, modulus, wrap in shifts:
-                        codes += step
-                        low = base // modulus
-                        low *= -modulus
-                        low += base
-                        np.subtract(codes, modulus, out=codes, where=low >= wrap)
-                    visited[codes] = True
-                reps.append((rv, rt))
+        @cache
+        def below(j, c):
+            """The codes whose digit j is below c."""
+            return _tiled((1 << c * radix[j]) - 1, radix[j + 1], size)
 
-            open_coset(*gens[-1])
-            # the representative 1 needs no pass: 1 s lies in H_{i-1} or is g_i
-            i = 0
-            while i < len(reps):
-                rv, rt = reps[i]
-                for sv, st in gens:
-                    # the product r s, by the oracle's own law
-                    nv, nt = (rv + sv) % p, (rt + st + int((rv @ cocycle) % p @ sv)) % p
-                    if not visited[_pack(group, nv, nt)]:
-                        open_coset(nv, nt)
-                i += 1
-        return int(np.count_nonzero(visited))
+        @cache
+        def bit_set(j, i):
+            """The codes whose digit j has bit i set."""
+            run = radix[j] << i  # 2^i digit values
+            return _tiled(_tiled(((1 << run) - 1) << run, 2 * run, radix[j + 1]), radix[j + 1], size)
+
+        def times(slabs, w, s, u):
+            """The set ``slabs`` right-multiplied by (w, s), with u = C w."""
+            for j, uj in enumerate(u):
+                if uj:
+                    for i in range((p - 1).bit_length()):
+                        moved = [x & bit_set(j, i) for x in slabs]
+                        k = -(uj << i) % p  # slab t receives from slab t - uj 2^i
+                        slabs = [x ^ y | z for x, y, z in zip(slabs, moved, moved[k:] + moved[:k])]
+            for j, r in enumerate(w):
+                if r:
+                    low, up, down = below(j, p - r), r * radix[j], (p - r) * radix[j]
+                    rotated = []
+                    for x in slabs:
+                        stay = x & low
+                        rotated.append(stay << up | (x ^ stay) >> down)
+                    slabs = rotated
+            return slabs[-s:] + slabs[:-s]
+
+        slabs = [1] + [0] * (p - 1)  # {1}
+        i = idle = 0  # idle: generators in a row that added no element
+        while idle < len(gens):
+            w, s = gens[i]
+            i, idle = (i + 1) % len(gens), idle + 1
+            while True:
+                u = group.cocycle.apply(w)
+                grown = [a | b for a, b in zip(slabs, times(slabs, w, s, u))]
+                if grown == slabs:
+                    break
+                slabs, idle = grown, 1  # Y g is in Y once this loop ends
+                # g^2k = (2 w, 2 s + w . C w) squares g^k by the group law
+                w, s = tuple(2 * a % p for a in w), (2 * s + sum(a * b for a, b in zip(w, u))) % p
+        return sum(x.bit_count() for x in slabs)

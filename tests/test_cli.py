@@ -141,26 +141,13 @@ def test_verify_enumeration_bound_beyond_int64_exits_2(capsys):
 
 
 def test_verify_oracle_out_of_memory_exits_2(capsys, monkeypatch):
-    # a failed allocation of the oracle's arrays used to end in a traceback
-    import numpy as np
+    # a failed allocation of the oracle's bitmaps used to end in a traceback
+    from heiskod import verify
 
     def no_memory(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(np, "zeros", no_memory)
-    code, _, err = run(capsys, "verify", "--family", "degenerate", "--b", "2", "--p", "3", "--bfs-oracle")
-    assert code == 2
-    assert "memory" in err
-
-
-def test_verify_oracle_snapshot_out_of_memory_exits_2(capsys, monkeypatch):
-    # the bitmap is allocated; the snapshot of H_{i-1} that opens a level is not
-    import numpy as np
-
-    def no_memory(*args, **kwargs):
-        raise MemoryError
-
-    monkeypatch.setattr(np, "empty", no_memory)
+    monkeypatch.setattr(verify, "_tiled", no_memory)
     code, _, err = run(capsys, "verify", "--family", "degenerate", "--b", "2", "--p", "3", "--bfs-oracle")
     assert code == 2
     assert "memory" in err
@@ -706,32 +693,71 @@ NUMPY_FREE = [
     ("classify-form", "--b", "2", "--p", "5", "--lambda", "3,3", "--mu", "3,3"),
     ("search-forms", "--b", "2", "--p", "5", "--count", "1"),
     ("verify", "--family", "degenerate", "--b", "2", "--p", "3"),
-]
-NUMPY_USING = [
     ("verify", "--family", "degenerate", "--b", "2", "--p", "3", "--bfs-oracle"),
 ]
 
 
-@pytest.mark.parametrize("argv", NUMPY_FREE, ids=lambda a: a[0])
+@pytest.mark.parametrize("argv", NUMPY_FREE, ids=lambda a: a[0] + " --bfs-oracle" * ("--bfs-oracle" in a))
 def test_exact_subcommands_never_import_numpy(argv):
     modules = cli_modules(*argv)
     assert "numpy" not in modules
+    # only selftest imports acceptance, and the probe sees what is loaded
     assert "heiskod.acceptance" not in modules
+    assert "heiskod.cli" in modules
 
 
-@pytest.mark.parametrize("argv", NUMPY_FREE + NUMPY_USING + [("selftest",)], ids=" ".join)
+@pytest.mark.parametrize("argv", NUMPY_FREE + [("selftest",)], ids=" ".join)
 def test_no_subcommand_imports_dataclasses(argv):
     # the records are NamedTuples: on a 2-core x86 box importing dataclasses
     # took 3.4 ms, and each frozen dataclass about 0.26 ms more
     assert "dataclasses" not in cli_modules(*argv)
 
 
-@pytest.mark.parametrize("argv", NUMPY_USING, ids=lambda a: a[0])
-def test_only_selftest_imports_acceptance(argv):
-    modules = cli_modules(*argv)
-    assert "heiskod.acceptance" not in modules
-    # the probe does see what a subcommand loads
-    assert "numpy" in modules
+GOLDEN = Path(__file__).parent / "golden"
+DEGENERATE_B3_P2 = ("verify", "--family", "degenerate", "--b", "3", "--p", "2")
+NONDEGENERATE_B2_P5 = ("verify", "--family", "nondegenerate", "--b", "2", "--p", "5", "--lambda", "3,3", "--mu", "3,3")
+# every subcommand, each with the golden file of its output where one exists
+WITHOUT_NUMPY = [
+    ("presentation_b2.txt", ("presentation", "--b", "2")),
+    ("verify_degenerate_b3_p2.txt", DEGENERATE_B3_P2),
+    ("verify_degenerate_b3_p2_oracle.txt", (*DEGENERATE_B3_P2, "--bfs-oracle")),
+    ("verify_nondegenerate_b2_p5_oracle.json", (*NONDEGENERATE_B2_P5, "--bfs-oracle", "--format", "json")),
+    ("census_degenerate_b2-12_p2-13.txt", ("census", "--family", "degenerate", "--b", "2..12", "--p", "2..13")),
+    ("invariants_nondegenerate_b2_p5.csv", ("invariants", "--family", "nondegenerate", "--b", "2", "--p", "5", "--format", "csv")),
+    ("search_forms_b3_p5.txt", ("search-forms", "--b", "3", "--p", "5")),
+    (None, ("classify-form", "--b", "2", "--p", "5", "--lambda", "3,3", "--mu", "3,3")),
+    (None, ("kappa", "--b", "2..30")),
+    (None, ("selftest",)),
+]
+
+_NO_NUMPY_PROBE = (
+    "import contextlib, io, json, sys\n"
+    "sys.modules['numpy'] = None  # from here on, importing numpy raises ImportError\n"
+    "from heiskod.cli import main\n"
+    "runs = []\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    out = io.StringIO()\n"
+    "    with contextlib.redirect_stdout(out):\n"
+    "        runs.append(main(argv))\n"
+    "    runs.append(out.getvalue())\n"
+    "print(json.dumps(runs))\n"
+)
+
+
+def test_every_subcommand_runs_without_numpy(capsys):
+    runs = fresh_process(_NO_NUMPY_PROBE, json.dumps([argv for _, argv in WITHOUT_NUMPY]))
+    commands = next(action.choices for action in cli.build_parser()._actions if action.dest == "command")
+    assert set(commands) == {argv[0] for _, argv in WITHOUT_NUMPY}
+    for (golden, argv), code, out in zip(WITHOUT_NUMPY, runs[::2], runs[1::2]):
+        assert code == 0, argv
+        if argv == ("selftest",):
+            assert out.endswith("11/11 criteria passed\n")
+        elif golden:
+            assert out == (GOLDEN / golden).read_text(), golden
+        else:
+            # the same bytes as a run that could import numpy
+            assert main(list(argv)) == 0
+            assert out == capsys.readouterr().out
 
 
 def test_cohomology_import_is_numpy_free():
@@ -753,7 +779,6 @@ def test_verify_path_imports_no_invariants_or_fractions():
 
 
 def test_group_and_verify_imports_are_numpy_free():
-    # numpy is imported only inside the --bfs-oracle coset enumeration
     modules = fresh_process(
         "import heiskod.verify, heiskod.heisenberg, heiskod.acceptance, json, sys;"
         " print(json.dumps(sorted(sys.modules)))"
@@ -791,10 +816,9 @@ def package_imports(package):
     return found
 
 
-def test_numpy_is_imported_only_by_the_coset_oracle():
-    found = package_imports("numpy")
-    assert found  # the scan sees the oracle's own imports
-    assert set(found) <= {("verify", "_snapshot"), ("verify", "bfs_subgroup_order")}
+def test_no_module_imports_numpy():
+    assert package_imports("typing")  # the scan sees the NamedTuple imports
+    assert package_imports("numpy") == []
 
 
 def test_no_module_imports_another_modules_private_name():

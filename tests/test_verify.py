@@ -1,6 +1,6 @@
 """Tests for word evaluation, relator verification, indices and the oracle.
 
-The fast subgroup-order method and the exhaustive coset enumeration behind
+The fast subgroup-order method and the exhaustive bitmap enumeration behind
 ``bfs_subgroup_order`` are independent routes to the same number; they are
 compared on every standard case and on random generator subsets, including
 the edge cases where a naive center-containment rule would go wrong.  A
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heiskod import verify
 from heiskod.braid import build_presentation, kernel_generator_sets, rho, winding
 from heiskod.cohomology import search_family_params
 from heiskod.errors import EnumerationBoundError, PreconditionError
@@ -33,7 +34,6 @@ from heiskod.verify import (
     tau2_to_r2_variant,
     verify_assignment,
     _enumeration_guard,
-    _pack,
 )
 
 
@@ -424,16 +424,14 @@ def test_bfs_matches_fast_index_degenerate_45():
     first, _ = kernel_generator_sets(4)
     els = [assignment.image(g) for g in first]
     assert assignment.target.order == 5**9
-    # the last level translates 390,625 elements of H_{i-1}: more than one
-    # chunk of the coset product, and not a multiple of it
     assert bfs_subgroup_order(assignment.target, els) == 5**9
     assert subgroup_order_fast(assignment.target, els) == 5**9
 
 
 def test_bfs_memory_is_bounded():
-    # no array of coset codes and no digit columns: a visited bitmap of 5^9
-    # bytes, the 5^8 uint32 codes of the last level's H_{i-1} and chunk
-    # temporaries, about 4 MiB
+    # a few copies of the set, 5 slabs of 5^8 bits (49 KiB each), and about
+    # 40 masks of one slab each for the digits the generators touch: about
+    # 3.5 MiB in all
     assignment = standard_assignment_degenerate(4, 5)
     first, _ = kernel_generator_sets(4)
     els = [assignment.image(g) for g in first]
@@ -463,8 +461,9 @@ def test_surjectivity_index_memory_is_bounded():
 
 @pytest.mark.parametrize("p", [131, 257])
 def test_bfs_exact_at_digit_type_edges(p):
-    # p = 131 keeps digits in uint8, where d + r_j reaches 260; p = 257 needs
-    # uint16.  Coordinates near p - 1 make most digit steps carry.
+    # p = 257 is the first prime whose digit values need 9 bits, so each
+    # twist takes 9 masked moves; coordinates near p - 1 make most digit
+    # rotations wrap
     group = HeisGroup(AlternatingForm.standard_symplectic(1, p))
     bound = 2 * 10**7  # 257^3 is above the default bound
     g = group.element((p - 1, p - 2), p - 1)
@@ -475,11 +474,10 @@ def test_bfs_exact_at_digit_type_edges(p):
         assert closure_order(group, els) == order
 
 
-@pytest.mark.parametrize("p,code_type", [(37, np.uint16), (41, np.uint32)])
-def test_bfs_whole_group_at_code_type_edges(p, code_type):
-    # 37^3 = 50,653 codes fit uint16; 41^3 = 68,921 need uint32
+@pytest.mark.parametrize("p", [37, 41])
+def test_bfs_whole_group_at_large_p(p):
+    # every slab ends full, with every digit value present
     group = HeisGroup(AlternatingForm.standard_symplectic(1, p))
-    assert np.min_scalar_type(group.order - 1) == code_type
     els = [group.element((p - 1, p - 2), p - 3), group.element((p - 4, p - 1), p - 1)]
     assert bfs_subgroup_order(group, els) == p**3
     assert subgroup_order_fast(group, els) == p**3
@@ -522,16 +520,14 @@ def test_fast_order_exact_at_large_p():
 
 
 def test_fast_order_matches_bfs_on_random_subsets():
-    rng = np.random.default_rng(23)
+    rng = random.Random(23)
     group = HeisGroup(AlternatingForm.j_form(2, 3))  # order 3^5 = 243
     for _ in range(60):
-        k = int(rng.integers(1, 5))
-        els = [group.element(rng.integers(0, 3, 4), int(rng.integers(0, 3))) for _ in range(k)]
+        els = [random_element(group, rng) for _ in range(rng.randint(1, 4))]
         assert subgroup_order_fast(group, els) == bfs_subgroup_order(group, els)
     mgroup = HeisGroup(AlternatingForm.standard_symplectic(2, 2))  # order 32, exercises the square test
     for _ in range(60):
-        k = int(rng.integers(1, 5))
-        els = [mgroup.element(rng.integers(0, 2, 4), int(rng.integers(0, 2))) for _ in range(k)]
+        els = [random_element(mgroup, rng) for _ in range(rng.randint(1, 4))]
         assert subgroup_order_fast(mgroup, els) == bfs_subgroup_order(mgroup, els)
 
 
@@ -544,39 +540,43 @@ def test_bfs_bound_is_enforced(monkeypatch):
     group = HeisGroup(AlternatingForm.standard_symplectic(2, 5))
     with pytest.raises(EnumerationBoundError):
         bfs_subgroup_order(group, [group.central(1)], bound=10)
-    # order p^3 >= 2^62 is refused at any bound, before any int64 array
+    # order p^3 >= 2^62 is refused at any bound, before any bitmap
     big = HeisGroup(AlternatingForm.standard_symplectic(1, 2**61 - 1))
     with pytest.raises(EnumerationBoundError, match="2\\^62"):
         bfs_subgroup_order(big, [big.central(1)], bound=10**200)
-    # an allocation that fails is refused, not raised as a crash
-    def no_memory(*args, **kwargs):
-        raise MemoryError
 
-    monkeypatch.setattr(np, "zeros", no_memory)
-    with pytest.raises(EnumerationBoundError, match="memory"):
-        bfs_subgroup_order(group, [group.central(1)])
-    monkeypatch.undo()
-    # and so is the snapshot of H_{i-1} that opens a level
-    monkeypatch.setattr(np, "flatnonzero", no_memory)
-    with pytest.raises(EnumerationBoundError, match="memory"):
-        bfs_subgroup_order(group, [group.central(1)])
+    # a mask that cannot be allocated is refused, not raised as a crash:
+    # the first one, and one built after the enumeration has begun
+    tiled = verify._tiled
+    for fail_at in (1, 2):
+        calls = []
+
+        def no_memory(*args):
+            calls.append(None)
+            if len(calls) == fail_at:
+                raise MemoryError
+            return tiled(*args)
+
+        monkeypatch.setattr(verify, "_tiled", no_memory)
+        with pytest.raises(EnumerationBoundError, match="memory"):
+            bfs_subgroup_order(group, [group.basis_element(0), group.basis_element(2)])
+        assert len(calls) == fail_at
 
 
-def test_packing_roundtrip_and_bounds():
+def test_enumeration_guard_and_input_refusals():
     group = HeisGroup(AlternatingForm.standard_symplectic(1, 5))
-    # digits most significant first: t, then v_1, then v_0
-    digits = list(itertools.product(range(5), repeat=3))
-    assert len(digits) == group.order
-    for code, (t, v1, v0) in enumerate(digits):
-        assert _pack(group, (v0, v1), t) == code
-    # a float used to be truncated to a code (1.5 read as 1)
+    # a float is refused, not truncated to a bit (1.5 read as 1)
+    for bad in (HeisElement((1.5, 2), 0), HeisElement((1, 2), 0.5)):
+        with pytest.raises(PreconditionError):
+            bfs_subgroup_order(group, [bad])
+    # so is an element of another dimension
     with pytest.raises(PreconditionError):
-        _pack(group, [1.5, 2], 0)
+        bfs_subgroup_order(group, [HeisElement((1, 2, 3), 0)])
     big = HeisGroup(AlternatingForm.family(3, 7, (1, 1, 6), (2, 2, 4)))
     with pytest.raises(EnumerationBoundError):
         with _enumeration_guard(big.order, 100):
             pass
-    # whatever the bound, no int64 enumeration from order 2^62 on
+    # whatever the bound, no enumeration from order 2^62 on
     with _enumeration_guard(2**62 - 1, 10**200):
         pass
     with pytest.raises(EnumerationBoundError):
@@ -611,7 +611,7 @@ def closure_order(group, elements):
 
 
 def random_element(group, rng):
-    return HeisElement(tuple(rng.integers(0, group.p, group.dim).tolist()), int(rng.integers(0, group.p)))
+    return HeisElement(tuple(rng.randrange(group.p) for _ in range(group.dim)), rng.randrange(group.p))
 
 
 SMALL_GROUPS = [
@@ -626,9 +626,9 @@ SMALL_GROUPS = [
 
 @pytest.mark.parametrize("group", SMALL_GROUPS, ids=repr)
 def test_oracle_matches_set_closure(group):
-    rng = np.random.default_rng(group.order)
+    rng = random.Random(group.order)
     for _ in range(25):
-        els = [random_element(group, rng) for _ in range(int(rng.integers(1, 4)))]
+        els = [random_element(group, rng) for _ in range(rng.randint(1, 3))]
         assert bfs_subgroup_order(group, els) == closure_order(group, els)
     # sparse generators, as the standard assignments use
     basis = [group.basis_element(i) for i in range(group.dim)]
@@ -638,7 +638,7 @@ def test_oracle_matches_set_closure(group):
 
 @pytest.mark.parametrize("group", SMALL_GROUPS, ids=repr)
 def test_oracle_redundant_generators(group):
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     g, h = random_element(group, rng), random_element(group, rng)
     assert bfs_subgroup_order(group, []) == 1
     assert bfs_subgroup_order(group, [group.identity, group.identity]) == 1
@@ -654,11 +654,37 @@ def test_oracle_redundant_generators(group):
 
 @pytest.mark.parametrize("group", SMALL_GROUPS, ids=repr)
 def test_oracle_ignores_generator_order(group):
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     for _ in range(3):
         els = [random_element(group, rng) for _ in range(3)] + [group.central(1)]
         orders = {bfs_subgroup_order(group, list(perm)) for perm in itertools.permutations(els)}
         assert orders == {closure_order(group, els)}
+
+
+# groups with the number of random vectors spanning the generators' projections
+CROSS_CHECK_GROUPS = [
+    (HeisGroup(AlternatingForm.standard_symplectic(3, 2)), 5),  # p = 2, elements of order 4
+    (HeisGroup(AlternatingForm.j_form(3, 5)), 4),
+    (HeisGroup(AlternatingForm.family(2, 5, (3, 3), (3, 3))), 4),  # C has two entries in some rows
+    (HeisGroup(AlternatingForm.standard_symplectic(1, 61)), 1),
+]
+
+
+@pytest.mark.parametrize("group,span", CROSS_CHECK_GROUPS, ids=[repr(g) for g, _ in CROSS_CHECK_GROUPS])
+def test_oracle_matches_closure_and_fast_order_on_proper_subgroups(group, span):
+    # generators whose projections lie in the span of fewer than dim random
+    # vectors generate a proper subgroup, of order at most p^(span + 1)
+    rng = random.Random(group.order)
+    for _ in range(20):
+        spanning = [[rng.randrange(group.p) for _ in range(group.dim)] for _ in range(rng.randint(1, span))]
+        els = []
+        for _ in range(rng.randint(1, len(spanning) + 1)):
+            coeffs = [rng.randrange(group.p) for _ in spanning]
+            v = tuple(sum(c * u[k] for c, u in zip(coeffs, spanning)) % group.p for k in range(group.dim))
+            els.append(HeisElement(v, rng.randrange(group.p)))
+        order = closure_order(group, els)
+        assert order < group.order
+        assert bfs_subgroup_order(group, els) == order == subgroup_order_fast(group, els)
 
 
 def test_null_combinations_skip_zero_coefficients(monkeypatch):
