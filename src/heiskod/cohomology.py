@@ -24,8 +24,8 @@ The product of two degree-1 classes follows the Kunneth sign rule
 (x(x)y)(z(x)w) = (-1)^{deg y deg z} xz (x) yw together with the symplectic
 relations a_i b_j = -b_j a_i = d_ij g and a_i a_j = b_i b_j = 0.
 
-xi is the cup product into H^2 of the product surface, one table built from
-the cup rule: each wedge pair (a, c) gives one H^2 row and sign, or none.
+xi is the cup product into H^2 of the product surface, one sparse matrix
+from the cup rule: each wedge pair (a, c) gives one H^2 row and sign, or none.
 eta is xi followed by a row operation, the quotient by the diagonal class d.
 An alternating form is of Heisenberg type when xi(omega) is a nonzero
 multiple of d, equivalently eta(omega) = 0 and xi(omega) != 0; such forms
@@ -61,7 +61,7 @@ def _h2_block(letter1: int, letter2: int, i: int, j: int, b: int) -> int:
 
 def _cup_basis(i1: int, i2: int, b: int, p: int) -> Optional[tuple[int, int]]:
     """Cup product of two H^1 basis classes: (H^2 index, sign) or None.
-    Plain index arithmetic, since the cup table calls it once per wedge pair."""
+    Plain index arithmetic, since the rows of xi call it once per wedge pair."""
     s1, l1, j1 = _h1_class(i1, b)
     s2, l2, j2 = _h1_class(i2, b)
     if s1 == s2:
@@ -82,13 +82,6 @@ def lambda2_pairs(b: int) -> list[tuple[int, int]]:
     return [(a, c) for a in range(4 * b) for c in range(a + 1, 4 * b)]
 
 
-def _cup_table(b: int, p: int) -> list[Optional[tuple[int, int]]]:
-    """The cup rule on the wedge-square basis, read afresh from _cup_basis:
-    (H^2 row, sign) per pair of lambda2_pairs(b), None where it vanishes."""
-    check_genus(b)
-    return [_cup_basis(a, c, b, p) for a, c in lambda2_pairs(b)]
-
-
 def _form_genus(form: AlternatingForm) -> int:
     if form.dim % 4 != 0 or form.dim < 8:
         raise PreconditionError(f"form dimension {form.dim} is not 4b for some b >= 2")
@@ -105,16 +98,11 @@ def xi_of_form(form: AlternatingForm) -> tuple[int, ...]:
     """Image of an alternating form under the cup-product map xi.
 
     The form's matrix is read against the H^1 ordering, so
-    xi(omega) = sum over a < c of Omega[a][c] * cup(e_a, e_c), the cup table
-    as a scatter-add.
+    xi(omega) = sum over a < c of Omega[a][c] * cup(e_a, e_c), the matrix of
+    xi applied to the form's wedge-square coordinates.
     """
     w = vec_of_form(form)
-    b, p = form.dim // 4, form.p
-    out = [0] * (4 * b * b + 2)
-    for hit, x in zip(_cup_table(b, p), w):
-        if hit is not None:
-            out[hit[0]] += hit[1] * x
-    return tuple(x % p for x in out)
+    return xi_matrix(form.dim // 4, form.p).apply(w)
 
 
 def diagonal_class(b: int, p: int) -> tuple[int, ...]:
@@ -166,10 +154,12 @@ def classify_form(form: AlternatingForm) -> FormClassification:
 
 
 def _xi_rows(b: int, p: int) -> list[dict[int, int]]:
-    """Sparse rows of xi: wedge pair k lands in one H^2 row with its sign, so
-    every column holds at most one nonzero."""
+    """Sparse rows of xi, the cup rule on the wedge-square basis: wedge pair
+    k lands in one H^2 row with its sign, so every column holds at most one
+    nonzero."""
+    check_genus(b)
     rows: list[dict[int, int]] = [{} for _ in range(4 * b * b + 2)]
-    for k, hit in enumerate(_cup_table(b, p)):
+    for k, hit in enumerate(_cup_basis(a, c, b, p) for a, c in lambda2_pairs(b)):
         if hit is not None:
             rows[hit[0]][k] = hit[1]
     return rows

@@ -344,11 +344,3 @@ class AlternatingForm:
         rows: list[Row] = [{} for _ in range(2 * b)]
         _j_block(b, 0, 0, rows, p)
         return cls(FpMatrix.sparse(rows, 2 * b, p))
-
-    def value(self, u: Sequence[int], v: Sequence[int]) -> int:
-        """omega(u, v) as a reduced residue."""
-        uu = residues(u, self.p, "vector entries")
-        vv = residues(v, self.p, "vector entries")
-        if len(uu) != self.dim or len(vv) != self.dim:
-            raise PreconditionError(f"vectors must have length {self.dim}")
-        return sum(uu[i] * x * vv[j] for i, row in enumerate(self.omega._r) for j, x in row.items()) % self.p

@@ -20,7 +20,8 @@ C and the commutator pairing Omega are :class:`FpMatrix` values, and every
 product, inverse and power is computed in Python integers, so group
 arithmetic is exact for any prime.  The structure suite
 :func:`verify_extra_special` enumerates over :meth:`HeisGroup.mul` in Python
-integers too, so this module imports no numpy.
+integers too, so this module imports no numpy; a group of more than
+``STRUCTURE_BOUND`` elements is refused, not approximated.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 import operator
 from typing import NamedTuple, Sequence
 
-from .errors import InconsistencyError, PreconditionError
+from .errors import EnumerationBoundError, InconsistencyError, PreconditionError
 from .fplinalg import AlternatingForm, residues
 
 
@@ -96,9 +97,7 @@ class HeisGroup:
         return HeisElement(tuple(-x % p for x in g.v), (-g.t + self._twist(g.v, g.v)) % p)
 
     def power(self, g: HeisElement, k: int) -> HeisElement:
-        if k < 0:
-            g, k = self.inv(g), -k
-        # g^k = (k v, k t + C(k,2) c(v,v))
+        # g^k = (k v, k t + C(k,2) c(v,v)), exact for every integer k
         p = self.p
         t = k * g.t + k * (k - 1) // 2 * self._twist(g.v, g.v)
         return HeisElement(tuple(k * x % p for x in g.v), t % p)
@@ -114,14 +113,13 @@ class HeisGroup:
             return 1
         return self.p if self.power(g, self.p).t == 0 else self.p**2
 
-    def commutator(self, g, h):
-        gi, hi = self.inv(g), self.inv(h)
-        return self.mul(self.mul(g, h), self.mul(gi, hi))
-
 
 # ---------------------------------------------------------------------------
 # structure verification
 # ---------------------------------------------------------------------------
+
+
+STRUCTURE_BOUND = 2 * 10**5  # the largest group the structure suite enumerates
 
 
 class GroupStructureReport(NamedTuple):
@@ -131,69 +129,54 @@ class GroupStructureReport(NamedTuple):
     commutator_order: int
     involution_count: int  # elements of order exactly 2
     is_extra_special: bool
-    method: str  # "enumeration" or "structural"
 
 
-def verify_extra_special(group: HeisGroup, enumeration_bound: int = 2 * 10**5) -> GroupStructureReport:
-    """Check order, exponent, center and commutator subgroup.
+def verify_extra_special(group: HeisGroup) -> GroupStructureReport:
+    """Check order, exponent, center and commutator subgroup by enumeration.
 
-    Groups of order up to ``enumeration_bound`` are enumerated outright; the
-    element orders, the center and (for very small groups) the full set of
-    pairwise commutators are computed exhaustively.  Larger groups get the
-    structural versions of the same numbers: exponent from generator orders,
-    center from the kernel of the commutator pairing, commutator subgroup from
-    the pairing values on basis vectors (commutators are central and bilinear
-    in this nilpotency class, so nothing is lost).
+    Every element's order is found by repeated multiplication, the center by
+    testing omega(v, .) on every vector (and checked against the kernel of
+    the commutator pairing), and for groups of at most 2000 elements the
+    commutator subgroup from the full table of pairwise commutators.  A group
+    of more than ``STRUCTURE_BOUND`` elements is refused with
+    :class:`EnumerationBoundError` before anything is enumerated, never
+    approximated.
 
     A degenerate form is legal input; the report then shows the
     enlarged center ker(omega) x F_p and ``is_extra_special`` False.
     """
+    if group.order > STRUCTURE_BOUND:
+        raise EnumerationBoundError(f"group order {group.order} exceeds the structure suite's bound {STRUCTURE_BOUND}")
     p = group.p
     comm_rank = group.form.omega.rank()
-    center_order_structural = p ** (group.dim - comm_rank + 1)
     commutator_order = p if comm_rank else 1
-
-    if group.order <= enumeration_bound:
-        vectors = list(itertools.product(range(p), repeat=group.dim))
-        # each element's order by repeated multiplication, independent of the
-        # closed forms in power and order_of
-        identity, mul = group.identity, group.mul
-        exponent, involutions = 1, 0
-        for v in vectors:
-            for t in range(p):
-                g = x = HeisElement(v, t)
-                k = 1
-                while x != identity:
-                    x = mul(x, g)
-                    k += 1
-                exponent = math.lcm(exponent, k)
-                involutions += k == 2
-        # (v, t) is central iff omega(v, .) vanishes, whatever t
-        center_order = p * sum(not any(group.form.omega.apply(v)) for v in vectors)
-        if center_order != center_order_structural:
-            raise InconsistencyError("exhaustive center disagrees with kernel computation")
-        if group.order <= 2000:
-            # full pairwise commutator table; every commutator is the central
-            # element with exponent omega(u, w), so the value set determines
-            # the commutator subgroup
-            columns = [group.form.omega.apply(w) for w in vectors]
-            values = {sum(map(operator.mul, u, c)) % p for u in vectors for c in columns}
-            if values not in ({0}, set(range(p))):
-                raise InconsistencyError("commutator values of a bilinear pairing must be {0} or all of F_p")
-            commutator_order = 1 if values == {0} else p
-        method = "enumeration"
-    else:
-        if p != 2:
-            # g^p = (p v, p t + binom(p, 2) c(v, v)) vanishes for odd p
-            exponent = p
-        else:
-            # order 4 exists iff the square map v -> c(v, v) is not identically
-            # zero mod 2; C has a zero diagonal, so c(e_i + e_j, e_i + e_j) =
-            # omega_ij for i < j, and some square is nontrivial iff omega != 0
-            exponent = 4 if comm_rank else 2
-        involutions = -1  # not enumerated
-        center_order = center_order_structural
-        method = "structural"
+    vectors = list(itertools.product(range(p), repeat=group.dim))
+    # each element's order by repeated multiplication, independent of the
+    # closed forms in power and order_of
+    identity, mul = group.identity, group.mul
+    exponent, involutions = 1, 0
+    for v in vectors:
+        for t in range(p):
+            g = x = HeisElement(v, t)
+            k = 1
+            while x != identity:
+                x = mul(x, g)
+                k += 1
+            exponent = math.lcm(exponent, k)
+            involutions += k == 2
+    # (v, t) is central iff omega(v, .) vanishes, whatever t
+    center_order = p * sum(not any(group.form.omega.apply(v)) for v in vectors)
+    if center_order != p ** (group.dim - comm_rank + 1):
+        raise InconsistencyError("exhaustive center disagrees with kernel computation")
+    if group.order <= 2000:
+        # full pairwise commutator table; every commutator is the central
+        # element with exponent omega(u, w), so the value set determines
+        # the commutator subgroup
+        columns = [group.form.omega.apply(w) for w in vectors]
+        values = {sum(map(operator.mul, u, c)) % p for u in vectors for c in columns}
+        if values not in ({0}, set(range(p))):
+            raise InconsistencyError("commutator values of a bilinear pairing must be {0} or all of F_p")
+        commutator_order = 1 if values == {0} else p
 
     extra_special = (
         center_order == p
@@ -207,5 +190,4 @@ def verify_extra_special(group: HeisGroup, enumeration_bound: int = 2 * 10**5) -
         commutator_order=commutator_order,
         involution_count=involutions,
         is_extra_special=extra_special,
-        method=method,
     )

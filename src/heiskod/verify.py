@@ -347,8 +347,6 @@ def subgroup_order_fast(group: HeisGroup, elements: Sequence) -> int:
     """
     p, dim = group.p, group.dim
     m = len(elements)
-    if m == 0:
-        return 1
     rows = [{k: a for k, a in enumerate(g.v) if a} for g in elements]
     proj = FpMatrix.sparse(rows, dim, p)
     cols = [{} for _ in range(dim)]

@@ -835,30 +835,32 @@ def test_no_module_imports_another_modules_private_name():
 
 def unreferenced(selected):
     """The module-level functions and classes and the methods of the package
-    whose names ``selected`` admits, and the names of those that nothing in
-    the package references outside their own definition."""
+    whose names ``selected`` admits, and those that nothing in the package
+    references outside their own definition, a method named ``Class.name``.
+
+    A module-level name counts as used wherever it is read, bare or as an
+    attribute; a method only where an attribute of that name is read
+    (``x.name``), so a local variable or another module's function of the
+    same name does not keep a method alive."""
     trees = [ast.parse(path.read_text()) for path in sorted((SRC / "heiskod").glob("*.py"))]
-    defined = []
+    defined = []  # (definition, name to report, whether it is a method)
     for tree in trees:
         for node in tree.body:
             members = node.body if isinstance(node, ast.ClassDef) else []
             defined += [
-                d
+                (d, f"{node.name}.{d.name}" if d is not node else d.name, d is not node)
                 for d in (node, *members)
                 if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and selected(d.name)
             ]
-    uses = [
-        (n.id if isinstance(n, ast.Name) else n.attr, n)
-        for tree in trees
-        for n in ast.walk(tree)
-        if isinstance(n, (ast.Name, ast.Attribute))
-    ]
+    attributes = [(n.attr, n) for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
+    bare = [(n.id, n) for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Name)]
     unused = []
-    for d in defined:
+    for d, label, method in defined:
         inside = {id(n) for n in ast.walk(d)}
-        if not any(name == d.name and id(n) not in inside for name, n in uses):
-            unused.append(d.name)
-    return defined, unused
+        reads = attributes if method else attributes + bare
+        if not any(name == d.name and id(n) not in inside for name, n in reads):
+            unused.append(label)
+    return [d for d, _, _ in defined], unused
 
 
 def test_no_private_helper_is_dead():

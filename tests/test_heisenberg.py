@@ -8,11 +8,13 @@ the reference for the isomorphism (v, t) -> (v, t + v . C . v / 2) onto it.
 """
 
 import itertools
+import random
+import time
 
 import numpy as np
 import pytest
 
-from heiskod.errors import InconsistencyError, PreconditionError
+from heiskod.errors import EnumerationBoundError, InconsistencyError, PreconditionError
 from heiskod.fplinalg import AlternatingForm, FpMatrix
 from heiskod.heisenberg import HeisElement, HeisGroup, verify_extra_special
 
@@ -37,6 +39,17 @@ def upper_twist(form: AlternatingForm, u, w) -> int:
     return sum(omega[i][j] * u[i] * w[j] for i in range(form.dim) for j in range(i + 1, form.dim))
 
 
+def form_value(form: AlternatingForm, u, w) -> int:
+    """omega(u, w) = sum over i, j of u_i omega_ij w_j mod p, in Python integers."""
+    omega = form.omega.to_lists()
+    return sum(u[i] * omega[i][j] * w[j] for i in range(form.dim) for j in range(form.dim)) % form.p
+
+
+def commutator(group: HeisGroup, g: HeisElement, h: HeisElement) -> HeisElement:
+    """[g, h] = g h g^-1 h^-1 from the group's product and inverse."""
+    return group.mul(group.mul(g, h), group.mul(group.inv(g), group.inv(h)))
+
+
 # -- group law ------------------------------------------------------------------
 
 
@@ -48,7 +61,7 @@ def test_pair_identity_and_example():
     # the cocycle is the upper triangle of omega: c(e1, e2) = 1, c(e2, e1) = 0
     assert g5.mul(e1, e2) == g5.element((1, 1), 1)
     assert g5.mul(e2, e1) == g5.element((1, 1), 0)
-    assert g5.commutator(e1, e2) == g5.element((0, 0), 1)
+    assert commutator(g5, e1, e2) == g5.element((0, 0), 1)
 
 
 def test_cocycle_is_upper_triangle_of_omega():
@@ -76,8 +89,7 @@ def test_pair_group_axioms_random():
         assert group.mul(g, group.inv(g)) == group.identity
         assert group.mul(group.identity, g) == g
         # commutator carries exactly the form value and only sees projections
-        assert group.commutator(g, h).t == group.form.value(g.v, h.v)
-        assert group.commutator(g, h).v == (0,) * 8
+        assert commutator(group, g, h) == HeisElement((0,) * 8, form_value(group.form, g.v, h.v))
 
 
 def test_pair_exponent_p():
@@ -188,7 +200,7 @@ def test_matrix_commutator_rule():
         y = rng.integers(0, 5, 3)
         g = h.element((*x, 0, 0, 0), 0)
         k = h.element((0, 0, 0, *y), 0)
-        assert h.commutator(g, k) == h.central(int(x @ y))
+        assert commutator(h, g, k) == h.central(int(x @ y))
 
 
 def test_matrix_elements_are_pairs():
@@ -201,6 +213,28 @@ def test_matrix_elements_are_pairs():
     assert h.basis_element(2) == HeisElement((0, 0, 1, 0), 0)  # Y_1
     assert h.central(6) == h.element((0, 0, 0, 0), 1)
     assert repr(h.basis_element(0)) == "HeisElement(v=(1, 0, 0, 0), t=0)"
+
+
+@pytest.mark.parametrize("p", [5, 2, 2**61 - 1])
+def test_negative_powers(p):
+    # g^k = (k v, k t + C(k, 2) c(v, v)) holds for negative k as written, on
+    # a random form whose cocycle fills the upper triangle
+    rng = random.Random(p)
+    n = 6
+    rows = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        rows[i][j] = rng.randrange(p)
+        rows[j][i] = -rows[i][j]
+    group = HeisGroup(AlternatingForm(FpMatrix(rows, p)))
+    for _ in range(200):
+        g = group.element([rng.randrange(p) for _ in range(n)], rng.randrange(p))
+        k = rng.randrange(1, 4 * p if p < 100 else 2**70)
+        assert group.power(g, -k) == group.power(group.inv(g), k) == group.inv(group.power(g, k))
+        # and against repeated multiplication by the inverse
+        x = group.identity
+        for _ in range(k % 7):
+            x = group.mul(x, group.inv(g))
+        assert group.power(g, -(k % 7)) == x
 
 
 def test_matrix_orders():
@@ -219,7 +253,7 @@ def half_law(form: AlternatingForm, g: HeisElement, h: HeisElement) -> HeisEleme
     """(v, t)(w, s) = (v + w, t + s + omega(v, w) / 2), the reference law."""
     p = form.p
     v = tuple((a + b) % p for a, b in zip(g.v, h.v))
-    return HeisElement(v, (g.t + h.t + form.value(g.v, h.v) * pow(2, -1, p)) % p)
+    return HeisElement(v, (g.t + h.t + form_value(form, g.v, h.v) * pow(2, -1, p)) % p)
 
 
 def phi(group: HeisGroup, g: HeisElement) -> HeisElement:
@@ -279,7 +313,6 @@ def test_iso_random_multiplicative_larger():
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_extra_special_pair_groups(p):
     rep = verify_extra_special(std(1, p))
-    assert rep.method == "enumeration"
     assert rep.order == p**3
     assert rep.exponent == p
     assert rep.center_order == p
@@ -304,42 +337,31 @@ def test_degenerate_center():
 
 
 def test_structural_exponent_p2():
-    # too large to enumerate: H_{2n+1}(F_2) at n = 12 has order 2^25
-    rep = verify_extra_special(std(12, 2))
-    assert rep.method == "structural" and rep.exponent == 4
-    # the zero form: abelian, every square trivial
+    # too large to enumerate, so refused before any element is visited:
+    # H_{2n+1}(F_2) at n = 12 (order 2^25) and the zero form on F_2^25
+    # (order 2^26)
     flat = HeisGroup(AlternatingForm(FpMatrix.sparse([{}] * 25, 25, 2)))
-    rep = verify_extra_special(flat)
-    assert rep.method == "structural" and rep.exponent == 2
-    assert not rep.is_extra_special
+    for group in (std(12, 2), flat):
+        start = time.perf_counter()
+        with pytest.raises(EnumerationBoundError, match=str(group.order)):
+            verify_extra_special(group)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_structural_path_matches_enumeration():
-    # every form builds a group at p = 2, degenerate or not
-    p2_family = HeisGroup(AlternatingForm.family(2, 2, (1, 0), (0, 1)))
+    # exact enumerated (order, exponent, center, commutator subgroup); every
+    # form builds a group at p = 2, degenerate or not
+    for form, numbers in (
+        (AlternatingForm.family(2, 3, (1, 1), (2, 2)), (3**9, 3, 3, 3)),
+        (AlternatingForm.family(2, 2, [-1] * 2, [-1] * 2), (512, 4, 32, 2)),
+        (AlternatingForm.family(2, 2, (1, 0), (0, 1)), (512, 4, 2, 2)),
+    ):
+        rep = verify_extra_special(HeisGroup(form))
+        assert (rep.order, rep.exponent, rep.center_order, rep.commutator_order) == numbers
     # the zero-dimensional form gives the group F_p, which the enumeration
     # used to fail on with numpy's broadcasting ValueError
-    lines = [HeisGroup(AlternatingForm(FpMatrix.sparse([], 0, p))) for p in (2, 3, 5)]
-    for group in (
-        HeisGroup(AlternatingForm.family(2, 3, (1, 1), (2, 2))),
-        HeisGroup(AlternatingForm.family(2, 2, [-1] * 2, [-1] * 2)),  # order 512
-        p2_family,
-        *lines,
-    ):
-        by_enum = verify_extra_special(group, enumeration_bound=group.order)
-        structural = verify_extra_special(group, enumeration_bound=group.order - 1)
-        assert by_enum.method == "enumeration" and structural.method == "structural"
-        assert (by_enum.order, by_enum.exponent, by_enum.center_order, by_enum.commutator_order) == (
-            structural.order,
-            structural.exponent,
-            structural.center_order,
-            structural.commutator_order,
-        )
-    rep = verify_extra_special(HeisGroup(AlternatingForm.family(2, 2, [-1] * 2, [-1] * 2)))
-    assert (rep.order, rep.exponent, rep.center_order, rep.commutator_order) == (512, 4, 32, 2)
-    for group in lines:
-        rep = verify_extra_special(group)
-        p = group.p
+    for p in (2, 3, 5):
+        rep = verify_extra_special(HeisGroup(AlternatingForm(FpMatrix.sparse([], 0, p))))
         assert (rep.order, rep.exponent, rep.center_order, rep.commutator_order) == (p, p, p, 1)
         assert not rep.is_extra_special
 
