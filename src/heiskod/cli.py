@@ -55,10 +55,6 @@ def _parse_residues(text: Optional[str], what: str) -> Optional[list[int]]:
         raise PreconditionError(f"cannot parse {what} list {text!r}") from None
 
 
-def _emit(text: str, path: Optional[str]) -> None:
-    _emit_stream((text,), path)
-
-
 def _emit_stream(chunks: Iterable[str], path: Optional[str]) -> None:
     """Write the concatenation of ``chunks`` one chunk at a time.
 
@@ -115,8 +111,6 @@ def cmd_verify(args) -> int:
         verify_assignment,
     )
 
-    if args.enumeration_bound is not None and not args.bfs_oracle:
-        raise PreconditionError("--enumeration-bound applies only with --bfs-oracle")
     lam = _parse_residues(args.lam, "lambda")
     mu = _parse_residues(args.mu, "mu")
     if args.family == "degenerate":
@@ -127,9 +121,10 @@ def cmd_verify(args) -> int:
         if lam is None or mu is None:
             raise PreconditionError("the non-degenerate family needs --lambda and --mu")
         assignment = standard_assignment_nondegenerate(args.b, args.p, lam, mu)
-    bound = ENUMERATION_BOUND if args.enumeration_bound is None else args.enumeration_bound
-    report = verify_assignment(assignment, bound if args.bfs_oracle else None)
-    _emit(json.dumps(report.to_json_dict(), indent=2) if args.format == "json" else report.text(), args.output)
+    # a bare --bfs-oracle is the const True, read as the default bound
+    report = verify_assignment(assignment, ENUMERATION_BOUND if args.bfs_oracle is True else args.bfs_oracle)
+    text = json.dumps(report.to_json_dict(), indent=2) if args.format == "json" else report.text()
+    _emit_stream((text,), args.output)
     return 0 if report.ok else 1
 
 
@@ -161,16 +156,16 @@ def cmd_classify_form(args) -> int:
         "p": form.p,
         "dim": form.dim,
         "alternating": True,  # an AlternatingForm is alternating by construction
-        "symplectic": cls.is_symplectic,
+        "symplectic": cls.det != 0,
         "kernel_dim": form.dim - form.omega.rank(),
         "diagonal_multiple": cls.diagonal_multiple,
         "heisenberg_type": cls.is_heisenberg_type,
         "det": cls.det,
     }
     if args.format == "json":
-        _emit(json.dumps(record, indent=2), args.output)
+        _emit_stream((json.dumps(record, indent=2),), args.output)
     else:
-        _emit("\n".join(f"{k}: {v}" for k, v in record.items()), args.output)
+        _emit_stream(("\n".join(f"{k}: {v}" for k, v in record.items()),), args.output)
     return 0
 
 
@@ -232,11 +227,11 @@ def cmd_invariants(args) -> int:
     record["group_order"] = inv.group_order
     record["n"] = inv.n
     if args.format == "json":
-        _emit(json.dumps(record, indent=2), args.output)
+        _emit_stream((json.dumps(record, indent=2),), args.output)
     elif args.format == "csv":
-        _emit(rows_to_csv([row]), args.output)
+        _emit_stream((rows_to_csv([row]),), args.output)
     else:
-        _emit("\n".join(f"{k}: {v}" for k, v in record.items()), args.output)
+        _emit_stream(("\n".join(f"{k}: {v}" for k, v in record.items()),), args.output)
     return 0
 
 
@@ -251,13 +246,13 @@ def cmd_census(args) -> int:
             "claims": [{"claim": c.name, "holds": c.holds, "detail": c.detail} for c in claims],
             "all_claims_hold": all_hold,
         }
-        _emit(json.dumps(payload, indent=2), args.output)
+        _emit_stream((json.dumps(payload, indent=2),), args.output)
     elif args.format == "csv":
-        _emit(rows_to_csv(rows), args.output)
+        _emit_stream((rows_to_csv(rows),), args.output)
         for c in claims:
             sys.stderr.write(c.line() + "\n")
     else:
-        _emit(rows_to_csv(rows) + "\n" + "\n".join(c.line() for c in claims), args.output)
+        _emit_stream((rows_to_csv(rows) + "\n" + "\n".join(c.line() for c in claims),), args.output)
     return 0 if all_hold else 1
 
 
@@ -266,9 +261,9 @@ def cmd_kappa(args) -> int:
 
     values = {b: kappa(b) for b in _parse_range(args.b)}
     if args.format == "json":
-        _emit(json.dumps([{"b": b, "kappa": k} for b, k in values.items()], indent=2), args.output)
+        _emit_stream((json.dumps([{"b": b, "kappa": k} for b, k in values.items()], indent=2),), args.output)
     else:
-        _emit("\n".join(f"kappa({b}) = {k}" for b, k in values.items()), args.output)
+        _emit_stream(("\n".join(f"kappa({b}) = {k}" for b, k in values.items()),), args.output)
     return 0
 
 
@@ -312,13 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda", dest="lam", default=None, help="comma-separated, reduced mod p")
     sp.add_argument("--mu", default=None, help="comma-separated, reduced mod p")
     sp.add_argument(
-        "--bfs-oracle", action="store_true",
-        help="also cross-check m1, m2 by exhaustive subgroup enumeration",
-    )
-    sp.add_argument(
-        "--enumeration-bound", type=int, default=None,
-        help="with --bfs-oracle: refuse groups with more elements than this "
-        "(default: heiskod.verify.ENUMERATION_BOUND)",
+        "--bfs-oracle", nargs="?", type=int, const=True, default=None, metavar="BOUND",
+        help="also cross-check m1, m2 by exhaustive subgroup enumeration, refusing groups "
+        "of more than BOUND elements (default: heiskod.verify.ENUMERATION_BOUND)",
     )
     _add_common(sp)
     sp.set_defaults(fn=cmd_verify)

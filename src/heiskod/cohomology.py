@@ -82,15 +82,10 @@ def lambda2_pairs(b: int) -> list[tuple[int, int]]:
     return [(a, c) for a in range(4 * b) for c in range(a + 1, 4 * b)]
 
 
-def _form_genus(form: AlternatingForm) -> int:
-    if form.dim % 4 != 0 or form.dim < 8:
-        raise PreconditionError(f"form dimension {form.dim} is not 4b for some b >= 2")
-    return form.dim // 4
-
-
 def vec_of_form(form: AlternatingForm) -> tuple[int, ...]:
     """Coordinates of a form on the wedge-square basis (upper triangle)."""
-    _form_genus(form)
+    if form.dim % 4 != 0 or form.dim < 8:
+        raise PreconditionError(f"form dimension {form.dim} is not 4b for some b >= 2")
     return tuple(x for a, row in enumerate(form.omega.to_lists()) for x in row[a + 1 :])
 
 
@@ -124,15 +119,11 @@ class FormClassification(NamedTuple):
     diagonal_multiple: Optional[int]
     is_heisenberg_type: bool
 
-    @property
-    def is_symplectic(self) -> bool:
-        return self.det != 0
-
 
 def classify_form(form: AlternatingForm) -> FormClassification:
     """Decide whether xi(form) lies on the line spanned by the diagonal class.
 
-    Degenerate forms are accepted; symplecticity is reported separately.
+    Degenerate forms are accepted; the form is symplectic iff ``det`` != 0.
     """
     img = xi_of_form(form)
     # delta has coefficient 1 on g(x)1, so the only candidate multiple is the

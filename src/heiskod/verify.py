@@ -41,7 +41,9 @@ Two standard assignments are provided.
 Subgroup indices come from a fast structural method; ``verify_assignment``
 cross-checks them, given a bound, against an exhaustive oracle that marks the
 generated subgroup element by element in Python-int bitmaps, and the two must
-agree wherever both run.
+agree wherever both run.  On the command line the one option ``verify
+--bfs-oracle [BOUND]`` runs the oracle, with ``ENUMERATION_BOUND`` when no
+BOUND is given.
 """
 
 from __future__ import annotations
@@ -69,13 +71,15 @@ from .primes import check_family
 class GeneratorAssignment:
     """Images of the 4b + 1 presentation generators in a fixed target group:
     ``images[i]`` is the image of the letter i + 1, an element of the target
-    whose entries are ints reduced mod p, the target's prime and the only one."""
+    whose entries are ints reduced mod p, the target's prime and the only one.
+    The genus b is read off the images, b = (len(images) - 1) / 4."""
 
     __slots__ = ("b", "family", "target", "images")
 
-    def __init__(self, b: int, family: str, target: HeisGroup, images: tuple):
-        if not isinstance(images, tuple) or len(images) != 4 * b + 1:
-            raise PreconditionError(f"need a tuple of {4 * b + 1} generator images at genus {b}")
+    def __init__(self, family: str, target: HeisGroup, images: tuple):
+        if not isinstance(images, tuple) or len(images) % 4 != 1 or len(images) < 9:
+            raise PreconditionError("need a tuple of 4b + 1 generator images for some genus b >= 2")
+        b = len(images) // 4
         for g in images:
             ok = isinstance(g, HeisElement) and type(g.v) is tuple and len(g.v) == target.dim
             if not ok or not all(type(a) is int and 0 <= a < target.p for a in (*g.v, g.t)):
@@ -150,7 +154,6 @@ class VerificationReport(NamedTuple):
     family: str
     target_order: int
     total_relators: int
-    passed: int
     failures: tuple  # (relator index, source label, evaluated element)
     a12_order: int
     m1: int
@@ -159,15 +162,15 @@ class VerificationReport(NamedTuple):
     oracle: tuple  # (index label, enumerated subgroup order, agrees), empty without the oracle
 
     @property
-    def all_passed(self) -> bool:
-        return self.passed == self.total_relators
+    def passed(self) -> int:
+        return self.total_relators - len(self.failures)
 
     @property
     def ok(self) -> bool:
         """Every relator dies, A12 has order p, the image is the whole target
         and the oracle, where it ran, agrees: the lift is proved."""
         oracle_agrees = all(agrees for _, _, agrees in self.oracle)
-        return self.all_passed and self.a12_order == self.p and self.is_surjective and oracle_agrees
+        return not self.failures and self.a12_order == self.p and self.is_surjective and oracle_agrees
 
     def to_json_dict(self) -> dict:
         out = {
@@ -234,7 +237,6 @@ def verify_assignment(assignment: GeneratorAssignment, oracle_bound: Optional[in
         family=assignment.family,
         target_order=target.order,
         total_relators=len(pres.relators),
-        passed=len(pres.relators) - len(failures),
         failures=tuple(failures),
         a12_order=target.order_of(assignment.images[-1]),  # A12 is the last letter
         m1=m1,
@@ -280,7 +282,7 @@ def standard_assignment_nondegenerate(
     group = HeisGroup(AlternatingForm.family(b, p, lam, mu))
     # letter i + 1 to the i-th basis vector, A12 to the center
     images = tuple(map(group.basis_element, range(4 * b))) + (group.central(1),)
-    return GeneratorAssignment(b, "nondegenerate", group, images)
+    return GeneratorAssignment("nondegenerate", group, images)
 
 
 def tau2_to_r2_variant(b: int, p: int, lambdas: Sequence[int], mus: Sequence[int]) -> GeneratorAssignment:
@@ -295,7 +297,7 @@ def tau2_to_r2_variant(b: int, p: int, lambdas: Sequence[int], mus: Sequence[int
     for j in range(1, b + 1):
         (r,), (t,) = rho(b, 2, j), tau(b, 2, j)
         images[t - 1] = images[r - 1]
-    return GeneratorAssignment(b, "nondegenerate-tau2-as-r2", base.target, tuple(images))
+    return GeneratorAssignment("nondegenerate-tau2-as-r2", base.target, tuple(images))
 
 
 def standard_assignment_degenerate(b: int, p: int) -> GeneratorAssignment:
@@ -308,7 +310,7 @@ def standard_assignment_degenerate(b: int, p: int) -> GeneratorAssignment:
     group = HeisGroup(AlternatingForm.j_form(b, p))
     # both strands on the same 2b basis vectors, A12 to the center
     images = tuple(group.basis_element(k % (2 * b)) for k in range(4 * b)) + (group.central(1),)
-    return GeneratorAssignment(b, "degenerate", group, images)
+    return GeneratorAssignment("degenerate", group, images)
 
 
 def precompose_involution(assignment: GeneratorAssignment) -> GeneratorAssignment:
@@ -318,7 +320,7 @@ def precompose_involution(assignment: GeneratorAssignment) -> GeneratorAssignmen
     original assignment kills every relator the precomposed one must too.
     """
     images = tuple(map(assignment.image, involution_substitute(range(1, 4 * assignment.b + 2), assignment.b)))
-    return GeneratorAssignment(assignment.b, assignment.family + "+involution", assignment.target, images)
+    return GeneratorAssignment(assignment.family + "+involution", assignment.target, images)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,12 @@ def test_verify_nondegenerate_pass(capsys):
     assert payload["m1"] == payload["m2"] == 625
 
 
+NONDEGENERATE_ORACLE = [
+    {"index": "m1", "subgroup_order": 3125, "agrees": True},
+    {"index": "m2", "subgroup_order": 3125, "agrees": True},
+]
+
+
 def test_verify_bfs_oracle_flag(capsys):
     code, out, _ = run(
         capsys,
@@ -91,17 +97,34 @@ def test_verify_bfs_oracle_flag(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["bfs_oracle"] == [
-        {"index": "m1", "subgroup_order": 3125, "agrees": True},
-        {"index": "m2", "subgroup_order": 3125, "agrees": True},
-    ]
+    assert payload["bfs_oracle"] == NONDEGENERATE_ORACLE
+
+
+def test_bfs_oracle_last_takes_the_default_bound(capsys):
+    # a bare --bfs-oracle takes no value, last as before another option
+    code, out, _ = run(
+        capsys,
+        "verify", "--family", "nondegenerate", "--b", "2", "--p", "5",
+        "--lambda", "3,3", "--mu", "3,3", "--format", "json", "--bfs-oracle",
+    )
+    assert code == 0
+    assert json.loads(out)["bfs_oracle"] == NONDEGENERATE_ORACLE
+
+
+def test_enumeration_bound_is_no_option(capsys):
+    # the bound is the value of --bfs-oracle; a second option for it is gone
+    code, out, err = run(
+        capsys, "verify", "--family", "degenerate", "--b", "2", "--p", "3", "--enumeration-bound", "5"
+    )
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --enumeration-bound 5" in err
 
 
 def test_verify_enumeration_bound_override(capsys):
     code, _, err = run(
         capsys,
         "verify", "--family", "degenerate", "--b", "2", "--p", "3",
-        "--bfs-oracle", "--enumeration-bound", "100",
+        "--bfs-oracle", "100",
     )
     assert code == 2
     assert "bound" in err
@@ -109,32 +132,23 @@ def test_verify_enumeration_bound_override(capsys):
 
 @pytest.mark.parametrize("bound", ["0", "-5"])
 def test_verify_nonpositive_enumeration_bound_exits_2(capsys, bound):
-    # a bound that admits no group is a bound, not a request for the default
+    # a bound that admits no group is a bound: the oracle runs and refuses
+    # it, where a switch would have turned the oracle off or taken the default
     code, out, err = run(
         capsys,
         "verify", "--family", "degenerate", "--b", "2", "--p", "3",
-        "--bfs-oracle", "--enumeration-bound", bound,
+        "--bfs-oracle", bound,
     )
     assert (code, out) == (2, "")
     assert err == f"error: group order 243 exceeds the enumeration bound {bound}\n"
 
 
-def test_verify_enumeration_bound_without_oracle_exits_2(capsys):
-    # only the oracle reads the bound, so it is refused without it
-    code, out, err = run(
-        capsys, "verify", "--family", "degenerate", "--b", "2", "--p", "3", "--enumeration-bound", "5"
-    )
-    assert code == 2
-    assert out == ""
-    assert "--bfs-oracle" in err
-
-
-def test_verify_enumeration_bound_beyond_int64_exits_2(capsys):
+def test_verify_enumeration_bound_beyond_2_62_exits_2(capsys):
     # order 41^81: numpy used to fail with "Maximum allowed dimension exceeded"
     code, _, err = run(
         capsys,
         "verify", "--family", "degenerate", "--b", "40", "--p", "41",
-        "--bfs-oracle", "--enumeration-bound", str(10**200),
+        "--bfs-oracle", str(10**200),
     )
     assert code == 2
     assert "2^62" in err
@@ -703,6 +717,9 @@ def test_exact_subcommands_never_import_numpy(argv):
     assert "numpy" not in modules
     # only selftest imports acceptance, and the probe sees what is loaded
     assert "heiskod.acceptance" not in modules
+    # only verify imports the verifier: the parser, built by every start
+    # (kappa's is the benchmark's start-up probe), does not
+    assert ("heiskod.verify" in modules) == (argv[0] == "verify")
     assert "heiskod.cli" in modules
 
 
@@ -870,6 +887,20 @@ def test_no_private_helper_is_dead():
     defined, dead = unreferenced(lambda name: name.startswith("_") and not name.endswith("__"))
     assert len(defined) > 50  # the scan sees the package's private helpers
     assert dead == []
+
+
+def test_every_option_is_read():
+    # every add_argument destination is read as args.<dest> in the CLI, so
+    # no option outlives its reader, as no function outlives its caller above
+    tree = ast.parse((SRC / "heiskod" / "cli.py").read_text())
+    dests = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+            named = [k.value.value for k in node.keywords if k.arg == "dest"]
+            dests.add(named[0] if named else node.args[0].value.lstrip("-").replace("-", "_"))
+    reads = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "args"}
+    assert {"lam", "bfs_oracle", "matrix_json", "format"} <= dests  # the scan sees dest= and derived names
+    assert sorted(dests - reads) == []
 
 
 def test_no_public_name_without_a_caller():

@@ -130,7 +130,7 @@ def test_oracle_runs_once_per_distinct_generating_set(capsys, monkeypatch, stem,
 def _a12_killed(b, p, lam, mu):
     base = standard_assignment_nondegenerate(b, p, lam, mu)
     images = base.images[:-1] + (base.target.identity,)
-    return GeneratorAssignment(b, "a12-killed", base.target, images)
+    return GeneratorAssignment("a12-killed", base.target, images)
 
 
 @pytest.mark.parametrize(

@@ -63,12 +63,17 @@ def test_surface_relator_closes_via_central_values(nondeg25):
 
 def test_image_tuple_of_wrong_length_refused(nondeg25):
     images = nondeg25.images
-    for bad in ((), images[:-1], images + images[-1:], list(images)):
-        with pytest.raises(PreconditionError, match="generator images"):
-            GeneratorAssignment(2, "partial", nondeg25.target, bad)
-    # the images of genus 2 are too few at genus 3
-    with pytest.raises(PreconditionError, match="generator images"):
-        GeneratorAssignment(3, "partial", nondeg25.target, images)
+    # images[:5] would be genus 1; the plain ints are refused by their
+    # length before any is read, and not as "not an element"
+    for bad in ((), images[:5], images[:-1], images + images[-1:], list(images), (0, 1, 2, 3, 4)):
+        with pytest.raises(PreconditionError, match="generator images for some genus b >= 2"):
+            GeneratorAssignment("partial", nondeg25.target, bad)
+
+
+def test_genus_read_off_the_images(nondeg25):
+    assert GeneratorAssignment("nine", nondeg25.target, nondeg25.images).b == 2
+    deg32 = standard_assignment_degenerate(3, 2)
+    assert GeneratorAssignment("thirteen", deg32.target, deg32.images).b == 3
 
 
 def test_images_outside_the_target_refused(nondeg25):
@@ -89,9 +94,9 @@ def test_images_outside_the_target_refused(nondeg25):
     ]
     for bad in bad_images:
         with pytest.raises(PreconditionError, match="is not an element"):
-            GeneratorAssignment(2, "bad", group, (bad,) + images[1:])
+            GeneratorAssignment("bad", group, (bad,) + images[1:])
     # any reduced element of the target is an image: the images rotated
-    GeneratorAssignment(2, "fine", group, images[1:] + images[:1])
+    GeneratorAssignment("fine", group, images[1:] + images[:1])
 
 
 def test_assignment_prime_is_its_targets():
@@ -99,12 +104,12 @@ def test_assignment_prime_is_its_targets():
     # target's: the degenerate (2, 3) images under p = 7 were reported as
     # p = 7 and not ok, though every relator dies and A12 has order 3
     standard = standard_assignment_degenerate(2, 3)
-    assignment = GeneratorAssignment(2, "degenerate", standard.target, standard.images)
+    assignment = GeneratorAssignment("degenerate", standard.target, standard.images)
     report = verify_assignment(assignment)
     assert report.p == 3 and report.ok
     assert verify_assignment(precompose_involution(assignment)).p == 3
     with pytest.raises(TypeError):
-        GeneratorAssignment(2, 7, "degenerate", standard.target, standard.images)
+        GeneratorAssignment(7, "degenerate", standard.target, standard.images)
 
 
 def test_unreduced_degenerate_images_refused():
@@ -112,7 +117,7 @@ def test_unreduced_degenerate_images_refused():
     standard = standard_assignment_degenerate(3, 2)
     images = tuple(HeisElement(tuple(3 * a for a in g.v), 3 * g.t) for g in standard.images)
     with pytest.raises(PreconditionError, match="reduced mod 2"):
-        GeneratorAssignment(3, "unreduced", standard.target, images)
+        GeneratorAssignment("unreduced", standard.target, images)
 
 
 def test_letters_out_of_range_refused(nondeg25):
@@ -202,7 +207,7 @@ def test_kernel_matches_python_reference(group, data):
     )
     raw = data.draw(st.lists(element, min_size=n, max_size=n))
     images = tuple(HeisElement(tuple(v), t) for v, t in raw)
-    assignment = GeneratorAssignment(b, "random", group, images)
+    assignment = GeneratorAssignment("random", group, images)
     letter = st.integers(1, n).flatmap(lambda i: st.sampled_from([i, -i]))
     words = data.draw(st.lists(st.lists(letter, max_size=40).map(tuple), min_size=1, max_size=12))
     check_against_reference(assignment, words)
@@ -222,7 +227,7 @@ def test_every_relator_matches_python_reference(family, b, p):
     images = tuple(
         HeisElement(tuple(rng.randrange(p) for _ in range(group.dim)), rng.randrange(p)) for _ in range(4 * b + 1)
     )
-    check_against_reference(GeneratorAssignment(b, "random", group, images), words)
+    check_against_reference(GeneratorAssignment("random", group, images), words)
 
 
 def equivalence_assignments(b):
@@ -239,7 +244,7 @@ def equivalence_assignments(b):
         group = base.target
         for i, g in enumerate(base.images):
             images = base.images[:i] + (group.mul(g, group.basis_element(i % group.dim)),) + base.images[i + 1 :]
-            out.append(GeneratorAssignment(b, f"{base.family} mutated at {i + 1}", group, images))
+            out.append(GeneratorAssignment(f"{base.family} mutated at {i + 1}", group, images))
     return out
 
 
@@ -265,7 +270,7 @@ def test_templates_evaluate_as_their_words(b):
 
 def test_nondegenerate_verification(nondeg25):
     report = verify_assignment(nondeg25)
-    assert report.all_passed and report.total_relators == 42
+    assert not report.failures and report.total_relators == 42
     assert report.a12_order == 5
     assert report.m1 == report.m2 == 5**4 == 625
     assert report.is_surjective
@@ -296,7 +301,7 @@ def test_unvalidated_bad_mu_fails_surface_relation_2(nondeg25):
     """mu = (2,3) sums to 0 mod 5; forced through, it must break relators."""
     group = HeisGroup(AlternatingForm.family(2, 5, (3, 3), (2, 3)))
     images = tuple(map(group.basis_element, range(8))) + (group.central(1),)
-    report = verify_assignment(GeneratorAssignment(2, "forced", group, images))
+    report = verify_assignment(GeneratorAssignment("forced", group, images))
     failed_sources = {src for _, src, _ in report.failures}
     assert "surface relation 2" in failed_sources
 
@@ -304,7 +309,7 @@ def test_unvalidated_bad_mu_fails_surface_relation_2(nondeg25):
 @pytest.mark.parametrize("b,p", [(2, 3), (3, 2), (4, 5), (5, 2), (5, 3)])
 def test_degenerate_verification(b, p):
     report = verify_assignment(standard_assignment_degenerate(b, p))
-    assert report.all_passed
+    assert not report.failures
     assert report.total_relators == 8 * b * b + 4 * b + 2
     assert report.a12_order == p
     assert report.m1 == report.m2 == 1
@@ -321,7 +326,7 @@ def test_degenerate_preconditions():
 
 def test_tau2_variant_fails_expected_relator():
     report = verify_assignment(tau2_to_r2_variant(2, 5, (3, 3), (3, 3)))
-    assert not report.all_passed
+    assert report.failures
     by_source = {src: value for _, src, value in report.failures}
     key = "action rho_1j on tau_2k, j=1, k=1 (j=k)"
     assert key in by_source
@@ -332,7 +337,7 @@ def test_tau2_variant_fails_expected_relator():
 
 def test_a12_mutation_breaks_surface_relation(nondeg25):
     images = nondeg25.images[:-1] + (nondeg25.target.identity,)
-    mutated = GeneratorAssignment(2, "a12-killed", nondeg25.target, images)
+    mutated = GeneratorAssignment("a12-killed", nondeg25.target, images)
     report = verify_assignment(mutated)
     failures = {src: v for _, src, v in report.failures}
     assert "surface relation 1" in failures
@@ -355,9 +360,9 @@ def test_degenerate_assignment_is_quotient_of_big_lifting():
     for b, p in ((2, 3), (4, 5), (3, 2)):
         big = HeisGroup(AlternatingForm.family(b, p, [-1] * b, [-1] * b))
         images = tuple(map(big.basis_element, range(4 * b))) + (big.central(1),)
-        assignment = GeneratorAssignment(b, "degenerate-on-V", big, images)
+        assignment = GeneratorAssignment("degenerate-on-V", big, images)
         report = verify_assignment(assignment)
-        assert report.all_passed and report.a12_order == p
+        assert not report.failures and report.a12_order == p
         assert report.m1 == report.m2 == p ** (2 * b)  # connected only after quotient
 
         standard = standard_assignment_degenerate(b, p)
@@ -386,12 +391,12 @@ def test_degenerate_assignment_is_quotient_of_big_lifting():
 def test_involution_precompose_degenerate(b, p):
     base = standard_assignment_degenerate(b, p)
     report = verify_assignment(precompose_involution(base))
-    assert report.all_passed and report.is_surjective
+    assert not report.failures and report.is_surjective
 
 
 def test_involution_precompose_nondegenerate(nondeg25):
     report = verify_assignment(precompose_involution(nondeg25))
-    assert report.all_passed
+    assert not report.failures
 
 
 # -- subgroup orders -----------------------------------------------------------------
