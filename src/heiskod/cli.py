@@ -17,6 +17,7 @@ configuration is on the command line.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -56,18 +57,19 @@ def _parse_residues(text: Optional[str], what: str) -> Optional[list[int]]:
 
 
 def _emit_stream(chunks: Iterable[str], path: Optional[str]) -> None:
-    """Write the concatenation of ``chunks`` one chunk at a time.
-
-    On stdout it ends with a newline, added if the last chunk has none; a file
-    gets the chunks alone.
-    """
+    """Write the concatenation of ``chunks`` as it is produced: on stdout in
+    blocks of about 64 KiB (stdout may be unbuffered), ending with a newline
+    added if the last chunk has none; a file gets the chunks alone."""
     if path is None:
         out = sys.stdout  # looked up per call, so redirected stdout is honoured
-        last = ""
+        block, n, last = [], 0, ""
         for last in chunks:
-            out.write(last)
-        if not last.endswith("\n"):
-            out.write("\n")
+            block.append(last)
+            n += len(last)
+            if n >= 1 << 16:
+                out.write("".join(block))
+                block, n = [], 0
+        out.write("".join(block) + ("" if last.endswith("\n") else "\n"))
     else:
         with open(path, "w") as fh:
             fh.writelines(chunks)
@@ -169,20 +171,22 @@ def cmd_classify_form(args) -> int:
     return 0
 
 
-Hit = tuple[Sequence[int], Sequence[int]]
+Hit = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _search_json(b: int, p: int, hits: Iterable[Hit], count: Optional[int]) -> Iterator[str]:
     """``json.dumps(payload, indent=2)`` of the search payload, one hit at a time."""
     yield f'{{\n  "b": {b},\n  "p": {p},\n  "hits": ['
+    # each distinct tuple is formatted once; a search has at most (p-1)^(b-1)
+    items = functools.lru_cache(maxsize=None)(lambda t: ",\n        ".join(map(str, t)))
     n = 0
     for lam, mu in hits:
         yield (
             ("\n" if n == 0 else ",\n")
             + '    {\n      "lambda": [\n        '
-            + ",\n        ".join(map(str, lam))
+            + items(lam)
             + '\n      ],\n      "mu": [\n        '
-            + ",\n        ".join(map(str, mu))
+            + items(mu)
             + "\n      ]\n    }"
         )
         n += 1
@@ -192,9 +196,10 @@ def _search_json(b: int, p: int, hits: Iterable[Hit], count: Optional[int]) -> I
 
 def _search_text(b: int, p: int, hits: Iterable[Hit]) -> Iterator[str]:
     """The text listing, one line per hit, lines joined by newlines."""
+    items = functools.lru_cache(maxsize=None)(lambda t: ",".join(map(str, t)))
     n = 0
     for lam, mu in hits:
-        yield ("\n" if n else "") + f"lambda = {','.join(map(str, lam))}  mu = {','.join(map(str, mu))}"
+        yield ("\n" if n else "") + f"lambda = {items(lam)}  mu = {items(mu)}"
         n += 1
     if not n:
         yield f"no valid (lambda, mu) exist for b = {b}, p = {p} (exhaustive search)"

@@ -25,15 +25,16 @@ The product of two degree-1 classes follows the Kunneth sign rule
 relations a_i b_j = -b_j a_i = d_ij g and a_i a_j = b_i b_j = 0.
 
 xi is the cup product into H^2 of the product surface, one sparse matrix
-from the cup rule: each wedge pair (a, c) gives one H^2 row and sign, or none.
-eta is xi followed by a row operation, the quotient by the diagonal class d.
-An alternating form is of Heisenberg type when xi(omega) is a nonzero
-multiple of d, equivalently eta(omega) = 0 and xi(omega) != 0; such forms
-are what the braid-group liftings need.
+built once per (b, p) in a process: each wedge pair (a, c) gives one H^2 row
+and sign, or none.  eta is the quotient map by the diagonal class d applied
+to xi.  An alternating form is of Heisenberg type when xi(omega) is a
+nonzero multiple of d, equivalently eta(omega) = 0 and xi(omega) != 0; such
+forms are what the braid-group liftings need.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from operator import eq
 from typing import Iterator, NamedTuple, Optional
@@ -144,35 +145,27 @@ def classify_form(form: AlternatingForm) -> FormClassification:
 # ---------------------------------------------------------------------------
 
 
-def _xi_rows(b: int, p: int) -> list[dict[int, int]]:
-    """Sparse rows of xi, the cup rule on the wedge-square basis: wedge pair
-    k lands in one H^2 row with its sign, so every column holds at most one
-    nonzero."""
+@functools.lru_cache(maxsize=None, typed=True)
+def xi_matrix(b: int, p: int) -> FpMatrix:
+    """Matrix of xi from the wedge square (dim 8b^2 - 2b) to H^2 (dim 4b^2 + 2),
+    the one reading of the cup rule: wedge pair k lands in one H^2 row with
+    its sign.  Cached per (b, p) and shared, as an FpMatrix never changes;
+    ``typed`` keeps 2.0 from hitting the entry of 2."""
+    check_prime(p)
     check_genus(b)
     rows: list[dict[int, int]] = [{} for _ in range(4 * b * b + 2)]
     for k, hit in enumerate(_cup_basis(a, c, b, p) for a, c in lambda2_pairs(b)):
         if hit is not None:
             rows[hit[0]][k] = hit[1]
-    return rows
-
-
-def xi_matrix(b: int, p: int) -> FpMatrix:
-    """Matrix of xi from the wedge square (dim 8b^2 - 2b) to H^2 (dim 4b^2 + 2)."""
-    check_prime(p)
-    return FpMatrix.sparse(_xi_rows(b, p), 8 * b * b - 2 * b, p)
+    return FpMatrix.sparse(rows, 8 * b * b - 2 * b, p)
 
 
 def eta_matrix(b: int, p: int) -> FpMatrix:
-    """Matrix of eta: xi followed by the quotient by the diagonal class, that
-    is row i of xi minus delta_i times row 0, for i >= 1."""
-    check_prime(p)
-    rows = _xi_rows(b, p)
-    top = rows[0]
-    for row, d in zip(rows[1:], diagonal_class(b, p)[1:]):
-        if d:
-            for k, x in top.items():
-                row[k] = row.get(k, 0) - d * x
-    return FpMatrix.sparse(rows[1:], 8 * b * b - 2 * b, p)
+    """Matrix of eta, xi's quotient by the diagonal class: Q xi, where row i
+    of Q is e_{i+1} - delta_{i+1} e_0 (delta_0 = 1), for i = 0..4b^2."""
+    xi = xi_matrix(b, p)
+    quotient = [{i + 1: 1, 0: -d} for i, d in enumerate(diagonal_class(b, p)[1:])]
+    return FpMatrix.sparse(quotient, xi.rows, p) @ xi
 
 
 def count_heisenberg_candidates(b: int, p: int) -> int:

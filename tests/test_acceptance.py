@@ -66,6 +66,9 @@ def test_suite_detects_cup_rule_sign_flip(monkeypatch):
         return idx, sign
 
     monkeypatch.setattr(cohomology, "_cup_basis", flipped)
+    # bypass the cache: earlier tests filled it, and the mutant's matrices
+    # must not stay in it
+    monkeypatch.setattr(cohomology, "xi_matrix", cohomology.xi_matrix.__wrapped__)
     result = acceptance.run(5)
     assert not result.passed
     assert "diagonal" in result.detail

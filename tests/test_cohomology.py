@@ -316,9 +316,51 @@ def test_delta_maps_to_zero_in_quotient():
     assert xi_of_form(AlternatingForm.family(b, p, (2, 2), (2, 2))) == d
 
 
-@pytest.mark.parametrize("b,p", [(2, 2), (2, 3), (3, 5), (5, 7), (6, 13)])
+@pytest.mark.parametrize("b,p", [(2, 2), (2, 3), (3, 5), (4, 7), (5, 7), (6, 13)])
 def test_eta_is_dense_quotient_of_xi(b, p):
     assert eta_matrix(b, p) == delta_quotient_reference(b, p) @ xi_matrix(b, p)
+    # the row operation on plain lists: row i of eta is row i + 1 of xi
+    # minus delta_{i+1} times row 0
+    xi = xi_matrix(b, p).to_lists()
+    delta = diagonal_class(b, p)
+    reference = [[(x - d * x0) % p for x, x0 in zip(row, xi[0])] for row, d in zip(xi[1:], delta[1:])]
+    assert eta_matrix(b, p).to_lists() == reference
+
+
+def test_classify_reads_the_cup_rule_once_per_genus(monkeypatch):
+    """50 classifications at one (b, p) build xi once: one cup-rule lookup
+    per wedge pair, 8b^2 - 2b in all."""
+    b, p = 3, 5
+    calls = []
+    original = cohomology._cup_basis
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cohomology, "_cup_basis", counted)
+    xi_matrix.cache_clear()
+    hits = list(itertools.islice(search_family_params(b, p), 50))
+    assert len(hits) == 50
+    for lam, mu in hits:
+        assert classify_form(AlternatingForm.family(b, p, lam, mu)).is_heisenberg_type
+    assert len(calls) == 8 * b * b - 2 * b
+
+
+def test_cached_xi_is_never_changed_by_its_readers():
+    b, p = 2, 5
+    count_heisenberg_candidates(b, p)
+    eta_matrix(b, p)
+    classify_form(AlternatingForm.family(b, p, (3, 3), (3, 3)))
+    assert xi_matrix(b, p) is xi_matrix(b, p)
+    assert xi_matrix(b, p) == xi_matrix.__wrapped__(b, p)
+
+
+def test_cached_xi_still_refuses_non_integers():
+    xi_matrix(2, 5)
+    for b, p in [(2.0, 5), (2, 5.0)]:
+        with pytest.raises((TypeError, PreconditionError)):
+            xi_matrix(b, p)
 
 
 def test_candidate_counts():
