@@ -11,7 +11,7 @@ claim-checking census (:mod:`invariants`).  :mod:`cli` ties it together and
 :mod:`acceptance` holds the self-test criteria.
 
 Importing the package loads none of these modules: import names from the
-submodule that defines them (``from heiskod.invariants import kappa``).
+submodule that defines them (``from heiskod.primes import kappa``).
 Everything is pure Python on the standard library, the ``--bfs-oracle``
 subgroup oracle (Python-int bitmaps in :mod:`verify`) included, and only
 ``selftest`` imports :mod:`acceptance`.

@@ -29,8 +29,8 @@ from .cohomology import (
 )
 from .fplinalg import AlternatingForm
 from .heisenberg import HeisGroup, verify_extra_special
-from .invariants import census, family_invariants, kappa
-from .primes import distinct_prime_factors
+from .invariants import census, family_invariants
+from .primes import distinct_prime_factors, kappa
 from .verify import (
     ENUMERATION_BOUND,
     precompose_involution,

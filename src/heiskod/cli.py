@@ -262,7 +262,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_kappa(args) -> int:
-    from .invariants import kappa
+    from .primes import kappa
 
     values = {b: kappa(b) for b in _parse_range(args.b)}
     if args.format == "json":

@@ -20,7 +20,6 @@ return new values.
 
 from __future__ import annotations
 
-import heapq
 from operator import index
 from typing import Iterable, Mapping, Sequence
 
@@ -186,17 +185,9 @@ class FpMatrix:
         scale = 1
         for src in self._r:
             row = dict(src)
-            todo = [c for c in row if c in stored]
-            heapq.heapify(todo)
-            while todo:
-                c = heapq.heappop(todo)
-                f = row.get(c)
-                if f is None:
-                    continue
-                for k in stored[c]:
-                    if k not in row and k in stored:
-                        heapq.heappush(todo, k)
-                _sub_multiple(row, f, stored[c], p)
+            while hits := [c for c in row if c in stored]:
+                c = min(hits)
+                _sub_multiple(row, row[c], stored[c], p)
             if not row:
                 pivot_of.append(-1)
                 continue

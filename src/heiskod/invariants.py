@@ -26,9 +26,6 @@ maximum and its cells, the minimum signature and the named claim checks.
 
 Any non-integral intermediate value is reported as an inconsistency rather
 than rounded: with valid parameters every output is a positive integer.
-
-``kappa`` counts the primes that :func:`primes.distinct_prime_factors` finds,
-so this module and its subcommands need no numpy.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InconsistencyError, PreconditionError
-from .primes import admits, check_family, check_genus, distinct_prime_factors
+from .primes import admits, check_family, check_genus
 
 
 def _as_int(x: Fraction, what: str) -> int:
@@ -137,13 +134,6 @@ def family_invariants(family: str, b: int, p: int) -> FibrationInvariants:
     if inv.signature != (2 * b - 2) * p ** (dim - 1) * (p * p - 1) // 3:
         raise InconsistencyError("signature disagrees with its closed form")
     return inv
-
-
-def kappa(b: int) -> int:
-    """Number of degenerate-family fibrations over a fixed genus-b curve:
-    one per prime dividing b+1, pairwise non-homeomorphic total spaces."""
-    check_genus(b)
-    return len(distinct_prime_factors(b + 1))
 
 
 # ---------------------------------------------------------------------------

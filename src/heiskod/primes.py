@@ -1,13 +1,15 @@
-"""Exact primality test, the factoring built on it, and the rules that
-admit a modulus and (b, p) to each family, a leaf module: every layer that
-checks a genus or a modulus imports it without loading the invariants or
-:mod:`fractions`.
+"""Exact primality test, the factoring and the count kappa built on it, and
+the rules that admit a modulus and (b, p) to each family: a leaf module, so
+checking a genus or a modulus, or counting kappa, loads neither the
+invariants nor :mod:`fractions`.  A float is refused, by ``operator.index``.
 
 The two families of the paper admit a prime p at genus b >= 2 when
 
 * non-degenerate: p >= 5 (at p = 2 and 3 no parameters lambda, mu exist);
 * degenerate:     p divides b + 1.
 """
+
+from operator import index
 
 from .errors import PreconditionError
 
@@ -19,6 +21,13 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 
 
+def _integer(n, what: str) -> int:
+    try:
+        return index(n)
+    except TypeError:
+        raise PreconditionError(f"{what} must be an integer, got {n!r}") from None
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test, exact for n < 3.3 * 10^24.
 
@@ -26,6 +35,7 @@ def is_prime(n: int) -> bool:
     prime factor up to 41 raise PreconditionError instead of a probable
     answer.
     """
+    n = _integer(n, "modulus")
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -67,6 +77,7 @@ def distinct_prime_factors(n: int) -> tuple[int, ...]:
     factor), so a prime or a prime times small factors costs little.  Any
     other cofactor with no prime factor up to _TRIAL_DIVISION_LIMIT is refused.
     """
+    n = _integer(n, "the number to factor")
     if n < 1:
         raise PreconditionError(f"need a positive integer, got {n}")
     out = []
@@ -87,9 +98,16 @@ def distinct_prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def kappa(b: int) -> int:
+    """Number of degenerate-family fibrations over a fixed genus-b curve:
+    one per prime dividing b+1, pairwise non-homeomorphic total spaces."""
+    check_genus(b)
+    return len(distinct_prime_factors(b + 1))
+
+
 def check_genus(b: int) -> None:
     """Refuse a genus below 2: there is no presentation, form or fibration."""
-    if b < 2:
+    if _integer(b, "genus b") < 2:
         raise PreconditionError(f"genus b must be >= 2, got {b}")
 
 

@@ -424,10 +424,11 @@ def bfs_subgroup_order(group: HeisGroup, elements: Sequence, bound: int = ENUMER
     Returns the number of elements enumerated; the name stays that of the
     ``--bfs-oracle`` flag.
 
-    A set Y of elements is p slabs of Python ints, one per central part t:
-    bit c = sum_j v_j p^j of slab t marks (v, t).  Right-multiplying all of Y
-    by g = (w, s) is the group law on every element at once, (v, t) ->
-    (v + w, t + s + v . u) with u = C w:
+    Only the coordinates S that some generator touches are enumerated (digit
+    j is the j-th): products are 0 off S, and v . C w reads C on S x S only.
+    Y is p slabs of Python ints, one per central part t: bit c = sum_j v_j p^j
+    of slab t marks (v, t).  Right-multiplying Y by g = (w, s) is the group
+    law on every element at once, (v, t) -> (v + w, t + s + v . u), u = C w:
 
     * for each digit j with u_j != 0, an element whose digit j is d moves
       from slab t to slab t + u_j d: for each bit i of d, the codes whose
@@ -445,15 +446,15 @@ def bfs_subgroup_order(group: HeisGroup, elements: Sequence, bound: int = ENUMER
     Then Y contains 1 and is closed under right multiplication by every
     generator, so it is exactly the generated subgroup (the group is finite,
     so no inverses are needed), and its order is the number of marked bits.
-    Memory is a few copies of the |G| / 8 bytes of slabs and, per digit the
-    generators touch, a few masks of |G| / (8 p) bytes each: a traced peak
-    of about 3.5 MiB for the 5^9 elements at b = 4, p = 5.
+    Memory is a few copies of the slabs, one bit per element of F_p^S x F_p,
+    and p^|S| / 8 bytes of masks per digit: 3.5 MiB traced at b = 4, p = 5.
     """
     with _enumeration_guard(group.order, bound):
-        p, dim = group.p, group.dim
+        p = group.p
         gens = [group.element(g.v, g.t) for g in elements]
-        radix = [p**j for j in range(dim + 1)]
-        size = radix[dim]
+        touched = [c for c in range(group.dim) if any(w[c] for w, _ in gens)]
+        radix = [p**j for j in range(len(touched) + 1)]
+        size = radix[-1]
 
         @cache
         def below(j, c):
@@ -468,14 +469,14 @@ def bfs_subgroup_order(group: HeisGroup, elements: Sequence, bound: int = ENUMER
 
         def times(slabs, w, s, u):
             """The set ``slabs`` right-multiplied by (w, s), with u = C w."""
-            for j, uj in enumerate(u):
-                if uj:
+            for j, c in enumerate(touched):
+                if uj := u[c]:
                     for i in range((p - 1).bit_length()):
                         moved = [x & bit_set(j, i) for x in slabs]
                         k = -(uj << i) % p  # slab t receives from slab t - uj 2^i
                         slabs = [x ^ y | z for x, y, z in zip(slabs, moved, moved[k:] + moved[:k])]
-            for j, r in enumerate(w):
-                if r:
+            for j, c in enumerate(touched):
+                if r := w[c]:
                     low, up, down = below(j, p - r), r * radix[j], (p - r) * radix[j]
                     rotated = []
                     for x in slabs:

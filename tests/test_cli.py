@@ -720,6 +720,9 @@ def test_exact_subcommands_never_import_numpy(argv):
     # only verify imports the verifier: the parser, built by every start
     # (kappa's is the benchmark's start-up probe), does not
     assert ("heiskod.verify" in modules) == (argv[0] == "verify")
+    # kappa counts in primes, so only the invariants and the census load
+    # the invariants and their fractions
+    assert ("heiskod.invariants" in modules) == ("fractions" in modules) == (argv[0] in ("invariants", "census"))
     assert "heiskod.cli" in modules
 
 
@@ -919,3 +922,9 @@ def test_no_public_name_without_a_caller():
 def test_no_module_imports_dataclasses():
     assert package_imports("typing")  # the scan sees the NamedTuple imports
     assert package_imports("dataclasses") == []
+
+
+def test_no_module_imports_heapq():
+    # the forward elimination clears the smallest stored pivot column by a
+    # plain scan, in the order a heap would give
+    assert package_imports("heapq") == []

@@ -11,11 +11,10 @@ from heiskod.invariants import (
     census,
     family_invariants,
     general_invariants,
-    kappa,
     row_record,
     rows_to_csv,
 )
-from heiskod.primes import admits, distinct_prime_factors
+from heiskod.primes import admits, distinct_prime_factors, kappa
 
 
 # -- general formula -------------------------------------------------------------
@@ -196,6 +195,31 @@ def test_every_layer_refuses_genus_below_2_alike():
     ):
         with pytest.raises(PreconditionError, match=r"^genus b must be >= 2, got 1$"):
             refuse()
+
+
+def test_genus_and_modulus_pass_one_integer_gate():
+    import numpy as np
+
+    from heiskod.cohomology import count_heisenberg_candidates, diagonal_class, search_family_params
+    from heiskod.primes import check_genus, check_prime
+
+    # a float is refused, not compared as if it were the integer it equals
+    for refuse in (
+        lambda: check_prime(5.0),
+        lambda: check_genus(2.0),
+        lambda: distinct_prime_factors(6.0),
+        lambda: kappa(2.0),
+        lambda: diagonal_class(2, 5.0),
+        lambda: count_heisenberg_candidates(2, 5.0),
+        lambda: search_family_params(2, 5.0),
+    ):
+        with pytest.raises(PreconditionError, match="must be an integer, got"):
+            refuse()
+    # what operator.index accepts is an integer
+    check_prime(np.int64(5))
+    check_genus(np.int64(2))
+    assert kappa(np.int64(5)) == 2
+    assert distinct_prime_factors(np.int64(30)) == (2, 3, 5)
 
 
 # -- kappa -------------------------------------------------------------------------

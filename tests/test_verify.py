@@ -539,12 +539,31 @@ def test_fast_order_matches_bfs_on_random_subsets():
 def test_bfs_of_identity_is_trivial():
     group = HeisGroup(AlternatingForm.standard_symplectic(1, 3))
     assert bfs_subgroup_order(group, [group.identity]) == 1
+    # central generators touch no coordinate: the enumeration is over F_p alone
+    assert bfs_subgroup_order(group, [group.identity, group.central(2)]) == 3
+
+
+def test_bfs_enumerates_only_the_touched_coordinates():
+    # 3^13 elements; each generator set touches a few coordinates, one
+    # twisted pair (0, 1) of J_6 among them, so the oracle marks 3^6 at most
+    group = HeisGroup(AlternatingForm.j_form(6, 3))
+    rng = random.Random(13)
+    for _ in range(20):
+        touched = {0, 1, *rng.sample(range(2, 12), rng.randint(0, 3))}
+        els = [
+            group.element([rng.randrange(3) if c in touched else 0 for c in range(12)], rng.randrange(3))
+            for _ in range(rng.randint(1, 3))
+        ]
+        assert bfs_subgroup_order(group, els) == subgroup_order_fast(group, els) == closure_order(group, els)
 
 
 def test_bfs_bound_is_enforced(monkeypatch):
     group = HeisGroup(AlternatingForm.standard_symplectic(2, 5))
     with pytest.raises(EnumerationBoundError):
         bfs_subgroup_order(group, [group.central(1)], bound=10)
+    # the bound is on the group, however few coordinates the generators touch
+    with pytest.raises(EnumerationBoundError):
+        bfs_subgroup_order(group, [group.basis_element(0)], bound=group.order - 1)
     # order p^3 >= 2^62 is refused at any bound, before any bitmap
     big = HeisGroup(AlternatingForm.standard_symplectic(1, 2**61 - 1))
     with pytest.raises(EnumerationBoundError, match="2\\^62"):
