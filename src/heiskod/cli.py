@@ -152,17 +152,17 @@ def cmd_classify_form(args) -> int:
     from .cohomology import classify_form
 
     form = _form_from_args(args)
-    cls = classify_form(form)
+    k, det = classify_form(form), form.omega.det()
     record = {
         "b": form.dim // 4,
         "p": form.p,
         "dim": form.dim,
         "alternating": True,  # an AlternatingForm is alternating by construction
-        "symplectic": cls.det != 0,
+        "symplectic": det != 0,
         "kernel_dim": form.dim - form.omega.rank(),
-        "diagonal_multiple": cls.diagonal_multiple,
-        "heisenberg_type": cls.is_heisenberg_type,
-        "det": cls.det,
+        "diagonal_multiple": k,
+        "heisenberg_type": k not in (None, 0),
+        "det": det,
     }
     if args.format == "json":
         _emit_stream((json.dumps(record, indent=2),), args.output)

@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 from operator import eq
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 from .errors import EnumerationBoundError, InconsistencyError, PreconditionError
 from .fplinalg import AlternatingForm, FpMatrix
@@ -112,32 +112,15 @@ def diagonal_class(b: int, p: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class FormClassification(NamedTuple):
-    """Outcome of testing an alternating form against the diagonal line."""
-
-    det: int
-    xi_image: tuple[int, ...]
-    diagonal_multiple: Optional[int]
-    is_heisenberg_type: bool
-
-
-def classify_form(form: AlternatingForm) -> FormClassification:
-    """Decide whether xi(form) lies on the line spanned by the diagonal class.
-
-    Degenerate forms are accepted; the form is symplectic iff ``det`` != 0.
-    """
+def classify_form(form: AlternatingForm) -> Optional[int]:
+    """The k with xi(form) = k delta, or None when xi(form) is off the line of
+    the diagonal class delta: the form is of Heisenberg type iff k is not in
+    (None, 0).  Degenerate forms are accepted; their determinant is 0."""
     img = xi_of_form(form)
     # delta has coefficient 1 on g(x)1, so the only candidate multiple is the
     # first coordinate of the image
     k = img[0]
-    on_line = img == tuple(k * d % form.p for d in diagonal_class(form.dim // 4, form.p))
-    multiple = k if on_line else None
-    return FormClassification(
-        det=form.omega.det(),
-        xi_image=img,
-        diagonal_multiple=multiple,
-        is_heisenberg_type=multiple is not None and multiple != 0,
-    )
+    return k if img == tuple(k * d % form.p for d in diagonal_class(form.dim // 4, form.p)) else None
 
 
 # ---------------------------------------------------------------------------

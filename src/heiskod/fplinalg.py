@@ -29,8 +29,11 @@ from .primes import check_genus, check_prime
 
 def residues(entries: Iterable, p: int, what: str = "entries") -> list[int]:
     """Integer entries reduced mod p, as Python ints.  An entry is accepted
-    only if ``operator.index`` accepts it, so no float is truncated; its size
-    is not limited."""
+    only if it is not a bool and ``operator.index`` accepts it, so no float
+    is truncated and JSON ``true`` is not read as 1; its size is not limited."""
+    entries = list(entries)
+    if bool in map(type, entries):  # operator.index(True) is the int 1
+        raise PreconditionError(f"{what} must be integers")
     try:
         return [x % p for x in map(index, entries)]
     except TypeError:

@@ -215,18 +215,17 @@ def verify_assignment(assignment: GeneratorAssignment, oracle_bound: Optional[in
     when one is given (one enumeration per distinct set of images)."""
     target = assignment.target
     pres = build_presentation(assignment.b)
-    generators = range(1, 4 * pres.b + 2)
-    found = dict(_nonidentity_products(assignment, generators, pres.relators.walk()))
+    found = dict(_nonidentity_products(assignment, range(1, 4 * pres.b + 2), pres.relators.walk()))
     # only a failing run reads sources, off the walk the evaluator ran: no word is built
     walk = pres.relators.walk(sources=True) if found else ()
     failures = [(i, source, found[i]) for i, (_, _, source) in enumerate(walk) if i in found]
-    kernel_sets = kernel_generator_sets(pres.b)
-    m1, m2 = (image_index(assignment, letters) for letters in kernel_sets)
+    # kernel-set letters are positive, so each image is read straight off the tuple
+    kernel_images = [[assignment.images[x - 1] for x in letters] for letters in kernel_generator_sets(pres.b)]
+    m1, m2 = (target.order // subgroup_order_fast(target, images) for images in kernel_images)
     oracle = []
     if oracle_bound is not None:
         sizes = {}
-        for label, letters, m in zip(("m1", "m2"), kernel_sets, (m1, m2)):
-            images = [assignment.image(x) for x in letters]
+        for label, images, m in zip(("m1", "m2"), kernel_images, (m1, m2)):
             key = frozenset(images)
             if key not in sizes:
                 sizes[key] = bfs_subgroup_order(target, images, oracle_bound)
@@ -241,7 +240,7 @@ def verify_assignment(assignment: GeneratorAssignment, oracle_bound: Optional[in
         a12_order=target.order_of(assignment.images[-1]),  # A12 is the last letter
         m1=m1,
         m2=m2,
-        is_surjective=image_index(assignment, generators) == 1,
+        is_surjective=subgroup_order_fast(target, assignment.images) == target.order,
         oracle=tuple(oracle),
     )
 
@@ -324,7 +323,7 @@ def precompose_involution(assignment: GeneratorAssignment) -> GeneratorAssignmen
 
 
 # ---------------------------------------------------------------------------
-# subgroup orders and indices
+# subgroup orders
 # ---------------------------------------------------------------------------
 
 
@@ -373,13 +372,6 @@ def subgroup_order_fast(group: HeisGroup, elements: Sequence) -> int:
                 center_hit = True
                 break
     return p ** (d + (1 if center_hit else 0))
-
-
-def image_index(assignment: GeneratorAssignment, letters: Sequence[int]) -> int:
-    """Index in the target of the subgroup generated by the images of the letters."""
-    elements = [assignment.image(x) for x in letters]
-    order = subgroup_order_fast(assignment.target, elements)
-    return assignment.target.order // order
 
 
 @contextmanager

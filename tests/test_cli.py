@@ -447,6 +447,15 @@ def test_classify_form_non_integer_entry_exits_2(capsys, tmp_path):
     assert code == 2 and "integers" in err
 
 
+def test_classify_form_boolean_entry_exits_2(capsys, tmp_path):
+    # JSON true off the diagonal of an 8x8 matrix mod 2 used to be read as 1,
+    # and the command printed a classification and exited 0
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps([[True if i != j else 0 for j in range(8)] for i in range(8)]))
+    code, out, err = run(capsys, "classify-form", "--p", "2", "--matrix-json", str(path))
+    assert (code, out) == (2, "") and "error: matrix entries must be integers" in err
+
+
 def test_classify_form_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "classify-form", "--p", "3", "--matrix-json", "/no/such/file.json")
     assert code == 2 and "file" in err.lower()
@@ -904,6 +913,23 @@ def test_every_option_is_read():
     reads = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "args"}
     assert {"lam", "bfs_oracle", "matrix_json", "format"} <= dests  # the scan sees dest= and derived names
     assert sorted(dests - reads) == []
+
+
+def test_every_record_field_is_read():
+    # every field of a NamedTuple record, or of a record subclassing one, is
+    # read as x.<field> in the package, in the record's own methods or
+    # elsewhere, so no record stores a value that nothing reads
+    trees = [ast.parse(path.read_text()) for path in sorted((SRC / "heiskod").glob("*.py"))]
+    classes = [node for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)]
+    records = {"NamedTuple"}
+    while grown := {n.name for n in classes if any(getattr(b, "id", None) in records for b in n.bases)} - records:
+        records |= grown
+    annotated = [(n.name, f) for n in classes if n.name in records for f in n.body]
+    fields = [(record, f.target.id) for record, f in annotated if isinstance(f, ast.AnnAssign)]
+    reads = {n.attr for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert {"VerificationReport", "FibrationInvariants", "HeisElement"} <= records  # the scan sees subclasses
+    assert len(fields) > 40
+    assert [f"{record}.{field}" for record, field in fields if field not in reads] == []
 
 
 def test_no_public_name_without_a_caller():

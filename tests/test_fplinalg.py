@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heiskod.errors import PreconditionError
-from heiskod.fplinalg import AlternatingForm, FpMatrix
+from heiskod.fplinalg import AlternatingForm, FpMatrix, residues
+from heiskod.heisenberg import HeisGroup
 from heiskod.primes import is_prime
 
 
@@ -373,6 +374,19 @@ def test_non_integer_entries_refused():
         FpMatrix([[0, "1"], [1, 0]], 3)
     # numpy integers are integers
     assert FpMatrix(np.array([[7, 1]]), 5).to_lists() == [[2, 1]]
+
+
+def test_boolean_entries_refused():
+    # operator.index(True) is the int 1, so a bool is refused before the
+    # index is taken: JSON true is not an integer entry
+    with pytest.raises(PreconditionError, match="entries must be integers"):
+        residues([True], 5)
+    with pytest.raises(PreconditionError, match="matrix entries must be integers"):
+        FpMatrix([[0, True], [True, 0]], 2)
+    with pytest.raises(PreconditionError, match="vector entries must be integers"):
+        HeisGroup(AlternatingForm.standard_symplectic(1, 3)).element((True, 0), 0)
+    # numpy integers are still integers
+    assert residues(np.array([7, -1], dtype=np.int64), 5) == [2, 4]
 
 
 def test_sparse_constructor():

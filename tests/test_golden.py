@@ -14,7 +14,10 @@ its own invariants function and its own census; they hold the shared
 function and claim table to those bytes.  The failing ``verify_*`` text files
 and the ``*_oracle_contradicts`` files were written while ``cmd_verify``
 built the report text, the oracle cross-check and the verdict itself; they
-hold ``verify_assignment``'s report to those bytes.
+hold ``verify_assignment``'s report to those bytes.  The ``classify_form_*``
+files were written while ``classify_form`` returned a four-field record with
+the determinant and the image of xi; they hold the bare multiple k to those
+bytes.
 """
 
 import json
@@ -70,6 +73,17 @@ CLI_PINS = [
     )
     for family, b, p in (("degenerate", 2, 3), ("nondegenerate", 2, 5))
     for fmt, ext in (("text", "txt"), ("json", "json"), ("csv", "csv"))
+] + [
+    # k = 1 symplectic; k = 1 with det 0 and kernel_dim 4; k None, not Heisenberg type
+    (
+        f"classify_form_b2_p{p}_l{lam}{lam}_m{lam}{lam}.{ext}",
+        (
+            "classify-form", "--b", "2", "--p", str(p),
+            "--lambda", f"{lam},{lam}", "--mu", f"{lam},{lam}", "--format", fmt,
+        ),
+    )
+    for p, lam in ((5, 3), (3, 2), (5, 1))
+    for fmt, ext in (("text", "txt"), ("json", "json"))
 ]
 
 
