@@ -7,8 +7,7 @@ the table) and builds the :class:`CriterionResult`.  ``run_all`` runs them in
 order for ``heiskod selftest`` and the pytest acceptance module.
 
 All assertions are exact equalities (integers, tuples, Fractions); the only
-approximate quantities are the wall-clock budgets and the per-case bound of
-the degenerate relator check.
+approximate quantities are the wall-clock budgets.
 """
 
 from __future__ import annotations
@@ -60,9 +59,7 @@ def _check(cond: bool, message: str, problems: list[str]) -> None:
 
 def _degenerate_relators(problems: list[str]) -> None:
     """Degenerate relator verification over five (b, p) pairs."""
-    worst = 0.0
     for b, p in ((2, 3), (3, 2), (4, 5), (5, 2), (5, 3)):
-        case_start = time.perf_counter()
         report = verify_assignment(standard_assignment_degenerate(b, p))
         expected = 8 * b * b + 4 * b + 2
         _check(report.total_relators == expected, f"({b},{p}): relator count {report.total_relators}", problems)
@@ -70,8 +67,6 @@ def _degenerate_relators(problems: list[str]) -> None:
         _check(report.a12_order == p, f"({b},{p}): A12 image order {report.a12_order} != {p}", problems)
         _check(report.m1 == 1 and report.m2 == 1, f"({b},{p}): indices ({report.m1}, {report.m2}) != (1, 1)", problems)
         _check(report.is_surjective, f"({b},{p}): image not the whole group", problems)
-        worst = max(worst, time.perf_counter() - case_start)
-    _check(worst < 1.0, f"slowest case took {worst:.3f}s, budget 1s each", problems)
 
 
 def _nondegenerate_with_oracle(problems: list[str]) -> None:
@@ -233,7 +228,7 @@ def _kappa_and_signature_order(problems: list[str]) -> None:
 
 # (name, wall-clock budget in seconds or None, check)
 CRITERIA = (
-    ("degenerate family passes all relators", None, _degenerate_relators),
+    ("degenerate family passes all relators", 1.0, _degenerate_relators),
     ("non-degenerate (2,5) verification with BFS oracle", 5.0, _nondegenerate_with_oracle),
     ("tau_2j image variant is refuted by the verifier", None, _tau2_variant_refuted),
     ("involution precomposition preserves verification", None, _involution_precomposition),

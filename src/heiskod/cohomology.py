@@ -18,7 +18,7 @@ bit-stable across runs:
 * H^2 has the 4b^2 + 2 classes  g(x)1, 1(x)g, then the four b x b blocks
   a_i(x)a_j, a_i(x)b_j, b_i(x)a_j, b_i(x)b_j, each row-major in (i, j).
 
-* Wedge-square pairs (a, c) with a < c are ordered lexicographically.
+* Wedge-square pairs (a, c), a < c, come in ``itertools.combinations`` order.
 
 The product of two degree-1 classes follows the Kunneth sign rule
 (x(x)y)(z(x)w) = (-1)^{deg y deg z} xz (x) yw together with the symplectic
@@ -41,7 +41,7 @@ from typing import Iterator, Optional
 
 from .errors import EnumerationBoundError, InconsistencyError, PreconditionError
 from .fplinalg import AlternatingForm, FpMatrix
-from .primes import check_genus, check_prime
+from .primes import check_genus, check_prime, integer
 
 # letters for the two degree-1 generators of the surface
 _A, _B = 0, 1
@@ -76,11 +76,6 @@ def _cup_basis(i1: int, i2: int, b: int, p: int) -> Optional[tuple[int, int]]:
         return _h2_block(l1, l2, j1, j2, b), 1
     # (1(x)y)(z(x)1) = -z(x)y
     return _h2_block(l2, l1, j2, j1, b), (-1) % p
-
-
-def lambda2_pairs(b: int) -> list[tuple[int, int]]:
-    """Ordered basis (a, c), a < c, of the wedge square of the dual of H_1."""
-    return [(a, c) for a in range(4 * b) for c in range(a + 1, 4 * b)]
 
 
 def vec_of_form(form: AlternatingForm) -> tuple[int, ...]:
@@ -137,7 +132,7 @@ def xi_matrix(b: int, p: int) -> FpMatrix:
     check_prime(p)
     check_genus(b)
     rows: list[dict[int, int]] = [{} for _ in range(4 * b * b + 2)]
-    for k, hit in enumerate(_cup_basis(a, c, b, p) for a, c in lambda2_pairs(b)):
+    for k, hit in enumerate(_cup_basis(a, c, b, p) for a, c in itertools.combinations(range(4 * b), 2)):
         if hit is not None:
             rows[hit[0]][k] = hit[1]
     return FpMatrix.sparse(rows, 8 * b * b - 2 * b, p)
@@ -205,7 +200,7 @@ def search_family_params(
     """
     check_genus(b)
     check_prime(p)
-    if count is not None and count < 1:
+    if count is not None and (count := integer(count, "count")) < 1:
         raise PreconditionError(f"count must be >= 1, got {count}")
     if (p - 1) ** (2 * (b - 1)) > 2 * 10**8:
         raise EnumerationBoundError(

@@ -24,7 +24,7 @@ from operator import index
 from typing import Iterable, Mapping, Sequence
 
 from .errors import PreconditionError
-from .primes import check_genus, check_prime
+from .primes import check_genus, check_prime, integer
 
 
 def residues(entries: Iterable, p: int, what: str = "entries") -> list[int]:
@@ -85,7 +85,7 @@ class FpMatrix:
         """A matrix from ``{column: value}`` rows; absent entries are zero.
         The only constructor that can make a matrix with no rows."""
         check_prime(p)
-        cols = index(cols)
+        cols = integer(cols, "column count")
         if cols < 0:
             raise PreconditionError(f"column count {cols} is negative")
         rows = [dict(r) for r in rows]
@@ -228,18 +228,10 @@ class FpMatrix:
         if -1 in pivot_of:
             return 0
         # the reduced rows, sorted by pivot, are unit upper triangular; the
-        # sort is the permutation row i -> pivot_of[i]
-        seen = [False] * self.rows
-        for i in range(self.rows):
-            if not seen[i]:
-                j, length = i, 0
-                while not seen[j]:
-                    seen[j] = True
-                    j = pivot_of[j]
-                    length += 1
-                if length % 2 == 0:
-                    scale = -scale
-        return scale % self.p
+        # sort is the permutation row i -> pivot_of[i], of sign -1 to the
+        # number of its inversions
+        inversions = sum(a > c for i, a in enumerate(pivot_of) for c in pivot_of[i + 1 :])
+        return scale * (-1) ** inversions % self.p
 
     def kernel_basis(self) -> list[tuple[int, ...]]:
         """Basis of the right null-space; empty iff full column rank.
@@ -328,6 +320,7 @@ class AlternatingForm:
     @classmethod
     def standard_symplectic(cls, n: int, p: int) -> "AlternatingForm":
         """omega((x, y), (x', y')) = x.y' - x'.y on F_p^{2n}."""
+        n = integer(n, "n")
         rows = [{n + i: 1} for i in range(n)] + [{i: -1} for i in range(n)]
         return cls(FpMatrix.sparse(rows, 2 * n, p))
 
@@ -335,6 +328,7 @@ class AlternatingForm:
     def j_form(cls, b: int, p: int) -> "AlternatingForm":
         """The 2b x 2b form J_b itself (blocks [[0, -1], [1, 0]])."""
         check_prime(p)
+        b = integer(b, "b")
         rows: list[Row] = [{} for _ in range(2 * b)]
         _j_block(b, 0, 0, rows, p)
         return cls(FpMatrix.sparse(rows, 2 * b, p))

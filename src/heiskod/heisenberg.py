@@ -92,9 +92,7 @@ class HeisGroup:
         return HeisElement(v, (g.t + h.t + self._twist(g.v, h.v)) % p)
 
     def inv(self, g: HeisElement) -> HeisElement:
-        # (v,t)(-v,s) = (0, t + s + c(v,-v)) so s = -t + c(v,v)
-        p = self.p
-        return HeisElement(tuple(-x % p for x in g.v), (-g.t + self._twist(g.v, g.v)) % p)
+        return self.power(g, -1)  # (-v, -t + c(v, v))
 
     def power(self, g: HeisElement, k: int) -> HeisElement:
         # g^k = (k v, k t + C(k,2) c(v,v)), exact for every integer k
@@ -134,28 +132,30 @@ class GroupStructureReport(NamedTuple):
 def verify_extra_special(group: HeisGroup) -> GroupStructureReport:
     """Check order, exponent, center and commutator subgroup by enumeration.
 
-    Every element's order is found by repeated multiplication, the center by
-    testing omega(v, .) on every vector (and checked against the kernel of
-    the commutator pairing), and for groups of at most 2000 elements the
-    commutator subgroup from the full table of pairwise commutators.  A group
-    of more than ``STRUCTURE_BOUND`` elements is refused with
-    :class:`EnumerationBoundError` before anything is enumerated, never
-    approximated.
+    One pass over V = F_p^dim: each element's order by repeated
+    multiplication, and w = omega(., v) once per vector v.  The center is p
+    times the number of zero w (checked against the rank of omega), and the
+    commutator subgroup's order is the size of {0} and the entries of every
+    w, which are all the commutators' central parts.  A group of more than
+    ``STRUCTURE_BOUND`` elements is refused with
+    :class:`EnumerationBoundError` before anything is enumerated.
 
     A degenerate form is legal input; the report then shows the
     enlarged center ker(omega) x F_p and ``is_extra_special`` False.
     """
     if group.order > STRUCTURE_BOUND:
         raise EnumerationBoundError(f"group order {group.order} exceeds the structure suite's bound {STRUCTURE_BOUND}")
-    p = group.p
-    comm_rank = group.form.omega.rank()
-    commutator_order = p if comm_rank else 1
-    vectors = list(itertools.product(range(p), repeat=group.dim))
-    # each element's order by repeated multiplication, independent of the
-    # closed forms in power and order_of
+    p, omega = group.p, group.form.omega
     identity, mul = group.identity, group.mul
-    exponent, involutions = 1, 0
-    for v in vectors:
+    exponent, involutions, kernel, values = 1, 0, 0, {0}
+    for v in itertools.product(range(p), repeat=group.dim):
+        # (v, t) is central iff omega(., v) vanishes, whatever t; the
+        # entries omega(e_i, v) are, by bilinearity, every commutator value
+        w = omega.apply(v)
+        kernel += not any(w)
+        values.update(w)
+        # each element's order by repeated multiplication, independent of
+        # the closed forms in power and order_of
         for t in range(p):
             g = x = HeisElement(v, t)
             k = 1
@@ -164,19 +164,14 @@ def verify_extra_special(group: HeisGroup) -> GroupStructureReport:
                 k += 1
             exponent = math.lcm(exponent, k)
             involutions += k == 2
-    # (v, t) is central iff omega(v, .) vanishes, whatever t
-    center_order = p * sum(not any(group.form.omega.apply(v)) for v in vectors)
-    if center_order != p ** (group.dim - comm_rank + 1):
+    center_order = p * kernel
+    # omega != 0 exactly when the center is smaller than the group, so this
+    # check covers the commutator subgroup as well
+    if center_order != p ** (group.dim - omega.rank() + 1):
         raise InconsistencyError("exhaustive center disagrees with kernel computation")
-    if group.order <= 2000:
-        # full pairwise commutator table; every commutator is the central
-        # element with exponent omega(u, w), so the value set determines
-        # the commutator subgroup
-        columns = [group.form.omega.apply(w) for w in vectors]
-        values = {sum(map(operator.mul, u, c)) % p for u in vectors for c in columns}
-        if values not in ({0}, set(range(p))):
-            raise InconsistencyError("commutator values of a bilinear pairing must be {0} or all of F_p")
-        commutator_order = 1 if values == {0} else p
+    if values not in ({0}, set(range(p))):
+        raise InconsistencyError("commutator values of a bilinear pairing must be {0} or all of F_p")
+    commutator_order = len(values)
 
     extra_special = (
         center_order == p

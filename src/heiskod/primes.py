@@ -1,7 +1,7 @@
 """Exact primality test, the factoring and the count kappa built on it, and
 the rules that admit a modulus and (b, p) to each family: a leaf module, so
 checking a genus or a modulus, or counting kappa, loads neither the
-invariants nor :mod:`fractions`.  A float is refused, by ``operator.index``.
+invariants nor :mod:`fractions`.  A float or a bool is refused by :func:`integer`.
 
 The two families of the paper admit a prime p at genus b >= 2 when
 
@@ -21,11 +21,15 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 
 
-def _integer(n, what: str) -> int:
-    try:
-        return index(n)
-    except TypeError:
-        raise PreconditionError(f"{what} must be an integer, got {n!r}") from None
+def integer(n, what: str) -> int:
+    """``n`` as an int, refused unless ``operator.index`` takes it; a bool is
+    refused first, since ``index(True)`` is the int 1."""
+    if not isinstance(n, bool):
+        try:
+            return index(n)
+        except TypeError:
+            pass
+    raise PreconditionError(f"{what} must be an integer, got {n!r}")
 
 
 def is_prime(n: int) -> bool:
@@ -35,7 +39,7 @@ def is_prime(n: int) -> bool:
     prime factor up to 41 raise PreconditionError instead of a probable
     answer.
     """
-    n = _integer(n, "modulus")
+    n = integer(n, "modulus")
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -77,7 +81,7 @@ def distinct_prime_factors(n: int) -> tuple[int, ...]:
     factor), so a prime or a prime times small factors costs little.  Any
     other cofactor with no prime factor up to _TRIAL_DIVISION_LIMIT is refused.
     """
-    n = _integer(n, "the number to factor")
+    n = integer(n, "the number to factor")
     if n < 1:
         raise PreconditionError(f"need a positive integer, got {n}")
     out = []
@@ -107,7 +111,7 @@ def kappa(b: int) -> int:
 
 def check_genus(b: int) -> None:
     """Refuse a genus below 2: there is no presentation, form or fibration."""
-    if _integer(b, "genus b") < 2:
+    if integer(b, "genus b") < 2:
         raise PreconditionError(f"genus b must be >= 2, got {b}")
 
 

@@ -4,6 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 verdict lines, or equivalently ``heiskod selftest``.
 """
 
+import time
+
 import pytest
 
 from heiskod import acceptance
@@ -47,6 +49,16 @@ def test_run_refuses_an_index_outside_the_table():
     for index in (0, -1, len(acceptance.CRITERIA) + 1):
         with pytest.raises(IndexError, match="no criterion"):
             acceptance.run(index)
+
+
+def test_run_fails_a_criterion_over_its_budget(monkeypatch):
+    # budgets live only in the table; criterion 1's 1 s bounds the whole
+    # criterion, so no case can be slower than that either
+    assert acceptance.CRITERIA[0][1] == 1.0
+    monkeypatch.setattr(acceptance, "CRITERIA", (("sleeps", 0.0, lambda problems: time.sleep(0.001)),))
+    result = acceptance.run(1)
+    assert not result.passed
+    assert "exceeded budget 0.0s" in result.detail
 
 
 def test_suite_detects_cup_rule_sign_flip(monkeypatch):

@@ -862,6 +862,23 @@ def test_no_module_imports_another_modules_private_name():
     assert [entry for entry in imported if entry[2].startswith("_")] == []
 
 
+def test_every_import_is_read():
+    # every name an import binds, at module level or inside a function, is
+    # read as a bare name in its module, so a deletion cannot leave behind
+    # the import it was the last reader of
+    bound, unread = 0, []
+    for path in sorted((SRC / "heiskod").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                names = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                bound += len(names)
+                unread += [f"{path.stem}.{name}" for name in names if name not in reads]
+    assert bound > 50  # the scan sees the package's imports, function-level ones included
+    assert unread == []
+
+
 def unreferenced(selected):
     """The module-level functions and classes and the methods of the package
     whose names ``selected`` admits, and those that nothing in the package

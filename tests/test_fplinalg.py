@@ -7,6 +7,7 @@ row echelon form, rank and kernel.
 """
 
 import functools
+import itertools
 import math
 import operator
 
@@ -180,6 +181,15 @@ def test_form_value_exact_at_large_p():
     form = AlternatingForm.family(2, q, (3, q - 2), (5, q - 4))
     assert form.omega.det() == det_oracle(form.omega.to_lists(), q) == 9604
     assert form.omega.rank() == form.dim
+
+
+def test_det_sign_is_the_permutation_parity():
+    # random matrices almost always eliminate with the identity pivot order,
+    # so the sign is pinned on permutation matrices, scaled and not
+    for perm in [*itertools.permutations(range(4)), (1, 2, 3, 4, 0)]:
+        for scale in (1, 2):
+            rows = [[scale * (j == perm[i]) for j in range(len(perm))] for i in range(len(perm))]
+            assert FpMatrix(rows, 7).det() == det_oracle(rows, 7)
 
 
 def test_det_requires_square():

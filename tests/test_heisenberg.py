@@ -7,6 +7,7 @@ form is trusted everywhere else.  For odd p, the law twisted by omega / 2 is
 the reference for the isomorphism (v, t) -> (v, t + v . C . v / 2) onto it.
 """
 
+import collections
 import itertools
 import random
 import time
@@ -364,6 +365,23 @@ def test_structural_path_matches_enumeration():
         rep = verify_extra_special(HeisGroup(AlternatingForm(FpMatrix.sparse([], 0, p))))
         assert (rep.order, rep.exponent, rep.center_order, rep.commutator_order) == (p, p, p, 1)
         assert not rep.is_extra_special
+
+
+def test_structure_suite_reads_omega_once_per_vector(monkeypatch):
+    # one pass over V, on either side of the old 2000-element cutoff; mul
+    # applies the cocycle, another matrix, so only omega's calls count
+    calls = collections.Counter()
+    apply = FpMatrix.apply
+
+    def counted(matrix, v):
+        calls[id(matrix)] += 1
+        return apply(matrix, v)
+
+    monkeypatch.setattr(FpMatrix, "apply", counted)
+    for group in (std(1, 5), std(1, 13)):  # orders 125 and 2197
+        calls.clear()
+        assert verify_extra_special(group).is_extra_special
+        assert calls[id(group.form.omega)] == group.p**group.dim
 
 
 def test_exhaustive_cross_check_raises_inconsistency(monkeypatch):

@@ -201,17 +201,28 @@ def test_genus_and_modulus_pass_one_integer_gate():
     import numpy as np
 
     from heiskod.cohomology import count_heisenberg_candidates, diagonal_class, search_family_params
+    from heiskod.fplinalg import AlternatingForm, FpMatrix
     from heiskod.primes import check_genus, check_prime
 
-    # a float is refused, not compared as if it were the integer it equals
+    # a float is refused, not compared as if it were the integer it equals,
+    # and a bool is refused, not read as 0 or 1 (operator.index(True) is 1)
     for refuse in (
         lambda: check_prime(5.0),
         lambda: check_genus(2.0),
         lambda: distinct_prime_factors(6.0),
+        lambda: distinct_prime_factors(True),
         lambda: kappa(2.0),
         lambda: diagonal_class(2, 5.0),
         lambda: count_heisenberg_candidates(2, 5.0),
         lambda: search_family_params(2, 5.0),
+        lambda: search_family_params(2, 5, True),
+        lambda: search_family_params(2, 5, 2.0),
+        lambda: FpMatrix.sparse([{0: 1}], True, 5),
+        lambda: FpMatrix.sparse([{0: 1}], 1.0, 5),
+        lambda: AlternatingForm.j_form(True, 5),
+        lambda: AlternatingForm.j_form(2.0, 5),
+        lambda: AlternatingForm.standard_symplectic(True, 5),
+        lambda: AlternatingForm.standard_symplectic(2.0, 5),
     ):
         with pytest.raises(PreconditionError, match="must be an integer, got"):
             refuse()
@@ -220,6 +231,9 @@ def test_genus_and_modulus_pass_one_integer_gate():
     check_genus(np.int64(2))
     assert kappa(np.int64(5)) == 2
     assert distinct_prime_factors(np.int64(30)) == (2, 3, 5)
+    assert len(list(search_family_params(2, 5, np.int64(2)))) == 2
+    assert FpMatrix.sparse([{0: 1}], np.int64(1), 5) == FpMatrix([[1]], 5)
+    assert AlternatingForm.j_form(np.int64(2), 5).dim == AlternatingForm.standard_symplectic(np.int64(2), 5).dim == 4
 
 
 # -- kappa -------------------------------------------------------------------------
