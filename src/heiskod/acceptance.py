@@ -84,10 +84,8 @@ def _nondegenerate_with_oracle(problems: list[str]) -> None:
 
 
 def _tau2_variant_refuted(problems: list[str]) -> None:
-    """The tau_2j -> r_2j variant fails [rho_1j, tau_2j] = A12^-1; the
-    t_2j assignment passes."""
-    good = verify_assignment(standard_assignment_nondegenerate(2, 5, (3, 3), (3, 3)))
-    _check(not good.failures, "corrected assignment failed", problems)
+    """The tau_2j -> r_2j variant fails [rho_1j, tau_2j] = A12^-1; that the
+    t_2j assignment passes is criterion 2."""
     bad = verify_assignment(tau2_to_r2_variant(2, 5, (3, 3), (3, 3)))
     hit = [src for _, src, _ in bad.failures if "on tau_2k" in src and "rho_1j on" in src and "j=k" in src]
     _check(bool(hit), "the variant did not fail any [rho_1j, tau_2j] relator", problems)
@@ -135,15 +133,13 @@ def _heisenberg_type_forms(problems: list[str]) -> None:
 
 
 def _ranks_and_count(problems: list[str]) -> None:
-    """Ranks of xi and eta and the candidate count, at three (b, p)."""
+    """Ranks of xi and eta at three (b, p), and the count, which raises off its closed form."""
     for b, p in ((2, 3), (2, 5), (3, 3)):
         rx = xi_matrix(b, p).rank()
         re_ = eta_matrix(b, p).rank()
         _check(rx == 4 * b * b + 2, f"rank xi = {rx} != {4 * b * b + 2} at ({b},{p})", problems)
         _check(re_ == 4 * b * b + 1, f"rank eta = {re_} != {4 * b * b + 1} at ({b},{p})", problems)
-        count = count_heisenberg_candidates(b, p)
-        closed = p ** (4 * b * b - 2 * b - 2) * (p - 1)
-        _check(count == closed, f"candidate count mismatch at ({b},{p})", problems)
+        count_heisenberg_candidates(b, p)
 
 
 def _empty_search_mod_3(problems: list[str]) -> None:

@@ -33,7 +33,7 @@ Signed int letters are the generators' only names.  At genus b the letters
 rho_2b, tau_2b, A12, the order of the homology basis, and -x is the inverse
 of x.  Words are tuples of letters, so reduction compares ints, the
 substitution is a signed permutation of letters, a generator assignment is a
-tuple of images indexed by letter, and ``generator_name`` prints a letter.
+tuple of images indexed by letter, and ``word_display`` prints letters.
 """
 
 from __future__ import annotations
@@ -50,22 +50,14 @@ Word = tuple[int, ...]
 
 
 def check_letters(w: Iterable[int], b: int) -> None:
-    """Refuse a letter of w that is not an int in +-1..+-(4b + 1).  Only an
-    exact int is a letter: a bool would be read as 0 or 1, and a float or a
-    numpy integer as the generator it equals."""
+    """Refuse a genus that check_genus refuses and a letter of w that is not
+    an int in +-1..+-(4b + 1).  Only an exact int is a letter: a bool would be
+    read as 0 or 1, and a float or a numpy integer as the generator it equals."""
+    check_genus(b)
     n = 4 * b + 1
     for x in w:
         if type(x) is not int or not 0 < abs(x) <= n:
             raise PreconditionError(f"letter {x!r} is not a generator index in +-1..+-{n}")
-
-
-def generator_name(x: int, b: int) -> str:
-    """The printed name of letter x at genus b: r<strand>_<j>, t<strand>_<j>
-    or A12, with ^-1 for an inverse."""
-    check_letters((x,), b)
-    i = abs(x) - 1
-    name = "A12" if i == 4 * b else f"{'rt'[i % 2]}{i // (2 * b) + 1}_{i % (2 * b) // 2 + 1}"
-    return name if x > 0 else name + "^-1"
 
 
 def rho(b: int, strand: int, j: int, exp: int = 1) -> Word:
@@ -108,7 +100,16 @@ def free_reduce(w: Word) -> Word:
 
 
 def word_display(w: Word, b: int) -> list[str]:
-    return [generator_name(x, b) for x in w]
+    """The printed names of the letters of w at genus b: r<strand>_<j>,
+    t<strand>_<j> or A12, with ^-1 for an inverse; w is checked once, not
+    letter by letter."""
+    check_letters(w, b)
+    names = []
+    for x in w:
+        i = abs(x) - 1
+        name = "A12" if i == 4 * b else f"{'rt'[i % 2]}{i // (2 * b) + 1}_{i % (2 * b) // 2 + 1}"
+        names.append(name if x > 0 else name + "^-1")
+    return names
 
 
 class Relator(NamedTuple):

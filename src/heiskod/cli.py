@@ -365,7 +365,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code  # argparse exits with 0 (help) or 2 (a usage error)
     try:
         return args.fn(args)
     except InconsistencyError as exc:

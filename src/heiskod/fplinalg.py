@@ -20,24 +20,17 @@ return new values.
 
 from __future__ import annotations
 
-from operator import index
 from typing import Iterable, Mapping, Sequence
 
 from .errors import PreconditionError
 from .primes import check_genus, check_prime, integer
 
 
-def residues(entries: Iterable, p: int, what: str = "entries") -> list[int]:
-    """Integer entries reduced mod p, as Python ints.  An entry is accepted
-    only if it is not a bool and ``operator.index`` accepts it, so no float
-    is truncated and JSON ``true`` is not read as 1; its size is not limited."""
-    entries = list(entries)
-    if bool in map(type, entries):  # operator.index(True) is the int 1
-        raise PreconditionError(f"{what} must be integers")
-    try:
-        return [x % p for x in map(index, entries)]
-    except TypeError:
-        raise PreconditionError(f"{what} must be integers") from None
+def residues(entries: Iterable, p: int, what: str = "entry") -> list[int]:
+    """Integer entries reduced mod p, as Python ints, each read through
+    :func:`~heiskod.primes.integer`: no float is truncated and JSON ``true``
+    is not read as 1; an entry's size is not limited."""
+    return [integer(x, what) % p for x in entries]
 
 
 Row = dict  # {column: nonzero residue}
@@ -77,7 +70,7 @@ class FpMatrix:
         cols = len(dense[0])
         if any(len(row) != cols for row in dense):
             raise PreconditionError("matrix rows must all have the same length")
-        rows = [residues(row, p, "matrix entries") for row in dense]
+        rows = [residues(row, p, "matrix entry") for row in dense]
         self._adopt([{j: x for j, x in enumerate(row) if x} for row in rows], cols, p)
 
     @classmethod
@@ -88,12 +81,12 @@ class FpMatrix:
         cols = integer(cols, "column count")
         if cols < 0:
             raise PreconditionError(f"column count {cols} is negative")
-        rows = [dict(r) for r in rows]
+        rows = [{integer(j, "column index"): x for j, x in r.items()} for r in rows]
         for r in rows:
             for j in r:
-                if isinstance(j, bool) or not isinstance(j, int) or not 0 <= j < cols:
-                    raise PreconditionError(f"column {j!r} out of range 0..{cols - 1}")
-        reduced = [{j: x for j, x in zip(r, residues(r.values(), p, "matrix entries")) if x} for r in rows]
+                if not 0 <= j < cols:
+                    raise PreconditionError(f"column {j} out of range 0..{cols - 1}")
+        reduced = [{j: x for j, x in zip(r, residues(r.values(), p, "matrix entry")) if x} for r in rows]
         return cls._reduced(reduced, cols, p)
 
     @classmethod
@@ -159,7 +152,7 @@ class FpMatrix:
 
     def apply(self, v: Sequence[int]) -> tuple[int, ...]:
         """Matrix-vector product, returned as a reduced tuple."""
-        vec = residues(v, self.p, "vector entries")
+        vec = residues(v, self.p, "vector entry")
         if len(vec) != self.cols:
             raise PreconditionError("vector length disagrees with column count")
         out = []
@@ -307,9 +300,9 @@ class AlternatingForm:
         check_genus(b)
         check_prime(p)
         if len(lambdas) != b or len(mus) != b:
-            raise PreconditionError(f"need {b} lambdas and {b} mus")
-        lam = tuple(residues(lambdas, p, "lambdas"))
-        mu = tuple(residues(mus, p, "mus"))
+            raise PreconditionError(f"need {b} lambdas and {b} mus, got {len(lambdas)} and {len(mus)}")
+        lam = residues(lambdas, p, "lambda")
+        mu = residues(mus, p, "mu")
         rows: list[Row] = [{} for _ in range(4 * b)]
         _pair_block(lam, 0, rows, p)
         _pair_block(mu, 2 * b, rows, p)

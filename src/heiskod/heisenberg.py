@@ -33,6 +33,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import EnumerationBoundError, InconsistencyError, PreconditionError
 from .fplinalg import AlternatingForm, residues
+from .primes import integer
 
 
 class HeisElement(NamedTuple):
@@ -64,7 +65,7 @@ class HeisGroup:
         return sum(map(operator.mul, v1, self.cocycle.apply(v2))) % self.p
 
     def _residue(self, t) -> int:
-        return residues([t], self.p, "central part")[0]
+        return integer(t, "central part") % self.p
 
     # elements
 
@@ -76,12 +77,13 @@ class HeisGroup:
         return HeisElement((0,) * self.dim, self._residue(t))
 
     def basis_element(self, i: int) -> HeisElement:
-        if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < self.dim:
-            raise PreconditionError(f"basis index {i!r} is not in 0..{self.dim - 1}")
+        i = integer(i, "basis index")
+        if not 0 <= i < self.dim:
+            raise PreconditionError(f"basis index {i} is not in 0..{self.dim - 1}")
         return HeisElement(tuple(int(k == i) for k in range(self.dim)), 0)
 
     def element(self, v: Sequence[int], t: int) -> HeisElement:
-        vv = tuple(residues(v, self.p, "vector entries"))
+        vv = tuple(residues(v, self.p, "vector entry"))
         if len(vv) != self.dim:
             raise PreconditionError(f"vector length {len(vv)} does not match dim {self.dim}")
         return HeisElement(vv, self._residue(t))

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InconsistencyError, PreconditionError
-from .primes import admits, check_family, check_genus
+from .primes import admits, check_family, check_genus, integer
 
 
 def _as_int(x: Fraction, what: str) -> int:
@@ -87,12 +87,14 @@ class FibrationInvariants(_FibrationFields):
 
 
 def general_invariants(b: int, group_order: int, n: int, m1: int, m2: int) -> FibrationInvariants:
-    """Invariants for an arbitrary admissible (|G|, n, m1, m2) at base genus b."""
+    """Invariants for an admissible (|G|, n, m1, m2) at base genus b: integers
+    with n > 1, |G|, m1, m2 >= 1 and m1 m2 dividing |G|, the cover degree."""
     check_genus(b)
+    group_order, n, m1, m2 = (integer(x, what) for x, what in zip((group_order, n, m1, m2), ("|G|", "n", "m1", "m2")))
     if n <= 1:
         raise PreconditionError(f"branching order must exceed 1, got {n}")
-    if group_order % m1 or group_order % m2:
-        raise PreconditionError("m1 and m2 must divide the group order")
+    if min(group_order, m1, m2) < 1 or group_order % (m1 * m2):
+        raise PreconditionError(f"need |G|, m1, m2 >= 1 and m1 m2 | |G|, got |G| = {group_order}, m1 = {m1}, m2 = {m2}")
     f = 1 - Fraction(1, n)
     b1 = m1 * (b - 1) + 1
     b2 = m2 * (b - 1) + 1
@@ -104,8 +106,6 @@ def general_invariants(b: int, group_order: int, n: int, m1: int, m2: int) -> Fi
     if slope != 2 + (2 * f - f * f) / (2 * b - 2 + f):
         raise InconsistencyError("slope closed form disagrees with c1^2/c2")
     signature = _as_int(Fraction(c1_sq - 2 * c2, 3), "signature")
-    if group_order % (m1 * m2):
-        raise InconsistencyError("cover degree |G|/(m1 m2) is not an integer")
     return FibrationInvariants(
         b=b,
         group_order=group_order,

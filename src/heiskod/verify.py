@@ -63,7 +63,7 @@ from .braid import (
     tau,
 )
 from .errors import EnumerationBoundError, PreconditionError
-from .fplinalg import AlternatingForm, FpMatrix, residues
+from .fplinalg import AlternatingForm, FpMatrix
 from .heisenberg import HeisElement, HeisGroup
 from .primes import check_family
 
@@ -93,10 +93,10 @@ class GeneratorAssignment:
         return g if x > 0 else self.target.inv(g)
 
 
-def _nonidentity_products(assignment: GeneratorAssignment, generators: Iterable[int], walk: Iterable) -> list:
-    """(index, value) of every (pattern, substitution, source) of ``walk``
-    whose left-to-right product of letter images is not the identity, in
-    index order.  Only ``generators`` and their inverses are tabulated.
+def _nonidentity_products(assignment: GeneratorAssignment, generators: Iterable[int], walk: Iterable) -> tuple:
+    """{index: value} of each (pattern, substitution, source) of ``walk`` whose
+    product of letter images is not the identity, and the number walked.
+    Only ``generators`` and their inverses are tabulated.
 
     The table holds, per signed letter, the nonzero (k, a) entries of its
     image v, its central part t and the nonzero entries of C v.  Each running
@@ -118,7 +118,7 @@ def _nonidentity_products(assignment: GeneratorAssignment, generators: Iterable[
         # acc ends exactly zero in every word whose exponent sums vanish, and
         # the identity check below is one any() for those
         table[-x] = ([(k, -a) for k, a in v], sum(a * cv[k] for k, a in v) - g.t, [(k, -a) for k, a in cvs])
-    found = []
+    found, i = {}, -1
     for i, (pattern, sub, _) in enumerate(walk):
         acc = {}  # acc_v by coordinate, absent ones zero
         get = acc.get
@@ -135,8 +135,8 @@ def _nonidentity_products(assignment: GeneratorAssignment, generators: Iterable[
             value = [0] * group.dim
             for k, a in acc.items():
                 value[k] = a % p
-            found.append((i, HeisElement(tuple(value), t)))
-    return found
+            found[i] = HeisElement(tuple(value), t)
+    return found, i + 1
 
 
 def evaluate_word(assignment: GeneratorAssignment, word: Word):
@@ -144,8 +144,8 @@ def evaluate_word(assignment: GeneratorAssignment, word: Word):
     One word through the same evaluator that ``verify_assignment`` runs."""
     check_letters(word, assignment.b)
     walk = [(word, identity_substitution(assignment.b), None)]
-    found = _nonidentity_products(assignment, {abs(x) for x in word}, walk)
-    return found[0][1] if found else assignment.target.identity
+    found, _ = _nonidentity_products(assignment, {abs(x) for x in word}, walk)
+    return found.get(0, assignment.target.identity)
 
 
 class VerificationReport(NamedTuple):
@@ -153,7 +153,7 @@ class VerificationReport(NamedTuple):
     p: int
     family: str
     target_order: int
-    total_relators: int
+    total_relators: int  # the relators the evaluator walked
     failures: tuple  # (relator index, source label, evaluated element)
     a12_order: int
     m1: int
@@ -215,7 +215,7 @@ def verify_assignment(assignment: GeneratorAssignment, oracle_bound: Optional[in
     when one is given (one enumeration per distinct set of images)."""
     target = assignment.target
     pres = build_presentation(assignment.b)
-    found = dict(_nonidentity_products(assignment, range(1, 4 * pres.b + 2), pres.relators.walk()))
+    found, walked = _nonidentity_products(assignment, range(1, 4 * pres.b + 2), pres.relators.walk())
     # only a failing run reads sources, off the walk the evaluator ran: no word is built
     walk = pres.relators.walk(sources=True) if found else ()
     failures = [(i, source, found[i]) for i, (_, _, source) in enumerate(walk) if i in found]
@@ -235,7 +235,7 @@ def verify_assignment(assignment: GeneratorAssignment, oracle_bound: Optional[in
         p=target.p,
         family=assignment.family,
         target_order=target.order,
-        total_relators=len(pres.relators),
+        total_relators=walked,
         failures=tuple(failures),
         a12_order=target.order_of(assignment.images[-1]),  # A12 is the last letter
         m1=m1,
@@ -250,12 +250,10 @@ def verify_assignment(assignment: GeneratorAssignment, oracle_bound: Optional[in
 # ---------------------------------------------------------------------------
 
 
-def _validated_params(b: int, p: int, lambdas: Sequence[int], mus: Sequence[int]):
-    lam = tuple(residues(lambdas, p, "lambdas"))
-    mu = tuple(residues(mus, p, "mus"))
-    if len(lam) != b or len(mu) != b:
-        raise PreconditionError(f"need {b} lambdas and {b} mus, got {len(lam)} and {len(mu)}")
-    if any(x == 0 for x in lam + mu):
+def _validated_params(p: int, lambdas: tuple, mus: tuple) -> None:
+    """Refuse (lambda, mu) outside the family, given b integers a side."""
+    lam, mu = [int(x) % p for x in lambdas], [int(x) % p for x in mus]
+    if 0 in lam + mu:
         raise PreconditionError("all lambda_j and mu_j must be nonzero mod p")
     if sum(lam) % p != 1:
         raise PreconditionError(f"sum of lambdas is {sum(lam) % p}, must be 1 mod {p}")
@@ -264,7 +262,6 @@ def _validated_params(b: int, p: int, lambdas: Sequence[int], mus: Sequence[int]
     for j, (lj, mj) in enumerate(zip(lam, mu), start=1):
         if (lj * mj) % p == 1:
             raise PreconditionError(f"lambda_{j} * mu_{j} = 1 mod {p}; the form would be degenerate")
-    return lam, mu
 
 
 def standard_assignment_nondegenerate(
@@ -277,8 +274,9 @@ def standard_assignment_nondegenerate(
     parameters exist at all.
     """
     check_family("nondegenerate", b, p)
-    lam, mu = _validated_params(b, p, lambdas, mus)
-    group = HeisGroup(AlternatingForm.family(b, p, lam, mu))
+    lambdas, mus = tuple(lambdas), tuple(mus)
+    group = HeisGroup(AlternatingForm.family(b, p, lambdas, mus))  # b integers a side, or refused
+    _validated_params(p, lambdas, mus)
     # letter i + 1 to the i-th basis vector, A12 to the center
     images = tuple(map(group.basis_element, range(4 * b))) + (group.central(1),)
     return GeneratorAssignment("nondegenerate", group, images)

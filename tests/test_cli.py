@@ -444,7 +444,7 @@ def test_classify_form_non_integer_entry_exits_2(capsys, tmp_path):
     path = tmp_path / "omega.json"
     path.write_text(json.dumps(omega))
     code, _, err = run(capsys, "classify-form", "--p", "3", "--matrix-json", str(path))
-    assert code == 2 and "integers" in err
+    assert code == 2 and "error: matrix entry must be an integer, got 2.5" in err
 
 
 def test_classify_form_boolean_entry_exits_2(capsys, tmp_path):
@@ -453,7 +453,29 @@ def test_classify_form_boolean_entry_exits_2(capsys, tmp_path):
     path = tmp_path / "omega.json"
     path.write_text(json.dumps([[True if i != j else 0 for j in range(8)] for i in range(8)]))
     code, out, err = run(capsys, "classify-form", "--p", "2", "--matrix-json", str(path))
-    assert (code, out) == (2, "") and "error: matrix entries must be integers" in err
+    assert (code, out) == (2, "") and "error: matrix entry must be an integer, got True" in err
+
+
+@pytest.mark.parametrize(
+    "matrix,argv,message",
+    [
+        ([[0] * 6] * 6, ("--p", "5"), "form dimension 6 is not 4b"),
+        ([[0, 1, 0], [-1, 0, 0]], ("--p", "5"), "alternating form must be square"),
+        ([1, 2], ("--p", "5"), "matrix entries must be two-dimensional"),
+        (None, ("--b", "2", "--p", "5", "--lambda", "3,x", "--mu", "3,3"), "cannot parse lambda list '3,x'"),
+        (None, ("--b", "2", "--p", "5", "--lambda", "3,3"), "give either --matrix-json or both"),
+        (None, ("--p", "5", "--lambda", "3,3", "--mu", "3,3"), "--b is required"),
+        (None, ("--b", "3", "--p", "5", "--lambda", "3,3", "--mu", "3,3"), "need 3 lambdas and 3 mus, got 2 and 2"),
+    ],
+    ids=["6x6", "not-square", "one-dimensional", "unparsed-lambda", "lambda-without-mu", "no-b", "short-lambda"],
+)
+def test_classify_form_refusals_exit_2(capsys, tmp_path, matrix, argv, message):
+    if matrix is not None:
+        path = tmp_path / "omega.json"
+        path.write_text(json.dumps(matrix))
+        argv += ("--matrix-json", str(path))
+    code, out, err = run(capsys, "classify-form", *argv)
+    assert (code, out) == (2, "") and f"error: {message}" in err
 
 
 def test_classify_form_missing_file_exits_2(capsys):
@@ -633,6 +655,13 @@ def test_census_of_too_many_cells_exits_2_before_any_is_tested():
     code, out, err, seconds = run_capped("census", "--family", "degenerate", "--b", "2..1002", "--p", "2..1002")
     assert (code, out) == (2, "") and "more than 10^6" in err
     assert seconds < 1.0
+
+
+def test_census_omits_a_claim_its_ranges_do_not_reach(capsys):
+    # the least non-degenerate signature is at (2, 5), outside b = 3..4
+    code, out, _ = run(capsys, "census", "--family", "nondegenerate", "--b", "3..4", "--p", "5..7")
+    assert code == 0 and "FAILED" not in out
+    assert out.count("claim [ok]") == 4 and "minimum signature" not in out
 
 
 def test_census_without_admissible_rows_exits_2(capsys):
@@ -960,6 +989,29 @@ def test_no_public_name_without_a_caller():
     defined, unused = unreferenced(lambda name: not name.startswith("_"))
     assert len(defined) > 50  # the scan sees the package's public names
     assert [name for name in unused if name not in traced] == []
+
+
+def test_integer_gate_lives_in_primes():
+    # primes.integer is the one rule for what an integer is: outside primes.py
+    # no module tests isinstance(x, int) or isinstance(x, bool) or imports
+    # operator.index; type(x) is int, the exact-int rule of letters and
+    # stored images, is a different check and stays allowed
+    calls, gates = 0, []
+    for path in sorted((SRC / "heiskod").glob("*.py")):
+        if path.stem == "primes":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                calls += 1
+                kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+                gates += [f"{path.stem}:{node.lineno}" for k in kinds if getattr(k, "id", None) in ("int", "bool")]
+            elif isinstance(node, ast.ImportFrom) and node.module == "operator":
+                gates += [f"{path.stem}:{node.lineno}" for alias in node.names if alias.name == "index"]
+            elif isinstance(node, ast.Attribute) and node.attr == "index":
+                if getattr(node.value, "id", None) == "operator":
+                    gates.append(f"{path.stem}:{node.lineno}")
+    assert calls >= 3  # the scan sees the isinstance calls of fplinalg and verify
+    assert gates == []
 
 
 def test_no_module_imports_dataclasses():

@@ -275,6 +275,8 @@ def test_matmul_and_shape_errors():
         b @ a @ b
     with pytest.raises(PreconditionError):
         a @ FpMatrix([[1, 0], [0, 1]], 7)
+    with pytest.raises(PreconditionError, match="vector length disagrees with column count"):
+        a.apply([1, 2, 3])
 
 
 def test_strict_upper():
@@ -389,11 +391,11 @@ def test_non_integer_entries_refused():
 def test_boolean_entries_refused():
     # operator.index(True) is the int 1, so a bool is refused before the
     # index is taken: JSON true is not an integer entry
-    with pytest.raises(PreconditionError, match="entries must be integers"):
+    with pytest.raises(PreconditionError, match="entry must be an integer, got True"):
         residues([True], 5)
-    with pytest.raises(PreconditionError, match="matrix entries must be integers"):
+    with pytest.raises(PreconditionError, match="matrix entry must be an integer, got True"):
         FpMatrix([[0, True], [True, 0]], 2)
-    with pytest.raises(PreconditionError, match="vector entries must be integers"):
+    with pytest.raises(PreconditionError, match="vector entry must be an integer, got True"):
         HeisGroup(AlternatingForm.standard_symplectic(1, 3)).element((True, 0), 0)
     # numpy integers are still integers
     assert residues(np.array([7, -1], dtype=np.int64), 5) == [2, 4]
@@ -407,11 +409,18 @@ def test_sparse_constructor():
     empty = FpMatrix.sparse([], 4, 7)
     assert (empty.rows, empty.cols, empty.rank()) == (0, 4, 0)
     assert len(empty.kernel_basis()) == 4
-    for bad in ({3: 1}, {-1: 1}, {True: 1}, {"0": 1}):
-        with pytest.raises(PreconditionError):
+    for bad in ({3: 1}, {-1: 1}):
+        with pytest.raises(PreconditionError, match="out of range 0..2"):
             FpMatrix.sparse([bad], 3, 5)
-    with pytest.raises(PreconditionError):
+    for bad in ({True: 1}, {"0": 1}, {1.0: 1}):
+        with pytest.raises(PreconditionError, match="column index must be an integer, got"):
+            FpMatrix.sparse([bad], 3, 5)
+    with pytest.raises(PreconditionError, match="matrix entry must be an integer, got 0.5"):
         FpMatrix.sparse([{0: 0.5}], 3, 5)
+    with pytest.raises(PreconditionError, match="column count -1 is negative"):
+        FpMatrix.sparse([], -1, 5)
+    # a numpy integer is a column index, read as the int it equals
+    assert FpMatrix.sparse([{np.int64(0): 1}], 1, 5) == FpMatrix([[1]], 5)
     with pytest.raises(PreconditionError):
         FpMatrix([], 5)  # a dense matrix with no rows has no column count
 

@@ -438,9 +438,14 @@ def test_basis_element_refuses_indices_outside_the_basis():
     # used to return the identity for 7 and -1 on dim 4
     h = std(2, 5)
     assert [h.basis_element(i).v.index(1) for i in range(4)] == [0, 1, 2, 3]
-    for bad in (7, 4, -1, True, 1.0):
-        with pytest.raises(PreconditionError, match="basis index"):
+    for bad in (7, 4, -1):
+        with pytest.raises(PreconditionError, match=f"basis index {bad} is not in 0..3"):
             h.basis_element(bad)
+    for bad in (True, 1.0):
+        with pytest.raises(PreconditionError, match="basis index must be an integer, got"):
+            h.basis_element(bad)
+    # an in-range numpy integer used to be refused as "not in 0..3"
+    assert h.basis_element(np.int64(3)) == h.basis_element(3)
 
 
 def test_central_and_basis_element_refuse_floats():

@@ -66,8 +66,26 @@ def test_parameter_preconditions():
         general_invariants(1, 3**5, 3, 1, 1)
     with pytest.raises(PreconditionError):
         general_invariants(2, 3**5, 1, 1, 1)
-    with pytest.raises(PreconditionError):
-        general_invariants(2, 3**5, 3, 7, 1)
+    # one precondition covers the cover degree: |G|, m1, m2 >= 1 and m1 m2 | |G|;
+    # a zero used to raise ZeroDivisionError, and a negative size, or an m1 m2
+    # that does not divide |G| although m1 and m2 do, an inconsistency (exit 1
+    # on the command line)
+    for group_order, m1, m2 in (
+        (5**9, 7, 1),
+        (5**9, 0, 5**4),
+        (5**9, 5**4, 0),
+        (5**9, -1, 5**4),
+        (5**9, 5**5, 5**5),
+        (0, 1, 1),
+        (-(5**9), 1, 1),
+    ):
+        with pytest.raises(PreconditionError, match=rf"got \|G\| = {group_order}, m1 = {m1}, m2 = {m2}$"):
+            general_invariants(2, group_order, 5, m1, m2)
+    # a float size used to raise a bare TypeError
+    with pytest.raises(PreconditionError, match=r"^\|G\| must be an integer, got 1953125.0$"):
+        general_invariants(2, 5.0**9, 5, 5**4, 5**4)
+    with pytest.raises(PreconditionError, match="^m2 must be an integer, got True$"):
+        general_invariants(2, 5**9, 5, 5**4, True)
 
 
 # -- family specialisations --------------------------------------------------------
@@ -200,6 +218,7 @@ def test_every_layer_refuses_genus_below_2_alike():
 def test_genus_and_modulus_pass_one_integer_gate():
     import numpy as np
 
+    from heiskod.braid import involution_substitute, word_display
     from heiskod.cohomology import count_heisenberg_candidates, diagonal_class, search_family_params
     from heiskod.fplinalg import AlternatingForm, FpMatrix
     from heiskod.primes import check_genus, check_prime
@@ -223,6 +242,9 @@ def test_genus_and_modulus_pass_one_integer_gate():
         lambda: AlternatingForm.j_form(2.0, 5),
         lambda: AlternatingForm.standard_symplectic(True, 5),
         lambda: AlternatingForm.standard_symplectic(2.0, 5),
+        # a letter's genus too: these used to return (7.0,) and ['r1.0_1.0']
+        lambda: involution_substitute((1,), 2.0),
+        lambda: word_display((1,), 2.0),
     ):
         with pytest.raises(PreconditionError, match="must be an integer, got"):
             refuse()
@@ -234,6 +256,8 @@ def test_genus_and_modulus_pass_one_integer_gate():
     assert len(list(search_family_params(2, 5, np.int64(2)))) == 2
     assert FpMatrix.sparse([{0: 1}], np.int64(1), 5) == FpMatrix([[1]], 5)
     assert AlternatingForm.j_form(np.int64(2), 5).dim == AlternatingForm.standard_symplectic(np.int64(2), 5).dim == 4
+    sizes = (np.int64(5**9), np.int64(5), np.int64(5**4), np.int64(5**4))
+    assert general_invariants(2, *sizes) == general_invariants(2, 5**9, 5, 5**4, 5**4)
 
 
 # -- kappa -------------------------------------------------------------------------
@@ -243,6 +267,8 @@ def test_distinct_prime_factors():
     assert distinct_prime_factors(30) == (2, 3, 5)
     assert distinct_prime_factors(8) == (2,)
     assert distinct_prime_factors(1) == ()
+    with pytest.raises(PreconditionError, match="need a positive integer, got 0"):
+        distinct_prime_factors(0)
 
 
 def test_distinct_prime_factors_large():

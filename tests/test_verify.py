@@ -276,23 +276,26 @@ def test_nondegenerate_verification(nondeg25):
 
 
 def test_nondegenerate_parameter_validation():
-    with pytest.raises(PreconditionError):
-        standard_assignment_nondegenerate(2, 3, (1, 1), (1, 1))  # p < 5
-    with pytest.raises(PreconditionError):
-        standard_assignment_nondegenerate(2, 5, (2, 4), (2, 3))  # sum mu = 0
-    with pytest.raises(PreconditionError):
-        standard_assignment_nondegenerate(2, 5, (0, 1), (3, 3))  # zero lambda
-    with pytest.raises(PreconditionError):
-        standard_assignment_nondegenerate(2, 5, (2, 4), (3, 4))  # lambda_2 mu_2 = 16 = 1
+    # the family checks its rule; AlternatingForm.family the counts and types
+    for p, lambdas, mus, message in (
+        (3, (1, 1), (1, 1), "needs a prime p >= 5, got 3"),
+        (5, (0, 1), (3, 3), "must be nonzero mod p"),
+        (5, (1, 1), (3, 3), "sum of lambdas is 2, must be 1 mod 5"),
+        (5, (2, 4), (2, 3), "sum of mus is 0, must be 1 mod 5"),
+        (5, (2, 4), (3, 3), r"lambda_1 \* mu_1 = 1 mod 5"),
+        (5, (3,), (3, 3), "need 2 lambdas and 2 mus, got 1 and 2"),
+    ):
+        with pytest.raises(PreconditionError, match=message):
+            standard_assignment_nondegenerate(2, p, lambdas, mus)
     # the valid neighbour passes
     standard_assignment_nondegenerate(2, 5, (2, 4), (4, 2))
 
 
 def test_nondegenerate_parameters_refuse_floats():
     # 3.9 used to be read as lambda_1 = 3
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^lambda must be an integer, got 3.9$"):
         standard_assignment_nondegenerate(2, 5, (3.9, 3), (3, 3))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^mu must be an integer, got 3.0$"):
         standard_assignment_nondegenerate(2, 5, (3, 3), (3, 3.0))
 
 
@@ -313,6 +316,18 @@ def test_degenerate_verification(b, p):
     assert report.a12_order == p
     assert report.m1 == report.m2 == 1
     assert report.is_surjective
+
+
+def test_relator_count_is_what_the_evaluator_walked(monkeypatch):
+    # the count used to be the template formula 8b^2 + 4b + 2, so a walk that
+    # skipped a relator still reported 42/42 at b = 2
+    from heiskod import braid
+
+    walk = braid._Templates.walk
+    monkeypatch.setattr(braid._Templates, "walk", lambda self, sources=False: list(walk(self, sources))[:-1])
+    report = verify_assignment(standard_assignment_degenerate(2, 3))
+    assert (report.total_relators, report.passed) == (41, 41)
+    assert "relators passed: 41/41" in report.text()
 
 
 def test_degenerate_preconditions():
