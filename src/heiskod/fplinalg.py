@@ -10,7 +10,9 @@ family
 where L_b, M_b are block-diagonal with 2x2 blocks [[0, l_j], [-l_j, 0]]
 (resp. mu_j) and J_b has blocks [[0, -1], [1, 0]].  Its determinant is
 prod_j (1 - lambda_j * mu_j)^2, so the form is symplectic exactly when no
-lambda_j * mu_j equals 1.
+lambda_j * mu_j equals 1.  Omega_b(-1, ..., -1) = [[J_b, J_b], [J_b, J_b]] is
+the degenerate family's form: its radical is {(x, -x)}, and it restricts to
+J_b on the first 2b coordinates.
 
 A matrix is a tuple of sparse rows, ``{column: nonzero residue}`` maps of
 Python integers, so every result is exact.  Row reduction, rank, determinant
@@ -297,7 +299,7 @@ class AlternatingForm:
     @classmethod
     def family(cls, b: int, p: int, lambdas: Sequence[int], mus: Sequence[int]) -> "AlternatingForm":
         """The 4b x 4b block form Omega_b determined by (lambda, mu)."""
-        check_genus(b)
+        b = check_genus(b)
         check_prime(p)
         if len(lambdas) != b or len(mus) != b:
             raise PreconditionError(f"need {b} lambdas and {b} mus, got {len(lambdas)} and {len(mus)}")
@@ -316,12 +318,3 @@ class AlternatingForm:
         n = integer(n, "n")
         rows = [{n + i: 1} for i in range(n)] + [{i: -1} for i in range(n)]
         return cls(FpMatrix.sparse(rows, 2 * n, p))
-
-    @classmethod
-    def j_form(cls, b: int, p: int) -> "AlternatingForm":
-        """The 2b x 2b form J_b itself (blocks [[0, -1], [1, 0]])."""
-        check_prime(p)
-        b = integer(b, "b")
-        rows: list[Row] = [{} for _ in range(2 * b)]
-        _j_block(b, 0, 0, rows, p)
-        return cls(FpMatrix.sparse(rows, 2 * b, p))

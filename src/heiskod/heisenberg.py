@@ -76,12 +76,6 @@ class HeisGroup:
     def central(self, t: int = 1) -> HeisElement:
         return HeisElement((0,) * self.dim, self._residue(t))
 
-    def basis_element(self, i: int) -> HeisElement:
-        i = integer(i, "basis index")
-        if not 0 <= i < self.dim:
-            raise PreconditionError(f"basis index {i} is not in 0..{self.dim - 1}")
-        return HeisElement(tuple(int(k == i) for k in range(self.dim)), 0)
-
     def element(self, v: Sequence[int], t: int) -> HeisElement:
         vv = tuple(residues(v, self.p, "vector entry"))
         if len(vv) != self.dim:

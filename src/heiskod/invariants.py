@@ -24,8 +24,8 @@ the signature is (2b - 2) p^{dim-1} (p^2 - 1) / 3.  ``census`` tabulates one
 family and checks its claims, read from ``CLAIM_TABLE``: per family the slope
 maximum and its cells, the minimum signature and the named claim checks.
 
-Any non-integral intermediate value is reported as an inconsistency rather
-than rounded: with valid parameters every output is a positive integer.
+A tuple whose g1, g2, c1^2, c2 or signature is not an integer is refused as
+inadmissible, not rounded: an admissible tuple gives positive integers only.
 """
 
 from __future__ import annotations
@@ -35,12 +35,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InconsistencyError, PreconditionError
 from .primes import admits, check_family, check_genus, integer
-
-
-def _as_int(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise InconsistencyError(f"{what} is not an integer: {x}")
-    return int(x)
 
 
 class _FibrationFields(NamedTuple):
@@ -88,8 +82,9 @@ class FibrationInvariants(_FibrationFields):
 
 def general_invariants(b: int, group_order: int, n: int, m1: int, m2: int) -> FibrationInvariants:
     """Invariants for an admissible (|G|, n, m1, m2) at base genus b: integers
-    with n > 1, |G|, m1, m2 >= 1 and m1 m2 dividing |G|, the cover degree."""
-    check_genus(b)
+    with n > 1, |G|, m1, m2 >= 1, m1 m2 dividing |G| (the cover degree) and
+    g1, g2, c1^2, c2 and signature integral."""
+    b = check_genus(b)
     group_order, n, m1, m2 = (integer(x, what) for x, what in zip((group_order, n, m1, m2), ("|G|", "n", "m1", "m2")))
     if n <= 1:
         raise PreconditionError(f"branching order must exceed 1, got {n}")
@@ -98,14 +93,20 @@ def general_invariants(b: int, group_order: int, n: int, m1: int, m2: int) -> Fi
     f = 1 - Fraction(1, n)
     b1 = m1 * (b - 1) + 1
     b2 = m2 * (b - 1) + 1
-    g1 = _as_int((Fraction(group_order, m1) * (2 * b - 2 + f) + 2) / 2, "g1")
-    g2 = _as_int((Fraction(group_order, m2) * (2 * b - 2 + f) + 2) / 2, "g2")
-    c1_sq = _as_int(group_order * (2 * b - 2) * (4 * b - 4 + 4 * f - f * f), "c1^2")
-    c2 = _as_int(group_order * (2 * b - 2) * (2 * b - 2 + f), "c2")
+    exact = {
+        "g1": (Fraction(group_order, m1) * (2 * b - 2 + f) + 2) / 2,
+        "g2": (Fraction(group_order, m2) * (2 * b - 2 + f) + 2) / 2,
+        "c1^2": group_order * (2 * b - 2) * (4 * b - 4 + 4 * f - f * f),
+        "c2": group_order * (2 * b - 2) * (2 * b - 2 + f),
+    }
+    exact["signature"] = (exact["c1^2"] - 2 * exact["c2"]) / 3
+    if fractional := [what for what, x in exact.items() if x.denominator != 1]:
+        what = f"(|G|, n, m1, m2) = ({group_order}, {n}, {m1}, {m2})"
+        raise PreconditionError(f"{what} is not admissible at b = {b} (non-integral {', '.join(fractional)})")
+    g1, g2, c1_sq, c2, signature = map(int, exact.values())
     slope = Fraction(c1_sq, c2)
     if slope != 2 + (2 * f - f * f) / (2 * b - 2 + f):
         raise InconsistencyError("slope closed form disagrees with c1^2/c2")
-    signature = _as_int(Fraction(c1_sq - 2 * c2, 3), "signature")
     return FibrationInvariants(
         b=b,
         group_order=group_order,
@@ -128,7 +129,7 @@ def family_invariants(family: str, b: int, p: int) -> FibrationInvariants:
     """Invariants of the family's fibration at (b, p): the target group has
     order p^{dim+1} with dim = 4b (non-degenerate) or 2b (degenerate), A12
     has order p, and both fibre subgroups have index m = p^{2b} or 1."""
-    check_family(family, b, p)
+    b, p = check_family(family, b, p)
     dim, m = (4 * b, p ** (2 * b)) if family == "nondegenerate" else (2 * b, 1)
     inv = general_invariants(b, p ** (dim + 1), p, m, m)
     if inv.signature != (2 * b - 2) * p ** (dim - 1) * (p * p - 1) // 3:

@@ -109,10 +109,11 @@ def kappa(b: int) -> int:
     return len(distinct_prime_factors(b + 1))
 
 
-def check_genus(b: int) -> None:
-    """Refuse a genus below 2: there is no presentation, form or fibration."""
-    if integer(b, "genus b") < 2:
+def check_genus(b: int) -> int:
+    """The genus b as an int; below 2 there is no presentation, form or fibration."""
+    if (b := integer(b, "genus b")) < 2:
         raise PreconditionError(f"genus b must be >= 2, got {b}")
+    return b
 
 
 def admits(family: str, b: int, p: int) -> bool:
@@ -126,11 +127,11 @@ def admits(family: str, b: int, p: int) -> bool:
     raise PreconditionError(f"unknown family {family!r}")
 
 
-def check_family(family: str, b: int, p: int) -> None:
-    """Refuse (b, p) outside the family, saying which condition fails."""
-    check_genus(b)
+def check_family(family: str, b: int, p: int) -> tuple[int, int]:
+    """(b, p) as ints, refused outside the family, saying which condition fails."""
+    b, p = check_genus(b), integer(p, "modulus")
     if admits(family, b, p):
-        return
+        return b, p
     if family == "nondegenerate":
         raise PreconditionError(f"the non-degenerate family needs a prime p >= 5, got {p}")
     if not is_prime(p):

@@ -23,20 +23,19 @@ An assignment stores its images as a tuple indexed by letter: ``images[i]``
 is the image of the generator with letter i + 1, in the order ``braid``
 fixes, and the image of an inverse letter is inverted on demand.
 
-Two standard assignments are provided.
-
-* Non-degenerate family (p >= 5, parameters lambda, mu with nonzero entries,
-  both sums 1 and lambda_j mu_j != 1):  target Heis(F_p^{4b}, Omega_b), with
-  rho_1j, tau_1j, rho_2j, tau_2j mapped to the basis pairs r_1j, t_1j, r_2j,
-  t_2j and A12 to the central z.  Note that tau_2j goes to t_2j; the variant
-  sending it to r_2j instead is provided as a negative control and provably
-  fails the relation [rho_1j, tau_2j] = A12^-1 (it evaluates to z).
-
-* Degenerate family (p | b+1):  the rank-2b form identifies the two strands,
-  so rho_1j and rho_2j share the image r_j, tau_1j and tau_2j share t_j, and
-  A12 goes to z.  The target is Heis(F_p^{2b}, J_b) for every p, including
-  p = 2, where it is H_{2b+1}(F_2) with the coordinates interleaved as
-  (r_j, t_j).
+Every lifting is ``lift`` of an alternating form omega on F_p^{4b}: the
+target is the Heisenberg group of omega on its pivot coordinates, which span
+a complement of rad omega; letter i + 1 goes to e_i projected along rad
+omega, and A12 to the central k = -omega(rho_11, tau_21).  The relation
+[rho_11, tau_21] = A12^-1 forces that k, and on a form of Heisenberg type it
+is the classifier's multiple of the diagonal class, so nothing is searched.
+The non-degenerate family (p >= 5) is lift of Omega_b(lambda, mu), of
+radical 0; ``tau2_to_r2_variant`` sends each tau_2j to the image of rho_2j
+instead, a negative control that fails [rho_1j, tau_2j] = A12^-1 with value
+z.  The degenerate family (p | b+1) is lift of Omega_b(-1, ..., -1), whose
+pivots are the strand-1 coordinates: both strands share the images
+(r_j, t_j) in Heis(F_p^{2b}, J_b), at p = 2 the group H_{2b+1}(F_2) with its
+coordinates interleaved.
 
 Subgroup indices come from a fast structural method; ``verify_assignment``
 cross-checks them, given a bound, against an exhaustive oracle that marks the
@@ -264,6 +263,22 @@ def _validated_params(p: int, lambdas: tuple, mus: tuple) -> None:
             raise PreconditionError(f"lambda_{j} * mu_{j} = 1 mod {p}; the form would be degenerate")
 
 
+def lift(form: AlternatingForm, family: str) -> GeneratorAssignment:
+    """The lifting read off ``form``, as the module docstring says: the image
+    of letter i + 1 is column i of omega's reduced rows.  Nothing is refused
+    here; ``verify_assignment`` proves or refutes every relator."""
+    p, dim = form.p, form.dim
+    reduced, pivots = form.omega.rref()
+    column = {c: i for i, c in enumerate(pivots)}
+    onto = FpMatrix.sparse([{c: 1} for c in pivots], dim, p)
+    into = FpMatrix.sparse([{column[c]: 1} if c in column else {} for c in range(dim)], len(pivots), p)
+    group = HeisGroup(AlternatingForm(onto @ form.omega @ into))
+    (r,), (t,) = rho(dim // 4, 1, 1), tau(dim // 4, 2, 1)
+    k = -form.omega.apply([int(c == t - 1) for c in range(dim)])[r - 1]
+    images = tuple(HeisElement(v, 0) for v in zip(*reduced.to_lists()[: len(pivots)]))
+    return GeneratorAssignment(family, group, images + (group.central(k),))
+
+
 def standard_assignment_nondegenerate(
     b: int, p: int, lambdas: Sequence[int], mus: Sequence[int]
 ) -> GeneratorAssignment:
@@ -273,13 +288,11 @@ def standard_assignment_nondegenerate(
     mu_j = -lambda_j, which contradicts both sums being 1, so no valid
     parameters exist at all.
     """
-    check_family("nondegenerate", b, p)
+    b, p = check_family("nondegenerate", b, p)
     lambdas, mus = tuple(lambdas), tuple(mus)
-    group = HeisGroup(AlternatingForm.family(b, p, lambdas, mus))  # b integers a side, or refused
+    form = AlternatingForm.family(b, p, lambdas, mus)  # b integers a side, or refused
     _validated_params(p, lambdas, mus)
-    # letter i + 1 to the i-th basis vector, A12 to the center
-    images = tuple(map(group.basis_element, range(4 * b))) + (group.central(1),)
-    return GeneratorAssignment("nondegenerate", group, images)
+    return lift(form, "nondegenerate")
 
 
 def tau2_to_r2_variant(b: int, p: int, lambdas: Sequence[int], mus: Sequence[int]) -> GeneratorAssignment:
@@ -298,16 +311,14 @@ def tau2_to_r2_variant(b: int, p: int, lambdas: Sequence[int], mus: Sequence[int
 
 
 def standard_assignment_degenerate(b: int, p: int) -> GeneratorAssignment:
-    """The strand-identifying epimorphism onto a group of order p^{2b+1}.
+    """The strand-identifying epimorphism onto a group of order p^{2b+1}:
+    the lifting of Omega_b(-1, ..., -1), whose radical identifies the strands.
 
     Valid exactly when p divides b+1 (both surface relations evaluate to
     z^{+-b}, which equals z^{-+1} precisely then).
     """
-    check_family("degenerate", b, p)
-    group = HeisGroup(AlternatingForm.j_form(b, p))
-    # both strands on the same 2b basis vectors, A12 to the center
-    images = tuple(group.basis_element(k % (2 * b)) for k in range(4 * b)) + (group.central(1),)
-    return GeneratorAssignment("degenerate", group, images)
+    b, p = check_family("degenerate", b, p)
+    return lift(AlternatingForm.family(b, p, (-1,) * b, (-1,) * b), "degenerate")
 
 
 def precompose_involution(assignment: GeneratorAssignment) -> GeneratorAssignment:

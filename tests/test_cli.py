@@ -1014,6 +1014,19 @@ def test_integer_gate_lives_in_primes():
     assert gates == []
 
 
+def test_lift_is_the_one_lifting_builder():
+    # verify builds a target group in lift alone, so no family builds its own
+    # images on a group of its own
+    tree = ast.parse((SRC / "heiskod" / "verify.py").read_text())
+
+    def builds(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "HeisGroup"]
+
+    (lift,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "lift"]
+    assert builds(lift)  # the scan sees lift's call
+    assert len(builds(tree)) == len(builds(lift))
+
+
 def test_no_module_imports_dataclasses():
     assert package_imports("typing")  # the scan sees the NamedTuple imports
     assert package_imports("dataclasses") == []

@@ -17,6 +17,9 @@ built the report text, the oracle cross-check and the verdict itself; they
 hold ``verify_assignment``'s report to those bytes.  The ``classify_form_*``
 files were written while ``classify_form`` returned a four-field record with
 the determinant and the image of xi; they hold the bare multiple k to those
+bytes.  The ``verify_*`` and ``report_*`` files were written while each
+family built its own images, the degenerate one on its own 2b-dimensional
+form J_b; they hold ``lift`` of each family's 4b-dimensional form to those
 bytes.
 """
 

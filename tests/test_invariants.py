@@ -56,9 +56,26 @@ def test_general_invariants_kirby_case():
 
 
 def test_non_integral_combination_rejected():
-    # |G| = 10, n = 3 gives c2 = 10 * 2 * (2 + 2/3) = 160/3
-    with pytest.raises(InconsistencyError):
+    # |G| = 10, n = 3 gives c2 = 10 * 2 * (2 + 2/3) = 160/3: the tuple is not
+    # admissible, a refused input (exit 2), not a refuted claim
+    with pytest.raises(PreconditionError, match=r"^\(\|G\|, n, m1, m2\) = \(10, 3, 1, 1\) is not admissible at b = 2 "):
         general_invariants(2, 10, 3, 1, 1)
+    # |G| = 9 makes g1, g2, c1^2 and c2 integers but the signature 16/3
+    with pytest.raises(PreconditionError, match=r"\(non-integral signature\)$"):
+        general_invariants(2, 9, 3, 1, 1)
+
+
+def test_numpy_genus_and_modulus_are_read_as_ints():
+    # a numpy genus used to flow on as np.int64 and wrap |G| = 13^25
+    import numpy as np
+
+    want = family_invariants("nondegenerate", 6, 13)
+    for b, p in ((np.int64(6), 13), (6, np.int64(13)), (np.int64(6), np.int64(13))):
+        got = family_invariants("nondegenerate", b, p)
+        assert got == want
+        assert all(type(x) is int for x in got if not isinstance(x, Fraction))
+        assert type(got.slope.numerator) is type(got.slope.denominator) is int
+    assert general_invariants(np.int64(2), 5**9, 5, 5**4, 5**4) == general_invariants(2, 5**9, 5, 5**4, 5**4)
 
 
 def test_parameter_preconditions():
@@ -238,8 +255,6 @@ def test_genus_and_modulus_pass_one_integer_gate():
         lambda: search_family_params(2, 5, 2.0),
         lambda: FpMatrix.sparse([{0: 1}], True, 5),
         lambda: FpMatrix.sparse([{0: 1}], 1.0, 5),
-        lambda: AlternatingForm.j_form(True, 5),
-        lambda: AlternatingForm.j_form(2.0, 5),
         lambda: AlternatingForm.standard_symplectic(True, 5),
         lambda: AlternatingForm.standard_symplectic(2.0, 5),
         # a letter's genus too: these used to return (7.0,) and ['r1.0_1.0']
@@ -255,7 +270,8 @@ def test_genus_and_modulus_pass_one_integer_gate():
     assert distinct_prime_factors(np.int64(30)) == (2, 3, 5)
     assert len(list(search_family_params(2, 5, np.int64(2)))) == 2
     assert FpMatrix.sparse([{0: 1}], np.int64(1), 5) == FpMatrix([[1]], 5)
-    assert AlternatingForm.j_form(np.int64(2), 5).dim == AlternatingForm.standard_symplectic(np.int64(2), 5).dim == 4
+    assert AlternatingForm.family(np.int64(2), 5, (1, 1), (1, 1)).dim == 8
+    assert AlternatingForm.standard_symplectic(np.int64(2), 5).dim == 4
     sizes = (np.int64(5**9), np.int64(5), np.int64(5**4), np.int64(5**4))
     assert general_invariants(2, *sizes) == general_invariants(2, 5**9, 5, 5**4, 5**4)
 

@@ -18,14 +18,16 @@ from hypothesis import strategies as st
 
 from heiskod import verify
 from heiskod.braid import build_presentation, kernel_generator_sets, rho, winding
-from heiskod.cohomology import search_family_params
+from heiskod.cohomology import classify_form, eta_matrix, search_family_params
 from heiskod.errors import EnumerationBoundError, PreconditionError
 from heiskod.fplinalg import AlternatingForm, FpMatrix
 from heiskod.heisenberg import HeisElement, HeisGroup
+from heiskod.primes import admits
 from heiskod.verify import (
     GeneratorAssignment,
     bfs_subgroup_order,
     evaluate_word,
+    lift,
     precompose_involution,
     standard_assignment_degenerate,
     standard_assignment_nondegenerate,
@@ -39,6 +41,17 @@ from heiskod.verify import (
 @pytest.fixture(scope="module")
 def nondeg25():
     return standard_assignment_nondegenerate(2, 5, (3, 3), (3, 3))
+
+
+def unit(group, i):
+    """(e_i, 0), the i-th basis vector with central part 0."""
+    return group.element([int(k == i) for k in range(group.dim)], 0)
+
+
+def j_group(b, p):
+    """Heis(F_p^{2b}, J_b), J_b with blocks [[0, -1], [1, 0]]."""
+    rows = [{i + 1: -1} if i % 2 == 0 else {i - 1: 1} for i in range(2 * b)]
+    return HeisGroup(AlternatingForm(FpMatrix.sparse(rows, 2 * b, p)))
 
 
 # -- word evaluation -----------------------------------------------------------
@@ -242,7 +255,7 @@ def equivalence_assignments(b):
         out.append(base)
         group = base.target
         for i, g in enumerate(base.images):
-            images = base.images[:i] + (group.mul(g, group.basis_element(i % group.dim)),) + base.images[i + 1 :]
+            images = base.images[:i] + (group.mul(g, unit(group, i % group.dim)),) + base.images[i + 1 :]
             out.append(GeneratorAssignment(f"{base.family} mutated at {i + 1}", group, images))
     return out
 
@@ -302,7 +315,7 @@ def test_nondegenerate_parameters_refuse_floats():
 def test_unvalidated_bad_mu_fails_surface_relation_2(nondeg25):
     """mu = (2,3) sums to 0 mod 5; forced through, it must break relators."""
     group = HeisGroup(AlternatingForm.family(2, 5, (3, 3), (2, 3)))
-    images = tuple(map(group.basis_element, range(8))) + (group.central(1),)
+    images = tuple(unit(group, i) for i in range(8)) + (group.central(1),)
     report = verify_assignment(GeneratorAssignment("forced", group, images))
     failed_sources = {src for _, src, _ in report.failures}
     assert "surface relation 2" in failed_sources
@@ -373,7 +386,7 @@ def test_degenerate_assignment_is_quotient_of_big_lifting():
     the standard degenerate assignment exactly."""
     for b, p in ((2, 3), (4, 5), (3, 2)):
         big = HeisGroup(AlternatingForm.family(b, p, [-1] * b, [-1] * b))
-        images = tuple(map(big.basis_element, range(4 * b))) + (big.central(1),)
+        images = tuple(unit(big, i) for i in range(4 * b)) + (big.central(1),)
         assignment = GeneratorAssignment("degenerate-on-V", big, images)
         report = verify_assignment(assignment)
         assert not report.failures and report.a12_order == p
@@ -381,7 +394,7 @@ def test_degenerate_assignment_is_quotient_of_big_lifting():
 
         standard = standard_assignment_degenerate(b, p)
         small = standard.target
-        assert small.form.omega == AlternatingForm.j_form(b, p).omega
+        assert small.form.omega == j_group(b, p).form.omega
 
         def merge(g):
             # (v, t) -> (v_1 + v_2, t - sum_j v_t1j v_r2j), a homomorphism
@@ -396,6 +409,66 @@ def test_degenerate_assignment_is_quotient_of_big_lifting():
         for _ in range(100):
             g, h = (big.element(rng.integers(0, p, 4 * b), int(rng.integers(0, p))) for _ in range(2))
             assert merge(big.mul(g, h)) == small.mul(merge(g), merge(h))
+
+
+# -- lift of a form ----------------------------------------------------------------
+
+
+def form_of_wedge(w, b, p):
+    """The alternating form with wedge-square coordinates w (upper triangle)."""
+    rows = [{} for _ in range(4 * b)]
+    for (a, c), x in zip(itertools.combinations(range(4 * b), 2), w):
+        if x:
+            rows[a][c], rows[c][a] = x, -x
+    return AlternatingForm(FpMatrix.sparse(rows, 4 * b, p))
+
+
+@pytest.mark.parametrize("b,p", [(2, 2), (2, 3), (2, 5), (3, 3)])
+def test_lift_of_a_heisenberg_type_form_is_proved(b, p):
+    # every form in ker eta is xi^-1 of a multiple k of the diagonal class;
+    # lift sends A12 to that k, read off omega alone, and proves every
+    # lift with k != 0
+    rng = random.Random(b * 100 + p)
+    kernel = eta_matrix(b, p).kernel_basis()
+    proved = 0
+    for _ in range(12):
+        coeffs = [rng.randrange(p) for _ in kernel]
+        form = form_of_wedge([sum(c * v[i] for c, v in zip(coeffs, kernel)) % p for i in range(len(kernel[0]))], b, p)
+        assignment = lift(form, "ker-eta")
+        k = classify_form(form)
+        assert assignment.images[-1] == assignment.target.central(k)
+        if k:
+            assert verify_assignment(assignment).ok
+            proved += 1
+    assert proved >= 4  # k = 0 on about one form in p
+
+
+def test_lift_refutes_a_form_outside_the_family():
+    # sum lambda = 2 at p = 5: xi(Omega) is not a multiple of the diagonal
+    # class, and the one relation that reads the sum breaks
+    report = verify_assignment(lift(AlternatingForm.family(2, 5, (1, 1), (3, 3)), "forced"))
+    assert {source for _, source, _ in report.failures} == {"surface relation 1"}
+
+
+def test_degenerate_admission_rule_is_the_classifiers():
+    # p | b + 1 is exactly when the all-J form Omega_b(-1, ..., -1) is of
+    # Heisenberg type with k != 0
+    for b in range(2, 9):
+        for p in (2, 3, 5, 7, 11):
+            k = classify_form(AlternatingForm.family(b, p, (-1,) * b, (-1,) * b))
+            assert admits("degenerate", b, p) == (k not in (None, 0)), (b, p)
+
+
+@pytest.mark.parametrize("b,p", [(2, 3), (2, 5), (2, 7), (3, 2), (3, 7)])
+def test_family_form_is_of_heisenberg_type_when_both_sums_are_one(b, p):
+    rng = random.Random(b * p)
+    for _ in range(40):
+        # half the draws are adjusted so that both sums are 1
+        lam, mu = [rng.randrange(p) for _ in range(b)], [rng.randrange(p) for _ in range(b)]
+        if rng.random() < 0.5:
+            lam[0], mu[0] = (lam[0] + 1 - sum(lam)) % p, (mu[0] + 1 - sum(mu)) % p
+        ones = sum(lam) % p == sum(mu) % p == 1
+        assert classify_form(AlternatingForm.family(b, p, lam, mu)) == (1 if ones else None), (lam, mu)
 
 
 # -- involution precomposition -----------------------------------------------------
@@ -541,7 +614,7 @@ def test_fast_order_exact_at_large_p():
 
 def test_fast_order_matches_bfs_on_random_subsets():
     rng = random.Random(23)
-    group = HeisGroup(AlternatingForm.j_form(2, 3))  # order 3^5 = 243
+    group = j_group(2, 3)  # order 3^5 = 243
     for _ in range(60):
         els = [random_element(group, rng) for _ in range(rng.randint(1, 4))]
         assert subgroup_order_fast(group, els) == bfs_subgroup_order(group, els)
@@ -561,7 +634,7 @@ def test_bfs_of_identity_is_trivial():
 def test_bfs_enumerates_only_the_touched_coordinates():
     # 3^13 elements; each generator set touches a few coordinates, one
     # twisted pair (0, 1) of J_6 among them, so the oracle marks 3^6 at most
-    group = HeisGroup(AlternatingForm.j_form(6, 3))
+    group = j_group(6, 3)
     rng = random.Random(13)
     for _ in range(20):
         touched = {0, 1, *rng.sample(range(2, 12), rng.randint(0, 3))}
@@ -578,7 +651,7 @@ def test_bfs_bound_is_enforced(monkeypatch):
         bfs_subgroup_order(group, [group.central(1)], bound=10)
     # the bound is on the group, however few coordinates the generators touch
     with pytest.raises(EnumerationBoundError):
-        bfs_subgroup_order(group, [group.basis_element(0)], bound=group.order - 1)
+        bfs_subgroup_order(group, [unit(group, 0)], bound=group.order - 1)
     # order p^3 >= 2^62 is refused at any bound, before any bitmap
     big = HeisGroup(AlternatingForm.standard_symplectic(1, 2**61 - 1))
     with pytest.raises(EnumerationBoundError, match="2\\^62"):
@@ -598,7 +671,7 @@ def test_bfs_bound_is_enforced(monkeypatch):
 
         monkeypatch.setattr(verify, "_tiled", no_memory)
         with pytest.raises(EnumerationBoundError, match="memory"):
-            bfs_subgroup_order(group, [group.basis_element(0), group.basis_element(2)])
+            bfs_subgroup_order(group, [unit(group, 0), unit(group, 2)])
         assert len(calls) == fail_at
 
 
@@ -670,7 +743,7 @@ def test_oracle_matches_set_closure(group):
         els = [random_element(group, rng) for _ in range(rng.randint(1, 3))]
         assert bfs_subgroup_order(group, els) == closure_order(group, els)
     # sparse generators, as the standard assignments use
-    basis = [group.basis_element(i) for i in range(group.dim)]
+    basis = [unit(group, i) for i in range(group.dim)]
     for k in range(1, group.dim + 1):
         assert bfs_subgroup_order(group, basis[:k]) == closure_order(group, basis[:k])
 
@@ -704,7 +777,7 @@ def test_oracle_ignores_generator_order(group):
 # groups with the number of random vectors spanning the generators' projections
 CROSS_CHECK_GROUPS = [
     (HeisGroup(AlternatingForm.standard_symplectic(3, 2)), 5),  # p = 2, elements of order 4
-    (HeisGroup(AlternatingForm.j_form(3, 5)), 4),
+    (j_group(3, 5), 4),
     (HeisGroup(AlternatingForm.family(2, 5, (3, 3), (3, 3))), 4),  # C has two entries in some rows
     (HeisGroup(AlternatingForm.standard_symplectic(1, 61)), 1),
 ]
@@ -752,8 +825,8 @@ def test_odd_p_takes_no_central_power(monkeypatch, b, p):
     # r_1, ..., r_b of J_b commute and have independent projections, so no
     # pairing and no null combination can hit the center; at odd p no
     # generator has a nontrivial central power either, so none is taken
-    group = HeisGroup(AlternatingForm.j_form(b, p))
-    els = [group.basis_element(2 * j) for j in range(b)]
+    group = j_group(b, p)
+    els = [unit(group, 2 * j) for j in range(b)]
     calls = []
     power = HeisGroup.power
 
