@@ -16,10 +16,12 @@ read through a substitution s, a tuple indexed by signed symbol: s[y] is the
 letter of symbol y and s[-y], a negative index, its inverse; a plain word is
 its own pattern under ``identity_substitution``.  Words and sources are built
 only when the relators are read, so ``verify`` streams them in O(b) memory.
-The inverse-actor families are consequences of the direct ones, but they are
-emitted anyway: redundancy strengthens homomorphism verification, and keeping
-the three j-versus-k cases separate means a failure pinpoints one precise
-relation.
+The inverse-actor families are consequences of the direct ones (the test
+``test_inverse_actor_rows_follow_from_the_direct_ones`` in
+``tests/test_braid.py`` derives each row of one from the other by free
+reduction), but they are emitted anyway: redundancy strengthens homomorphism
+verification, and keeping the three j-versus-k cases separate means a
+failure pinpoints one precise relation.
 
 The presentation is invariant under the order-2 substitution
 

@@ -8,15 +8,17 @@ census, kappa, selftest.  Exit codes are never conflated:
        claim, failing self-test criterion)
     2  usage or precondition error, or out of memory
 
-Output is human-readable text by default; ``--format json`` or ``csv``
-switches where supported.  Numbers are always printed in full and slopes as
-``num/den``.  Ranges are written ``2..6``; lists ``5,7,11``.  All
-configuration is on the command line.
+Each subcommand returns its exit code and its output, and ``main`` alone
+writes that output, to stdout or to the ``--output`` file.  Output is text
+by default; ``--format json`` or ``csv`` switches where supported.  Numbers
+are always printed in full and slopes as ``num/den``.  Ranges are written
+``2..6``; lists ``5,7,11``.  All configuration is on the command line.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -26,6 +28,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import HeiskodError, InconsistencyError, PreconditionError
 
 _FAMILIES = ("degenerate", "nondegenerate")
+_IMAGE_ENTRY_BOUND = 10**7  # the most entries verify lets a lifting's images hold
+Output = tuple[int, Iterable[str]]  # a subcommand's exit code and the chunks that main writes
 
 
 def _parse_range(text: str) -> list[int]:
@@ -57,11 +61,11 @@ def _parse_residues(text: Optional[str], what: str) -> Optional[list[int]]:
 
 
 def _emit_stream(chunks: Iterable[str], path: Optional[str]) -> None:
-    """Write the concatenation of ``chunks`` as it is produced: on stdout in
-    blocks of about 64 KiB (stdout may be unbuffered), ending with a newline
-    added if the last chunk has none; a file gets the chunks alone."""
-    if path is None:
-        out = sys.stdout  # looked up per call, so redirected stdout is honoured
+    """Write the concatenation of ``chunks`` as it is produced, in blocks of
+    about 64 KiB (stdout may be unbuffered): stdout gets a final newline added
+    if the last chunk has none, a file gets the chunks alone."""
+    # sys.stdout is looked up per call, so redirected stdout is honoured
+    with open(path, "w") if path is not None else contextlib.nullcontext(sys.stdout) as out:
         block, n, last = [], 0, ""
         for last in chunks:
             block.append(last)
@@ -69,10 +73,14 @@ def _emit_stream(chunks: Iterable[str], path: Optional[str]) -> None:
             if n >= 1 << 16:
                 out.write("".join(block))
                 block, n = [], 0
-        out.write("".join(block) + ("" if last.endswith("\n") else "\n"))
-    else:
-        with open(path, "w") as fh:
-            fh.writelines(chunks)
+        out.write("".join(block) + ("" if path is not None or last.endswith("\n") else "\n"))
+
+
+def _record(record: dict, fmt: str) -> tuple[str]:
+    """A flat record as indented JSON or as ``key: value`` lines, whichever ``fmt`` asks for."""
+    if fmt == "json":
+        return (json.dumps(record, indent=2),)
+    return ("\n".join(f"{k}: {v}" for k, v in record.items()),)
 
 
 # ---------------------------------------------------------------------------
@@ -91,21 +99,19 @@ def _presentation_json(relators: Iterable[tuple[list[str], str]]) -> Iterator[st
     yield "\n]"
 
 
-def cmd_presentation(args) -> int:
+def cmd_presentation(args) -> Output:
     from .braid import build_presentation, word_display
 
     b, relators = build_presentation(args.b)
     if args.format == "json":
-        _emit_stream(_presentation_json((word_display(rel.word, b), rel.source) for rel in relators), args.output)
-        return 0
+        return 0, _presentation_json((word_display(rel.word, b), rel.source) for rel in relators)
     generators = " ".join(word_display(range(1, 4 * b + 2), b))
     head = f"pure braid group presentation at genus b = {b}\ngenerators: {generators}\nrelators ({len(relators)}):"
     lines = (f"\n  {i:3d}. [{rel.source}] " + " ".join(word_display(rel.word, b)) for i, rel in enumerate(relators))
-    _emit_stream(itertools.chain((head,), lines), args.output)
-    return 0
+    return 0, itertools.chain((head,), lines)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Output:
     from .verify import (
         ENUMERATION_BOUND,
         standard_assignment_degenerate,
@@ -113,6 +119,11 @@ def cmd_verify(args) -> int:
         verify_assignment,
     )
 
+    # 4b + 1 images of 2b coordinates, 4b in the non-degenerate family; b < 2 is refused below
+    b = max(args.b, 0)
+    entries = (4 * b + 1) * b * (2 if args.family == "degenerate" else 4)
+    if entries > _IMAGE_ENTRY_BOUND:
+        raise PreconditionError(f"the lifting's images would hold {entries} entries, more than {_IMAGE_ENTRY_BOUND}")
     lam = _parse_residues(args.lam, "lambda")
     mu = _parse_residues(args.mu, "mu")
     if args.family == "degenerate":
@@ -126,8 +137,7 @@ def cmd_verify(args) -> int:
     # a bare --bfs-oracle is the const True, read as the default bound
     report = verify_assignment(assignment, ENUMERATION_BOUND if args.bfs_oracle is True else args.bfs_oracle)
     text = json.dumps(report.to_json_dict(), indent=2) if args.format == "json" else report.text()
-    _emit_stream((text,), args.output)
-    return 0 if report.ok else 1
+    return 0 if report.ok else 1, (text,)
 
 
 def _form_from_args(args):
@@ -148,7 +158,7 @@ def _form_from_args(args):
     return AlternatingForm.family(args.b, args.p, lam, mu)
 
 
-def cmd_classify_form(args) -> int:
+def cmd_classify_form(args) -> Output:
     from .cohomology import classify_form
 
     form = _form_from_args(args)
@@ -164,11 +174,7 @@ def cmd_classify_form(args) -> int:
         "heisenberg_type": k not in (None, 0),
         "det": det,
     }
-    if args.format == "json":
-        _emit_stream((json.dumps(record, indent=2),), args.output)
-    else:
-        _emit_stream(("\n".join(f"{k}: {v}" for k, v in record.items()),), args.output)
-    return 0
+    return 0, _record(record, args.format)
 
 
 Hit = tuple[tuple[int, ...], tuple[int, ...]]
@@ -210,19 +216,17 @@ def _search_text(b: int, p: int, hits: Iterable[Hit]) -> Iterator[str]:
             )
 
 
-def cmd_search_forms(args) -> int:
+def cmd_search_forms(args) -> Output:
     from .cohomology import search_family_params
 
     # refusals are raised here, before a byte is written or a file opened
     hits = search_family_params(args.b, args.p, args.count)
     if args.format == "json":
-        _emit_stream(_search_json(args.b, args.p, hits, args.count), args.output)
-    else:
-        _emit_stream(_search_text(args.b, args.p, hits), args.output)
-    return 0
+        return 0, _search_json(args.b, args.p, hits, args.count)
+    return 0, _search_text(args.b, args.p, hits)
 
 
-def cmd_invariants(args) -> int:
+def cmd_invariants(args) -> Output:
     from .invariants import CensusRow, family_invariants, row_record, rows_to_csv
 
     inv = family_invariants(args.family, args.b, args.p)
@@ -231,56 +235,45 @@ def cmd_invariants(args) -> int:
     record["nu"] = f"{inv.slope.numerator}/{inv.slope.denominator}"
     record["group_order"] = inv.group_order
     record["n"] = inv.n
-    if args.format == "json":
-        _emit_stream((json.dumps(record, indent=2),), args.output)
-    elif args.format == "csv":
-        _emit_stream((rows_to_csv([row]),), args.output)
-    else:
-        _emit_stream(("\n".join(f"{k}: {v}" for k, v in record.items()),), args.output)
-    return 0
+    return 0, (rows_to_csv([row]),) if args.format == "csv" else _record(record, args.format)
 
 
-def cmd_census(args) -> int:
+def cmd_census(args) -> Output:
     from .invariants import census, row_record, rows_to_csv
 
     rows, claims = census(args.family, _parse_range(args.b), _parse_range(args.p))
     all_hold = all(c.holds for c in claims)
+    code = 0 if all_hold else 1
     if args.format == "json":
         payload = {
             "rows": [row_record(r) for r in rows],
             "claims": [{"claim": c.name, "holds": c.holds, "detail": c.detail} for c in claims],
             "all_claims_hold": all_hold,
         }
-        _emit_stream((json.dumps(payload, indent=2),), args.output)
-    elif args.format == "csv":
-        _emit_stream((rows_to_csv(rows),), args.output)
-        for c in claims:
-            sys.stderr.write(c.line() + "\n")
-    else:
-        _emit_stream((rows_to_csv(rows) + "\n" + "\n".join(c.line() for c in claims),), args.output)
-    return 0 if all_hold else 1
+        return code, (json.dumps(payload, indent=2),)
+    lines = "\n".join(c.line() for c in claims)
+    if args.format == "csv":
+        sys.stderr.write(lines + "\n")  # the claims stay off the table
+        return code, (rows_to_csv(rows),)
+    return code, (rows_to_csv(rows) + "\n" + lines,)
 
 
-def cmd_kappa(args) -> int:
+def cmd_kappa(args) -> Output:
     from .primes import kappa
 
     values = {b: kappa(b) for b in _parse_range(args.b)}
     if args.format == "json":
-        _emit_stream((json.dumps([{"b": b, "kappa": k} for b, k in values.items()], indent=2),), args.output)
-    else:
-        _emit_stream(("\n".join(f"kappa({b}) = {k}" for b, k in values.items()),), args.output)
-    return 0
+        return 0, (json.dumps([{"b": b, "kappa": k} for b, k in values.items()], indent=2),)
+    return 0, ("\n".join(f"kappa({b}) = {k}" for b, k in values.items()),)
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> Output:
     from .acceptance import run_all
 
     results = run_all()
-    for r in results:
-        print(r.line())
-    failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
-    return 0 if not failed else 1
+    failed = sum(not r.passed for r in results)
+    lines = [r.line() for r in results] + [f"{len(results) - failed}/{len(results)} criteria passed"]
+    return 0 if not failed else 1, ("\n".join(lines),)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_kappa)
 
     sp = sub.add_parser("selftest", help="run the acceptance criteria")
-    sp.set_defaults(fn=cmd_selftest)
+    sp.set_defaults(fn=cmd_selftest, output=None)  # stdout, through the one writer
 
     return parser
 
@@ -367,7 +360,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code  # argparse exits with 0 (help) or 2 (a usage error)
     try:
-        return args.fn(args)
+        code, chunks = args.fn(args)
+        _emit_stream(chunks, args.output)
+        return code
     except InconsistencyError as exc:
         sys.stderr.write(f"inconsistency: {exc}\n")
         return 1

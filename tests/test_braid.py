@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from heiskod import braid
 from heiskod.braid import (
     Relator,
     Word,
@@ -152,6 +153,65 @@ def test_action_relators_match_reference_builder(b):
     # distinct sources, so a failure names exactly one relation
     sources = [rel.source for rel in relators]
     assert len(set(sources)) == len(sources)
+
+
+# The inverse-actor rows of the table are theorems of the direct ones.  A row
+# [x, y] = w says x y x^-1 = w y, and a row [x^-1, y] = w' says x^-1 y x = w' y.
+# Conjugating w y by x^-1, letter by letter through the rows of x^-1, must
+# give back y after free reduction, and so must conjugating w' y by x
+# through the rows of x: the two sets of rows are inverse automorphisms.
+
+_RJ, _RK, _TJ, _TK, _A = (braid._SYMBOLS.index(s) + 1 for s in ("rj", "rk", "tj", "tk", "a"))
+
+
+def _conjugates(table, actor, case):
+    """{y: the word of x y x^-1} for the actor x (x^-1 y x for x^-1) and each
+    symbol y of the case: rho_2k and tau_2k, rho_2j and tau_2j through the
+    j=k rows, and A12."""
+
+    def row(target, case):
+        return braid._symbols(table[actor, target, case])
+
+    images = {_RJ: row("rho_2k", "j=k") + (_RJ,), _TJ: row("tau_2k", "j=k") + (_TJ,), _A: row("A12", "") + (_A,)}
+    if case != "j=k":
+        images.update({_RK: row("rho_2k", case) + (_RK,), _TK: row("tau_2k", case) + (_TK,)})
+    return images
+
+
+def _substitute(images, word):
+    return free_reduce(concat(*(images[s] if s > 0 else inverse_word(images[-s]) for s in word)))
+
+
+def derivation_failures(table):
+    """(actor, case, y) of every composite conjugation that does not reduce to y."""
+    failures = []
+    for actor in ("rho_1j", "tau_1j"):
+        for case in ("j<k", "j=k", "j>k"):
+            direct, inverse = _conjugates(table, actor, case), _conjugates(table, actor + "^-1", case)
+            for first, then in ((direct, inverse), (inverse, direct)):
+                failures += [(actor, case, y) for y, w in first.items() if _substitute(then, w) != (y,)]
+    return failures
+
+
+def test_inverse_actor_rows_follow_from_the_direct_ones():
+    assert derivation_failures(braid._ACTION_RIGHT_SIDES) == []
+
+
+def test_derivation_check_sees_every_mutated_entry():
+    # each mutation swaps two adjacent letters of one non-empty entry or
+    # inverts one letter; the check fails on every one of them
+    table = braid._ACTION_RIGHT_SIDES
+    swaps, inversions = [], []
+    for key, right in table.items():
+        letters = right.split()
+        for i in range(len(letters) - 1):
+            swapped = letters[:i] + letters[i : i + 2][::-1] + letters[i + 2 :]
+            swaps.append({**table, key: " ".join(swapped)})
+        for i, s in enumerate(letters):
+            inverted = letters[:i] + [s[0].swapcase() + s[1:]] + letters[i + 1 :]
+            inversions.append({**table, key: " ".join(inverted)})
+    assert (len(swaps), len(inversions)) == (66, 84)  # 18 non-empty entries of 84 letters
+    assert all(mutant != table and derivation_failures(mutant) for mutant in swaps + inversions)
 
 
 def test_specific_relators_b2():

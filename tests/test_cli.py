@@ -568,6 +568,32 @@ def test_census_output_file(capsys, tmp_path):
     assert path.read_text().startswith("family,b,p,")
 
 
+# every subcommand that takes --output, with arguments on which it exits 0
+WITH_OUTPUT = [
+    ("presentation", "--b", "2"),
+    ("verify", "--family", "degenerate", "--b", "2", "--p", "3"),
+    ("classify-form", "--b", "2", "--p", "5", "--lambda", "3,3", "--mu", "3,3"),
+    ("search-forms", "--b", "2", "--p", "5"),
+    ("invariants", "--family", "degenerate", "--b", "2", "--p", "3"),
+    ("census", "--family", "degenerate", "--b", "2..3", "--p", "2..3"),
+    ("kappa", "--b", "2..10"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", WITH_OUTPUT, ids=lambda a: a[0])
+def test_output_file_holds_stdout_without_its_final_newline(capsys, tmp_path, argv, fmt):
+    # main writes every subcommand's output: stdout adds a final newline, a file gets the chunks alone
+    subparsers = next(action.choices for action in cli.build_parser()._actions if action.dest == "command")
+    takes_output = {name for name, sp in subparsers.items() if any(a.dest == "output" for a in sp._actions)}
+    assert takes_output == {a[0] for a in WITH_OUTPUT}
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    path = tmp_path / "out"
+    assert run(capsys, *argv, "--format", fmt, "--output", str(path)) == (0, "", "")
+    assert out == path.read_text() + "\n"
+
+
 def test_kappa_range(capsys):
     code, out, _ = run(capsys, "kappa", "--b", "2..10")
     assert code == 0
@@ -655,6 +681,30 @@ def test_census_of_too_many_cells_exits_2_before_any_is_tested():
     code, out, err, seconds = run_capped("census", "--family", "degenerate", "--b", "2..1002", "--p", "2..1002")
     assert (code, out) == (2, "") and "more than 10^6" in err
     assert seconds < 1.0
+
+
+@pytest.mark.parametrize("family", ["degenerate", "nondegenerate"])
+def test_verify_at_a_huge_genus_exits_2_before_a_form_is_built(family):
+    # the dense images of the degenerate (100000, 11) lifting, 80,000,200,000
+    # entries, used to exhaust a 2 GB cap after about 9 s
+    code, out, err, seconds = run_capped("verify", "--family", family, "--b", "100000", "--p", "11")
+    entries = 400001 * 100000 * (2 if family == "degenerate" else 4)
+    assert (code, out) == (2, "")
+    assert err == f"error: the lifting's images would hold {entries} entries, more than 10000000\n"
+    assert seconds < 1.0
+
+
+@pytest.mark.parametrize(
+    "family,b,refused",
+    # (4b + 1) 2b entries in the degenerate family and (4b + 1) 4b in the other,
+    # on either side of the bound 10^7
+    [("degenerate", 1117, False), ("degenerate", 1118, True), ("nondegenerate", 790, False), ("nondegenerate", 791, True)],
+)
+def test_verify_image_bound_is_exact(capsys, family, b, refused):
+    # p = 4 is refused at once, so an admitted genus exits 2 without a form built
+    code, out, err = run(capsys, "verify", "--family", family, "--b", str(b), "--p", "4")
+    assert (code, out) == (2, "")
+    assert ("entries" in err) == refused
 
 
 def test_census_omits_a_claim_its_ranges_do_not_reach(capsys):
