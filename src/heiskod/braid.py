@@ -252,9 +252,15 @@ class _Templates:
                 yield _PATTERNS[actor, "A12", ""], subs[j - 1], f"action {actor} on A12, j={j}" if sources else None
 
 
+RELATOR_BOUND = 10**7  # the most relators a presentation may have: b <= 1117
+
+
 def build_presentation(b: int) -> Presentation:
-    """The full presentation at genus b: 8b^2 + 4b + 2 relators, as templates."""
-    check_genus(b)
+    """The full presentation at genus b: 8b^2 + 4b + 2 relators, as templates,
+    refused beyond ``RELATOR_BOUND`` relators before any is read."""
+    b = check_genus(b)
+    if (n := 8 * b * b + 4 * b + 2) > RELATOR_BOUND:
+        raise PreconditionError(f"the presentation at genus {b} has {n} relators, more than {RELATOR_BOUND}")
     return Presentation(b, _Templates(b))
 
 

@@ -28,7 +28,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import HeiskodError, InconsistencyError, PreconditionError
 
 _FAMILIES = ("degenerate", "nondegenerate")
-_IMAGE_ENTRY_BOUND = 10**7  # the most entries verify lets a lifting's images hold
 Output = tuple[int, Iterable[str]]  # a subcommand's exit code and the chunks that main writes
 
 
@@ -114,16 +113,13 @@ def cmd_presentation(args) -> Output:
 def cmd_verify(args) -> Output:
     from .verify import (
         ENUMERATION_BOUND,
+        check_image_size,
         standard_assignment_degenerate,
         standard_assignment_nondegenerate,
         verify_assignment,
     )
 
-    # 4b + 1 images of 2b coordinates, 4b in the non-degenerate family; b < 2 is refused below
-    b = max(args.b, 0)
-    entries = (4 * b + 1) * b * (2 if args.family == "degenerate" else 4)
-    if entries > _IMAGE_ENTRY_BOUND:
-        raise PreconditionError(f"the lifting's images would hold {entries} entries, more than {_IMAGE_ENTRY_BOUND}")
+    check_image_size(args.family, args.b)  # before any prime, parameter or form is read
     lam = _parse_residues(args.lam, "lambda")
     mu = _parse_residues(args.mu, "mu")
     if args.family == "degenerate":
@@ -169,7 +165,7 @@ def cmd_classify_form(args) -> Output:
         "dim": form.dim,
         "alternating": True,  # an AlternatingForm is alternating by construction
         "symplectic": det != 0,
-        "kernel_dim": form.dim - form.omega.rank(),
+        "kernel_dim": 0 if det else form.dim - form.omega.rank(),  # only a singular form is ranked
         "diagonal_multiple": k,
         "heisenberg_type": k not in (None, 0),
         "det": det,
@@ -259,9 +255,10 @@ def cmd_census(args) -> Output:
 
 
 def cmd_kappa(args) -> Output:
-    from .primes import kappa
+    from .primes import kappas
 
-    values = {b: kappa(b) for b in _parse_range(args.b)}
+    bs = _parse_range(args.b)
+    values = dict(zip(bs, kappas(bs)))
     if args.format == "json":
         return 0, (json.dumps([{"b": b, "kappa": k} for b, k in values.items()], indent=2),)
     return 0, ("\n".join(f"kappa({b}) = {k}" for b, k in values.items()),)

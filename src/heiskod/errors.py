@@ -14,10 +14,11 @@ class PreconditionError(HeiskodError, ValueError):
 
 class InconsistencyError(HeiskodError):
     """An internal cross-check failed (e.g. a closed form disagreed with a
-    direct computation, or an invariant came out non-integral).
+    direct computation, or a signature broke its divisibility rule).
 
-    This signals either an invalid parameter combination or a genuine bug;
-    the CLI maps it to exit code 1.
+    Inadmissible input, a non-integral invariant included, is refused earlier
+    with :class:`PreconditionError`, so this signals a refuted claim or a
+    genuine bug; the CLI maps it to exit code 1.
     """
 
 

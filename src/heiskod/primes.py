@@ -1,7 +1,8 @@
-"""Exact primality test, the factoring and the count kappa built on it, and
-the rules that admit a modulus and (b, p) to each family: a leaf module, so
-checking a genus or a modulus, or counting kappa, loads neither the
-invariants nor :mod:`fractions`.  A float or a bool is refused by :func:`integer`.
+"""Exact primality test, the factoring and the count kappa built on it (one
+omega sieve for a range), and the rules that admit a modulus and (b, p) to
+each family: a leaf module, so checking a genus or a modulus, or counting
+kappa, loads neither the invariants nor :mod:`fractions`.  A float or a
+bool is refused by :func:`integer`.
 
 The two families of the paper admit a prime p at genus b >= 2 when
 
@@ -107,6 +108,24 @@ def kappa(b: int) -> int:
     one per prime dividing b+1, pairwise non-homeomorphic total spaces."""
     check_genus(b)
     return len(distinct_prime_factors(b + 1))
+
+
+KAPPA_SIEVE_LIMIT = 10**6 + 2  # the largest b + 1 whose kappa a range reads off the sieve
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"  # bytes.translate table adding 1 to each byte
+
+
+def kappas(bs: list[int]) -> list[int]:
+    """kappa(b) for each b of ``bs``, in order.  With more than one value,
+    omega(b + 1) is read off one sieve table up to the largest b + 1 that is
+    at most ``KAPPA_SIEVE_LIMIT``; a larger b, a genus below 2 and a lone
+    value go through :func:`kappa`, which refuses in the same order."""
+    bs = [integer(b, "genus b") for b in bs]
+    n = max((b + 1 for b in bs if 2 <= b < KAPPA_SIEVE_LIMIT), default=1) if len(bs) > 1 else 1
+    table = bytearray(n + 1)  # omega(m) for m = 0..n once the loop ends
+    for q in range(2, n + 1):
+        if not table[q]:  # no smaller prime divides q
+            table[q::q] = table[q::q].translate(_PLUS_ONE)
+    return [table[b + 1] if 2 <= b < n else kappa(b) for b in bs]
 
 
 def check_genus(b: int) -> int:

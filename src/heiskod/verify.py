@@ -47,7 +47,6 @@ BOUND is given.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from functools import cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -84,12 +83,6 @@ class GeneratorAssignment:
             if not ok or not all(type(a) is int and 0 <= a < target.p for a in (*g.v, g.t)):
                 raise PreconditionError(f"image {g!r} is not an element of {target!r} reduced mod {target.p}")
         self.b, self.family, self.target, self.images = b, family, target, images
-
-    def image(self, x: int):
-        """The image of the signed letter x."""
-        check_letters((x,), self.b)
-        g = self.images[abs(x) - 1]
-        return g if x > 0 else self.target.inv(g)
 
 
 def _nonidentity_products(assignment: GeneratorAssignment, generators: Iterable[int], walk: Iterable) -> tuple:
@@ -249,6 +242,19 @@ def verify_assignment(assignment: GeneratorAssignment, oracle_bound: Optional[in
 # ---------------------------------------------------------------------------
 
 
+IMAGE_ENTRY_BOUND = 10**7  # the most entries a standard lifting's images may hold
+
+
+def check_image_size(family: str, b: int) -> None:
+    """Refuse, before any form is built, a standard lifting whose 4b + 1 dense
+    images of 2b coordinates (degenerate) or 4b (non-degenerate) would hold
+    more than ``IMAGE_ENTRY_BOUND`` entries; b < 2 is left to check_genus."""
+    b = max(b, 0)
+    entries = (4 * b + 1) * b * (2 if family == "degenerate" else 4)
+    if entries > IMAGE_ENTRY_BOUND:
+        raise PreconditionError(f"the lifting's images would hold {entries} entries, more than {IMAGE_ENTRY_BOUND}")
+
+
 def _validated_params(p: int, lambdas: tuple, mus: tuple) -> None:
     """Refuse (lambda, mu) outside the family, given b integers a side."""
     lam, mu = [int(x) % p for x in lambdas], [int(x) % p for x in mus]
@@ -327,7 +333,10 @@ def precompose_involution(assignment: GeneratorAssignment) -> GeneratorAssignmen
     The substitution extends to an automorphism of the braid group, so if the
     original assignment kills every relator the precomposed one must too.
     """
-    images = tuple(map(assignment.image, involution_substitute(range(1, 4 * assignment.b + 2), assignment.b)))
+    images, inv = assignment.images, assignment.target.inv
+    # involution_substitute checks the letters, so each image is read straight off the tuple
+    letters = involution_substitute(range(1, len(images) + 1), assignment.b)
+    images = tuple(images[x - 1] if x > 0 else inv(images[-x - 1]) for x in letters)
     return GeneratorAssignment(assignment.family + "+involution", assignment.target, images)
 
 
@@ -383,27 +392,6 @@ def subgroup_order_fast(group: HeisGroup, elements: Sequence) -> int:
     return p ** (d + (1 if center_hit else 0))
 
 
-@contextmanager
-def _enumeration_guard(order: int, bound: int):
-    """Admit an exhaustive enumeration of a group of ``order`` = p^(dim + 1)
-    elements, or raise :class:`EnumerationBoundError`.
-
-    Refused beyond ``bound`` and, whatever the bound, from order 2^62 on: the
-    bitmap of such a group is 2^59 bytes or more, and below it every bit index
-    and shift count of the oracle is below 2^62, so Python's shifts never
-    overflow.  A ``MemoryError`` raised inside the block, while the bitmaps
-    are built, is refused too.
-    """
-    if order > bound:
-        raise EnumerationBoundError(f"group order {order} exceeds the enumeration bound {bound}")
-    if order >= 2**62:
-        raise EnumerationBoundError(f"group order {order} is too large to enumerate in a bitmap (needs < 2^62)")
-    try:
-        yield
-    except MemoryError:
-        raise EnumerationBoundError(f"not enough memory to enumerate a group of order {order}") from None
-
-
 def _tiled(pattern: int, period: int, size: int) -> int:
     """``pattern``, a mask below 2^period, repeated every ``period`` bits up
     to ``size`` bits."""
@@ -421,9 +409,13 @@ def bfs_subgroup_order(group: HeisGroup, elements: Sequence, bound: int = ENUMER
 
     Independent of ``subgroup_order_fast`` by construction (group products
     and membership only, no linear algebra); kept for cross-validation and
-    refused (not approximated) by :func:`_enumeration_guard` beyond the bound.
-    Returns the number of elements enumerated; the name stays that of the
-    ``--bfs-oracle`` flag.
+    refused (not approximated) with :class:`EnumerationBoundError` when the
+    group has more than ``bound`` elements and, whatever the bound, from
+    order 2^62 on: the bitmap of such a group is 2^59 bytes or more, and
+    below it every bit index and shift count is below 2^62, so Python's
+    shifts never overflow.  A ``MemoryError`` while the bitmaps are built is
+    refused too.  Returns the number of elements enumerated; the name stays
+    that of the ``--bfs-oracle`` flag.
 
     Only the coordinates S that some generator touches are enumerated (digit
     j is the j-th): products are 0 off S, and v . C w reads C on S x S only.
@@ -450,53 +442,56 @@ def bfs_subgroup_order(group: HeisGroup, elements: Sequence, bound: int = ENUMER
     Memory is a few copies of the slabs, one bit per element of F_p^S x F_p,
     and p^|S| / 8 bytes of masks per digit: 3.5 MiB traced at b = 4, p = 5.
     """
-    with _enumeration_guard(group.order, bound):
-        p = group.p
-        gens = [group.element(g.v, g.t) for g in elements]
-        touched = [c for c in range(group.dim) if any(w[c] for w, _ in gens)]
-        radix = [p**j for j in range(len(touched) + 1)]
-        size = radix[-1]
+    if group.order > bound:
+        raise EnumerationBoundError(f"group order {group.order} exceeds the enumeration bound {bound}")
+    if group.order >= 2**62:
+        raise EnumerationBoundError(f"group order {group.order} is too large to enumerate in a bitmap (needs < 2^62)")
+    p = group.p
+    gens = [group.element(g.v, g.t) for g in elements]
+    touched = [c for c in range(group.dim) if any(w[c] for w, _ in gens)]
+    radix = [p**j for j in range(len(touched) + 1)]
+    size = radix[-1]
 
-        @cache
-        def below(j, c):
-            """The codes whose digit j is below c."""
-            return _tiled((1 << c * radix[j]) - 1, radix[j + 1], size)
+    @cache
+    def below(j, c):
+        """The codes whose digit j is below c."""
+        return _tiled((1 << c * radix[j]) - 1, radix[j + 1], size)
 
-        @cache
-        def bit_set(j, i):
-            """The codes whose digit j has bit i set."""
-            run = radix[j] << i  # 2^i digit values
-            return _tiled(_tiled(((1 << run) - 1) << run, 2 * run, radix[j + 1]), radix[j + 1], size)
+    @cache
+    def bit_set(j, i):
+        """The codes whose digit j has bit i set."""
+        run = radix[j] << i  # 2^i digit values
+        return _tiled(_tiled(((1 << run) - 1) << run, 2 * run, radix[j + 1]), radix[j + 1], size)
 
-        def times(slabs, w, s, u):
-            """The set ``slabs`` right-multiplied by (w, s), with u = C w."""
-            for j, c in enumerate(touched):
-                if uj := u[c]:
-                    for i in range((p - 1).bit_length()):
-                        moved = [x & bit_set(j, i) for x in slabs]
-                        k = -(uj << i) % p  # slab t receives from slab t - uj 2^i
-                        slabs = [x ^ y | z for x, y, z in zip(slabs, moved, moved[k:] + moved[:k])]
-            for j, c in enumerate(touched):
-                if r := w[c]:
-                    low, up, down = below(j, p - r), r * radix[j], (p - r) * radix[j]
-                    rotated = []
-                    for x in slabs:
-                        stay = x & low
-                        rotated.append(stay << up | (x ^ stay) >> down)
-                    slabs = rotated
-            return slabs[-s:] + slabs[:-s]
+    def times(slabs, g):
+        """The set ``slabs`` right-multiplied by g."""
+        w, s = g
+        u = group.cocycle.apply(w)
+        for j, c in enumerate(touched):
+            if uj := u[c]:
+                for i in range((p - 1).bit_length()):
+                    moved = [x & bit_set(j, i) for x in slabs]
+                    k = -(uj << i) % p  # slab t receives from slab t - uj 2^i
+                    slabs = [x ^ y | z for x, y, z in zip(slabs, moved, moved[k:] + moved[:k])]
+        for j, c in enumerate(touched):
+            if r := w[c]:
+                low, up, down = below(j, p - r), r * radix[j], (p - r) * radix[j]
+                rotated = []
+                for x in slabs:
+                    stay = x & low
+                    rotated.append(stay << up | (x ^ stay) >> down)
+                slabs = rotated
+        return slabs[-s:] + slabs[:-s]
 
+    try:
         slabs = [1] + [0] * (p - 1)  # {1}
         i = idle = 0  # idle: generators in a row that added no element
         while idle < len(gens):
-            w, s = gens[i]
+            g = gens[i]
             i, idle = (i + 1) % len(gens), idle + 1
-            while True:
-                u = group.cocycle.apply(w)
-                grown = [a | b for a, b in zip(slabs, times(slabs, w, s, u))]
-                if grown == slabs:
-                    break
+            while (grown := [a | b for a, b in zip(slabs, times(slabs, g))]) != slabs:
                 slabs, idle = grown, 1  # Y g is in Y once this loop ends
-                # g^2k = (2 w, 2 s + w . C w) squares g^k by the group law
-                w, s = tuple(2 * a % p for a in w), (2 * s + sum(a * b for a, b in zip(w, u))) % p
-        return sum(x.bit_count() for x in slabs)
+                g = group.power(g, 2)  # g^2k
+    except MemoryError:
+        raise EnumerationBoundError(f"not enough memory to enumerate a group of order {group.order}") from None
+    return sum(x.bit_count() for x in slabs)

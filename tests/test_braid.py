@@ -40,6 +40,14 @@ def test_b_below_two_rejected():
         build_presentation(1)
 
 
+def test_presentation_bound_is_exact():
+    # 8b^2 + 4b + 2 relators against the bound 10^7: 9,985,982 at b = 1117,
+    # 10,003,866 at b = 1118, the cut of verify's degenerate image rule
+    assert len(build_presentation(1117).relators) == 9985982
+    with pytest.raises(PreconditionError, match="genus 1118 has 10003866 relators, more than 10000000"):
+        build_presentation(1118)
+
+
 @pytest.mark.parametrize("b", [2, 3, 5])
 def test_relators_reduced_and_nonempty(b):
     for rel in build_presentation(b).relators:

@@ -229,6 +229,20 @@ def test_classify_form_matrix_json(capsys, tmp_path):
     assert payload["kernel_dim"] == 4
 
 
+def test_classify_form_ranks_only_a_singular_form(capsys, monkeypatch):
+    # a nonzero det already says the kernel is 0, so one elimination suffices
+    from heiskod.fplinalg import FpMatrix
+
+    ranked = []
+    rank = FpMatrix.rank
+    monkeypatch.setattr(FpMatrix, "rank", lambda m: ranked.append(m) or rank(m))
+    family = ("classify-form", "--b", "2", "--format", "json", "--lambda")
+    code, out, _ = run(capsys, *family, "3,3", "--mu", "3,3", "--p", "5")
+    assert code == 0 and json.loads(out)["kernel_dim"] == 0 and ranked == []
+    code, out, _ = run(capsys, *family, "2,2", "--mu", "2,2", "--p", "3")  # Omega_2(-1, -1)
+    assert code == 0 and json.loads(out)["kernel_dim"] == 4 and len(ranked) == 1
+
+
 def test_classify_form_matrix_json_refuses_family_flags(capsys, tmp_path):
     # the matrix is the whole form: an 8x8 matrix is a b = 2 form, so --b 3,
     # --lambda and --mu would go unread while the report says b: 2
@@ -692,6 +706,24 @@ def test_verify_at_a_huge_genus_exits_2_before_a_form_is_built(family):
     assert (code, out) == (2, "")
     assert err == f"error: the lifting's images would hold {entries} entries, more than 10000000\n"
     assert seconds < 1.0
+
+
+def test_presentation_at_a_huge_genus_exits_2_before_a_byte_is_written(tmp_path):
+    # 8 * 10^10 + 400002 relators; the file used to grow by about 7 MB a second
+    path = tmp_path / "F"
+    code, out, err, seconds = run_capped("presentation", "--b", "100000", "--output", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: the presentation at genus 100000 has 80000400002 relators, more than 10000000\n"
+    assert not path.exists()
+    assert seconds < 1.0
+
+
+def test_kappa_over_the_largest_range_is_quick():
+    # the 10^6 values the range check admits; factoring each b + 1 alone ran past 20 s
+    code, out, _, seconds = run_capped("kappa", "--b", "2..1000001")
+    assert code == 0 and out.count("\n") == 10**6
+    assert out.endswith("kappa(999999) = 2\nkappa(1000000) = 2\nkappa(1000001) = 3\n")
+    assert seconds < 3.0
 
 
 @pytest.mark.parametrize(

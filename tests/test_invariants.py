@@ -14,7 +14,7 @@ from heiskod.invariants import (
     row_record,
     rows_to_csv,
 )
-from heiskod.primes import admits, distinct_prime_factors, kappa
+from heiskod.primes import admits, distinct_prime_factors, kappa, kappas
 
 
 # -- general formula -------------------------------------------------------------
@@ -321,6 +321,22 @@ def test_kappa_against_independent_count():
             1 for q in range(2, n + 1) if n % q == 0 and all(q % d for d in range(2, int(q**0.5) + 1))
         )
         assert kappa(b) == count
+
+
+def test_kappas_read_off_the_sieve_agree_with_kappa():
+    bs = list(range(2, 20002))
+    assert kappas(bs) == [kappa(b) for b in bs]
+    # a b + 1 beyond the sieve is factored in its place, and a lone value too
+    mixed = [29, 10**18 + 2, 5, 2, 10**6 + 1, 10**6 + 2]
+    assert kappas(mixed) == [kappa(b) for b in mixed] == [3, 1, 2, 1, 3, 1]
+    assert kappas([29]) == [3]
+
+
+def test_kappas_refuse_a_genus_in_its_place():
+    with pytest.raises(PreconditionError, match="genus b must be >= 2, got 1"):
+        kappas([5, 1, 0])
+    with pytest.raises(PreconditionError, match="genus b must be an integer, got 2.0"):
+        kappas([5, 2.0])
 
 
 # -- census ------------------------------------------------------------------------

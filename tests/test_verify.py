@@ -34,7 +34,6 @@ from heiskod.verify import (
     subgroup_order_fast,
     tau2_to_r2_variant,
     verify_assignment,
-    _enumeration_guard,
 )
 
 
@@ -496,7 +495,7 @@ def test_image_index_full_generating_set(nondeg25):
 
 def test_kernel_set_indices_and_bfs(nondeg25):
     target = nondeg25.target
-    first, second = ([nondeg25.image(g) for g in letters] for letters in kernel_generator_sets(2))
+    first, second = ([nondeg25.images[g - 1] for g in letters] for letters in kernel_generator_sets(2))
     assert target.order // subgroup_order_fast(target, first) == 625
     assert target.order // subgroup_order_fast(target, second) == 625
     assert bfs_subgroup_order(target, first) == 3125  # 5^9 / 5^4
@@ -506,7 +505,7 @@ def test_kernel_set_indices_and_bfs(nondeg25):
 def test_bfs_matches_fast_index_degenerate(b, p):
     assignment = standard_assignment_degenerate(b, p)
     first, _ = kernel_generator_sets(b)
-    els = [assignment.image(g) for g in first]
+    els = [assignment.images[g - 1] for g in first]
     assert bfs_subgroup_order(assignment.target, els) == assignment.target.order
     assert subgroup_order_fast(assignment.target, els) == assignment.target.order
 
@@ -515,7 +514,7 @@ def test_bfs_matches_fast_index_degenerate(b, p):
 def test_bfs_matches_fast_index_degenerate_45():
     assignment = standard_assignment_degenerate(4, 5)
     first, _ = kernel_generator_sets(4)
-    els = [assignment.image(g) for g in first]
+    els = [assignment.images[g - 1] for g in first]
     assert assignment.target.order == 5**9
     assert bfs_subgroup_order(assignment.target, els) == 5**9
     assert subgroup_order_fast(assignment.target, els) == 5**9
@@ -527,7 +526,7 @@ def test_bfs_memory_is_bounded():
     # 3.5 MiB in all
     assignment = standard_assignment_degenerate(4, 5)
     first, _ = kernel_generator_sets(4)
-    els = [assignment.image(g) for g in first]
+    els = [assignment.images[g - 1] for g in first]
     tracemalloc.start()
     try:
         assert bfs_subgroup_order(assignment.target, els) == 5**9
@@ -675,7 +674,7 @@ def test_bfs_bound_is_enforced(monkeypatch):
         assert len(calls) == fail_at
 
 
-def test_enumeration_guard_and_input_refusals():
+def test_enumeration_guard_and_input_refusals(monkeypatch):
     group = HeisGroup(AlternatingForm.standard_symplectic(1, 5))
     # a float is refused, not truncated to a bit (1.5 read as 1)
     for bad in (HeisElement((1.5, 2), 0), HeisElement((1, 2), 0.5)):
@@ -686,21 +685,28 @@ def test_enumeration_guard_and_input_refusals():
         bfs_subgroup_order(group, [HeisElement((1, 2, 3), 0)])
     big = HeisGroup(AlternatingForm.family(3, 7, (1, 1, 6), (2, 2, 4)))
     with pytest.raises(EnumerationBoundError):
-        with _enumeration_guard(big.order, 100):
-            pass
-    # whatever the bound, no enumeration from order 2^62 on
-    with _enumeration_guard(2**62 - 1, 10**200):
-        pass
+        bfs_subgroup_order(big, [big.central(1)], bound=100)
+    # whatever the bound, no enumeration from order 2^62 on: order 2^61
+    # (dim 60 at p = 2) is admitted, order 2^62 (the zero form on F_2^61) is not
+    admitted = HeisGroup(AlternatingForm.standard_symplectic(30, 2))
+    assert admitted.order == 2**61
+    assert bfs_subgroup_order(admitted, [admitted.central(1)], bound=10**200) == 2
+    refused = HeisGroup(AlternatingForm(FpMatrix.sparse([{}] * 61, 61, 2)))
+    assert refused.order == 2**62
+    with pytest.raises(EnumerationBoundError, match="2\\^62"):
+        bfs_subgroup_order(refused, [refused.central(1)], bound=10**200)
+    huge = HeisGroup(AlternatingForm.standard_symplectic(1, 2**61 - 1))
     with pytest.raises(EnumerationBoundError):
-        with _enumeration_guard(2**62, 10**200):
-            pass
-    with pytest.raises(EnumerationBoundError):
-        with _enumeration_guard(HeisGroup(AlternatingForm.standard_symplectic(1, 2**61 - 1)).order, 10**200):
-            pass
-    # an allocation that fails is refused, not raised as a crash
+        bfs_subgroup_order(huge, [huge.central(1)], bound=10**200)
+
+    # an allocation that fails is refused, not raised as a crash: here the
+    # square of a generator, taken once it has added elements
+    def no_memory(self, g, k):
+        raise MemoryError
+
+    monkeypatch.setattr(HeisGroup, "power", no_memory)
     with pytest.raises(EnumerationBoundError, match="memory"):
-        with _enumeration_guard(group.order, 10**7):
-            raise MemoryError
+        bfs_subgroup_order(group, [unit(group, 0)])
 
 
 # -- the oracle against a set-closure reference ----------------------------------
@@ -807,7 +813,7 @@ def test_null_combinations_skip_zero_coefficients(monkeypatch):
     # of their projections, one product per nonzero coefficient
     assignment = tau2_to_r2_variant(2, 5, (3, 3), (3, 3))
     first, _ = kernel_generator_sets(2)
-    els = [assignment.image(x) for x in first]
+    els = [assignment.images[x - 1] for x in first]
     calls = []
     mul = HeisGroup.mul
 
