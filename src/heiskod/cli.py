@@ -22,6 +22,7 @@ import contextlib
 import functools
 import itertools
 import json
+import os
 import sys
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -73,6 +74,7 @@ def _emit_stream(chunks: Iterable[str], path: Optional[str]) -> None:
                 out.write("".join(block))
                 block, n = [], 0
         out.write("".join(block) + ("" if path is not None or last.endswith("\n") else "\n"))
+        out.flush()  # a closed stdout shows here, not at the interpreter's exit
 
 
 def _record(record: dict, fmt: str) -> tuple[str]:
@@ -87,15 +89,22 @@ def _record(record: dict, fmt: str) -> tuple[str]:
 # ---------------------------------------------------------------------------
 
 
-def _presentation_json(relators: Iterable[tuple[list[str], str]]) -> Iterator[str]:
-    """``json.dumps`` with indent 2 of the list of {"relator": names, "source":
-    source} records, one relator at a time; no list of names is empty."""
+def _json_list(items: Iterable[str]) -> Iterator[str]:
+    """``json.dumps(..., indent=2)`` of a nonempty list, one item at a time;
+    each item comes indented as a member of the list."""
     sep = "[\n"
-    for names, source in relators:
-        joined = ",\n      ".join(map(json.dumps, names))
-        yield f'{sep}  {{\n    "relator": [\n      {joined}\n    ],\n    "source": {json.dumps(source)}\n  }}'
+    for item in items:
+        yield sep + item
         sep = ",\n"
     yield "\n]"
+
+
+def _presentation_json(relators: Iterable[tuple[list[str], str]]) -> Iterator[str]:
+    """The list members of {"relator": names, "source": source}, one relator
+    at a time; no list of names is empty."""
+    for names, source in relators:
+        joined = ",\n      ".join(map(json.dumps, names))
+        yield f'  {{\n    "relator": [\n      {joined}\n    ],\n    "source": {json.dumps(source)}\n  }}'
 
 
 def cmd_presentation(args) -> Output:
@@ -103,7 +112,7 @@ def cmd_presentation(args) -> Output:
 
     b, relators = build_presentation(args.b)
     if args.format == "json":
-        return 0, _presentation_json((word_display(rel.word, b), rel.source) for rel in relators)
+        return 0, _json_list(_presentation_json((word_display(rel.word, b), rel.source) for rel in relators))
     generators = " ".join(word_display(range(1, 4 * b + 2), b))
     head = f"pure braid group presentation at genus b = {b}\ngenerators: {generators}\nrelators ({len(relators)}):"
     lines = (f"\n  {i:3d}. [{rel.source}] " + " ".join(word_display(rel.word, b)) for i, rel in enumerate(relators))
@@ -158,14 +167,14 @@ def cmd_classify_form(args) -> Output:
     from .cohomology import classify_form
 
     form = _form_from_args(args)
-    k, det = classify_form(form), form.omega.det()
+    k, det = classify_form(form), form.det()
     record = {
         "b": form.dim // 4,
         "p": form.p,
         "dim": form.dim,
         "alternating": True,  # an AlternatingForm is alternating by construction
         "symplectic": det != 0,
-        "kernel_dim": 0 if det else form.dim - form.omega.rank(),  # only a singular form is ranked
+        "kernel_dim": 0 if det else form.dim - form.rank(),  # only a singular form is ranked
         "diagonal_multiple": k,
         "heisenberg_type": k not in (None, 0),
         "det": det,
@@ -258,10 +267,12 @@ def cmd_kappa(args) -> Output:
     from .primes import kappas
 
     bs = _parse_range(args.b)
-    values = dict(zip(bs, kappas(bs)))
+    values = dict(zip(bs, kappas(bs))).items()  # a repeated b is listed once
+    # streamed, one record or line at a time: the JSON of 10^6 records held whole takes 870 MB
     if args.format == "json":
-        return 0, (json.dumps([{"b": b, "kappa": k} for b, k in values.items()], indent=2),)
-    return 0, ("\n".join(f"kappa({b}) = {k}" for b, k in values.items()),)
+        return 0, _json_list(f'  {{\n    "b": {b},\n    "kappa": {k}\n  }}' for b, k in values)
+    lines = (f"\nkappa({b}) = {k}" for b, k in values)
+    return 0, itertools.chain((next(lines)[1:],), lines)
 
 
 def cmd_selftest(args) -> Output:
@@ -358,7 +369,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code  # argparse exits with 0 (help) or 2 (a usage error)
     try:
         code, chunks = args.fn(args)
-        _emit_stream(chunks, args.output)
+        try:
+            _emit_stream(chunks, args.output)
+        except BrokenPipeError:
+            if args.output is not None:
+                raise
+            # the reader closed stdout, which is no error: what is still
+            # buffered goes to the null device, so the interpreter's final
+            # flush neither warns nor exits with 120
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return code
     except InconsistencyError as exc:
         sys.stderr.write(f"inconsistency: {exc}\n")

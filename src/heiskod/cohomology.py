@@ -82,7 +82,7 @@ def vec_of_form(form: AlternatingForm) -> tuple[int, ...]:
     """Coordinates of a form on the wedge-square basis (upper triangle)."""
     if form.dim % 4 != 0 or form.dim < 8:
         raise PreconditionError(f"form dimension {form.dim} is not 4b for some b >= 2")
-    return tuple(x for a, row in enumerate(form.omega.to_lists()) for x in row[a + 1 :])
+    return tuple(x for a, row in enumerate(form.to_lists()) for x in row[a + 1 :])
 
 
 def xi_of_form(form: AlternatingForm) -> tuple[int, ...]:

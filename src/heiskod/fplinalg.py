@@ -2,8 +2,8 @@
 
 Everything downstream (cup products, Heisenberg groups, rank counts) runs on
 the two value types defined here: :class:`FpMatrix`, an immutable matrix of
-residues, and :class:`AlternatingForm`, a skew matrix such as the block
-family
+residues, and :class:`AlternatingForm`, the matrix of an alternating form,
+checked skew with a zero diagonal, such as the block family
 
     Omega_b = [[L_b, J_b], [J_b, M_b]],
 
@@ -94,7 +94,7 @@ class FpMatrix:
     @classmethod
     def _reduced(cls, rows: list[Row], cols: int, p: int) -> "FpMatrix":
         """Take over reduced sparse rows that nothing else holds, without
-        checking or copying them."""
+        copying them; only a subclass's ``_adopt`` checks them."""
         m = object.__new__(cls)
         m._adopt(rows, cols, p)
         return m
@@ -128,7 +128,7 @@ class FpMatrix:
         )
 
     def __repr__(self):
-        return f"FpMatrix({self.rows}x{self.cols} mod {self.p})"
+        return f"{type(self).__name__}({self.rows}x{self.cols} mod {self.p})"
 
     # -- products ----------------------------------------------------------
 
@@ -269,32 +269,31 @@ def _j_block(b: int, row0: int, col0: int, rows: list[Row], p: int) -> None:
         rows[row0 + 2 * j + 1][col0 + 2 * j] = 1
 
 
-class AlternatingForm:
-    """A skew-symmetric form on F_p^dim; its matrix ``omega`` owns the rank
-    and the determinant."""
+class AlternatingForm(FpMatrix):
+    """An alternating form on F_p^dim: a square, skew-symmetric matrix with a
+    zero diagonal.  Every constructor checks that; products, ``rref`` and
+    ``strict_upper`` of a form are plain :class:`FpMatrix` values."""
 
-    __slots__ = ("p", "dim", "omega")
+    __slots__ = ()
 
-    def __init__(self, omega: FpMatrix):
-        p = omega.p
-        if omega.rows != omega.cols:
+    def __init__(self, matrix: FpMatrix):
+        # rows are never changed once adopted, so the form shares them
+        self._adopt(list(matrix._r), matrix.cols, matrix.p)
+
+    def _adopt(self, rows: list[Row], cols: int, p: int) -> None:
+        if len(rows) != cols:
             raise PreconditionError("alternating form must be square")
-        rows = omega._r
         if any(rows[j].get(i, 0) != -x % p for i, row in enumerate(rows) for j, x in row.items()):
             raise PreconditionError("matrix is not skew-symmetric mod p")
         if any(i in row for i, row in enumerate(rows)):
             # for odd p this is implied by skewness; for p = 2 it is the
             # extra alternating condition
             raise PreconditionError("alternating form must vanish on the diagonal")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "dim", omega.rows)
-        object.__setattr__(self, "omega", omega)
+        super()._adopt(rows, cols, p)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AlternatingForm is immutable")
-
-    def __repr__(self):
-        return f"AlternatingForm(dim={self.dim}, p={self.p})"
+    @property
+    def dim(self) -> int:
+        return self.rows
 
     @classmethod
     def family(cls, b: int, p: int, lambdas: Sequence[int], mus: Sequence[int]) -> "AlternatingForm":
@@ -310,11 +309,11 @@ class AlternatingForm:
         _pair_block(mu, 2 * b, rows, p)
         _j_block(b, 0, 2 * b, rows, p)
         _j_block(b, 2 * b, 0, rows, p)
-        return cls(FpMatrix.sparse(rows, 4 * b, p))
+        return cls.sparse(rows, 4 * b, p)
 
     @classmethod
     def standard_symplectic(cls, n: int, p: int) -> "AlternatingForm":
         """omega((x, y), (x', y')) = x.y' - x'.y on F_p^{2n}."""
         n = integer(n, "n")
         rows = [{n + i: 1} for i in range(n)] + [{i: -1} for i in range(n)]
-        return cls(FpMatrix.sparse(rows, 2 * n, p))
+        return cls.sparse(rows, 2 * n, p)

@@ -54,7 +54,7 @@ class HeisGroup:
         self.form = form
         self.p = form.p
         self.dim = form.dim
-        self.cocycle = form.omega.strict_upper()
+        self.cocycle = form.strict_upper()
         self.order = form.p ** (form.dim + 1)
 
     def __repr__(self):
@@ -141,7 +141,7 @@ def verify_extra_special(group: HeisGroup) -> GroupStructureReport:
     """
     if group.order > STRUCTURE_BOUND:
         raise EnumerationBoundError(f"group order {group.order} exceeds the structure suite's bound {STRUCTURE_BOUND}")
-    p, omega = group.p, group.form.omega
+    p, omega = group.p, group.form
     identity, mul = group.identity, group.mul
     exponent, involutions, kernel, values = 1, 0, 0, {0}
     for v in itertools.product(range(p), repeat=group.dim):

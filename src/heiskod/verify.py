@@ -204,7 +204,8 @@ def verify_assignment(assignment: GeneratorAssignment, oracle_bound: Optional[in
     """The whole report on every relator of the presentation at the
     assignment's genus: failures recorded, never raised, and the indices m1,
     m2, each cross-checked by the exhaustive oracle under ``oracle_bound``
-    when one is given (one enumeration per distinct set of images)."""
+    when one is given.  Each distinct set of images is measured once by the
+    structural method and once by the oracle."""
     target = assignment.target
     pres = build_presentation(assignment.b)
     found, walked = _nonidentity_products(assignment, range(1, 4 * pres.b + 2), pres.relators.walk())
@@ -213,15 +214,14 @@ def verify_assignment(assignment: GeneratorAssignment, oracle_bound: Optional[in
     failures = [(i, source, found[i]) for i, (_, _, source) in enumerate(walk) if i in found]
     # kernel-set letters are positive, so each image is read straight off the tuple
     kernel_images = [[assignment.images[x - 1] for x in letters] for letters in kernel_generator_sets(pres.b)]
-    m1, m2 = (target.order // subgroup_order_fast(target, images) for images in kernel_images)
-    oracle = []
+    keys = [frozenset(images) for images in kernel_images]
+    distinct = dict(zip(keys, kernel_images))
+    fast = {key: subgroup_order_fast(target, images) for key, images in distinct.items()}
+    m1, m2 = (target.order // fast[key] for key in keys)
+    oracle = ()
     if oracle_bound is not None:
-        sizes = {}
-        for label, images, m in zip(("m1", "m2"), kernel_images, (m1, m2)):
-            key = frozenset(images)
-            if key not in sizes:
-                sizes[key] = bfs_subgroup_order(target, images, oracle_bound)
-            oracle.append((label, sizes[key], sizes[key] * m == target.order))
+        sizes = {key: bfs_subgroup_order(target, images, oracle_bound) for key, images in distinct.items()}
+        oracle = tuple((label, sizes[key], sizes[key] == fast[key]) for label, key in zip(("m1", "m2"), keys))
     return VerificationReport(
         b=assignment.b,
         p=target.p,
@@ -233,7 +233,7 @@ def verify_assignment(assignment: GeneratorAssignment, oracle_bound: Optional[in
         m1=m1,
         m2=m2,
         is_surjective=subgroup_order_fast(target, assignment.images) == target.order,
-        oracle=tuple(oracle),
+        oracle=oracle,
     )
 
 
@@ -271,16 +271,16 @@ def _validated_params(p: int, lambdas: tuple, mus: tuple) -> None:
 
 def lift(form: AlternatingForm, family: str) -> GeneratorAssignment:
     """The lifting read off ``form``, as the module docstring says: the image
-    of letter i + 1 is column i of omega's reduced rows.  Nothing is refused
+    of letter i + 1 is column i of the form's reduced rows.  Nothing is refused
     here; ``verify_assignment`` proves or refutes every relator."""
     p, dim = form.p, form.dim
-    reduced, pivots = form.omega.rref()
+    reduced, pivots = form.rref()
     column = {c: i for i, c in enumerate(pivots)}
     onto = FpMatrix.sparse([{c: 1} for c in pivots], dim, p)
     into = FpMatrix.sparse([{column[c]: 1} if c in column else {} for c in range(dim)], len(pivots), p)
-    group = HeisGroup(AlternatingForm(onto @ form.omega @ into))
+    group = HeisGroup(AlternatingForm(onto @ form @ into))
     (r,), (t,) = rho(dim // 4, 1, 1), tau(dim // 4, 2, 1)
-    k = -form.omega.apply([int(c == t - 1) for c in range(dim)])[r - 1]
+    k = -form.apply([int(c == t - 1) for c in range(dim)])[r - 1]
     images = tuple(HeisElement(v, 0) for v in zip(*reduced.to_lists()[: len(pivots)]))
     return GeneratorAssignment(family, group, images + (group.central(k),))
 
@@ -376,7 +376,7 @@ def subgroup_order_fast(group: HeisGroup, elements: Sequence) -> int:
     d = proj.rank()
 
     # the sparse pairing is compared with the zero matrix, never made dense
-    pairing = proj @ (group.form.omega @ proj_t)
+    pairing = proj @ (group.form @ proj_t)
     center_hit = pairing != FpMatrix.sparse([{}] * m, m, p)
     if p == 2 and not center_hit:
         center_hit = any(group.power(g, 2) != group.identity for g in elements)

@@ -84,3 +84,19 @@ def test_suite_detects_cup_rule_sign_flip(monkeypatch):
     result = acceptance.run(5)
     assert not result.passed
     assert "diagonal" in result.detail
+
+
+def test_selftest_reports_an_inconsistency_as_its_criterion_failing(capsys, monkeypatch):
+    # eta taken for xi: the count raises inside criterion 6, which used to
+    # end selftest before a single criterion line was printed
+    from heiskod import cohomology
+    from heiskod.cli import main
+
+    monkeypatch.setattr(cohomology, "eta_matrix", cohomology.xi_matrix)
+    assert main(["selftest"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 12 and lines[-1] == "10/11 criteria passed"
+    failed = [line for line in lines if line.startswith("[FAIL]")]
+    assert len(failed) == 1 and failed[0].startswith("[FAIL] criterion  6")
+    message = "candidate count from ranks (0) disagrees with closed form (118098) at b=2, p=3"
+    assert f"inconsistency: {message}" in failed[0]

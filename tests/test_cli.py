@@ -1,9 +1,9 @@
 """CLI contract tests: exit codes, formats, round-trips.
 
-Everything runs in-process through ``main(argv)``; stdout is captured by
-pytest's capsys.  Only the import-surface cases at the end start a fresh
-interpreter each.  Exit codes: 0 success, 1 verified-false claim, 2 usage or
-precondition error.
+Most cases run in-process through ``main(argv)``; stdout is captured by
+pytest's capsys.  The memory-cap, peak-RSS, closed-pipe and import-surface
+cases start a fresh interpreter each.  Exit codes: 0 success, 1
+verified-false claim, 2 usage or precondition error.
 """
 
 import ast
@@ -219,7 +219,7 @@ def test_classify_form_matrix_json(capsys, tmp_path):
     from heiskod.fplinalg import AlternatingForm
 
     path = tmp_path / "omega.json"
-    path.write_text(json.dumps(AlternatingForm.family(2, 3, [-1] * 2, [-1] * 2).omega.to_lists()))
+    path.write_text(json.dumps(AlternatingForm.family(2, 3, [-1] * 2, [-1] * 2).to_lists()))
     code, out, _ = run(
         capsys, "classify-form", "--p", "3", "--matrix-json", str(path), "--format", "json"
     )
@@ -249,7 +249,7 @@ def test_classify_form_matrix_json_refuses_family_flags(capsys, tmp_path):
     from heiskod.fplinalg import AlternatingForm
 
     path = tmp_path / "omega.json"
-    path.write_text(json.dumps(AlternatingForm.family(2, 5, (3, 3), (3, 3)).omega.to_lists()))
+    path.write_text(json.dumps(AlternatingForm.family(2, 5, (3, 3), (3, 3)).to_lists()))
     argv = ("classify-form", "--p", "5", "--matrix-json", str(path))
     for extra in (("--b", "3", "--lambda", "1,2", "--mu", "3,4"), ("--b", "2"), ("--lambda", "3,3")):
         code, out, err = run(capsys, *argv, *extra)
@@ -453,7 +453,7 @@ def test_classify_form_non_integer_entry_exits_2(capsys, tmp_path):
     # entries used to be truncated to 2 and -2 and the command exited 0
     from heiskod.fplinalg import AlternatingForm
 
-    omega = AlternatingForm.family(2, 3, [-1] * 2, [-1] * 2).omega.to_lists()
+    omega = AlternatingForm.family(2, 3, [-1] * 2, [-1] * 2).to_lists()
     omega[0][1], omega[1][0] = 2.5, -2.5
     path = tmp_path / "omega.json"
     path.write_text(json.dumps(omega))
@@ -724,6 +724,46 @@ def test_kappa_over_the_largest_range_is_quick():
     assert code == 0 and out.count("\n") == 10**6
     assert out.endswith("kappa(999999) = 2\nkappa(1000000) = 2\nkappa(1000001) = 3\n")
     assert seconds < 3.0
+
+
+def test_kappa_json_over_the_largest_range_fits_the_cap():
+    # the JSON of the 10^6 records was built whole: 870 MB, "out of memory" under this cap
+    code, out, err, seconds = run_capped("kappa", "--b", "2..1000001", "--format", "json")
+    assert (code, err) == (0, "")
+    assert out.endswith('  {\n    "b": 1000001,\n    "kappa": 3\n  }\n]\n')
+    assert seconds < 3.0
+
+
+@pytest.mark.parametrize("bs", ["2..100001", f"2,{10**18},3,{10**18 + 2},3"])
+def test_kappa_streams_what_it_printed_whole(capsys, bs):
+    from heiskod.primes import kappas
+
+    values = {b: kappas([b])[0] for b in cli._parse_range(bs)}
+    code, out, _ = run(capsys, "kappa", "--b", bs, "--format", "json")
+    assert code == 0 and out == json.dumps([{"b": b, "kappa": k} for b, k in values.items()], indent=2) + "\n"
+    code, out, _ = run(capsys, "kappa", "--b", bs)
+    assert code == 0 and out == "\n".join(f"kappa({b}) = {k}" for b, k in values.items()) + "\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "argv", [("presentation", "--b", "300", "--format", "json"), ("kappa", "--b", "2..100000")], ids=lambda a: a[0]
+)
+def test_a_closed_stdout_is_no_error(argv, unbuffered):
+    # a reader that stops early, like head -c 100, used to get "error: [Errno
+    # 32] Broken pipe" and exit 2
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "heiskod", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ from heiskod.cohomology import (
     xi_matrix,
     xi_of_form,
 )
-from heiskod.errors import PreconditionError
+from heiskod.errors import InconsistencyError, PreconditionError
 from heiskod.fplinalg import AlternatingForm, FpMatrix
 
 
@@ -39,7 +39,7 @@ def combine(p, *terms):
     """Sum of c * x over the (c, x) terms, on plain lists: forms give a form,
     H^2 classes a coefficient tuple."""
     if isinstance(terms[0][1], AlternatingForm):
-        mats = [(c, f.omega.to_lists()) for c, f in terms]
+        mats = [(c, f.to_lists()) for c, f in terms]
         n = len(mats[0][1])
         rows = [[sum(c * m[i][j] for c, m in mats) for j in range(n)] for i in range(n)]
         return AlternatingForm(FpMatrix(rows, p))
@@ -59,7 +59,7 @@ def cup_reference(u, v, b, p):
 def xi_reference(form):
     """sum over a < c of Omega[a][c] cup(e_a, e_c), read off the cup rule."""
     b, p = form.dim // 4, form.p
-    omega = form.omega.to_lists()
+    omega = form.to_lists()
     pairs = itertools.combinations(range(4 * b), 2)
     return combine(p, *((omega[a][c], cup_reference(basis(a, b), basis(c, b), b, p)) for a, c in pairs))
 
@@ -230,10 +230,10 @@ def test_xi_linearity_and_scaling():
 
 def test_classify_examples():
     form = AlternatingForm.family(2, 5, (3, 3), (3, 3))
-    assert classify_form(form) == 1 and form.omega.det() != 0
+    assert classify_form(form) == 1 and form.det() != 0
 
     form = AlternatingForm.family(2, 3, [-1] * 2, [-1] * 2)
-    assert classify_form(form) == 1 and form.omega.det() == 0
+    assert classify_form(form) == 1 and form.det() == 0
 
     # the zero form is on the line with k = 0, so it is not of Heisenberg type
     assert classify_form(AlternatingForm(FpMatrix([[0] * 8] * 8, 5))) == 0
@@ -244,7 +244,7 @@ def test_classify_large_p():
     form = AlternatingForm.family(2, p, (3, p - 2), (3, p - 2))
     assert classify_form(form) == 1
     assert xi_of_form(form) == diagonal_class(2, p)
-    assert form.omega.det() == 576
+    assert form.det() == 576
     assert classify_form(combine(p, (p - 1, form))) == p - 1
 
 
@@ -367,6 +367,13 @@ def test_candidate_counts():
     assert count_heisenberg_candidates(3, 3) == 3**28 * 2
 
 
+def test_candidate_count_raises_off_its_closed_form(monkeypatch):
+    # eta taken for xi: the two kernels agree and the count from ranks is 0
+    monkeypatch.setattr(cohomology, "eta_matrix", cohomology.xi_matrix)
+    with pytest.raises(InconsistencyError, match=r"from ranks \(0\) disagrees with closed form \(118098\) at b=2, p=3"):
+        count_heisenberg_candidates(2, 3)
+
+
 @pytest.mark.parametrize("b", [12, 14])
 @pytest.mark.parametrize("p", [2, 3, 13])
 def test_xi_eta_full_rank_at_benchmark_sizes(b, p):
@@ -448,4 +455,4 @@ def test_search_refuses_huge_spaces():
 def test_search_hits_classify_as_heisenberg_symplectic():
     for lam, mu in search_family_params(2, 7, 5):
         form = AlternatingForm.family(2, 7, lam, mu)
-        assert classify_form(form) not in (None, 0) and form.omega.det() != 0
+        assert classify_form(form) not in (None, 0) and form.det() != 0

@@ -45,7 +45,7 @@ def det_oracle(rows: list[list[int]], p: int) -> int:
 
 def form_value(form: AlternatingForm, u, w) -> int:
     """omega(u, w) = sum over i, j of u_i omega_ij w_j mod p, in Python integers."""
-    omega = form.omega.to_lists()
+    omega = form.to_lists()
     return sum(u[i] * omega[i][j] * w[j] for i in range(form.dim) for j in range(form.dim)) % form.p
 
 
@@ -135,18 +135,18 @@ def test_is_prime_large():
 def test_rank_examples():
     assert zeros(3, 3, 5).rank() == 0
     assert identity(4, 3).rank() == 4
-    assert AlternatingForm.family(2, 3, [-1] * 2, [-1] * 2).omega.rank() == 4  # rank 2b
+    assert AlternatingForm.family(2, 3, [-1] * 2, [-1] * 2).rank() == 4  # rank 2b
 
 
 def test_det_examples():
     assert identity(2, 7).det() == 1
     assert type(identity(2, 7).det()) is int
     form = AlternatingForm.family(2, 5, (3, 3), (3, 3))
-    assert form.omega.det() == 1  # (1 - 9)^4 = 81 = 1 mod 5
-    assert det_oracle(form.omega.to_lists(), 5) == 1
+    assert form.det() == 1  # (1 - 9)^4 = 81 = 1 mod 5
+    assert det_oracle(form.to_lists(), 5) == 1
     # a vanishing factor kills the determinant
     degenerate = AlternatingForm.family(2, 5, (1, 3), (1, 2))  # lambda_1 mu_1 = 1
-    assert degenerate.omega.det() == 0
+    assert degenerate.det() == 0
 
 
 def test_det_exact_up_to_int64_ceiling():
@@ -169,7 +169,7 @@ def test_form_value_exact_at_large_p():
     w = [p - 1 - i for i in range(12)]
     # omega(u, w) through the sparse product Omega w, as the structure suite
     # computes it, against the dense sum
-    assert sum(map(operator.mul, u, form.omega.apply(w))) % p == form_value(form, u, w)
+    assert sum(map(operator.mul, u, form.apply(w))) % p == form_value(form, u, w)
     assert form_value(form, u, u) == 0
     # 4 (p - 1)^2 > 2^63 at p = 3037000493, once refused
     p = 3037000493
@@ -179,8 +179,8 @@ def test_form_value_exact_at_large_p():
     # the family at 2^61 - 1: det = (1 - 3 * 5)^2 (1 - (q - 2)(q - 4))^2 = 9604
     q = 2**61 - 1
     form = AlternatingForm.family(2, q, (3, q - 2), (5, q - 4))
-    assert form.omega.det() == det_oracle(form.omega.to_lists(), q) == 9604
-    assert form.omega.rank() == form.dim
+    assert form.det() == det_oracle(form.to_lists(), q) == 9604
+    assert form.rank() == form.dim
 
 
 def test_det_sign_is_the_permutation_parity():
@@ -208,9 +208,9 @@ def test_det_matches_family_formula(b, p):
         expected = 1
         for l, m in zip(lam, mu):
             expected = expected * (1 - l * m) ** 2 % p
-        assert form.omega.det() == expected
+        assert form.det() == expected
         if trial < 10:  # independent route, on a subsample for speed
-            assert det_oracle(form.omega.to_lists(), p) == expected
+            assert det_oracle(form.to_lists(), p) == expected
 
 
 @given(
@@ -235,7 +235,7 @@ def test_kernel_examples():
     assert sorted(zero_kernel) == [(0, 1), (1, 0)]
 
     form = AlternatingForm.family(2, 3, [-1] * 2, [-1] * 2)
-    basis = form.omega.kernel_basis()
+    basis = form.kernel_basis()
     assert len(basis) == 4
     # same span as the differences r_1j - r_2j, t_1j - t_2j
     named = [
@@ -320,6 +320,34 @@ def test_alternating_validation():
     AlternatingForm(FpMatrix([[0, 1], [1, 0]], 2))
 
 
+def test_every_form_constructor_checks_the_matrix():
+    # the inherited sparse constructor refuses what AlternatingForm(matrix) refuses
+    for make, message in (
+        (lambda: AlternatingForm(FpMatrix([[0, 1], [1, 0]], 5)), "not skew-symmetric"),
+        (lambda: AlternatingForm.sparse([{1: 1}, {}], 2, 5), "not skew-symmetric"),
+        (lambda: AlternatingForm.sparse([{0: 1}], 1, 2), "vanish on the diagonal"),
+        (lambda: AlternatingForm(FpMatrix([[0, 1, 0], [-1, 0, 0]], 5)), "must be square"),
+        (lambda: AlternatingForm.sparse([{1: 1}], 2, 5), "must be square"),
+    ):
+        with pytest.raises(PreconditionError, match=message):
+            make()
+
+
+def test_a_form_is_its_matrix():
+    form = AlternatingForm.standard_symplectic(1, 5)
+    assert isinstance(form, FpMatrix) and not hasattr(form, "omega")
+    assert form == FpMatrix([[0, 1], [4, 0]], 5) and form.dim == form.rows == 2
+    assert repr(form) == "AlternatingForm(2x2 mod 5)"
+    # operations on a form are plain matrices: a product need not be skew
+    m = FpMatrix([[1, 2], [3, 4]], 5)
+    for value in (form @ m, m @ form, form.rref()[0], form.strict_upper()):
+        assert type(value) is FpMatrix
+    with pytest.raises(AttributeError):
+        form.p = 7
+    with pytest.raises(TypeError):
+        hash(form)
+
+
 def test_family_layout():
     form = AlternatingForm.family(2, 7, (1, 2), (3, 4))
     # defining values: omega(r_1j, t_1j) = lambda_j, omega(r_2j, t_2j) = mu_j,
@@ -337,7 +365,7 @@ def test_family_layout():
 def test_degenerate_family_is_all_j_blocks():
     form = AlternatingForm.family(2, 3, [-1] * 2, [-1] * 2)
     j2 = [[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]]  # J_2 mod 3
-    m = form.omega.to_lists()
+    m = form.to_lists()
     assert [row[:4] for row in m[:4]] == j2
     assert [row[4:] for row in m[:4]] == j2
     assert [row[:4] for row in m[4:]] == j2

@@ -47,13 +47,13 @@ def j_group(b: int, p: int) -> HeisGroup:
 
 def upper_twist(form: AlternatingForm, u, w) -> int:
     """sum over i < j of omega_ij u_i w_j, in Python integers."""
-    omega = form.omega.to_lists()
+    omega = form.to_lists()
     return sum(omega[i][j] * u[i] * w[j] for i in range(form.dim) for j in range(i + 1, form.dim))
 
 
 def form_value(form: AlternatingForm, u, w) -> int:
     """omega(u, w) = sum over i, j of u_i omega_ij w_j mod p, in Python integers."""
-    omega = form.omega.to_lists()
+    omega = form.to_lists()
     return sum(u[i] * omega[i][j] * w[j] for i in range(form.dim) for j in range(form.dim)) % form.p
 
 
@@ -86,7 +86,7 @@ def test_cocycle_is_upper_triangle_of_omega():
         group = HeisGroup(form)
         c = np.array(group.cocycle.to_lists())
         assert not np.tril(c).any()
-        assert ((c - c.T - np.array(form.omega.to_lists())) % form.p == 0).all()
+        assert ((c - c.T - np.array(form.to_lists())) % form.p == 0).all()
     # standard symplectic form: C = [[0, I], [0, 0]]
     assert std(2, 5).cocycle.to_lists() == [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]]
 
@@ -392,7 +392,7 @@ def test_structure_suite_reads_omega_once_per_vector(monkeypatch):
     for group in (std(1, 5), std(1, 13)):  # orders 125 and 2197
         calls.clear()
         assert verify_extra_special(group).is_extra_special
-        assert calls[id(group.form.omega)] == group.p**group.dim
+        assert calls[id(group.form)] == group.p**group.dim
 
 
 def test_exhaustive_cross_check_raises_inconsistency(monkeypatch):
@@ -400,6 +400,24 @@ def test_exhaustive_cross_check_raises_inconsistency(monkeypatch):
     group = std(1, 3)
     monkeypatch.setattr(FpMatrix, "rank", lambda self: 0)
     with pytest.raises(InconsistencyError, match="center"):
+        verify_extra_special(group)
+
+
+def test_commutator_values_cross_check_raises_inconsistency(monkeypatch):
+    # squared entries vanish where omega's do, so the center still agrees;
+    # but {0, 1} mod 3 is not the value set of any bilinear pairing
+    group = std(1, 3)
+    form = group.form
+
+    class Squared:
+        def apply(self, v):
+            return tuple(x * x % 3 for x in form.apply(v))
+
+        def rank(self):
+            return form.rank()
+
+    monkeypatch.setattr(group, "form", Squared())
+    with pytest.raises(InconsistencyError, match="commutator values of a bilinear pairing"):
         verify_extra_special(group)
 
 

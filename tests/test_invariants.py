@@ -43,6 +43,21 @@ def test_invariant_record_refuses_impossible_values():
     assert FibrationInvariants(**fields) == general_invariants(2, 5**9, 5, 5**4, 5**4)
 
 
+def test_family_signature_raises_off_its_closed_form(monkeypatch):
+    # a signature 16 too large is still a valid record, so only the closed form catches it
+    from heiskod import invariants
+
+    general = invariants.general_invariants
+
+    def off_by_16(*args):
+        inv = general(*args)
+        return inv._replace(signature=inv.signature + 16)
+
+    monkeypatch.setattr(invariants, "general_invariants", off_by_16)
+    with pytest.raises(InconsistencyError, match="signature disagrees with its closed form"):
+        family_invariants("degenerate", 2, 3)
+
+
 def test_general_invariants_27():
     inv = general_invariants(2, 7**9, 7, 7**4, 7**4)
     assert (inv.b1, inv.g1) == (2402, 24011)

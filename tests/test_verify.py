@@ -393,7 +393,7 @@ def test_degenerate_assignment_is_quotient_of_big_lifting():
 
         standard = standard_assignment_degenerate(b, p)
         small = standard.target
-        assert small.form.omega == j_group(b, p).form.omega
+        assert small.form == j_group(b, p).form
 
         def merge(g):
             # (v, t) -> (v_1 + v_2, t - sum_j v_t1j v_r2j), a homomorphism
@@ -499,6 +499,28 @@ def test_kernel_set_indices_and_bfs(nondeg25):
     assert target.order // subgroup_order_fast(target, first) == 625
     assert target.order // subgroup_order_fast(target, second) == 625
     assert bfs_subgroup_order(target, first) == 3125  # 5^9 / 5^4
+
+
+@pytest.mark.parametrize(
+    "assignment,calls",
+    [
+        # the degenerate family's two kernel sets are one set of images
+        (lambda: standard_assignment_degenerate(3, 2), 2),
+        (lambda: standard_assignment_nondegenerate(2, 5, (3, 3), (3, 3)), 3),
+    ],
+)
+def test_structural_order_runs_once_per_distinct_generating_set(monkeypatch, assignment, calls):
+    counted = []
+    order = verify.subgroup_order_fast
+
+    def counting(group, elements):
+        counted.append(elements)
+        return order(group, elements)
+
+    monkeypatch.setattr(verify, "subgroup_order_fast", counting)
+    report = verify_assignment(assignment())
+    # the kernel sets, then every image for surjectivity
+    assert len(counted) == calls and report.ok
 
 
 @pytest.mark.parametrize("b,p", [(2, 3), (3, 2), (5, 2), (5, 3)])
