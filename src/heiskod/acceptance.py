@@ -34,8 +34,7 @@ from .primes import distinct_prime_factors, kappa
 from .verify import (
     ENUMERATION_BOUND,
     precompose_involution,
-    standard_assignment_degenerate,
-    standard_assignment_nondegenerate,
+    standard_assignment,
     tau2_to_r2_variant,
     verify_assignment,
 )
@@ -61,7 +60,7 @@ def _check(cond: bool, message: str, problems: list[str]) -> None:
 def _degenerate_relators(problems: list[str]) -> None:
     """Degenerate relator verification over five (b, p) pairs."""
     for b, p in ((2, 3), (3, 2), (4, 5), (5, 2), (5, 3)):
-        report = verify_assignment(standard_assignment_degenerate(b, p))
+        report = verify_assignment(standard_assignment("degenerate", b, p))
         expected = 8 * b * b + 4 * b + 2
         _check(report.total_relators == expected, f"({b},{p}): relator count {report.total_relators}", problems)
         _check(not report.failures, f"({b},{p}): {len(report.failures)} relators failed", problems)
@@ -72,7 +71,7 @@ def _degenerate_relators(problems: list[str]) -> None:
 
 def _nondegenerate_with_oracle(problems: list[str]) -> None:
     """Non-degenerate verification at (2, 5), lambda = mu = (3, 3)."""
-    assignment = standard_assignment_nondegenerate(2, 5, (3, 3), (3, 3))
+    assignment = standard_assignment("nondegenerate", 2, 5, (3, 3), (3, 3))
     report = verify_assignment(assignment, ENUMERATION_BOUND)
     _check(report.total_relators == 42, f"relator count {report.total_relators} != 42", problems)
     _check(not report.failures, f"{len(report.failures)} relators failed", problems)
@@ -87,7 +86,7 @@ def _nondegenerate_with_oracle(problems: list[str]) -> None:
 def _tau2_variant_refuted(problems: list[str]) -> None:
     """The tau_2j -> r_2j variant fails [rho_1j, tau_2j] = A12^-1; that the
     t_2j assignment passes is criterion 2."""
-    bad = verify_assignment(tau2_to_r2_variant(2, 5, (3, 3), (3, 3)))
+    bad = verify_assignment(tau2_to_r2_variant(standard_assignment("nondegenerate", 2, 5, (3, 3), (3, 3))))
     hit = [src for _, src, _ in bad.failures if "on tau_2k" in src and "rho_1j on" in src and "j=k" in src]
     _check(bool(hit), "the variant did not fail any [rho_1j, tau_2j] relator", problems)
 
@@ -96,7 +95,7 @@ def _involution_precomposition(problems: list[str]) -> None:
     """Precomposing a passing assignment with the reflection substitution
     passes, at (2, 3) and (3, 2)."""
     for b, p in ((2, 3), (3, 2)):
-        base = standard_assignment_degenerate(b, p)
+        base = standard_assignment("degenerate", b, p)
         _check(not verify_assignment(base).failures, f"({b},{p}): base assignment failed", problems)
         twisted = verify_assignment(precompose_involution(base))
         _check(not twisted.failures, f"({b},{p}): involution-precomposed assignment failed", problems)

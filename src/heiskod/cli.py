@@ -120,25 +120,11 @@ def cmd_presentation(args) -> Output:
 
 
 def cmd_verify(args) -> Output:
-    from .verify import (
-        ENUMERATION_BOUND,
-        check_image_size,
-        standard_assignment_degenerate,
-        standard_assignment_nondegenerate,
-        verify_assignment,
-    )
+    from .verify import ENUMERATION_BOUND, standard_assignment, verify_assignment
 
-    check_image_size(args.family, args.b)  # before any prime, parameter or form is read
     lam = _parse_residues(args.lam, "lambda")
     mu = _parse_residues(args.mu, "mu")
-    if args.family == "degenerate":
-        if lam is not None or mu is not None:
-            raise PreconditionError("the degenerate family takes no --lambda or --mu")
-        assignment = standard_assignment_degenerate(args.b, args.p)
-    else:
-        if lam is None or mu is None:
-            raise PreconditionError("the non-degenerate family needs --lambda and --mu")
-        assignment = standard_assignment_nondegenerate(args.b, args.p, lam, mu)
+    assignment = standard_assignment(args.family, args.b, args.p, lam, mu)
     # a bare --bfs-oracle is the const True, read as the default bound
     report = verify_assignment(assignment, ENUMERATION_BOUND if args.bfs_oracle is True else args.bfs_oracle)
     text = json.dumps(report.to_json_dict(), indent=2) if args.format == "json" else report.text()

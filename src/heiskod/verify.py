@@ -29,13 +29,15 @@ a complement of rad omega; letter i + 1 goes to e_i projected along rad
 omega, and A12 to the central k = -omega(rho_11, tau_21).  The relation
 [rho_11, tau_21] = A12^-1 forces that k, and on a form of Heisenberg type it
 is the classifier's multiple of the diagonal class, so nothing is searched.
-The non-degenerate family (p >= 5) is lift of Omega_b(lambda, mu), of
-radical 0; ``tau2_to_r2_variant`` sends each tau_2j to the image of rho_2j
-instead, a negative control that fails [rho_1j, tau_2j] = A12^-1 with value
-z.  The degenerate family (p | b+1) is lift of Omega_b(-1, ..., -1), whose
-pivots are the strand-1 coordinates: both strands share the images
-(r_j, t_j) in Heis(F_p^{2b}, J_b), at p = 2 the group H_{2b+1}(F_2) with its
-coordinates interleaved.
+``standard_assignment(family, b, p, lambdas, mus)`` builds either family's
+lifting and is the one place its inputs are refused.  The non-degenerate
+family (p >= 5) is lift of Omega_b(lambda, mu), of radical 0;
+``tau2_to_r2_variant`` takes that assignment and sends each tau_2j to the
+image of rho_2j instead, a negative control that fails [rho_1j, tau_2j] =
+A12^-1 with value z.  The degenerate family (p | b+1) is lift of
+Omega_b(-1, ..., -1), whose pivots are the strand-1 coordinates: both
+strands share the images (r_j, t_j) in Heis(F_p^{2b}, J_b), at p = 2 the
+group H_{2b+1}(F_2) with its coordinates interleaved.
 
 Subgroup indices come from a fast structural method; ``verify_assignment``
 cross-checks them, given a bound, against an exhaustive oracle that marks the
@@ -63,7 +65,7 @@ from .braid import (
 from .errors import EnumerationBoundError, PreconditionError
 from .fplinalg import AlternatingForm, FpMatrix
 from .heisenberg import HeisElement, HeisGroup
-from .primes import check_family
+from .primes import check_family, check_genus, integer
 
 
 class GeneratorAssignment:
@@ -245,16 +247,6 @@ def verify_assignment(assignment: GeneratorAssignment, oracle_bound: Optional[in
 IMAGE_ENTRY_BOUND = 10**7  # the most entries a standard lifting's images may hold
 
 
-def check_image_size(family: str, b: int) -> None:
-    """Refuse, before any form is built, a standard lifting whose 4b + 1 dense
-    images of 2b coordinates (degenerate) or 4b (non-degenerate) would hold
-    more than ``IMAGE_ENTRY_BOUND`` entries; b < 2 is left to check_genus."""
-    b = max(b, 0)
-    entries = (4 * b + 1) * b * (2 if family == "degenerate" else 4)
-    if entries > IMAGE_ENTRY_BOUND:
-        raise PreconditionError(f"the lifting's images would hold {entries} entries, more than {IMAGE_ENTRY_BOUND}")
-
-
 def _validated_params(p: int, lambdas: tuple, mus: tuple) -> None:
     """Refuse (lambda, mu) outside the family, given b integers a side."""
     lam, mu = [int(x) % p for x in lambdas], [int(x) % p for x in mus]
@@ -285,46 +277,51 @@ def lift(form: AlternatingForm, family: str) -> GeneratorAssignment:
     return GeneratorAssignment(family, group, images + (group.central(k),))
 
 
-def standard_assignment_nondegenerate(
-    b: int, p: int, lambdas: Sequence[int], mus: Sequence[int]
+def standard_assignment(
+    family: str, b: int, p: int, lambdas: Optional[Sequence[int]] = None, mus: Optional[Sequence[int]] = None
 ) -> GeneratorAssignment:
-    """The lifting onto Heis(F_p^{4b}, Omega_b(lambda, mu)).
+    """The lifting of ``family`` at (b, p): lift of Omega_b(lambda, mu), or of
+    Omega_b(-1, ..., -1) in the degenerate family.  Refused, in this order: a
+    genus below 2; before any form is built, 4b + 1 dense images of 2b
+    coordinates (degenerate) or 4b holding more than ``IMAGE_ENTRY_BOUND``
+    entries; (b, p) outside the family; lambda and mu given to the degenerate
+    family or missing from the other; their counts and types; the family's
+    rules on them.
 
-    Requires p >= 5: for p = 3 the constraint lambda_j mu_j != 1 forces
-    mu_j = -lambda_j, which contradicts both sums being 1, so no valid
-    parameters exist at all.
+    The degenerate family needs p | b+1: both surface relations evaluate to
+    z^{+-b}, which equals z^{-+1} precisely then.  The non-degenerate one
+    needs p >= 5: at p = 3, lambda_j mu_j != 1 forces mu_j = -lambda_j, which
+    contradicts both sums being 1.
     """
-    b, p = check_family("nondegenerate", b, p)
+    b = check_genus(b)
+    entries = (4 * b + 1) * b * (2 if family == "degenerate" else 4)
+    if entries > IMAGE_ENTRY_BOUND:
+        raise PreconditionError(f"the lifting's images would hold {entries} entries, more than {IMAGE_ENTRY_BOUND}")
+    b, p = check_family(family, b, p)
+    if family == "degenerate":
+        if lambdas is not None or mus is not None:
+            raise PreconditionError("the degenerate family takes no --lambda or --mu")
+        return lift(AlternatingForm.family(b, p, (-1,) * b, (-1,) * b), family)
+    if lambdas is None or mus is None:
+        raise PreconditionError("the non-degenerate family needs --lambda and --mu")
     lambdas, mus = tuple(lambdas), tuple(mus)
     form = AlternatingForm.family(b, p, lambdas, mus)  # b integers a side, or refused
     _validated_params(p, lambdas, mus)
-    return lift(form, "nondegenerate")
+    return lift(form, family)
 
 
-def tau2_to_r2_variant(b: int, p: int, lambdas: Sequence[int], mus: Sequence[int]) -> GeneratorAssignment:
-    """Negative control: like the standard non-degenerate assignment but with
+def tau2_to_r2_variant(assignment: GeneratorAssignment) -> GeneratorAssignment:
+    """Negative control: ``assignment``, a standard non-degenerate one, with
     every tau_2j sent to r_2j (the image of rho_2j).
 
     Then [rho_1j, tau_2j] evaluates to [r_1j, r_2j] = 1 while the relation
     demands A12^-1 = z^-1, so the relator fails with value z.
     """
-    base = standard_assignment_nondegenerate(b, p, lambdas, mus)
-    images = list(base.images)
+    b, images = assignment.b, list(assignment.images)
     for j in range(1, b + 1):
         (r,), (t,) = rho(b, 2, j), tau(b, 2, j)
         images[t - 1] = images[r - 1]
-    return GeneratorAssignment("nondegenerate-tau2-as-r2", base.target, tuple(images))
-
-
-def standard_assignment_degenerate(b: int, p: int) -> GeneratorAssignment:
-    """The strand-identifying epimorphism onto a group of order p^{2b+1}:
-    the lifting of Omega_b(-1, ..., -1), whose radical identifies the strands.
-
-    Valid exactly when p divides b+1 (both surface relations evaluate to
-    z^{+-b}, which equals z^{-+1} precisely then).
-    """
-    b, p = check_family("degenerate", b, p)
-    return lift(AlternatingForm.family(b, p, (-1,) * b, (-1,) * b), "degenerate")
+    return GeneratorAssignment("nondegenerate-tau2-as-r2", assignment.target, tuple(images))
 
 
 def precompose_involution(assignment: GeneratorAssignment) -> GeneratorAssignment:
@@ -414,8 +411,9 @@ def bfs_subgroup_order(group: HeisGroup, elements: Sequence, bound: int = ENUMER
     order 2^62 on: the bitmap of such a group is 2^59 bytes or more, and
     below it every bit index and shift count is below 2^62, so Python's
     shifts never overflow.  A ``MemoryError`` while the bitmaps are built is
-    refused too.  Returns the number of elements enumerated; the name stays
-    that of the ``--bfs-oracle`` flag.
+    refused too, and a bound that ``primes.integer`` does not take is a
+    :class:`PreconditionError`.  Returns the number of elements enumerated;
+    the name stays that of the ``--bfs-oracle`` flag.
 
     Only the coordinates S that some generator touches are enumerated (digit
     j is the j-th): products are 0 off S, and v . C w reads C on S x S only.
@@ -442,7 +440,7 @@ def bfs_subgroup_order(group: HeisGroup, elements: Sequence, bound: int = ENUMER
     Memory is a few copies of the slabs, one bit per element of F_p^S x F_p,
     and p^|S| / 8 bytes of masks per digit: 3.5 MiB traced at b = 4, p = 5.
     """
-    if group.order > bound:
+    if group.order > (bound := integer(bound, "enumeration bound")):
         raise EnumerationBoundError(f"group order {group.order} exceeds the enumeration bound {bound}")
     if group.order >= 2**62:
         raise EnumerationBoundError(f"group order {group.order} is too large to enumerate in a bitmap (needs < 2^62)")

@@ -358,10 +358,11 @@ def peak_rss_kib(*argv):
     return code, maxrss_kib
 
 
-def run_capped(*argv):
-    """Exit code, stdout, stderr and wall time of ``heiskod *argv`` in a fresh
-    interpreter under a 600 MB address-space cap, so that a run that would
-    build a huge range fails inside the cap and not in the machine's memory."""
+def run_capped(*argv, python=("-m", "heiskod")):
+    """Exit code, stdout, stderr and wall time of ``heiskod *argv``, or of
+    ``python *python, *argv``, in a fresh interpreter under a 600 MB
+    address-space cap, so that a run that would build a huge range fails
+    inside the cap and not in the machine's memory."""
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
@@ -369,7 +370,7 @@ def run_capped(*argv):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     t0 = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "heiskod", *argv], env=env, capture_output=True, text=True, preexec_fn=cap, timeout=60
+        [sys.executable, *python, *argv], env=env, capture_output=True, text=True, preexec_fn=cap, timeout=60
     )
     return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - t0
 
@@ -706,6 +707,47 @@ def test_verify_at_a_huge_genus_exits_2_before_a_form_is_built(family):
     assert (code, out) == (2, "")
     assert err == f"error: the lifting's images would hold {entries} entries, more than 10000000\n"
     assert seconds < 1.0
+
+
+@pytest.mark.parametrize("family", ["degenerate", "nondegenerate"])
+def test_a_library_call_at_a_huge_genus_is_refused_before_a_form_is_built(family):
+    # the library's degenerate (100000, 11) lifting ran 7.2 s and then raised
+    # MemoryError under a 1 GB cap, while the CLI refused it at once
+    script = (
+        "import sys\n"
+        "from heiskod.errors import PreconditionError\n"
+        "from heiskod.verify import standard_assignment\n"
+        "try:\n"
+        "    standard_assignment(sys.argv[1], 100000, 11)\n"
+        "except PreconditionError as exc:\n"
+        "    print(exc)\n"
+    )
+    code, out, err, seconds = run_capped(family, python=("-c", script))
+    entries = 400001 * 100000 * (2 if family == "degenerate" else 4)
+    assert (code, out, err) == (0, f"the lifting's images would hold {entries} entries, more than 10000000\n", "")
+    assert seconds < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # a malformed list is parsed before the lifting's rules are read
+        (("--family", "degenerate", "--b", "100000", "--p", "11", "--lambda", "3,x"), "cannot parse lambda list '3,x'"),
+        # the genus and the family's prime come before the presence of --lambda and --mu
+        (("--family", "nondegenerate", "--b", "1", "--p", "5"), "genus b must be >= 2, got 1"),
+        (("--family", "nondegenerate", "--b", "2", "--p", "3"), "the non-degenerate family needs a prime p >= 5, got 3"),
+        (
+            ("--family", "degenerate", "--b", "2", "--p", "2", "--lambda", "1,2", "--mu", "3,4"),
+            "the degenerate family needs p | b+1; 2 does not divide 3",
+        ),
+    ],
+    ids=["malformed-lambda", "genus", "nondegenerate-prime", "degenerate-prime"],
+)
+def test_verify_refusal_precedence(capsys, argv, message):
+    # each of these inputs breaks two rules, and the message names the one
+    # that standard_assignment checks first
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_presentation_at_a_huge_genus_exits_2_before_a_byte_is_written(tmp_path):

@@ -32,7 +32,7 @@ from heiskod import braid, verify
 from heiskod.cli import main
 from heiskod.verify import (
     GeneratorAssignment,
-    standard_assignment_nondegenerate,
+    standard_assignment,
     tau2_to_r2_variant,
     verify_assignment,
 )
@@ -144,8 +144,11 @@ def test_oracle_runs_once_per_distinct_generating_set(capsys, monkeypatch, stem,
         assert len(calls) == runs
 
 
-def _a12_killed(b, p, lam, mu):
-    base = standard_assignment_nondegenerate(b, p, lam, mu)
+def _nondegenerate_b2_p5():
+    return standard_assignment("nondegenerate", 2, 5, (3, 3), (3, 3))
+
+
+def _a12_killed(base):
     images = base.images[:-1] + (base.target.identity,)
     return GeneratorAssignment("a12-killed", base.target, images)
 
@@ -158,7 +161,7 @@ def _a12_killed(b, p, lam, mu):
     ],
 )
 def test_failing_report_is_pinned(name, make):
-    report = verify_assignment(make(2, 5, (3, 3), (3, 3)))
+    report = verify_assignment(make(_nondegenerate_b2_p5()))
     text = json.dumps(report.to_json_dict(), indent=2) + "\n"
     assert text == (GOLDEN / name).read_text()
     indices = [i for i, _, _ in report.failures]
@@ -172,7 +175,7 @@ def test_failing_report_reads_sources_without_building_words(monkeypatch):
         raise AssertionError("a relator word was built")
 
     monkeypatch.setattr(braid._Templates, "__iter__", no_words)
-    report = verify_assignment(tau2_to_r2_variant(2, 5, (3, 3), (3, 3)))
+    report = verify_assignment(tau2_to_r2_variant(_nondegenerate_b2_p5()))
     text = json.dumps(report.to_json_dict(), indent=2) + "\n"
     assert text == (GOLDEN / "report_tau2_variant_b2_p5.json").read_text()
 
@@ -189,8 +192,8 @@ NONDEGENERATE_B2_P5 = ("verify", "--family", "nondegenerate", "--b", "2", "--p",
 )
 def test_failing_verify_text_is_pinned(capsys, monkeypatch, name, make):
     # the CLI verifies whatever assignment the family builder returns
-    assignment = make(2, 5, (3, 3), (3, 3))
-    monkeypatch.setattr(verify, "standard_assignment_nondegenerate", lambda *args: assignment)
+    assignment = make(_nondegenerate_b2_p5())
+    monkeypatch.setattr(verify, "standard_assignment", lambda *args: assignment)
     assert main(list(NONDEGENERATE_B2_P5)) == 1
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
 

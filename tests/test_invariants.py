@@ -228,7 +228,7 @@ def test_every_layer_refuses_genus_below_2_alike():
     from heiskod.braid import build_presentation, kernel_generator_sets
     from heiskod.cohomology import diagonal_class, search_family_params
     from heiskod.fplinalg import AlternatingForm
-    from heiskod.verify import standard_assignment_degenerate, standard_assignment_nondegenerate
+    from heiskod.verify import standard_assignment
 
     for refuse in (
         lambda: build_presentation(1),
@@ -236,8 +236,8 @@ def test_every_layer_refuses_genus_below_2_alike():
         lambda: diagonal_class(1, 5),
         lambda: search_family_params(1, 5),
         lambda: AlternatingForm.family(1, 5, [1], [1]),
-        lambda: standard_assignment_degenerate(1, 2),
-        lambda: standard_assignment_nondegenerate(1, 5, [1], [1]),
+        lambda: standard_assignment("degenerate", 1, 2),
+        lambda: standard_assignment("nondegenerate", 1, 5, [1], [1]),
         lambda: general_invariants(1, 3**5, 3, 1, 1),
         lambda: family_invariants("degenerate", 1, 2),
         lambda: kappa(1),

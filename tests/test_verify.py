@@ -9,6 +9,7 @@ pure-Python set closure is the reference for the oracle itself.
 
 import itertools
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -29,8 +30,7 @@ from heiskod.verify import (
     evaluate_word,
     lift,
     precompose_involution,
-    standard_assignment_degenerate,
-    standard_assignment_nondegenerate,
+    standard_assignment,
     subgroup_order_fast,
     tau2_to_r2_variant,
     verify_assignment,
@@ -39,7 +39,7 @@ from heiskod.verify import (
 
 @pytest.fixture(scope="module")
 def nondeg25():
-    return standard_assignment_nondegenerate(2, 5, (3, 3), (3, 3))
+    return standard_assignment("nondegenerate", 2, 5, (3, 3), (3, 3))
 
 
 def unit(group, i):
@@ -83,7 +83,7 @@ def test_image_tuple_of_wrong_length_refused(nondeg25):
 
 def test_genus_read_off_the_images(nondeg25):
     assert GeneratorAssignment("nine", nondeg25.target, nondeg25.images).b == 2
-    deg32 = standard_assignment_degenerate(3, 2)
+    deg32 = standard_assignment("degenerate", 3, 2)
     assert GeneratorAssignment("thirteen", deg32.target, deg32.images).b == 3
 
 
@@ -114,7 +114,7 @@ def test_assignment_prime_is_its_targets():
     # an assignment carried a second prime that nothing compared with its
     # target's: the degenerate (2, 3) images under p = 7 were reported as
     # p = 7 and not ok, though every relator dies and A12 has order 3
-    standard = standard_assignment_degenerate(2, 3)
+    standard = standard_assignment("degenerate", 2, 3)
     assignment = GeneratorAssignment("degenerate", standard.target, standard.images)
     report = verify_assignment(assignment)
     assert report.p == 3 and report.ok
@@ -125,7 +125,7 @@ def test_assignment_prime_is_its_targets():
 
 def test_unreduced_degenerate_images_refused():
     # entries 3 at p = 2 were accepted, and degenerate (3, 2) reported 86/86
-    standard = standard_assignment_degenerate(3, 2)
+    standard = standard_assignment("degenerate", 3, 2)
     images = tuple(HeisElement(tuple(3 * a for a in g.v), 3 * g.t) for g in standard.images)
     with pytest.raises(PreconditionError, match="reduced mod 2"):
         GeneratorAssignment("unreduced", standard.target, images)
@@ -142,7 +142,7 @@ def test_letters_out_of_range_refused(nondeg25):
 def test_bool_letters_refused():
     # (True,) used to evaluate as r1_1; (1, True) as r1_1^2, since a set of
     # letters merges True into 1
-    degenerate = standard_assignment_degenerate(2, 3)
+    degenerate = standard_assignment("degenerate", 2, 3)
     for word in ((True,), (1, True), (False,), (np.True_,), (np.int64(1),), (1.0,)):
         with pytest.raises(PreconditionError, match="not a generator index"):
             evaluate_word(degenerate, word)
@@ -227,9 +227,9 @@ def test_kernel_matches_python_reference(group, data):
 @pytest.mark.parametrize("family,b,p", [("degenerate", 5, 3), ("degenerate", 15, 2), ("nondegenerate", 6, 7)])
 def test_every_relator_matches_python_reference(family, b, p):
     if family == "degenerate":
-        standard = standard_assignment_degenerate(b, p)
+        standard = standard_assignment("degenerate", b, p)
     else:
-        standard = standard_assignment_nondegenerate(b, p, (2,) * (b - 1) + (5,), (2,) * (b - 1) + (5,))
+        standard = standard_assignment("nondegenerate", b, p, (2,) * (b - 1) + (5,), (2,) * (b - 1) + (5,))
     words = [rel.word for rel in build_presentation(b).relators]
     check_against_reference(standard, words)
     # random images make most relators fail
@@ -245,10 +245,10 @@ def equivalence_assignments(b):
     """The standard assignments at genus b for two primes or more, their
     involution images, and per assignment one single-image mutation of every
     letter."""
-    bases = [standard_assignment_degenerate(b, p) for p in (2, 3, 5, 7) if (b + 1) % p == 0]
+    bases = [standard_assignment("degenerate", b, p) for p in (2, 3, 5, 7) if (b + 1) % p == 0]
     for p in (5, 7):
         lam, mu = next(search_family_params(b, p, 1))
-        bases.append(standard_assignment_nondegenerate(b, p, lam, mu))
+        bases.append(standard_assignment("nondegenerate", b, p, lam, mu))
     out = []
     for base in bases + [precompose_involution(a) for a in bases]:
         out.append(base)
@@ -298,17 +298,17 @@ def test_nondegenerate_parameter_validation():
         (5, (3,), (3, 3), "need 2 lambdas and 2 mus, got 1 and 2"),
     ):
         with pytest.raises(PreconditionError, match=message):
-            standard_assignment_nondegenerate(2, p, lambdas, mus)
+            standard_assignment("nondegenerate", 2, p, lambdas, mus)
     # the valid neighbour passes
-    standard_assignment_nondegenerate(2, 5, (2, 4), (4, 2))
+    standard_assignment("nondegenerate", 2, 5, (2, 4), (4, 2))
 
 
 def test_nondegenerate_parameters_refuse_floats():
     # 3.9 used to be read as lambda_1 = 3
     with pytest.raises(PreconditionError, match="^lambda must be an integer, got 3.9$"):
-        standard_assignment_nondegenerate(2, 5, (3.9, 3), (3, 3))
+        standard_assignment("nondegenerate", 2, 5, (3.9, 3), (3, 3))
     with pytest.raises(PreconditionError, match="^mu must be an integer, got 3.0$"):
-        standard_assignment_nondegenerate(2, 5, (3, 3), (3, 3.0))
+        standard_assignment("nondegenerate", 2, 5, (3, 3), (3, 3.0))
 
 
 def test_unvalidated_bad_mu_fails_surface_relation_2(nondeg25):
@@ -322,7 +322,7 @@ def test_unvalidated_bad_mu_fails_surface_relation_2(nondeg25):
 
 @pytest.mark.parametrize("b,p", [(2, 3), (3, 2), (4, 5), (5, 2), (5, 3)])
 def test_degenerate_verification(b, p):
-    report = verify_assignment(standard_assignment_degenerate(b, p))
+    report = verify_assignment(standard_assignment("degenerate", b, p))
     assert not report.failures
     assert report.total_relators == 8 * b * b + 4 * b + 2
     assert report.a12_order == p
@@ -337,21 +337,57 @@ def test_relator_count_is_what_the_evaluator_walked(monkeypatch):
 
     walk = braid._Templates.walk
     monkeypatch.setattr(braid._Templates, "walk", lambda self, sources=False: list(walk(self, sources))[:-1])
-    report = verify_assignment(standard_assignment_degenerate(2, 3))
+    report = verify_assignment(standard_assignment("degenerate", 2, 3))
     assert (report.total_relators, report.passed) == (41, 41)
     assert "relators passed: 41/41" in report.text()
 
 
 def test_degenerate_preconditions():
     with pytest.raises(PreconditionError):
-        standard_assignment_degenerate(2, 2)  # 2 does not divide 3
+        standard_assignment("degenerate", 2, 2)  # 2 does not divide 3
     with pytest.raises(PreconditionError):
-        standard_assignment_degenerate(2, 4)  # not prime
-    assert standard_assignment_degenerate(3, 2).target.order == 128
+        standard_assignment("degenerate", 2, 4)  # not prime
+    assert standard_assignment("degenerate", 3, 2).target.order == 128
 
 
-def test_tau2_variant_fails_expected_relator():
-    report = verify_assignment(tau2_to_r2_variant(2, 5, (3, 3), (3, 3)))
+@pytest.mark.parametrize(
+    "args,message",
+    # each case also breaks every rule checked after the one it names
+    [
+        (("nondegenerate", 1, 4, None, (0,)), "genus b must be >= 2, got 1"),
+        (("degenerate", 100000, 4, (1,), None), "the lifting's images would hold 80000200000 entries, more than 10000000"),
+        (("nondegenerate", 2, 4, None, (0,)), "the non-degenerate family needs a prime p >= 5, got 4"),
+        (("degenerate", 2, 3, (1, 2), (3.5,)), "the degenerate family takes no --lambda or --mu"),
+        (("nondegenerate", 2, 5, None, (3.5,)), "the non-degenerate family needs --lambda and --mu"),
+        (("nondegenerate", 2, 5, (3,), (0.5, 0)), "need 2 lambdas and 2 mus, got 1 and 2"),
+        (("nondegenerate", 2, 5, (1, 1), (2, 3)), "sum of lambdas is 2, must be 1 mod 5"),
+    ],
+    ids=["genus", "image-size", "family", "degenerate-lambda", "missing-lambda", "short-lambda", "lambda-sum"],
+)
+def test_standard_assignment_refuses_in_order(args, message):
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        standard_assignment(*args)
+
+
+@pytest.mark.parametrize("family", ["elliptic", "Degenerate", None, 3])
+def test_unknown_family_is_a_precondition_error(family):
+    with pytest.raises(PreconditionError, match="^unknown family"):
+        standard_assignment(family, 2, 3)
+
+
+def test_oracle_bound_passes_the_integer_gate():
+    # True was read as the bound 1 and refused as "exceeds the enumeration
+    # bound True"; 2.5e6 ran the oracle
+    assignment = standard_assignment("degenerate", 2, 3)
+    for bound in (True, 2.5e6):
+        with pytest.raises(PreconditionError, match=f"^enumeration bound must be an integer, got {bound!r}$"):
+            verify_assignment(assignment, bound)
+    report = verify_assignment(assignment, np.int64(10**6))
+    assert report.ok and [size for _, size, _ in report.oracle] == [243, 243]
+
+
+def test_tau2_variant_fails_expected_relator(nondeg25):
+    report = verify_assignment(tau2_to_r2_variant(nondeg25))
     assert report.failures
     by_source = {src: value for _, src, value in report.failures}
     key = "action rho_1j on tau_2k, j=1, k=1 (j=k)"
@@ -374,7 +410,7 @@ def test_a12_order_is_one_or_p(nondeg25):
     report = verify_assignment(nondeg25)
     assert report.a12_order in (1, 5)
     for b, p in ((2, 3), (3, 2)):
-        rep = verify_assignment(standard_assignment_degenerate(b, p))
+        rep = verify_assignment(standard_assignment("degenerate", b, p))
         assert rep.a12_order in (1, p)
 
 
@@ -391,7 +427,7 @@ def test_degenerate_assignment_is_quotient_of_big_lifting():
         assert not report.failures and report.a12_order == p
         assert report.m1 == report.m2 == p ** (2 * b)  # connected only after quotient
 
-        standard = standard_assignment_degenerate(b, p)
+        standard = standard_assignment("degenerate", b, p)
         small = standard.target
         assert small.form == j_group(b, p).form
 
@@ -475,7 +511,7 @@ def test_family_form_is_of_heisenberg_type_when_both_sums_are_one(b, p):
 
 @pytest.mark.parametrize("b,p", [(2, 3), (3, 2)])
 def test_involution_precompose_degenerate(b, p):
-    base = standard_assignment_degenerate(b, p)
+    base = standard_assignment("degenerate", b, p)
     report = verify_assignment(precompose_involution(base))
     assert not report.failures and report.is_surjective
 
@@ -505,8 +541,8 @@ def test_kernel_set_indices_and_bfs(nondeg25):
     "assignment,calls",
     [
         # the degenerate family's two kernel sets are one set of images
-        (lambda: standard_assignment_degenerate(3, 2), 2),
-        (lambda: standard_assignment_nondegenerate(2, 5, (3, 3), (3, 3)), 3),
+        (lambda: standard_assignment("degenerate", 3, 2), 2),
+        (lambda: standard_assignment("nondegenerate", 2, 5, (3, 3), (3, 3)), 3),
     ],
 )
 def test_structural_order_runs_once_per_distinct_generating_set(monkeypatch, assignment, calls):
@@ -525,7 +561,7 @@ def test_structural_order_runs_once_per_distinct_generating_set(monkeypatch, ass
 
 @pytest.mark.parametrize("b,p", [(2, 3), (3, 2), (5, 2), (5, 3)])
 def test_bfs_matches_fast_index_degenerate(b, p):
-    assignment = standard_assignment_degenerate(b, p)
+    assignment = standard_assignment("degenerate", b, p)
     first, _ = kernel_generator_sets(b)
     els = [assignment.images[g - 1] for g in first]
     assert bfs_subgroup_order(assignment.target, els) == assignment.target.order
@@ -534,7 +570,7 @@ def test_bfs_matches_fast_index_degenerate(b, p):
 
 @pytest.mark.slow
 def test_bfs_matches_fast_index_degenerate_45():
-    assignment = standard_assignment_degenerate(4, 5)
+    assignment = standard_assignment("degenerate", 4, 5)
     first, _ = kernel_generator_sets(4)
     els = [assignment.images[g - 1] for g in first]
     assert assignment.target.order == 5**9
@@ -546,7 +582,7 @@ def test_bfs_memory_is_bounded():
     # a few copies of the set, 5 slabs of 5^8 bits (49 KiB each), and about
     # 40 masks of one slab each for the digits the generators touch: about
     # 3.5 MiB in all
-    assignment = standard_assignment_degenerate(4, 5)
+    assignment = standard_assignment("degenerate", 4, 5)
     first, _ = kernel_generator_sets(4)
     els = [assignment.images[g - 1] for g in first]
     tracemalloc.start()
@@ -563,7 +599,7 @@ def test_surjectivity_index_memory_is_bounded():
     # dense 801 x 801 lists built to look for a nonzero entry the index
     # peaked at 5.7 MiB under tracemalloc, sparse it peaks at 0.85 MiB
     b, p = 200, 67
-    assignment = standard_assignment_degenerate(b, p)
+    assignment = standard_assignment("degenerate", b, p)
     tracemalloc.start()
     try:
         assert subgroup_order_fast(assignment.target, assignment.images) == assignment.target.order
@@ -828,12 +864,12 @@ def test_oracle_matches_closure_and_fast_order_on_proper_subgroups(group, span):
         assert bfs_subgroup_order(group, els) == order == subgroup_order_fast(group, els)
 
 
-def test_null_combinations_skip_zero_coefficients(monkeypatch):
+def test_null_combinations_skip_zero_coefficients(monkeypatch, nondeg25):
     # the m1 images of the tau_2j -> r_2j variant at (2, 5) are r_21, r_22,
     # r_21, r_22, z: they commute and have order p, so the order is decided on
     # the null combinations (1, 0, -1, 0, 0), (0, 1, 0, -1, 0), (0, 0, 0, 0, 1)
     # of their projections, one product per nonzero coefficient
-    assignment = tau2_to_r2_variant(2, 5, (3, 3), (3, 3))
+    assignment = tau2_to_r2_variant(nondeg25)
     first, _ = kernel_generator_sets(2)
     els = [assignment.images[x - 1] for x in first]
     calls = []
@@ -871,7 +907,7 @@ def test_odd_p_takes_no_central_power(monkeypatch, b, p):
 
 
 def test_report_json_golden():
-    report = verify_assignment(standard_assignment_degenerate(2, 3))
+    report = verify_assignment(standard_assignment("degenerate", 2, 3))
     assert report.to_json_dict() == {
         "b": 2,
         "p": 3,
