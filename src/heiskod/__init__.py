@@ -12,7 +12,7 @@ claim-checking census (:mod:`invariants`).  :mod:`cli` ties it together and
 
 Importing the package loads none of these modules: import names from the
 submodule that defines them (``from heiskod.primes import kappa``).
-Everything is pure Python on the standard library, the ``--bfs-oracle``
+Everything is pure Python on the standard library, the exhaustive
 subgroup oracle (Python-int bitmaps in :mod:`verify`) included, and only
 ``selftest`` imports :mod:`acceptance`.
 """

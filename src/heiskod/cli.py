@@ -32,15 +32,25 @@ _FAMILIES = ("degenerate", "nondegenerate")
 Output = tuple[int, Iterable[str]]  # a subcommand's exit code and the chunks that main writes
 
 
+def _read_int(text: str) -> int:
+    """An integer of argv or of a JSON file, read as argparse reads an int,
+    under Python's default limit of 4300 digits: main lifts the limit only so
+    that results print in full, reading a longer integer takes quadratic
+    time, and factoring a longer b + 1 for kappa takes minutes."""
+    if len(text.strip()) > 4300:
+        raise ValueError("an integer of more than 4300 digits")
+    return int(text)
+
+
 def _parse_range(text: str) -> list[int]:
     """Accept '5', '2..6' or '5,7,11'; refuse an empty range or one of more than 10^6 values."""
     try:
         text = text.strip()
         if ".." in text:
-            lo, hi = map(int, text.split("..", 1))
+            lo, hi = map(_read_int, text.split("..", 1))
             values = range(lo, hi + 1)
         else:
-            values = [int(x) for x in text.split(",") if x]
+            values = [_read_int(x) for x in text.split(",") if x]
     except ValueError:
         raise PreconditionError(f"cannot parse range {text!r}; use forms like 5, 2..6 or 5,7,11") from None
     if not values:
@@ -55,7 +65,7 @@ def _parse_residues(text: Optional[str], what: str) -> Optional[list[int]]:
     if text is None:
         return None
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        return [_read_int(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise PreconditionError(f"cannot parse {what} list {text!r}") from None
 
@@ -140,7 +150,10 @@ def _form_from_args(args):
         if args.b is not None or lam is not None or mu is not None:
             raise PreconditionError("--matrix-json takes no --b, --lambda or --mu; the matrix is the form")
         with open(args.matrix_json) as fh:
-            entries = json.load(fh)
+            try:
+                entries = json.load(fh, parse_int=_read_int)
+            except (ValueError, RecursionError) as exc:  # malformed JSON or UTF-8, a long integer, deep nesting
+                raise PreconditionError(str(exc)) from None
         return AlternatingForm(FpMatrix(entries, args.p))
     if lam is None or mu is None:
         raise PreconditionError("give either --matrix-json or both --lambda and --mu")
@@ -353,6 +366,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code  # argparse exits with 0 (help) or 2 (a usage error)
+    # integers print in full: Python's limit on their digits (3.10.7 on; none
+    # before) is lifted once argv is read, and restored, since main may be
+    # called in process
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         code, chunks = args.fn(args)
         try:
@@ -373,9 +392,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MemoryError:
         sys.stderr.write("error: out of memory\n")
         return 2
-    except (HeiskodError, OSError, json.JSONDecodeError) as exc:
+    except (HeiskodError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

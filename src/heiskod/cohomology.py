@@ -39,7 +39,7 @@ import itertools
 from operator import eq
 from typing import Iterator, Optional
 
-from .errors import EnumerationBoundError, InconsistencyError, PreconditionError
+from .errors import InconsistencyError, PreconditionError
 from .fplinalg import AlternatingForm, FpMatrix
 from .primes import check_genus, check_prime, integer
 
@@ -178,13 +178,19 @@ def _tuples_summing_to_one(b: int, p: int) -> Iterator[tuple[int, ...]]:
 
 
 def _family_params(b: int, p: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every valid (lambda, mu), lexicographically; lambda_j mu_j = 1 iff lambda_j = mu_j^-1."""
+    """Every valid (lambda, mu), lexicographically; lambda_j mu_j = 1 iff lambda_j = mu_j^-1.
+    None at p = 2, where every lambda_j mu_j is 1, so no tuple of b ones is built."""
+    if p == 2:
+        return
     inverse = [0] + [pow(x, -1, p) for x in range(1, p)]
     mus = [(mu, tuple(inverse[m] for m in mu)) for mu in _tuples_summing_to_one(b, p)]
     for lam in _tuples_summing_to_one(b, p):
         for mu, inv_mu in mus:
             if not any(map(eq, lam, inv_mu)):
                 yield lam, mu
+
+
+SEARCH_BOUND = 2 * 10**8  # the most candidates (p-1)^(2b-2) a search exhausts
 
 
 def search_family_params(
@@ -195,15 +201,19 @@ def search_family_params(
     Lexicographic order over the combined tuple.  Every argument is checked
     here, before anything is enumerated; the hits then come lazily, the first
     ``count`` of them, or every hit (proving emptiness by exhaustion) when
-    ``count`` is None.  For p = 3 the search is provably empty: lambda_j mu_j
-    != 1 forces mu_j = -lambda_j, so the two sum conditions give 1 = -1.
+    ``count`` is None.  For p = 2 and p = 3 the search is provably empty: at
+    p = 3, lambda_j mu_j != 1 forces mu_j = -lambda_j, so the two sum
+    conditions give 1 = -1.
     """
-    check_genus(b)
+    b, p = check_genus(b), integer(p, "modulus")  # Python ints, so the power below cannot wrap
     check_prime(p)
     if count is not None and (count := integer(count, "count")) < 1:
         raise PreconditionError(f"count must be >= 1, got {count}")
-    if (p - 1) ** (2 * (b - 1)) > 2 * 10**8:
-        raise EnumerationBoundError(
-            f"search space (p-1)^(2b-2) = {(p - 1) ** (2 * (b - 1))} is too large to exhaust"
+    # for p >= 3, (p-1)^k exceeds the bound once k reaches its bit length, and
+    # p = 2 gives 1 either way, so the capped power gives the same verdict
+    if (p - 1) ** min(2 * (b - 1), SEARCH_BOUND.bit_length()) > SEARCH_BOUND:
+        raise PreconditionError(
+            f"search space (p-1)^(2b-2) at b = {b}, p = {p} is more than {SEARCH_BOUND}, too large to exhaust"
         )
-    return itertools.islice(_family_params(b, p), count)
+    # no search has more hits than the bound, and islice takes no count past sys.maxsize
+    return itertools.islice(_family_params(b, p), None if count is None else min(count, SEARCH_BOUND))

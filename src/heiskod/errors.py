@@ -6,7 +6,8 @@ class HeiskodError(Exception):
 
 
 class PreconditionError(HeiskodError, ValueError):
-    """A user-supplied parameter violates a documented precondition.
+    """A user-supplied parameter violates a documented precondition, or asks
+    for work beyond a stated bound (an enumeration, a search, a group order).
 
     The CLI maps this to exit code 2 (usage error).
     """
@@ -20,7 +21,3 @@ class InconsistencyError(HeiskodError):
     with :class:`PreconditionError`, so this signals a refuted claim or a
     genuine bug; the CLI maps it to exit code 1.
     """
-
-
-class EnumerationBoundError(HeiskodError):
-    """An exhaustive enumeration would exceed the configured element bound."""

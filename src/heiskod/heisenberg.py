@@ -31,7 +31,7 @@ import math
 import operator
 from typing import NamedTuple, Sequence
 
-from .errors import EnumerationBoundError, InconsistencyError, PreconditionError
+from .errors import InconsistencyError, PreconditionError
 from .fplinalg import AlternatingForm, residues
 from .primes import integer
 
@@ -134,13 +134,13 @@ def verify_extra_special(group: HeisGroup) -> GroupStructureReport:
     commutator subgroup's order is the size of {0} and the entries of every
     w, which are all the commutators' central parts.  A group of more than
     ``STRUCTURE_BOUND`` elements is refused with
-    :class:`EnumerationBoundError` before anything is enumerated.
+    :class:`PreconditionError` before anything is enumerated.
 
     A degenerate form is legal input; the report then shows the
     enlarged center ker(omega) x F_p and ``is_extra_special`` False.
     """
     if group.order > STRUCTURE_BOUND:
-        raise EnumerationBoundError(f"group order {group.order} exceeds the structure suite's bound {STRUCTURE_BOUND}")
+        raise PreconditionError(f"group order {group.order} exceeds the structure suite's bound {STRUCTURE_BOUND}")
     p, omega = group.p, group.form
     identity, mul = group.identity, group.mul
     exponent, involutions, kernel, values = 1, 0, 0, {0}

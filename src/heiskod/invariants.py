@@ -125,12 +125,20 @@ def general_invariants(b: int, group_order: int, n: int, m1: int, m2: int) -> Fi
     )
 
 
+GROUP_BITS_BOUND = 2**17  # the most bits |G| may have where family_invariants computes it
+
+
 def family_invariants(family: str, b: int, p: int) -> FibrationInvariants:
     """Invariants of the family's fibration at (b, p): the target group has
     order p^{dim+1} with dim = 4b (non-degenerate) or 2b (degenerate), A12
-    has order p, and both fibre subgroups have index m = p^{2b} or 1."""
+    has order p, and both fibre subgroups have index m = p^{2b} or 1.
+    Refused, before any power of p is formed, when (dim + 1) times the bit
+    length of p, an upper bound on log2 |G|, exceeds ``GROUP_BITS_BOUND``."""
     b, p = check_family(family, b, p)
-    dim, m = (4 * b, p ** (2 * b)) if family == "nondegenerate" else (2 * b, 1)
+    dim = 4 * b if family == "nondegenerate" else 2 * b
+    if (bits := (dim + 1) * p.bit_length()) > GROUP_BITS_BOUND:
+        raise PreconditionError(f"|G| = {p}^{dim + 1} has up to {bits} bits, more than {GROUP_BITS_BOUND}")
+    m = p ** (2 * b) if family == "nondegenerate" else 1
     inv = general_invariants(b, p ** (dim + 1), p, m, m)
     if inv.signature != (2 * b - 2) * p ** (dim - 1) * (p * p - 1) // 3:
         raise InconsistencyError("signature disagrees with its closed form")

@@ -42,9 +42,8 @@ group H_{2b+1}(F_2) with its coordinates interleaved.
 Subgroup indices come from a fast structural method; ``verify_assignment``
 cross-checks them, given a bound, against an exhaustive oracle that marks the
 generated subgroup element by element in Python-int bitmaps, and the two must
-agree wherever both run.  On the command line the one option ``verify
---bfs-oracle [BOUND]`` runs the oracle, with ``ENUMERATION_BOUND`` when no
-BOUND is given.
+agree wherever both run.  On the command line one option of ``verify``
+runs the oracle, with ``ENUMERATION_BOUND`` when it is given no bound.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ from .braid import (
     rho,
     tau,
 )
-from .errors import EnumerationBoundError, PreconditionError
+from .errors import PreconditionError
 from .fplinalg import AlternatingForm, FpMatrix
 from .heisenberg import HeisElement, HeisGroup
 from .primes import check_family, check_genus, integer
@@ -300,10 +299,10 @@ def standard_assignment(
     b, p = check_family(family, b, p)
     if family == "degenerate":
         if lambdas is not None or mus is not None:
-            raise PreconditionError("the degenerate family takes no --lambda or --mu")
+            raise PreconditionError("the degenerate family takes no lambdas or mus")
         return lift(AlternatingForm.family(b, p, (-1,) * b, (-1,) * b), family)
     if lambdas is None or mus is None:
-        raise PreconditionError("the non-degenerate family needs --lambda and --mu")
+        raise PreconditionError("the non-degenerate family needs lambdas and mus")
     lambdas, mus = tuple(lambdas), tuple(mus)
     form = AlternatingForm.family(b, p, lambdas, mus)  # b integers a side, or refused
     _validated_params(p, lambdas, mus)
@@ -406,14 +405,14 @@ def bfs_subgroup_order(group: HeisGroup, elements: Sequence, bound: int = ENUMER
 
     Independent of ``subgroup_order_fast`` by construction (group products
     and membership only, no linear algebra); kept for cross-validation and
-    refused (not approximated) with :class:`EnumerationBoundError` when the
+    refused (not approximated) with :class:`PreconditionError` when the
     group has more than ``bound`` elements and, whatever the bound, from
     order 2^62 on: the bitmap of such a group is 2^59 bytes or more, and
     below it every bit index and shift count is below 2^62, so Python's
     shifts never overflow.  A ``MemoryError`` while the bitmaps are built is
-    refused too, and a bound that ``primes.integer`` does not take is a
-    :class:`PreconditionError`.  Returns the number of elements enumerated;
-    the name stays that of the ``--bfs-oracle`` flag.
+    refused too, as is a bound that ``primes.integer`` does not take.
+    Returns the number of elements enumerated; the name stays that of the
+    command line's oracle flag.
 
     Only the coordinates S that some generator touches are enumerated (digit
     j is the j-th): products are 0 off S, and v . C w reads C on S x S only.
@@ -441,9 +440,9 @@ def bfs_subgroup_order(group: HeisGroup, elements: Sequence, bound: int = ENUMER
     and p^|S| / 8 bytes of masks per digit: 3.5 MiB traced at b = 4, p = 5.
     """
     if group.order > (bound := integer(bound, "enumeration bound")):
-        raise EnumerationBoundError(f"group order {group.order} exceeds the enumeration bound {bound}")
+        raise PreconditionError(f"group order {group.order} exceeds the enumeration bound {bound}")
     if group.order >= 2**62:
-        raise EnumerationBoundError(f"group order {group.order} is too large to enumerate in a bitmap (needs < 2^62)")
+        raise PreconditionError(f"group order {group.order} is too large to enumerate in a bitmap (needs < 2^62)")
     p = group.p
     gens = [group.element(g.v, g.t) for g in elements]
     touched = [c for c in range(group.dim) if any(w[c] for w, _ in gens)]
@@ -491,5 +490,5 @@ def bfs_subgroup_order(group: HeisGroup, elements: Sequence, bound: int = ENUMER
                 slabs, idle = grown, 1  # Y g is in Y once this loop ends
                 g = group.power(g, 2)  # g^2k
     except MemoryError:
-        raise EnumerationBoundError(f"not enough memory to enumerate a group of order {group.order}") from None
+        raise PreconditionError(f"not enough memory to enumerate a group of order {group.order}") from None
     return sum(x.bit_count() for x in slabs)

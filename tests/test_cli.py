@@ -7,9 +7,11 @@ verified-false claim, 2 usage or precondition error.
 """
 
 import ast
+import contextlib
 import importlib.util
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -20,7 +22,7 @@ import pytest
 
 from heiskod import cli
 from heiskod.cli import main
-from heiskod.errors import EnumerationBoundError, InconsistencyError, PreconditionError
+from heiskod.errors import HeiskodError, InconsistencyError, PreconditionError
 
 
 def run(capsys, *argv):
@@ -196,7 +198,7 @@ def test_verify_degenerate_refuses_lambda_mu(capsys):
     code, out, err = run(
         capsys, "verify", "--family", "degenerate", "--b", "2", "--p", "3", "--lambda", "1,2", "--mu", "3,4"
     )
-    assert code == 2 and "--lambda" in err and out == ""
+    assert (code, out, err) == (2, "", "error: the degenerate family takes no lambdas or mus\n")
 
 
 # -- classify / search -----------------------------------------------------------
@@ -398,6 +400,23 @@ def test_large_genus_streams_its_relators(argv):
     assert maxrss_kib < 60 * 1024
 
 
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        # itertools.product was asked for 2^63 - 1 repeats: OverflowError, exit 1
+        (("--b", str(2**63), "--p", "2"), f"no valid (lambda, mu) exist for b = {2**63}, p = 2 (exhaustive search)\n"),
+        # islice takes no stop past sys.maxsize: ValueError, exit 1
+        (
+            ("--b", "2", "--p", "5", "--count", str(10**20)),
+            "lambda = 2,4  mu = 4,2\nlambda = 3,3  mu = 3,3\nlambda = 4,2  mu = 2,4\n",
+        ),
+    ],
+    ids=["p2-genus-past-maxsize", "count-past-maxsize"],
+)
+def test_search_forms_past_sys_maxsize(capsys, argv, expected):
+    assert run(capsys, "search-forms", *argv) == (0, expected, "")
+
+
 # -- invariants / census / kappa ----------------------------------------------------
 
 
@@ -506,13 +525,34 @@ def test_classify_form_truncated_json_exits_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "content,message",
+    [
+        (b"\xff\xfe[[0]]", "'utf-8' codec can't decode byte 0xff in position 0"),
+        (b"[" * 100_000, "maximum recursion depth exceeded"),
+        # read under the digit limit that argparse reads argv under
+        (b"[[0, 1" + b"7" * 5000 + b"], [1, 0]]", "an integer of more than 4300 digits"),
+    ],
+    ids=["not-utf8", "deep", "5000-digit-entry"],
+)
+def test_classify_form_unreadable_json_exits_2(capsys, tmp_path, content, message):
+    # each exited 1 with a UnicodeDecodeError, RecursionError or ValueError
+    # traceback: only JSONDecodeError was mapped to a refusal
+    path = tmp_path / "omega.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "classify-form", "--p", "5", "--matrix-json", str(path))
+    assert (code, out) == (2, "") and err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "exc,code,prefix",
     [
         (InconsistencyError("x"), 1, "inconsistency: "),
         (PreconditionError("x"), 2, "error: "),
-        (EnumerationBoundError("x"), 2, "error: "),
+        # any package error, not only the subclasses raised today
+        (HeiskodError("x"), 2, "error: "),
         (OSError("x"), 2, "error: "),
-        (json.JSONDecodeError("x", "", 0), 2, "error: "),
+        # an unreadable --matrix-json path
+        (FileNotFoundError("x"), 2, "error: "),
         # an out-of-memory run is not a refuted claim
         (MemoryError(), 2, "error: out of memory"),
     ],
@@ -637,6 +677,102 @@ def test_kappa_json(capsys):
     code, out, _ = run(capsys, "kappa", "--b", "29", "--format", "json")
     assert code == 0
     assert json.loads(out) == [{"b": 29, "kappa": 3}]
+
+
+# -- integers in full, powers too large to form -------------------------------------
+
+
+@contextlib.contextmanager
+def unlimited_digits():
+    """The test's own conversions of numbers over 4300 digits, under the
+    digit limit of Python 3.10.7 on, lifted here and restored on exit."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_invariants_print_integers_in_full(capsys, fmt):
+    # c2 = 13^3856 * 1926 * 25050 has 4304 digits: str() refused it, and the
+    # run exited 1 with a ValueError traceback
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    code, out, err = run(capsys, "invariants", "--family", "nondegenerate", "--b", "964", "--p", "13", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert getattr(sys, "get_int_max_str_digits", int)() == limit  # main restores the limit
+    b, p = 964, 13
+    with unlimited_digits():
+        record = json.loads(out) if fmt == "json" else dict(line.split(": ", 1) for line in out.splitlines())
+        expected = {
+            "group_order": p ** (4 * b + 1),
+            "b1": p ** (2 * b) * (b - 1) + 1,
+            "g1": p ** (2 * b) * ((2 * b - 1) * p - 1) // 2 + 1,
+            "c2": p ** (4 * b) * (2 * b - 2) * ((2 * b - 1) * p - 1),
+            "sigma": (2 * b - 2) * p ** (4 * b - 1) * (p * p - 1) // 3,
+        }
+        assert len(str(expected["c2"])) > 4300
+        assert {k: int(record[k]) for k in expected} == expected
+
+
+def test_verify_report_prints_the_target_order_in_full(capsys):
+    # |G| = (2^61 - 1)^241 has 4426 digits: the report of a passing proof
+    # ended in a ValueError traceback and exit 1
+    b, p = 60, MERSENNE_61
+    lam, mu = ",".join(["1"] * (b - 1) + [str(2 - b)]), ",".join(["2"] * (b - 1) + [str(3 - 2 * b)])
+    argv = ("--family", "nondegenerate", "--b", str(b), "--p", str(p), "--lambda", lam, "--mu", mu)
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, err) == (0, "")
+    with unlimited_digits():
+        assert out.splitlines()[:4] == [
+            f"family nondegenerate, b = {b}, p = {p}, target order {p ** (4 * b + 1)}",
+            f"relators passed: {8 * b * b + 4 * b + 2}/{8 * b * b + 4 * b + 2}",
+            f"A12 image order: {p}",
+            f"kernel-set image indices: m1 = {p ** (2 * b)}, m2 = {p ** (2 * b)}",
+        ]
+
+
+def test_an_integer_too_long_to_parse_is_still_refused(capsys):
+    # main lifts the digit limit only after argparse has read argv, and a
+    # range reads its values under the same limit: kappa of a 30,000-digit b
+    # ran past 20 s factoring it
+    code, out, err = run(capsys, "presentation", "--b", "7" * 4301)
+    assert (code, out) == (2, "") and err.startswith("usage: ") and "invalid int value" in err
+    code, out, err = run(capsys, "kappa", "--b", "7" * 4301)
+    assert (code, out, err) == (2, "", f"error: cannot parse range '{'7' * 4301}'; use forms like 5, 2..6 or 5,7,11\n")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ("invariants", "--family", "nondegenerate", "--b", "99999999999", "--p", "1117"),
+            "|G| = 1117^399999999997 has up to 4399999999967 bits, more than 131072",
+        ),
+        (
+            ("census", "--family", "nondegenerate", "--b", "4294967311", "--p", "4294967311"),
+            "|G| = 4294967311^17179869245 has up to 566935685085 bits, more than 131072",
+        ),
+        (
+            ("search-forms", "--b", "99999999999", "--p", "7"),
+            "search space (p-1)^(2b-2) at b = 99999999999, p = 7 is more than 200000000, too large to exhaust",
+        ),
+        (
+            ("search-forms", "--b", "1000000", "--p", "13"),
+            "search space (p-1)^(2b-2) at b = 1000000, p = 13 is more than 200000000, too large to exhaust",
+        ),
+    ],
+    ids=["invariants", "census", "search-huge-genus", "search-million"],
+)
+def test_a_power_too_large_to_form_is_refused_before_it_is_formed(argv, message):
+    # the first three ran past 60 s under a 2 GB cap forming p^(4b+1) or
+    # (p-1)^(2b-2); the last formed its power and exited 1 printing it
+    code, out, err, seconds = run_capped(*argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert seconds < 1.0
 
 
 # -- selftest and usage ------------------------------------------------------------
@@ -1109,6 +1245,17 @@ def test_no_private_helper_is_dead():
     defined, dead = unreferenced(lambda name: name.startswith("_") and not name.endswith("__"))
     assert len(defined) > 50  # the scan sees the package's private helpers
     assert dead == []
+
+
+def test_no_library_string_names_a_command_line_flag():
+    # the library words its refusals in its own terms (lambdas, mus, bounds);
+    # only cli.py knows the flags, so a library caller never reads "--lambda"
+    named = set()
+    for path in sorted((SRC / "heiskod").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and re.search("--[A-Za-z]", node.value):
+                named.add(path.name)
+    assert named == {"cli.py"}  # the scan sees the parser's flags
 
 
 def test_every_option_is_read():

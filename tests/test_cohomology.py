@@ -7,6 +7,7 @@ the quotient.  Row reduction must then report full rank.
 """
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from heiskod import cohomology
 from heiskod.cohomology import (
+    SEARCH_BOUND,
     classify_form,
     count_heisenberg_candidates,
     diagonal_class,
@@ -446,10 +448,19 @@ def test_search_refuses_nonpositive_count():
 
 
 def test_search_refuses_huge_spaces():
-    from heiskod.errors import EnumerationBoundError
+    # the guard reads sizes: (p-1)^(2b-2) is never formed, so a huge genus is
+    # refused at once, and a numpy p cannot wrap the power into a pass
+    for b, p in [(8, 97), (15, 3), (10**6, 13), (10**11, 7), (10**11, np.int64(7))]:
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError, match=f"at b = {b}, p = {p} is more than {SEARCH_BOUND}, too large"):
+            search_family_params(b, p)
+        assert time.perf_counter() - start < 1.0
 
-    with pytest.raises(EnumerationBoundError):
-        search_family_params(8, 97)
+
+@pytest.mark.parametrize("b,p", [(14, 3), (10**11, 2)])
+def test_search_admits_spaces_under_the_bound(b, p):
+    # 2^26 candidates at (14, 3), one at p = 2; the hits come lazily
+    assert isinstance(search_family_params(b, p), itertools.islice)
 
 
 def test_search_hits_classify_as_heisenberg_symplectic():

@@ -1,0 +1,292 @@
+"""Fuzz gate for the command line: whatever argument vector ``cli.main`` is
+given, it returns 0, or 2 with one ``error:`` line or argparse's usage on
+stderr.  No exception escapes, and no vector gives exit 1, which means a
+refuted claim: none of the standard liftings, census claims or classifier
+verdicts drawn here can be refuted.
+
+Argument vectors are drawn per subcommand from a grammar:
+
+* integers: the edges -1, 0, 2, 3, 13, 10^6, 2^61 - 1, 10^11 and 2^63 (one
+  past ``sys.maxsize`` on 64-bit builds), small genera and primes, and
+  non-numeric text;
+* ranges ``lo..hi`` and lists over the same edges, and malformed ones;
+* lambda/mu lists: the valid-looking (1, ..., 1, 2 - b) and
+  (2, ..., 2, 3 - 2b) at the drawn genus, short lists of edges, garbage;
+* ``--matrix-json`` files: a valid form, ragged, bool, float and string
+  entries, a 5000-digit entry, 100,000 nested brackets, bytes that are not
+  UTF-8, a JSON object and truncated JSON;
+* formats, valid and not, and ``--output`` to a file or into a missing
+  directory.
+
+Hypothesis runs derandomized, 60 examples per subcommand, so tier-1 sees
+the same vectors every run; the 420 runs take about 4 s on a 2-core x86
+box.
+
+Budget.  Some admitted work is slow by design: ``verify`` at b ~ 1000 takes
+43 s, ``presentation`` admits up to 10^7 relators, ``census`` up to 10^6
+cells, ``search-forms`` up to 2 * 10^8 candidates and ``kappa`` up to 10^6
+values.  A vector is discarded (``assume``) when the program would admit it
+and its work exceeds this budget:
+
+* ``search-forms``: more than 10^4 candidates (p - 1)^(2b - 2);
+* ``census``: more than 10^3 cells (b, p) with every b a genus;
+* ``kappa``: more than 10^3 values;
+* ``verify --bfs-oracle``: a bound above 10^7, the default; the drawn
+  bounds are the edges up to 10^6, non-numeric text and the bare flag.
+
+Genera come from the edges and 4..6, so ``presentation``, ``verify`` and
+``classify-form`` stay within 1406 relators without a filter.  Every vector
+the program refuses stays in, the edges 10^6, 10^11, 2^61 - 1 and 2^63
+included.  Each example runs under an address-space cap 1 GiB above the
+process's size and a 20 s alarm, so a runaway allocation or a hang fails the
+test instead of the machine.
+"""
+
+import contextlib
+import io
+import json
+import os
+import resource
+import signal
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from heiskod.cli import main
+
+EDGES = [-1, 0, 2, 3, 13, 10**6, 2**61 - 1, 10**11, 2**63]
+GENERA = EDGES + [4, 5, 6]
+MODULI = EDGES + [5, 7, 11]
+PRIMES = [2, 3, 5, 7, 11, 13, 2**61 - 1]  # the primes among the drawn integers
+NON_NUMERIC = ["x", "", "1.5", "2..3", "0x10"]
+FAMILIES = ["degenerate", "nondegenerate"]
+ALARM_S = 20
+
+
+def rarely(draw):
+    """True one time in eight, so that malformed text and unknown choices
+    stay in the grammar without taking most of the examples."""
+    return draw(st.sampled_from([False] * 7 + [True]))
+
+
+@st.composite
+def number(draw, values):
+    """argv text for one of ``values`` or, rarely, non-numeric text."""
+    return draw(st.sampled_from(NON_NUMERIC)) if rarely(draw) else str(draw(st.sampled_from(values)))
+
+
+def value(text):
+    """The int that argv text names, or None."""
+    return int(text) if text.lstrip("-").isdigit() else None
+
+
+@st.composite
+def modulus(draw, family, b):
+    """Half the time a prime that ``family`` admits at genus b, when there is
+    one among PRIMES; otherwise any drawn modulus."""
+    b = value(b)
+    if b is not None and draw(st.booleans()):
+        fits = [q for q in PRIMES if (q >= 5 if family == "nondegenerate" else (b + 1) % q == 0)]
+        if fits:
+            return str(draw(st.sampled_from(fits)))
+    return draw(number(MODULI))
+
+
+@st.composite
+def ranges(draw):
+    """Range text, the number of values it names and the least of them, or
+    (text, None, None) when it is malformed."""
+    if rarely(draw):
+        return draw(st.sampled_from(["", "..", "2..", "..5", "a..b", "2..3..4", ","])), None, None
+    ends = st.sampled_from(EDGES + [5, 7])
+    kind = draw(st.sampled_from(["one", "span", "list"]))
+    if kind == "one":
+        n = draw(ends)
+        return str(n), 1, n
+    if kind == "span":
+        lo, hi = draw(ends), draw(ends)
+        return f"{lo}..{hi}", max(0, hi - lo + 1), lo
+    values = draw(st.lists(ends, min_size=1, max_size=4))
+    return ",".join(map(str, values)), len(values), min(values)
+
+
+@st.composite
+def parameters(draw, b):
+    """``--lambda`` and ``--mu`` options: both absent, the lists
+    (1, ..., 1, 2 - b) and (2, ..., 2, 3 - 2b), which the non-degenerate
+    family admits at most primes, or each one absent, a short list of edges
+    or garbage."""
+    b = value(b)
+    kind = draw(st.sampled_from(["none", "family", "family", "any"]))
+    if kind == "family" and b is not None and 2 <= b <= 64:
+        lam, mu = [1] * (b - 1) + [2 - b], [2] * (b - 1) + [3 - 2 * b]
+        return ["--lambda", ",".join(map(str, lam)), "--mu", ",".join(map(str, mu))]
+    argv = []
+    for flag in ("--lambda", "--mu") if kind != "none" else ():
+        if draw(st.booleans()):
+            items = st.lists(st.sampled_from(EDGES + [1, 4, -58]), max_size=4).map(lambda xs: ",".join(map(str, xs)))
+            argv += [flag, draw(st.sampled_from(["1,x", "1,,2", "1.5,2"]) if rarely(draw) else items)]
+    return argv
+
+
+@st.composite
+def common(draw, formats, workdir):
+    """``--format``, mostly one the subcommand takes, and, rarely,
+    ``--output`` to a file or into a missing directory."""
+    argv = []
+    if draw(st.booleans()):
+        argv += ["--format", "yaml" if rarely(draw) else draw(st.sampled_from(formats))]
+    if rarely(draw):
+        argv += ["--output", os.path.join(workdir, draw(st.sampled_from(["out.txt", "missing/out.txt"])))]
+    return argv
+
+
+@st.composite
+def presentation(draw, files, workdir):
+    return ["presentation", "--b", draw(number(GENERA)), *draw(common(["text", "json"], workdir))]
+
+
+@st.composite
+def verify(draw, files, workdir):
+    family, b = draw(st.sampled_from(FAMILIES)), draw(number(GENERA))
+    argv = ["verify", "--family", family, "--b", b, "--p", draw(modulus(family, b)), *draw(parameters(b))]
+    if draw(st.booleans()):
+        # the bare flag means the default bound, 10^7; no bound above it is drawn
+        argv += ["--bfs-oracle", *draw(st.sampled_from([[], ["-1"], ["0"], ["2"], ["13"], [str(10**6)], ["x"]]))]
+    return argv + draw(common(["text", "json"], workdir))
+
+
+@st.composite
+def classify_form(draw, files, workdir):
+    p = draw(number(MODULI))
+    if draw(st.booleans()):
+        argv = ["classify-form", "--p", p, "--matrix-json", draw(st.sampled_from(files))]
+        return argv + (["--b", "2"] if rarely(draw) else []) + draw(common(["text", "json"], workdir))
+    b = draw(number(GENERA))
+    argv = ["classify-form", "--p", draw(modulus("nondegenerate", b))]
+    argv += [] if rarely(draw) else ["--b", b]
+    return argv + draw(parameters(b)) + draw(common(["text", "json"], workdir))
+
+
+@st.composite
+def search_forms(draw, files, workdir):
+    b = draw(number(GENERA))
+    p = draw(modulus("nondegenerate", b))
+    if value(b) is not None and value(p) in PRIMES and value(b) >= 2 and value(p) >= 3:
+        # capped like the program's own guard, so that no huge power is formed here
+        candidates = (value(p) - 1) ** min(2 * value(b) - 2, 64)
+        assume(candidates <= 10**4 or candidates > 2 * 10**8)
+    argv = ["search-forms", "--b", b, "--p", p]
+    if draw(st.booleans()):
+        argv += ["--count", draw(number(EDGES))]
+    return argv + draw(common(["text", "json"], workdir))
+
+
+@st.composite
+def invariants(draw, files, workdir):
+    family, b = draw(st.sampled_from(FAMILIES)), draw(number(GENERA))
+    argv = ["invariants", "--family", family, "--b", b, "--p", draw(modulus(family, b))]
+    return argv + draw(common(["text", "json", "csv"], workdir))
+
+
+@st.composite
+def census(draw, files, workdir):
+    (b_text, nb, least_b), (p_text, np_, _) = draw(ranges()), draw(ranges())
+    if None not in (nb, np_) and 0 < nb <= 10**6 and 0 < np_ <= 10**6 and least_b >= 2:
+        assume(nb * np_ <= 10**3 or nb * np_ > 10**6)
+    argv = ["census", "--family", draw(st.sampled_from(FAMILIES)), "--b", b_text, "--p", p_text]
+    return argv + draw(common(["text", "json", "csv"], workdir))
+
+
+@st.composite
+def kappa(draw, files, workdir):
+    b_text, n, _ = draw(ranges())
+    if n is not None:
+        assume(n <= 10**3 or n > 10**6)
+    return ["kappa", "--b", b_text, *draw(common(["text", "json"], workdir))]
+
+
+GRAMMAR = {
+    "presentation": presentation,
+    "verify": verify,
+    "classify-form": classify_form,
+    "search-forms": search_forms,
+    "invariants": invariants,
+    "census": census,
+    "kappa": kappa,
+}
+
+FORM = [[0, 1, 0, 0, 0, 0, 0, 0], [-1, 0, 0, 0, 0, 0, 0, 0]] + [[0] * 8 for _ in range(6)]
+MATRIX_FILES = {
+    "form": json.dumps(FORM).encode(),
+    "ragged": b"[[0, 1], [1]]",
+    "bool": b"[[false, true], [true, false]]",
+    "float": b"[[0, 1.5], [-1.5, 0]]",
+    "string": b'[["0", "1"], ["1", "0"]]',
+    "huge": f"[[0, 1{'7' * 5000}], [1, 0]]".encode(),
+    "deep": b"[" * 100_000,
+    "not-utf8": b"\xff\xfe[[0]]",
+    "object": b'{"rows": [[0, 1], [-1, 0]]}',
+    "truncated": b"[[0, 1], [",
+}
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    """A directory holding the matrix files, where ``--output`` writes."""
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, content in MATRIX_FILES.items():
+        (root / f"{name}.json").write_bytes(content)
+    return root
+
+
+class Overrun(BaseException):
+    """A run past the alarm; a BaseException, so no handler in the program catches it."""
+
+
+@contextlib.contextmanager
+def guarded():
+    """An address-space cap 1 GiB above the process's current size, where
+    /proc tells it, and an alarm after ALARM_S seconds; both are lifted on exit."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with contextlib.suppress(OSError):
+        with open("/proc/self/statm") as fh:
+            size = int(fh.read().split()[0]) * resource.getpagesize()
+        cap = size + (1 << 30)
+        resource.setrlimit(resource.RLIMIT_AS, (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
+
+    def overrun(signum, frame):
+        raise Overrun(f"run exceeded {ALARM_S} s")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.alarm(ALARM_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.parametrize("command", sorted(GRAMMAR))
+@settings(
+    max_examples=60,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(data=st.data())
+def test_every_argument_vector_exits_0_or_2(command, data, workdir):
+    files = [str(workdir / f"{name}.json") for name in sorted(MATRIX_FILES)]
+    argv = data.draw(GRAMMAR[command](files, str(workdir)), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with guarded(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        one_error = len(lines) == 1 and lines[0].startswith("error: ")
+        usage = bool(lines) and lines[0].startswith("usage: ") and ": error: " in lines[-1]
+        assert one_error or usage, err.getvalue()

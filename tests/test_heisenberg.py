@@ -15,9 +15,9 @@ import time
 import numpy as np
 import pytest
 
-from heiskod.errors import EnumerationBoundError, InconsistencyError, PreconditionError
+from heiskod.errors import InconsistencyError, PreconditionError
 from heiskod.fplinalg import AlternatingForm, FpMatrix
-from heiskod.heisenberg import HeisElement, HeisGroup, verify_extra_special
+from heiskod.heisenberg import STRUCTURE_BOUND, HeisElement, HeisGroup, verify_extra_special
 
 
 def literal_matrix(g: HeisElement, n: int, p: int) -> np.ndarray:
@@ -355,7 +355,8 @@ def test_structural_exponent_p2():
     flat = HeisGroup(AlternatingForm(FpMatrix.sparse([{}] * 25, 25, 2)))
     for group in (std(12, 2), flat):
         start = time.perf_counter()
-        with pytest.raises(EnumerationBoundError, match=str(group.order)):
+        message = f"group order {group.order} exceeds the structure suite's bound {STRUCTURE_BOUND}$"
+        with pytest.raises(PreconditionError, match=message):
             verify_extra_special(group)
         assert time.perf_counter() - start < 1.0
 
