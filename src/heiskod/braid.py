@@ -44,7 +44,7 @@ import itertools
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import PreconditionError
-from .primes import check_genus
+from .primes import check_genus, shown
 
 # A word is a tuple of signed letters.  Letters carry no genus, so a word is
 # read against the b of its presentation.
@@ -260,7 +260,9 @@ def build_presentation(b: int) -> Presentation:
     refused beyond ``RELATOR_BOUND`` relators before any is read."""
     b = check_genus(b)
     if (n := 8 * b * b + 4 * b + 2) > RELATOR_BOUND:
-        raise PreconditionError(f"the presentation at genus {b} has {n} relators, more than {RELATOR_BOUND}")
+        raise PreconditionError(
+            f"the presentation at genus {shown(b)} has {shown(n)} relators, more than {RELATOR_BOUND}"
+        )
     return Presentation(b, _Templates(b))
 
 

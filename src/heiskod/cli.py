@@ -6,7 +6,8 @@ census, kappa, selftest.  Exit codes are never conflated:
     0  success
     1  a verified-false mathematical claim (failing relators, failing census
        claim, failing self-test criterion)
-    2  usage or precondition error, or out of memory
+    2  an argument argparse cannot read (with its usage line), work the
+       library refuses (a PreconditionError), or out of memory
 
 Each subcommand returns its exit code and its output, and ``main`` alone
 writes that output, to stdout or to the ``--output`` file.  Output is text
@@ -32,42 +33,37 @@ _FAMILIES = ("degenerate", "nondegenerate")
 Output = tuple[int, Iterable[str]]  # a subcommand's exit code and the chunks that main writes
 
 
-def _read_int(text: str) -> int:
-    """An integer of argv or of a JSON file, read as argparse reads an int,
-    under Python's default limit of 4300 digits: main lifts the limit only so
-    that results print in full, reading a longer integer takes quadratic
-    time, and factoring a longer b + 1 for kappa takes minutes."""
-    if len(text.strip()) > 4300:
-        raise ValueError("an integer of more than 4300 digits")
-    return int(text)
-
-
-def _parse_range(text: str) -> list[int]:
-    """Accept '5', '2..6' or '5,7,11'; refuse an empty range or one of more than 10^6 values."""
+def _parse_range(text: str) -> Sequence[int]:
+    """Accept '5', '2..6' (a lazy range) or '5,7,11'; refuse an empty range."""
+    text = text.strip()
     try:
-        text = text.strip()
-        if ".." in text:
-            lo, hi = map(_read_int, text.split("..", 1))
-            values = range(lo, hi + 1)
-        else:
-            values = [_read_int(x) for x in text.split(",") if x]
+        lo, dots, hi = text.partition("..")
+        values = range(int(lo), int(hi) + 1) if dots else [int(x) for x in text.split(",") if x]
     except ValueError:
-        raise PreconditionError(f"cannot parse range {text!r}; use forms like 5, 2..6 or 5,7,11") from None
+        raise argparse.ArgumentTypeError(f"cannot parse range {text!r}; use forms like 5, 2..6 or 5,7,11") from None
     if not values:
-        raise PreconditionError(f"range {text!r} is empty")
-    # sliced first, since len() of a range past sys.maxsize overflows
-    if len(values[: 10**6 + 1]) > 10**6:
-        raise PreconditionError(f"range {text!r} has more than 10^6 values")
-    return list(values)
+        raise argparse.ArgumentTypeError(f"range {text!r} is empty")
+    return values
 
 
-def _parse_residues(text: Optional[str], what: str) -> Optional[list[int]]:
-    if text is None:
-        return None
+def _parse_residues(text: str, what: str) -> list[int]:
     try:
-        return [_read_int(x) for x in text.split(",") if x.strip()]
+        return [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
-        raise PreconditionError(f"cannot parse {what} list {text!r}") from None
+        raise argparse.ArgumentTypeError(f"cannot parse {what} list {text!r}") from None
+
+
+_LAMBDAS = functools.partial(_parse_residues, what="lambda")
+_MUS = functools.partial(_parse_residues, what="mu")
+
+
+def _read_matrix(path: str):
+    """The entries of a JSON matrix file, as ``json.load`` reads them."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:  # no file, bad JSON or UTF-8, a long integer, deep nesting
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _emit_stream(chunks: Iterable[str], path: Optional[str]) -> None:
@@ -132,9 +128,7 @@ def cmd_presentation(args) -> Output:
 def cmd_verify(args) -> Output:
     from .verify import ENUMERATION_BOUND, standard_assignment, verify_assignment
 
-    lam = _parse_residues(args.lam, "lambda")
-    mu = _parse_residues(args.mu, "mu")
-    assignment = standard_assignment(args.family, args.b, args.p, lam, mu)
+    assignment = standard_assignment(args.family, args.b, args.p, args.lam, args.mu)
     # a bare --bfs-oracle is the const True, read as the default bound
     report = verify_assignment(assignment, ENUMERATION_BOUND if args.bfs_oracle is True else args.bfs_oracle)
     text = json.dumps(report.to_json_dict(), indent=2) if args.format == "json" else report.text()
@@ -144,22 +138,16 @@ def cmd_verify(args) -> Output:
 def _form_from_args(args):
     from .fplinalg import AlternatingForm, FpMatrix
 
-    lam = _parse_residues(args.lam, "lambda")
-    mu = _parse_residues(args.mu, "mu")
-    if args.matrix_json:
-        if args.b is not None or lam is not None or mu is not None:
+    # an absent --matrix-json sets no attribute, since the file may hold null
+    if "matrix_json" in args:
+        if args.b is not None or args.lam is not None or args.mu is not None:
             raise PreconditionError("--matrix-json takes no --b, --lambda or --mu; the matrix is the form")
-        with open(args.matrix_json) as fh:
-            try:
-                entries = json.load(fh, parse_int=_read_int)
-            except (ValueError, RecursionError) as exc:  # malformed JSON or UTF-8, a long integer, deep nesting
-                raise PreconditionError(str(exc)) from None
-        return AlternatingForm(FpMatrix(entries, args.p))
-    if lam is None or mu is None:
+        return AlternatingForm(FpMatrix(args.matrix_json, args.p))
+    if args.lam is None or args.mu is None:
         raise PreconditionError("give either --matrix-json or both --lambda and --mu")
     if args.b is None:
         raise PreconditionError("--b is required with --lambda/--mu")
-    return AlternatingForm.family(args.b, args.p, lam, mu)
+    return AlternatingForm.family(args.b, args.p, args.lam, args.mu)
 
 
 def cmd_classify_form(args) -> Output:
@@ -245,7 +233,7 @@ def cmd_invariants(args) -> Output:
 def cmd_census(args) -> Output:
     from .invariants import census, row_record, rows_to_csv
 
-    rows, claims = census(args.family, _parse_range(args.b), _parse_range(args.p))
+    rows, claims = census(args.family, args.b, args.p)
     all_hold = all(c.holds for c in claims)
     code = 0 if all_hold else 1
     if args.format == "json":
@@ -265,8 +253,7 @@ def cmd_census(args) -> Output:
 def cmd_kappa(args) -> Output:
     from .primes import kappas
 
-    bs = _parse_range(args.b)
-    values = dict(zip(bs, kappas(bs))).items()  # a repeated b is listed once
+    values = dict(zip(args.b, kappas(args.b))).items()  # a repeated b is listed once
     # streamed, one record or line at a time: the JSON of 10^6 records held whole takes 870 MB
     if args.format == "json":
         return 0, _json_list(f'  {{\n    "b": {b},\n    "kappa": {k}\n  }}' for b, k in values)
@@ -309,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", choices=_FAMILIES, required=True)
     sp.add_argument("--b", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--lambda", dest="lam", default=None, help="comma-separated, reduced mod p")
-    sp.add_argument("--mu", default=None, help="comma-separated, reduced mod p")
+    sp.add_argument("--lambda", dest="lam", type=_LAMBDAS, default=None, help="comma-separated, reduced mod p")
+    sp.add_argument("--mu", type=_MUS, default=None, help="comma-separated, reduced mod p")
     sp.add_argument(
         "--bfs-oracle", nargs="?", type=int, const=True, default=None, metavar="BOUND",
         help="also cross-check m1, m2 by exhaustive subgroup enumeration, refusing groups "
@@ -322,9 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("classify-form", help="classify an alternating form")
     sp.add_argument("--b", type=int, default=None)
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--lambda", dest="lam", default=None)
-    sp.add_argument("--mu", default=None)
-    sp.add_argument("--matrix-json", default=None, help="path to a JSON matrix (rows of residues)")
+    sp.add_argument("--lambda", dest="lam", type=_LAMBDAS, default=None)
+    sp.add_argument("--mu", type=_MUS, default=None)
+    sp.add_argument(
+        "--matrix-json", type=_read_matrix, default=argparse.SUPPRESS, help="path to a JSON matrix (rows of residues)"
+    )
     _add_common(sp)
     sp.set_defaults(fn=cmd_classify_form)
 
@@ -344,13 +333,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("census", help="tabulate a family over ranges and check the claims")
     sp.add_argument("--family", choices=_FAMILIES, required=True)
-    sp.add_argument("--b", required=True, help="range like 2..6")
-    sp.add_argument("--p", required=True, help="range like 5..13 or list 5,7,11")
+    sp.add_argument("--b", type=_parse_range, required=True, help="range like 2..6")
+    sp.add_argument("--p", type=_parse_range, required=True, help="range like 5..13 or list 5,7,11")
     _add_common(sp, fmt=("text", "json", "csv"))
     sp.set_defaults(fn=cmd_census)
 
     sp = sub.add_parser("kappa", help="count degenerate-family fibrations per base genus")
-    sp.add_argument("--b", required=True, help="range like 2..10")
+    sp.add_argument("--b", type=_parse_range, required=True, help="range like 2..10")
     _add_common(sp)
     sp.set_defaults(fn=cmd_kappa)
 

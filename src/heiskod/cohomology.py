@@ -41,7 +41,7 @@ from typing import Iterator, Optional
 
 from .errors import InconsistencyError, PreconditionError
 from .fplinalg import AlternatingForm, FpMatrix
-from .primes import check_genus, check_prime, integer
+from .primes import check_genus, check_prime, integer, shown
 
 # letters for the two degree-1 generators of the surface
 _A, _B = 0, 1
@@ -208,12 +208,12 @@ def search_family_params(
     b, p = check_genus(b), integer(p, "modulus")  # Python ints, so the power below cannot wrap
     check_prime(p)
     if count is not None and (count := integer(count, "count")) < 1:
-        raise PreconditionError(f"count must be >= 1, got {count}")
+        raise PreconditionError(f"count must be >= 1, got {shown(count)}")
     # for p >= 3, (p-1)^k exceeds the bound once k reaches its bit length, and
     # p = 2 gives 1 either way, so the capped power gives the same verdict
     if (p - 1) ** min(2 * (b - 1), SEARCH_BOUND.bit_length()) > SEARCH_BOUND:
         raise PreconditionError(
-            f"search space (p-1)^(2b-2) at b = {b}, p = {p} is more than {SEARCH_BOUND}, too large to exhaust"
+            f"search space (p-1)^(2b-2) at b = {shown(b)}, p = {p} is more than {SEARCH_BOUND}, too large to exhaust"
         )
     # no search has more hits than the bound, and islice takes no count past sys.maxsize
     return itertools.islice(_family_params(b, p), None if count is None else min(count, SEARCH_BOUND))

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import PreconditionError
-from .primes import check_genus, check_prime, integer
+from .primes import check_genus, check_prime, integer, shown
 
 
 def residues(entries: Iterable, p: int, what: str = "entry") -> list[int]:
@@ -82,12 +82,12 @@ class FpMatrix:
         check_prime(p)
         cols = integer(cols, "column count")
         if cols < 0:
-            raise PreconditionError(f"column count {cols} is negative")
+            raise PreconditionError(f"column count {shown(cols)} is negative")
         rows = [{integer(j, "column index"): x for j, x in r.items()} for r in rows]
         for r in rows:
             for j in r:
                 if not 0 <= j < cols:
-                    raise PreconditionError(f"column {j} out of range 0..{cols - 1}")
+                    raise PreconditionError(f"column {shown(j)} out of range 0..{shown(cols - 1)}")
         reduced = [{j: x for j, x in zip(r, residues(r.values(), p, "matrix entry")) if x} for r in rows]
         return cls._reduced(reduced, cols, p)
 
@@ -301,7 +301,7 @@ class AlternatingForm(FpMatrix):
         b = check_genus(b)
         check_prime(p)
         if len(lambdas) != b or len(mus) != b:
-            raise PreconditionError(f"need {b} lambdas and {b} mus, got {len(lambdas)} and {len(mus)}")
+            raise PreconditionError(f"need {shown(b)} lambdas and {shown(b)} mus, got {len(lambdas)} and {len(mus)}")
         lam = residues(lambdas, p, "lambda")
         mu = residues(mus, p, "mu")
         rows: list[Row] = [{} for _ in range(4 * b)]

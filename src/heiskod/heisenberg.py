@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import InconsistencyError, PreconditionError
 from .fplinalg import AlternatingForm, residues
-from .primes import integer
+from .primes import integer, shown
 
 
 class HeisElement(NamedTuple):
@@ -140,7 +140,9 @@ def verify_extra_special(group: HeisGroup) -> GroupStructureReport:
     enlarged center ker(omega) x F_p and ``is_extra_special`` False.
     """
     if group.order > STRUCTURE_BOUND:
-        raise PreconditionError(f"group order {group.order} exceeds the structure suite's bound {STRUCTURE_BOUND}")
+        raise PreconditionError(
+            f"group order {shown(group.order)} exceeds the structure suite's bound {STRUCTURE_BOUND}"
+        )
     p, omega = group.p, group.form
     identity, mul = group.identity, group.mul
     exponent, involutions, kernel, values = 1, 0, 0, {0}

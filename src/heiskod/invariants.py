@@ -31,10 +31,10 @@ inadmissible, not rounded: an admissible tuple gives positive integers only.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import InconsistencyError, PreconditionError
-from .primes import admits, check_family, check_genus, integer
+from .primes import admits, bounded, check_family, check_genus, integer, shown
 
 
 class _FibrationFields(NamedTuple):
@@ -87,9 +87,10 @@ def general_invariants(b: int, group_order: int, n: int, m1: int, m2: int) -> Fi
     b = check_genus(b)
     group_order, n, m1, m2 = (integer(x, what) for x, what in zip((group_order, n, m1, m2), ("|G|", "n", "m1", "m2")))
     if n <= 1:
-        raise PreconditionError(f"branching order must exceed 1, got {n}")
+        raise PreconditionError(f"branching order must exceed 1, got {shown(n)}")
     if min(group_order, m1, m2) < 1 or group_order % (m1 * m2):
-        raise PreconditionError(f"need |G|, m1, m2 >= 1 and m1 m2 | |G|, got |G| = {group_order}, m1 = {m1}, m2 = {m2}")
+        got = f"|G| = {shown(group_order)}, m1 = {shown(m1)}, m2 = {shown(m2)}"
+        raise PreconditionError(f"need |G|, m1, m2 >= 1 and m1 m2 | |G|, got {got}")
     f = 1 - Fraction(1, n)
     b1 = m1 * (b - 1) + 1
     b2 = m2 * (b - 1) + 1
@@ -101,8 +102,8 @@ def general_invariants(b: int, group_order: int, n: int, m1: int, m2: int) -> Fi
     }
     exact["signature"] = (exact["c1^2"] - 2 * exact["c2"]) / 3
     if fractional := [what for what, x in exact.items() if x.denominator != 1]:
-        what = f"(|G|, n, m1, m2) = ({group_order}, {n}, {m1}, {m2})"
-        raise PreconditionError(f"{what} is not admissible at b = {b} (non-integral {', '.join(fractional)})")
+        what = f"(|G|, n, m1, m2) = ({', '.join(map(shown, (group_order, n, m1, m2)))})"
+        raise PreconditionError(f"{what} is not admissible at b = {shown(b)} (non-integral {', '.join(fractional)})")
     g1, g2, c1_sq, c2, signature = map(int, exact.values())
     slope = Fraction(c1_sq, c2)
     if slope != 2 + (2 * f - f * f) / (2 * b - 2 + f):
@@ -137,7 +138,9 @@ def family_invariants(family: str, b: int, p: int) -> FibrationInvariants:
     b, p = check_family(family, b, p)
     dim = 4 * b if family == "nondegenerate" else 2 * b
     if (bits := (dim + 1) * p.bit_length()) > GROUP_BITS_BOUND:
-        raise PreconditionError(f"|G| = {p}^{dim + 1} has up to {bits} bits, more than {GROUP_BITS_BOUND}")
+        raise PreconditionError(
+            f"|G| = {p}^{shown(dim + 1)} has up to {shown(bits)} bits, more than {GROUP_BITS_BOUND}"
+        )
     m = p ** (2 * b) if family == "nondegenerate" else 1
     inv = general_invariants(b, p ** (dim + 1), p, m, m)
     if inv.signature != (2 * b - 2) * p ** (dim - 1) * (p * p - 1) // 3:
@@ -250,19 +253,18 @@ CLAIM_TABLE = {
 }
 
 
-def census(family: str, b_range: Sequence[int], p_range: Sequence[int]) -> tuple[list[CensusRow], list[ClaimResult]]:
+def census(family: str, b_range: Iterable[int], p_range: Iterable[int]) -> tuple[list[CensusRow], list[ClaimResult]]:
     """Rows of one family, sorted by (b, p), and its claims.
 
     Every b in the range must be a genus (b >= 2); (b, p) is a row when the
-    family admits p at b.  Refused when there are more than 10^6 cells (b, p),
-    before any is tested, or when none is a row, since every claim would then
-    hold vacuously.
+    family admits p at b.  Refused when a range has more than 10^6 values, or
+    there are more than 10^6 cells (b, p), before any is tested, or when none
+    is a row, since every claim would then hold vacuously.
     """
-    bs, ps = sorted(set(b_range)), sorted(set(p_range))
+    bs = sorted(set(map(check_genus, bounded(b_range, "genus b"))))
+    ps = sorted(set(bounded(p_range, "modulus")))
     if len(bs) * len(ps) > 10**6:
         raise PreconditionError(f"{len(bs)} x {len(ps)} cells (b, p) are more than 10^6")
-    for b in bs:
-        check_genus(b)
     rows = [CensusRow(family, b, p, family_invariants(family, b, p)) for b in bs for p in ps if admits(family, b, p)]
     if not rows:
         raise PreconditionError(f"no admissible (b, p) for the {family} family in the given ranges")

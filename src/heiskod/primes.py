@@ -2,7 +2,9 @@
 omega sieve for a range), and the rules that admit a modulus and (b, p) to
 each family: a leaf module, so checking a genus or a modulus, or counting
 kappa, loads neither the invariants nor :mod:`fractions`.  A float or a
-bool is refused by :func:`integer`.
+bool is refused by :func:`integer`, a range of more than 10^6 values by
+:func:`bounded`.  A refusal prints an integer through :func:`shown`, so it
+formats under Python's limit on the digits of an int.
 
 The two families of the paper admit a prime p at genus b >= 2 when
 
@@ -10,6 +12,9 @@ The two families of the paper admit a prime p at genus b >= 2 when
 * degenerate:     p divides b + 1.
 """
 
+from functools import cache
+from itertools import compress, islice
+from math import isqrt
 from operator import index
 
 from .errors import PreconditionError
@@ -30,7 +35,33 @@ def integer(n, what: str) -> int:
             return index(n)
         except TypeError:
             pass
-    raise PreconditionError(f"{what} must be an integer, got {n!r}")
+    raise PreconditionError(f"{what} must be an integer, got {shown(n)}")
+
+
+_SHOWN_DIGITS = 10**4300  # the least integer of 4301 digits
+
+
+def shown(x) -> str:
+    """How a refusal prints ``x``, whatever Python's limit on the digits of
+    an int: an int in full up to 4300 digits, the default limit, and by its
+    size in bits beyond; anything else by its repr, or by its type where
+    that repr holds an int past the limit."""
+    if not isinstance(x, int):
+        try:
+            return repr(x)
+        except ValueError:
+            return f"a {type(x).__name__}"
+    if -_SHOWN_DIGITS < x < _SHOWN_DIGITS:
+        return str(x)
+    return f"{'-' if x < 0 else ''}<{x.bit_length()}-bit integer>"
+
+
+def bounded(values, what: str) -> list[int]:
+    """Each of ``values`` through :func:`integer`, refused past 10^6 of them before any is checked."""
+    values = list(islice(values, 10**6 + 1))
+    if len(values) > 10**6:
+        raise PreconditionError(f"{what} takes more than 10^6 values")
+    return [integer(v, what) for v in values]
 
 
 def is_prime(n: int) -> bool:
@@ -47,7 +78,7 @@ def is_prime(n: int) -> bool:
         if n % q == 0:
             return n == q
     if n >= _MR_LIMIT:
-        raise PreconditionError(f"{n} is too large for the exact primality test (limit {_MR_LIMIT})")
+        raise PreconditionError(f"{shown(n)} is too large for the exact primality test (limit {_MR_LIMIT})")
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -68,36 +99,49 @@ def is_prime(n: int) -> bool:
 def check_prime(p: int) -> None:
     """Refuse a modulus that is not prime: F_p is a field only then."""
     if not is_prime(p):
-        raise PreconditionError(f"modulus {p} is not prime")
+        raise PreconditionError(f"modulus {shown(p)} is not prime")
 
 
 _TRIAL_DIVISION_LIMIT = 10**6
 
 
+@cache
+def _small_primes() -> tuple[int, ...]:
+    """The primes up to _TRIAL_DIVISION_LIMIT, off one sieve, built the first
+    time a cofactor needs trial division."""
+    sieve = bytearray([1]) * (_TRIAL_DIVISION_LIMIT + 1)
+    sieve[:2] = b"\0\0"
+    for q in range(2, isqrt(_TRIAL_DIVISION_LIMIT) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes(len(range(q * q, _TRIAL_DIVISION_LIMIT + 1, q)))
+    return tuple(compress(range(_TRIAL_DIVISION_LIMIT + 1), sieve))
+
+
 def distinct_prime_factors(n: int) -> tuple[int, ...]:
     """Prime divisors, ascending.
 
-    Trial division stops as soon as the cofactor is 1 or a prime below
-    _MR_LIMIT (tested with :func:`is_prime` at the start and after each
-    factor), so a prime or a prime times small factors costs little.  Any
-    other cofactor with no prime factor up to _TRIAL_DIVISION_LIMIT is refused.
+    Trial division by the primes up to _TRIAL_DIVISION_LIMIT stops as soon as
+    the cofactor is 1 or a prime below _MR_LIMIT (tested with
+    :func:`is_prime` at the start and after each factor), so a prime or a
+    prime times small factors costs little.  Any other cofactor with no prime
+    factor up to _TRIAL_DIVISION_LIMIT is refused.
     """
     n = integer(n, "the number to factor")
     if n < 1:
-        raise PreconditionError(f"need a positive integer, got {n}")
+        raise PreconditionError(f"need a positive integer, got {shown(n)}")
     out = []
-    d = 2
-    while n > 1 and not (n < _MR_LIMIT and is_prime(n)):
-        for d in range(d, _TRIAL_DIVISION_LIMIT + 1):
-            if n % d == 0:
-                break
+    if n > 1 and not (n < _MR_LIMIT and is_prime(n)):
+        for q in _small_primes():
+            if n % q == 0:
+                out.append(q)
+                while n % q == 0:
+                    n //= q
+                if n == 1 or (n < _MR_LIMIT and is_prime(n)):
+                    break
         else:
             raise PreconditionError(
-                f"{n} has no prime factor up to {_TRIAL_DIVISION_LIMIT}; factoring it is out of range"
+                f"{shown(n)} has no prime factor up to {_TRIAL_DIVISION_LIMIT}; factoring it is out of range"
             )
-        out.append(d)
-        while n % d == 0:
-            n //= d
     if n > 1:
         out.append(n)
     return tuple(out)
@@ -114,12 +158,12 @@ KAPPA_SIEVE_LIMIT = 10**6 + 2  # the largest b + 1 whose kappa a range reads off
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"  # bytes.translate table adding 1 to each byte
 
 
-def kappas(bs: list[int]) -> list[int]:
-    """kappa(b) for each b of ``bs``, in order.  With more than one value,
-    omega(b + 1) is read off one sieve table up to the largest b + 1 that is
-    at most ``KAPPA_SIEVE_LIMIT``; a larger b, a genus below 2 and a lone
-    value go through :func:`kappa`, which refuses in the same order."""
-    bs = [integer(b, "genus b") for b in bs]
+def kappas(bs) -> list[int]:
+    """kappa(b) for each of at most 10^6 values b of ``bs``, in order.  With
+    more than one, omega(b + 1) is read off one sieve table up to the largest
+    b + 1 that is at most ``KAPPA_SIEVE_LIMIT``; a larger b, a genus below 2
+    and a lone value go through :func:`kappa`, which refuses in the same order."""
+    bs = bounded(bs, "genus b")
     n = max((b + 1 for b in bs if 2 <= b < KAPPA_SIEVE_LIMIT), default=1) if len(bs) > 1 else 1
     table = bytearray(n + 1)  # omega(m) for m = 0..n once the loop ends
     for q in range(2, n + 1):
@@ -131,7 +175,7 @@ def kappas(bs: list[int]) -> list[int]:
 def check_genus(b: int) -> int:
     """The genus b as an int; below 2 there is no presentation, form or fibration."""
     if (b := integer(b, "genus b")) < 2:
-        raise PreconditionError(f"genus b must be >= 2, got {b}")
+        raise PreconditionError(f"genus b must be >= 2, got {shown(b)}")
     return b
 
 
@@ -152,7 +196,7 @@ def check_family(family: str, b: int, p: int) -> tuple[int, int]:
     if admits(family, b, p):
         return b, p
     if family == "nondegenerate":
-        raise PreconditionError(f"the non-degenerate family needs a prime p >= 5, got {p}")
+        raise PreconditionError(f"the non-degenerate family needs a prime p >= 5, got {shown(p)}")
     if not is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
-    raise PreconditionError(f"the degenerate family needs p | b+1; {p} does not divide {b + 1}")
+        raise PreconditionError(f"{shown(p)} is not prime")
+    raise PreconditionError(f"the degenerate family needs p | b+1; {shown(p)} does not divide {shown(b + 1)}")

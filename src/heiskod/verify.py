@@ -64,7 +64,7 @@ from .braid import (
 from .errors import PreconditionError
 from .fplinalg import AlternatingForm, FpMatrix
 from .heisenberg import HeisElement, HeisGroup
-from .primes import check_family, check_genus, integer
+from .primes import check_family, check_genus, integer, shown
 
 
 class GeneratorAssignment:
@@ -82,7 +82,7 @@ class GeneratorAssignment:
         for g in images:
             ok = isinstance(g, HeisElement) and type(g.v) is tuple and len(g.v) == target.dim
             if not ok or not all(type(a) is int and 0 <= a < target.p for a in (*g.v, g.t)):
-                raise PreconditionError(f"image {g!r} is not an element of {target!r} reduced mod {target.p}")
+                raise PreconditionError(f"image {shown(g)} is not an element of {shown(target)} reduced mod {target.p}")
         self.b, self.family, self.target, self.images = b, family, target, images
 
 
@@ -262,9 +262,12 @@ def _validated_params(p: int, lambdas: tuple, mus: tuple) -> None:
 
 def lift(form: AlternatingForm, family: str) -> GeneratorAssignment:
     """The lifting read off ``form``, as the module docstring says: the image
-    of letter i + 1 is column i of the form's reduced rows.  Nothing is refused
-    here; ``verify_assignment`` proves or refutes every relator."""
+    of letter i + 1 is column i of the form's reduced rows.  Only a dimension
+    other than 4b, b >= 2, is refused here; ``verify_assignment`` proves or
+    refutes every relator."""
     p, dim = form.p, form.dim
+    if dim % 4 or dim < 8:  # A12's central part is read off the coordinates of rho_11 and tau_21
+        raise PreconditionError(f"form dimension {dim} is not 4b for some b >= 2")
     reduced, pivots = form.rref()
     column = {c: i for i, c in enumerate(pivots)}
     onto = FpMatrix.sparse([{c: 1} for c in pivots], dim, p)
@@ -295,7 +298,9 @@ def standard_assignment(
     b = check_genus(b)
     entries = (4 * b + 1) * b * (2 if family == "degenerate" else 4)
     if entries > IMAGE_ENTRY_BOUND:
-        raise PreconditionError(f"the lifting's images would hold {entries} entries, more than {IMAGE_ENTRY_BOUND}")
+        raise PreconditionError(
+            f"the lifting's images would hold {shown(entries)} entries, more than {IMAGE_ENTRY_BOUND}"
+        )
     b, p = check_family(family, b, p)
     if family == "degenerate":
         if lambdas is not None or mus is not None:
@@ -440,9 +445,11 @@ def bfs_subgroup_order(group: HeisGroup, elements: Sequence, bound: int = ENUMER
     and p^|S| / 8 bytes of masks per digit: 3.5 MiB traced at b = 4, p = 5.
     """
     if group.order > (bound := integer(bound, "enumeration bound")):
-        raise PreconditionError(f"group order {group.order} exceeds the enumeration bound {bound}")
+        raise PreconditionError(f"group order {shown(group.order)} exceeds the enumeration bound {shown(bound)}")
     if group.order >= 2**62:
-        raise PreconditionError(f"group order {group.order} is too large to enumerate in a bitmap (needs < 2^62)")
+        raise PreconditionError(
+            f"group order {shown(group.order)} is too large to enumerate in a bitmap (needs < 2^62)"
+        )
     p = group.p
     gens = [group.element(g.v, g.t) for g in elements]
     touched = [c for c in range(group.dim) if any(w[c] for w, _ in gens)]

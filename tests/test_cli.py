@@ -31,6 +31,12 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def refused_by_argparse(err, command, message):
+    """Whether stderr is argparse's refusal: its usage, then one error line
+    ``heiskod <command>: error: <message>``."""
+    return err.startswith(f"usage: heiskod {command} ") and err.endswith(f"\nheiskod {command}: error: {message}\n")
+
+
 # -- presentation ------------------------------------------------------------
 
 
@@ -496,7 +502,11 @@ def test_classify_form_boolean_entry_exits_2(capsys, tmp_path):
         ([[0] * 6] * 6, ("--p", "5"), "form dimension 6 is not 4b"),
         ([[0, 1, 0], [-1, 0, 0]], ("--p", "5"), "alternating form must be square"),
         ([1, 2], ("--p", "5"), "matrix entries must be two-dimensional"),
-        (None, ("--b", "2", "--p", "5", "--lambda", "3,x", "--mu", "3,3"), "cannot parse lambda list '3,x'"),
+        (
+            None,
+            ("--b", "2", "--p", "5", "--lambda", "3,x", "--mu", "3,3"),
+            "argument --lambda: cannot parse lambda list '3,x'",
+        ),
         (None, ("--b", "2", "--p", "5", "--lambda", "3,3"), "give either --matrix-json or both"),
         (None, ("--p", "5", "--lambda", "3,3", "--mu", "3,3"), "--b is required"),
         (None, ("--b", "3", "--p", "5", "--lambda", "3,3", "--mu", "3,3"), "need 3 lambdas and 3 mus, got 2 and 2"),
@@ -521,7 +531,8 @@ def test_classify_form_truncated_json_exits_2(capsys, tmp_path):
     path = tmp_path / "omega.json"
     path.write_text("[[0, 1], [")
     code, out, err = run(capsys, "classify-form", "--p", "3", "--matrix-json", str(path))
-    assert (code, out) == (2, "") and err.startswith("error: Expecting value")
+    message = "argument --matrix-json: Expecting value: line 1 column 11 (char 10)"
+    assert (code, out) == (2, "") and refused_by_argparse(err, "classify-form", message)
 
 
 @pytest.mark.parametrize(
@@ -530,7 +541,7 @@ def test_classify_form_truncated_json_exits_2(capsys, tmp_path):
         (b"\xff\xfe[[0]]", "'utf-8' codec can't decode byte 0xff in position 0"),
         (b"[" * 100_000, "maximum recursion depth exceeded"),
         # read under the digit limit that argparse reads argv under
-        (b"[[0, 1" + b"7" * 5000 + b"], [1, 0]]", "an integer of more than 4300 digits"),
+        (b"[[0, 1" + b"7" * 5000 + b"], [1, 0]]", "Exceeds the limit (4300 digits) for integer string conversion"),
     ],
     ids=["not-utf8", "deep", "5000-digit-entry"],
 )
@@ -540,7 +551,8 @@ def test_classify_form_unreadable_json_exits_2(capsys, tmp_path, content, messag
     path = tmp_path / "omega.json"
     path.write_bytes(content)
     code, out, err = run(capsys, "classify-form", "--p", "5", "--matrix-json", str(path))
-    assert (code, out) == (2, "") and err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert (code, out) == (2, "") and err.startswith("usage: heiskod classify-form ") and err.count(": error: ") == 1
+    assert err.splitlines()[-1].startswith(f"heiskod classify-form: error: argument --matrix-json: {message}")
 
 
 @pytest.mark.parametrize(
@@ -736,13 +748,13 @@ def test_verify_report_prints_the_target_order_in_full(capsys):
 
 
 def test_an_integer_too_long_to_parse_is_still_refused(capsys):
-    # main lifts the digit limit only after argparse has read argv, and a
-    # range reads its values under the same limit: kappa of a 30,000-digit b
-    # ran past 20 s factoring it
+    # main lifts the digit limit only after argparse has read argv, ranges
+    # included: kappa of a 30,000-digit b ran past 20 s factoring it
     code, out, err = run(capsys, "presentation", "--b", "7" * 4301)
     assert (code, out) == (2, "") and err.startswith("usage: ") and "invalid int value" in err
     code, out, err = run(capsys, "kappa", "--b", "7" * 4301)
-    assert (code, out, err) == (2, "", f"error: cannot parse range '{'7' * 4301}'; use forms like 5, 2..6 or 5,7,11\n")
+    message = f"argument --b: cannot parse range '{'7' * 4301}'; use forms like 5, 2..6 or 5,7,11"
+    assert (code, out) == (2, "") and refused_by_argparse(err, "kappa", message)
 
 
 @pytest.mark.parametrize(
@@ -865,10 +877,50 @@ def test_a_library_call_at_a_huge_genus_is_refused_before_a_form_is_built(family
 
 
 @pytest.mark.parametrize(
+    "call,message",
+    [
+        ('census("degenerate", range(2, 10**12), [3])', "genus b takes more than 10^6 values"),
+        ("kappas(range(2, 10**12))", "genus b takes more than 10^6 values"),
+        ('census("degenerate", [2, "a"], [3])', "genus b must be an integer, got 'a'"),
+    ],
+)
+def test_a_library_range_past_the_bound_is_refused_before_it_is_read(call, message):
+    # the first two built the whole range, a MemoryError under a 1 GB cap,
+    # and the third raised TypeError sorting an int with a str
+    script = (
+        "from heiskod.errors import PreconditionError\n"
+        "from heiskod.invariants import census\n"
+        "from heiskod.primes import kappas\n"
+        "try:\n"
+        f"    {call}\n"
+        "except PreconditionError as exc:\n"
+        "    print(exc)\n"
+    )
+    code, out, err, seconds = run_capped(python=("-c", script))
+    assert (code, out, err) == (0, message + "\n", "")
+    assert seconds < 1.0
+
+
+def test_kappa_refuses_a_4299_digit_genus_quickly(capsys):
+    # b + 1 was trial-divided by every d up to 10^6, not only the primes: 4.1 s
+    b = "7" * 4299
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "kappa", "--b", b)
+    seconds = time.perf_counter() - t0
+    cofactor = err.removeprefix("error: ").split(" ", 1)[0]
+    assert (code, out) == (2, "") and cofactor.isdigit() and (int(b) + 1) % int(cofactor) == 0
+    assert err == f"error: {cofactor} has no prime factor up to 1000000; factoring it is out of range\n"
+    assert seconds < 1.0
+
+
+@pytest.mark.parametrize(
     "argv,message",
     [
-        # a malformed list is parsed before the lifting's rules are read
-        (("--family", "degenerate", "--b", "100000", "--p", "11", "--lambda", "3,x"), "cannot parse lambda list '3,x'"),
+        # a malformed list is refused by argparse, before the lifting's rules are read
+        (
+            ("--family", "degenerate", "--b", "100000", "--p", "11", "--lambda", "3,x"),
+            "argument --lambda: cannot parse lambda list '3,x'",
+        ),
         # the genus and the family's prime come before the presence of --lambda and --mu
         (("--family", "nondegenerate", "--b", "1", "--p", "5"), "genus b must be >= 2, got 1"),
         (("--family", "nondegenerate", "--b", "2", "--p", "3"), "the non-degenerate family needs a prime p >= 5, got 3"),
@@ -881,9 +933,12 @@ def test_a_library_call_at_a_huge_genus_is_refused_before_a_form_is_built(family
 )
 def test_verify_refusal_precedence(capsys, argv, message):
     # each of these inputs breaks two rules, and the message names the one
-    # that standard_assignment checks first
+    # that argparse or standard_assignment checks first
     code, out, err = run(capsys, "verify", *argv)
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    if message.startswith("argument "):
+        assert (code, out) == (2, "") and refused_by_argparse(err, "verify", message)
+    else:
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_presentation_at_a_huge_genus_exits_2_before_a_byte_is_written(tmp_path):

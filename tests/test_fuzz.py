@@ -40,6 +40,24 @@ the program refuses stays in, the edges 10^6, 10^11, 2^61 - 1 and 2^63
 included.  Each example runs under an address-space cap 1 GiB above the
 process's size and a 20 s alarm, so a runaway allocation or a hang fails the
 test instead of the machine.
+
+The library gate calls nine entry points the same way, 30 derandomized
+examples each (about 2.5 s): ``standard_assignment``, ``lift``,
+``classify_form``, ``general_invariants``, ``family_invariants``, ``census``,
+``kappas``, ``distinct_prime_factors`` and ``search_family_params``, whose
+hits are consumed.  Scalars are the edges above, 10^5000 and its negative,
+bools, floats, a fraction over 10^5000 and strings; ranges go up to
+range(2, 10**12); forms are
+alternating, of dimension 0 to 12.  A call returns, or raises a
+``HeiskodError``; nothing else may escape.  The same work budget applies:
+``census`` over more than 10^3 admitted cells and ``kappas`` over more than
+10^3 admitted values are discarded, as are searches of more than 10^4
+candidates.
+
+Out of scope, as Python's own errors: a non-iterable where a sequence is
+documented (a range, lambdas, mus) raises ``TypeError``, and an argument that
+is not an ``AlternatingForm`` where a form is documented raises
+``TypeError`` or ``AttributeError``.
 """
 
 import contextlib
@@ -48,12 +66,21 @@ import json
 import os
 import resource
 import signal
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import heiskod.cohomology
+import heiskod.invariants
+import heiskod.primes
+from heiskod.braid import build_presentation
 from heiskod.cli import main
+from heiskod.errors import HeiskodError
+from heiskod.fplinalg import AlternatingForm, FpMatrix
+from heiskod.heisenberg import HeisElement, HeisGroup, verify_extra_special
+from heiskod.verify import GeneratorAssignment, bfs_subgroup_order, lift, standard_assignment
 
 EDGES = [-1, 0, 2, 3, 13, 10**6, 2**61 - 1, 10**11, 2**63]
 GENERA = EDGES + [4, 5, 6]
@@ -290,3 +317,270 @@ def test_every_argument_vector_exits_0_or_2(command, data, workdir):
         one_error = len(lines) == 1 and lines[0].startswith("error: ")
         usage = bool(lines) and lines[0].startswith("usage: ") and ": error: " in lines[-1]
         assert one_error or usage, err.getvalue()
+
+
+# -- the library ---------------------------------------------------------------
+
+HUGE = 10**5000  # past Python's limit on the digits it prints
+SCALARS = EDGES + [HUGE, -HUGE, True, False, 1.5, 2.0, Fraction(HUGE, 3), "7", "x"]
+SPAN_ENDS = [-1, 0, 2, 3, 5, 7, 13, 1000, 10**6, 10**12]
+
+
+def value_of(values):
+    """Half the time one of ``values``, otherwise any scalar."""
+    return st.one_of(st.sampled_from(values), st.sampled_from(SCALARS))
+
+
+def is_int(x):
+    return type(x) is int
+
+
+@st.composite
+def residue_lists(draw, b):
+    """``lambdas`` and ``mus``: each None, a short list of scalars, or, at a
+    small genus, the lists (1, ..., 1, 2 - b) and (2, ..., 2, 3 - 2b)."""
+    if is_int(b) and 2 <= b <= 64 and draw(st.booleans()):
+        return [1] * (b - 1) + [2 - b], [2] * (b - 1) + [3 - 2 * b]
+    return tuple(draw(st.one_of(st.none(), st.lists(st.sampled_from(SCALARS), max_size=4))) for _ in range(2))
+
+
+@st.composite
+def forms(draw):
+    """An alternating form of dimension 0 to 12 over one of PRIMES, its
+    entries above the diagonal drawn from small values and the edges."""
+    dim, p = draw(st.integers(0, 12)), draw(st.sampled_from(PRIMES))
+    entries = st.sampled_from([0, 0, 1, -1, 2] + EDGES + [HUGE])
+    rows = [{} for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            x = draw(entries)
+            rows[i][j], rows[j][i] = x, -x
+    return AlternatingForm.sparse(rows, dim, p)
+
+
+@st.composite
+def spans(draw):
+    """A range up to range(2, 10**12), or a short list of scalars."""
+    if draw(st.booleans()):
+        return range(draw(st.sampled_from(SPAN_ENDS)), draw(st.sampled_from(SPAN_ENDS)))
+    return draw(st.lists(st.sampled_from(SCALARS + [4, 5, 6, 11]), max_size=4))
+
+
+def admitted_count(values, genus=False):
+    """How many distinct values the library reads from ``values``, or None
+    when it refuses them: more than 10^6 of them, one that is not an int, or
+    one below 2 where they are genera."""
+    if isinstance(values, range):
+        refused = len(values) > 10**6 or genus and values and values[0] < 2
+    else:
+        refused = not all(map(is_int, values)) or genus and values and min(values) < 2
+    return None if refused else len(values if isinstance(values, range) else set(values))
+
+
+@st.composite
+def lib_standard_assignment(draw):
+    family, b = draw(st.sampled_from(FAMILIES + ["other"])), draw(value_of([2, 3, 4, 5, 6]))
+    return (family, b, draw(value_of(PRIMES)), *draw(residue_lists(b)))
+
+
+@st.composite
+def lib_lift(draw):
+    return draw(forms()), draw(st.sampled_from(FAMILIES + ["other"]))
+
+
+@st.composite
+def lib_classify_form(draw):
+    return (draw(forms()),)
+
+
+@st.composite
+def lib_general_invariants(draw):
+    b = draw(value_of([2, 3, 4]))
+    return b, draw(value_of([1, 5**9, 3**5, 2**7])), *(draw(value_of([1, 2, 3, 5, 25])) for _ in range(3))
+
+
+@st.composite
+def lib_family_invariants(draw):
+    return draw(st.sampled_from(FAMILIES + ["other"])), draw(value_of([2, 3, 4, 5, 6, 964])), draw(value_of(PRIMES))
+
+
+@st.composite
+def lib_census(draw):
+    b_range, p_range = draw(spans()), draw(spans())
+    nb, np_ = admitted_count(b_range, genus=True), admitted_count(p_range)
+    if None not in (nb, np_):
+        assume(nb * np_ <= 10**3 or nb * np_ > 10**6)
+    return draw(st.sampled_from(FAMILIES + ["other"])), b_range, p_range
+
+
+@st.composite
+def lib_kappas(draw):
+    bs = draw(spans())
+    if (n := admitted_count(bs)) is not None:
+        assume(n <= 10**3)
+    return (bs,)
+
+
+@st.composite
+def lib_distinct_prime_factors(draw):
+    return (draw(value_of([1, 6, 7**5, 2**89 - 1, 999983**2 * 1000003, 7 * (10**4400 - 1) // 9])),)
+
+
+@st.composite
+def lib_search_family_params(draw):
+    b, p = draw(value_of([2, 3, 4])), draw(value_of([2, 3, 5, 7, 11, 13]))
+    if is_int(b) and is_int(p) and b >= 2 and p in PRIMES:
+        candidates = (p - 1) ** min(2 * b - 2, 64)
+        assume(candidates <= 10**4 or candidates > 2 * 10**8)
+    return b, p, draw(value_of([None, 1, 5]))
+
+
+LIBRARY = {
+    "standard_assignment": (standard_assignment, lib_standard_assignment),
+    "lift": (lift, lib_lift),
+    "classify_form": (heiskod.cohomology.classify_form, lib_classify_form),
+    "general_invariants": (heiskod.invariants.general_invariants, lib_general_invariants),
+    "family_invariants": (heiskod.invariants.family_invariants, lib_family_invariants),
+    "census": (heiskod.invariants.census, lib_census),
+    "kappas": (heiskod.primes.kappas, lib_kappas),
+    "distinct_prime_factors": (heiskod.primes.distinct_prime_factors, lib_distinct_prime_factors),
+    "search_family_params": (lambda *a: list(heiskod.cohomology.search_family_params(*a)), lib_search_family_params),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LIBRARY))
+@settings(
+    max_examples=30,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(data=st.data())
+def test_every_library_call_returns_or_raises_a_heiskod_error(entry, data):
+    function, arguments = LIBRARY[entry]
+    args = data.draw(arguments(), label="args")
+    with guarded(), contextlib.suppress(HeiskodError):
+        function(*args)
+
+
+# -- the gate's findings -------------------------------------------------------
+
+
+def test_shown_prints_in_full_up_to_4300_digits():
+    assert heiskod.primes.shown(10**4300 - 1) == "9" * 4300
+    assert heiskod.primes.shown(1 - 10**4300) == "-" + "9" * 4300
+    assert heiskod.primes.shown(10**4300) == "<14285-bit integer>"
+    assert heiskod.primes.shown(-(10**4300)) == "-<14285-bit integer>"
+    assert heiskod.primes.shown("a") == "'a'" and heiskod.primes.shown(Fraction(1, 2)) == "Fraction(1, 2)"
+    assert heiskod.primes.shown(Fraction(HUGE, 3)) == "a Fraction"
+
+
+BIG_GROUP = HeisGroup(AlternatingForm.standard_symplectic(120, 2**61 - 1))  # order (2^61 - 1)^241, 4426 digits
+GROUP = HeisGroup(AlternatingForm.standard_symplectic(4, 5))
+H = "<16610-bit integer>"  # how a refusal prints 10^5000
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (
+            lambda: heiskod.primes.is_prime(43**3000),
+            "<16279-bit integer> is too large for the exact primality test (limit 3317044064679887385961981)",
+        ),
+        (lambda: heiskod.primes.check_prime(-HUGE), f"modulus -{H} is not prime"),
+        (lambda: heiskod.primes.check_genus(-HUGE), f"genus b must be >= 2, got -{H}"),
+        (
+            lambda: heiskod.primes.check_family("degenerate", HUGE, 3),
+            f"the degenerate family needs p | b+1; 3 does not divide {H}",
+        ),
+        (lambda: heiskod.primes.check_family("degenerate", 2, HUGE), f"{H} is not prime"),
+        (
+            lambda: heiskod.primes.check_family("nondegenerate", 2, -HUGE),
+            f"the non-degenerate family needs a prime p >= 5, got -{H}",
+        ),
+        (lambda: heiskod.primes.distinct_prime_factors(-HUGE), f"need a positive integer, got -{H}"),
+        (
+            lambda: heiskod.primes.distinct_prime_factors(1000003**750),
+            "<14949-bit integer> has no prime factor up to 1000000; factoring it is out of range",
+        ),
+        (
+            lambda: heiskod.invariants.general_invariants(2, HUGE, 3, 1, 1),
+            f"(|G|, n, m1, m2) = ({H}, 3, 1, 1) is not admissible at b = 2 (non-integral g1, g2, c1^2, c2, signature)",
+        ),
+        (
+            lambda: heiskod.invariants.general_invariants(2, -HUGE, 2, 1, 1),
+            f"need |G|, m1, m2 >= 1 and m1 m2 | |G|, got |G| = -{H}, m1 = 1, m2 = 1",
+        ),
+        (lambda: heiskod.invariants.general_invariants(2, 4, -HUGE, 1, 1), f"branching order must exceed 1, got -{H}"),
+        (
+            lambda: heiskod.invariants.family_invariants("nondegenerate", HUGE, 5),
+            "|G| = 5^<16612-bit integer> has up to <16614-bit integer> bits, more than 131072",
+        ),
+        (
+            lambda: standard_assignment("degenerate", HUGE, 3),
+            "the lifting's images would hold <33223-bit integer> entries, more than 10000000",
+        ),
+        (
+            lambda: build_presentation(HUGE),
+            f"the presentation at genus {H} has <33223-bit integer> relators, more than 10000000",
+        ),
+        (
+            lambda: heiskod.cohomology.search_family_params(HUGE, 5),
+            f"search space (p-1)^(2b-2) at b = {H}, p = 5 is more than 200000000, too large to exhaust",
+        ),
+        (lambda: heiskod.cohomology.search_family_params(2, 5, -HUGE), f"count must be >= 1, got -{H}"),
+        (
+            lambda: bfs_subgroup_order(BIG_GROUP, []),
+            "group order <14701-bit integer> exceeds the enumeration bound 10000000",
+        ),
+        (
+            lambda: bfs_subgroup_order(BIG_GROUP, [], HUGE),
+            "group order <14701-bit integer> is too large to enumerate in a bitmap (needs < 2^62)",
+        ),
+        (
+            lambda: verify_extra_special(BIG_GROUP),
+            "group order <14701-bit integer> exceeds the structure suite's bound 200000",
+        ),
+        (lambda: FpMatrix.sparse([], -HUGE, 5), f"column count -{H} is negative"),
+        (lambda: FpMatrix.sparse([{HUGE: 1}], 2, 5), f"column {H} out of range 0..1"),
+        (lambda: AlternatingForm.family(HUGE, 5, [], []), f"need {H} lambdas and {H} mus, got 0 and 0"),
+        (lambda: heiskod.primes.integer(Fraction(HUGE, 3), "genus b"), "genus b must be an integer, got a Fraction"),
+        (
+            lambda: GeneratorAssignment("any", GROUP, (HeisElement((HUGE,) + (0,) * 7, 0),) * 9),
+            "image a HeisElement is not an element of HeisGroup(dim=8, p=5, order=1953125) reduced mod 5",
+        ),
+    ],
+    ids=[
+        "is_prime",
+        "check_prime",
+        "check_genus",
+        "degenerate-divides",
+        "degenerate-prime",
+        "nondegenerate-prime",
+        "factor-nonpositive",
+        "factor-out-of-range",
+        "invariants-non-integral",
+        "invariants-order",
+        "invariants-n",
+        "family-invariants",
+        "standard-assignment",
+        "presentation",
+        "search-genus",
+        "search-count",
+        "oracle-bound",
+        "oracle-bitmap",
+        "extra-special",
+        "column-count",
+        "column",
+        "family-form",
+        "integer-gate",
+        "assignment-image",
+    ],
+)
+def test_a_refusal_prints_an_integer_past_4300_digits_by_its_size(call, message):
+    # under Python's digit limit, formatting each of these integers raised
+    # ValueError in place of the refusal
+    with pytest.raises(HeiskodError) as refusal:
+        call()
+    assert str(refusal.value) == message

@@ -485,6 +485,14 @@ def test_lift_refutes_a_form_outside_the_family():
     assert {source for _, source, _ in report.failures} == {"surface relation 1"}
 
 
+@pytest.mark.parametrize("dim", [0, 1, 2, 4, 6, 7, 9, 10, 11])
+def test_lift_refuses_a_form_whose_dimension_is_not_4b(dim):
+    # the library fuzz gate's finding: the form of dimension 0 raised
+    # IndexError reading the coordinate of rho_11
+    with pytest.raises(PreconditionError, match=f"^form dimension {dim} is not 4b for some b >= 2$"):
+        lift(AlternatingForm.sparse([{}] * dim, dim, 5), "any")
+
+
 def test_degenerate_admission_rule_is_the_classifiers():
     # p | b + 1 is exactly when the all-J form Omega_b(-1, ..., -1) is of
     # Heisenberg type with k != 0
