@@ -46,15 +46,11 @@ def _parse_range(text: str) -> Sequence[int]:
     return values
 
 
-def _parse_residues(text: str, what: str) -> list[int]:
+def _parse_residues(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse {what} list {text!r}") from None
-
-
-_LAMBDAS = functools.partial(_parse_residues, what="lambda")
-_MUS = functools.partial(_parse_residues, what="mu")
+        raise argparse.ArgumentTypeError(f"cannot parse list {text!r}") from None
 
 
 def _read_matrix(path: str):
@@ -296,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", choices=_FAMILIES, required=True)
     sp.add_argument("--b", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--lambda", dest="lam", type=_LAMBDAS, default=None, help="comma-separated, reduced mod p")
-    sp.add_argument("--mu", type=_MUS, default=None, help="comma-separated, reduced mod p")
+    sp.add_argument("--lambda", dest="lam", type=_parse_residues, default=None, help="comma-separated, reduced mod p")
+    sp.add_argument("--mu", type=_parse_residues, default=None, help="comma-separated, reduced mod p")
     sp.add_argument(
         "--bfs-oracle", nargs="?", type=int, const=True, default=None, metavar="BOUND",
         help="also cross-check m1, m2 by exhaustive subgroup enumeration, refusing groups "
@@ -309,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("classify-form", help="classify an alternating form")
     sp.add_argument("--b", type=int, default=None)
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--lambda", dest="lam", type=_LAMBDAS, default=None)
-    sp.add_argument("--mu", type=_MUS, default=None)
+    sp.add_argument("--lambda", dest="lam", type=_parse_residues, default=None)
+    sp.add_argument("--mu", type=_parse_residues, default=None)
     sp.add_argument(
         "--matrix-json", type=_read_matrix, default=argparse.SUPPRESS, help="path to a JSON matrix (rows of residues)"
     )

@@ -147,6 +147,13 @@ class FpMatrix:
             out.append({j: x % p for j, x in acc.items() if x % p})
         return FpMatrix._reduced(out, other.cols, p)
 
+    def transpose(self) -> "FpMatrix":
+        rows: list[Row] = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self._r):
+            for j, x in r.items():
+                rows[j][i] = x
+        return FpMatrix._reduced(rows, self.rows, self.p)
+
     def strict_upper(self) -> "FpMatrix":
         """The entries above the diagonal; the others become zero."""
         upper = [{j: x for j, x in r.items() if j > i} for i, r in enumerate(self._r)]
@@ -252,27 +259,10 @@ class FpMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _pair_block(values: Sequence[int], offset: int, rows: list[Row], p: int) -> None:
-    """Add the blocks [[0, c_j], [-c_j, 0]] to the diagonal block of ``rows``
-    starting at ``offset``."""
-    for j, c in enumerate(values):
-        i = offset + 2 * j
-        if c:
-            rows[i][i + 1] = c
-            rows[i + 1][i] = -c % p
-
-
-def _j_block(b: int, row0: int, col0: int, rows: list[Row], p: int) -> None:
-    """Add J_b (blocks [[0, -1], [1, 0]]) at block position (row0, col0)."""
-    for j in range(b):
-        rows[row0 + 2 * j][col0 + 2 * j + 1] = p - 1
-        rows[row0 + 2 * j + 1][col0 + 2 * j] = 1
-
-
 class AlternatingForm(FpMatrix):
     """An alternating form on F_p^dim: a square, skew-symmetric matrix with a
-    zero diagonal.  Every constructor checks that; products, ``rref`` and
-    ``strict_upper`` of a form are plain :class:`FpMatrix` values."""
+    zero diagonal.  Every constructor checks that; a product, ``rref``,
+    ``transpose`` or ``strict_upper`` of a form is a plain :class:`FpMatrix`."""
 
     __slots__ = ()
 
@@ -305,11 +295,11 @@ class AlternatingForm(FpMatrix):
         lam = residues(lambdas, p, "lambda")
         mu = residues(mus, p, "mu")
         rows: list[Row] = [{} for _ in range(4 * b)]
-        _pair_block(lam, 0, rows, p)
-        _pair_block(mu, 2 * b, rows, p)
-        _j_block(b, 0, 2 * b, rows, p)
-        _j_block(b, 2 * b, 0, rows, p)
-        return cls.sparse(rows, 4 * b, p)
+        for j, (lj, mj) in enumerate(zip(lam, mu)):  # handle j: rho_1j, tau_1j, rho_2j, tau_2j
+            r1, t1, r2, t2 = 2 * j, 2 * j + 1, 2 * (b + j), 2 * (b + j) + 1
+            for i, k, x in ((r1, t1, lj), (r2, t2, mj), (r1, t2, -1), (t1, r2, 1)):
+                rows[i][k], rows[k][i] = x, -x
+        return cls.sparse(rows, 4 * b, p)  # reduced, zeros dropped
 
     @classmethod
     def standard_symplectic(cls, n: int, p: int) -> "AlternatingForm":

@@ -58,7 +58,7 @@ class HeisGroup:
         self.order = form.p ** (form.dim + 1)
 
     def __repr__(self):
-        return f"HeisGroup(dim={self.dim}, p={self.p}, order={self.order})"
+        return f"HeisGroup(dim={self.dim}, p={self.p}, order={shown(self.order)})"
 
     def _twist(self, v1: Sequence[int], v2: Sequence[int]) -> int:
         """c(v1, v2) = v1 . (C v2)."""

@@ -55,7 +55,8 @@ class _FibrationFields(NamedTuple):
 
 
 class FibrationInvariants(_FibrationFields):
-    """Exact invariant record of one double Kodaira fibration."""
+    """Exact invariant record of one double Kodaira fibration.  Its repr
+    follows Python's own limit on the digits of an int, as any int does."""
 
     __slots__ = ()
 

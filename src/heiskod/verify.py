@@ -269,10 +269,8 @@ def lift(form: AlternatingForm, family: str) -> GeneratorAssignment:
     if dim % 4 or dim < 8:  # A12's central part is read off the coordinates of rho_11 and tau_21
         raise PreconditionError(f"form dimension {dim} is not 4b for some b >= 2")
     reduced, pivots = form.rref()
-    column = {c: i for i, c in enumerate(pivots)}
     onto = FpMatrix.sparse([{c: 1} for c in pivots], dim, p)
-    into = FpMatrix.sparse([{column[c]: 1} if c in column else {} for c in range(dim)], len(pivots), p)
-    group = HeisGroup(AlternatingForm(onto @ form @ into))
+    group = HeisGroup(AlternatingForm(onto @ form @ onto.transpose()))
     (r,), (t,) = rho(dim // 4, 1, 1), tau(dim // 4, 2, 1)
     k = -form.apply([int(c == t - 1) for c in range(dim)])[r - 1]
     images = tuple(HeisElement(v, 0) for v in zip(*reduced.to_lists()[: len(pivots)]))
@@ -367,13 +365,8 @@ def subgroup_order_fast(group: HeisGroup, elements: Sequence) -> int:
     """
     p, dim = group.p, group.dim
     m = len(elements)
-    rows = [{k: a for k, a in enumerate(g.v) if a} for g in elements]
-    proj = FpMatrix.sparse(rows, dim, p)
-    cols = [{} for _ in range(dim)]
-    for i, row in enumerate(rows):
-        for k, a in row.items():
-            cols[k][i] = a
-    proj_t = FpMatrix.sparse(cols, m, p)
+    proj = FpMatrix.sparse([{k: a for k, a in enumerate(g.v) if a} for g in elements], dim, p)
+    proj_t = proj.transpose()
     d = proj.rank()
 
     # the sparse pairing is compared with the zero matrix, never made dense

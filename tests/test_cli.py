@@ -505,7 +505,7 @@ def test_classify_form_boolean_entry_exits_2(capsys, tmp_path):
         (
             None,
             ("--b", "2", "--p", "5", "--lambda", "3,x", "--mu", "3,3"),
-            "argument --lambda: cannot parse lambda list '3,x'",
+            "argument --lambda: cannot parse list '3,x'",
         ),
         (None, ("--b", "2", "--p", "5", "--lambda", "3,3"), "give either --matrix-json or both"),
         (None, ("--p", "5", "--lambda", "3,3", "--mu", "3,3"), "--b is required"),
@@ -919,7 +919,7 @@ def test_kappa_refuses_a_4299_digit_genus_quickly(capsys):
         # a malformed list is refused by argparse, before the lifting's rules are read
         (
             ("--family", "degenerate", "--b", "100000", "--p", "11", "--lambda", "3,x"),
-            "argument --lambda: cannot parse lambda list '3,x'",
+            "argument --lambda: cannot parse list '3,x'",
         ),
         # the genus and the family's prime come before the presence of --lambda and --mu
         (("--family", "nondegenerate", "--b", "1", "--p", "5"), "genus b must be >= 2, got 1"),

@@ -10,6 +10,7 @@ import functools
 import itertools
 import math
 import operator
+import random
 
 import numpy as np
 import pytest
@@ -287,6 +288,40 @@ def test_strict_upper():
     assert (wide.rows, wide.cols, wide.to_lists()) == (1, 3, [[0, 2, 3]])
 
 
+def sparse_of(dense: list[list[int]], cols: int, p: int) -> FpMatrix:
+    return FpMatrix.sparse([dict(enumerate(row)) for row in dense], cols, p)
+
+
+def random_sparse(rng: random.Random, rows: int, cols: int, p: int) -> list[list[int]]:
+    """Dense lists of a random sparse matrix: about a third of its rows are
+    zero, and each entry of the others is nonzero at odds one in two."""
+    zero = [rng.random() < 1 / 3 for _ in range(rows)]
+    return [[0 if z or rng.random() < 0.5 else rng.randrange(1, p) for _ in range(cols)] for z in zero]
+
+
+@pytest.mark.parametrize("p", [2, 5, 2**61 - 1])
+def test_transpose_matches_the_dense_transpose(p):
+    # shapes from 0 to 6 a side, so matrices with no rows and rows with no
+    # entries both occur
+    rng = random.Random(p)
+    for _ in range(200):
+        n, k, m = (rng.randrange(7) for _ in range(3))
+        a, b = random_sparse(rng, n, k, p), random_sparse(rng, k, m, p)
+        ma, mb = sparse_of(a, k, p), sparse_of(b, m, p)
+        dense_t = [[row[j] for row in a] for j in range(k)]
+        t = ma.transpose()
+        assert t.to_lists() == dense_t and t == sparse_of(dense_t, n, p)  # no zero entry is stored
+        assert t.transpose() == ma
+        assert (ma @ mb).transpose() == mb.transpose() @ t
+        assert t.rank() == ma.rank() == len(rref_oracle(a, k, p)[1])
+
+
+def test_transpose_of_a_form_is_its_negative():
+    form = AlternatingForm.family(2, 7, (1, 2), (3, 4))
+    assert type(form.transpose()) is FpMatrix
+    assert form.transpose().to_lists() == [[-x % 7 for x in row] for row in form.to_lists()]
+
+
 def test_matmul_exact_beyond_int64():
     """A random 8x8 product at p = 2^31 - 1 wraps around in int64; the
     Python-int product is exact."""
@@ -348,6 +383,16 @@ def test_a_form_is_its_matrix():
         hash(form)
 
 
+def block_diagonal(blocks) -> list[list[int]]:
+    """The dense block-diagonal matrix of the 2x2 ``blocks``."""
+    blocks = list(blocks)
+    out = [[0] * (2 * len(blocks)) for _ in range(2 * len(blocks))]
+    for j, block in enumerate(blocks):
+        for r, row in enumerate(block):
+            out[2 * j + r][2 * j : 2 * j + 2] = row
+    return out
+
+
 def test_family_layout():
     form = AlternatingForm.family(2, 7, (1, 2), (3, 4))
     # defining values: omega(r_1j, t_1j) = lambda_j, omega(r_2j, t_2j) = mu_j,
@@ -360,6 +405,16 @@ def test_family_layout():
     assert form_value(form, e(0), e(5)) == 6  # -1 mod 7
     assert form_value(form, e(4), e(1)) == 6
     assert form_value(form, e(0), e(7)) == 0
+    # the whole form is the module docstring's dense [[L_b, J_b], [J_b, M_b]]
+    rng = random.Random(43)
+    for p in (2, 3, 5, 13, 2**61 - 1):
+        for b in range(2, 6):
+            lam = [rng.choice((0, p, -1, rng.randrange(-p, 2 * p))) for _ in range(b)]
+            mu = [rng.choice((0, p, -1, rng.randrange(-p, 2 * p))) for _ in range(b)]
+            l_b, m_b = block_diagonal([[0, x], [-x, 0]] for x in lam), block_diagonal([[0, x], [-x, 0]] for x in mu)
+            j_b = block_diagonal([[0, -1], [1, 0]] for _ in range(b))
+            dense = [l + j for l, j in zip(l_b, j_b)] + [j + m for j, m in zip(j_b, m_b)]
+            assert AlternatingForm.family(b, p, lam, mu).to_lists() == [[x % p for x in row] for row in dense]
 
 
 def test_degenerate_family_is_all_j_blocks():

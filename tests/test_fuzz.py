@@ -584,3 +584,14 @@ def test_a_refusal_prints_an_integer_past_4300_digits_by_its_size(call, message)
     with pytest.raises(HeiskodError) as refusal:
         call()
     assert str(refusal.value) == message
+
+
+def test_a_group_past_4300_digits_is_named_by_the_size_of_its_order():
+    # the repr formatted the order in full, so it raised ValueError past the
+    # limit and a refusal naming the group read "a HeisGroup"
+    name = "HeisGroup(dim=240, p=2305843009213693951, order=<14701-bit integer>)"
+    assert repr(BIG_GROUP) == name
+    assert repr(GROUP) == "HeisGroup(dim=8, p=5, order=1953125)"
+    with pytest.raises(HeiskodError) as refusal:
+        GeneratorAssignment("any", BIG_GROUP, (GROUP.identity,) * 9)
+    assert str(refusal.value) == f"image {GROUP.identity!r} is not an element of {name} reduced mod 2305843009213693951"

@@ -20,7 +20,10 @@ the determinant and the image of xi; they hold the bare multiple k to those
 bytes.  The ``verify_*`` and ``report_*`` files were written while each
 family built its own images, the degenerate one on its own 2b-dimensional
 form J_b; they hold ``lift`` of each family's 4b-dimensional form to those
-bytes.
+bytes.  The ``help_*`` files are each subcommand's ``--help`` at 80 columns,
+written before ``--lambda`` and ``--mu`` shared one converter; they hold the
+option surface to those bytes (the top-level help wraps differently from
+Python 3.13 on, so it is not pinned).
 """
 
 import json
@@ -96,6 +99,16 @@ def test_cli_output_is_pinned(capsys, name, argv):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / name).read_text()
+
+
+COMMANDS = ("presentation", "verify", "classify-form", "search-forms", "invariants", "census", "kappa", "selftest")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"help_{command}.txt").read_text()
 
 
 SEARCH_PINS = [

@@ -485,6 +485,21 @@ def test_lift_refutes_a_form_outside_the_family():
     assert {source for _, source, _ in report.failures} == {"surface relation 1"}
 
 
+@pytest.mark.parametrize(
+    "b,p,lambdas,mus,rank",
+    [(3, 2, (-1,) * 3, (-1,) * 3, 6), (5, 3, (-1,) * 5, (-1,) * 5, 10), (2, 5, (3, 3), (3, 3), 8)],
+    ids=["degenerate-3-2", "degenerate-5-3", "nondegenerate-2-5"],
+)
+def test_lift_targets_the_form_on_its_pivot_coordinates(b, p, lambdas, mus, rank):
+    # the target's form is omega restricted to the pivots of rref(omega),
+    # read off the dense matrix; the degenerate forms are singular
+    form = AlternatingForm.family(b, p, lambdas, mus)
+    _, pivots = form.rref()
+    omega = form.to_lists()
+    assert len(pivots) == rank
+    assert lift(form, "any").target.form.to_lists() == [[omega[i][j] for j in pivots] for i in pivots]
+
+
 @pytest.mark.parametrize("dim", [0, 1, 2, 4, 6, 7, 9, 10, 11])
 def test_lift_refuses_a_form_whose_dimension_is_not_4b(dim):
     # the library fuzz gate's finding: the form of dimension 0 raised
