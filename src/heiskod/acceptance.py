@@ -32,7 +32,6 @@ from .heisenberg import HeisGroup, verify_extra_special
 from .invariants import census, family_invariants
 from .primes import distinct_prime_factors, kappa
 from .verify import (
-    ENUMERATION_BOUND,
     precompose_involution,
     standard_assignment,
     tau2_to_r2_variant,
@@ -72,7 +71,7 @@ def _degenerate_relators(problems: list[str]) -> None:
 def _nondegenerate_with_oracle(problems: list[str]) -> None:
     """Non-degenerate verification at (2, 5), lambda = mu = (3, 3)."""
     assignment = standard_assignment("nondegenerate", 2, 5, (3, 3), (3, 3))
-    report = verify_assignment(assignment, ENUMERATION_BOUND)
+    report = verify_assignment(assignment, oracle=True)
     _check(report.total_relators == 42, f"relator count {report.total_relators} != 42", problems)
     _check(not report.failures, f"{len(report.failures)} relators failed", problems)
     _check(report.a12_order == 5, f"A12 image order {report.a12_order} != 5", problems)

@@ -59,7 +59,7 @@ def check_letters(w: Iterable[int], b: int) -> None:
     n = 4 * b + 1
     for x in w:
         if type(x) is not int or not 0 < abs(x) <= n:
-            raise PreconditionError(f"letter {x!r} is not a generator index in +-1..+-{n}")
+            raise PreconditionError(f"letter {shown(x)} is not a generator index in +-1..+-{shown(n)}")
 
 
 def rho(b: int, strand: int, j: int, exp: int = 1) -> Word:

@@ -122,11 +122,10 @@ def cmd_presentation(args) -> Output:
 
 
 def cmd_verify(args) -> Output:
-    from .verify import ENUMERATION_BOUND, standard_assignment, verify_assignment
+    from .verify import standard_assignment, verify_assignment
 
     assignment = standard_assignment(args.family, args.b, args.p, args.lam, args.mu)
-    # a bare --bfs-oracle is the const True, read as the default bound
-    report = verify_assignment(assignment, ENUMERATION_BOUND if args.bfs_oracle is True else args.bfs_oracle)
+    report = verify_assignment(assignment, oracle=args.bfs_oracle)
     text = json.dumps(report.to_json_dict(), indent=2) if args.format == "json" else report.text()
     return 0 if report.ok else 1, (text,)
 
@@ -295,9 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda", dest="lam", type=_parse_residues, default=None, help="comma-separated, reduced mod p")
     sp.add_argument("--mu", type=_parse_residues, default=None, help="comma-separated, reduced mod p")
     sp.add_argument(
-        "--bfs-oracle", nargs="?", type=int, const=True, default=None, metavar="BOUND",
+        "--bfs-oracle", action="store_true",
         help="also cross-check m1, m2 by exhaustive subgroup enumeration, refusing groups "
-        "of more than BOUND elements (default: heiskod.verify.ENUMERATION_BOUND)",
+        "of more than heiskod.verify.ENUMERATION_BOUND elements",
     )
     _add_common(sp)
     sp.set_defaults(fn=cmd_verify)

@@ -268,7 +268,8 @@ def census(family: str, b_range: Iterable[int], p_range: Iterable[int]) -> tuple
         raise PreconditionError(f"{len(bs)} x {len(ps)} cells (b, p) are more than 10^6")
     rows = [CensusRow(family, b, p, family_invariants(family, b, p)) for b in bs for p in ps if admits(family, b, p)]
     if not rows:
-        raise PreconditionError(f"no admissible (b, p) for the {family} family in the given ranges")
+        name = family if isinstance(family, str) else shown(family)
+        raise PreconditionError(f"no admissible (b, p) for the {name} family in the given ranges")
     fam = CLAIM_TABLE[family]
     min_b, min_p, min_sigma = fam.minimum
     named = (

@@ -187,7 +187,7 @@ def admits(family: str, b: int, p: int) -> bool:
         return is_prime(p) and p >= 5
     if family == "degenerate":
         return is_prime(p) and (b + 1) % p == 0
-    raise PreconditionError(f"unknown family {family!r}")
+    raise PreconditionError(f"unknown family {shown(family)}")
 
 
 def check_family(family: str, b: int, p: int) -> tuple[int, int]:

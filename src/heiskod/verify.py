@@ -40,10 +40,10 @@ strands share the images (r_j, t_j) in Heis(F_p^{2b}, J_b), at p = 2 the
 group H_{2b+1}(F_2) with its coordinates interleaved.
 
 Subgroup indices come from a fast structural method; ``verify_assignment``
-cross-checks them, given a bound, against an exhaustive oracle that marks the
-generated subgroup element by element in Python-int bitmaps, and the two must
-agree wherever both run.  On the command line one option of ``verify``
-runs the oracle, with ``ENUMERATION_BOUND`` when it is given no bound.
+with ``oracle=True`` cross-checks them against an exhaustive oracle that
+marks the generated subgroup element by element in Python-int bitmaps, on
+groups of up to ``ENUMERATION_BOUND`` elements, and the two must agree
+wherever both run.  On the command line, ``verify`` runs it on request.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from .braid import (
 from .errors import PreconditionError
 from .fplinalg import AlternatingForm, FpMatrix
 from .heisenberg import HeisElement, HeisGroup
-from .primes import check_family, check_genus, integer, shown
+from .primes import check_family, check_genus, shown
 
 
 class GeneratorAssignment:
@@ -201,12 +201,12 @@ class VerificationReport(NamedTuple):
         return "\n".join(lines)
 
 
-def verify_assignment(assignment: GeneratorAssignment, oracle_bound: Optional[int] = None) -> VerificationReport:
+def verify_assignment(assignment: GeneratorAssignment, *, oracle: bool = False) -> VerificationReport:
     """The whole report on every relator of the presentation at the
     assignment's genus: failures recorded, never raised, and the indices m1,
-    m2, each cross-checked by the exhaustive oracle under ``oracle_bound``
-    when one is given.  Each distinct set of images is measured once by the
-    structural method and once by the oracle."""
+    m2, each cross-checked by the exhaustive oracle when ``oracle`` is true.
+    Each distinct set of images is measured once by the structural method
+    and once by the oracle."""
     target = assignment.target
     pres = build_presentation(assignment.b)
     found, walked = _nonidentity_products(assignment, range(1, 4 * pres.b + 2), pres.relators.walk())
@@ -219,10 +219,10 @@ def verify_assignment(assignment: GeneratorAssignment, oracle_bound: Optional[in
     distinct = dict(zip(keys, kernel_images))
     fast = {key: subgroup_order_fast(target, images) for key, images in distinct.items()}
     m1, m2 = (target.order // fast[key] for key in keys)
-    oracle = ()
-    if oracle_bound is not None:
-        sizes = {key: bfs_subgroup_order(target, images, oracle_bound) for key, images in distinct.items()}
-        oracle = tuple((label, sizes[key], sizes[key] == fast[key]) for label, key in zip(("m1", "m2"), keys))
+    checks = ()
+    if oracle:
+        sizes = {key: bfs_subgroup_order(target, images) for key, images in distinct.items()}
+        checks = tuple((label, sizes[key], sizes[key] == fast[key]) for label, key in zip(("m1", "m2"), keys))
     return VerificationReport(
         b=assignment.b,
         p=target.p,
@@ -234,7 +234,7 @@ def verify_assignment(assignment: GeneratorAssignment, oracle_bound: Optional[in
         m1=m1,
         m2=m2,
         is_surjective=subgroup_order_fast(target, assignment.images) == target.order,
-        oracle=oracle,
+        oracle=checks,
     )
 
 
@@ -273,8 +273,8 @@ def lift(form: AlternatingForm, family: str) -> GeneratorAssignment:
     group = HeisGroup(AlternatingForm(onto @ form @ onto.transpose()))
     (r,), (t,) = rho(dim // 4, 1, 1), tau(dim // 4, 2, 1)
     k = -form.apply([int(c == t - 1) for c in range(dim)])[r - 1]
-    images = tuple(HeisElement(v, 0) for v in zip(*reduced.to_lists()[: len(pivots)]))
-    return GeneratorAssignment(family, group, images + (group.central(k),))
+    columns = list(zip(*reduced.to_lists()[: len(pivots)])) or [()] * dim  # rank 0: dim empty columns
+    return GeneratorAssignment(family, group, tuple(HeisElement(v, 0) for v in columns) + (group.central(k),))
 
 
 def standard_assignment(
@@ -395,22 +395,19 @@ def _tiled(pattern: int, period: int, size: int) -> int:
     return pattern & ((1 << size) - 1)
 
 
-ENUMERATION_BOUND = 10**7  # the largest group the oracle enumerates unless given another bound
+ENUMERATION_BOUND = 10**7  # the largest group the oracle enumerates: below 2^62, so each shift fits a machine word
 
 
-def bfs_subgroup_order(group: HeisGroup, elements: Sequence, bound: int = ENUMERATION_BOUND) -> int:
+def bfs_subgroup_order(group: HeisGroup, elements: Sequence) -> int:
     """Exhaustive oracle: the generated subgroup, marked element by element.
 
     Independent of ``subgroup_order_fast`` by construction (group products
     and membership only, no linear algebra); kept for cross-validation and
     refused (not approximated) with :class:`PreconditionError` when the
-    group has more than ``bound`` elements and, whatever the bound, from
-    order 2^62 on: the bitmap of such a group is 2^59 bytes or more, and
-    below it every bit index and shift count is below 2^62, so Python's
-    shifts never overflow.  A ``MemoryError`` while the bitmaps are built is
-    refused too, as is a bound that ``primes.integer`` does not take.
-    Returns the number of elements enumerated; the name stays that of the
-    command line's oracle flag.
+    group has more than ``ENUMERATION_BOUND`` elements, read at call time,
+    or when a ``MemoryError`` stops the bitmaps being built.  Returns the
+    number of elements enumerated; the name stays that of the command
+    line's oracle flag.
 
     Only the coordinates S that some generator touches are enumerated (digit
     j is the j-th): products are 0 off S, and v . C w reads C on S x S only.
@@ -437,12 +434,8 @@ def bfs_subgroup_order(group: HeisGroup, elements: Sequence, bound: int = ENUMER
     Memory is a few copies of the slabs, one bit per element of F_p^S x F_p,
     and p^|S| / 8 bytes of masks per digit: 3.5 MiB traced at b = 4, p = 5.
     """
-    if group.order > (bound := integer(bound, "enumeration bound")):
-        raise PreconditionError(f"group order {shown(group.order)} exceeds the enumeration bound {shown(bound)}")
-    if group.order >= 2**62:
-        raise PreconditionError(
-            f"group order {shown(group.order)} is too large to enumerate in a bitmap (needs < 2^62)"
-        )
+    if group.order > ENUMERATION_BOUND:
+        raise PreconditionError(f"group order {shown(group.order)} exceeds the enumeration bound {ENUMERATION_BOUND}")
     p = group.p
     gens = [group.element(g.v, g.t) for g in elements]
     touched = [c for c in range(group.dim) if any(w[c] for w, _ in gens)]

@@ -129,37 +129,41 @@ def test_enumeration_bound_is_no_option(capsys):
 
 
 def test_verify_enumeration_bound_override(capsys):
-    code, _, err = run(
+    # the bound is heiskod.verify.ENUMERATION_BOUND; a value after the flag
+    # is a stray argument, refused with the usage line before any work
+    code, out, err = run(
         capsys,
         "verify", "--family", "degenerate", "--b", "2", "--p", "3",
         "--bfs-oracle", "100",
     )
-    assert code == 2
-    assert "bound" in err
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: heiskod ")
+    assert err.endswith("heiskod: error: unrecognized arguments: 100\n")
 
 
 @pytest.mark.parametrize("bound", ["0", "-5"])
 def test_verify_nonpositive_enumeration_bound_exits_2(capsys, bound):
-    # a bound that admits no group is a bound: the oracle runs and refuses
-    # it, where a switch would have turned the oracle off or taken the default
+    # a value that once admitted no group is refused as argv, not read as a
+    # bound, and the oracle is never run with it
     code, out, err = run(
         capsys,
         "verify", "--family", "degenerate", "--b", "2", "--p", "3",
         "--bfs-oracle", bound,
     )
     assert (code, out) == (2, "")
-    assert err == f"error: group order 243 exceeds the enumeration bound {bound}\n"
+    assert err.startswith("usage: heiskod ")
+    assert err.endswith(f"heiskod: error: unrecognized arguments: {bound}\n")
 
 
 def test_verify_enumeration_bound_beyond_2_62_exits_2(capsys):
-    # order 41^81: numpy used to fail with "Maximum allowed dimension exceeded"
-    code, _, err = run(
+    # order 41^81: numpy used to fail with "Maximum allowed dimension
+    # exceeded"; the oracle refuses it at its one bound
+    code, out, err = run(
         capsys,
-        "verify", "--family", "degenerate", "--b", "40", "--p", "41",
-        "--bfs-oracle", str(10**200),
+        "verify", "--family", "degenerate", "--b", "40", "--p", "41", "--bfs-oracle",
     )
-    assert code == 2
-    assert "2^62" in err
+    assert (code, out) == (2, "")
+    assert err == f"error: group order {41**81} exceeds the enumeration bound 10000000\n"
 
 
 def test_verify_oracle_out_of_memory_exits_2(capsys, monkeypatch):

@@ -31,8 +31,10 @@ and its work exceeds this budget:
 * ``search-forms``: more than 10^4 candidates (p - 1)^(2b - 2);
 * ``census``: more than 10^3 cells (b, p) with every b a genus;
 * ``kappa``: more than 10^3 values;
-* ``verify --bfs-oracle``: a bound above 10^7, the default; the drawn
-  bounds are the edges up to 10^6, non-numeric text and the bare flag.
+* ``verify --bfs-oracle``: none; the flag takes no value, so the values
+  still drawn after it (the edges up to 10^6, non-numeric text) are stray
+  arguments that argparse refuses, and only the bare flag runs the oracle,
+  whose bound is ``heiskod.verify.ENUMERATION_BOUND``.
 
 Genera come from the edges and 4..6, so ``presentation``, ``verify`` and
 ``classify-form`` stay within 1406 relators without a filter.  Every vector
@@ -41,18 +43,22 @@ included.  Each example runs under an address-space cap 1 GiB above the
 process's size and a 20 s alarm, so a runaway allocation or a hang fails the
 test instead of the machine.
 
-The library gate calls nine entry points the same way, 30 derandomized
-examples each (about 2.5 s): ``standard_assignment``, ``lift``,
+The library gate calls fourteen entry points the same way, 30
+derandomized examples each: ``standard_assignment``, ``lift``,
 ``classify_form``, ``general_invariants``, ``family_invariants``, ``census``,
-``kappas``, ``distinct_prime_factors`` and ``search_family_params``, whose
-hits are consumed.  Scalars are the edges above, 10^5000 and its negative,
-bools, floats, a fraction over 10^5000 and strings; ranges go up to
-range(2, 10**12); forms are
-alternating, of dimension 0 to 12.  A call returns, or raises a
+``kappas``, ``distinct_prime_factors``, ``search_family_params``, whose hits
+are consumed, ``build_presentation``, whose relators are read,
+``word_display``, ``involution_substitute``, ``evaluate_word`` (on a standard
+lifting at b = 2) and ``kernel_generator_sets``.  Scalars are the edges
+above, 10^5000 and its negative, bools, floats, a fraction over 10^5000 and
+strings; a family is one of the names, "other" or any scalar; words are
+short lists of letters and scalars; ranges go up to range(2, 10**12); forms
+are alternating, of dimension 0 to 12.  A call returns, or raises a
 ``HeiskodError``; nothing else may escape.  The same work budget applies:
 ``census`` over more than 10^3 admitted cells and ``kappas`` over more than
 10^3 admitted values are discarded, as are searches of more than 10^4
-candidates.
+candidates and ``kernel_generator_sets`` at a genus whose two sets hold more
+than 10^7 letters.
 
 Out of scope, as Python's own errors: a non-iterable where a sequence is
 documented (a range, lambdas, mus) raises ``TypeError``, and an argument that
@@ -75,12 +81,12 @@ from hypothesis import strategies as st
 import heiskod.cohomology
 import heiskod.invariants
 import heiskod.primes
-from heiskod.braid import build_presentation
+from heiskod.braid import build_presentation, involution_substitute, kernel_generator_sets, word_display
 from heiskod.cli import main
 from heiskod.errors import HeiskodError
 from heiskod.fplinalg import AlternatingForm, FpMatrix
 from heiskod.heisenberg import HeisElement, HeisGroup, verify_extra_special
-from heiskod.verify import GeneratorAssignment, bfs_subgroup_order, lift, standard_assignment
+from heiskod.verify import GeneratorAssignment, bfs_subgroup_order, evaluate_word, lift, standard_assignment
 
 EDGES = [-1, 0, 2, 3, 13, 10**6, 2**61 - 1, 10**11, 2**63]
 GENERA = EDGES + [4, 5, 6]
@@ -179,7 +185,7 @@ def verify(draw, files, workdir):
     family, b = draw(st.sampled_from(FAMILIES)), draw(number(GENERA))
     argv = ["verify", "--family", family, "--b", b, "--p", draw(modulus(family, b)), *draw(parameters(b))]
     if draw(st.booleans()):
-        # the bare flag means the default bound, 10^7; no bound above it is drawn
+        # the flag takes no value: one drawn after it is a stray argument
         argv += ["--bfs-oracle", *draw(st.sampled_from([[], ["-1"], ["0"], ["2"], ["13"], [str(10**6)], ["x"]]))]
     return argv + draw(common(["text", "json"], workdir))
 
@@ -379,13 +385,13 @@ def admitted_count(values, genus=False):
 
 @st.composite
 def lib_standard_assignment(draw):
-    family, b = draw(st.sampled_from(FAMILIES + ["other"])), draw(value_of([2, 3, 4, 5, 6]))
+    family, b = draw(value_of(FAMILIES + ["other"])), draw(value_of([2, 3, 4, 5, 6]))
     return (family, b, draw(value_of(PRIMES)), *draw(residue_lists(b)))
 
 
 @st.composite
 def lib_lift(draw):
-    return draw(forms()), draw(st.sampled_from(FAMILIES + ["other"]))
+    return draw(forms()), draw(value_of(FAMILIES + ["other"]))
 
 
 @st.composite
@@ -401,7 +407,7 @@ def lib_general_invariants(draw):
 
 @st.composite
 def lib_family_invariants(draw):
-    return draw(st.sampled_from(FAMILIES + ["other"])), draw(value_of([2, 3, 4, 5, 6, 964])), draw(value_of(PRIMES))
+    return draw(value_of(FAMILIES + ["other"])), draw(value_of([2, 3, 4, 5, 6, 964])), draw(value_of(PRIMES))
 
 
 @st.composite
@@ -410,7 +416,7 @@ def lib_census(draw):
     nb, np_ = admitted_count(b_range, genus=True), admitted_count(p_range)
     if None not in (nb, np_):
         assume(nb * np_ <= 10**3 or nb * np_ > 10**6)
-    return draw(st.sampled_from(FAMILIES + ["other"])), b_range, p_range
+    return draw(value_of(FAMILIES + ["other"])), b_range, p_range
 
 
 @st.composite
@@ -435,6 +441,40 @@ def lib_search_family_params(draw):
     return b, p, draw(value_of([None, 1, 5]))
 
 
+def words():
+    """A word: a short list of letters at genus 2 and scalars."""
+    return st.lists(value_of([1, -1, 2, 8, -9]), max_size=4)
+
+
+@st.composite
+def lib_word(draw):
+    return draw(words()), draw(value_of([2, 3, 4, 5, 6]))
+
+
+ASSIGNMENTS = [
+    standard_assignment("degenerate", 2, 3),
+    standard_assignment("nondegenerate", 2, 5, (3, 3), (3, 3)),
+]
+
+
+@st.composite
+def lib_evaluate_word(draw):
+    return draw(st.sampled_from(ASSIGNMENTS)), draw(words())
+
+
+@st.composite
+def lib_genus(draw):
+    return (draw(value_of([2, 3, 4, 5, 6])),)
+
+
+@st.composite
+def lib_kernel_generator_sets(draw):
+    b = draw(value_of([2, 3, 4, 5, 6]))
+    if is_int(b) and b >= 2:
+        assume(4 * b + 2 <= 10**7)
+    return (b,)
+
+
 LIBRARY = {
     "standard_assignment": (standard_assignment, lib_standard_assignment),
     "lift": (lift, lib_lift),
@@ -445,6 +485,11 @@ LIBRARY = {
     "kappas": (heiskod.primes.kappas, lib_kappas),
     "distinct_prime_factors": (heiskod.primes.distinct_prime_factors, lib_distinct_prime_factors),
     "search_family_params": (lambda *a: list(heiskod.cohomology.search_family_params(*a)), lib_search_family_params),
+    "build_presentation": (lambda b: list(build_presentation(b).relators), lib_genus),
+    "word_display": (word_display, lib_word),
+    "involution_substitute": (involution_substitute, lib_word),
+    "evaluate_word": (evaluate_word, lib_evaluate_word),
+    "kernel_generator_sets": (kernel_generator_sets, lib_kernel_generator_sets),
 }
 
 
@@ -535,10 +580,6 @@ H = "<16610-bit integer>"  # how a refusal prints 10^5000
             "group order <14701-bit integer> exceeds the enumeration bound 10000000",
         ),
         (
-            lambda: bfs_subgroup_order(BIG_GROUP, [], HUGE),
-            "group order <14701-bit integer> is too large to enumerate in a bitmap (needs < 2^62)",
-        ),
-        (
             lambda: verify_extra_special(BIG_GROUP),
             "group order <14701-bit integer> exceeds the structure suite's bound 200000",
         ),
@@ -549,6 +590,20 @@ H = "<16610-bit integer>"  # how a refusal prints 10^5000
         (
             lambda: GeneratorAssignment("any", GROUP, (HeisElement((HUGE,) + (0,) * 7, 0),) * 9),
             "image a HeisElement is not an element of HeisGroup(dim=8, p=5, order=1953125) reduced mod 5",
+        ),
+        (lambda: word_display((HUGE,), 2), f"letter {H} is not a generator index in +-1..+-9"),
+        (lambda: involution_substitute((-HUGE,), 2), f"letter -{H} is not a generator index in +-1..+-9"),
+        (lambda: evaluate_word(ASSIGNMENTS[0], (HUGE,)), f"letter {H} is not a generator index in +-1..+-9"),
+        (
+            lambda: word_display((0,), HUGE),
+            "letter 0 is not a generator index in +-1..+-<16612-bit integer>",
+        ),
+        (lambda: heiskod.primes.admits(HUGE, 2, 5), f"unknown family {H}"),
+        (lambda: heiskod.primes.check_family(HUGE, 2, 5), f"unknown family {H}"),
+        (lambda: heiskod.invariants.census(HUGE, [2], [5]), f"unknown family {H}"),
+        (
+            lambda: heiskod.invariants.census(HUGE, [], [5]),
+            f"no admissible (b, p) for the {H} family in the given ranges",
         ),
     ],
     ids=[
@@ -569,13 +624,20 @@ H = "<16610-bit integer>"  # how a refusal prints 10^5000
         "search-genus",
         "search-count",
         "oracle-bound",
-        "oracle-bitmap",
         "extra-special",
         "column-count",
         "column",
         "family-form",
         "integer-gate",
         "assignment-image",
+        "word-letter",
+        "involution-letter",
+        "evaluate-letter",
+        "letter-range",
+        "admits-family",
+        "check_family-family",
+        "census-family",
+        "census-no-rows",
     ],
 )
 def test_a_refusal_prints_an_integer_past_4300_digits_by_its_size(call, message):

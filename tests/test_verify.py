@@ -375,15 +375,20 @@ def test_unknown_family_is_a_precondition_error(family):
         standard_assignment(family, 2, 3)
 
 
-def test_oracle_bound_passes_the_integer_gate():
-    # True was read as the bound 1 and refused as "exceeds the enumeration
-    # bound True"; 2.5e6 ran the oracle
+def test_the_oracle_is_a_keyword_switch():
+    # the oracle's bound is ENUMERATION_BOUND; a bound passed where the old
+    # oracle_bound stood fails loudly instead of switching the oracle on
     assignment = standard_assignment("degenerate", 2, 3)
-    for bound in (True, 2.5e6):
-        with pytest.raises(PreconditionError, match=f"^enumeration bound must be an integer, got {bound!r}$"):
-            verify_assignment(assignment, bound)
-    report = verify_assignment(assignment, np.int64(10**6))
+    with pytest.raises(TypeError):
+        verify_assignment(assignment, 10**6)
+    assert verify_assignment(assignment).oracle == ()
+    report = verify_assignment(assignment, oracle=True)
     assert report.ok and [size for _, size, _ in report.oracle] == [243, 243]
+
+
+def test_enumeration_bound_is_below_2_62():
+    # so every bit index and shift count the oracle computes fits a machine word
+    assert verify.ENUMERATION_BOUND < 2**62
 
 
 def test_tau2_variant_fails_expected_relator(nondeg25):
@@ -506,6 +511,22 @@ def test_lift_refuses_a_form_whose_dimension_is_not_4b(dim):
     # IndexError reading the coordinate of rho_11
     with pytest.raises(PreconditionError, match=f"^form dimension {dim} is not 4b for some b >= 2$"):
         lift(AlternatingForm.sparse([{}] * dim, dim, 5), "any")
+
+
+@pytest.mark.parametrize("dim", [8, 12])
+@pytest.mark.parametrize("p", [2, 5])
+def test_lift_of_the_zero_form_is_measured_not_refused(p, dim):
+    # rank 0 has no reduced rows, so the images were read off no columns and
+    # refused as "need a tuple of 4b + 1 generator images"; every letter goes
+    # to the identity of the order-p centre, and A12 too, since k = 0
+    assignment = lift(AlternatingForm.sparse([{}] * dim, dim, p), "zero")
+    assert len(assignment.images) == dim + 1
+    assert set(assignment.images) == {assignment.target.identity}
+    report = verify_assignment(assignment, oracle=True)
+    assert (report.total_relators, report.failures) == (8 * (dim // 4) ** 2 + dim + 2, ())
+    assert (report.target_order, report.a12_order, report.m1, report.m2) == (p, 1, p, p)
+    assert not report.is_surjective and not report.ok
+    assert report.oracle == (("m1", 1, True), ("m2", 1, True))
 
 
 def test_degenerate_admission_rule_is_the_classifiers():
@@ -633,16 +654,16 @@ def test_surjectivity_index_memory_is_bounded():
 
 
 @pytest.mark.parametrize("p", [131, 257])
-def test_bfs_exact_at_digit_type_edges(p):
+def test_bfs_exact_at_digit_type_edges(p, monkeypatch):
     # p = 257 is the first prime whose digit values need 9 bits, so each
     # twist takes 9 masked moves; coordinates near p - 1 make most digit
     # rotations wrap
     group = HeisGroup(AlternatingForm.standard_symplectic(1, p))
-    bound = 2 * 10**7  # 257^3 is above the default bound
+    monkeypatch.setattr(verify, "ENUMERATION_BOUND", 2 * 10**7)  # 257^3 is above the bound
     g = group.element((p - 1, p - 2), p - 1)
     h = group.element((p - 2, p - 4), 1)  # g^2 times a nonzero central element
     for els, order in (([g], p), ([g, h], p * p)):
-        assert bfs_subgroup_order(group, els, bound=bound) == order
+        assert bfs_subgroup_order(group, els) == order
         assert subgroup_order_fast(group, els) == order
         assert closure_order(group, els) == order
 
@@ -727,15 +748,16 @@ def test_bfs_enumerates_only_the_touched_coordinates():
 
 def test_bfs_bound_is_enforced(monkeypatch):
     group = HeisGroup(AlternatingForm.standard_symplectic(2, 5))
+    # the bound is read at call time
+    monkeypatch.setattr(verify, "ENUMERATION_BOUND", 10)
     with pytest.raises(PreconditionError, match="exceeds the enumeration bound 10$"):
-        bfs_subgroup_order(group, [group.central(1)], bound=10)
+        bfs_subgroup_order(group, [group.central(1)])
     # the bound is on the group, however few coordinates the generators touch
+    monkeypatch.setattr(verify, "ENUMERATION_BOUND", group.order - 1)
     with pytest.raises(PreconditionError, match=f"exceeds the enumeration bound {group.order - 1}$"):
-        bfs_subgroup_order(group, [unit(group, 0)], bound=group.order - 1)
-    # order p^3 >= 2^62 is refused at any bound, before any bitmap
-    big = HeisGroup(AlternatingForm.standard_symplectic(1, 2**61 - 1))
-    with pytest.raises(PreconditionError, match="2\\^62"):
-        bfs_subgroup_order(big, [big.central(1)], bound=10**200)
+        bfs_subgroup_order(group, [unit(group, 0)])
+    monkeypatch.setattr(verify, "ENUMERATION_BOUND", group.order)
+    assert bfs_subgroup_order(group, [unit(group, 0)]) == 5
 
     # a mask that cannot be allocated is refused, not raised as a crash:
     # the first one, and one built after the enumeration has begun
@@ -765,20 +787,9 @@ def test_enumeration_guard_and_input_refusals(monkeypatch):
     with pytest.raises(PreconditionError):
         bfs_subgroup_order(group, [HeisElement((1, 2, 3), 0)])
     big = HeisGroup(AlternatingForm.family(3, 7, (1, 1, 6), (2, 2, 4)))
-    with pytest.raises(PreconditionError, match="exceeds the enumeration bound 100$"):
-        bfs_subgroup_order(big, [big.central(1)], bound=100)
-    # whatever the bound, no enumeration from order 2^62 on: order 2^61
-    # (dim 60 at p = 2) is admitted, order 2^62 (the zero form on F_2^61) is not
-    admitted = HeisGroup(AlternatingForm.standard_symplectic(30, 2))
-    assert admitted.order == 2**61
-    assert bfs_subgroup_order(admitted, [admitted.central(1)], bound=10**200) == 2
-    refused = HeisGroup(AlternatingForm(FpMatrix.sparse([{}] * 61, 61, 2)))
-    assert refused.order == 2**62
-    with pytest.raises(PreconditionError, match="2\\^62"):
-        bfs_subgroup_order(refused, [refused.central(1)], bound=10**200)
-    huge = HeisGroup(AlternatingForm.standard_symplectic(1, 2**61 - 1))
-    with pytest.raises(PreconditionError, match="2\\^62"):
-        bfs_subgroup_order(huge, [huge.central(1)], bound=10**200)
+    with monkeypatch.context() as patched, pytest.raises(PreconditionError, match="exceeds the enumeration bound 100$"):
+        patched.setattr(verify, "ENUMERATION_BOUND", 100)
+        bfs_subgroup_order(big, [big.central(1)])
 
     # an allocation that fails is refused, not raised as a crash: here the
     # square of a generator, taken once it has added elements
