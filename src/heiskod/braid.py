@@ -13,9 +13,10 @@ The action relations are one table of printed right-hand sides w in
 freely reduced once as a pattern over six symbols; ``build_presentation``
 keeps only these patterns and the two surface words.  Relator i is a pattern
 read through a substitution s, a tuple indexed by signed symbol: s[y] is the
-letter of symbol y and s[-y], a negative index, its inverse; a plain word is
-its own pattern under ``identity_substitution``.  Words and sources are built
-only when the relators are read, so ``verify`` streams them in O(b) memory.
+letter of symbol y and s[-y], a negative index, its inverse; a surface word
+is its own pattern under the identity substitution.  Words and sources are
+built only when the relators are read, so ``verify`` streams them in O(b)
+memory.
 The inverse-actor families are consequences of the direct ones (the test
 ``test_inverse_actor_rows_follow_from_the_direct_ones`` in
 ``tests/test_braid.py`` derives each row of one from the other by free
@@ -33,7 +34,9 @@ with handle b+1-j; ``involution_substitute`` applies it letter by letter.
 Signed int letters are the generators' only names.  At genus b the letters
 1..4b+1 are rho_11, tau_11, ..., rho_1b, tau_1b, rho_21, tau_21, ...,
 rho_2b, tau_2b, A12, the order of the homology basis, and -x is the inverse
-of x.  Words are tuples of letters, so reduction compares ints, the
+of x.  Strand 2 and A12, the letters 2b + 1..4b + 1, generate the kernel of
+the first projection to the one-point braid group; strand 1 and A12 that of
+the second.  Words are tuples of letters, so reduction compares ints, the
 substitution is a signed permutation of letters, a generator assignment is a
 tuple of images indexed by letter, and ``word_display`` prints letters.
 """
@@ -127,12 +130,6 @@ class Presentation(NamedTuple):
 
     b: int
     relators: _Templates
-
-
-def identity_substitution(b: int) -> Word:
-    """The substitution under which a word at genus b is its own pattern."""
-    n = 4 * b + 1
-    return (0, *range(1, n + 1), *range(-n, 0))
 
 
 def _surface_words(b: int) -> tuple[Word, Word]:
@@ -237,7 +234,8 @@ class _Templates:
     def walk(self, sources: bool = False) -> Iterator[tuple[Word, Word, str | None]]:
         """(pattern, substitution, source or None) of every relator, in order."""
         b, a = self.b, 4 * self.b + 1
-        yield from zip(self.surface, (identity_substitution(b),) * 2, ("surface relation 1", "surface relation 2"))
+        identity = (0, *range(1, a + 1), *range(-a, 0))  # each surface word is its own pattern
+        yield from zip(self.surface, (identity,) * 2, ("surface relation 1", "surface relation 2"))
         rho_2 = range(2 * b + 1, 4 * b, 2)  # rho_2k for k = 1..b; tau_2k is the letter after it
         for actor, generator, exp in _ACTORS:
             for j in range(1, b + 1):
@@ -278,16 +276,4 @@ def involution_substitute(w: Word, b: int) -> Word:
         image = -y if y == 4 * b + 1 else 4 * b - y if y % 2 else y - 4 * b - 2
         out.append(image if x > 0 else -image)
     return tuple(out)
-
-
-def kernel_generator_sets(b: int) -> tuple[Word, Word]:
-    """Generators of the kernels of the two projections to the one-point braid
-    group: (rho_2*, tau_2*, A12) for the first projection, (rho_1*, tau_1*,
-    A12) for the second."""
-    check_genus(b)
-    # rho_sj is the odd letter 2b(s - 1) + 2j - 1 and tau_sj the even one after it
-    a12 = (4 * b + 1,)
-    first = (*range(2 * b + 1, 4 * b, 2), *range(2 * b + 2, 4 * b + 1, 2), *a12)
-    second = (*range(1, 2 * b, 2), *range(2, 2 * b + 1, 2), *a12)
-    return first, second
 

@@ -29,7 +29,8 @@ built once per (b, p) in a process: each wedge pair (a, c) gives one H^2 row
 and sign, or none.  eta is the quotient map by the diagonal class d applied
 to xi.  An alternating form is of Heisenberg type when xi(omega) is a
 nonzero multiple of d, equivalently eta(omega) = 0 and xi(omega) != 0; such
-forms are what the braid-group liftings need.
+forms are what the braid-group liftings need.  A genus whose wedge square
+has more than ``WEDGE_BOUND`` pairs is refused before anything is built.
 """
 
 from __future__ import annotations
@@ -78,10 +79,24 @@ def _cup_basis(i1: int, i2: int, b: int, p: int) -> Optional[tuple[int, int]]:
     return _h2_block(l2, l1, j2, j1, b), (-1) % p
 
 
+WEDGE_BOUND = 2 * 10**5  # the most wedge pairs 8b^2 - 2b this layer reads: b <= 158
+
+
+def _checked(b: int, p: int) -> int:
+    """The genus b at the prime p, refused, before anything is built, when
+    its wedge square has more than ``WEDGE_BOUND`` pairs."""
+    check_prime(p)
+    b = check_genus(b)
+    if (n := 8 * b * b - 2 * b) > WEDGE_BOUND:
+        raise PreconditionError(f"the wedge square at genus {shown(b)} has {shown(n)} pairs, more than {WEDGE_BOUND}")
+    return b
+
+
 def vec_of_form(form: AlternatingForm) -> tuple[int, ...]:
     """Coordinates of a form on the wedge-square basis (upper triangle)."""
     if form.dim % 4 != 0 or form.dim < 8:
         raise PreconditionError(f"form dimension {form.dim} is not 4b for some b >= 2")
+    _checked(form.dim // 4, form.p)
     return tuple(x for a, row in enumerate(form.to_lists()) for x in row[a + 1 :])
 
 
@@ -98,8 +113,7 @@ def xi_of_form(form: AlternatingForm) -> tuple[int, ...]:
 
 def diagonal_class(b: int, p: int) -> tuple[int, ...]:
     """Class of the diagonal: g(x)1 + 1(x)g + sum_j (b_j(x)a_j - a_j(x)b_j)."""
-    check_prime(p)
-    check_genus(b)
+    b = _checked(b, p)
     out = [1, 1] + [0] * (4 * b * b)
     for j in range(1, b + 1):
         out[_h2_block(_B, _A, j, j, b)] = 1
@@ -129,8 +143,7 @@ def xi_matrix(b: int, p: int) -> FpMatrix:
     the one reading of the cup rule: wedge pair k lands in one H^2 row with
     its sign.  Cached per (b, p) and shared, as an FpMatrix never changes;
     ``typed`` keeps 2.0 from hitting the entry of 2."""
-    check_prime(p)
-    check_genus(b)
+    b = _checked(b, p)
     rows: list[dict[int, int]] = [{} for _ in range(4 * b * b + 2)]
     for k, hit in enumerate(_cup_basis(a, c, b, p) for a, c in itertools.combinations(range(4 * b), 2)):
         if hit is not None:
@@ -152,9 +165,9 @@ def count_heisenberg_candidates(b: int, p: int) -> int:
     Computed as p^(dim ker eta) - p^(dim ker xi) from the ranks, and checked
     against the closed form p^(4b^2 - 2b - 2) (p - 1).
     """
-    domain = 8 * b * b - 2 * b
-    ker_xi = domain - xi_matrix(b, p).rank()
-    ker_eta = domain - eta_matrix(b, p).rank()
+    xi = xi_matrix(b, p)  # (b, p) refused here first
+    ker_xi = xi.cols - xi.rank()
+    ker_eta = xi.cols - eta_matrix(b, p).rank()
     count = p**ker_eta - p**ker_xi
     closed = p ** (4 * b * b - 2 * b - 2) * (p - 1)
     if count != closed:

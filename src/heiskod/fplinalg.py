@@ -259,6 +259,9 @@ class FpMatrix:
 # ---------------------------------------------------------------------------
 
 
+DIMENSION_BOUND = 10**5  # the most coordinates a form built from a bare size may have
+
+
 class AlternatingForm(FpMatrix):
     """An alternating form on F_p^dim: a square, skew-symmetric matrix with a
     zero diagonal.  Every constructor checks that; a product, ``rref``,
@@ -303,7 +306,10 @@ class AlternatingForm(FpMatrix):
 
     @classmethod
     def standard_symplectic(cls, n: int, p: int) -> "AlternatingForm":
-        """omega((x, y), (x', y')) = x.y' - x'.y on F_p^{2n}."""
+        """omega((x, y), (x', y')) = x.y' - x'.y on F_p^{2n}, refused, before
+        any row is built, past ``DIMENSION_BOUND`` coordinates."""
         n = integer(n, "n")
+        if 2 * n > DIMENSION_BOUND:
+            raise PreconditionError(f"F_p^2n at n = {shown(n)} has more than {DIMENSION_BOUND} coordinates")
         rows = [{n + i: 1} for i in range(n)] + [{i: -1} for i in range(n)]
         return cls.sparse(rows, 2 * n, p)

@@ -17,7 +17,7 @@ relators whose product is not the identity are kept.  When some are, one more
 pass of the same pattern and substitution walk reads their sources, and still
 builds no word.  ``verify_assignment`` builds the presentation itself, at the
 assignment's genus; ``evaluate_word`` runs one plain word through the same
-loop under the identity substitution.
+loop as its own pattern, substituting only its own letters.
 
 An assignment stores its images as a tuple indexed by letter: ``images[i]``
 is the image of the generator with letter i + 1, in the order ``braid``
@@ -51,16 +51,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .braid import (
-    Word,
-    build_presentation,
-    check_letters,
-    identity_substitution,
-    involution_substitute,
-    kernel_generator_sets,
-    rho,
-    tau,
-)
+from .braid import Word, build_presentation, check_letters, involution_substitute, rho, tau
 from .errors import PreconditionError
 from .fplinalg import AlternatingForm, FpMatrix
 from .heisenberg import HeisElement, HeisGroup
@@ -99,13 +90,15 @@ def _nonidentity_products(assignment: GeneratorAssignment, generators: Iterable[
 
     in Python integers, reduced mod p at the end of the relator.
     """
-    group = assignment.target
+    group, generators = assignment.target, list(generators)
     p = group.p
+    images = [assignment.images[x - 1] for x in generators]
+    vs = [{k: a for k, a in enumerate(g.v) if a} for g in images]
+    # C v of every image from one sparse product: the rows of V C^T
+    products = (FpMatrix.sparse(vs, group.dim, p) @ group.cocycle.transpose()).to_lists()
     table = [None] * (8 * assignment.b + 3)  # indexed by signed letter
-    for x in generators:
-        g = assignment.images[x - 1]
-        cv = group.cocycle.apply(g.v)
-        v, cvs = [(k, a) for k, a in enumerate(g.v) if a], [(k, a) for k, a in enumerate(cv) if a]
+    for x, g, row, cv in zip(generators, images, vs, products):
+        v, cvs = list(row.items()), [(k, a) for k, a in enumerate(cv) if a]
         table[x] = (v, g.t, cvs)
         # x^-1 is (-v, -t + v . C v), and C(-v) = -C v; -v is not reduced, so
         # acc ends exactly zero in every word whose exponent sums vanish, and
@@ -136,7 +129,7 @@ def evaluate_word(assignment: GeneratorAssignment, word: Word):
     """Left-to-right product of letter images; empty word gives the identity.
     One word through the same evaluator that ``verify_assignment`` runs."""
     check_letters(word, assignment.b)
-    walk = [(word, identity_substitution(assignment.b), None)]
+    walk = [(word, {x: x for x in word}, None)]  # the word is its own pattern
     found, _ = _nonidentity_products(assignment, {abs(x) for x in word}, walk)
     return found.get(0, assignment.target.identity)
 
@@ -213,8 +206,8 @@ def verify_assignment(assignment: GeneratorAssignment, *, oracle: bool = False) 
     # only a failing run reads sources, off the walk the evaluator ran: no word is built
     walk = pres.relators.walk(sources=True) if found else ()
     failures = [(i, source, found[i]) for i, (_, _, source) in enumerate(walk) if i in found]
-    # kernel-set letters are positive, so each image is read straight off the tuple
-    kernel_images = [[assignment.images[x - 1] for x in letters] for letters in kernel_generator_sets(pres.b)]
+    # strand 2 and A12 are the letters 2b + 1..4b + 1, strand 1 the first 2b
+    kernel_images = [assignment.images[2 * pres.b :], assignment.images[: 2 * pres.b] + assignment.images[-1:]]
     keys = [frozenset(images) for images in kernel_images]
     distinct = dict(zip(keys, kernel_images))
     fast = {key: subgroup_order_fast(target, images) for key, images in distinct.items()}

@@ -17,7 +17,6 @@ from heiskod.braid import (
     free_reduce,
     involution_substitute,
     inverse_word,
-    kernel_generator_sets,
     rho,
     tau,
     winding,
@@ -320,15 +319,6 @@ def test_abelianisation_is_free_of_rank_4b(b):
         nonzero += vec[a12_axis] != 0
     # two surface relations plus one j=k relation per actor family and j
     assert nonzero == 4 * b + 2
-
-
-def test_kernel_generator_sets():
-    first, second = kernel_generator_sets(2)
-    assert word_display(first, 2) == ["r2_1", "r2_2", "t2_1", "t2_2", "A12"]
-    assert word_display(second, 2) == ["r1_1", "r1_2", "t1_1", "t1_2", "A12"]
-    for b in (2, 3, 7):
-        first, second = kernel_generator_sets(b)
-        assert len(first) == len(second) == 2 * b + 1
 
 
 def test_json_export_shape(capsys):

@@ -905,6 +905,44 @@ def test_a_library_range_past_the_bound_is_refused_before_it_is_read(call, messa
     assert seconds < 1.0
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        ("diagonal_class(10**6, 5)", "the wedge square at genus 1000000 has 7999998000000 pairs, more than 200000"),
+        ("xi_matrix(10**5, 5)", "the wedge square at genus 100000 has 79999800000 pairs, more than 200000"),
+        ("eta_matrix(10**5, 5)", "the wedge square at genus 100000 has 79999800000 pairs, more than 200000"),
+        (
+            "count_heisenberg_candidates(10**5, 5)",
+            "the wedge square at genus 100000 has 79999800000 pairs, more than 200000",
+        ),
+        (
+            "classify_form(AlternatingForm.sparse([{}] * 40000, 40000, 5))",
+            "the wedge square at genus 10000 has 799980000 pairs, more than 200000",
+        ),
+        (
+            "AlternatingForm.standard_symplectic(10**11, 5)",
+            "F_p^2n at n = 100000000000 has more than 100000 coordinates",
+        ),
+    ],
+)
+def test_a_builder_past_its_bound_is_refused_before_anything_is_built(call, message):
+    # each raised MemoryError under a 1 GB cap, the first at once and the
+    # others after 1.3-2.1 s: vec_of_form densified the 40000-dim form
+    script = (
+        "from heiskod.cohomology import classify_form, count_heisenberg_candidates, diagonal_class\n"
+        "from heiskod.cohomology import eta_matrix, xi_matrix\n"
+        "from heiskod.errors import PreconditionError\n"
+        "from heiskod.fplinalg import AlternatingForm\n"
+        "try:\n"
+        f"    {call}\n"
+        "except PreconditionError as exc:\n"
+        "    print(exc)\n"
+    )
+    code, out, err, seconds = run_capped(python=("-c", script))
+    assert (code, out, err) == (0, message + "\n", "")
+    assert seconds < 1.0
+
+
 def test_kappa_refuses_a_4299_digit_genus_quickly(capsys):
     # b + 1 was trial-divided by every d up to 10^6, not only the primes: 4.1 s
     b = "7" * 4299

@@ -43,22 +43,23 @@ included.  Each example runs under an address-space cap 1 GiB above the
 process's size and a 20 s alarm, so a runaway allocation or a hang fails the
 test instead of the machine.
 
-The library gate calls fourteen entry points the same way, 30
+The library gate calls eighteen entry points the same way, 30
 derandomized examples each: ``standard_assignment``, ``lift``,
 ``classify_form``, ``general_invariants``, ``family_invariants``, ``census``,
 ``kappas``, ``distinct_prime_factors``, ``search_family_params``, whose hits
 are consumed, ``build_presentation``, whose relators are read,
 ``word_display``, ``involution_substitute``, ``evaluate_word`` (on a standard
-lifting at b = 2) and ``kernel_generator_sets``.  Scalars are the edges
-above, 10^5000 and its negative, bools, floats, a fraction over 10^5000 and
-strings; a family is one of the names, "other" or any scalar; words are
-short lists of letters and scalars; ranges go up to range(2, 10**12); forms
-are alternating, of dimension 0 to 12.  A call returns, or raises a
-``HeiskodError``; nothing else may escape.  The same work budget applies:
-``census`` over more than 10^3 admitted cells and ``kappas`` over more than
-10^3 admitted values are discarded, as are searches of more than 10^4
-candidates and ``kernel_generator_sets`` at a genus whose two sets hold more
-than 10^7 letters.
+lifting at b = 2), ``diagonal_class``, ``xi_matrix``, ``eta_matrix``,
+``count_heisenberg_candidates`` and ``AlternatingForm.standard_symplectic``.
+Scalars are the edges above, 10^5000 and its negative, bools, floats, a
+fraction over 10^5000 and strings; a family is one of the names, "other" or
+any scalar; words are short lists of letters and scalars; ranges go up to
+range(2, 10**12); forms are alternating, of dimension 0 to 12, or, for
+``classify_form``, rarely the zero form of dimension 40000.  A call
+returns, or raises a ``HeiskodError``; nothing else may escape.  The same
+work budget applies: ``census`` over more than 10^3 admitted cells and
+``kappas`` over more than 10^3 admitted values are discarded, as are
+searches of more than 10^4 candidates.
 
 Out of scope, as Python's own errors: a non-iterable where a sequence is
 documented (a range, lambdas, mus) raises ``TypeError``, and an argument that
@@ -81,7 +82,7 @@ from hypothesis import strategies as st
 import heiskod.cohomology
 import heiskod.invariants
 import heiskod.primes
-from heiskod.braid import build_presentation, involution_substitute, kernel_generator_sets, word_display
+from heiskod.braid import build_presentation, involution_substitute, word_display
 from heiskod.cli import main
 from heiskod.errors import HeiskodError
 from heiskod.fplinalg import AlternatingForm, FpMatrix
@@ -396,6 +397,8 @@ def lib_lift(draw):
 
 @st.composite
 def lib_classify_form(draw):
+    if rarely(draw):
+        return (AlternatingForm.sparse([{}] * 40000, 40000, 5),)  # genus 10^4: densified, 1.6 * 10^9 entries
     return (draw(forms()),)
 
 
@@ -468,11 +471,9 @@ def lib_genus(draw):
 
 
 @st.composite
-def lib_kernel_generator_sets(draw):
-    b = draw(value_of([2, 3, 4, 5, 6]))
-    if is_int(b) and b >= 2:
-        assume(4 * b + 2 <= 10**7)
-    return (b,)
+def lib_size_prime(draw):
+    """A genus or half-dimension and a modulus."""
+    return draw(value_of([1, 2, 3, 4, 5, 6])), draw(value_of(PRIMES))
 
 
 LIBRARY = {
@@ -489,7 +490,11 @@ LIBRARY = {
     "word_display": (word_display, lib_word),
     "involution_substitute": (involution_substitute, lib_word),
     "evaluate_word": (evaluate_word, lib_evaluate_word),
-    "kernel_generator_sets": (kernel_generator_sets, lib_kernel_generator_sets),
+    "diagonal_class": (heiskod.cohomology.diagonal_class, lib_size_prime),
+    "xi_matrix": (heiskod.cohomology.xi_matrix, lib_size_prime),
+    "eta_matrix": (heiskod.cohomology.eta_matrix, lib_size_prime),
+    "count_heisenberg_candidates": (heiskod.cohomology.count_heisenberg_candidates, lib_size_prime),
+    "standard_symplectic": (AlternatingForm.standard_symplectic, lib_size_prime),
 }
 
 

@@ -224,15 +224,31 @@ def test_one_admission_rule(family):
                 family_invariants(family, b, p)
 
 
+@pytest.mark.parametrize(
+    "family,b,p",
+    [("degenerate", b, p) for b, p in ((2, 3), (3, 2), (4, 5), (5, 2), (5, 3), (8, 3))]
+    + [("nondegenerate", b, p) for b, p in ((2, 5), (2, 7), (3, 5))],
+)
+def test_family_invariants_match_the_verified_lifting(family, b, p):
+    # the invariants layer states (|G|, n, m1, m2); the verifier measures them
+    from heiskod.cohomology import search_family_params
+    from heiskod.verify import standard_assignment, verify_assignment
+
+    params = next(search_family_params(b, p, 1)) if family == "nondegenerate" else ()
+    report = verify_assignment(standard_assignment(family, b, p, *params))
+    inv = family_invariants(family, b, p)
+    assert report.ok
+    assert (inv.group_order, inv.n, inv.m1, inv.m2) == (report.target_order, report.a12_order, report.m1, report.m2)
+
+
 def test_every_layer_refuses_genus_below_2_alike():
-    from heiskod.braid import build_presentation, kernel_generator_sets
+    from heiskod.braid import build_presentation
     from heiskod.cohomology import diagonal_class, search_family_params
     from heiskod.fplinalg import AlternatingForm
     from heiskod.verify import standard_assignment
 
     for refuse in (
         lambda: build_presentation(1),
-        lambda: kernel_generator_sets(1),
         lambda: diagonal_class(1, 5),
         lambda: search_family_params(1, 5),
         lambda: AlternatingForm.family(1, 5, [1], [1]),

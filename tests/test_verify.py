@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heiskod import verify
-from heiskod.braid import build_presentation, kernel_generator_sets, rho, winding
+from heiskod.braid import build_presentation, rho, winding
 from heiskod.cohomology import classify_form, eta_matrix, search_family_params
 from heiskod.errors import PreconditionError
 from heiskod.fplinalg import AlternatingForm, FpMatrix
@@ -575,7 +575,7 @@ def test_image_index_full_generating_set(nondeg25):
 
 def test_kernel_set_indices_and_bfs(nondeg25):
     target = nondeg25.target
-    first, second = ([nondeg25.images[g - 1] for g in letters] for letters in kernel_generator_sets(2))
+    first, second = nondeg25.images[4:], nondeg25.images[:4] + nondeg25.images[-1:]  # strands 2 and 1, A12
     assert target.order // subgroup_order_fast(target, first) == 625
     assert target.order // subgroup_order_fast(target, second) == 625
     assert bfs_subgroup_order(target, first) == 3125  # 5^9 / 5^4
@@ -606,8 +606,7 @@ def test_structural_order_runs_once_per_distinct_generating_set(monkeypatch, ass
 @pytest.mark.parametrize("b,p", [(2, 3), (3, 2), (5, 2), (5, 3)])
 def test_bfs_matches_fast_index_degenerate(b, p):
     assignment = standard_assignment("degenerate", b, p)
-    first, _ = kernel_generator_sets(b)
-    els = [assignment.images[g - 1] for g in first]
+    els = assignment.images[2 * b :]  # strand 2 and A12
     assert bfs_subgroup_order(assignment.target, els) == assignment.target.order
     assert subgroup_order_fast(assignment.target, els) == assignment.target.order
 
@@ -615,8 +614,7 @@ def test_bfs_matches_fast_index_degenerate(b, p):
 @pytest.mark.slow
 def test_bfs_matches_fast_index_degenerate_45():
     assignment = standard_assignment("degenerate", 4, 5)
-    first, _ = kernel_generator_sets(4)
-    els = [assignment.images[g - 1] for g in first]
+    els = assignment.images[8:]  # strand 2 and A12
     assert assignment.target.order == 5**9
     assert bfs_subgroup_order(assignment.target, els) == 5**9
     assert subgroup_order_fast(assignment.target, els) == 5**9
@@ -627,8 +625,7 @@ def test_bfs_memory_is_bounded():
     # 40 masks of one slab each for the digits the generators touch: about
     # 3.5 MiB in all
     assignment = standard_assignment("degenerate", 4, 5)
-    first, _ = kernel_generator_sets(4)
-    els = [assignment.images[g - 1] for g in first]
+    els = assignment.images[8:]  # strand 2 and A12
     tracemalloc.start()
     try:
         assert bfs_subgroup_order(assignment.target, els) == 5**9
@@ -899,13 +896,12 @@ def test_oracle_matches_closure_and_fast_order_on_proper_subgroups(group, span):
 
 
 def test_null_combinations_skip_zero_coefficients(monkeypatch, nondeg25):
-    # the m1 images of the tau_2j -> r_2j variant at (2, 5) are r_21, r_22,
-    # r_21, r_22, z: they commute and have order p, so the order is decided on
-    # the null combinations (1, 0, -1, 0, 0), (0, 1, 0, -1, 0), (0, 0, 0, 0, 1)
+    # the m1 images of the tau_2j -> r_2j variant at (2, 5) are r_21, r_21,
+    # r_22, r_22, z: they commute and have order p, so the order is decided on
+    # the null combinations (-1, 1, 0, 0, 0), (0, 0, -1, 1, 0), (0, 0, 0, 0, 1)
     # of their projections, one product per nonzero coefficient
     assignment = tau2_to_r2_variant(nondeg25)
-    first, _ = kernel_generator_sets(2)
-    els = [assignment.images[x - 1] for x in first]
+    els = assignment.images[4:]  # strand 2 and A12
     calls = []
     mul = HeisGroup.mul
 
