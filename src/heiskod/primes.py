@@ -197,6 +197,5 @@ def check_family(family: str, b: int, p: int) -> tuple[int, int]:
         return b, p
     if family == "nondegenerate":
         raise PreconditionError(f"the non-degenerate family needs a prime p >= 5, got {shown(p)}")
-    if not is_prime(p):
-        raise PreconditionError(f"{shown(p)} is not prime")
+    check_prime(p)
     raise PreconditionError(f"the degenerate family needs p | b+1; {shown(p)} does not divide {shown(b + 1)}")

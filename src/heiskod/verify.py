@@ -7,21 +7,22 @@ rewriting happens anywhere, so a pass is a complete proof that the assignment
 extends to a group homomorphism, and each failure names the printed relation
 that broke.
 
-All relators go through one evaluator in Python integers.  It tabulates the
-sparse image (v, t) and C v of every signed letter, then multiplies each
-relator from the left, one letter at a time, reading letter y of its pattern
-as table row s[y] of its substitution s, so no word is built: (acc_v, acc_t)
--> (acc_v + v, acc_t + t + acc_v . C v), with acc_v a sparse dict.  That is
-the group law applied to concrete elements, so the result is exact; only the
-relators whose product is not the identity are kept.  When some are, one more
-pass of the same pattern and substitution walk reads their sources, and still
-builds no word.  ``verify_assignment`` builds the presentation itself, at the
+All relators go through one evaluator in Python integers.  Each assignment
+tabulates the sparse image (v, t) and C v of every signed letter once, when
+it is built; the evaluator multiplies each relator from the left, one letter
+at a time, reading letter y of its pattern as table row s[y] of its
+substitution s, so no word is built: (acc_v, acc_t) -> (acc_v + v,
+acc_t + t + acc_v . C v), with acc_v a sparse dict.  That is the group law
+applied to concrete elements, so the result is exact; only the relators whose
+product is not the identity are kept.  When some are, one more pass of the
+same pattern and substitution walk reads their sources, and still builds no
+word.  ``verify_assignment`` builds the presentation itself, at the
 assignment's genus; ``evaluate_word`` runs one plain word through the same
 loop as its own pattern, substituting only its own letters.
 
 An assignment stores its images as a tuple indexed by letter: ``images[i]``
 is the image of the generator with letter i + 1, in the order ``braid``
-fixes, and the image of an inverse letter is inverted on demand.
+fixes, and ``table[x]`` is the evaluator's row of the signed letter x.
 
 Every lifting is ``lift`` of an alternating form omega on F_p^{4b}: the
 target is the Heisenberg group of omega on its pivot coordinates, which span
@@ -64,7 +65,7 @@ class GeneratorAssignment:
     whose entries are ints reduced mod p, the target's prime and the only one.
     The genus b is read off the images, b = (len(images) - 1) / 4."""
 
-    __slots__ = ("b", "family", "target", "images")
+    __slots__ = ("b", "family", "target", "images", "table")
 
     def __init__(self, family: str, target: HeisGroup, images: tuple):
         if not isinstance(images, tuple) or len(images) % 4 != 1 or len(images) < 9:
@@ -75,35 +76,33 @@ class GeneratorAssignment:
             if not ok or not all(type(a) is int and 0 <= a < target.p for a in (*g.v, g.t)):
                 raise PreconditionError(f"image {shown(g)} is not an element of {shown(target)} reduced mod {target.p}")
         self.b, self.family, self.target, self.images = b, family, target, images
+        vs = [{k: a for k, a in enumerate(g.v) if a} for g in images]
+        # C v of every image from one sparse product: the rows of V C^T
+        products = (FpMatrix.sparse(vs, target.dim, target.p) @ target.cocycle.transpose()).to_lists()
+        table = self.table = [None] * (8 * b + 3)  # indexed by signed letter
+        for x, (g, row, cv) in enumerate(zip(images, vs, products), start=1):
+            v, cvs = list(row.items()), [(k, a) for k, a in enumerate(cv) if a]
+            table[x] = (v, g.t, cvs)
+            # x^-1 is (-v, -t + v . C v), and C(-v) = -C v; -v is not reduced, so
+            # acc ends exactly zero in every word whose exponent sums vanish, and
+            # the evaluator's identity check is one any() for those
+            table[-x] = ([(k, -a) for k, a in v], sum(a * cv[k] for k, a in v) - g.t, [(k, -a) for k, a in cvs])
 
 
-def _nonidentity_products(assignment: GeneratorAssignment, generators: Iterable[int], walk: Iterable) -> tuple:
+def _nonidentity_products(assignment: GeneratorAssignment, walk: Iterable) -> tuple:
     """{index: value} of each (pattern, substitution, source) of ``walk`` whose
     product of letter images is not the identity, and the number walked.
-    Only ``generators`` and their inverses are tabulated.
 
-    The table holds, per signed letter, the nonzero (k, a) entries of its
-    image v, its central part t and the nonzero entries of C v.  Each running
-    product is multiplied on the right by the next letter:
+    The assignment's table holds, per signed letter, the nonzero (k, a)
+    entries of its image v, its central part t and the nonzero entries of
+    C v.  Each running product is multiplied on the right by the next letter:
 
         acc_t += t + acc_v . (C v),   acc_v += v,
 
     in Python integers, reduced mod p at the end of the relator.
     """
-    group, generators = assignment.target, list(generators)
+    group, table = assignment.target, assignment.table
     p = group.p
-    images = [assignment.images[x - 1] for x in generators]
-    vs = [{k: a for k, a in enumerate(g.v) if a} for g in images]
-    # C v of every image from one sparse product: the rows of V C^T
-    products = (FpMatrix.sparse(vs, group.dim, p) @ group.cocycle.transpose()).to_lists()
-    table = [None] * (8 * assignment.b + 3)  # indexed by signed letter
-    for x, g, row, cv in zip(generators, images, vs, products):
-        v, cvs = list(row.items()), [(k, a) for k, a in enumerate(cv) if a]
-        table[x] = (v, g.t, cvs)
-        # x^-1 is (-v, -t + v . C v), and C(-v) = -C v; -v is not reduced, so
-        # acc ends exactly zero in every word whose exponent sums vanish, and
-        # the identity check below is one any() for those
-        table[-x] = ([(k, -a) for k, a in v], sum(a * cv[k] for k, a in v) - g.t, [(k, -a) for k, a in cvs])
     found, i = {}, -1
     for i, (pattern, sub, _) in enumerate(walk):
         acc = {}  # acc_v by coordinate, absent ones zero
@@ -130,7 +129,7 @@ def evaluate_word(assignment: GeneratorAssignment, word: Word):
     One word through the same evaluator that ``verify_assignment`` runs."""
     check_letters(word, assignment.b)
     walk = [(word, {x: x for x in word}, None)]  # the word is its own pattern
-    found, _ = _nonidentity_products(assignment, {abs(x) for x in word}, walk)
+    found, _ = _nonidentity_products(assignment, walk)
     return found.get(0, assignment.target.identity)
 
 
@@ -202,7 +201,7 @@ def verify_assignment(assignment: GeneratorAssignment, *, oracle: bool = False) 
     and once by the oracle."""
     target = assignment.target
     pres = build_presentation(assignment.b)
-    found, walked = _nonidentity_products(assignment, range(1, 4 * pres.b + 2), pres.relators.walk())
+    found, walked = _nonidentity_products(assignment, pres.relators.walk())
     # only a failing run reads sources, off the walk the evaluator ran: no word is built
     walk = pres.relators.walk(sources=True) if found else ()
     failures = [(i, source, found[i]) for i, (_, _, source) in enumerate(walk) if i in found]

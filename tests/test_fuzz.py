@@ -22,11 +22,12 @@ Hypothesis runs derandomized, 60 examples per subcommand, so tier-1 sees
 the same vectors every run; the 420 runs take about 4 s on a 2-core x86
 box.
 
-Budget.  Some admitted work is slow by design: ``verify`` at b ~ 1000 takes
-43 s, ``presentation`` admits up to 10^7 relators, ``census`` up to 10^6
-cells, ``search-forms`` up to 2 * 10^8 candidates and ``kappa`` up to 10^6
-values.  A vector is discarded (``assume``) when the program would admit it
-and its work exceeds this budget:
+Budget.  Some admitted work is slow by design, as the README's bounds table
+times: ``verify`` admits up to 10^7 image entries, ``presentation`` up to
+10^7 relators, ``census`` up to 10^6 cells, ``search-forms`` up to 2 * 10^8
+candidates and ``kappa`` up to 10^6 values.  A vector is discarded
+(``assume``) when the program would admit it and its work exceeds this
+budget:
 
 * ``search-forms``: more than 10^4 candidates (p - 1)^(2b - 2);
 * ``census``: more than 10^3 cells (b, p) with every b a genus;
@@ -39,9 +40,10 @@ and its work exceeds this budget:
 Genera come from the edges and 4..6, so ``presentation``, ``verify`` and
 ``classify-form`` stay within 1406 relators without a filter.  Every vector
 the program refuses stays in, the edges 10^6, 10^11, 2^61 - 1 and 2^63
-included.  Each example runs under an address-space cap 1 GiB above the
-process's size and a 20 s alarm, so a runaway allocation or a hang fails the
-test instead of the machine.
+included.  Each subcommand's examples run in a forked process under an
+address-space cap 1 GiB above its size at the fork, each example under a
+20 s alarm, so a runaway allocation or a hang fails the test instead of the
+machine.
 
 The library gate calls eighteen entry points the same way, 30
 derandomized examples each: ``standard_assignment``, ``lift``,
@@ -73,6 +75,7 @@ import json
 import os
 import resource
 import signal
+import traceback
 from fractions import Fraction
 
 import pytest
@@ -280,15 +283,8 @@ class Overrun(BaseException):
 
 
 @contextlib.contextmanager
-def guarded():
-    """An address-space cap 1 GiB above the process's current size, where
-    /proc tells it, and an alarm after ALARM_S seconds; both are lifted on exit."""
-    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
-    with contextlib.suppress(OSError):
-        with open("/proc/self/statm") as fh:
-            size = int(fh.read().split()[0]) * resource.getpagesize()
-        cap = size + (1 << 30)
-        resource.setrlimit(resource.RLIMIT_AS, (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
+def alarmed():
+    """An alarm after ALARM_S seconds, lifted on exit."""
 
     def overrun(signum, frame):
         raise Overrun(f"run exceeded {ALARM_S} s")
@@ -300,30 +296,67 @@ def guarded():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
-@pytest.mark.parametrize("command", sorted(GRAMMAR))
-@settings(
-    max_examples=60,
+def in_fresh_process(examples):
+    """Run ``examples()`` in a forked process under an address-space cap 1 GiB
+    above that process's size at the fork, where /proc tells it; whatever
+    escapes it fails the test with its traceback.  Each entry of a gate gets
+    its own process and its cap is read once, so no cap depends on what an
+    earlier entry or example left mapped: the test process runs none."""
+    read, write = os.pipe()
+    if (pid := os.fork()) == 0:
+        try:
+            os.close(read)
+            with contextlib.suppress(OSError):
+                with open("/proc/self/statm") as fh:
+                    cap = int(fh.read().split()[0]) * resource.getpagesize() + (1 << 30)
+                hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+                cap = cap if hard == resource.RLIM_INFINITY else min(cap, hard)
+                resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+            try:
+                examples()
+                failure = ""
+            except BaseException:
+                failure = traceback.format_exc()
+            with os.fdopen(write, "w") as fh:
+                fh.write(f"failed: {failure}" if failure else "passed")
+        finally:
+            os._exit(0)
+    os.close(write)
+    with os.fdopen(read) as fh:
+        outcome = fh.read()
+    status = os.waitpid(pid, 0)[1]
+    assert outcome == "passed", outcome or f"the examples' process ended with wait status {status}"
+
+
+GATE = settings(
     derandomize=True,
     database=None,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
-@given(data=st.data())
-def test_every_argument_vector_exits_0_or_2(command, data, workdir):
+
+
+@pytest.mark.parametrize("command", sorted(GRAMMAR))
+def test_every_argument_vector_exits_0_or_2(command, workdir):
     files = [str(workdir / f"{name}.json") for name in sorted(MATRIX_FILES)]
-    argv = data.draw(GRAMMAR[command](files, str(workdir)), label="argv")
-    out, err = io.StringIO(), io.StringIO()
-    with guarded(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    lines = err.getvalue().splitlines()
-    assert code in (0, 2), err.getvalue()
-    if code == 2:
-        one_error = len(lines) == 1 and lines[0].startswith("error: ")
-        usage = bool(lines) and lines[0].startswith("usage: ") and ": error: " in lines[-1]
-        assert one_error or usage, err.getvalue()
+
+    @settings(GATE, max_examples=60)
+    @given(data=st.data())
+    def examples(data):
+        argv = data.draw(GRAMMAR[command](files, str(workdir)), label="argv")
+        out, err = io.StringIO(), io.StringIO()
+        with alarmed(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        lines = err.getvalue().splitlines()
+        assert code in (0, 2), err.getvalue()
+        if code == 2:
+            one_error = len(lines) == 1 and lines[0].startswith("error: ")
+            usage = bool(lines) and lines[0].startswith("usage: ") and ": error: " in lines[-1]
+            assert one_error or usage, err.getvalue()
+
+    in_fresh_process(examples)
 
 
 # -- the library ---------------------------------------------------------------
@@ -499,19 +532,17 @@ LIBRARY = {
 
 
 @pytest.mark.parametrize("entry", sorted(LIBRARY))
-@settings(
-    max_examples=30,
-    derandomize=True,
-    database=None,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
-)
-@given(data=st.data())
-def test_every_library_call_returns_or_raises_a_heiskod_error(entry, data):
+def test_every_library_call_returns_or_raises_a_heiskod_error(entry):
     function, arguments = LIBRARY[entry]
-    args = data.draw(arguments(), label="args")
-    with guarded(), contextlib.suppress(HeiskodError):
-        function(*args)
+
+    @settings(GATE, max_examples=30)
+    @given(data=st.data())
+    def examples(data):
+        args = data.draw(arguments(), label="args")
+        with alarmed(), contextlib.suppress(HeiskodError):
+            function(*args)
+
+    in_fresh_process(examples)
 
 
 # -- the gate's findings -------------------------------------------------------
@@ -544,7 +575,7 @@ H = "<16610-bit integer>"  # how a refusal prints 10^5000
             lambda: heiskod.primes.check_family("degenerate", HUGE, 3),
             f"the degenerate family needs p | b+1; 3 does not divide {H}",
         ),
-        (lambda: heiskod.primes.check_family("degenerate", 2, HUGE), f"{H} is not prime"),
+        (lambda: heiskod.primes.check_family("degenerate", 2, HUGE), f"modulus {H} is not prime"),
         (
             lambda: heiskod.primes.check_family("nondegenerate", 2, -HUGE),
             f"the non-degenerate family needs a prime p >= 5, got -{H}",

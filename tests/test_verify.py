@@ -276,6 +276,18 @@ def test_templates_evaluate_as_their_words(b):
     assert failing > 4 * b  # the mutations do break relators
 
 
+def test_evaluate_word_reads_the_table_built_with_the_assignment(monkeypatch):
+    """The letter table is built once, with the assignment: evaluating every
+    relator word of the presentation multiplies no matrix."""
+    assignment = standard_assignment("degenerate", 6, 7)
+    products = []
+    matmul = FpMatrix.__matmul__
+    monkeypatch.setattr(FpMatrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
+    words = [rel.word for rel in build_presentation(6).relators]
+    assert all(evaluate_word(assignment, word) == assignment.target.identity for word in words)
+    assert len(words) == 314 and not products
+
+
 # -- standard assignments --------------------------------------------------------
 
 
