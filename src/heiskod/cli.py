@@ -25,7 +25,7 @@ import itertools
 import json
 import os
 import sys
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Generator, Iterable, Iterator, Optional, Sequence
 
 from .errors import HeiskodError, InconsistencyError, PreconditionError
 
@@ -91,20 +91,23 @@ def _record(record: dict, fmt: str) -> tuple[str]:
 # ---------------------------------------------------------------------------
 
 
-def _json_list(items: Iterable[str]) -> Iterator[str]:
-    """``json.dumps(..., indent=2)`` of a nonempty list, one item at a time;
-    each item comes indented as a member of the list."""
-    sep = "[\n"
-    for item in items:
-        yield sep + item
-        sep = ",\n"
-    yield "\n]"
+def _json_list(items: Iterable[str], indent: str = "") -> Generator[str, None, int]:
+    """``json.dumps(..., indent=2)`` of a list closed at ``indent``, one item
+    at a time, returning the number of items; each item comes indented as a
+    member of the list, and no items give ``[]``."""
+    n = 0
+    for n, item in enumerate(items, 1):
+        yield ("[\n" if n == 1 else ",\n") + item
+    yield f"\n{indent}]" if n else "[]"
+    return n
 
 
 def _presentation_json(relators: Iterable[tuple[list[str], str]]) -> Iterator[str]:
     """The list members of {"relator": names, "source": source}, one relator
     at a time; no list of names is empty."""
     for names, source in relators:
+        # joined in place: a _json_list per relator made `presentation --b 100 --format json`
+        # 15 % slower (0.67 -> 0.77 s on a 2-core x86 box, Python 3.11)
         joined = ",\n      ".join(map(json.dumps, names))
         yield f'  {{\n    "relator": [\n      {joined}\n    ],\n    "source": {json.dumps(source)}\n  }}'
 
@@ -169,22 +172,12 @@ Hit = tuple[tuple[int, ...], tuple[int, ...]]
 
 def _search_json(b: int, p: int, hits: Iterable[Hit], count: Optional[int]) -> Iterator[str]:
     """``json.dumps(payload, indent=2)`` of the search payload, one hit at a time."""
-    yield f'{{\n  "b": {b},\n  "p": {p},\n  "hits": ['
+    yield f'{{\n  "b": {b},\n  "p": {p},\n  "hits": '
     # each distinct tuple is formatted once; a search has at most (p-1)^(b-1)
-    items = functools.lru_cache(maxsize=None)(lambda t: ",\n        ".join(map(str, t)))
-    n = 0
-    for lam, mu in hits:
-        yield (
-            ("\n" if n == 0 else ",\n")
-            + '    {\n      "lambda": [\n        '
-            + items(lam)
-            + '\n      ],\n      "mu": [\n        '
-            + items(mu)
-            + "\n      ]\n    }"
-        )
-        n += 1
-    exhaustive = count is None or n < count
-    yield ("\n  ]" if n else "]") + f',\n  "exhaustive": {json.dumps(exhaustive)}\n}}'
+    items = functools.lru_cache(maxsize=None)(lambda t: "".join(_json_list((f"        {x}" for x in t), "      ")))
+    members = (f'    {{\n      "lambda": {items(lam)},\n      "mu": {items(mu)}\n    }}' for lam, mu in hits)
+    n = yield from _json_list(members, "  ")
+    yield f',\n  "exhaustive": {json.dumps(count is None or n < count)}\n}}'
 
 
 def _search_text(b: int, p: int, hits: Iterable[Hit]) -> Iterator[str]:

@@ -128,20 +128,27 @@ def general_invariants(b: int, group_order: int, n: int, m1: int, m2: int) -> Fi
 
 
 GROUP_BITS_BOUND = 2**17  # the most bits |G| may have where family_invariants computes it
+CENSUS_BITS_BOUND = 2**26  # the most bits the |G| of a census's rows may have in all
+
+
+def _group_bits(family: str, b: int, p: int) -> int:
+    """(dim + 1) times the bit length of p, an upper bound on log2 |G|,
+    refused past ``GROUP_BITS_BOUND`` before any power of p is formed."""
+    dim = 4 * b if family == "nondegenerate" else 2 * b
+    if (bits := (dim + 1) * p.bit_length()) > GROUP_BITS_BOUND:
+        raise PreconditionError(
+            f"|G| = {p}^{shown(dim + 1)} has up to {shown(bits)} bits, more than {GROUP_BITS_BOUND}"
+        )
+    return bits
 
 
 def family_invariants(family: str, b: int, p: int) -> FibrationInvariants:
     """Invariants of the family's fibration at (b, p): the target group has
     order p^{dim+1} with dim = 4b (non-degenerate) or 2b (degenerate), A12
     has order p, and both fibre subgroups have index m = p^{2b} or 1.
-    Refused, before any power of p is formed, when (dim + 1) times the bit
-    length of p, an upper bound on log2 |G|, exceeds ``GROUP_BITS_BOUND``."""
+    Refused by ``_group_bits`` when |G| may exceed ``GROUP_BITS_BOUND`` bits."""
     b, p = check_family(family, b, p)
-    dim = 4 * b if family == "nondegenerate" else 2 * b
-    if (bits := (dim + 1) * p.bit_length()) > GROUP_BITS_BOUND:
-        raise PreconditionError(
-            f"|G| = {p}^{shown(dim + 1)} has up to {shown(bits)} bits, more than {GROUP_BITS_BOUND}"
-        )
+    dim = _group_bits(family, b, p) // p.bit_length() - 1  # the bits are (dim + 1) bit lengths of p
     m = p ** (2 * b) if family == "nondegenerate" else 1
     inv = general_invariants(b, p ** (dim + 1), p, m, m)
     if inv.signature != (2 * b - 2) * p ** (dim - 1) * (p * p - 1) // 3:
@@ -259,14 +266,20 @@ def census(family: str, b_range: Iterable[int], p_range: Iterable[int]) -> tuple
 
     Every b in the range must be a genus (b >= 2); (b, p) is a row when the
     family admits p at b.  Refused when a range has more than 10^6 values, or
-    there are more than 10^6 cells (b, p), before any is tested, or when none
-    is a row, since every claim would then hold vacuously.
+    there are more than 10^6 cells (b, p), before any is tested; when the
+    rows' (dim + 1) times the bit length of p, summed, exceed
+    ``CENSUS_BITS_BOUND``, before any row is computed; or when none is a row,
+    since every claim would then hold vacuously.
     """
     bs = sorted(set(map(check_genus, bounded(b_range, "genus b"))))
     ps = sorted(set(bounded(p_range, "modulus")))
     if len(bs) * len(ps) > 10**6:
         raise PreconditionError(f"{len(bs)} x {len(ps)} cells (b, p) are more than 10^6")
-    rows = [CensusRow(family, b, p, family_invariants(family, b, p)) for b in bs for p in ps if admits(family, b, p)]
+    cells = [(b, p) for b in bs for p in ps if admits(family, b, p)]
+    if (bits := sum(_group_bits(family, b, p) for b, p in cells)) > CENSUS_BITS_BOUND:
+        what = f"the {len(cells)} rows' |G| have up to {shown(bits)} bits in all"
+        raise PreconditionError(f"{what}, more than {shown(CENSUS_BITS_BOUND)}")
+    rows = [CensusRow(family, b, p, family_invariants(family, b, p)) for b, p in cells]
     if not rows:
         name = family if isinstance(family, str) else shown(family)
         raise PreconditionError(f"no admissible (b, p) for the {name} family in the given ranges")

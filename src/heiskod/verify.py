@@ -346,9 +346,9 @@ def subgroup_order_fast(group: HeisGroup, elements: Sequence) -> int:
     iff one of the following holds:
 
     * some pair fails to commute (the commutator is a nonzero central value);
-    * p = 2 and some generator squares to a nontrivial central element, the
-      cocycle value c(v, v); for odd p, g^p = (p v, p t + C(p, 2) c(v, v)) is
-      the identity, so no power is taken;
+    * some generator's p-th power g^p = (p v, p t + C(p, 2) c(v, v)) is a
+      nontrivial central element; it is the identity for odd p, and at p = 2
+      it is the square, the cocycle value c(v, v);
     * otherwise the generated subgroup is abelian with every generator of
       order dividing p, and the ordered-product map from exponent vectors is
       a homomorphism; the center is hit iff the product over some null
@@ -364,8 +364,8 @@ def subgroup_order_fast(group: HeisGroup, elements: Sequence) -> int:
     # the sparse pairing is compared with the zero matrix, never made dense
     pairing = proj @ (group.form @ proj_t)
     center_hit = pairing != FpMatrix.sparse([{}] * m, m, p)
-    if p == 2 and not center_hit:
-        center_hit = any(group.power(g, 2) != group.identity for g in elements)
+    if not center_hit:
+        center_hit = any(group.power(g, p) != group.identity for g in elements)
     if not center_hit:
         for null in proj_t.kernel_basis():
             acc = group.identity

@@ -850,6 +850,16 @@ def test_census_of_too_many_cells_exits_2_before_any_is_tested():
     assert seconds < 1.0
 
 
+def test_census_of_too_many_group_bits_exits_2_before_any_row_is_computed():
+    # every row is under GROUP_BITS_BOUND, but 1384 of them hold 173,744,592
+    # bits of |G| in all; computed, they took 45 s and 405 MB for 157 MB of CSV
+    # (2-core x86 box, Python 3.11)
+    code, out, err, seconds = run_capped("census", "--family", "degenerate", "--b", "30001..32767", "--p", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: the 1384 rows' |G| have up to 173744592 bits in all, more than 67108864\n"
+    assert seconds < 1.0
+
+
 @pytest.mark.parametrize("family", ["degenerate", "nondegenerate"])
 def test_verify_at_a_huge_genus_exits_2_before_a_form_is_built(family):
     # the dense images of the degenerate (100000, 11) lifting, 80,000,200,000

@@ -927,22 +927,22 @@ def test_null_combinations_skip_zero_coefficients(monkeypatch, nondeg25):
 
 
 @pytest.mark.parametrize("b,p", [(2, 3), (3, 5), (4, 7)])
-def test_odd_p_takes_no_central_power(monkeypatch, b, p):
+def test_odd_p_central_powers_are_the_identity(monkeypatch, b, p):
     # r_1, ..., r_b of J_b commute and have independent projections, so no
-    # pairing and no null combination can hit the center; at odd p no
-    # generator has a nontrivial central power either, so none is taken
+    # pairing and no null combination can hit the center; each generator's
+    # p-th power is taken, as at every prime, and at odd p it is the identity
     group = j_group(b, p)
     els = [unit(group, 2 * j) for j in range(b)]
     calls = []
     power = HeisGroup.power
 
     def counted(self, g, k):
-        calls.append(None)
-        return power(self, g, k)
+        calls.append((g, k, power(self, g, k)))
+        return calls[-1][2]
 
     monkeypatch.setattr(HeisGroup, "power", counted)
     assert subgroup_order_fast(group, els) == p**b
-    assert calls == []
+    assert calls == [(g, p, group.identity) for g in els]
 
 
 # -- report serialisation --------------------------------------------------------
