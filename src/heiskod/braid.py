@@ -125,10 +125,9 @@ class Relator(NamedTuple):
 
 
 class Presentation(NamedTuple):
-    """The relators of ``build_presentation(b)``, a sized iterable of
-    :class:`Relator` read as templates."""
+    """The relators of ``build_presentation(b)``, templates of genus ``relators.b``:
+    a one-field record, since ``proofbench/tracer.py`` reads ``result.relators``."""
 
-    b: int
     relators: _Templates
 
 
@@ -261,7 +260,7 @@ def build_presentation(b: int) -> Presentation:
         raise PreconditionError(
             f"the presentation at genus {shown(b)} has {shown(n)} relators, more than {RELATOR_BOUND}"
         )
-    return Presentation(b, _Templates(b))
+    return Presentation(_Templates(b))
 
 
 def involution_substitute(w: Word, b: int) -> Word:

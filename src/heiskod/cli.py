@@ -115,7 +115,7 @@ def _presentation_json(relators: Iterable[tuple[list[str], str]]) -> Iterator[st
 def cmd_presentation(args) -> Output:
     from .braid import build_presentation, word_display
 
-    b, relators = build_presentation(args.b)
+    b, relators = args.b, build_presentation(args.b).relators
     if args.format == "json":
         return 0, _json_list(_presentation_json((word_display(rel.word, b), rel.source) for rel in relators))
     generators = " ".join(word_display(range(1, 4 * b + 2), b))
@@ -375,7 +375,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -73,7 +73,7 @@ class HeisGroup:
     def identity(self) -> HeisElement:
         return HeisElement((0,) * self.dim, 0)
 
-    def central(self, t: int = 1) -> HeisElement:
+    def central(self, t: int) -> HeisElement:
         return HeisElement((0,) * self.dim, self._residue(t))
 
     def element(self, v: Sequence[int], t: int) -> HeisElement:

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .errors import InconsistencyError, PreconditionError
-from .primes import admits, bounded, check_family, check_genus, integer, shown
+from .primes import admits, bounded, check_family, check_genus, integer, is_prime, shown
 
 
 class _FibrationFields(NamedTuple):
@@ -275,6 +275,7 @@ def census(family: str, b_range: Iterable[int], p_range: Iterable[int]) -> tuple
     ps = sorted(set(bounded(p_range, "modulus")))
     if len(bs) * len(ps) > 10**6:
         raise PreconditionError(f"{len(bs)} x {len(ps)} cells (b, p) are more than 10^6")
+    ps = [p for p in ps if is_prime(p)]  # each modulus tested once; admits reads its primes back from the cache
     cells = [(b, p) for b in bs for p in ps if admits(family, b, p)]
     if (bits := sum(_group_bits(family, b, p) for b, p in cells)) > CENSUS_BITS_BOUND:
         what = f"the {len(cells)} rows' |G| have up to {shown(bits)} bits in all"

@@ -12,7 +12,7 @@ The two families of the paper admit a prime p at genus b >= 2 when
 * degenerate:     p divides b + 1.
 """
 
-from functools import cache
+from functools import cache, lru_cache
 from itertools import compress, islice
 from math import isqrt
 from operator import index
@@ -64,12 +64,14 @@ def bounded(values, what: str) -> list[int]:
     return [integer(v, what) for v in values]
 
 
+@lru_cache(maxsize=2**17, typed=True)  # typed: a bool is refused, never served an equal integer's answer
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test, exact for n < 3.3 * 10^24.
 
     Costs O(log n) modular multiplications per base.  Larger n without a
     prime factor up to 41 raise PreconditionError instead of a probable
-    answer.
+    answer.  Cached for census: over two or more genera it reads at most 5 * 10^5
+    moduli, and that many consecutive integers hold fewer than 2^17 primes.
     """
     n = integer(n, "modulus")
     if n < 2:

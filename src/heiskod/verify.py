@@ -200,13 +200,13 @@ def verify_assignment(assignment: GeneratorAssignment, *, oracle: bool = False) 
     Each distinct set of images is measured once by the structural method
     and once by the oracle."""
     target = assignment.target
-    pres = build_presentation(assignment.b)
-    found, walked = _nonidentity_products(assignment, pres.relators.walk())
+    b, relators = assignment.b, build_presentation(assignment.b).relators
+    found, walked = _nonidentity_products(assignment, relators.walk())
     # only a failing run reads sources, off the walk the evaluator ran: no word is built
-    walk = pres.relators.walk(sources=True) if found else ()
+    walk = relators.walk(sources=True) if found else ()
     failures = [(i, source, found[i]) for i, (_, _, source) in enumerate(walk) if i in found]
     # strand 2 and A12 are the letters 2b + 1..4b + 1, strand 1 the first 2b
-    kernel_images = [assignment.images[2 * pres.b :], assignment.images[: 2 * pres.b] + assignment.images[-1:]]
+    kernel_images = [assignment.images[2 * b :], assignment.images[: 2 * b] + assignment.images[-1:]]
     keys = [frozenset(images) for images in kernel_images]
     distinct = dict(zip(keys, kernel_images))
     fast = {key: subgroup_order_fast(target, images) for key, images in distinct.items()}
@@ -216,7 +216,7 @@ def verify_assignment(assignment: GeneratorAssignment, *, oracle: bool = False) 
         sizes = {key: bfs_subgroup_order(target, images) for key, images in distinct.items()}
         checks = tuple((label, sizes[key], sizes[key] == fast[key]) for label, key in zip(("m1", "m2"), keys))
     return VerificationReport(
-        b=assignment.b,
+        b=b,
         p=target.p,
         family=assignment.family,
         target_order=target.order,

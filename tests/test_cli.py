@@ -860,6 +860,16 @@ def test_census_of_too_many_group_bits_exits_2_before_any_row_is_computed():
     assert seconds < 1.0
 
 
+def test_census_tests_each_modulus_once_before_its_bit_bound_refuses():
+    # 10^6 cells over 1000 moduli; testing primality per cell, not per
+    # modulus, made 10^6 is_prime calls and took 1.4-1.6 s to refuse
+    # (2-core x86 box, Python 3.11)
+    code, out, err, seconds = run_capped("census", "--family", "nondegenerate", "--b", "2..1001", "--p", "2..1001")
+    assert (code, out) == (2, "")
+    assert err == "error: the 166000 rows' |G| have up to 2916171000 bits in all, more than 67108864\n"
+    assert seconds < 1.0
+
+
 @pytest.mark.parametrize("family", ["degenerate", "nondegenerate"])
 def test_verify_at_a_huge_genus_exits_2_before_a_form_is_built(family):
     # the dense images of the degenerate (100000, 11) lifting, 80,000,200,000

@@ -130,6 +130,15 @@ def test_is_prime_large():
     assert not is_prime(2**200)  # a small factor still decides exactly
 
 
+def test_is_prime_answers_once_per_modulus_and_still_refuses_a_bool():
+    is_prime.cache_clear()
+    assert is_prime(7) and is_prime(7) and not is_prime(1) and not is_prime(np.int64(1))
+    assert (is_prime.cache_info().hits, is_prime.cache_info().misses) == (1, 3)
+    # True == np.int64(1) and hashes alike, so an untyped cache would answer it with False
+    with pytest.raises(PreconditionError, match="modulus must be an integer, got True"):
+        is_prime(True)
+
+
 # -- rank / det / kernel -----------------------------------------------------
 
 
